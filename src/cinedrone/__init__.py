@@ -4,9 +4,9 @@ cinematography, closed against a deterministic kinematic scene."""
 from .optics import (CameraSensorSpec, DepthOfField, IntrinsicState,
                      INFINITE_FAR, back_project, calibration_matrix,
                      depth_of_field, hyperfocal, project)
-from .kinematics import (CameraRig, DroneInput, DroneState, IntrinsicInput,
-                         interpolate_commands, rollout, step_intrinsics,
-                         step_rotation, step_translation)
+from .kinematics import (CameraRig, DroneInput, DroneState, Horizon,
+                         IntrinsicInput, interpolate_commands, rollout,
+                         step_intrinsics, step_rotation, step_translation)
 from .objectives import (CompositionTarget, CostBreakdown, DofTarget,
                          FocalSchedule, FocalTarget, Instructions,
                          PoseTarget, RelativeDistance, TargetPrediction,

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import BODY_TO_CAMERA, CameraRig, rpy_from_rotation
-from .objectives import StageGradient, TargetPrediction
+from .kinematics import BODY_TO_CAMERA, CameraRig, Horizon
+from .objectives import TargetPrediction
 from .optics import BehindCameraError, CameraSensorSpec
-
-#: Residuals below this count as violations; smaller negatives are noise.
-VIOLATION_TOL = -1e-9
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,22 @@ class ConstraintSet:
         if self.safety_distance < 0.0:
             raise ValueError("safety_distance must be >= 0")
 
+    @property
+    def input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) of an input row: drone input, then lens input."""
+        return (np.concatenate([self.drone_input_low, self.intr_input_low]),
+                np.concatenate([self.drone_input_high,
+                                self.intr_input_high]))
+
+    @property
+    def state_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) of a state row: position, velocity, roll/pitch/yaw,
+        lens state."""
+        return (np.concatenate([self.position_low, self.velocity_low,
+                                self.rpy_low, self.intr_low]),
+                np.concatenate([self.position_high, self.velocity_high,
+                                self.rpy_high, self.intr_high]))
+
     @classmethod
     def default(cls) -> "ConstraintSet":
         """Stock simulation bounds: a gentle cinematography platform."""
@@ -109,12 +122,18 @@ class OcclusionRecord:
 def predict_bounding_box(rig: CameraRig, pred: TargetPrediction, step: int,
                          height: float, width: float,
                          spec: CameraSensorSpec) -> PixelBox:
-    """Project a world-vertical box around a target center to pixel corners.
+    """:func:`box_from_center` at a predicted target center."""
+    return box_from_center(rig, pred.point_position(step, "center"), height,
+                           width, spec)
+
+
+def box_from_center(rig: CameraRig, center: np.ndarray, height: float,
+                    width: float, spec: CameraSensorSpec) -> PixelBox:
+    """Project a world-vertical box around a center point to pixel corners.
 
     The half extents are applied in the image axes at the center's depth,
     so the box stays axis-aligned in the image.
     """
-    center = pred.point_position(step, "center")
     q = rig.camera_frame(center)
     if q[2] <= 0.0:
         raise BehindCameraError(f"target center depth {q[2]:.4g}")
@@ -171,62 +190,23 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
     return records
 
 
-def separation_residual(rig: CameraRig, preds: dict[str, TargetPrediction],
-                        sizes: dict[str, tuple[float, float]],
-                        record: OcclusionRecord, step: int,
-                        spec: CameraSensorSpec,
-                        grads: StageGradient | None = None) -> float:
-    """Signed pixel gap between the right box's left edge and the left
-    box's right edge; feasible when >= 0.
-
-    Optionally accumulates the analytic gradient with respect to the rig
-    state into ``grads``.
-    """
-    f_mm = rig.intrinsics.focal_length
-    r_cam = rig.camera_rotation()
-    p_d = rig.drone.position
-    edges = []
-    for tid, sign in ((record.right_id, -1.0), (record.left_id, +1.0)):
-        height, width = sizes[tid]
-        center = preds[tid].point_position(step, "center")
-        rel = center - p_d
-        q = r_cam.T @ rel
-        qz = max(q[2], 1e-6)
-        bxf = spec.beta_x * f_mm
-        u = (bxf * q[0] + spec.skew * q[1]) / qz + spec.principal_u
-        half_w = bxf * (width / 2.0) / qz
-        edge = u + sign * half_w
-        edges.append(edge)
-        if grads is not None:
-            # residual = edge(right) - edge(left): right enters +, left -
-            outer_sign = 1.0 if sign < 0.0 else -1.0
-            du_dq = np.array([bxf / qz, spec.skew / qz,
-                              -(bxf * q[0] + spec.skew * q[1]) / (qz * qz)])
-            dhw_dq = np.array([0.0, 0.0, -half_w / qz])
-            g_q = outer_sign * (du_dq + sign * dhw_dq)
-            grads.position -= r_cam @ g_q
-            grads.rotation += np.outer(rel, g_q) @ BODY_TO_CAMERA.T
-            grads.intrinsics[0] += outer_sign * (
-                spec.beta_x * q[0] / qz
-                + sign * spec.beta_x * (width / 2.0) / qz)
-    return edges[0] - edges[1]
-
-
-def separation_pieces(positions: np.ndarray, cam_rotations: np.ndarray,
-                      f_mm: np.ndarray, preds: dict[str, TargetPrediction],
+def separation_pieces(horizon: Horizon, start: int,
+                      preds: dict[str, TargetPrediction],
                       sizes: dict[str, tuple[float, float]],
-                      record: OcclusionRecord, start_step: int,
-                      spec: CameraSensorSpec,
+                      record: OcclusionRecord, spec: CameraSensorSpec,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
-    """Stacked :func:`separation_residual` over consecutive steps.
+    """Signed pixel gap between the right box's left edge and the left
+    box's right edge, feasible when >= 0, at horizon states ``start``..N.
 
-    Returns (residuals, d/d position, d/d rotation, d/d focal) for steps
-    ``start_step .. start_step + len(positions) - 1``; the caller scales
-    the gradient pieces by its penalty slopes.
+    Returns (residuals, d/d position, d/d rotation, d/d focal) per state;
+    the caller scales the gradient pieces by its penalty slopes.
     """
+    positions = horizon.positions[start:]
+    cam_rotations = horizon.rotations[start:] @ BODY_TO_CAMERA
+    f_mm = horizon.lens[start:, 0]
     n = len(positions)
-    steps = slice(start_step, start_step + n)
+    steps = slice(start, start + n)
     residual = np.zeros(n)
     d_pos = np.zeros((n, 3))
     d_rot = np.zeros((n, 3, 3))
@@ -258,55 +238,90 @@ def separation_pieces(positions: np.ndarray, cam_rotations: np.ndarray,
     return residual, d_pos, d_rot, d_f
 
 
-def state_bound_residuals(rig: CameraRig, cset: ConstraintSet) -> np.ndarray:
-    """Stacked state-box residuals for one rig: x - lo, hi - x."""
-    rpy = rpy_from_rotation(rig.drone.orientation)
-    state = np.concatenate([
-        rig.drone.position, rig.drone.velocity, rpy,
-        rig.intrinsics.as_array(),
-    ])
-    low = np.concatenate([cset.position_low, cset.velocity_low,
-                          cset.rpy_low, cset.intr_low])
-    high = np.concatenate([cset.position_high, cset.velocity_high,
-                           cset.rpy_high, cset.intr_high])
-    return np.concatenate([state - low, high - state])
+def input_bound_residuals(u: np.ndarray, cset: ConstraintSet) -> np.ndarray:
+    """Input-box residuals ``u - lo, hi - u`` of input rows:
+    (..., 9) -> (..., 18)."""
+    low, high = cset.input_bounds
+    return np.concatenate([u - low, high - u], axis=-1)
 
 
-def input_bound_residuals(drone_input, intr_input,
+def state_bound_residuals(horizon: Horizon,
                           cset: ConstraintSet) -> np.ndarray:
-    u = np.concatenate([drone_input.acceleration,
-                        drone_input.angular_velocity,
-                        intr_input.as_array()])
-    low = np.concatenate([cset.drone_input_low, cset.intr_input_low])
-    high = np.concatenate([cset.drone_input_high, cset.intr_input_high])
-    return np.concatenate([u - low, high - u])
+    """State-box residuals ``x - lo, hi - x`` of every state: (n, 24)."""
+    rotations = horizon.rotations
+    rpy = np.stack([
+        np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2]),
+        -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0)),
+        np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0]),
+    ], axis=1)
+    state = np.hstack([horizon.positions, horizon.velocities, rpy,
+                       horizon.lens])
+    low, high = cset.state_bounds
+    return np.hstack([state - low, high - state])
 
 
-def evaluate_constraints(inputs, rollout: list[CameraRig],
+def _collision_ids(preds: dict[str, TargetPrediction],
+                   cset: ConstraintSet) -> list[str]:
+    return sorted(preds) if cset.safety_distance > 0.0 else []
+
+
+def state_residual_width(preds: dict[str, TargetPrediction],
+                         cset: ConstraintSet,
+                         records: list[OcclusionRecord]) -> int:
+    """Entries per state of :func:`state_residuals`."""
+    return (2 * len(cset.state_bounds[0]) + len(_collision_ids(preds, cset))
+            + sum(record.active for record in records))
+
+
+def state_residuals(horizon: Horizon, start: int,
+                    preds: dict[str, TargetPrediction],
+                    sizes: dict[str, tuple[float, float]],
+                    cset: ConstraintSet, records: list[OcclusionRecord],
+                    spec: CameraSensorSpec, margin: float = 0.0):
+    """Every state inequality g >= 0 of horizon states ``start``..N, one
+    row per state in the layout the planner's penalty and
+    :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
+    when ``cset.safety_distance > 0``, distance - (safety distance +
+    ``margin``) per target by sorted id; the :func:`separation_pieces`
+    pixel gap per active record.
+
+    Returns the rows, then the derivative pieces: ``(rig - target
+    offsets, distances)`` per collision and the :func:`separation_pieces`
+    gradients per separation entry.
+    """
+    positions = horizon.positions[start:]
+    n = len(positions)
+    columns = [state_bound_residuals(horizon, cset)[start:]]
+    collisions = []
+    for tid in _collision_ids(preds, cset):
+        diff = positions - preds[tid].positions[start:start + n]
+        dist = np.linalg.norm(diff, axis=1)
+        columns.append((dist - (cset.safety_distance + margin))[:, None])
+        collisions.append((diff, dist))
+    separations = []
+    for record in records:
+        if not record.active:
+            continue
+        res, *pieces = separation_pieces(horizon, start, preds, sizes,
+                                         record, spec)
+        columns.append(res[:, None])
+        separations.append(pieces)
+    return np.hstack(columns), collisions, separations
+
+
+def evaluate_constraints(u: np.ndarray, horizon: Horizon,
                          preds: dict[str, TargetPrediction],
                          sizes: dict[str, tuple[float, float]],
                          cset: ConstraintSet,
                          records: list[OcclusionRecord],
                          spec: CameraSensorSpec) -> np.ndarray:
-    """Stack every inequality residual of a candidate plan.
+    """Stack every inequality residual of a plan; feasible when all are
+    >= 0.
 
-    Feasibility requires all entries >= 0 (up to :data:`VIOLATION_TOL`).
-    Order: input boxes per step, state boxes per state, collision distances
-    per target and state, occlusion separations per record and state.
+    Order: the 18 :func:`input_bound_residuals` of each (n, 9) input row,
+    then the :func:`state_residuals` row of every state 0..N.
     """
-    parts = [input_bound_residuals(di, ii, cset) for di, ii in inputs]
-    parts += [state_bound_residuals(rig, cset) for rig in rollout]
-    for tid, pred in preds.items():
-        for k, rig in enumerate(rollout):
-            dist = float(np.linalg.norm(pred.positions[k]
-                                        - rig.drone.position))
-            parts.append(np.array([dist - cset.safety_distance]))
-    for record in records:
-        if not record.active:
-            continue
-        for k, rig in enumerate(rollout):
-            parts.append(np.array([separation_residual(
-                rig, preds, sizes, record, k, spec)]))
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    states, _, _ = state_residuals(horizon, 0, preds, sizes, cset, records,
+                                   spec)
+    return np.concatenate([input_bound_residuals(u, cset).ravel(),
+                           states.ravel()])

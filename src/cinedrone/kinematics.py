@@ -97,8 +97,9 @@ def hat_batch(w: np.ndarray) -> np.ndarray:
 
 
 def so3_exp_batch(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula over a stack of rotation vectors; bitwise
-    identical to mapping :func:`so3_exp` row by row."""
+    """Rodrigues formula over a stack of rotation vectors.  Agrees with
+    :func:`so3_exp` row by row to a few ulp (within 1e-15 up to 0.1 rad),
+    not bit for bit: vectorized ``sin``/``cos``/``norm`` round apart."""
     theta = np.linalg.norm(w, axis=1)
     k = hat_batch(w)
     k2 = k @ k
@@ -120,19 +121,6 @@ def so3_right_jacobian_batch(w: np.ndarray) -> np.ndarray:
     a = np.where(small, 0.5, (1.0 - np.cos(safe)) / t2)
     b = np.where(small, 1.0 / 6.0, (safe - np.sin(safe)) / (t2 * safe))
     return np.eye(3) - a[:, None, None] * k + b[:, None, None] * k2
-
-
-def so3_right_jacobian(w: np.ndarray) -> np.ndarray:
-    """Right Jacobian of the exponential map:
-    exp((w + dw)^) ~ exp(w^) exp((J_r(w) dw)^)."""
-    theta = float(np.linalg.norm(w))
-    k = hat(w)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * k + (1.0 / 6.0) * (k @ k)
-    t2 = theta * theta
-    a = (1.0 - math.cos(theta)) / t2
-    b = (theta - math.sin(theta)) / (t2 * theta)
-    return np.eye(3) - a * k + b * (k @ k)
 
 
 def project_to_so3(matrix: np.ndarray) -> np.ndarray:
@@ -271,11 +259,17 @@ def step_rotation(state: DroneState, inp: DroneInput,
     """Advance orientation at constant angular velocity for dt seconds."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rotation = state.orientation @ so3_exp(dt * inp.angular_velocity)
+    return _raw_state(state.position, state.velocity,
+                      _rotate(state.orientation, dt * inp.angular_velocity))
+
+
+def _rotate(rotation: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # right-multiply by exp(w^), back onto SO(3) if round-off drifted
+    rotation = rotation @ so3_exp(w)
     drift = np.linalg.norm(rotation.T @ rotation - np.eye(3))
     if drift > _REORTHONORMALIZE_TOL:
         rotation = project_to_so3(rotation)
-    return _raw_state(state.position, state.velocity, rotation)
+    return rotation
 
 
 def step_intrinsics(intr: IntrinsicState, inp: IntrinsicInput,
@@ -303,15 +297,54 @@ def step_rig(rig: CameraRig, drone_input: DroneInput,
     )
 
 
-def rollout(initial: CameraRig, inputs: list[tuple[DroneInput,
-                                                   IntrinsicInput]],
-            dt: float) -> list[CameraRig]:
-    """Roll the dynamics forward; returns len(inputs) + 1 rigs, each
-    produced by exactly one :func:`step_rig` application."""
-    rigs = [initial]
-    for drone_input, intr_input in inputs:
-        rigs.append(step_rig(rigs[-1], drone_input, intr_input, dt))
-    return rigs
+@dataclass(frozen=True, eq=False)
+class Horizon:
+    """Rig states 0..N of one horizon as stacked arrays: ``positions``,
+    ``velocities`` and ``lens`` (focal mm, focus m, aperture) are (N+1, 3),
+    ``rotations`` the (N+1, 3, 3) body orientations."""
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    rotations: np.ndarray
+    lens: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def rigs(self, initial: CameraRig) -> list[CameraRig]:
+        """The states as rigs: ``initial`` itself for state 0, then one new
+        rig per later state, time indices counting on from ``initial``."""
+        return [initial] + [
+            CameraRig(drone=DroneState(self.positions[k],
+                                       self.velocities[k],
+                                       self.rotations[k]),
+                      intrinsics=IntrinsicState(*self.lens[k]),
+                      time_index=initial.time_index + k)
+            for k in range(1, len(self))]
+
+
+def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
+    """Roll the dynamics forward under the (n, 9) input rows
+    (acceleration, angular velocity, focal/focus/aperture rates); returns
+    the n + 1 states, each bit-identical to one :func:`step_rig`
+    application to the state before it.  With n = 0, the initial state
+    alone."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    # cumsum adds row after row, in step_rig's order of operations
+    velocities = np.cumsum(np.vstack([initial.drone.velocity,
+                                      dt * u[:, 0:3]]), axis=0)
+    positions = np.cumsum(np.vstack([initial.drone.position,
+                                     dt * velocities[:-1]]), axis=0)
+    lens = np.cumsum(np.vstack([initial.intrinsics.as_array(),
+                                dt * u[:, 6:9]]), axis=0)
+    # the scalar so3_exp, not so3_exp_batch, which differs from it in the
+    # last bit now and then: each state must equal step_rig's exactly, as
+    # the planner's single-shooting test checks with array_equal
+    rotations = [initial.drone.orientation]
+    for w in dt * u[:, 3:6]:
+        rotations.append(_rotate(rotations[-1], w))
+    return Horizon(positions, velocities, np.stack(rotations), lens)
 
 
 def _lerp_clipped(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import (BODY_TO_CAMERA, CameraRig, DroneInput,
-                         IntrinsicInput, so3_exp_batch,
+from .kinematics import (BODY_TO_CAMERA, CameraRig, Horizon, so3_exp_batch,
                          so3_right_jacobian_batch)
 from .optics import (BehindCameraError, CameraSensorSpec, IntrinsicState,
                      SingularDofError, hyperfocal, mm_to_m)
@@ -34,8 +33,6 @@ ROTATION_NORM_EPS = 1e-3
 #: Slope of the in-planner surrogate used where the far limit is infinite
 #: but a finite one is requested; steers the focus back below hyperfocal.
 _FAR_BARRIER = 1e9
-
-_ZERO3 = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -247,19 +244,6 @@ class CostBreakdown:
         return float(np.sum(self.step_totals))
 
 
-class StageGradient:
-    """Gradient of a scalar with respect to one rig state (used as a
-    scratch accumulator for per-stage constraint terms)."""
-
-    __slots__ = ("position", "velocity", "rotation", "intrinsics")
-
-    def __init__(self) -> None:
-        self.position = np.zeros(3)
-        self.velocity = np.zeros(3)
-        self.rotation = np.zeros((3, 3))
-        self.intrinsics = np.zeros(3)
-
-
 class HorizonGradients:
     """Stacked gradients of the accumulated cost w.r.t. every rig state."""
 
@@ -270,13 +254,6 @@ class HorizonGradients:
         self.velocity = np.zeros((n, 3))
         self.rotation = np.zeros((n, 3, 3))
         self.intrinsics = np.zeros((n, 3))
-
-    def add_stage(self, k: int, stage: StageGradient,
-                  scale: float = 1.0) -> None:
-        self.position[k] += scale * stage.position
-        self.velocity[k] += scale * stage.velocity
-        self.rotation[k] += scale * stage.rotation
-        self.intrinsics[k] += scale * stage.intrinsics
 
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
@@ -523,7 +500,7 @@ class HorizonTracks:
     tracks and the per-step desired focal length.  None of it depends on
     the decision variables, so the planner builds it once per instance."""
 
-    __slots__ = ("points", "poses", "f_star", "n")
+    __slots__ = ("points", "poses", "f_star")
 
     def __init__(self, preds: dict[str, TargetPrediction],
                  instr: Instructions, n: int):
@@ -531,7 +508,6 @@ class HorizonTracks:
             if len(pred) < n:
                 raise ValueError(f"prediction for '{tid}' has {len(pred)}"
                                  f" steps, rollout {n}")
-        self.n = n
         self.points = _point_tracks(preds, instr, n)
         self.poses = _pose_tracks(preds, instr, n)
         if instr.focal.weight > 0.0:
@@ -540,72 +516,64 @@ class HorizonTracks:
             self.f_star = np.zeros(n)
 
 
-def evaluate_horizon_stacked(positions: np.ndarray, rotations: np.ndarray,
-                             intr: np.ndarray, tracks: HorizonTracks,
+def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
                              barrier: bool, with_grads: bool,
                              smooth: bool,
                              ) -> tuple[CostBreakdown,
                                         HorizonGradients | None]:
-    """Stacked-array core of :func:`evaluate_horizon`."""
-    n = len(positions)
+    """:func:`evaluate_horizon` with the target tracks built already."""
+    positions, rotations = horizon.positions, horizon.rotations
+    f_mm = horizon.lens[:, 0]
     cam_rotations = rotations @ BODY_TO_CAMERA
-    grads = HorizonGradients(n) if with_grads else None
-    dof = _dof_vec(intr, spec, instr, barrier, grads)
-    image = _image_vec(positions, cam_rotations, intr[:, 0], tracks.points,
-                       spec, barrier, grads)
+    grads = HorizonGradients(len(horizon)) if with_grads else None
+    dof = _dof_vec(horizon.lens, spec, instr, barrier, grads)
+    image = _image_vec(positions, cam_rotations, f_mm, tracks.points, spec,
+                       barrier, grads)
     pose = _pose_vec(positions, rotations, tracks.poses, smooth, grads)
-    focal = _focal_vec(intr[:, 0], tracks.f_star, instr.focal.weight,
-                       grads)
+    focal = _focal_vec(f_mm, tracks.f_star, instr.focal.weight, grads)
     return CostBreakdown(dof=dof, image=image, pose=pose, focal=focal), grads
 
 
-def evaluate_horizon(rollout: list[CameraRig],
+def evaluate_horizon(horizon: Horizon,
                      preds: dict[str, TargetPrediction],
                      spec: CameraSensorSpec, instr: Instructions,
                      barrier: bool = False,
                      with_grads: bool = False,
                      smooth: bool | None = None,
                      ) -> tuple[CostBreakdown, HorizonGradients | None]:
-    """Evaluate all four terms at every step of a rollout.
+    """Evaluate all four terms at every state of a horizon.
 
     Returns the per-step breakdown and, when requested, the stacked
     per-state gradients for the backward pass.
     """
     if smooth is None:
         smooth = barrier
-    n = len(rollout)
-    tracks = HorizonTracks(preds, instr, n)
-    positions = np.stack([r.drone.position for r in rollout])
-    rotations = np.stack([r.drone.orientation for r in rollout])
-    intr = np.stack([r.intrinsics.as_array() for r in rollout])
-    return evaluate_horizon_stacked(positions, rotations, intr, tracks,
-                                    spec, instr, barrier, with_grads,
-                                    smooth)
+    tracks = HorizonTracks(preds, instr, len(horizon))
+    return evaluate_horizon_stacked(horizon, tracks, spec, instr, barrier,
+                                    with_grads, smooth)
 
 
-def horizon_cost(rollout: list[CameraRig],
+def horizon_cost(horizon: Horizon,
                  preds: dict[str, TargetPrediction],
                  spec: CameraSensorSpec, instr: Instructions,
                  barrier: bool = False) -> CostBreakdown:
-    """Sum of the four cost terms over a state rollout."""
-    breakdown, _ = evaluate_horizon(rollout, preds, spec, instr,
+    """Sum of the four cost terms over a horizon."""
+    breakdown, _ = evaluate_horizon(horizon, preds, spec, instr,
                                     barrier=barrier)
     return breakdown
 
 
-def chain_through_dynamics(grads: HorizonGradients,
-                           rollout: list[CameraRig],
-                           inputs: list[tuple[DroneInput, IntrinsicInput]],
-                           dt: float) -> np.ndarray:
+def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
+                           u: np.ndarray, dt: float) -> np.ndarray:
     """Backward pass: per-state gradients -> gradient per input.
 
-    Input layout per step: acceleration (3), angular velocity (3), focal /
-    focus / aperture rates (3).
+    Input layout per step, as in ``u``: acceleration (3), angular velocity
+    (3), focal / focus / aperture rates (3).
     """
-    n = len(inputs)
+    n = len(u)
     grad = np.zeros((n, 9))
-    thetas = np.array([dt * di.angular_velocity for di, _ in inputs])
+    thetas = dt * u[:, 3:6]
     exps = so3_exp_batch(thetas)
     jacobians = so3_right_jacobian_batch(thetas)
     g_p = np.zeros(3)
@@ -619,7 +587,7 @@ def chain_through_dynamics(grads: HorizonGradients,
         g_intr = g_intr + grads.intrinsics[k]
 
         grad[k - 1, 0:3] = dt * g_v
-        m = rollout[k].drone.orientation.T @ g_rot
+        m = horizon.rotations[k].T @ g_rot
         vee = np.array([m[2, 1] - m[1, 2],
                         m[0, 2] - m[2, 0],
                         m[1, 0] - m[0, 1]])
@@ -631,17 +599,16 @@ def chain_through_dynamics(grads: HorizonGradients,
     return grad
 
 
-def cost_gradient(rollout: list[CameraRig],
-                  inputs: list[tuple[DroneInput, IntrinsicInput]],
+def cost_gradient(horizon: Horizon, u: np.ndarray,
                   preds: dict[str, TargetPrediction],
                   spec: CameraSensorSpec, instr: Instructions,
                   dt: float) -> np.ndarray:
     """Analytic gradient of the horizon cost w.r.t. the stacked inputs.
 
-    The rollout must have been generated from ``inputs`` by the rig
-    dynamics.  Projection uses the smooth barrier so the gradient stays
-    defined arbitrarily close to the camera plane.
+    The horizon must be the rollout of the (n, 9) inputs ``u``.
+    Projection uses the smooth barrier so the gradient stays defined
+    arbitrarily close to the camera plane.
     """
-    _, grads = evaluate_horizon(rollout, preds, spec, instr, barrier=True,
+    _, grads = evaluate_horizon(horizon, preds, spec, instr, barrier=True,
                                 with_grads=True)
-    return chain_through_dynamics(grads, rollout, inputs, dt).ravel()
+    return chain_through_dynamics(grads, horizon, u, dt).ravel()

@@ -162,16 +162,10 @@ def target_pose_at(target: ScriptedTarget,
 def _box_from_center(rig: CameraRig, center: np.ndarray, height: float,
                      width: float, spec: CameraSensorSpec
                      ) -> cons.PixelBox | None:
-    q = rig.camera_frame(center)
-    if q[2] <= 0.0:
+    try:
+        return cons.box_from_center(rig, center, height, width, spec)
+    except BehindCameraError:
         return None
-    f_mm = rig.intrinsics.focal_length
-    u = (spec.beta_x * f_mm * q[0] + spec.skew * q[1]) / q[2] \
-        + spec.principal_u
-    v = spec.beta_y * f_mm * q[1] / q[2] + spec.principal_v
-    half_w = spec.beta_x * f_mm * (width / 2.0) / q[2]
-    half_h = spec.beta_y * f_mm * (height / 2.0) / q[2]
-    return cons.PixelBox(u - half_w, v - half_h, u + half_w, v + half_h)
 
 
 def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,

@@ -33,6 +33,8 @@ _DOMAIN_FLOOR = 1e-3
 _DOMAIN_GAIN = 1e6
 #: Pixels per unit of penalized occlusion-separation residual.
 _SEPARATION_SCALE = 100.0
+#: A plan is feasible when no residual of its report falls below this.
+FEASIBILITY_TOL = -1e-6
 
 
 class InfeasibleStartError(ValueError):
@@ -53,7 +55,6 @@ class SolverConfig:
     warm_start: bool = True
     constraint_margin: float = 0.0
     start_slack: float = 0.25
-    time_budget: float | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -98,24 +99,12 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
 
     Returns an (n_steps, 9) array in the solver's input layout; zeros when
     there is no usable previous plan."""
-    guess = np.zeros((n_steps, 9))
     if prev is None or not prev.inputs:
-        return guess
+        return np.zeros((n_steps, 9))
     rows = [np.concatenate([di.acceleration, di.angular_velocity,
                             ii.as_array()]) for di, ii in prev.inputs]
-    shifted = rows[1:] + [rows[-1]]
-    for i in range(min(n_steps, len(shifted))):
-        guess[i] = shifted[i]
-    for i in range(len(shifted), n_steps):
-        guess[i] = shifted[-1]
-    return guess
-
-
-def _build_inputs(u: np.ndarray) -> list[tuple[kin.DroneInput,
-                                               kin.IntrinsicInput]]:
-    return [(kin.DroneInput(acceleration=row[0:3],
-                            angular_velocity=row[3:6]),
-             kin.IntrinsicInput(*row[6:9])) for row in u]
+    repeats = max(1, n_steps - len(rows) + 1)
+    return np.array(rows[1:] + [rows[-1]] * repeats)[:n_steps]
 
 
 def _al_value(g: np.ndarray, lam: np.ndarray, rho: float) -> float:
@@ -126,101 +115,50 @@ def _al_value(g: np.ndarray, lam: np.ndarray, rho: float) -> float:
 
 
 class _PenaltyModel:
-    """Fixed-order penalized inequality set for one solve instance."""
+    """Fixed-order penalized inequality set for one solve instance: the
+    :func:`cons.state_residuals` rows of states 1..N, flattened."""
 
     def __init__(self, cset: cons.ConstraintSet, preds, sizes, records,
                  spec: CameraSensorSpec, n_steps: int, margin: float):
-        self.cset = cset
-        self.preds = preds
-        self.sizes = sizes
-        self.records = [r for r in records if r.active]
-        self.spec = spec
-        self.n_steps = n_steps
+        self.args = (preds, sizes, cset, records, spec)
         self.margin = margin
-        self.state_low = np.concatenate([cset.position_low,
-                                         cset.velocity_low, cset.rpy_low,
-                                         cset.intr_low])
-        self.state_high = np.concatenate([cset.position_high,
-                                          cset.velocity_high, cset.rpy_high,
-                                          cset.intr_high])
-        self.collision_ids = sorted(preds) if cset.safety_distance > 0.0 \
-            else []
-        per_step = (2 * len(self.state_low) + len(self.collision_ids)
-                    + len(self.records))
-        self.size = per_step * n_steps
+        self.size = n_steps * cons.state_residual_width(preds, cset,
+                                                        records)
 
-    def residuals_and_grads(self, all_positions, all_velocities,
-                            all_rotations, all_intr, rollout, grads,
+    def residuals_and_grads(self, horizon: kin.Horizon, grads,
                             lam: np.ndarray,
                             rho: float) -> tuple[float, np.ndarray]:
         """Total AL penalty; gradients accumulated into ``grads`` when
-        given.  Residual layout per state 1..N: 24 state-box entries, one
-        collision entry per target, one separation entry per record."""
-        n = self.n_steps
-        per_step = self.size // n if n else 0
-        g_all = np.zeros((n, per_step))
-
-        positions = all_positions[1:]
-        velocities = all_velocities[1:]
-        rotations = all_rotations[1:]
-        intr = all_intr[1:]
-        rpy = np.stack([
-            np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2]),
-            -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0)),
-            np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0]),
-        ], axis=1)
-        state = np.hstack([positions, velocities, rpy, intr])
-        n_state = state.shape[1]
-        low_res = state - self.state_low
-        high_res = self.state_high - state
-        g_all[:, :n_state] = low_res
-        g_all[:, n_state:2 * n_state] = high_res
-
-        lam_steps = lam.reshape(n, per_step) if self.size else lam
-        if grads is not None and self.size:
-            lam_low = lam_steps[:, :n_state]
-            lam_high = lam_steps[:, n_state:2 * n_state]
-            slopes = (np.maximum(0.0, lam_high - rho * high_res)
-                      - np.maximum(0.0, lam_low - rho * low_res))
-            grads.position[1:] += slopes[:, 0:3]
-            grads.velocity[1:] += slopes[:, 3:6]
-            grads.intrinsics[1:] += slopes[:, 9:12]
-            self._add_rpy_slopes(rotations, slopes[:, 6:9],
-                                 grads.rotation[1:])
-
-        idx = 2 * n_state
-        for tid in self.collision_ids:
-            diff = positions - self.preds[tid].positions[1:n + 1]
-            dist = np.linalg.norm(diff, axis=1)
-            g_all[:, idx] = dist - (self.cset.safety_distance + self.margin)
-            if grads is not None:
-                slope = -np.maximum(0.0, lam_steps[:, idx]
-                                    - rho * g_all[:, idx])
-                safe = np.maximum(dist, 1e-9)
-                grads.position[1:] += (slope / safe)[:, None] * diff
-            idx += 1
-
-        if self.records:
-            cam_rotations = rotations @ kin.BODY_TO_CAMERA
-        for record in self.records:
-            # pixel gap scaled to O(1) so the shared penalty weight
-            # conditions all inequality groups comparably; the margin
-            # keeps the held gap strictly positive, which keeps the
-            # activation predicate firing at the next solve
-            res, d_pos, d_rot, d_f = cons.separation_pieces(
-                positions, cam_rotations, intr[:, 0], self.preds,
-                self.sizes, record, 1, self.spec)
-            g_all[:, idx] = res / _SEPARATION_SCALE - self.margin
-            if grads is not None:
-                slope = -np.maximum(0.0, lam_steps[:, idx]
-                                    - rho * g_all[:, idx]) \
-                    / _SEPARATION_SCALE
-                grads.position[1:] += slope[:, None] * d_pos
-                grads.rotation[1:] += slope[:, None, None] * d_rot
-                grads.intrinsics[1:, 0] += slope * d_f
-            idx += 1
-
+        given.  The separation entries are rescaled to
+        ``gap / _SEPARATION_SCALE - margin``."""
+        g_all, collisions, separations = cons.state_residuals(
+            horizon, 1, *self.args, margin=self.margin)
+        n_box = g_all.shape[1] - len(collisions) - len(separations)
+        sep = slice(n_box + len(collisions), None)
+        # pixel gap scaled to O(1) so the shared penalty weight conditions
+        # all inequality groups comparably; the margin keeps the held gap
+        # strictly positive, which keeps the activation predicate firing
+        # at the next solve
+        g_all[:, sep] = g_all[:, sep] / _SEPARATION_SCALE - self.margin
         g_flat = g_all.ravel()
+        if grads is None:
+            return _al_value(g_flat, lam, rho), g_flat
+        slopes = np.maximum(0.0, lam.reshape(g_all.shape) - rho * g_all)
+        half = n_box // 2
+        box = slopes[:, half:n_box] - slopes[:, :half]
+        grads.position[1:] += box[:, 0:3]
+        grads.velocity[1:] += box[:, 3:6]
+        grads.intrinsics[1:] += box[:, 9:12]
+        self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
+                             grads.rotation[1:])
+        for idx, (diff, dist) in enumerate(collisions, n_box):
+            safe = np.maximum(dist, 1e-9)
+            grads.position[1:] += (-slopes[:, idx] / safe)[:, None] * diff
+        for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
+            slope = -slopes[:, idx] / _SEPARATION_SCALE
+            grads.position[1:] += slope[:, None] * d_pos
+            grads.rotation[1:] += slope[:, None, None] * d_rot
+            grads.intrinsics[1:, 0] += slope * d_f
         return _al_value(g_flat, lam, rho), g_flat
 
     @staticmethod
@@ -254,13 +192,10 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     dt = cfg.dt
     sizes = sizes or {}
 
-    start_residuals = cons.state_bound_residuals(initial, cset)
-    widths = np.concatenate([
-        cset.position_high - cset.position_low,
-        cset.velocity_high - cset.velocity_low,
-        cset.rpy_high - cset.rpy_low,
-        cset.intr_high - cset.intr_low,
-    ])
+    start_residuals = cons.state_bound_residuals(
+        kin.rollout(initial, np.zeros((0, 9)), dt), cset)[0]
+    state_low, state_high = cset.state_bounds
+    widths = state_high - state_low
     # slack scales with each interval so executed penalty-method dust on a
     # narrow bound is tolerated while genuinely bad starts are rejected
     slack = np.maximum(cfg.start_slack * np.maximum(widths, 1.0),
@@ -275,8 +210,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     if cset.occlusion_enabled and sizes:
         records = cons.activate_occlusions(initial, preds, sizes, spec)
 
-    low = np.concatenate([cset.drone_input_low, cset.intr_input_low])
-    high = np.concatenate([cset.drone_input_high, cset.intr_input_high])
+    low, high = cset.input_bounds
     width = high - low
     free = width > 1e-12
     center = 0.5 * (low + high)
@@ -323,28 +257,20 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
             per_state = -2.0 * _DOMAIN_GAIN * dt * shortfall
             domain_grad = np.cumsum(per_state[::-1], axis=0)[::-1]
-        inputs = _build_inputs(u)
-        rollout = kin.rollout(initial, inputs, dt)
-        positions = np.stack([r.drone.position for r in rollout])
-        velocities = np.stack([r.drone.velocity for r in rollout])
-        rotations = np.stack([r.drone.orientation for r in rollout])
-        intr_states = np.stack([r.intrinsics.as_array() for r in rollout])
+        horizon = kin.rollout(initial, u, dt)
         breakdown, grads = obj.evaluate_horizon_stacked(
-            positions, rotations, intr_states, tracks, spec, instr,
-            barrier=True, with_grads=with_grads, smooth=True)
-        penalty, g_all = model.residuals_and_grads(
-            positions, velocities, rotations, intr_states, rollout, grads,
-            lam, rho)
+            horizon, tracks, spec, instr, barrier=True,
+            with_grads=with_grads, smooth=True)
+        penalty, g_all = model.residuals_and_grads(horizon, grads, lam, rho)
         merit = breakdown.total + penalty + domain_penalty
         if not with_grads:
-            return merit, None, (inputs, rollout, breakdown, g_all)
-        grad_u = obj.chain_through_dynamics(grads, rollout, inputs, dt)
+            return merit, None, (u, horizon, g_all)
+        grad_u = obj.chain_through_dynamics(grads, horizon, u, dt)
         if domain_grad is not None:
-            grad_u = grad_u.copy()
             grad_u[:, 6:9] += domain_grad
         grad_z = grad_u * half
         grad_z[:, ~free] = 0.0
-        return merit, grad_z, (inputs, rollout, breakdown, g_all)
+        return merit, grad_z, (u, horizon, g_all)
 
     guess = shift_warm_start(warm, n) if (cfg.warm_start and warm is not None) \
         else np.zeros((n, 9))
@@ -376,7 +302,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         converged = bool(result.status in (0, 2))  # tolerance reached
 
         _, _, info = evaluate(z, with_grads=True)
-        g_all = info[3]
+        g_all = info[2]
         violation = float(max(0.0, -np.min(g_all))) if g_all.size else 0.0
         if violation <= 1e-7:
             break
@@ -385,22 +311,26 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             rho = min(rho * cfg.penalty_growth, 1e8)
         prev_violation = violation
 
-    inputs, rollout, _, g_all = info
+    u, horizon, g_all = info
     # report the exact cost; the descent merit smooths the rotation norm
-    breakdown, _ = obj.evaluate_horizon(rollout, preds, spec, instr,
+    breakdown, _ = obj.evaluate_horizon(horizon, preds, spec, instr,
                                         barrier=True, smooth=False)
-    residuals = cons.evaluate_constraints(inputs, rollout, preds, sizes,
-                                          cset, records, spec)
+    residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
+                                          records, spec)
     stats.converged = converged
     stats.max_violation = float(max(0.0, -np.min(residuals))) \
         if residuals.size else 0.0
     stats.wall_time = time.perf_counter() - start_time
-    budget = cfg.time_budget if cfg.time_budget is not None else dt
-    if stats.wall_time > budget:
-        logger.debug("solve exceeded its %.3gs budget: %.3gs",
-                     budget, stats.wall_time)
-    feasible = bool(residuals.size == 0 or np.min(residuals) >= -1e-6)
+    if stats.wall_time > dt:
+        logger.debug("solve exceeded its %.3gs period: %.3gs", dt,
+                     stats.wall_time)
+    feasible = bool(residuals.size == 0
+                    or np.min(residuals) >= FEASIBILITY_TOL)
     lam = np.maximum(0.0, lam - rho * g_all) if g_all.size else lam
-    return Plan(inputs=inputs, predicted_states=rollout, cost=breakdown,
+    inputs = [(kin.DroneInput(acceleration=row[0:3],
+                              angular_velocity=row[3:6]),
+               kin.IntrinsicInput(*row[6:9])) for row in u]
+    return Plan(inputs=inputs, predicted_states=horizon.rigs(initial),
+                cost=breakdown,
                 residuals=residuals, feasible=feasible, stats=stats,
                 records=records, multipliers=lam, penalty=rho)

@@ -20,8 +20,7 @@ from cinedrone import objectives as obj
 from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
 from cinedrone.constraints import ConstraintSet
-from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, rollout,
+from cinedrone.kinematics import (CameraRig, DroneState, rollout,
                                   rotation_from_rpy)
 from cinedrone.optics import (CameraSensorSpec, IntrinsicState,
                               depth_of_field, hyperfocal)
@@ -140,11 +139,6 @@ def _random_gradient_instance(rng, n=4):
     return rig, preds, instr, u
 
 
-def _build_inputs(u):
-    return [(DroneInput(acceleration=row[0:3], angular_velocity=row[3:6]),
-             IntrinsicInput(*row[6:9])) for row in u]
-
-
 def test_criterion_03_gradient_oracle():
     rng = np.random.default_rng(17)
     dt, h = 0.2, 1e-6
@@ -152,12 +146,11 @@ def test_criterion_03_gradient_oracle():
     worst = 0.0
     for _ in range(100):
         rig, preds, instr, u = _random_gradient_instance(rng)
-        inputs = _build_inputs(u)
-        rigs = rollout(rig, inputs, dt)
-        grad = obj.cost_gradient(rigs, inputs, preds, SPEC, instr, dt)
+        horizon = rollout(rig, u, dt)
+        grad = obj.cost_gradient(horizon, u, preds, SPEC, instr, dt)
 
         def total(flat):
-            ro = rollout(rig, _build_inputs(flat.reshape(-1, 9)), dt)
+            ro = rollout(rig, flat.reshape(-1, 9), dt)
             return obj.horizon_cost(ro, preds, SPEC, instr,
                                     barrier=True).total
 

@@ -5,9 +5,8 @@ import pytest
 
 from cinedrone import constraints as cons
 from cinedrone import objectives as obj
-from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, hat, so3_exp,
-                                  rotation_from_rpy)
+from cinedrone.kinematics import (CameraRig, DroneState, Horizon, hat,
+                                  rollout, so3_exp, rotation_from_rpy)
 from cinedrone.optics import BehindCameraError, CameraSensorSpec, \
     IntrinsicState
 
@@ -92,11 +91,10 @@ class TestOcclusionActivation:
 class TestResiduals:
     def test_interior_point_all_positive(self):
         cset = cons.ConstraintSet.default()
-        inputs = [(DroneInput(np.zeros(3), np.zeros(3)),
-                   IntrinsicInput(0.0, 0.0, 0.0))]
-        rigs = [make_rig(p=(0, 0, 1)), make_rig(p=(0, 0, 1))]
-        residuals = cons.evaluate_constraints(inputs, rigs, {}, {}, cset,
-                                              [], SPEC)
+        u = np.zeros((1, 9))
+        residuals = cons.evaluate_constraints(
+            u, rollout(make_rig(p=(0, 0, 1)), u, 0.2), {}, {}, cset, [],
+            SPEC)
         assert np.all(residuals > 0.0)
 
     def test_collision_violation(self):
@@ -104,16 +102,17 @@ class TestResiduals:
         cset = cons.ConstraintSet(**{**cset.__dict__,
                                      "safety_distance": 2.0})
         preds = {"t": pred_at([1.5, 0, 0], n=1)}
-        residuals = cons.evaluate_constraints([], [make_rig()], preds,
-                                              {"t": (1.0, 1.0)}, cset, [],
-                                              SPEC)
+        u = np.zeros((0, 9))
+        residuals = cons.evaluate_constraints(
+            u, rollout(make_rig(), u, 0.2), preds, {"t": (1.0, 1.0)}, cset,
+            [], SPEC)
         assert residuals.min() == pytest.approx(-0.5)
 
     def test_input_exactly_at_bound(self):
         cset = cons.ConstraintSet.default()
-        inputs = [(DroneInput(np.zeros(3), np.zeros(3)),
-                   IntrinsicInput(7.0, 0.0, 0.0))]
-        residuals = cons.input_bound_residuals(*inputs[0], cset)
+        u = np.zeros(9)
+        u[6] = 7.0
+        residuals = cons.input_bound_residuals(u, cset)
         # focal-rate upper residual is exactly 0, lower equals the width
         assert residuals.min() == 0.0
         assert residuals[9 + 6] == 0.0
@@ -127,7 +126,7 @@ class TestResiduals:
             i = rng.integers(0, 6)
             u[i] = cset.drone_input_high[i]
             residuals = cons.input_bound_residuals(
-                DroneInput(u[:3], u[3:]), IntrinsicInput(0, 0, 0), cset)
+                np.concatenate([u, np.zeros(3)]), cset)
             width = (cset.drone_input_high[i] - cset.drone_input_low[i])
             assert residuals[9 + i] == 0.0
             assert residuals[i] == pytest.approx(width)
@@ -138,10 +137,12 @@ class TestResiduals:
                  "b": pred_at([10.0, -1.0, 0.0])}
         sizes = {"a": (2.0, 0.5), "b": (2.0, 0.5)}
         record = cons.OcclusionRecord("a", "b", True)
-        residuals = cons.evaluate_constraints([], [make_rig()], preds,
-                                              sizes, cset, [record], SPEC)
-        gap = cons.separation_residual(make_rig(), preds, sizes, record, 0,
-                                       SPEC)
+        u = np.zeros((0, 9))
+        horizon = rollout(make_rig(), u, 0.2)
+        residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
+                                              [record], SPEC)
+        gap = cons.separation_pieces(horizon, 0, preds, sizes, record,
+                                     SPEC)[0][0]
         assert residuals[-1] == pytest.approx(gap)
         assert gap > 0.0
 
@@ -152,41 +153,61 @@ class TestSeparationGradient:
         sizes = {"a": (1.5, 0.6), "b": (2.0, 0.8)}
         record = cons.OcclusionRecord("a", "b", True)
         h = 1e-6
-        for _ in range(20):
-            rpy = rng.uniform(-0.3, 0.3, 3)
-            pos = rng.uniform(-1, 1, 3)
-            f = rng.uniform(20, 120)
-            preds = {"a": pred_at([10.0, 2.0, 1.0] + rng.uniform(-1, 1, 3)),
-                     "b": pred_at([8.0, -2.0, 1.2] + rng.uniform(-1, 1, 3))}
+        n = 3
+        for trial in range(20):
+            start = trial % 2
+            rotations = np.array([rotation_from_rpy(*rng.uniform(-0.3, 0.3,
+                                                                  3))
+                                  for _ in range(n)])
+            positions = rng.uniform(-1, 1, (n, 3))
+            focal = rng.uniform(20, 120, n)
+            preds = {}
+            for tid, base in (("a", [10.0, 2.0, 1.0]),
+                              ("b", [8.0, -2.0, 1.2])):
+                steps = np.arange(n + 1)[:, None]
+                preds[tid] = obj.TargetPrediction(
+                    positions=base + rng.uniform(-1, 1, 3)
+                    + 0.3 * steps * rng.uniform(-1, 1, 3),
+                    rotations=np.array([so3_exp(rng.uniform(-0.5, 0.5, 3))
+                                        for _ in range(n + 1)]),
+                    anchors={"center": rng.uniform(-0.3, 0.3, 3)})
 
-            def residual(p, e, focal):
-                rot = rotation_from_rpy(*rpy) @ so3_exp(e)
-                rig = CameraRig(drone=DroneState(p, np.zeros(3), rot),
-                                intrinsics=IntrinsicState(focal, 8.0, 4.0))
-                return cons.separation_residual(rig, preds, sizes, record,
-                                                0, SPEC)
+            def pieces(p, rot, f):
+                # states before ``start`` are never read
+                lens = np.column_stack([f, np.full(n, 8.0), np.full(n, 4.0)])
+                horizon = Horizon(np.vstack([np.zeros((start, 3)), p]),
+                                  np.zeros((start + n, 3)),
+                                  np.vstack([np.zeros((start, 3, 3)), rot]),
+                                  np.vstack([np.zeros((start, 3)), lens]))
+                return cons.separation_pieces(horizon, start, preds, sizes,
+                                              record, SPEC)
 
-            grads = obj.StageGradient()
-            base_rig = CameraRig(
-                drone=DroneState(pos, np.zeros(3), rotation_from_rpy(*rpy)),
-                intrinsics=IntrinsicState(f, 8.0, 4.0))
-            cons.separation_residual(base_rig, preds, sizes, record, 0,
-                                     SPEC, grads=grads)
-            for i in range(3):
-                dp = np.zeros(3)
-                dp[i] = h
-                fd = (residual(pos + dp, np.zeros(3), f)
-                      - residual(pos - dp, np.zeros(3), f)) / (2 * h)
-                assert grads.position[i] == pytest.approx(fd, rel=1e-4,
-                                                          abs=1e-6)
-                fd_rot = (residual(pos, dp, f)
-                          - residual(pos, -dp, f)) / (2 * h)
-                rot = rotation_from_rpy(*rpy)
-                analytic = float(np.sum(grads.rotation
-                                        * (rot @ hat(np.eye(3)[i]))))
-                assert analytic == pytest.approx(fd_rot, rel=1e-4,
-                                                 abs=1e-6)
-            fd_f = (residual(pos, np.zeros(3), f + h)
-                    - residual(pos, np.zeros(3), f - h)) / (2 * h)
-            assert grads.intrinsics[0] == pytest.approx(fd_f, rel=1e-4,
+            def residual(p, rot, f):
+                return pieces(p, rot, f)[0]
+
+            _, d_pos, d_rot, d_f = pieces(positions, rotations, focal)
+            for k in range(n):
+                for i in range(3):
+                    dp = np.zeros((n, 3))
+                    dp[k, i] = h
+                    fd = (residual(positions + dp, rotations, focal)
+                          - residual(positions - dp, rotations, focal)
+                          ) / (2 * h)
+                    assert d_pos[k, i] == pytest.approx(fd[k], rel=1e-4,
                                                         abs=1e-6)
+                    turned = [rotations.copy(), rotations.copy()]
+                    turned[0][k] = rotations[k] @ so3_exp(dp[k])
+                    turned[1][k] = rotations[k] @ so3_exp(-dp[k])
+                    fd_rot = (residual(positions, turned[0], focal)
+                              - residual(positions, turned[1], focal)
+                              ) / (2 * h)
+                    analytic = float(np.sum(d_rot[k] * (
+                        rotations[k] @ hat(np.eye(3)[i]))))
+                    assert analytic == pytest.approx(fd_rot[k], rel=1e-4,
+                                                     abs=1e-6)
+                df = np.zeros(n)
+                df[k] = h
+                fd_f = (residual(positions, rotations, focal + df)
+                        - residual(positions, rotations, focal - df)
+                        ) / (2 * h)
+                assert d_f[k] == pytest.approx(fd_f[k], rel=1e-4, abs=1e-6)

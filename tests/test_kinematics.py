@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
                                   IntrinsicInput, interpolate_commands,
                                   rollout, rotation_from_rpy,
-                                  rpy_from_rotation, so3_exp, so3_log,
+                                  rpy_from_rotation, so3_exp,
+                                  so3_exp_batch, so3_log,
                                   step_intrinsics, step_rig, step_rotation,
                                   step_translation)
 from cinedrone.optics import IntrinsicState
@@ -53,6 +54,12 @@ class TestTranslation:
 
 
 class TestRotation:
+    def test_batch_exp_agrees_with_scalar(self):
+        # not bit for bit: vectorized sin/cos/norm round differently
+        w = 0.06 * np.random.default_rng(5).uniform(-1, 1, (20000, 3))
+        scalar = np.array([so3_exp(row) for row in w])
+        assert np.max(np.abs(so3_exp_batch(w) - scalar)) <= 1e-15
+
     def test_quarter_turn_about_z(self):
         out = step_rotation(drone(), inp(w=(0, 0, np.pi / 2)), 1.0)
         assert np.allclose(out.orientation,
@@ -162,7 +169,9 @@ class TestRollout:
     def test_chain_matches_individual_steps(self):
         inputs = [(inp(a=(0.5, 0, 0), w=(0, 0, 0.1)),
                    IntrinsicInput(1.0, -0.5, 0.2)) for _ in range(4)]
-        rigs = rollout(rig(), inputs, 0.2)
+        u = np.tile([0.5, 0, 0, 0, 0, 0.1, 1.0, -0.5, 0.2], (4, 1))
+        start = rig()
+        rigs = rollout(start, u, 0.2).rigs(start)
         assert len(rigs) == 5
         for k in range(4):
             expected = step_rig(rigs[k], *inputs[k], 0.2)
@@ -172,6 +181,24 @@ class TestRollout:
                                rigs[k + 1].drone.orientation)
             assert expected.intrinsics == rigs[k + 1].intrinsics
         assert rigs[-1].time_index == 4
+
+    def test_bit_identical_to_stepping(self):
+        rng = np.random.default_rng(11)
+        start = rig(v=(0.3, -0.2, 0.1), rot=rotation_from_rpy(0.1, -0.2, 1.0))
+        u = rng.uniform(-1.0, 1.0, (6, 9))  # keeps every lens value > 0
+        horizon = rollout(start, u, 0.2)
+        stepped = start
+        for k, row in enumerate(u, 1):
+            stepped = step_rig(stepped, inp(row[0:3], row[3:6]),
+                               IntrinsicInput(*row[6:9]), 0.2)
+            assert np.array_equal(stepped.drone.position,
+                                  horizon.positions[k])
+            assert np.array_equal(stepped.drone.velocity,
+                                  horizon.velocities[k])
+            assert np.array_equal(stepped.drone.orientation,
+                                  horizon.rotations[k])
+            assert np.array_equal(stepped.intrinsics.as_array(),
+                                  horizon.lens[k])
 
 
 class TestEulerHelpers:

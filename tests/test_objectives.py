@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cinedrone import objectives as obj
-from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, rollout,
+from cinedrone.kinematics import (CameraRig, DroneState, rollout,
                                   rotation_from_rpy, so3_exp)
 from cinedrone.optics import (BehindCameraError, CameraSensorSpec,
                               IntrinsicState, depth_of_field)
@@ -198,11 +197,6 @@ class TestResolve:
             instr.resolve(0.0, 0.2, 5, {})
 
 
-def build_inputs(u):
-    return [(DroneInput(acceleration=row[0:3], angular_velocity=row[3:6]),
-             IntrinsicInput(*row[6:9])) for row in u]
-
-
 def random_instance(rng, n=4):
     rig = CameraRig(
         drone=DroneState(position=rng.uniform(-2, 2, 3),
@@ -247,23 +241,23 @@ class TestHorizon:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (480.0, 270.0),
                                   (1.0, 1.0)),))
-        zero_inputs = build_inputs(np.zeros((3, 9)))
-        rigs = rollout(make_rig(), zero_inputs, 0.2)
-        assert obj.horizon_cost(rigs, preds, SPEC,
+        horizon = rollout(make_rig(), np.zeros((3, 9)), 0.2)
+        assert obj.horizon_cost(horizon, preds, SPEC,
                                 instr).total == pytest.approx(0.0,
                                                               abs=1e-18)
 
     def test_single_state_focal_only(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(40.0), weight=1.0))
-        breakdown = obj.horizon_cost([make_rig(f=35.0)], {}, SPEC, instr)
+        breakdown = obj.horizon_cost(
+            rollout(make_rig(f=35.0), np.zeros((0, 9)), 0.2), {}, SPEC, instr)
         assert breakdown.total == pytest.approx(25.0)
 
     def test_decomposition_is_exact(self):
         rng = np.random.default_rng(3)
         rig, preds, instr, u = random_instance(rng)
-        rigs = rollout(rig, build_inputs(u), 0.2)
-        breakdown = obj.horizon_cost(rigs, preds, SPEC, instr,
+        horizon = rollout(rig, u, 0.2)
+        breakdown = obj.horizon_cost(horizon, preds, SPEC, instr,
                                      barrier=True)
         recomputed = (breakdown.dof + breakdown.image + breakdown.pose
                       + breakdown.focal)
@@ -276,9 +270,9 @@ class TestHorizon:
         rng = np.random.default_rng(4)
         for _ in range(10):
             rig, preds, instr, u = random_instance(rng)
-            rigs = rollout(rig, build_inputs(u), 0.2)
-            breakdown = obj.horizon_cost(rigs, preds, SPEC, instr)
-            for k, r in enumerate(rigs):
+            horizon = rollout(rig, u, 0.2)
+            breakdown = obj.horizon_cost(horizon, preds, SPEC, instr)
+            for k, r in enumerate(horizon.rigs(rig)):
                 assert breakdown.image[k] == pytest.approx(
                     obj.composition_cost(r, preds, SPEC, instr, k),
                     abs=1e-9, rel=1e-9)
@@ -297,10 +291,9 @@ class TestHorizon:
 class TestGradient:
     def test_zero_weights_zero_gradient(self):
         rig = make_rig()
-        inputs = build_inputs(np.random.default_rng(0).uniform(-1, 1,
-                                                               (4, 9)))
-        rigs = rollout(rig, inputs, 0.2)
-        grad = obj.cost_gradient(rigs, inputs, {}, SPEC,
+        u = np.random.default_rng(0).uniform(-1, 1, (4, 9))
+        horizon = rollout(rig, u, 0.2)
+        grad = obj.cost_gradient(horizon, u, {}, SPEC,
                                  obj.Instructions(), 0.2)
         assert np.all(grad == 0.0)
 
@@ -309,12 +302,11 @@ class TestGradient:
         dt, w, fstar = 0.2, 3.0, 50.0
         u = np.zeros((1, 9))
         u[0, 6] = 4.0
-        inputs = build_inputs(u)
-        rigs = rollout(make_rig(f=35.0), inputs, dt)
+        horizon = rollout(make_rig(f=35.0), u, dt)
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(fstar), weight=w))
-        grad = obj.cost_gradient(rigs, inputs, {}, SPEC, instr, dt)
-        f1 = rigs[1].intrinsics.focal_length
+        grad = obj.cost_gradient(horizon, u, {}, SPEC, instr, dt)
+        f1 = horizon.lens[1, 0]
         assert grad[6] == pytest.approx(2.0 * w * dt * (f1 - fstar))
 
     def test_matches_central_differences(self):
@@ -322,12 +314,11 @@ class TestGradient:
         dt = 0.2
         for _ in range(25):
             rig, preds, instr, u = random_instance(rng)
-            inputs = build_inputs(u)
-            rigs = rollout(rig, inputs, dt)
-            grad = obj.cost_gradient(rigs, inputs, preds, SPEC, instr, dt)
+            horizon = rollout(rig, u, dt)
+            grad = obj.cost_gradient(horizon, u, preds, SPEC, instr, dt)
 
             def total(flat):
-                ro = rollout(rig, build_inputs(flat.reshape(-1, 9)), dt)
+                ro = rollout(rig, flat.reshape(-1, 9), dt)
                 return obj.horizon_cost(ro, preds, SPEC, instr,
                                         barrier=True).total
 

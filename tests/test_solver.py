@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from cinedrone import constraints as cons
+from cinedrone import kinematics as kin
 from cinedrone import objectives as obj
 from cinedrone import solver as sol
-from cinedrone.kinematics import CameraRig, DroneState, step_rig
+from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
+                                  IntrinsicInput, rollout, step_rig)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -224,7 +226,7 @@ class TestPlanContract:
                                   (1.0, 1.0)),))
         cfg = sol.SolverConfig(horizon=5, dt=0.2)
         rig = make_rig()
-        zero_rollout = [rig] * 6
+        zero_rollout = rollout(rig, np.zeros((5, 9)), 0.2)
         cold = obj.horizon_cost(zero_rollout, preds, SPEC, instr,
                                 barrier=True).total
         plan = sol.solve(rig, preds, instr, cons.ConstraintSet.default(),
@@ -246,3 +248,74 @@ class TestPlanContract:
             dist = np.linalg.norm(rig.drone.position
                                   - np.array([3.0, 0.0, 1.0]))
             assert dist >= 2.0 - 1e-3
+
+
+def side_by_side_problem():
+    """Two targets side by side ahead of the rig, kept apart in the image
+    by one active occlusion record, under a collision safety distance."""
+    preds = {tid: obj.TargetPrediction(
+        positions=np.tile([10.0, y, 1.0], (9, 1)),
+        rotations=np.tile(np.eye(3), (9, 1, 1)))
+        for tid, y in (("a", 1.0), ("b", -1.0))}
+    sizes = {"a": (2.0, 0.5), "b": (2.0, 0.5)}
+    instr = obj.Instructions(
+        composition=(obj.CompositionTarget("a", "center", (120.0, 120.0),
+                                           (1.0, 1.0)),),
+        poses=(obj.PoseTarget("b", distance=1.0, w_distance=50.0),),
+        focal=obj.FocalTarget(obj.FocalSchedule.constant(60.0), 1.0))
+    base = cons.ConstraintSet.default()
+    cset = cons.ConstraintSet(**{**base.__dict__, "safety_distance": 2.0,
+                                 "occlusion_enabled": True})
+    return make_rig(), preds, sizes, instr, cset
+
+
+class TestStackedHorizon:
+    def test_solve_builds_rig_objects_only_at_the_boundary(self,
+                                                           monkeypatch):
+        rig, preds, sizes, instr, cset = side_by_side_problem()
+        cfg = sol.SolverConfig(horizon=8, dt=0.2, constraint_margin=0.15)
+        counts = {}
+
+        def count_calls(owner, attr, name):
+            original = getattr(owner, attr)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        for cls in (CameraRig, DroneState, DroneInput, IntrinsicInput,
+                    IntrinsicState):
+            count_calls(cls, "__init__", cls.__name__)
+        # the step functions build states without the constructor
+        count_calls(kin, "_raw_state", "raw DroneState")
+        count_calls(obj, "evaluate_horizon_stacked", "evaluations")
+        plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
+        evaluations = counts.pop("evaluations")
+        assert len(plan.records) == 1
+        assert evaluations > 50
+        for name, count in counts.items():
+            assert count <= 2 * (cfg.horizon + 1), (name, count)
+
+    def test_penalty_rows_are_report_rows(self):
+        rig, preds, sizes, _, cset = side_by_side_problem()
+        records = cons.activate_occlusions(rig, preds, sizes, SPEC)
+        n, margin = 5, 0.15
+        u = np.random.default_rng(2).uniform(-0.5, 0.5, (n, 9))
+        horizon = rollout(rig, u, 0.2)
+        model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, n,
+                                  margin)
+        _, penalty = model.residuals_and_grads(horizon, None,
+                                               np.zeros(model.size), 10.0)
+        report = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
+                                           records, SPEC)
+        # layout per state: 24 box, 2 collision, 1 separation entries
+        penalty = penalty.reshape(n, 27)
+        states = report[18 * n:].reshape(n + 1, 27)[1:]
+        assert np.array_equal(penalty[:, :24], states[:, :24])
+        assert np.allclose(penalty[:, 24:26], states[:, 24:26] - margin,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(penalty[:, 26:],
+                           states[:, 26:] / sol._SEPARATION_SCALE - margin,
+                           rtol=0.0, atol=1e-12)
