@@ -191,51 +191,51 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
 
 
 def separation_pieces(horizon: Horizon, start: int,
-                      preds: dict[str, TargetPrediction],
-                      sizes: dict[str, tuple[float, float]],
-                      record: OcclusionRecord, spec: CameraSensorSpec,
+                      track: tuple[np.ndarray, np.ndarray],
+                      spec: CameraSensorSpec,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
     """Signed pixel gap between the right box's left edge and the left
-    box's right edge, feasible when >= 0, at horizon states ``start``..N.
+    box's right edge, feasible when >= 0, at horizon states ``start``..N;
+    ``track`` is the record's entry in :attr:`ConstraintTracks.separations`.
 
     Returns (residuals, d/d position, d/d rotation, d/d focal) per state;
     the caller scales the gradient pieces by its penalty slopes.
     """
+    centers, half = track
     positions = horizon.positions[start:]
-    cam_rotations = horizon.rotations[start:] @ BODY_TO_CAMERA
+    cam_rotations = horizon.camera_rotations[start:]
     f_mm = horizon.lens[start:, 0]
     n = len(positions)
-    steps = slice(start, start + n)
-    residual = np.zeros(n)
-    d_pos = np.zeros((n, 3))
-    d_rot = np.zeros((n, 3, 3))
-    d_f = np.zeros(n)
-    for tid, sign in ((record.right_id, -1.0), (record.left_id, +1.0)):
-        outer_sign = 1.0 if sign < 0.0 else -1.0
-        width = sizes[tid][1]
-        pred = preds[tid]
-        centers = pred.positions[steps] + np.einsum(
-            "kij,j->ki", pred.rotations[steps], pred.anchors["center"])
-        rel = centers - positions
-        q = np.einsum("kji,kj->ki", cam_rotations, rel)
-        qz = np.maximum(q[:, 2], 1e-6)
-        bxf = spec.beta_x * f_mm
-        u_num = bxf * q[:, 0] + spec.skew * q[:, 1]
-        u = u_num / qz + spec.principal_u
-        half_w = bxf * (width / 2.0) / qz
-        residual += outer_sign * (u + sign * half_w)
+    # leading axis: the right box, then the left one, each added in that
+    # order as a loop over them would; per box, the sign of its half width
+    # in the edge it gives and of that edge in the gap
+    edge_signs = np.array([[-1.0], [1.0]])
+    gap_signs = -edge_signs
+    rel = centers[:, start:] - positions
+    q = np.einsum("kji,tkj->tki", cam_rotations, rel)
+    qz = np.maximum(q[:, :, 2], 1e-6)
+    bxf = spec.beta_x * f_mm
+    u_num = bxf * q[:, :, 0] + spec.skew * q[:, :, 1]
+    u = u_num / qz + spec.principal_u
+    # (sign * a) * b == sign * (a * b) exactly for a sign of +-1
+    bxf_half = bxf * half
+    edges = gap_signs * (u + edge_signs * (bxf_half / qz))
 
-        g_q = np.empty((n, 3))
-        g_q[:, 0] = bxf / qz
-        g_q[:, 1] = spec.skew / qz
-        g_q[:, 2] = -(u_num + sign * bxf * (width / 2.0)) / (qz * qz)
-        g_q *= outer_sign
-        d_pos -= np.einsum("kij,kj->ki", cam_rotations, g_q)
-        d_rot += np.einsum("ki,kj->kij", rel, g_q) @ BODY_TO_CAMERA.T
-        d_f += outer_sign * (spec.beta_x * q[:, 0]
-                             + sign * spec.beta_x * (width / 2.0)) / qz
-    return residual, d_pos, d_rot, d_f
+    g_q = np.empty((2, n, 3))
+    g_q[:, :, 0] = bxf / qz
+    g_q[:, :, 1] = spec.skew / qz
+    g_q[:, :, 2] = -(u_num + edge_signs * bxf_half) / (qz * qz)
+    g_q *= gap_signs[:, :, None]
+    pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
+    rot_terms = np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+    f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
+                           + edge_signs * spec.beta_x * half) / qz
+    # from an explicit 0.0, as a sum into zeros would give signed zeros
+    return (0.0 + edges[0] + edges[1],
+            0.0 - pos_terms[0] - pos_terms[1],
+            0.0 + rot_terms[0] + rot_terms[1],
+            0.0 + f_terms[0] + f_terms[1])
 
 
 def input_bound_residuals(u: np.ndarray, cset: ConstraintSet) -> np.ndarray:
@@ -246,37 +246,55 @@ def input_bound_residuals(u: np.ndarray, cset: ConstraintSet) -> np.ndarray:
 
 
 def state_bound_residuals(horizon: Horizon,
-                          cset: ConstraintSet) -> np.ndarray:
-    """State-box residuals ``x - lo, hi - x`` of every state: (n, 24)."""
+                          bounds: tuple[np.ndarray, np.ndarray],
+                          ) -> np.ndarray:
+    """State-box residuals ``x - lo, hi - x`` of every state: (n, 24);
+    ``bounds`` is :attr:`ConstraintSet.state_bounds`."""
     rotations = horizon.rotations
-    rpy = np.stack([
-        np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2]),
-        -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0)),
-        np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0]),
-    ], axis=1)
-    state = np.hstack([horizon.positions, horizon.velocities, rpy,
-                       horizon.lens])
-    low, high = cset.state_bounds
-    return np.hstack([state - low, high - state])
+    state = np.empty((len(horizon), 12))
+    state[:, 0:3], state[:, 3:6] = horizon.positions, horizon.velocities
+    state[:, 6] = np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2])
+    state[:, 7] = -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0))
+    state[:, 8] = np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
+    state[:, 9:12] = horizon.lens
+    low, high = bounds
+    return np.concatenate([state - low, high - state], axis=1)
 
 
-def _collision_ids(preds: dict[str, TargetPrediction],
-                   cset: ConstraintSet) -> list[str]:
-    return sorted(preds) if cset.safety_distance > 0.0 else []
+class ConstraintTracks:
+    """Per-solve data of :func:`state_residuals` over states 0..N: state
+    bounds; collision target positions (m, N+1, 3); per active record, its
+    right, then left box's centers (2, N+1, 3) and half widths (2, 1)."""
+
+    __slots__ = ("bounds", "safety_distance", "collisions", "separations")
+
+    def __init__(self, preds: dict[str, TargetPrediction],
+                 sizes: dict[str, tuple[float, float]],
+                 cset: ConstraintSet, records: list[OcclusionRecord],
+                 n: int):
+        self.bounds = cset.state_bounds
+        self.safety_distance = cset.safety_distance
+        ids = sorted(preds) if cset.safety_distance > 0.0 else []
+        self.collisions = np.array([preds[tid].positions[:n]
+                                    for tid in ids]).reshape(len(ids), n, 3)
+        self.separations = []
+        for record in records:
+            if record.active:
+                pair = (record.right_id, record.left_id)
+                centers = np.stack([preds[tid].positions[:n] + np.einsum(
+                    "kij,j->ki", preds[tid].rotations[:n],
+                    preds[tid].anchors["center"]) for tid in pair])
+                half = np.array([[sizes[tid][1]] for tid in pair]) / 2.0
+                self.separations.append((centers, half))
+
+    @property
+    def width(self) -> int:
+        """Entries per state of :func:`state_residuals`."""
+        return (2 * len(self.bounds[0]) + len(self.collisions)
+                + len(self.separations))
 
 
-def state_residual_width(preds: dict[str, TargetPrediction],
-                         cset: ConstraintSet,
-                         records: list[OcclusionRecord]) -> int:
-    """Entries per state of :func:`state_residuals`."""
-    return (2 * len(cset.state_bounds[0]) + len(_collision_ids(preds, cset))
-            + sum(record.active for record in records))
-
-
-def state_residuals(horizon: Horizon, start: int,
-                    preds: dict[str, TargetPrediction],
-                    sizes: dict[str, tuple[float, float]],
-                    cset: ConstraintSet, records: list[OcclusionRecord],
+def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
                     spec: CameraSensorSpec, margin: float = 0.0):
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
@@ -285,28 +303,24 @@ def state_residuals(horizon: Horizon, start: int,
     ``margin``) per target by sorted id; the :func:`separation_pieces`
     pixel gap per active record.
 
-    Returns the rows, then the derivative pieces: ``(rig - target
-    offsets, distances)`` per collision and the :func:`separation_pieces`
-    gradients per separation entry.
+    Returns the rows, then the derivative pieces: the rig - target
+    offsets (m, n, 3) and distances (m, n) of the collision entries, and
+    the :func:`separation_pieces` gradients per separation entry.
     """
     positions = horizon.positions[start:]
-    n = len(positions)
-    columns = [state_bound_residuals(horizon, cset)[start:]]
-    collisions = []
-    for tid in _collision_ids(preds, cset):
-        diff = positions - preds[tid].positions[start:start + n]
-        dist = np.linalg.norm(diff, axis=1)
-        columns.append((dist - (cset.safety_distance + margin))[:, None])
-        collisions.append((diff, dist))
+    rows = np.empty((len(positions), tracks.width))
+    n_box = 2 * len(tracks.bounds[0])
+    rows[:, :n_box] = state_bound_residuals(horizon, tracks.bounds)[start:]
+    diff = positions - tracks.collisions[:, start:]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # as np.linalg.norm
+    n_coll = n_box + len(dist)
+    rows[:, n_box:n_coll] = (dist - (tracks.safety_distance + margin)).T
     separations = []
-    for record in records:
-        if not record.active:
-            continue
-        res, *pieces = separation_pieces(horizon, start, preds, sizes,
-                                         record, spec)
-        columns.append(res[:, None])
+    for column, track in enumerate(tracks.separations, n_coll):
+        rows[:, column], *pieces = separation_pieces(horizon, start, track,
+                                                     spec)
         separations.append(pieces)
-    return np.hstack(columns), collisions, separations
+    return rows, (diff, dist), separations
 
 
 def evaluate_constraints(u: np.ndarray, horizon: Horizon,
@@ -321,7 +335,7 @@ def evaluate_constraints(u: np.ndarray, horizon: Horizon,
     Order: the 18 :func:`input_bound_residuals` of each (n, 9) input row,
     then the :func:`state_residuals` row of every state 0..N.
     """
-    states, _, _ = state_residuals(horizon, 0, preds, sizes, cset, records,
-                                   spec)
+    tracks = ConstraintTracks(preds, sizes, cset, records, len(horizon))
+    states, _, _ = state_residuals(horizon, 0, tracks, spec)
     return np.concatenate([input_bound_residuals(u, cset).ravel(),
                            states.ravel()])

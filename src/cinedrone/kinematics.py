@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,28 +27,24 @@ BODY_TO_CAMERA.setflags(write=False)
 
 _ORTHONORMAL_TOL = 1e-9
 _REORTHONORMALIZE_TOL = 1e-12
-
-
-def hat(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector (cross-product operator)."""
-    wx, wy, wz = w
-    return np.array([
-        [0.0, -wz, wy],
-        [wz, 0.0, -wx],
-        [-wy, wx, 0.0],
-    ])
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
     """Rodrigues closed form of the rotation exponential."""
-    theta = float(np.linalg.norm(w))
-    k = hat(w)
-    if theta < 1e-8:
-        # second-order series; exact enough below the branch point
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _so3_exp_rows(np.asarray(w, dtype=float)[None, :])[0]
+
+
+def _so3_exp_rows(w: np.ndarray) -> np.ndarray:
+    # Rodrigues per row, with scalar math.sin/cos and the row's own dot (as
+    # np.linalg.norm computes it): a row's bits ignore the rows stacked with it
+    theta = [math.sqrt(row.dot(row)) for row in w]
+    a = np.array([1.0 if t < 1e-8 else math.sin(t) / t for t in theta])
+    b = np.array([0.5 if t < 1e-8 else (1.0 - math.cos(t)) / (t * t)
+                  for t in theta])
+    k = hat_batch(w)
+    return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def so3_log(rotation: np.ndarray) -> np.ndarray:
@@ -99,7 +96,11 @@ def hat_batch(w: np.ndarray) -> np.ndarray:
 def so3_exp_batch(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula over a stack of rotation vectors.  Agrees with
     :func:`so3_exp` row by row to a few ulp (within 1e-15 up to 0.1 rad),
-    not bit for bit: vectorized ``sin``/``cos``/``norm`` round apart."""
+    not bit for bit: vectorized ``sin``/``cos``/``norm`` round apart.
+
+    The planner's adjoint pass keeps these exponentials rather than the
+    rollout's: its gradient feeds L-BFGS-B, and a last-bit change there
+    moves the executed trajectories."""
     theta = np.linalg.norm(w, axis=1)
     k = hat_batch(w)
     k2 = k @ k
@@ -260,14 +261,16 @@ def step_rotation(state: DroneState, inp: DroneInput,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     return _raw_state(state.position, state.velocity,
-                      _rotate(state.orientation, dt * inp.angular_velocity))
+                      _rotate(state.orientation,
+                              so3_exp(dt * inp.angular_velocity)))
 
 
-def _rotate(rotation: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # right-multiply by exp(w^), back onto SO(3) if round-off drifted
-    rotation = rotation @ so3_exp(w)
-    drift = np.linalg.norm(rotation.T @ rotation - np.eye(3))
-    if drift > _REORTHONORMALIZE_TOL:
+def _rotate(rotation: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    # right-multiply by a step exponential, back onto SO(3) if round-off
+    # drifted (the Frobenius norm as np.linalg.norm computes it)
+    rotation = rotation @ exp
+    drift = (rotation.T @ rotation - _EYE3).ravel()
+    if math.sqrt(drift.dot(drift)) > _REORTHONORMALIZE_TOL:
         rotation = project_to_so3(rotation)
     return rotation
 
@@ -311,6 +314,11 @@ class Horizon:
     def __len__(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def camera_rotations(self) -> np.ndarray:
+        """Every state's :meth:`CameraRig.camera_rotation`, computed once."""
+        return self.rotations @ BODY_TO_CAMERA
+
     def rigs(self, initial: CameraRig) -> list[CameraRig]:
         """The states as rigs: ``initial`` itself for state 0, then one new
         rig per later state, time indices counting on from ``initial``."""
@@ -332,19 +340,20 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     # cumsum adds row after row, in step_rig's order of operations
-    velocities = np.cumsum(np.vstack([initial.drone.velocity,
-                                      dt * u[:, 0:3]]), axis=0)
-    positions = np.cumsum(np.vstack([initial.drone.position,
-                                     dt * velocities[:-1]]), axis=0)
-    lens = np.cumsum(np.vstack([initial.intrinsics.as_array(),
-                                dt * u[:, 6:9]]), axis=0)
-    # the scalar so3_exp, not so3_exp_batch, which differs from it in the
-    # last bit now and then: each state must equal step_rig's exactly, as
-    # the planner's single-shooting test checks with array_equal
-    rotations = [initial.drone.orientation]
-    for w in dt * u[:, 3:6]:
-        rotations.append(_rotate(rotations[-1], w))
-    return Horizon(positions, velocities, np.stack(rotations), lens)
+    velocities = np.cumsum(np.concatenate([initial.drone.velocity[None],
+                                           dt * u[:, 0:3]]), axis=0)
+    positions = np.cumsum(np.concatenate([initial.drone.position[None],
+                                          dt * velocities[:-1]]), axis=0)
+    lens = np.cumsum(np.concatenate([initial.intrinsics.as_array()[None],
+                                     dt * u[:, 6:9]]), axis=0)
+    # so3_exp's rows, not so3_exp_batch, which differs from it in the last
+    # bit now and then: each state must equal step_rig's exactly, as the
+    # planner's single-shooting test checks with array_equal
+    rotations = np.empty((len(u) + 1, 3, 3))
+    rotations[0] = initial.drone.orientation
+    for k, exp in enumerate(_so3_exp_rows(dt * u[:, 3:6])):
+        rotations[k + 1] = _rotate(rotations[k], exp)
+    return Horizon(positions, velocities, rotations, lens)
 
 
 def _lerp_clipped(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:

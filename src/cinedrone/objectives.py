@@ -241,7 +241,7 @@ class CostBreakdown:
 
     @property
     def total(self) -> float:
-        return float(np.sum(self.step_totals))
+        return float(self.step_totals.sum())
 
 
 class HorizonGradients:
@@ -333,55 +333,60 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
 def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
                f_mm: np.ndarray, point_tracks, spec: CameraSensorSpec,
                barrier: bool, grads: HorizonGradients | None) -> np.ndarray:
-    n = len(positions)
-    cost = np.zeros(n)
-    for ct, points in point_tracks:
-        w_u, w_v = ct.weight
-        if w_u == 0.0 and w_v == 0.0:
-            continue
-        rel = points - positions
-        q = np.einsum("kji,kj->ki", cam_rotations, rel)
-        qz = q[:, 2]
-        if barrier:
-            clamped = qz < BARRIER_DEPTH
-            qz_eff = np.where(clamped, BARRIER_DEPTH, qz)
-        else:
-            if np.any(qz <= 0.0):
-                raise BehindCameraError(
-                    f"composition point '{ct.point_id}' of target"
-                    f" '{ct.target_id}' has depth {qz.min():.4g}")
-            clamped = np.zeros(n, dtype=bool)
-            qz_eff = qz
+    targets, points, weight, pixel = point_tracks
+    cost = np.zeros(len(positions))
+    # leading axis: the weighted composition targets, each added into the
+    # totals in turn, as a loop over them would
+    bxf = spec.beta_x * f_mm
+    byf = spec.beta_y * f_mm
+    rel = points - positions
+    q = np.einsum("kji,tkj->tki", cam_rotations, rel)
+    qz = q[:, :, 2]
+    if not barrier and np.any(qz <= 0.0):
+        first = int(np.argmax(np.any(qz <= 0.0, axis=1)))
+        raise BehindCameraError(
+            f"composition point '{targets[first].point_id}' of target"
+            f" '{targets[first].target_id}' has depth {qz[first].min():.4g}")
+    clamped = qz < BARRIER_DEPTH if barrier else None
+    if clamped is not None and not clamped.any():
+        clamped = None  # then np.where would change no value
+    qz_eff = qz if clamped is None else np.where(clamped, BARRIER_DEPTH, qz)
 
-        bxf = spec.beta_x * f_mm
-        byf = spec.beta_y * f_mm
-        u_num = bxf * q[:, 0] + spec.skew * q[:, 1]
-        u = u_num / qz_eff + spec.principal_u
-        v = byf * q[:, 1] / qz_eff + spec.principal_v
-        e_u = u - ct.pixel[0]
-        e_v = v - ct.pixel[1]
-        cost += w_u * e_u * e_u + w_v * e_v * e_v
-        if np.any(clamped):
-            shortfall = np.where(clamped, BARRIER_DEPTH - qz, 0.0)
-            cost += BARRIER_GAIN * shortfall * shortfall
+    u_num = bxf * q[:, :, 0] + spec.skew * q[:, :, 1]
+    u = u_num / qz_eff + spec.principal_u
+    v = byf * q[:, :, 1] / qz_eff + spec.principal_v
+    e_u = u - pixel[:, 0]
+    e_v = v - pixel[:, 1]
+    w_u, w_v = weight[:, 0], weight[:, 1]
+    terms = w_u * e_u * e_u + w_v * e_v * e_v
+    if clamped is not None:
+        shortfall = np.where(clamped, BARRIER_DEPTH - qz, 0.0)
+        barrier_terms = BARRIER_GAIN * shortfall * shortfall
+    for t in range(len(targets)):
+        cost += terms[t]
+        if clamped is not None and clamped[t].any():
+            cost += barrier_terms[t]
 
-        if grads is not None:
-            su = 2.0 * w_u * e_u
-            sv = 2.0 * w_v * e_v
-            g_q = np.empty((n, 3))
-            g_q[:, 0] = su * bxf / qz_eff
-            g_q[:, 1] = (su * spec.skew + sv * byf) / qz_eff
-            g_q[:, 2] = np.where(
-                clamped, 0.0,
-                -(su * u_num + sv * byf * q[:, 1]) / (qz_eff * qz_eff))
-            if np.any(clamped):
-                g_q[:, 2] -= np.where(
-                    clamped, 2.0 * BARRIER_GAIN * (BARRIER_DEPTH - qz), 0.0)
-            grads.position -= np.einsum("kij,kj->ki", cam_rotations, g_q)
-            grads.rotation += np.einsum(
-                "ki,kj->kij", rel, g_q) @ BODY_TO_CAMERA.T
-            grads.intrinsics[:, 0] += (su * spec.beta_x * q[:, 0]
-                                       + sv * spec.beta_y * q[:, 1]) / qz_eff
+    if grads is not None:
+        su = 2.0 * w_u * e_u
+        sv = 2.0 * w_v * e_v
+        g_q = np.empty(q.shape)
+        g_q[:, :, 0] = su * bxf / qz_eff
+        g_q[:, :, 1] = (su * spec.skew + sv * byf) / qz_eff
+        g_q[:, :, 2] = -(su * u_num + sv * byf * q[:, :, 1]) / (
+            qz_eff * qz_eff)
+        if clamped is not None:
+            g_q[:, :, 2] = np.where(clamped, 0.0, g_q[:, :, 2])
+            g_q[:, :, 2] -= np.where(
+                clamped, 2.0 * BARRIER_GAIN * (BARRIER_DEPTH - qz), 0.0)
+        pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
+        rot_terms = np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+        f_terms = (su * spec.beta_x * q[:, :, 0]
+                   + sv * spec.beta_y * q[:, :, 1]) / qz_eff
+        for t in range(len(targets)):
+            grads.position -= pos_terms[t]
+            grads.rotation += rot_terms[t]
+            grads.intrinsics[:, 0] += f_terms[t]
     return cost
 
 
@@ -434,14 +439,19 @@ def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
 
 def _point_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
                   n: int):
-    tracks = []
+    # weighted composition targets, points (T, n, 3), weights, pixels
+    targets, points = [], []
     for ct in instr.composition:
         pred = preds[ct.target_id]
-        anchor = pred.anchors[ct.point_id]
-        points = pred.positions[:n] + np.einsum(
-            "kij,j->ki", pred.rotations[:n], anchor)
-        tracks.append((ct, points))
-    return tracks
+        point = pred.positions[:n] + np.einsum(
+            "kij,j->ki", pred.rotations[:n], pred.anchors[ct.point_id])
+        if ct.weight[0] != 0.0 or ct.weight[1] != 0.0:
+            targets.append(ct)
+            points.append(point)
+    return (targets, np.array(points).reshape(len(targets), n, 3),
+            *(np.array([getattr(ct, name) for ct in targets],
+                       dtype=float).reshape(len(targets), 2, 1)
+              for name in ("weight", "pixel")))
 
 
 def _pose_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
@@ -466,12 +476,12 @@ def composition_cost(rig: CameraRig, preds: dict[str, TargetPrediction],
     :data:`BARRIER_DEPTH` are projected at that depth and penalized
     smoothly instead of raising :class:`BehindCameraError`.
     """
-    tracks = [(ct, points[step:step + 1])
-              for ct, points in _point_tracks(preds, instr, step + 1)]
+    targets, points, weight, pixel = _point_tracks(preds, instr, step + 1)
     return float(_image_vec(rig.drone.position[None, :],
                             rig.camera_rotation()[None, :, :],
                             np.array([rig.intrinsics.focal_length]),
-                            tracks, spec, barrier, None)[0])
+                            (targets, points[:, step:step + 1], weight,
+                             pixel), spec, barrier, None)[0])
 
 
 def pose_cost(rig: CameraRig, preds: dict[str, TargetPrediction],
@@ -525,11 +535,10 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
     """:func:`evaluate_horizon` with the target tracks built already."""
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
-    cam_rotations = rotations @ BODY_TO_CAMERA
     grads = HorizonGradients(len(horizon)) if with_grads else None
     dof = _dof_vec(horizon.lens, spec, instr, barrier, grads)
-    image = _image_vec(positions, cam_rotations, f_mm, tracks.points, spec,
-                       barrier, grads)
+    image = _image_vec(positions, horizon.camera_rotations, f_mm,
+                       tracks.points, spec, barrier, grads)
     pose = _pose_vec(positions, rotations, tracks.poses, smooth, grads)
     focal = _focal_vec(f_mm, tracks.f_star, instr.focal.weight, grads)
     return CostBreakdown(dof=dof, image=image, pose=pose, focal=focal), grads
@@ -572,30 +581,38 @@ def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
     (3), focal / focus / aperture rates (3).
     """
     n = len(u)
-    grad = np.zeros((n, 9))
+    grad = np.empty((n, 9))
     thetas = dt * u[:, 3:6]
     exps = so3_exp_batch(thetas)
     jacobians = so3_right_jacobian_batch(thetas)
-    g_p = np.zeros(3)
-    g_v = np.zeros(3)
-    g_rot = np.zeros((3, 3))
-    g_intr = np.zeros(3)
+    # position and lens adjoints: sums over states N..1, in the loop's order
+    # and from an explicit zero row, so that signed zeros match
+    steps = np.zeros((n + 1, 6))
+    steps[1:, 0:3] = grads.position[:0:-1]
+    steps[1:, 3:6] = grads.intrinsics[:0:-1]
+    sums = np.cumsum(steps, axis=0)
+    g_p, g_intr = sums[1:, 0:3], sums[1:, 3:6]
+    # velocity adjoint: add state k's gradient, read, then add dt * g_p
+    terms = np.zeros((2 * n + 1, 3))
+    terms[1::2] = grads.velocity[:0:-1]
+    terms[2::2] = dt * g_p
+    g_v = np.cumsum(terms, axis=0)[1::2]
+    grad[:, 0:3] = dt * g_v[::-1]
+    grad[:, 6:9] = dt * g_intr[::-1]
+
+    g_rot = np.empty((n, 3, 3))
+    acc = np.zeros((3, 3))
     for k in range(n, 0, -1):
-        g_p = g_p + grads.position[k]
-        g_v = g_v + grads.velocity[k]
-        g_rot = g_rot + grads.rotation[k]
-        g_intr = g_intr + grads.intrinsics[k]
-
-        grad[k - 1, 0:3] = dt * g_v
-        m = horizon.rotations[k].T @ g_rot
-        vee = np.array([m[2, 1] - m[1, 2],
-                        m[0, 2] - m[2, 0],
-                        m[1, 0] - m[0, 1]])
-        grad[k - 1, 3:6] = dt * (jacobians[k - 1].T @ vee)
-        grad[k - 1, 6:9] = dt * g_intr
-
-        g_v = g_v + dt * g_p
-        g_rot = g_rot @ exps[k - 1].T
+        acc = acc + grads.rotation[k]
+        g_rot[k - 1] = acc
+        acc = acc @ exps[k - 1].T
+    m = np.swapaxes(horizon.rotations[1:], 1, 2) @ g_rot
+    vee = np.empty((n, 3))
+    vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]
+    vee[:, 1] = m[:, 0, 2] - m[:, 2, 0]
+    vee[:, 2] = m[:, 1, 0] - m[:, 0, 1]
+    grad[:, 3:6] = dt * (np.swapaxes(jacobians, 1, 2) @ vee[:, :, None])[
+        :, :, 0]
     return grad
 
 

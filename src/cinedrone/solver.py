@@ -70,7 +70,6 @@ class SolveStats:
     iterations: int = 0
     outer_rounds: int = 0
     converged: bool = False
-    max_violation: float = 0.0
     wall_time: float = 0.0
 
 
@@ -107,23 +106,17 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     return np.array(rows[1:] + [rows[-1]] * repeats)[:n_steps]
 
 
-def _al_value(g: np.ndarray, lam: np.ndarray, rho: float) -> float:
-    # augmented-Lagrangian term for inequalities g >= 0; its slope w.r.t.
-    # g is -max(0, lam - rho g), inlined at the accumulation sites
-    slack = np.maximum(0.0, lam - rho * g)
-    return float(np.sum(slack * slack - lam * lam) / (2.0 * rho))
-
-
 class _PenaltyModel:
     """Fixed-order penalized inequality set for one solve instance: the
     :func:`cons.state_residuals` rows of states 1..N, flattened."""
 
     def __init__(self, cset: cons.ConstraintSet, preds, sizes, records,
                  spec: CameraSensorSpec, n_steps: int, margin: float):
-        self.args = (preds, sizes, cset, records, spec)
+        self.tracks = cons.ConstraintTracks(preds, sizes, cset, records,
+                                            n_steps + 1)
+        self.spec = spec
         self.margin = margin
-        self.size = n_steps * cons.state_residual_width(preds, cset,
-                                                        records)
+        self.size = n_steps * self.tracks.width
 
     def residuals_and_grads(self, horizon: kin.Horizon, grads,
                             lam: np.ndarray,
@@ -131,19 +124,23 @@ class _PenaltyModel:
         """Total AL penalty; gradients accumulated into ``grads`` when
         given.  The separation entries are rescaled to
         ``gap / _SEPARATION_SCALE - margin``."""
-        g_all, collisions, separations = cons.state_residuals(
-            horizon, 1, *self.args, margin=self.margin)
-        n_box = g_all.shape[1] - len(collisions) - len(separations)
-        sep = slice(n_box + len(collisions), None)
+        g_all, (diff, dist), separations = cons.state_residuals(
+            horizon, 1, self.tracks, self.spec, margin=self.margin)
+        n_box = g_all.shape[1] - len(dist) - len(separations)
+        sep = slice(n_box + len(dist), None)
         # pixel gap scaled to O(1) so the shared penalty weight conditions
         # all inequality groups comparably; the margin keeps the held gap
         # strictly positive, which keeps the activation predicate firing
         # at the next solve
         g_all[:, sep] = g_all[:, sep] / _SEPARATION_SCALE - self.margin
         g_flat = g_all.ravel()
+        # augmented-Lagrangian term for inequalities g >= 0; its slope
+        # w.r.t. g is -slack, inlined at the accumulation sites
+        slack = np.maximum(0.0, lam - rho * g_flat)
+        value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
         if grads is None:
-            return _al_value(g_flat, lam, rho), g_flat
-        slopes = np.maximum(0.0, lam.reshape(g_all.shape) - rho * g_all)
+            return value, g_flat
+        slopes = slack.reshape(g_all.shape)
         half = n_box // 2
         box = slopes[:, half:n_box] - slopes[:, :half]
         grads.position[1:] += box[:, 0:3]
@@ -151,15 +148,15 @@ class _PenaltyModel:
         grads.intrinsics[1:] += box[:, 9:12]
         self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
                              grads.rotation[1:])
-        for idx, (diff, dist) in enumerate(collisions, n_box):
-            safe = np.maximum(dist, 1e-9)
-            grads.position[1:] += (-slopes[:, idx] / safe)[:, None] * diff
+        coefficients = -slopes[:, n_box:sep.start].T / np.maximum(dist, 1e-9)
+        for term in coefficients[:, :, None] * diff:
+            grads.position[1:] += term
         for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
             slope = -slopes[:, idx] / _SEPARATION_SCALE
             grads.position[1:] += slope[:, None] * d_pos
             grads.rotation[1:] += slope[:, None, None] * d_rot
             grads.intrinsics[1:, 0] += slope * d_f
-        return _al_value(g_flat, lam, rho), g_flat
+        return value, g_flat
 
     @staticmethod
     def _add_rpy_slopes(rotations: np.ndarray, slopes: np.ndarray,
@@ -192,9 +189,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     dt = cfg.dt
     sizes = sizes or {}
 
+    state_low, state_high = bounds = cset.state_bounds
     start_residuals = cons.state_bound_residuals(
-        kin.rollout(initial, np.zeros((0, 9)), dt), cset)[0]
-    state_low, state_high = cset.state_bounds
+        kin.rollout(initial, np.zeros((0, 9)), dt), bounds)[0]
     widths = state_high - state_low
     # slack scales with each interval so executed penalty-method dust on a
     # narrow bound is tolerated while genuinely bad starts are rejected
@@ -240,7 +237,22 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     intr0 = initial.intrinsics.as_array()
     tracks = obj.HorizonTracks(preds, instr, n + 1)
 
+    # the last evaluation (read-only) by z's bytes and the multipliers: it
+    # serves L-BFGS-B's first call and the check after each round
+    last_key, last = None, None
+
     def evaluate(z: np.ndarray, with_grads: bool):
+        nonlocal last_key, last
+        key = (z.tobytes(), lam.tobytes(), rho)
+        if key != last_key or (with_grads and last[1] is None):
+            last_key, last = key, _evaluate(z, with_grads)
+            _, grad_z, (u, _, g_all) = last
+            for array in (u, g_all, grad_z):
+                if array is not None:
+                    array.setflags(write=False)
+        return last
+
+    def _evaluate(z: np.ndarray, with_grads: bool):
         u = to_inputs(z)
         # keep the lens trajectory inside its physical domain: clamp the
         # candidate to a small floor and penalize the shortfall with an
@@ -275,7 +287,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     guess = shift_warm_start(warm, n) if (cfg.warm_start and warm is not None) \
         else np.zeros((n, 9))
     z = to_scaled(guess)
-    if not math.isfinite(evaluate(z, with_grads=False)[0]):
+    if not math.isfinite(evaluate(z, with_grads=True)[0]):
         z = to_scaled(np.zeros((n, 9)))  # shifted guess left the domain
 
     def merit_fun(z_flat: np.ndarray):
@@ -301,7 +313,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         stats.iterations += int(result.nit)
         converged = bool(result.status in (0, 2))  # tolerance reached
 
-        _, _, info = evaluate(z, with_grads=True)
+        _, _, info = evaluate(z, with_grads=False)
         g_all = info[2]
         violation = float(max(0.0, -np.min(g_all))) if g_all.size else 0.0
         if violation <= 1e-7:
@@ -318,8 +330,6 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
                                           records, spec)
     stats.converged = converged
-    stats.max_violation = float(max(0.0, -np.min(residuals))) \
-        if residuals.size else 0.0
     stats.wall_time = time.perf_counter() - start_time
     if stats.wall_time > dt:
         logger.debug("solve exceeded its %.3gs period: %.3gs", dt,

@@ -7,9 +7,12 @@ in a small process pool because seeded repetitions are independent.
 
 import json
 import logging
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,9 +50,16 @@ def _load_raw(name: str) -> dict:
 
 @pytest.fixture(scope="session")
 def runs():
-    """All closed-loop runs the scenario criteria need, computed once."""
+    """All closed-loop runs the scenario criteria need, computed once.
+
+    The workers are spawned with one BLAS thread: OpenBLAS reads the
+    variable when numpy loads, which a spawned worker does afresh, and its
+    threads only spin and contend on problems this small.  Results do not
+    depend on the thread count (see the CLI test at 1 and 2 threads)."""
     tasks = {}
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}), \
+            ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
         rot = _load_raw("rule_of_thirds")
         tasks["rot_a"] = pool.submit(_pool_run, rot, 0)
         tasks["rot_b"] = pool.submit(_pool_run, rot, 0)

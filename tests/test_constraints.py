@@ -5,8 +5,9 @@ import pytest
 
 from cinedrone import constraints as cons
 from cinedrone import objectives as obj
-from cinedrone.kinematics import (CameraRig, DroneState, Horizon, hat,
-                                  rollout, so3_exp, rotation_from_rpy)
+from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
+                                  Horizon, hat_batch, rollout, so3_exp,
+                                  rotation_from_rpy)
 from cinedrone.optics import BehindCameraError, CameraSensorSpec, \
     IntrinsicState
 
@@ -141,13 +142,82 @@ class TestResiduals:
         horizon = rollout(make_rig(), u, 0.2)
         residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
                                               [record], SPEC)
-        gap = cons.separation_pieces(horizon, 0, preds, sizes, record,
-                                     SPEC)[0][0]
+        track = cons.ConstraintTracks(preds, sizes, cset, [record],
+                                      len(horizon)).separations[0]
+        gap = cons.separation_pieces(horizon, 0, track, SPEC)[0][0]
         assert residuals[-1] == pytest.approx(gap)
         assert gap > 0.0
 
 
+def separation_per_box(horizon, start, preds, sizes, record):
+    """The per-box loop the stacked separation replaced: the oracle of its
+    bits."""
+    positions = horizon.positions[start:]
+    cam_rotations = horizon.rotations[start:] @ BODY_TO_CAMERA
+    f_mm = horizon.lens[start:, 0]
+    n = len(positions)
+    steps = slice(start, start + n)
+    residual = np.zeros(n)
+    d_pos = np.zeros((n, 3))
+    d_rot = np.zeros((n, 3, 3))
+    d_f = np.zeros(n)
+    for tid, sign in ((record.right_id, -1.0), (record.left_id, +1.0)):
+        outer_sign = 1.0 if sign < 0.0 else -1.0
+        width = sizes[tid][1]
+        pred = preds[tid]
+        centers = pred.positions[steps] + np.einsum(
+            "kij,j->ki", pred.rotations[steps], pred.anchors["center"])
+        rel = centers - positions
+        q = np.einsum("kji,kj->ki", cam_rotations, rel)
+        qz = np.maximum(q[:, 2], 1e-6)
+        bxf = SPEC.beta_x * f_mm
+        u_num = bxf * q[:, 0] + SPEC.skew * q[:, 1]
+        u = u_num / qz + SPEC.principal_u
+        half_w = bxf * (width / 2.0) / qz
+        residual += outer_sign * (u + sign * half_w)
+        g_q = np.empty((n, 3))
+        g_q[:, 0] = bxf / qz
+        g_q[:, 1] = SPEC.skew / qz
+        g_q[:, 2] = -(u_num + sign * bxf * (width / 2.0)) / (qz * qz)
+        g_q *= outer_sign
+        d_pos -= np.einsum("kij,kj->ki", cam_rotations, g_q)
+        d_rot += np.einsum("ki,kj->kij", rel, g_q) @ BODY_TO_CAMERA.T
+        d_f += outer_sign * (SPEC.beta_x * q[:, 0]
+                             + sign * SPEC.beta_x * (width / 2.0)) / qz
+    return residual, d_pos, d_rot, d_f
+
+
 class TestSeparationGradient:
+    def test_stacked_boxes_bit_identical_to_per_box_loop(self):
+        rng = np.random.default_rng(8)
+        cset = cons.ConstraintSet.default()
+        for trial in range(30):
+            n = 1 + trial % 6
+            u = rng.uniform(-1.0, 1.0, (n, 9))
+            horizon = rollout(make_rig(p=rng.uniform(-1, 1, 3),
+                                       rpy=rng.uniform(-0.3, 0.3, 3),
+                                       f=rng.uniform(20, 120)), u, 0.2)
+            preds = {tid: obj.TargetPrediction(
+                positions=base + rng.uniform(-1, 1, (n + 2, 3)),
+                rotations=np.array([so3_exp(rng.uniform(-0.5, 0.5, 3))
+                                    for _ in range(n + 2)]),
+                anchors={"center": rng.uniform(-0.3, 0.3, 3)})
+                for tid, base in (("a", [10.0, 2.0, 1.0]),
+                                  ("b", [3.0, -2.0, 1.2]))}
+            sizes = {"a": (1.5, rng.uniform(0.2, 1.0)),
+                     "b": (2.0, rng.uniform(0.2, 1.0))}
+            record = cons.OcclusionRecord(*rng.permutation(["a", "b"]),
+                                          True)
+            track = cons.ConstraintTracks(preds, sizes, cset, [record],
+                                          n + 1).separations[0]
+            for start in (0, 1):
+                stacked = cons.separation_pieces(horizon, start, track, SPEC)
+                reference = separation_per_box(horizon, start, preds, sizes,
+                                               record)
+                for got, want in zip(stacked, reference):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         sizes = {"a": (1.5, 0.6), "b": (2.0, 0.8)}
@@ -179,8 +249,10 @@ class TestSeparationGradient:
                                   np.zeros((start + n, 3)),
                                   np.vstack([np.zeros((start, 3, 3)), rot]),
                                   np.vstack([np.zeros((start, 3)), lens]))
-                return cons.separation_pieces(horizon, start, preds, sizes,
-                                              record, SPEC)
+                track = cons.ConstraintTracks(
+                    preds, sizes, cons.ConstraintSet.default(), [record],
+                    start + n).separations[0]
+                return cons.separation_pieces(horizon, start, track, SPEC)
 
             def residual(p, rot, f):
                 return pieces(p, rot, f)[0]
@@ -202,7 +274,7 @@ class TestSeparationGradient:
                               - residual(positions, turned[1], focal)
                               ) / (2 * h)
                     analytic = float(np.sum(d_rot[k] * (
-                        rotations[k] @ hat(np.eye(3)[i]))))
+                        rotations[k] @ hat_batch(np.eye(3))[i])))
                     assert analytic == pytest.approx(fd_rot[k], rel=1e-4,
                                                      abs=1e-6)
                 df = np.zeros(n)

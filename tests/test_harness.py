@@ -1,6 +1,9 @@
 """Scenario schema, sequencer, output emission and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,3 +202,24 @@ class TestCli:
         assert len(csvs) == 1 and "seed5" in csvs[0].name
         assert cli.main(["summarize", str(out_dir)]) == 0
         assert (out_dir / "summary_aggregate.json").exists()
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy loads, so each count
+        # needs its own interpreter
+        src = str(Path(cli.__file__).parent.parent)
+        runs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            out_dir = tmp_path / threads
+            runs[threads] = (out_dir, subprocess.Popen(
+                [sys.executable, "-m", "cinedrone.cli", "run",
+                 str(SCENARIOS / "rule_of_thirds.json"), "--seed", "0",
+                 "--out", str(out_dir)], env=env, stdout=subprocess.DEVNULL))
+        csvs = {}
+        for threads, (out_dir, process) in runs.items():
+            assert process.wait(timeout=600) == 0
+            csvs[threads] = [path.read_bytes()
+                             for path in sorted(out_dir.glob("*.csv"))]
+        assert csvs["1"] and csvs["1"] == csvs["2"]

@@ -200,6 +200,26 @@ class TestRollout:
             assert np.array_equal(stepped.intrinsics.as_array(),
                                   horizon.lens[k])
 
+    def test_reorthonormalized_start_bit_identical_to_stepping(self):
+        rng = np.random.default_rng(4)
+        rot = rotation_from_rpy(0.2, -0.1, 0.7)
+        off = rot + 1e-11 * rng.standard_normal((3, 3))
+        start = rig(v=(0.1, 0.0, -0.2), rot=off)
+        u = rng.uniform(-1.0, 1.0, (5, 9))
+        horizon = rollout(start, u, 0.2)
+        # the first step inherits the drift and is projected back
+        first = off @ so3_exp(0.2 * u[0, 3:6])
+        assert np.linalg.norm(first.T @ first - np.eye(3)) > 1e-12
+        assert not np.array_equal(horizon.rotations[1], first)
+        stepped = start
+        for k, row in enumerate(u, 1):
+            stepped = step_rig(stepped, inp(row[0:3], row[3:6]),
+                               IntrinsicInput(*row[6:9]), 0.2)
+            assert np.array_equal(stepped.drone.orientation,
+                                  horizon.rotations[k])
+            assert np.array_equal(stepped.drone.position,
+                                  horizon.positions[k])
+
 
 class TestEulerHelpers:
     @settings(max_examples=150, deadline=None)

@@ -7,7 +7,8 @@ import pytest
 
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (CameraRig, DroneState, rollout,
-                                  rotation_from_rpy, so3_exp)
+                                  rotation_from_rpy, so3_exp_batch,
+                                  so3_right_jacobian_batch)
 from cinedrone.optics import (BehindCameraError, CameraSensorSpec,
                               IntrinsicState, depth_of_field)
 
@@ -288,7 +289,59 @@ class TestHorizon:
                     obj.focal_cost(r.intrinsics, instr, k), abs=1e-9)
 
 
+def chain_step_loop(grads, horizon, u, dt):
+    """The per-step backward pass the stacked one replaced: the oracle of
+    its bits."""
+    n = len(u)
+    grad = np.zeros((n, 9))
+    thetas = dt * u[:, 3:6]
+    exps = so3_exp_batch(thetas)
+    jacobians = so3_right_jacobian_batch(thetas)
+    g_p = np.zeros(3)
+    g_v = np.zeros(3)
+    g_rot = np.zeros((3, 3))
+    g_intr = np.zeros(3)
+    for k in range(n, 0, -1):
+        g_p = g_p + grads.position[k]
+        g_v = g_v + grads.velocity[k]
+        g_rot = g_rot + grads.rotation[k]
+        g_intr = g_intr + grads.intrinsics[k]
+        grad[k - 1, 0:3] = dt * g_v
+        m = horizon.rotations[k].T @ g_rot
+        vee = np.array([m[2, 1] - m[1, 2],
+                        m[0, 2] - m[2, 0],
+                        m[1, 0] - m[0, 1]])
+        grad[k - 1, 3:6] = dt * (jacobians[k - 1].T @ vee)
+        grad[k - 1, 6:9] = dt * g_intr
+        g_v = g_v + dt * g_p
+        g_rot = g_rot @ exps[k - 1].T
+    return grad
+
+
 class TestGradient:
+    def test_adjoint_bit_identical_to_step_loop(self):
+        rng = np.random.default_rng(23)
+        dt = 0.2
+        for trial in range(40):
+            rig, preds, instr, u = random_instance(rng, n=1 + trial % 7)
+            # rotation steps below the exponentials' 1e-8 rad series branch
+            # and between it and the Jacobian's 1e-6 rad one
+            tiny = rng.random(len(u)) < 0.4
+            u[tiny, 3:6] *= 10.0 ** rng.uniform(-12, -5, (tiny.sum(), 1))
+            horizon = rollout(rig, u, dt)
+            _, grads = obj.evaluate_horizon(horizon, preds, SPEC, instr,
+                                            barrier=True, with_grads=True)
+            if trial % 4 == 0:
+                # signed zeros in the state gradients
+                for field in (grads.position, grads.velocity,
+                              grads.intrinsics, grads.rotation):
+                    field[rng.random(field.shape) < 0.3] = -0.0
+            got = obj.chain_through_dynamics(grads, horizon, u, dt)
+            want = chain_step_loop(grads, horizon, u, dt)
+            # array_equal takes -0.0 == 0.0; signbit tells them apart
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_zero_weights_zero_gradient(self):
         rig = make_rig()
         u = np.random.default_rng(0).uniform(-1, 1, (4, 9))

@@ -9,8 +9,7 @@ import pytest
 from cinedrone import estimation as est
 from cinedrone import scene
 from cinedrone.config import scenario_from_dict
-from cinedrone.kinematics import (CameraRig, DroneState, rotation_from_rpy,
-                                  step_intrinsics, step_rig)
+from cinedrone.kinematics import CameraRig, DroneState, rotation_from_rpy
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)

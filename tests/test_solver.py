@@ -3,6 +3,7 @@ and feasibility handling."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cinedrone import constraints as cons
 from cinedrone import kinematics as kin
@@ -297,6 +298,43 @@ class TestStackedHorizon:
         assert evaluations > 50
         for name, count in counts.items():
             assert count <= 2 * (cfg.horizon + 1), (name, count)
+
+    def test_one_evaluation_per_distinct_point(self, monkeypatch):
+        rig, preds, sizes, instr, cset = side_by_side_problem()
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15)
+        counts = {"evaluations": 0, "merit calls": 0, "rounds": 0,
+                  "new points": 0}
+        evaluate = obj.evaluate_horizon_stacked
+        minimize = scipy.optimize.minimize
+
+        def counted_evaluate(*args, **kwargs):
+            counts["evaluations"] += 1
+            return evaluate(*args, **kwargs)
+
+        def counted_minimize(fun, *args, **kwargs):
+            last_point = []
+
+            def merit(x):
+                counts["merit calls"] += 1
+                last_point[:] = [x.tobytes()]
+                return fun(x)
+            result = minimize(merit, *args, **kwargs)
+            # the solver checks the clipped point L-BFGS-B returned
+            counts["rounds"] += 1
+            if np.clip(result.x, -1.0, 1.0).tobytes() != last_point[0]:
+                counts["new points"] += 1
+            return result
+        monkeypatch.setattr(obj, "evaluate_horizon_stacked",
+                            counted_evaluate)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
+        # one per L-BFGS-B call and one for the report; the start check
+        # shares the first call's, and the check after a round the last
+        # call's unless L-BFGS-B returned another point
+        assert counts["rounds"] == plan.stats.outer_rounds
+        assert counts["new points"] < counts["rounds"]
+        assert counts["evaluations"] == (counts["merit calls"] + 1
+                                         + counts["new points"])
 
     def test_penalty_rows_are_report_rows(self):
         rig, preds, sizes, _, cset = side_by_side_problem()
