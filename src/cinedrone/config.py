@@ -167,34 +167,26 @@ def _bounds_pair(raw, size: int, path: str, errs: _Collector
         return np.zeros(size), np.zeros(size)
 
 
+def _constraint_bounds(cset: ConstraintSet
+                       ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(low, high) of each bound of a constraint set, by scenario key."""
+    return {"acceleration": (cset.drone_input_low[:3],
+                             cset.drone_input_high[:3]),
+            "angular_velocity": (cset.drone_input_low[3:],
+                                 cset.drone_input_high[3:]),
+            "lens_rates": (cset.intr_input_low, cset.intr_input_high),
+            "position": (cset.position_low, cset.position_high),
+            "velocity": (cset.velocity_low, cset.velocity_high),
+            "rpy": (cset.rpy_low, cset.rpy_high),
+            "lens_state": (cset.intr_low, cset.intr_high)}
+
+
 def _parse_constraints(raw: dict, errs: _Collector) -> ConstraintSet | None:
-    base = ConstraintSet.default()
-    accel = _bounds_pair(raw.get(
-        "acceleration", [base.drone_input_low[:3].tolist(),
-                         base.drone_input_high[:3].tolist()]),
-        3, "constraints.acceleration", errs)
-    omega = _bounds_pair(raw.get(
-        "angular_velocity", [base.drone_input_low[3:].tolist(),
-                             base.drone_input_high[3:].tolist()]),
-        3, "constraints.angular_velocity", errs)
-    rates = _bounds_pair(raw.get(
-        "lens_rates", [base.intr_input_low.tolist(),
-                       base.intr_input_high.tolist()]),
-        3, "constraints.lens_rates", errs)
-    position = _bounds_pair(raw.get(
-        "position", [base.position_low.tolist(),
-                     base.position_high.tolist()]),
-        3, "constraints.position", errs)
-    velocity = _bounds_pair(raw.get(
-        "velocity", [base.velocity_low.tolist(),
-                     base.velocity_high.tolist()]),
-        3, "constraints.velocity", errs)
-    rpy = _bounds_pair(raw.get(
-        "rpy", [base.rpy_low.tolist(), base.rpy_high.tolist()]),
-        3, "constraints.rpy", errs)
-    lens = _bounds_pair(raw.get(
-        "lens_state", [base.intr_low.tolist(), base.intr_high.tolist()]),
-        3, "constraints.lens_state", errs)
+    accel, omega, rates, position, velocity, rpy, lens = (
+        _bounds_pair(raw.get(key, [low.tolist(), high.tolist()]), 3,
+                     f"constraints.{key}", errs)
+        for key, (low, high)
+        in _constraint_bounds(ConstraintSet.default()).items())
     return errs.guard("constraints", ConstraintSet,
                       drone_input_low=np.concatenate([accel[0], omega[0]]),
                       drone_input_high=np.concatenate([accel[1], omega[1]]),
@@ -558,19 +550,8 @@ def _scenario_to_dict(config: ScenarioConfig) -> dict:
             "constraint_margin": config.solver.constraint_margin,
         },
         "constraints": {
-            "acceleration": [cset.drone_input_low[:3].tolist(),
-                             cset.drone_input_high[:3].tolist()],
-            "angular_velocity": [cset.drone_input_low[3:].tolist(),
-                                 cset.drone_input_high[3:].tolist()],
-            "lens_rates": [cset.intr_input_low.tolist(),
-                           cset.intr_input_high.tolist()],
-            "position": [cset.position_low.tolist(),
-                         cset.position_high.tolist()],
-            "velocity": [cset.velocity_low.tolist(),
-                         cset.velocity_high.tolist()],
-            "rpy": [cset.rpy_low.tolist(), cset.rpy_high.tolist()],
-            "lens_state": [cset.intr_low.tolist(),
-                           cset.intr_high.tolist()],
+            **{key: [low.tolist(), high.tolist()]
+               for key, (low, high) in _constraint_bounds(cset).items()},
             "safety_distance": cset.safety_distance,
             "occlusion_enabled": cset.occlusion_enabled,
             "epsilon_slack": cset.epsilon_slack,

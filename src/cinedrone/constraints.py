@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import BODY_TO_CAMERA, CameraRig, Horizon
-from .objectives import TargetPrediction
+from .kinematics import CameraRig, Horizon
+from .objectives import TargetPrediction, body_outer
 from .optics import BehindCameraError, CameraSensorSpec
 
 
@@ -190,6 +190,14 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
     return records
 
 
+#: Leading axis of :func:`separation_pieces`: the right box, then the left
+#: one, each added in that order as a loop over them would; per box, the
+#: sign of its half width in the edge it gives and of that edge in the gap.
+_EDGE_SIGNS, _GAP_SIGNS = np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]])
+_EDGE_SIGNS.setflags(write=False)
+_GAP_SIGNS.setflags(write=False)
+
+
 def separation_pieces(horizon: Horizon, start: int,
                       track: tuple[np.ndarray, np.ndarray],
                       spec: CameraSensorSpec,
@@ -207,11 +215,7 @@ def separation_pieces(horizon: Horizon, start: int,
     cam_rotations = horizon.camera_rotations[start:]
     f_mm = horizon.lens[start:, 0]
     n = len(positions)
-    # leading axis: the right box, then the left one, each added in that
-    # order as a loop over them would; per box, the sign of its half width
-    # in the edge it gives and of that edge in the gap
-    edge_signs = np.array([[-1.0], [1.0]])
-    gap_signs = -edge_signs
+    edge_signs, gap_signs = _EDGE_SIGNS, _GAP_SIGNS
     rel = centers[:, start:] - positions
     q = np.einsum("kji,tkj->tki", cam_rotations, rel)
     qz = np.maximum(q[:, :, 2], 1e-6)
@@ -228,7 +232,7 @@ def separation_pieces(horizon: Horizon, start: int,
     g_q[:, :, 2] = -(u_num + edge_signs * bxf_half) / (qz * qz)
     g_q *= gap_signs[:, :, None]
     pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
-    rot_terms = np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+    rot_terms = body_outer(rel, g_q)
     f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
                            + edge_signs * spec.beta_x * half) / qz
     # from an explicit 0.0, as a sum into zeros would give signed zeros
@@ -328,14 +332,17 @@ def evaluate_constraints(u: np.ndarray, horizon: Horizon,
                          sizes: dict[str, tuple[float, float]],
                          cset: ConstraintSet,
                          records: list[OcclusionRecord],
-                         spec: CameraSensorSpec) -> np.ndarray:
+                         spec: CameraSensorSpec,
+                         tracks: ConstraintTracks | None = None,
+                         ) -> np.ndarray:
     """Stack every inequality residual of a plan; feasible when all are
     >= 0.
 
     Order: the 18 :func:`input_bound_residuals` of each (n, 9) input row,
     then the :func:`state_residuals` row of every state 0..N.
     """
-    tracks = ConstraintTracks(preds, sizes, cset, records, len(horizon))
+    if tracks is None:
+        tracks = ConstraintTracks(preds, sizes, cset, records, len(horizon))
     states, _, _ = state_residuals(horizon, 0, tracks, spec)
     return np.concatenate([input_bound_residuals(u, cset).ravel(),
                            states.ravel()])

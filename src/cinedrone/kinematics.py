@@ -52,76 +52,64 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     trace = float(np.trace(rotation))
     cos_theta = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
     theta = math.acos(cos_theta)
+    residue = np.array([rotation[2, 1] - rotation[1, 2],
+                        rotation[0, 2] - rotation[2, 0],
+                        rotation[1, 0] - rotation[0, 1]])
     if theta < 1e-8:
-        # first-order: R ~ I + w^
-        return np.array([
-            rotation[2, 1] - rotation[1, 2],
-            rotation[0, 2] - rotation[2, 0],
-            rotation[1, 0] - rotation[0, 1],
-        ]) * 0.5
+        return residue * 0.5  # first-order: R ~ I + w^
     if theta > math.pi - 1e-6:
         # the antisymmetric part degenerates near pi; recover the axis
         # from the dominant column of R + I, sign from the residue
         m = rotation + np.eye(3)
         i = int(np.argmax(np.diag(m)))
         axis = m[:, i] / np.linalg.norm(m[:, i])
-        residue = np.array([
-            rotation[2, 1] - rotation[1, 2],
-            rotation[0, 2] - rotation[2, 0],
-            rotation[1, 0] - rotation[0, 1],
-        ])
         if residue @ axis < 0.0:
             axis = -axis
         return axis * theta
-    factor = theta / (2.0 * math.sin(theta))
-    return factor * np.array([
-        rotation[2, 1] - rotation[1, 2],
-        rotation[0, 2] - rotation[2, 0],
-        rotation[1, 0] - rotation[0, 1],
-    ])
+    return theta / (2.0 * math.sin(theta)) * residue
+
+
+#: Row i lays vector entry i, with its sign, into the flattened skew matrix.
+_HAT_BASIS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                       [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+_HAT_BASIS.setflags(write=False)
 
 
 def hat_batch(w: np.ndarray) -> np.ndarray:
-    """Skew matrices of a stack of 3-vectors: (n, 3) -> (n, 3, 3)."""
-    out = np.zeros((len(w), 3, 3))
-    out[:, 0, 1] = -w[:, 2]
-    out[:, 0, 2] = w[:, 1]
-    out[:, 1, 0] = w[:, 2]
-    out[:, 1, 2] = -w[:, 0]
-    out[:, 2, 0] = -w[:, 1]
-    out[:, 2, 1] = w[:, 0]
-    return out
+    """Skew matrices of a stack of finite 3-vectors: (n, 3) -> (n, 3, 3);
+    exact values, but a zero entry may carry either sign."""
+    return (w @ _HAT_BASIS).reshape(len(w), 3, 3)
 
 
-def so3_exp_batch(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula over a stack of rotation vectors.  Agrees with
-    :func:`so3_exp` row by row to a few ulp (within 1e-15 up to 0.1 rad),
-    not bit for bit: vectorized ``sin``/``cos``/``norm`` round apart.
+def so3_exp_and_right_jacobian_batch(
+        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rodrigues exponentials (series below 1e-8 rad) and right Jacobians
+    (below 1e-6 rad) of a stack of rotation vectors, in one pass.  The
+    exponentials agree with :func:`so3_exp` to a few ulp (1e-15 up to
+    0.1 rad), not bit for bit: vectorized ``sin``/``cos``/``norm`` round
+    apart.
 
     The planner's adjoint pass keeps these exponentials rather than the
     rollout's: its gradient feeds L-BFGS-B, and a last-bit change there
     moves the executed trajectories."""
-    theta = np.linalg.norm(w, axis=1)
+    theta = np.sqrt(np.add.reduce(w * w, axis=1))  # as np.linalg.norm
     k = hat_batch(w)
     k2 = k @ k
     small = theta < 1e-8
     safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * k2
-
-
-def so3_right_jacobian_batch(w: np.ndarray) -> np.ndarray:
-    """Right Jacobians over a stack of rotation vectors."""
-    theta = np.linalg.norm(w, axis=1)
-    k = hat_batch(w)
-    k2 = k @ k
-    small = theta < 1e-6
-    safe = np.where(small, 1.0, theta)
+    sin, cos = np.sin(safe), np.cos(safe)
     t2 = safe * safe
-    a = np.where(small, 0.5, (1.0 - np.cos(safe)) / t2)
-    b = np.where(small, 1.0 / 6.0, (safe - np.sin(safe)) / (t2 * safe))
-    return np.eye(3) - a[:, None, None] * k + b[:, None, None] * k2
+    # (1 - cos)/theta^2: the exponential's k^2 coefficient, and from 1e-6
+    # rad on, where both read the same theta, the Jacobian's k coefficient
+    one_minus_cos = (1.0 - cos) / t2
+    a = np.where(small, 1.0, sin / safe)
+    b = np.where(small, 0.5, one_minus_cos)
+    exps = _EYE3 + a[:, None, None] * k + b[:, None, None] * k2
+    small = theta < 1e-6
+    a = np.where(small, 0.5, one_minus_cos)
+    b = np.where(small, 1.0 / 6.0, (safe - sin) / (t2 * safe))
+    return exps, _EYE3 - a[:, None, None] * k + b[:, None, None] * k2
 
 
 def project_to_so3(matrix: np.ndarray) -> np.ndarray:
@@ -260,19 +248,28 @@ def step_rotation(state: DroneState, inp: DroneInput,
     """Advance orientation at constant angular velocity for dt seconds."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _raw_state(state.position, state.velocity,
-                      _rotate(state.orientation,
-                              so3_exp(dt * inp.angular_velocity)))
+    return _raw_state(state.position, state.velocity, _chain(
+        state.orientation, so3_exp(dt * inp.angular_velocity)[None])[1])
 
 
-def _rotate(rotation: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    # right-multiply by a step exponential, back onto SO(3) if round-off
-    # drifted (the Frobenius norm as np.linalg.norm computes it)
-    rotation = rotation @ exp
-    drift = (rotation.T @ rotation - _EYE3).ravel()
-    if math.sqrt(drift.dot(drift)) > _REORTHONORMALIZE_TOL:
-        rotation = project_to_so3(rotation)
-    return rotation
+def _chain(first: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """``first``, then each state times the next step exponential, put back
+    onto SO(3) where |R^T R - I| drifted: the first drifted state of each
+    stacked check is projected and the chain goes on from it."""
+    rotations = np.empty((len(exps) + 1, 3, 3))
+    rotations[0] = first
+    start = 0
+    while start is not None:
+        for k in range(start, len(exps)):
+            rotations[k + 1] = rotations[k] @ exps[k]
+        chained = rotations[start + 1:]
+        drift = (np.swapaxes(chained, 1, 2) @ chained - _EYE3).reshape(-1, 9)
+        start = next((k for k, row in enumerate(drift, start + 1)
+                      if math.sqrt(row.dot(row)) > _REORTHONORMALIZE_TOL),
+                     None)
+        if start is not None:
+            rotations[start] = project_to_so3(rotations[start])
+    return rotations
 
 
 def step_intrinsics(intr: IntrinsicState, inp: IntrinsicInput,
@@ -340,19 +337,16 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     # cumsum adds row after row, in step_rig's order of operations
-    velocities = np.cumsum(np.concatenate([initial.drone.velocity[None],
-                                           dt * u[:, 0:3]]), axis=0)
-    positions = np.cumsum(np.concatenate([initial.drone.position[None],
-                                          dt * velocities[:-1]]), axis=0)
-    lens = np.cumsum(np.concatenate([initial.intrinsics.as_array()[None],
-                                     dt * u[:, 6:9]]), axis=0)
-    # so3_exp's rows, not so3_exp_batch, which differs from it in the last
-    # bit now and then: each state must equal step_rig's exactly, as the
-    # planner's single-shooting test checks with array_equal
-    rotations = np.empty((len(u) + 1, 3, 3))
-    rotations[0] = initial.drone.orientation
-    for k, exp in enumerate(_so3_exp_rows(dt * u[:, 3:6])):
-        rotations[k + 1] = _rotate(rotations[k], exp)
+    velocities = np.concatenate([initial.drone.velocity[None],
+                                 dt * u[:, 0:3]]).cumsum(axis=0)
+    positions = np.concatenate([initial.drone.position[None],
+                                dt * velocities[:-1]]).cumsum(axis=0)
+    lens = np.concatenate([initial.intrinsics.as_array()[None],
+                           dt * u[:, 6:9]]).cumsum(axis=0)
+    # so3_exp's rows, not the adjoint's stacked exponentials, which differ
+    # in the last bit now and then: each state must equal step_rig's
+    rotations = _chain(initial.drone.orientation,
+                       _so3_exp_rows(dt * u[:, 3:6]))
     return Horizon(positions, velocities, rotations, lens)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import (BODY_TO_CAMERA, CameraRig, Horizon, so3_exp_batch,
-                         so3_right_jacobian_batch)
+from .kinematics import (BODY_TO_CAMERA, CameraRig, Horizon,
+                         so3_exp_and_right_jacobian_batch)
 from .optics import (BehindCameraError, CameraSensorSpec, IntrinsicState,
                      SingularDofError, hyperfocal, mm_to_m)
 
@@ -258,26 +258,28 @@ class HorizonGradients:
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
              barrier: bool, grads: HorizonGradients | None) -> np.ndarray:
-    n = len(intr)
     dof = instr.dof
     near_star = instr._dof_limit(dof.near, "near")
     far_star = instr._dof_limit(dof.far, "far")
     near_active = dof.w_near > 0.0 and near_star is not None
     far_active = (dof.w_far > 0.0 and far_star is not None
                   and math.isfinite(far_star))
-    cost = np.zeros(n)
+    cost = np.zeros(len(intr))
     if not near_active and not far_active:
         return cost
 
     f_mm, focus, aperture = intr[:, 0], intr[:, 1], intr[:, 2]
     c_m = mm_to_m(spec.circle_of_confusion)
+    # shared subexpressions once, each as the formulas below compute it
     f_m = f_mm / 1000.0
-    h = f_m * f_m / (aperture * c_m) + f_m
-    dh_df_m = 2.0 * f_m / (aperture * c_m) + 1.0
-    dh_da = -f_m * f_m / (aperture * aperture * c_m)
+    f_m2, two_f, a_c = f_m * f_m, 2.0 * f_m, aperture * c_m
+    h = f_m2 / a_c + f_m
+    if grads is not None:
+        dh_df_m = two_f / a_c + 1.0
+        dh_da = -f_m2 / (aperture * aperture * c_m)
 
-    denom = h + focus - 2.0 * f_m
-    if np.any(denom <= 0.0):
+    denom = h + focus - two_f
+    if (denom <= 0.0).any():
         raise SingularDofError(
             f"H + F - 2f = {denom.min():.6g} <= 0")
     h_f = h - f_m
@@ -287,9 +289,10 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
         err = near - near_star
         cost += dof.w_near * err * err
         if grads is not None:
-            dn_dh = focus * (focus - f_m) / (denom * denom)
-            dn_df_direct = focus * (h - focus) / (denom * denom)
-            dn_dfocus = h_f * (h - 2.0 * f_m) / (denom * denom)
+            denom2 = denom * denom
+            dn_dh = focus * (focus - f_m) / denom2
+            dn_df_direct = focus * (h - focus) / denom2
+            dn_dfocus = h_f * (h - two_f) / denom2
             scale = 2.0 * dof.w_near * err
             grads.intrinsics[:, 0] += scale * (dn_dh * dh_df_m
                                                + dn_df_direct) / 1000.0
@@ -297,7 +300,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             grads.intrinsics[:, 2] += scale * dn_dh * dh_da
     if far_active:
         infinite = focus >= h
-        if np.any(infinite) and not barrier:
+        if not barrier and infinite.any():
             cost[infinite] = math.inf
         finite = ~infinite
         h_focus = np.where(finite, h - focus, 1.0)
@@ -305,7 +308,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
         err = far - far_star
         term = dof.w_far * err * err
         cost += np.where(finite, term, 0.0)
-        if barrier and np.any(infinite):
+        if barrier and infinite.any():
             # sloped surrogate where the far limit went infinite: steers
             # the focus back below the hyperfocal distance
             over = focus - h
@@ -319,7 +322,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             g_f = scale * (df_dh * dh_df_m + df_df_direct) / 1000.0
             g_focus = scale * df_dfocus
             g_a = scale * df_dh * dh_da
-            if barrier and np.any(infinite):
+            if barrier and infinite.any():
                 bar = dof.w_far * _FAR_BARRIER
                 g_f = g_f + np.where(infinite, -bar * dh_df_m / 1000.0, 0.0)
                 g_focus = g_focus + np.where(infinite, bar, 0.0)
@@ -380,7 +383,7 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             g_q[:, :, 2] -= np.where(
                 clamped, 2.0 * BARRIER_GAIN * (BARRIER_DEPTH - qz), 0.0)
         pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
-        rot_terms = np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+        rot_terms = body_outer(rel, g_q)
         f_terms = (su * spec.beta_x * q[:, :, 0]
                    + sv * spec.beta_y * q[:, :, 1]) / qz_eff
         for t in range(len(targets)):
@@ -388,6 +391,12 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             grads.rotation += rot_terms[t]
             grads.intrinsics[:, 0] += f_terms[t]
     return cost
+
+
+def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
+    """``np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T``, the
+    signed permutation applied first: same values, zeros' signs aside."""
+    return rel[..., :, None] * (g_q @ BODY_TO_CAMERA.T)[..., None, :]
 
 
 def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
@@ -413,17 +422,14 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             if smooth:
                 root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
                 cost += pt.w_rotation * (root - ROTATION_NORM_EPS)
-                if grads is not None:
-                    grads.rotation += (pt.w_rotation / root)[:, None, None] \
-                        * np.einsum("kij,kjl->kil", target_rotations,
-                                    residual)
+                scale = pt.w_rotation / root
             else:
                 cost += pt.w_rotation * norm
-                if grads is not None:
-                    safe = np.maximum(norm, 1e-12)
-                    scale = np.where(norm > 1e-12, pt.w_rotation / safe, 0.0)
-                    grads.rotation += scale[:, None, None] * np.einsum(
-                        "kij,kjl->kil", target_rotations, residual)
+                scale = np.where(norm > 1e-12, pt.w_rotation
+                                 / np.maximum(norm, 1e-12), 0.0)
+            if grads is not None:
+                grads.rotation += scale[:, None, None] * np.einsum(
+                    "kij,kjl->kil", target_rotations, residual)
     return cost
 
 
@@ -550,6 +556,7 @@ def evaluate_horizon(horizon: Horizon,
                      barrier: bool = False,
                      with_grads: bool = False,
                      smooth: bool | None = None,
+                     tracks: HorizonTracks | None = None,
                      ) -> tuple[CostBreakdown, HorizonGradients | None]:
     """Evaluate all four terms at every state of a horizon.
 
@@ -558,7 +565,8 @@ def evaluate_horizon(horizon: Horizon,
     """
     if smooth is None:
         smooth = barrier
-    tracks = HorizonTracks(preds, instr, len(horizon))
+    if tracks is None:
+        tracks = HorizonTracks(preds, instr, len(horizon))
     return evaluate_horizon_stacked(horizon, tracks, spec, instr, barrier,
                                     with_grads, smooth)
 
@@ -583,29 +591,27 @@ def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
     n = len(u)
     grad = np.empty((n, 9))
     thetas = dt * u[:, 3:6]
-    exps = so3_exp_batch(thetas)
-    jacobians = so3_right_jacobian_batch(thetas)
+    exps, jacobians = so3_exp_and_right_jacobian_batch(thetas)
     # position and lens adjoints: sums over states N..1, in the loop's order
     # and from an explicit zero row, so that signed zeros match
     steps = np.zeros((n + 1, 6))
     steps[1:, 0:3] = grads.position[:0:-1]
     steps[1:, 3:6] = grads.intrinsics[:0:-1]
-    sums = np.cumsum(steps, axis=0)
+    sums = steps.cumsum(axis=0)
     g_p, g_intr = sums[1:, 0:3], sums[1:, 3:6]
     # velocity adjoint: add state k's gradient, read, then add dt * g_p
     terms = np.zeros((2 * n + 1, 3))
     terms[1::2] = grads.velocity[:0:-1]
     terms[2::2] = dt * g_p
-    g_v = np.cumsum(terms, axis=0)[1::2]
+    g_v = terms.cumsum(axis=0)[1::2]
     grad[:, 0:3] = dt * g_v[::-1]
     grad[:, 6:9] = dt * g_intr[::-1]
 
     g_rot = np.empty((n, 3, 3))
     acc = np.zeros((3, 3))
     for k in range(n, 0, -1):
-        acc = acc + grads.rotation[k]
-        g_rot[k - 1] = acc
-        acc = acc @ exps[k - 1].T
+        np.add(acc, grads.rotation[k], out=g_rot[k - 1])
+        acc = g_rot[k - 1] @ exps[k - 1].T
     m = np.swapaxes(horizon.rotations[1:], 1, 2) @ g_rot
     vee = np.empty((n, 3))
     vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]

@@ -141,16 +141,24 @@ class _PenaltyModel:
         if grads is None:
             return value, g_flat
         slopes = slack.reshape(g_all.shape)
+        # A group with all slopes zero is skipped: its terms are +-0.0, and
+        # the gradient arrays start at +0.0 and only see += and -=, so under
+        # round-to-nearest they never hold -0.0 and adding +-0.0 changes no
+        # bit; only 0 * inf at pitch +-pi/2 would have written NaN.
         half = n_box // 2
         box = slopes[:, half:n_box] - slopes[:, :half]
-        grads.position[1:] += box[:, 0:3]
-        grads.velocity[1:] += box[:, 3:6]
-        grads.intrinsics[1:] += box[:, 9:12]
-        self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
-                             grads.rotation[1:])
-        coefficients = -slopes[:, n_box:sep.start].T / np.maximum(dist, 1e-9)
-        for term in coefficients[:, :, None] * diff:
-            grads.position[1:] += term
+        if box[:, 0:6].any() or box[:, 9:12].any():
+            grads.position[1:] += box[:, 0:3]
+            grads.velocity[1:] += box[:, 3:6]
+            grads.intrinsics[1:] += box[:, 9:12]
+        if box[:, 6:9].any():
+            self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
+                                 grads.rotation[1:])
+        if slopes[:, n_box:sep.start].any():
+            coefficients = -slopes[:, n_box:sep.start].T / np.maximum(
+                dist, 1e-9)
+            for term in coefficients[:, :, None] * diff:
+                grads.position[1:] += term
         for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
             slope = -slopes[:, idx] / _SEPARATION_SCALE
             grads.position[1:] += slope[:, None] * d_pos
@@ -212,15 +220,18 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     free = width > 1e-12
     center = 0.5 * (low + high)
     half = np.where(free, 0.5 * width, 1.0)
+    # input channels held at their bound (none in the shipped scenarios)
+    pinned = np.flatnonzero(~free)
 
     def to_scaled(u: np.ndarray) -> np.ndarray:
         z = (u - center) / half
-        z[:, ~free] = 0.0
+        z[:, pinned] = 0.0
         return np.clip(z, -1.0, 1.0)
 
     def to_inputs(z: np.ndarray) -> np.ndarray:
         u = center + z * half
-        u[:, ~free] = low[~free]
+        if pinned.size:
+            u[:, pinned] = low[pinned]
         return u
 
     model = _PenaltyModel(cset, preds, sizes, records, spec, n,
@@ -257,7 +268,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         # keep the lens trajectory inside its physical domain: clamp the
         # candidate to a small floor and penalize the shortfall with an
         # analytic slope, so the line search is never left on a plateau
-        trajectory = intr0 + dt * np.cumsum(u[:, 6:9], axis=0)
+        trajectory = intr0 + dt * u[:, 6:9].cumsum(axis=0)
         shortfall = np.maximum(0.0, _DOMAIN_FLOOR - trajectory)
         domain_penalty = 0.0
         domain_grad = None
@@ -281,12 +292,11 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         if domain_grad is not None:
             grad_u[:, 6:9] += domain_grad
         grad_z = grad_u * half
-        grad_z[:, ~free] = 0.0
+        if pinned.size:
+            grad_z[:, pinned] = 0.0
         return merit, grad_z, (u, horizon, g_all)
 
-    guess = shift_warm_start(warm, n) if (cfg.warm_start and warm is not None) \
-        else np.zeros((n, 9))
-    z = to_scaled(guess)
+    z = to_scaled(shift_warm_start(warm if cfg.warm_start else None, n))
     if not math.isfinite(evaluate(z, with_grads=True)[0]):
         z = to_scaled(np.zeros((n, 9)))  # shifted guess left the domain
 
@@ -326,9 +336,10 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     u, horizon, g_all = info
     # report the exact cost; the descent merit smooths the rotation norm
     breakdown, _ = obj.evaluate_horizon(horizon, preds, spec, instr,
-                                        barrier=True, smooth=False)
+                                        barrier=True, smooth=False,
+                                        tracks=tracks)
     residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
-                                          records, spec)
+                                          records, spec, model.tracks)
     stats.converged = converged
     stats.wall_time = time.perf_counter() - start_time
     if stats.wall_time > dt:

@@ -223,3 +223,38 @@ class TestCli:
             csvs[threads] = [path.read_bytes()
                              for path in sorted(out_dir.glob("*.csv"))]
         assert csvs["1"] and csvs["1"] == csvs["2"]
+
+
+class TestMeritStream:
+    def test_fingerprint_repeats_and_restores_hooks(self, tmp_path):
+        import importlib.util
+
+        import scipy.optimize
+
+        from cinedrone import objectives, solver
+        spec = importlib.util.spec_from_file_location(
+            "merit_stream",
+            Path(__file__).parent.parent / "tools" / "merit_stream.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        hooked = (scipy.optimize.minimize, solver.solve,
+                  objectives.evaluate_horizon_stacked)
+        prints = {}
+        for pixel in (270.0, 270.0, 250.0):
+            raw = minimal_raw()
+            raw["sequences"][0]["instructions"]["composition"][0][
+                "pixel"] = [480.0, pixel]
+            scenario = tmp_path / f"mini{pixel}.json"
+            scenario.write_text(json.dumps(raw))
+            prints.setdefault(pixel, []).append(
+                tool.fingerprint(str(scenario), 3))
+        assert (scipy.optimize.minimize, solver.solve,
+                objectives.evaluate_horizon_stacked) == hooked
+        first, again = prints[270.0]
+        assert first == again
+        assert first["solves"] == 2 and first["merit calls"] > 0
+        # the report's evaluation comes on top of the merit calls'
+        assert first["evaluations"] > first["merit calls"]
+        moved = prints[250.0][0]
+        assert moved["merit sha256"] != first["merit sha256"]
+        assert moved["plan sha256"] != first["plan sha256"]

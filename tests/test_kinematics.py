@@ -1,18 +1,122 @@
 """Rig dynamics, SO(3) integration and command interpolation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinedrone import kinematics as kin
 from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, interpolate_commands,
-                                  rollout, rotation_from_rpy,
-                                  rpy_from_rotation, so3_exp,
-                                  so3_exp_batch, so3_log,
-                                  step_intrinsics, step_rig, step_rotation,
-                                  step_translation)
+                                  IntrinsicInput, hat_batch,
+                                  interpolate_commands, rollout,
+                                  rotation_from_rpy, rpy_from_rotation,
+                                  so3_exp, so3_exp_and_right_jacobian_batch,
+                                  so3_log, step_intrinsics, step_rig,
+                                  step_rotation, step_translation)
 from cinedrone.optics import IntrinsicState
+
+
+def hat_assigned(w):
+    """Skew matrices as built before :func:`hat_batch` became one product:
+    the oracle of their values."""
+    out = np.zeros((len(w), 3, 3))
+    out[:, 0, 1] = -w[:, 2]
+    out[:, 0, 2] = w[:, 1]
+    out[:, 1, 0] = w[:, 2]
+    out[:, 1, 2] = -w[:, 0]
+    out[:, 2, 0] = -w[:, 1]
+    out[:, 2, 1] = w[:, 0]
+    return out
+
+
+def so3_exp_rows_assigned(w):
+    """The rollout's step exponentials with the skew matrices of
+    :func:`hat_assigned`: the oracle of their bits."""
+    theta = [math.sqrt(row.dot(row)) for row in w]
+    a = np.array([1.0 if t < 1e-8 else math.sin(t) / t for t in theta])
+    b = np.array([0.5 if t < 1e-8 else (1.0 - math.cos(t)) / (t * t)
+                  for t in theta])
+    k = hat_assigned(w)
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+
+
+def so3_exp_batch(w):
+    """The adjoint's exponentials as computed before they shared a pass
+    with the Jacobians: the oracle of their bits."""
+    theta = np.linalg.norm(w, axis=1)
+    k = hat_assigned(w)
+    k2 = k @ k
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * k2
+
+
+def so3_right_jacobian_batch(w):
+    """The adjoint's right Jacobians as computed before they shared a pass
+    with the exponentials: the oracle of their bits."""
+    theta = np.linalg.norm(w, axis=1)
+    k = hat_assigned(w)
+    k2 = k @ k
+    small = theta < 1e-6
+    safe = np.where(small, 1.0, theta)
+    t2 = safe * safe
+    a = np.where(small, 0.5, (1.0 - np.cos(safe)) / t2)
+    b = np.where(small, 1.0 / 6.0, (safe - np.sin(safe)) / (t2 * safe))
+    return np.eye(3) - a[:, None, None] * k + b[:, None, None] * k2
+
+
+def rotate(rotation, exp):
+    """One rotation step with the drift check per state, as the rollout
+    and the step functions took it before the check was stacked."""
+    rotation = rotation @ exp
+    drift = (rotation.T @ rotation - np.eye(3)).ravel()
+    if math.sqrt(drift.dot(drift)) > kin._REORTHONORMALIZE_TOL:
+        rotation = kin.project_to_so3(rotation)
+    return rotation
+
+
+def rotations_step_loop(initial, u, dt):
+    """The rollout's rotations chained by :func:`rotate`, state by state:
+    the oracle of their bits.  Also returns the states it projected back
+    onto SO(3)."""
+    rotations = np.empty((len(u) + 1, 3, 3))
+    rotations[0] = initial.drone.orientation
+    projected = []
+    for k, exp in enumerate(kin._so3_exp_rows(dt * u[:, 3:6])):
+        rotations[k + 1] = rotate(rotations[k], exp)
+        if not np.array_equal(rotations[k + 1], rotations[k] @ exp):
+            projected.append(k + 1)
+    return rotations, projected
+
+
+def rotation_vector_stacks(seed, count=300):
+    """Stacks of rotation vectors with angles from 1e-9.5 to 1 rad,
+    angles straddling the 1e-8 and 1e-6 rad series branches, zero rows
+    and -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([1e-8, 1e-6])[:, None] * (
+        1.0 + np.array([-4e-16, -2e-16, 0.0, 2e-16, 4e-16]))
+    for trial in range(count):
+        n = 1 + trial % 9
+        axes = rng.standard_normal((n, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        theta = 10.0 ** rng.uniform(-9.5, 0.0, n)
+        if trial % 3 == 0:
+            theta[: min(n, 3)] = rng.choice(edges.ravel(), min(n, 3))
+        w = axes * theta[:, None]
+        w[rng.random(n) < 0.15] = 0.0
+        w[rng.random((n, 3)) < 0.15] = -0.0
+        yield w
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 == 0.0; signbit tells them apart
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def drone(p=(0, 0, 0), v=(0, 0, 0), rot=None):
@@ -58,7 +162,23 @@ class TestRotation:
         # not bit for bit: vectorized sin/cos/norm round differently
         w = 0.06 * np.random.default_rng(5).uniform(-1, 1, (20000, 3))
         scalar = np.array([so3_exp(row) for row in w])
-        assert np.max(np.abs(so3_exp_batch(w) - scalar)) <= 1e-15
+        exps, _ = so3_exp_and_right_jacobian_batch(w)
+        assert np.max(np.abs(exps - scalar)) <= 1e-15
+
+    def test_shared_pass_bit_identical_to_separate_ones(self):
+        for w in rotation_vector_stacks(8):
+            exps, jacobians = so3_exp_and_right_jacobian_batch(w)
+            assert_same_bits(exps, so3_exp_batch(w))
+            assert_same_bits(jacobians, so3_right_jacobian_batch(w))
+
+    def test_hat_product_bit_identical_where_used(self):
+        for w in rotation_vector_stacks(9):
+            # the values alone: a zero entry's sign may differ
+            assert np.array_equal(hat_batch(w), hat_assigned(w))
+            assert_same_bits(kin._so3_exp_rows(w), so3_exp_rows_assigned(w))
+            for row in w:
+                assert_same_bits(so3_exp(row), so3_exp_rows_assigned(
+                    row[None])[0])
 
     def test_quarter_turn_about_z(self):
         out = step_rotation(drone(), inp(w=(0, 0, np.pi / 2)), 1.0)
@@ -219,6 +339,39 @@ class TestRollout:
                                   horizon.rotations[k])
             assert np.array_equal(stepped.drone.position,
                                   horizon.positions[k])
+
+
+    def test_stacked_drift_check_bit_identical_to_step_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n = 1 + trial % 12
+            rot = rotation_from_rpy(*rng.uniform(-0.3, 0.3, 3))
+            if trial % 2:
+                rot = rot + 1e-11 * rng.standard_normal((3, 3))
+            start = rig(v=rng.uniform(-1, 1, 3), rot=rot)
+            u = rng.uniform(-1.0, 1.0, (n, 9))
+            want, _ = rotations_step_loop(start, u, 0.2)
+            assert_same_bits(rollout(start, u, 0.2).rotations, want)
+            stepped = step_rotation(start.drone, inp(w=u[0, 3:6]), 0.2)
+            assert_same_bits(stepped.orientation, want[1])
+
+    def test_mid_chain_projection_bit_identical_to_step_loop(self):
+        # a start just inside the drift tolerance: round-off carries some
+        # later state across it, which is projected, and the chain goes on
+        # from the projected state
+        rng = np.random.default_rng(3)
+        rot = rotation_from_rpy(0.2, -0.1, 0.7)
+        offset = rng.standard_normal((3, 3))
+        gram = rot.T @ offset + offset.T @ rot
+        scale = kin._REORTHONORMALIZE_TOL / np.linalg.norm(gram)
+        u = rng.uniform(-1.0, 1.0, (16, 9))
+        mid_chain = 0
+        for shrink in np.linspace(0.998, 1.0, 21):
+            start = rig(rot=rot + shrink * scale * offset)
+            want, projected = rotations_step_loop(start, u, 0.2)
+            mid_chain += bool(projected) and projected[0] > 1
+            assert_same_bits(rollout(start, u, 0.2).rotations, want)
+        assert mid_chain > 0
 
 
 class TestEulerHelpers:

@@ -1,16 +1,17 @@
 """Cost terms against hand-computed values, plus the gradient oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cinedrone import objectives as obj
-from cinedrone.kinematics import (CameraRig, DroneState, rollout,
-                                  rotation_from_rpy, so3_exp_batch,
-                                  so3_right_jacobian_batch)
+from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
+                                  rollout, rotation_from_rpy)
 from cinedrone.optics import (BehindCameraError, CameraSensorSpec,
                               IntrinsicState, depth_of_field)
+from test_kinematics import so3_exp_batch, so3_right_jacobian_batch
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
 
@@ -318,7 +319,41 @@ def chain_step_loop(grads, horizon, u, dt):
     return grad
 
 
+def body_outer_matmul(rel, g_q):
+    """The rotation terms as computed before :func:`obj.body_outer`: the
+    oracle of their bits."""
+    return np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+
+
 class TestGradient:
+    def test_rotation_terms_bit_identical_in_the_gradient(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            rig, preds, instr, u = random_instance(rng, n=1 + trial % 6)
+            if trial % 2:
+                # a zero weight zeroes a column of the point gradients
+                instr = replace(instr, composition=tuple(
+                    replace(ct, weight=(0.0, ct.weight[1]))
+                    for ct in instr.composition))
+            horizon = rollout(rig, u, 0.2)
+            results = []
+            for outer in (obj.body_outer, body_outer_matmul):
+                monkeypatch.setattr(obj, "body_outer", outer)
+                _, grads = obj.evaluate_horizon(horizon, preds, SPEC, instr,
+                                                barrier=True, with_grads=True)
+                results.append(grads)
+            got, want = results
+            for name in ("position", "rotation", "intrinsics"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            # the two forms differ at most in the signs of zeros
+            rel = rng.standard_normal((2, 4, 3))
+            g_q = rng.standard_normal((2, 4, 3))
+            g_q[rng.random(g_q.shape) < 0.3] = 0.0
+            assert np.array_equal(obj.body_outer(rel, g_q),
+                                  body_outer_matmul(rel, g_q))
+
     def test_adjoint_bit_identical_to_step_loop(self):
         rng = np.random.default_rng(23)
         dt = 0.2

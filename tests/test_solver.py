@@ -234,6 +234,38 @@ class TestPlanContract:
                          cfg, SPEC)
         assert plan.cost.total <= cold
 
+    def test_pinned_input_channel(self):
+        # a zero-width aperture-rate interval holds that input at 0.0
+        preds = {"t": obj.TargetPrediction(
+            positions=np.tile([12.0, 1.0, 1.0], (6, 1)),
+            rotations=np.tile(np.eye(3), (6, 1, 1)))}
+        instr = obj.Instructions(
+            dof=obj.DofTarget(near=6.0, far=14.0, w_near=1.0, w_far=1.0),
+            composition=(obj.CompositionTarget("t", "center", (400.0, 250.0),
+                                               (1.0, 1.0)),))
+        base = cons.ConstraintSet.default()
+        low, high = base.intr_input_low.copy(), base.intr_input_high.copy()
+        low[2] = high[2] = 0.0
+        cset = cons.ConstraintSet(**{**base.__dict__, "intr_input_low": low,
+                                     "intr_input_high": high})
+        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        plans = [sol.solve(make_rig(), preds, instr, cset, cfg, SPEC)
+                 for _ in range(2)]
+        plan = plans[0]
+        assert all(ii.aperture_rate == 0.0 for _, ii in plan.inputs)
+        assert any(ii.focus_rate != 0.0 for _, ii in plan.inputs)
+        assert plan.feasible
+        for (da, ia), (db, ib) in zip(plan.inputs, plans[1].inputs):
+            assert np.array_equal(da.acceleration, db.acceleration)
+            assert np.array_equal(da.angular_velocity, db.angular_velocity)
+            assert ia == ib
+        for a, b in zip(plan.predicted_states, plans[1].predicted_states):
+            assert np.array_equal(a.drone.orientation, b.drone.orientation)
+            assert a.intrinsics == b.intrinsics
+        assert plan.cost.total == plans[1].cost.total
+        assert np.array_equal(plan.residuals, plans[1].residuals)
+        assert np.array_equal(plan.multipliers, plans[1].multipliers)
+
     def test_collision_constraint_enforced(self):
         preds = {"t": obj.TargetPrediction(
             positions=np.tile([3.0, 0.0, 1.0], (6, 1)),
@@ -268,6 +300,49 @@ def side_by_side_problem():
     cset = cons.ConstraintSet(**{**base.__dict__, "safety_distance": 2.0,
                                  "occlusion_enabled": True})
     return make_rig(), preds, sizes, instr, cset
+
+
+def penalty_always_accumulating(model, horizon, grads, lam, rho):
+    """``_PenaltyModel.residuals_and_grads`` as it was before it skipped
+    the groups whose slopes are all zero: the oracle of its bits."""
+    g_all, (diff, dist), separations = cons.state_residuals(
+        horizon, 1, model.tracks, model.spec, margin=model.margin)
+    n_box = g_all.shape[1] - len(dist) - len(separations)
+    sep = slice(n_box + len(dist), None)
+    g_all[:, sep] = g_all[:, sep] / sol._SEPARATION_SCALE - model.margin
+    g_flat = g_all.ravel()
+    slack = np.maximum(0.0, lam - rho * g_flat)
+    value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
+    slopes = slack.reshape(g_all.shape)
+    half = n_box // 2
+    box = slopes[:, half:n_box] - slopes[:, :half]
+    grads.position[1:] += box[:, 0:3]
+    grads.velocity[1:] += box[:, 3:6]
+    grads.intrinsics[1:] += box[:, 9:12]
+    sol._PenaltyModel._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
+                                      grads.rotation[1:])
+    coefficients = -slopes[:, n_box:sep.start].T / np.maximum(dist, 1e-9)
+    for term in coefficients[:, :, None] * diff:
+        grads.position[1:] += term
+    for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
+        slope = -slopes[:, idx] / sol._SEPARATION_SCALE
+        grads.position[1:] += slope[:, None] * d_pos
+        grads.rotation[1:] += slope[:, None, None] * d_rot
+        grads.intrinsics[1:, 0] += slope * d_f
+    return value, g_flat
+
+
+#: Penalty columns per state of side_by_side_problem, by skipped group.
+PENALTY_GROUPS = {
+    "none": [],
+    "position box": [0, 1, 2, 12, 13, 14],
+    "velocity box": [3, 4, 5, 15, 16, 17],
+    "lens box": [9, 10, 11, 21, 22, 23],
+    "roll, pitch and yaw box": [6, 7, 8, 18, 19, 20],
+    "collision": [24, 25],
+    "separation": [26],
+    "all": list(range(27)),
+}
 
 
 class TestStackedHorizon:
@@ -357,3 +432,61 @@ class TestStackedHorizon:
         assert np.allclose(penalty[:, 26:],
                            states[:, 26:] / sol._SEPARATION_SCALE - margin,
                            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("group", sorted(PENALTY_GROUPS))
+    def test_zero_slope_skips_bit_identical(self, group):
+        rig, preds, sizes, instr, cset = side_by_side_problem()
+        records = cons.activate_occlusions(rig, preds, sizes, SPEC)
+        n, margin, rho = 5, 0.15, 0.5
+        model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, n,
+                                  margin)
+        tracks = obj.HorizonTracks(preds, instr, n + 1)
+        rng = np.random.default_rng(6)
+        for trial in range(10):
+            u = rng.uniform(-0.3, 0.3, (n, 9))
+            horizon = rollout(rig, u, 0.2)
+            # multipliers that put the slope max(0, lam - rho g) of the
+            # group's entries above zero, and of no other entry
+            _, g_flat = model.residuals_and_grads(horizon, None,
+                                                  np.zeros(model.size), rho)
+            columns = PENALTY_GROUPS[group]
+            lam = np.zeros((n, model.tracks.width))
+            lam[:, columns] = rng.uniform(0.5, 1.5, (n, len(columns)))
+            lam = lam.ravel()
+            lam += np.where(lam > 0.0, rho * g_flat, 0.0)
+            results = []
+            for penalty in (model.residuals_and_grads,
+                            lambda *args: penalty_always_accumulating(
+                                model, *args)):
+                _, grads = obj.evaluate_horizon_stacked(
+                    horizon, tracks, SPEC, instr, barrier=True,
+                    with_grads=True, smooth=True)
+                value, g_flat = penalty(horizon, grads, lam, rho)
+                results.append((value, g_flat, grads))
+            (value, g_flat, got), (want_value, want_g, want) = results
+            assert g_flat.min() > 0.0
+            slopes = np.maximum(0.0, lam - rho * g_flat)
+            assert np.array_equal(slopes != 0.0, lam != 0.0)
+            assert value == want_value
+            assert np.array_equal(g_flat, want_g)
+            for name in ("position", "velocity", "rotation", "intrinsics"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_zero_slopes_skip_the_rotation_box(self, monkeypatch):
+        rig, preds, sizes, instr, cset = side_by_side_problem()
+        records = cons.activate_occlusions(rig, preds, sizes, SPEC)
+        model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, 5, 0.15)
+        calls = []
+        add_rpy_slopes = sol._PenaltyModel._add_rpy_slopes
+        monkeypatch.setattr(sol._PenaltyModel, "_add_rpy_slopes",
+                            staticmethod(lambda *args: calls.append(
+                                add_rpy_slopes(*args))))
+        horizon = rollout(rig, np.zeros((5, 9)), 0.2)
+        lam = np.zeros(model.size)
+        model.residuals_and_grads(horizon, obj.HorizonGradients(6), lam, 0.5)
+        assert calls == []
+        lam.reshape(5, -1)[:, 6] = 1.0
+        model.residuals_and_grads(horizon, obj.HorizonGradients(6), lam, 0.5)
+        assert len(calls) == 1

@@ -1,0 +1,116 @@
+"""Fingerprint one closed-loop run: what L-BFGS-B saw and what it planned.
+
+Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
+
+- the SHA-256 over every merit value and gradient the planner hands to
+  L-BFGS-B, in call order;
+- the SHA-256 over every plan's fields (inputs, predicted states, cost
+  breakdown, residuals, feasibility, solver statistics other than wall
+  time, occlusion records, multipliers and penalty weight);
+- the number of solves, merit calls and cost evaluations
+  (``objectives.evaluate_horizon_stacked`` calls, the report's included).
+
+Two checkouts that print the same lines handed L-BFGS-B the same bits at
+every call, so a rewrite claimed to be bit for bit can be checked on whole
+runs.  Hashes may differ between CPUs, so compare runs made on one machine.
+
+    PYTHONPATH=src python3 tools/merit_stream.py --scenario e4_occlusion --seed 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.optimize
+
+from cinedrone import objectives as obj
+from cinedrone import solver as sol
+from cinedrone.config import load_scenario
+from cinedrone.scene import run_closed_loop
+
+SCENARIOS = Path(sol.__file__).parent / "scenarios"
+
+
+def _update(digest, *values) -> None:
+    for value in values:
+        digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
+
+def _hash_plan(digest, plan: sol.Plan) -> None:
+    for drone_input, intr_input in plan.inputs:
+        _update(digest, drone_input.acceleration,
+                drone_input.angular_velocity, intr_input.as_array())
+    for rig in plan.predicted_states:
+        _update(digest, rig.drone.position, rig.drone.velocity,
+                rig.drone.orientation, rig.intrinsics.as_array(),
+                rig.time_index)
+    cost = plan.cost
+    _update(digest, cost.dof, cost.image, cost.pose, cost.focal,
+            plan.residuals, plan.feasible, plan.stats.iterations,
+            plan.stats.outer_rounds, plan.stats.converged,
+            plan.multipliers, plan.penalty)
+    for record in plan.records:
+        digest.update(repr(record).encode())
+
+
+def fingerprint(scenario: str, seed: int) -> dict[str, object]:
+    """Run ``scenario`` (a shipped name or a JSON path) at ``seed`` and
+    return the two hashes and the counts."""
+    path = Path(scenario)
+    if not path.suffix:
+        path = SCENARIOS / f"{scenario}.json"
+    config = load_scenario(path)
+    merits, plans = hashlib.sha256(), hashlib.sha256()
+    counts = {"solves": 0, "merit calls": 0, "evaluations": 0}
+    minimize, solve = scipy.optimize.minimize, sol.solve
+    evaluate = obj.evaluate_horizon_stacked
+
+    def counted_evaluate(*args, **kwargs):
+        counts["evaluations"] += 1
+        return evaluate(*args, **kwargs)
+
+    def hashed_minimize(fun, *args, **kwargs):
+        def merit(x):
+            value, grad = fun(x)
+            counts["merit calls"] += 1
+            _update(merits, value, grad)
+            return value, grad
+        return minimize(merit, *args, **kwargs)
+
+    def hashed_solve(*args, **kwargs):
+        plan = solve(*args, **kwargs)
+        counts["solves"] += 1
+        _hash_plan(plans, plan)
+        return plan
+
+    scipy.optimize.minimize = hashed_minimize
+    sol.solve = hashed_solve
+    obj.evaluate_horizon_stacked = counted_evaluate
+    try:
+        log = run_closed_loop(config, seed)
+    finally:
+        scipy.optimize.minimize = minimize
+        sol.solve = solve
+        obj.evaluate_horizon_stacked = evaluate
+    return {"scenario": config.name, "seed": seed, "status": log.status,
+            "merit sha256": merits.hexdigest(),
+            "plan sha256": plans.hexdigest(), **counts}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scenario", required=True,
+                        help="shipped scenario name or scenario JSON path")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    for key, value in fingerprint(args.scenario, args.seed).items():
+        print(f"{key}: {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
