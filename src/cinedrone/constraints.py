@@ -200,15 +200,16 @@ _GAP_SIGNS.setflags(write=False)
 
 def separation_pieces(horizon: Horizon, start: int,
                       track: tuple[np.ndarray, np.ndarray],
-                      spec: CameraSensorSpec,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
+                      spec: CameraSensorSpec, with_grads: bool = True,
+                      ) -> tuple[np.ndarray, np.ndarray | None,
+                                 np.ndarray | None, np.ndarray | None]:
     """Signed pixel gap between the right box's left edge and the left
     box's right edge, feasible when >= 0, at horizon states ``start``..N;
     ``track`` is the record's entry in :attr:`ConstraintTracks.separations`.
 
-    Returns (residuals, d/d position, d/d rotation, d/d focal) per state;
-    the caller scales the gradient pieces by its penalty slopes.
+    Returns (residuals, d/d position, d/d rotation, d/d focal) per state,
+    the three gradient pieces None without ``with_grads``; the caller
+    scales them by its penalty slopes.
     """
     centers, half = track
     positions = horizon.positions[start:]
@@ -225,6 +226,10 @@ def separation_pieces(horizon: Horizon, start: int,
     # (sign * a) * b == sign * (a * b) exactly for a sign of +-1
     bxf_half = bxf * half
     edges = gap_signs * (u + edge_signs * (bxf_half / qz))
+    # from an explicit 0.0, as a sum into zeros would give signed zeros
+    gap = 0.0 + edges[0] + edges[1]
+    if not with_grads:
+        return gap, None, None, None
 
     g_q = np.empty((2, n, 3))
     g_q[:, :, 0] = bxf / qz
@@ -235,8 +240,7 @@ def separation_pieces(horizon: Horizon, start: int,
     rot_terms = body_outer(rel, g_q)
     f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
                            + edge_signs * spec.beta_x * half) / qz
-    # from an explicit 0.0, as a sum into zeros would give signed zeros
-    return (0.0 + edges[0] + edges[1],
+    return (gap,
             0.0 - pos_terms[0] - pos_terms[1],
             0.0 + rot_terms[0] + rot_terms[1],
             0.0 + f_terms[0] + f_terms[1])
@@ -299,7 +303,8 @@ class ConstraintTracks:
 
 
 def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
-                    spec: CameraSensorSpec, margin: float = 0.0):
+                    spec: CameraSensorSpec, margin: float = 0.0,
+                    with_grads: bool = True):
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
     :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
@@ -309,7 +314,8 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
 
     Returns the rows, then the derivative pieces: the rig - target
     offsets (m, n, 3) and distances (m, n) of the collision entries, and
-    the :func:`separation_pieces` gradients per separation entry.
+    the :func:`separation_pieces` gradients per separation entry; both
+    None without ``with_grads``.
     """
     positions = horizon.positions[start:]
     rows = np.empty((len(positions), tracks.width))
@@ -322,8 +328,10 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     separations = []
     for column, track in enumerate(tracks.separations, n_coll):
         rows[:, column], *pieces = separation_pieces(horizon, start, track,
-                                                     spec)
+                                                     spec, with_grads)
         separations.append(pieces)
+    if not with_grads:
+        return rows, None, None
     return rows, (diff, dist), separations
 
 
@@ -343,6 +351,6 @@ def evaluate_constraints(u: np.ndarray, horizon: Horizon,
     """
     if tracks is None:
         tracks = ConstraintTracks(preds, sizes, cset, records, len(horizon))
-    states, _, _ = state_residuals(horizon, 0, tracks, spec)
+    states = state_residuals(horizon, 0, tracks, spec, with_grads=False)[0]
     return np.concatenate([input_bound_residuals(u, cset).ravel(),
                            states.ravel()])

@@ -217,6 +217,12 @@ class TestSeparationGradient:
                 for got, want in zip(stacked, reference):
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
+                gap, *pieces = cons.separation_pieces(horizon, start, track,
+                                                      SPEC, with_grads=False)
+                assert np.array_equal(gap, reference[0])
+                assert np.array_equal(np.signbit(gap),
+                                      np.signbit(reference[0]))
+                assert pieces == [None, None, None]
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)

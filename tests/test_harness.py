@@ -253,6 +253,8 @@ class TestMeritStream:
         first, again = prints[270.0]
         assert first == again
         assert first["solves"] == 2 and first["merit calls"] > 0
+        # one or more L-BFGS-B calls per solve, each with merit calls
+        assert first["solves"] <= first["rounds"] <= first["merit calls"]
         # the report's evaluation comes on top of the merit calls'
         assert first["evaluations"] > first["merit calls"]
         moved = prints[250.0][0]

@@ -1,6 +1,9 @@
 """Planner behavior: trivial objectives, grid-search oracles, warm starts
 and feasibility handling."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -9,11 +12,14 @@ from cinedrone import constraints as cons
 from cinedrone import kinematics as kin
 from cinedrone import objectives as obj
 from cinedrone import solver as sol
+from cinedrone.config import scenario_from_dict
 from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
                                   IntrinsicInput, rollout, step_rig)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
+from cinedrone.scene import run_closed_loop
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
+SCENARIOS = Path(__file__).parent.parent / "src/cinedrone/scenarios"
 
 
 def make_rig(p=(0, 0, 1), f=35.0, focus=10.0, a=2.0):
@@ -423,6 +429,9 @@ class TestStackedHorizon:
                                                np.zeros(model.size), 10.0)
         report = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
                                            records, SPEC)
+        # both skip the gradient pieces, which change no row
+        with_pieces = cons.state_residuals(horizon, 0, model.tracks, SPEC)[0]
+        assert np.array_equal(report[18 * n:], with_pieces.ravel())
         # layout per state: 24 box, 2 collision, 1 separation entries
         penalty = penalty.reshape(n, 27)
         states = report[18 * n:].reshape(n + 1, 27)[1:]
@@ -490,3 +499,144 @@ class TestStackedHorizon:
         lam.reshape(5, -1)[:, 6] = 1.0
         model.residuals_and_grads(horizon, obj.HorizonGradients(6), lam, 0.5)
         assert len(calls) == 1
+
+
+def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),
+                     focal=35.0):
+    """A distance set-point 0.5 m from a target that a 2 m safety distance
+    and a 0.25 m constraint margin keep the rig away from."""
+    preds = {"t": obj.TargetPrediction(
+        positions=np.tile([3.0, 0.0, 1.0], (6, 1)),
+        rotations=np.tile(np.eye(3), (6, 1, 1)))}
+    instr = obj.Instructions(
+        poses=(obj.PoseTarget("t", distance=0.5, w_distance=0.3),))
+    base = cons.ConstraintSet.default()
+    cset = cons.ConstraintSet(**{**base.__dict__, "safety_distance": 2.0})
+    rig = CameraRig(drone=DroneState(position=np.array(position, float),
+                                     velocity=np.array(velocity, float),
+                                     orientation=np.eye(3)),
+                    intrinsics=IntrinsicState(focal, 10.0, 2.0))
+    cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.25)
+    return rig, preds, instr, cset, cfg
+
+
+def solve_checked(monkeypatch, rig, preds, instr, cset, cfg, rule=True):
+    """Solve, counting the L-BFGS-B calls and recording each round's check
+    as (violation, the stop rule's verdict on states 1..N).  With
+    ``rule=False`` the verdict never ends the rounds: the loop as it was
+    before the rule."""
+    calls, checks = [], []
+    minimize = scipy.optimize.minimize
+    feasible_with_margin = sol._PenaltyModel.feasible_with_margin
+
+    def counted_minimize(*args, **kwargs):
+        calls.append(None)
+        return minimize(*args, **kwargs)
+
+    def checked(model, g_flat):
+        verdict = feasible_with_margin(model, g_flat)
+        checks.append((max(0.0, -float(g_flat.min())), verdict))
+        return verdict and rule
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "minimize", counted_minimize)
+        patch.setattr(sol._PenaltyModel, "feasible_with_margin", checked)
+        plan = sol.solve(rig, preds, instr, cset, cfg, SPEC)
+    return plan, len(calls), checks
+
+
+def assert_same_plan(a: sol.Plan, b: sol.Plan) -> None:
+    for (da, ia), (db, ib) in zip(a.inputs, b.inputs, strict=True):
+        assert np.array_equal(da.acceleration, db.acceleration)
+        assert np.array_equal(da.angular_velocity, db.angular_velocity)
+        assert ia == ib
+    assert a.cost.total == b.cost.total
+    assert np.array_equal(a.residuals, b.residuals)
+    assert np.array_equal(a.multipliers, b.multipliers)
+    assert (a.feasible, a.penalty, a.stats.iterations, a.stats.outer_rounds,
+            a.stats.converged) == (b.feasible, b.penalty, b.stats.iterations,
+                                   b.stats.outer_rounds, b.stats.converged)
+
+
+class TestEarlyExit:
+    def test_stops_once_feasible_within_half_the_margin(self, monkeypatch):
+        problem = approach_problem()
+        plan, rounds, checks = solve_checked(monkeypatch, *problem)
+        violation, verdict = checks[0]
+        assert 1e-7 < violation <= 0.5 * 0.25 and verdict
+        assert rounds == plan.stats.outer_rounds == 1
+        assert plan.feasible
+        _, rounds_without, _ = solve_checked(monkeypatch, *problem,
+                                             rule=False)
+        assert rounds_without > 1
+
+    @pytest.mark.parametrize("start", [
+        # state 1 is the start, 2.1 m from the target: 0.15 m into the
+        # 0.25 m margin, more than half of it, whatever the inputs
+        {"position": (0.9, 0.0, 1.0)},
+        # state 1 is 0.1 m past the 30 m position bound
+        {"position": (29.9, 0.0, 1.0), "velocity": (1.0, 0.0, 0.0)},
+    ], ids=["margin", "state box"])
+    def test_rows_out_of_reach_run_every_round(self, monkeypatch, start):
+        problem = approach_problem(**start)
+        plan, rounds, checks = solve_checked(monkeypatch, *problem)
+        without, rounds_without, _ = solve_checked(monkeypatch, *problem,
+                                                   rule=False)
+        assert all(violation > 1e-7 and not verdict
+                   for violation, verdict in checks)
+        assert rounds == rounds_without == plan.stats.outer_rounds
+        assert_same_plan(plan, without)
+
+    @pytest.mark.parametrize("start", [
+        {"focal": 14.9},  # the lens 0.1 mm under its box
+        # inside the safety distance, leaving it
+        {"position": (1.05, 0.0, 1.0), "velocity": (-1.0, 0.0, 0.0)},
+    ], ids=["lens box", "safety distance"])
+    def test_start_violation_never_ends_the_rounds(self, monkeypatch,
+                                                   start):
+        problem = approach_problem(**start)
+        plan, rounds, checks = solve_checked(monkeypatch, *problem)
+        without, rounds_without, _ = solve_checked(monkeypatch, *problem,
+                                                   rule=False)
+        # states 1..N alone would have ended the rounds at once
+        violation, verdict = checks[0]
+        assert violation > 1e-7 and verdict
+        assert rounds == rounds_without > 1
+        assert_same_plan(plan, without)
+        assert not plan.feasible
+
+
+def test_early_exits_are_feasible_with_half_the_margin(monkeypatch):
+    raw = json.loads((SCENARIOS / "e4_occlusion.json").read_text())
+    raw["control"]["duration"] = 4 * raw["control"]["period"]
+    solves = []
+    solve = sol.solve
+
+    def recorded(*args, **kwargs):
+        plan = solve(*args, **kwargs)
+        solves.append((args, kwargs["sizes"], plan))
+        return plan
+    monkeypatch.setattr(sol, "solve", recorded)
+    # at seed 4 a solve ends after its first round with a margin row
+    # violated by 0.015
+    run_closed_loop(scenario_from_dict(raw), 4)
+    early = 0
+    for (initial, preds, _, cset, cfg, spec), sizes, plan in solves:
+        u = np.array([np.concatenate([di.acceleration, di.angular_velocity,
+                                      ii.as_array()])
+                      for di, ii in plan.inputs])
+        horizon = rollout(initial, u, cfg.dt)
+        tracks = cons.ConstraintTracks(preds, sizes, cset, plan.records,
+                                       len(horizon))
+        rows = cons.state_residuals(horizon, 1, tracks, spec,
+                                    margin=cfg.constraint_margin)[0]
+        n_box = 24
+        sep = n_box + len(tracks.collisions)
+        rows[:, sep:] = (rows[:, sep:] / sol._SEPARATION_SCALE
+                         - cfg.constraint_margin)
+        if (plan.stats.outer_rounds == cfg.outer_rounds
+                or rows.min() >= -1e-7):
+            continue
+        early += 1
+        assert plan.feasible
+        assert rows[:, n_box:].min() >= -0.5 * cfg.constraint_margin
+    assert early > 0

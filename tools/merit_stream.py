@@ -7,7 +7,8 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
 - the SHA-256 over every plan's fields (inputs, predicted states, cost
   breakdown, residuals, feasibility, solver statistics other than wall
   time, occlusion records, multipliers and penalty weight);
-- the number of solves, merit calls and cost evaluations
+- the number of solves, augmented-Lagrangian rounds (calls of
+  ``scipy.optimize.minimize``), merit calls and cost evaluations
   (``objectives.evaluate_horizon_stacked`` calls, the report's included).
 
 Two checkouts that print the same lines handed L-BFGS-B the same bits at
@@ -65,7 +66,8 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
         path = SCENARIOS / f"{scenario}.json"
     config = load_scenario(path)
     merits, plans = hashlib.sha256(), hashlib.sha256()
-    counts = {"solves": 0, "merit calls": 0, "evaluations": 0}
+    counts = {"solves": 0, "rounds": 0, "merit calls": 0,
+              "evaluations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     evaluate = obj.evaluate_horizon_stacked
 
@@ -79,6 +81,7 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
             counts["merit calls"] += 1
             _update(merits, value, grad)
             return value, grad
+        counts["rounds"] += 1
         return minimize(merit, *args, **kwargs)
 
     def hashed_solve(*args, **kwargs):
