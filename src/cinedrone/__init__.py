@@ -1,32 +1,28 @@
 """cinedrone: joint extrinsic + intrinsic camera planning for drone
-cinematography, closed against a deterministic kinematic scene."""
+cinematography, closed against a deterministic kinematic scene.
+
+The root exports the sense -> estimate -> plan -> act loop's API; the
+modules hold the rest."""
+
+import types as _types
 
 from .optics import (CameraSensorSpec, DepthOfField, IntrinsicState,
                      INFINITE_FAR, back_project, calibration_matrix,
                      depth_of_field, hyperfocal, project)
 from .kinematics import (CameraRig, DroneInput, DroneState, Horizon,
-                         IntrinsicInput, interpolate_commands, rollout,
-                         step_intrinsics, step_rotation, step_translation)
+                         IntrinsicInput, rollout)
 from .objectives import (CompositionTarget, CostBreakdown, DofTarget,
                          FocalSchedule, FocalTarget, Instructions,
-                         PoseTarget, RelativeDistance, TargetPrediction,
-                         composition_cost, cost_gradient, dof_cost,
-                         focal_cost, horizon_cost, pose_cost)
-from .constraints import (ConstraintSet, OcclusionRecord, PixelBox,
-                          evaluate_constraints, occlusion_activation,
-                          predict_bounding_box)
-from .solver import InfeasibleStartError, Plan, SolverConfig, \
-    shift_warm_start, solve
-from .estimation import (Detection, TargetMeta, TargetTrack, kf_predict,
-                         kf_update, measure_world_position,
-                         orientation_from_velocity, predict_horizon,
-                         robust_depth)
-from .scene import (ScriptedTarget, SensorModel, SimClock, run_closed_loop,
-                    synthesize_detection, target_pose_at)
+                         PoseTarget, RelativeDistance, TargetPrediction)
+from .constraints import ConstraintSet, OcclusionRecord
+from .solver import InfeasibleStartError, Plan, SolverConfig, solve
+from .scene import run_closed_loop
 from .config import (ScenarioConfig, ScenarioParseError,
                      ScenarioValidationError, dump_scenario, load_scenario)
-from .runlog import RunLog, emit_outputs, summarize, summary_metrics
+from .runlog import RunLog, emit_outputs, summarize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and not isinstance(value, _types.ModuleType)]

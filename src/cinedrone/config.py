@@ -196,8 +196,7 @@ def _parse_constraints(raw: dict, errs: _Collector) -> ConstraintSet | None:
                       rpy_low=rpy[0], rpy_high=rpy[1],
                       intr_low=lens[0], intr_high=lens[1],
                       safety_distance=raw.get("safety_distance", 0.0),
-                      occlusion_enabled=raw.get("occlusion_enabled", False),
-                      epsilon_slack=raw.get("epsilon_slack", 1e-6))
+                      occlusion_enabled=raw.get("occlusion_enabled", False))
 
 
 def _parse_dof_limit(raw, path: str, errs: _Collector, target_ids):
@@ -386,7 +385,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                         penalty_growth=solver_raw.get("penalty_growth",
                                                       10.0),
                         outer_rounds=int(solver_raw.get("outer_rounds", 4)),
-                        warm_start=solver_raw.get("warm_start", True),
                         constraint_margin=solver_raw.get(
                             "constraint_margin", 0.0))
 
@@ -546,7 +544,6 @@ def _scenario_to_dict(config: ScenarioConfig) -> dict:
             "penalty_initial": config.solver.penalty_initial,
             "penalty_growth": config.solver.penalty_growth,
             "outer_rounds": config.solver.outer_rounds,
-            "warm_start": config.solver.warm_start,
             "constraint_margin": config.solver.constraint_margin,
         },
         "constraints": {
@@ -554,7 +551,6 @@ def _scenario_to_dict(config: ScenarioConfig) -> dict:
                for key, (low, high) in _constraint_bounds(cset).items()},
             "safety_distance": cset.safety_distance,
             "occlusion_enabled": cset.occlusion_enabled,
-            "epsilon_slack": cset.epsilon_slack,
         },
         "sensor": {"depth_sigma": config.sensor.depth_sigma,
                    "dropout": config.sensor.dropout,

@@ -55,7 +55,6 @@ class ConstraintSet:
     intr_high: np.ndarray
     safety_distance: float = 0.0
     occlusion_enabled: bool = False
-    epsilon_slack: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("drone_input", "intr_input", "position", "velocity",
@@ -119,14 +118,6 @@ class OcclusionRecord:
     active: bool
 
 
-def predict_bounding_box(rig: CameraRig, pred: TargetPrediction, step: int,
-                         height: float, width: float,
-                         spec: CameraSensorSpec) -> PixelBox:
-    """:func:`box_from_center` at a predicted target center."""
-    return box_from_center(rig, pred.point_position(step, "center"), height,
-                           width, spec)
-
-
 def box_from_center(rig: CameraRig, center: np.ndarray, height: float,
                     width: float, spec: CameraSensorSpec) -> PixelBox:
     """Project a world-vertical box around a center point to pixel corners.
@@ -175,8 +166,9 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
             continue
         height, width = sizes[tid]
         try:
-            boxes[tid] = predict_bounding_box(rig, pred, 0, height, width,
-                                              spec)
+            boxes[tid] = box_from_center(
+                rig, pred.positions[0] + pred.rotations[0]
+                @ pred.anchors["center"], height, width, spec)
         except BehindCameraError:
             continue
     records = []
@@ -336,21 +328,14 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
 
 
 def evaluate_constraints(u: np.ndarray, horizon: Horizon,
-                         preds: dict[str, TargetPrediction],
-                         sizes: dict[str, tuple[float, float]],
-                         cset: ConstraintSet,
-                         records: list[OcclusionRecord],
-                         spec: CameraSensorSpec,
-                         tracks: ConstraintTracks | None = None,
-                         ) -> np.ndarray:
+                         tracks: ConstraintTracks, cset: ConstraintSet,
+                         spec: CameraSensorSpec) -> np.ndarray:
     """Stack every inequality residual of a plan; feasible when all are
     >= 0.
 
     Order: the 18 :func:`input_bound_residuals` of each (n, 9) input row,
     then the :func:`state_residuals` row of every state 0..N.
     """
-    if tracks is None:
-        tracks = ConstraintTracks(preds, sizes, cset, records, len(horizon))
     states = state_residuals(horizon, 0, tracks, spec, with_grads=False)[0]
     return np.concatenate([input_bound_residuals(u, cset).ravel(),
                            states.ravel()])

@@ -221,37 +221,6 @@ class CameraRig:
             np.asarray(world_point, dtype=float) - self.drone.position)
 
 
-def _raw_state(position: np.ndarray, velocity: np.ndarray,
-               orientation: np.ndarray) -> DroneState:
-    # internal fast path: the step functions produce states that satisfy
-    # the invariants by construction, so skip re-validation
-    state = object.__new__(DroneState)
-    object.__setattr__(state, "position", position)
-    object.__setattr__(state, "velocity", velocity)
-    object.__setattr__(state, "orientation", orientation)
-    return state
-
-
-def step_translation(state: DroneState, inp: DroneInput,
-                     dt: float) -> DroneState:
-    """Double-integrator step; position advances with the pre-update
-    velocity."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _raw_state(state.position + dt * state.velocity,
-                      state.velocity + dt * inp.acceleration,
-                      state.orientation)
-
-
-def step_rotation(state: DroneState, inp: DroneInput,
-                  dt: float) -> DroneState:
-    """Advance orientation at constant angular velocity for dt seconds."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _raw_state(state.position, state.velocity, _chain(
-        state.orientation, so3_exp(dt * inp.angular_velocity)[None])[1])
-
-
 def _chain(first: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """``first``, then each state times the next step exponential, put back
     onto SO(3) where |R^T R - I| drifted: the first drifted state of each
@@ -270,31 +239,6 @@ def _chain(first: np.ndarray, exps: np.ndarray) -> np.ndarray:
         if start is not None:
             rotations[start] = project_to_so3(rotations[start])
     return rotations
-
-
-def step_intrinsics(intr: IntrinsicState, inp: IntrinsicInput,
-                    dt: float) -> IntrinsicState:
-    """Single-integrator lens step.  Bounds are a constraint concern and are
-    deliberately not clamped here."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return IntrinsicState(
-        focal_length=intr.focal_length + dt * inp.focal_rate,
-        focus_distance=intr.focus_distance + dt * inp.focus_rate,
-        aperture=intr.aperture + dt * inp.aperture_rate,
-    )
-
-
-def step_rig(rig: CameraRig, drone_input: DroneInput,
-             intr_input: IntrinsicInput, dt: float) -> CameraRig:
-    """Advance the full rig one control period."""
-    drone = step_rotation(step_translation(rig.drone, drone_input, dt),
-                          drone_input, dt)
-    return CameraRig(
-        drone=drone,
-        intrinsics=step_intrinsics(rig.intrinsics, intr_input, dt),
-        time_index=rig.time_index + 1,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,12 +275,14 @@ class Horizon:
 def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     """Roll the dynamics forward under the (n, 9) input rows
     (acceleration, angular velocity, focal/focus/aperture rates); returns
-    the n + 1 states, each bit-identical to one :func:`step_rig`
-    application to the state before it.  With n = 0, the initial state
-    alone."""
+    the n + 1 states.  Per step, the position advances with the
+    pre-update velocity, the velocity and lens state integrate their
+    rates unclamped, and the orientation is multiplied by the step's
+    Rodrigues exponential and put back onto SO(3) where it drifted.  With
+    n = 0, the initial state alone."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    # cumsum adds row after row, in step_rig's order of operations
+    # cumsum adds row after row, as a step-by-step loop would
     velocities = np.concatenate([initial.drone.velocity[None],
                                  dt * u[:, 0:3]]).cumsum(axis=0)
     positions = np.concatenate([initial.drone.position[None],
@@ -344,7 +290,7 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     lens = np.concatenate([initial.intrinsics.as_array()[None],
                            dt * u[:, 6:9]]).cumsum(axis=0)
     # so3_exp's rows, not the adjoint's stacked exponentials, which differ
-    # in the last bit now and then: each state must equal step_rig's
+    # in the last bit now and then
     rotations = _chain(initial.drone.orientation,
                        _so3_exp_rows(dt * u[:, 3:6]))
     return Horizon(positions, velocities, rotations, lens)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import (BODY_TO_CAMERA, CameraRig, Horizon,
+from .kinematics import (BODY_TO_CAMERA, Horizon,
                          so3_exp_and_right_jacobian_batch)
-from .optics import (BehindCameraError, CameraSensorSpec, IntrinsicState,
-                     SingularDofError, hyperfocal, mm_to_m)
+from .optics import (BehindCameraError, CameraSensorSpec, SingularDofError,
+                     mm_to_m)
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
 BARRIER_DEPTH = 0.1
@@ -219,11 +219,6 @@ class TargetPrediction:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def point_position(self, step: int, point_id: str) -> np.ndarray:
-        """World position of a named point at the given horizon step."""
-        return (self.positions[step]
-                + self.rotations[step] @ self.anchors[point_id])
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,51 +461,6 @@ def _pose_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
              preds[pt.target_id].rotations[:n]) for pt in instr.poses]
 
 
-def dof_cost(intr: IntrinsicState, spec: CameraSensorSpec,
-             instr: Instructions) -> float:
-    """Squared tracking error of the near/far sharpness limits."""
-    return float(_dof_vec(intr.as_array()[None, :], spec, instr, False,
-                          None)[0])
-
-
-def composition_cost(rig: CameraRig, preds: dict[str, TargetPrediction],
-                     spec: CameraSensorSpec, instr: Instructions,
-                     step: int = 0, barrier: bool = False) -> float:
-    """Weighted squared pixel error of every composition point.
-
-    With ``barrier=True`` (the planner's mode) points closer than
-    :data:`BARRIER_DEPTH` are projected at that depth and penalized
-    smoothly instead of raising :class:`BehindCameraError`.
-    """
-    targets, points, weight, pixel = _point_tracks(preds, instr, step + 1)
-    return float(_image_vec(rig.drone.position[None, :],
-                            rig.camera_rotation()[None, :, :],
-                            np.array([rig.intrinsics.focal_length]),
-                            (targets, points[:, step:step + 1], weight,
-                             pixel), spec, barrier, None)[0])
-
-
-def pose_cost(rig: CameraRig, preds: dict[str, TargetPrediction],
-              instr: Instructions, step: int = 0) -> float:
-    """Relative-pose error: Frobenius distance of the relative rotation's
-    transpose to its set-point plus squared distance error."""
-    tracks = [(pt, pos[step:step + 1], rot[step:step + 1])
-              for pt, pos, rot in _pose_tracks(preds, instr, step + 1)]
-    return float(_pose_vec(rig.drone.position[None, :],
-                           rig.drone.orientation[None, :, :], tracks,
-                           False, None)[0])
-
-
-def focal_cost(intr: IntrinsicState, instr: Instructions,
-               step: int = 0) -> float:
-    """Squared focal-length tracking error."""
-    if instr.focal.weight == 0.0:
-        return 0.0
-    return float(_focal_vec(np.array([intr.focal_length]),
-                            np.array([instr.focal_value(step)]),
-                            instr.focal.weight, None)[0])
-
-
 class HorizonTracks:
     """Per-solve precomputed target data: composition point tracks, pose
     tracks and the per-step desired focal length.  None of it depends on
@@ -538,7 +488,16 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              smooth: bool,
                              ) -> tuple[CostBreakdown,
                                         HorizonGradients | None]:
-    """:func:`evaluate_horizon` with the target tracks built already."""
+    """Evaluate all four terms at every state of a horizon.
+
+    Returns the per-step breakdown and, with ``with_grads``, the stacked
+    per-state gradients for the backward pass.  With ``barrier``, points
+    closer than :data:`BARRIER_DEPTH` are projected at that depth and
+    penalized smoothly instead of raising :class:`BehindCameraError`, and
+    an infinite far limit costs a sloped surrogate instead of ``inf``;
+    ``smooth`` rounds the rotation norm's kink off by
+    :data:`ROTATION_NORM_EPS`.  The planner's descent takes both.
+    """
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
     grads = HorizonGradients(len(horizon)) if with_grads else None
@@ -550,35 +509,14 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
     return CostBreakdown(dof=dof, image=image, pose=pose, focal=focal), grads
 
 
-def evaluate_horizon(horizon: Horizon,
-                     preds: dict[str, TargetPrediction],
-                     spec: CameraSensorSpec, instr: Instructions,
-                     barrier: bool = False,
-                     with_grads: bool = False,
-                     smooth: bool | None = None,
-                     tracks: HorizonTracks | None = None,
-                     ) -> tuple[CostBreakdown, HorizonGradients | None]:
-    """Evaluate all four terms at every state of a horizon.
-
-    Returns the per-step breakdown and, when requested, the stacked
-    per-state gradients for the backward pass.
-    """
-    if smooth is None:
-        smooth = barrier
-    if tracks is None:
-        tracks = HorizonTracks(preds, instr, len(horizon))
-    return evaluate_horizon_stacked(horizon, tracks, spec, instr, barrier,
-                                    with_grads, smooth)
-
-
-def horizon_cost(horizon: Horizon,
-                 preds: dict[str, TargetPrediction],
-                 spec: CameraSensorSpec, instr: Instructions,
-                 barrier: bool = False) -> CostBreakdown:
-    """Sum of the four cost terms over a horizon."""
-    breakdown, _ = evaluate_horizon(horizon, preds, spec, instr,
-                                    barrier=barrier)
-    return breakdown
+def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
+                     spec: CameraSensorSpec,
+                     instr: Instructions) -> CostBreakdown:
+    """The exact cost a plan reports: the barrier on, the rotation norm
+    unsmoothed, no gradients."""
+    return evaluate_horizon_stacked(horizon, tracks, spec, instr,
+                                    barrier=True, with_grads=False,
+                                    smooth=False)[0]
 
 
 def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
@@ -620,18 +558,3 @@ def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
     grad[:, 3:6] = dt * (np.swapaxes(jacobians, 1, 2) @ vee[:, :, None])[
         :, :, 0]
     return grad
-
-
-def cost_gradient(horizon: Horizon, u: np.ndarray,
-                  preds: dict[str, TargetPrediction],
-                  spec: CameraSensorSpec, instr: Instructions,
-                  dt: float) -> np.ndarray:
-    """Analytic gradient of the horizon cost w.r.t. the stacked inputs.
-
-    The horizon must be the rollout of the (n, 9) inputs ``u``.
-    Projection uses the smooth barrier so the gradient stays defined
-    arbitrarily close to the camera plane.
-    """
-    _, grads = evaluate_horizon(horizon, preds, spec, instr, barrier=True,
-                                with_grads=True)
-    return chain_through_dynamics(grads, horizon, u, dt).ravel()

@@ -41,6 +41,10 @@ FEASIBILITY_TOL = -1e-6
 #: closest approach then fell to 1.975 m in the acceptance runs, under the
 #: 1.999 m that criterion 08 asks of its 2 m safety distance.
 EARLY_EXIT_MARGIN_SHARE = 0.5
+#: Share of each state-bound interval (at least 1) the start may lie
+#: outside before :class:`InfeasibleStartError`: executed penalty-method
+#: dust on a narrow bound is tolerated, genuinely bad starts are rejected.
+START_SLACK = 0.25
 
 
 class InfeasibleStartError(ValueError):
@@ -58,9 +62,7 @@ class SolverConfig:
     penalty_initial: float = 10.0
     penalty_growth: float = 10.0
     outer_rounds: int = 6
-    warm_start: bool = True
     constraint_margin: float = 0.0
-    start_slack: float = 0.25
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -221,11 +223,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     state_low, state_high = bounds = cset.state_bounds
     start_residuals = cons.state_bound_residuals(
         kin.rollout(initial, np.zeros((0, 9)), dt), bounds)[0]
-    widths = state_high - state_low
-    # slack scales with each interval so executed penalty-method dust on a
-    # narrow bound is tolerated while genuinely bad starts are rejected
-    slack = np.maximum(cfg.start_slack * np.maximum(widths, 1.0),
-                       cset.epsilon_slack)
+    slack = START_SLACK * np.maximum(state_high - state_low, 1.0)
     slack = np.concatenate([slack, slack])
     worst = np.min(start_residuals + slack)
     if worst < 0.0:
@@ -259,8 +257,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
                           cfg.constraint_margin)
     lam = np.zeros(model.size)
     rho = cfg.penalty_initial
-    if (cfg.warm_start and warm is not None
-            and warm.multipliers.size == model.size):
+    if warm is not None and warm.multipliers.size == model.size:
         lam = warm.multipliers.copy()
         # carry the penalty weight but let it relax one growth step per
         # solve, so a transient never ratchets the merit stiff for good
@@ -317,7 +314,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             grad_z[:, pinned] = 0.0
         return merit, grad_z, (u, horizon, g_all)
 
-    z = to_scaled(shift_warm_start(warm if cfg.warm_start else None, n))
+    z = to_scaled(shift_warm_start(warm, n))
     merit, _, (_, horizon, _) = evaluate(z, with_grads=True)
     if not math.isfinite(merit):
         z = to_scaled(np.zeros((n, 9)))  # shifted guess left the domain
@@ -367,11 +364,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     u, horizon, g_all = info
     # report the exact cost; the descent merit smooths the rotation norm
-    breakdown, _ = obj.evaluate_horizon(horizon, preds, spec, instr,
-                                        barrier=True, smooth=False,
-                                        tracks=tracks)
-    residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
-                                          records, spec, model.tracks)
+    breakdown = obj.evaluate_horizon(horizon, tracks, spec, instr)
+    residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
+                                          spec)
     stats.converged = converged
     stats.wall_time = time.perf_counter() - start_time
     if stats.wall_time > dt:

@@ -28,6 +28,7 @@ from cinedrone.kinematics import (CameraRig, DroneState, rollout,
 from cinedrone.optics import (CameraSensorSpec, IntrinsicState,
                               depth_of_field, hyperfocal)
 from cinedrone.scene import run_closed_loop
+from test_objectives import stacked_cost
 
 SCENARIOS = Path(__file__).parent.parent / "src/cinedrone/scenarios"
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -157,12 +158,14 @@ def test_criterion_03_gradient_oracle():
     for _ in range(100):
         rig, preds, instr, u = _random_gradient_instance(rng)
         horizon = rollout(rig, u, dt)
-        grad = obj.cost_gradient(horizon, u, preds, SPEC, instr, dt)
+        _, grads = stacked_cost(horizon, preds, SPEC, instr, barrier=True,
+                                with_grads=True)
+        grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
 
         def total(flat):
             ro = rollout(rig, flat.reshape(-1, 9), dt)
-            return obj.horizon_cost(ro, preds, SPEC, instr,
-                                    barrier=True).total
+            return stacked_cost(ro, preds, SPEC, instr,
+                                barrier=True)[0].total
 
         flat = u.ravel()
         fd = np.zeros_like(grad)

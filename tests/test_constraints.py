@@ -29,32 +29,32 @@ def pred_at(position, n=1):
 
 class TestBoundingBox:
     def test_degenerate_box(self):
-        box = cons.predict_bounding_box(make_rig(), pred_at([10, 0, 0]), 0,
-                                        height=0.0, width=0.0, spec=SPEC)
+        box = cons.box_from_center(make_rig(), np.array([10.0, 0.0, 0.0]),
+                                   height=0.0, width=0.0, spec=SPEC)
         assert box.x_lt == box.x_rb == pytest.approx(480.0)
         assert box.y_lt == box.y_rb == pytest.approx(270.0)
 
     def test_extents_scale_with_focal_over_depth(self):
         # half extents are (beta f s/2) / depth = 1414.14 * (s/2) / 10
-        box = cons.predict_bounding_box(make_rig(), pred_at([10, 0, 0]), 0,
-                                        height=2.0, width=1.0, spec=SPEC)
+        box = cons.box_from_center(make_rig(), np.array([10.0, 0.0, 0.0]),
+                                   height=2.0, width=1.0, spec=SPEC)
         assert box.x_lt == pytest.approx(480 - 70.707, abs=1e-2)
         assert box.x_rb == pytest.approx(480 + 70.707, abs=1e-2)
         assert box.y_lt == pytest.approx(270 - 141.414, abs=1e-2)
         assert box.y_rb == pytest.approx(270 + 141.414, abs=1e-2)
 
     def test_doubling_depth_halves_box(self):
-        near = cons.predict_bounding_box(make_rig(), pred_at([10, 0, 0]), 0,
-                                         2.0, 1.0, SPEC)
-        far = cons.predict_bounding_box(make_rig(), pred_at([20, 0, 0]), 0,
-                                        2.0, 1.0, SPEC)
+        near = cons.box_from_center(make_rig(), np.array([10.0, 0.0, 0.0]),
+                                    2.0, 1.0, SPEC)
+        far = cons.box_from_center(make_rig(), np.array([20.0, 0.0, 0.0]),
+                                   2.0, 1.0, SPEC)
         assert (far.x_rb - far.x_lt) == pytest.approx(
             (near.x_rb - near.x_lt) / 2.0)
 
     def test_behind_camera(self):
         with pytest.raises(BehindCameraError):
-            cons.predict_bounding_box(make_rig(), pred_at([-10, 0, 0]), 0,
-                                      2.0, 1.0, SPEC)
+            cons.box_from_center(make_rig(), np.array([-10.0, 0.0, 0.0]),
+                                 2.0, 1.0, SPEC)
 
 
 class TestOcclusionActivation:
@@ -94,8 +94,8 @@ class TestResiduals:
         cset = cons.ConstraintSet.default()
         u = np.zeros((1, 9))
         residuals = cons.evaluate_constraints(
-            u, rollout(make_rig(p=(0, 0, 1)), u, 0.2), {}, {}, cset, [],
-            SPEC)
+            u, rollout(make_rig(p=(0, 0, 1)), u, 0.2),
+            cons.ConstraintTracks({}, {}, cset, [], 2), cset, SPEC)
         assert np.all(residuals > 0.0)
 
     def test_collision_violation(self):
@@ -105,8 +105,9 @@ class TestResiduals:
         preds = {"t": pred_at([1.5, 0, 0], n=1)}
         u = np.zeros((0, 9))
         residuals = cons.evaluate_constraints(
-            u, rollout(make_rig(), u, 0.2), preds, {"t": (1.0, 1.0)}, cset,
-            [], SPEC)
+            u, rollout(make_rig(), u, 0.2),
+            cons.ConstraintTracks(preds, {"t": (1.0, 1.0)}, cset, [], 1),
+            cset, SPEC)
         assert residuals.min() == pytest.approx(-0.5)
 
     def test_input_exactly_at_bound(self):
@@ -140,10 +141,10 @@ class TestResiduals:
         record = cons.OcclusionRecord("a", "b", True)
         u = np.zeros((0, 9))
         horizon = rollout(make_rig(), u, 0.2)
-        residuals = cons.evaluate_constraints(u, horizon, preds, sizes, cset,
-                                              [record], SPEC)
-        track = cons.ConstraintTracks(preds, sizes, cset, [record],
-                                      len(horizon)).separations[0]
+        tracks = cons.ConstraintTracks(preds, sizes, cset, [record],
+                                       len(horizon))
+        residuals = cons.evaluate_constraints(u, horizon, tracks, cset, SPEC)
+        track = tracks.separations[0]
         gap = cons.separation_pieces(horizon, 0, track, SPEC)[0][0]
         assert residuals[-1] == pytest.approx(gap)
         assert gap > 0.0

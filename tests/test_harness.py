@@ -225,6 +225,22 @@ class TestCli:
         assert csvs["1"] and csvs["1"] == csvs["2"]
 
 
+class TestRootApi:
+    def test_one_period_shot_through_the_root(self, tmp_path):
+        import cinedrone
+        assert all(hasattr(cinedrone, name) for name in cinedrone.__all__)
+        raw = minimal_raw()
+        raw["control"]["duration"] = raw["control"]["period"]
+        scenario = tmp_path / "one_period.json"
+        scenario.write_text(json.dumps(raw))
+        config = cinedrone.load_scenario(scenario)
+        log = cinedrone.run_closed_loop(config, 0)
+        assert log.status == "completed" and len(log.rows) == 1
+        csv_path, summary_path = cinedrone.emit_outputs(log, tmp_path)
+        assert csv_path.read_text().count("\n") == 2  # header + one step
+        assert json.loads(summary_path.read_text())["name"] == "minimal"
+
+
 class TestMeritStream:
     def test_fingerprint_repeats_and_restores_hooks(self, tmp_path):
         import importlib.util

@@ -13,8 +13,7 @@ from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
                                   interpolate_commands, rollout,
                                   rotation_from_rpy, rpy_from_rotation,
                                   so3_exp, so3_exp_and_right_jacobian_batch,
-                                  so3_log, step_intrinsics, step_rig,
-                                  step_rotation, step_translation)
+                                  so3_log)
 from cinedrone.optics import IntrinsicState
 
 
@@ -93,6 +92,24 @@ def rotations_step_loop(initial, u, dt):
     return rotations, projected
 
 
+def step_rig_oracle(rig, drone_input, intr_input, dt):
+    """One control period, state by state: position with the pre-update
+    velocity, then velocity, orientation and lens.  The oracle of the
+    rollout's bits."""
+    state, lens = rig.drone, rig.intrinsics
+    return CameraRig(
+        drone=DroneState(
+            position=state.position + dt * state.velocity,
+            velocity=state.velocity + dt * drone_input.acceleration,
+            orientation=kin._chain(state.orientation, so3_exp(
+                dt * drone_input.angular_velocity)[None])[1]),
+        intrinsics=IntrinsicState(
+            focal_length=lens.focal_length + dt * intr_input.focal_rate,
+            focus_distance=lens.focus_distance + dt * intr_input.focus_rate,
+            aperture=lens.aperture + dt * intr_input.aperture_rate),
+        time_index=rig.time_index + 1)
+
+
 def rotation_vector_stacks(seed, count=300):
     """Stacks of rotation vectors with angles from 1e-9.5 to 1 rad,
     angles straddling the 1e-8 and 1e-6 rad series branches, zero rows
@@ -130,31 +147,37 @@ def inp(a=(0, 0, 0), w=(0, 0, 0)):
                       angular_velocity=np.array(w, dtype=float))
 
 
+def advance(start, a=(0, 0, 0), w=(0, 0, 0), rates=(0, 0, 0), dt=0.2):
+    """``start`` one control period on: a one-row rollout."""
+    row = np.concatenate([a, w, rates]).astype(float)
+    return rollout(start, row[None], dt).rigs(start)[1]
+
+
 class TestTranslation:
     def test_drift(self):
-        out = step_translation(drone(v=(1, 0, 0)), inp(), 0.2)
+        out = advance(rig(v=(1, 0, 0))).drone
         assert np.allclose(out.position, [0.2, 0, 0])
         assert np.allclose(out.velocity, [1, 0, 0])
 
     def test_position_uses_pre_update_velocity(self):
-        out = step_translation(drone(), inp(a=(1, 0, 0)), 0.2)
+        out = advance(rig(), a=(1, 0, 0)).drone
         assert np.allclose(out.position, [0, 0, 0])
         assert np.allclose(out.velocity, [0.2, 0, 0])
 
     def test_fixed_point(self):
-        out = step_translation(drone(), inp(), 0.2)
+        out = advance(rig()).drone
         assert np.allclose(out.position, 0) and np.allclose(out.velocity, 0)
 
     def test_semigroup_without_acceleration(self):
-        state = drone(p=(1, 2, 3), v=(0.5, -1, 2))
-        twice = step_translation(step_translation(state, inp(), 0.1),
-                                 inp(), 0.1)
-        once = step_translation(state, inp(), 0.2)
-        assert np.allclose(twice.position, once.position, atol=1e-15)
+        state = rig(p=(1, 2, 3), v=(0.5, -1, 2))
+        twice = advance(advance(state, dt=0.1), dt=0.1)
+        once = advance(state, dt=0.2)
+        assert np.allclose(twice.drone.position, once.drone.position,
+                           atol=1e-15)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            step_translation(drone(), inp(), 0.0)
+            advance(rig(), dt=0.0)
 
 
 class TestRotation:
@@ -181,30 +204,32 @@ class TestRotation:
                     row[None])[0])
 
     def test_quarter_turn_about_z(self):
-        out = step_rotation(drone(), inp(w=(0, 0, np.pi / 2)), 1.0)
+        out = advance(rig(), w=(0, 0, np.pi / 2), dt=1.0).drone
         assert np.allclose(out.orientation,
                            [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
     def test_zero_rate_is_identity(self):
         rot = rotation_from_rpy(0.1, -0.2, 0.3)
-        out = step_rotation(drone(rot=rot), inp(), 0.5)
+        out = advance(rig(rot=rot), dt=0.5).drone
         assert np.allclose(out.orientation, rot, atol=1e-15)
 
     def test_one_parameter_subgroup(self):
         theta = 0.7
-        twice = step_rotation(
-            step_rotation(drone(), inp(w=(0, 0, theta)), 1.0),
-            inp(w=(0, 0, theta)), 1.0)
-        once = step_rotation(drone(), inp(w=(0, 0, 2 * theta)), 1.0)
-        assert np.allclose(twice.orientation, once.orientation, atol=1e-12)
+        twice = advance(advance(rig(), w=(0, 0, theta), dt=1.0),
+                        w=(0, 0, theta), dt=1.0)
+        once = advance(rig(), w=(0, 0, 2 * theta), dt=1.0)
+        assert np.allclose(twice.drone.orientation, once.drone.orientation,
+                           atol=1e-12)
 
     def test_long_rollout_stays_on_manifold(self):
         rng = np.random.default_rng(11)
-        state = drone()
-        for _ in range(100_000):
-            state = step_rotation(state, inp(w=rng.uniform(-0.25, 0.25, 3)),
-                                  0.2)
-        rot = state.orientation
+        state = rig()
+        # 100 000 steps, rolled out 100 at a time
+        u = np.zeros((100, 9))
+        for _ in range(1000):
+            u[:, 3:6] = rng.uniform(-0.25, 0.25, (100, 3))
+            rot = rollout(state, u, 0.2).rotations[-1]
+            state = rig(rot=rot)
         assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-6
         assert np.linalg.det(rot) > 0.0
 
@@ -216,24 +241,21 @@ class TestRotation:
 
 class TestIntrinsicsStep:
     def test_focal_rate(self):
-        out = step_intrinsics(IntrinsicState(35.0, 10.0, 2.0),
-                              IntrinsicInput(7.0, 0.0, 0.0), 0.2)
+        out = advance(rig(), rates=(7.0, 0.0, 0.0)).intrinsics
         assert out.focal_length == pytest.approx(36.4)
 
     def test_zero_rates(self):
-        state = IntrinsicState(35.0, 10.0, 2.0)
-        out = step_intrinsics(state, IntrinsicInput(0.0, 0.0, 0.0), 0.2)
-        assert out == state
+        start = rig()
+        out = advance(start).intrinsics
+        assert out == start.intrinsics
 
     def test_focus_rate(self):
-        out = step_intrinsics(IntrinsicState(35.0, 4.0, 2.0),
-                              IntrinsicInput(0.0, 15.0, 0.0), 0.2)
+        out = advance(rig(focus=4.0), rates=(0.0, 15.0, 0.0)).intrinsics
         assert out.focus_distance == pytest.approx(7.0)
 
     def test_no_clamping_here(self):
         # bounds are the constraint module's job; the step must not clip
-        out = step_intrinsics(IntrinsicState(16.0, 10.0, 2.0),
-                              IntrinsicInput(-7.0, 0.0, 0.0), 0.2)
+        out = advance(rig(f=16.0), rates=(-7.0, 0.0, 0.0)).intrinsics
         assert out.focal_length == pytest.approx(14.6)
 
 
@@ -294,7 +316,7 @@ class TestRollout:
         rigs = rollout(start, u, 0.2).rigs(start)
         assert len(rigs) == 5
         for k in range(4):
-            expected = step_rig(rigs[k], *inputs[k], 0.2)
+            expected = step_rig_oracle(rigs[k], *inputs[k], 0.2)
             assert np.allclose(expected.drone.position,
                                rigs[k + 1].drone.position)
             assert np.allclose(expected.drone.orientation,
@@ -309,8 +331,8 @@ class TestRollout:
         horizon = rollout(start, u, 0.2)
         stepped = start
         for k, row in enumerate(u, 1):
-            stepped = step_rig(stepped, inp(row[0:3], row[3:6]),
-                               IntrinsicInput(*row[6:9]), 0.2)
+            stepped = step_rig_oracle(stepped, inp(row[0:3], row[3:6]),
+                                      IntrinsicInput(*row[6:9]), 0.2)
             assert np.array_equal(stepped.drone.position,
                                   horizon.positions[k])
             assert np.array_equal(stepped.drone.velocity,
@@ -333,8 +355,8 @@ class TestRollout:
         assert not np.array_equal(horizon.rotations[1], first)
         stepped = start
         for k, row in enumerate(u, 1):
-            stepped = step_rig(stepped, inp(row[0:3], row[3:6]),
-                               IntrinsicInput(*row[6:9]), 0.2)
+            stepped = step_rig_oracle(stepped, inp(row[0:3], row[3:6]),
+                                      IntrinsicInput(*row[6:9]), 0.2)
             assert np.array_equal(stepped.drone.orientation,
                                   horizon.rotations[k])
             assert np.array_equal(stepped.drone.position,
@@ -352,8 +374,9 @@ class TestRollout:
             u = rng.uniform(-1.0, 1.0, (n, 9))
             want, _ = rotations_step_loop(start, u, 0.2)
             assert_same_bits(rollout(start, u, 0.2).rotations, want)
-            stepped = step_rotation(start.drone, inp(w=u[0, 3:6]), 0.2)
-            assert_same_bits(stepped.orientation, want[1])
+            stepped = step_rig_oracle(start, inp(u[0, 0:3], u[0, 3:6]),
+                                      IntrinsicInput(*u[0, 6:9]), 0.2)
+            assert_same_bits(stepped.drone.orientation, want[1])
 
     def test_mid_chain_projection_bit_identical_to_step_loop(self):
         # a start just inside the drift tolerance: round-off carries some

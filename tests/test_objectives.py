@@ -23,6 +23,22 @@ def make_rig(p=(0, 0, 0), rpy=(0, 0, 0), f=35.0, focus=10.0, a=1.2):
                      intrinsics=IntrinsicState(f, focus, a))
 
 
+def stacked_cost(horizon, preds, spec, instr, barrier=False,
+                 with_grads=False):
+    """The cost breakdown of a horizon and, with ``with_grads``, its
+    stacked gradients, through the planner's evaluation; the rotation norm
+    is smoothed exactly when the barrier is on."""
+    return obj.evaluate_horizon_stacked(
+        horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr,
+        barrier, with_grads, smooth=barrier)
+
+
+def rig_terms(rig, preds, instr, barrier=False):
+    """The cost breakdown of ``rig`` alone, as a one-state horizon."""
+    return stacked_cost(rollout(rig, np.zeros((0, 9)), 0.2), preds, SPEC,
+                        instr, barrier)[0]
+
+
 def static_pred(position, rotation=None, n=6, anchors=None):
     rot = np.eye(3) if rotation is None else rotation
     return obj.TargetPrediction(
@@ -37,33 +53,31 @@ class TestDofCost:
         instr = obj.Instructions(dof=obj.DofTarget(
             near=dof.near_distance, far=dof.far_distance,
             w_near=10.0, w_far=10.0))
-        assert obj.dof_cost(IntrinsicState(35.0, 10.0, 1.2), SPEC,
-                            instr) == pytest.approx(0.0, abs=1e-18)
+        assert rig_terms(make_rig(), {}, instr).dof[0] == pytest.approx(
+            0.0, abs=1e-18)
 
     def test_near_error_squared(self):
         dof = depth_of_field(IntrinsicState(35.0, 10.0, 1.2), SPEC)
         instr = obj.Instructions(dof=obj.DofTarget(
             near=dof.near_distance + 1.0, w_near=10.0))
-        assert obj.dof_cost(IntrinsicState(35.0, 10.0, 1.2), SPEC,
-                            instr) == pytest.approx(10.0)
+        assert rig_terms(make_rig(), {}, instr).dof[0] == pytest.approx(
+            10.0)
 
     def test_disabled_weights(self):
         instr = obj.Instructions(dof=obj.DofTarget(near=1.0, far=2.0,
                                                    w_near=0.0, w_far=0.0))
-        assert obj.dof_cost(IntrinsicState(35.0, 10.0, 1.2), SPEC,
-                            instr) == 0.0
+        assert rig_terms(make_rig(), {}, instr).dof[0] == 0.0
 
     def test_infinite_far_target_disables_far_term(self):
         instr = obj.Instructions(dof=obj.DofTarget(far=math.inf,
                                                    w_far=10.0))
-        assert obj.dof_cost(IntrinsicState(35.0, 10.0, 1.2), SPEC,
-                            instr) == 0.0
+        assert rig_terms(make_rig(), {}, instr).dof[0] == 0.0
 
     def test_unresolved_relative_raises(self):
         instr = obj.Instructions(dof=obj.DofTarget(
             near=obj.RelativeDistance("a", -3.0), w_near=1.0))
         with pytest.raises(ValueError):
-            obj.dof_cost(IntrinsicState(35.0, 10.0, 1.2), SPEC, instr)
+            rig_terms(make_rig(), {}, instr)
 
 
 class TestCompositionCost:
@@ -74,16 +88,16 @@ class TestCompositionCost:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (480.0, 270.0),
                                   (1.0, 1.0)),))
-        assert obj.composition_cost(make_rig(), preds, SPEC,
-                                    instr) == pytest.approx(0.0, abs=1e-18)
+        assert rig_terms(make_rig(), preds, instr).image[0] == pytest.approx(
+            0.0, abs=1e-18)
 
     def test_ten_pixel_error(self):
         preds = {"t": static_pred([10.0, 0.0, 0.0])}
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (490.0, 270.0),
                                   (1.0, 1.0)),))
-        assert obj.composition_cost(make_rig(), preds, SPEC,
-                                    instr) == pytest.approx(100.0)
+        assert rig_terms(make_rig(), preds, instr).image[0] == pytest.approx(
+            100.0)
 
     def test_sums_over_points(self):
         pred = static_pred([10.0, 0.0, 0.0],
@@ -92,8 +106,8 @@ class TestCompositionCost:
             obj.CompositionTarget("t", "center", (490.0, 270.0),
                                   (1.0, 1.0)),
             obj.CompositionTarget("t", "up", (480.0, 280.0), (1.0, 1.0))))
-        assert obj.composition_cost(make_rig(), {"t": pred}, SPEC,
-                                    instr) == pytest.approx(200.0)
+        assert rig_terms(make_rig(), {"t": pred},
+                         instr).image[0] == pytest.approx(200.0)
 
     def test_behind_camera_raises_without_barrier(self):
         preds = {"t": static_pred([-5.0, 0.0, 0.0])}
@@ -101,10 +115,9 @@ class TestCompositionCost:
             obj.CompositionTarget("t", "center", (480.0, 270.0),
                                   (1.0, 1.0)),))
         with pytest.raises(BehindCameraError):
-            obj.composition_cost(make_rig(), preds, SPEC, instr)
+            rig_terms(make_rig(), preds, instr)
         # barrier mode gives a large finite penalty instead
-        cost = obj.composition_cost(make_rig(), preds, SPEC, instr,
-                                    barrier=True)
+        cost = rig_terms(make_rig(), preds, instr, barrier=True).image[0]
         assert math.isfinite(cost) and cost > 1e4
 
     def test_per_axis_weights(self):
@@ -112,9 +125,8 @@ class TestCompositionCost:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (490.0, 260.0),
                                   (2.0, 0.5)),))
-        assert obj.composition_cost(make_rig(), preds, SPEC,
-                                    instr) == pytest.approx(
-                                        2.0 * 100 + 0.5 * 100)
+        assert rig_terms(make_rig(), preds, instr).image[0] == pytest.approx(
+            2.0 * 100 + 0.5 * 100)
 
 
 class TestPoseCost:
@@ -123,8 +135,8 @@ class TestPoseCost:
         instr = obj.Instructions(poses=(obj.PoseTarget(
             "t", distance=10.0, w_distance=1.0,
             rotation=np.eye(3), w_rotation=1.0),))
-        assert obj.pose_cost(make_rig(), preds,
-                             instr) == pytest.approx(0.0, abs=1e-12)
+        assert rig_terms(make_rig(), preds, instr).pose[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_half_turn_frobenius(self):
         # relative rotation is a half turn about z; its transpose differs
@@ -133,14 +145,14 @@ class TestPoseCost:
                                   rotation=rotation_from_rpy(0, 0, np.pi))}
         instr = obj.Instructions(poses=(obj.PoseTarget(
             "t", rotation=np.eye(3), w_rotation=1.0),))
-        assert obj.pose_cost(make_rig(), preds, instr) == pytest.approx(
+        assert rig_terms(make_rig(), preds, instr).pose[0] == pytest.approx(
             math.sqrt(8.0))
 
     def test_distance_error(self):
         preds = {"t": static_pred([10.0, 0.0, 0.0])}
         instr = obj.Instructions(poses=(obj.PoseTarget(
             "t", distance=8.0, w_distance=10.0),))
-        assert obj.pose_cost(make_rig(), preds, instr) == pytest.approx(
+        assert rig_terms(make_rig(), preds, instr).pose[0] == pytest.approx(
             40.0)
 
     def test_distance_is_frame_invariant(self):
@@ -155,26 +167,25 @@ class TestPoseCost:
             position=world @ rig_a.drone.position, velocity=np.zeros(3),
             orientation=world @ rig_a.drone.orientation),
             intrinsics=rig_a.intrinsics)
-        assert obj.pose_cost(rig_a, preds_a, instr) == pytest.approx(
-            obj.pose_cost(rig_b, preds_b, instr), rel=1e-12)
+        assert rig_terms(rig_a, preds_a, instr).pose[0] == pytest.approx(
+            rig_terms(rig_b, preds_b, instr).pose[0], rel=1e-12)
 
 
 class TestFocalCost:
     def test_zero_at_target(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(35.0), weight=1.0))
-        assert obj.focal_cost(IntrinsicState(35.0, 10.0, 1.2),
-                              instr) == 0.0
+        assert rig_terms(make_rig(), {}, instr).focal[0] == 0.0
 
     def test_squared_error(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(40.0), weight=1.0))
-        assert obj.focal_cost(IntrinsicState(35.0, 10.0, 1.2),
-                              instr) == pytest.approx(25.0)
+        assert rig_terms(make_rig(), {}, instr).focal[0] == pytest.approx(
+            25.0)
 
     def test_disabled(self):
         instr = obj.Instructions()
-        assert obj.focal_cost(IntrinsicState(35.0, 10.0, 1.2), instr) == 0.0
+        assert rig_terms(make_rig(), {}, instr).focal[0] == 0.0
 
 
 class TestResolve:
@@ -244,14 +255,13 @@ class TestHorizon:
             obj.CompositionTarget("t", "center", (480.0, 270.0),
                                   (1.0, 1.0)),))
         horizon = rollout(make_rig(), np.zeros((3, 9)), 0.2)
-        assert obj.horizon_cost(horizon, preds, SPEC,
-                                instr).total == pytest.approx(0.0,
-                                                              abs=1e-18)
+        assert stacked_cost(horizon, preds, SPEC,
+                            instr)[0].total == pytest.approx(0.0, abs=1e-18)
 
     def test_single_state_focal_only(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(40.0), weight=1.0))
-        breakdown = obj.horizon_cost(
+        breakdown, _ = stacked_cost(
             rollout(make_rig(f=35.0), np.zeros((0, 9)), 0.2), {}, SPEC, instr)
         assert breakdown.total == pytest.approx(25.0)
 
@@ -259,8 +269,8 @@ class TestHorizon:
         rng = np.random.default_rng(3)
         rig, preds, instr, u = random_instance(rng)
         horizon = rollout(rig, u, 0.2)
-        breakdown = obj.horizon_cost(horizon, preds, SPEC, instr,
-                                     barrier=True)
+        breakdown, _ = stacked_cost(horizon, preds, SPEC, instr,
+                                    barrier=True)
         recomputed = (breakdown.dof + breakdown.image + breakdown.pose
                       + breakdown.focal)
         assert np.allclose(breakdown.step_totals, recomputed, atol=1e-12)
@@ -273,21 +283,24 @@ class TestHorizon:
         for _ in range(10):
             rig, preds, instr, u = random_instance(rng)
             horizon = rollout(rig, u, 0.2)
-            breakdown = obj.horizon_cost(horizon, preds, SPEC, instr)
+            breakdown, _ = stacked_cost(horizon, preds, SPEC, instr)
             for k, r in enumerate(horizon.rigs(rig)):
+                # state k alone, against the predictions at step k
+                at_k = rig_terms(r, {tid: obj.TargetPrediction(
+                    pred.positions[k:k + 1], pred.rotations[k:k + 1],
+                    pred.anchors) for tid, pred in preds.items()}, instr)
                 assert breakdown.image[k] == pytest.approx(
-                    obj.composition_cost(r, preds, SPEC, instr, k),
-                    abs=1e-9, rel=1e-9)
+                    at_k.image[0], abs=1e-9, rel=1e-9)
                 assert breakdown.pose[k] == pytest.approx(
-                    obj.pose_cost(r, preds, instr, k), abs=1e-9, rel=1e-9)
-                dof_value = obj.dof_cost(r.intrinsics, SPEC, instr)
+                    at_k.pose[0], abs=1e-9, rel=1e-9)
+                dof_value = at_k.dof[0]
                 if math.isinf(dof_value):
                     assert math.isinf(breakdown.dof[k])
                 else:
                     assert breakdown.dof[k] == pytest.approx(
                         dof_value, abs=1e-9, rel=1e-9)
                 assert breakdown.focal[k] == pytest.approx(
-                    obj.focal_cost(r.intrinsics, instr, k), abs=1e-9)
+                    at_k.focal[0], abs=1e-9)
 
 
 def chain_step_loop(grads, horizon, u, dt):
@@ -339,8 +352,8 @@ class TestGradient:
             results = []
             for outer in (obj.body_outer, body_outer_matmul):
                 monkeypatch.setattr(obj, "body_outer", outer)
-                _, grads = obj.evaluate_horizon(horizon, preds, SPEC, instr,
-                                                barrier=True, with_grads=True)
+                _, grads = stacked_cost(horizon, preds, SPEC, instr,
+                                        barrier=True, with_grads=True)
                 results.append(grads)
             got, want = results
             for name in ("position", "rotation", "intrinsics"):
@@ -364,8 +377,8 @@ class TestGradient:
             tiny = rng.random(len(u)) < 0.4
             u[tiny, 3:6] *= 10.0 ** rng.uniform(-12, -5, (tiny.sum(), 1))
             horizon = rollout(rig, u, dt)
-            _, grads = obj.evaluate_horizon(horizon, preds, SPEC, instr,
-                                            barrier=True, with_grads=True)
+            _, grads = stacked_cost(horizon, preds, SPEC, instr,
+                                    barrier=True, with_grads=True)
             if trial % 4 == 0:
                 # signed zeros in the state gradients
                 for field in (grads.position, grads.velocity,
@@ -381,8 +394,9 @@ class TestGradient:
         rig = make_rig()
         u = np.random.default_rng(0).uniform(-1, 1, (4, 9))
         horizon = rollout(rig, u, 0.2)
-        grad = obj.cost_gradient(horizon, u, {}, SPEC,
-                                 obj.Instructions(), 0.2)
+        _, grads = stacked_cost(horizon, {}, SPEC, obj.Instructions(),
+                                barrier=True, with_grads=True)
+        grad = obj.chain_through_dynamics(grads, horizon, u, 0.2).ravel()
         assert np.all(grad == 0.0)
 
     def test_single_step_focal_chain(self):
@@ -393,7 +407,9 @@ class TestGradient:
         horizon = rollout(make_rig(f=35.0), u, dt)
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(fstar), weight=w))
-        grad = obj.cost_gradient(horizon, u, {}, SPEC, instr, dt)
+        _, grads = stacked_cost(horizon, {}, SPEC, instr, barrier=True,
+                                with_grads=True)
+        grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
         f1 = horizon.lens[1, 0]
         assert grad[6] == pytest.approx(2.0 * w * dt * (f1 - fstar))
 
@@ -403,12 +419,14 @@ class TestGradient:
         for _ in range(25):
             rig, preds, instr, u = random_instance(rng)
             horizon = rollout(rig, u, dt)
-            grad = obj.cost_gradient(horizon, u, preds, SPEC, instr, dt)
+            _, grads = stacked_cost(horizon, preds, SPEC, instr,
+                                    barrier=True, with_grads=True)
+            grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
 
             def total(flat):
                 ro = rollout(rig, flat.reshape(-1, 9), dt)
-                return obj.horizon_cost(ro, preds, SPEC, instr,
-                                        barrier=True).total
+                return stacked_cost(ro, preds, SPEC, instr,
+                                    barrier=True)[0].total
 
             flat = u.ravel()
             fd = np.zeros_like(grad)
