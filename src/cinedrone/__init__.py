@@ -9,8 +9,7 @@ import types as _types
 from .optics import (CameraSensorSpec, DepthOfField, IntrinsicState,
                      INFINITE_FAR, back_project, calibration_matrix,
                      depth_of_field, hyperfocal, project)
-from .kinematics import (CameraRig, DroneInput, DroneState, Horizon,
-                         IntrinsicInput, rollout)
+from .kinematics import CameraRig, DroneState, Horizon, rollout
 from .objectives import (CompositionTarget, CostBreakdown, DofTarget,
                          FocalSchedule, FocalTarget, Instructions,
                          PoseTarget, RelativeDistance, TargetPrediction)

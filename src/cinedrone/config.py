@@ -46,6 +46,14 @@ class ControlConfig:
     substeps: int = 5
     duration: float = 10.0
 
+    def __post_init__(self) -> None:
+        failed = [message for ok, message in (
+            (self.period > 0.0, "period must be positive"),
+            (self.substeps >= 1, "substeps must be >= 1"),
+            (self.duration >= 0.0, "duration must be >= 0")) if not ok]
+        if failed:
+            raise ValueError("; ".join(failed))
+
 
 @dataclass(frozen=True)
 class EstimationConfig:
@@ -362,20 +370,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                                                0.03))
 
     control_raw = raw.get("control", {})
-    control = ControlConfig(period=control_raw.get("period", 0.2),
-                            substeps=int(control_raw.get("substeps", 5)),
-                            duration=control_raw.get("duration", 10.0))
-    if control.period <= 0.0:
-        errs.add("control.period", "must be positive")
-    if control.substeps < 1:
-        errs.add("control.substeps", "must be >= 1")
-    if control.duration < 0.0:
-        errs.add("control.duration", "must be >= 0")
+    period = control_raw.get("period", 0.2)
+    control = errs.guard("control", ControlConfig, period=period,
+                         substeps=int(control_raw.get("substeps", 5)),
+                         duration=control_raw.get("duration", 10.0))
 
     solver_raw = dict(raw.get("solver", {}))
     solver = errs.guard("solver", SolverConfig,
                         horizon=int(solver_raw.get("horizon", 5)),
-                        dt=control.period,
+                        dt=period,
                         max_iterations=int(solver_raw.get(
                             "max_iterations", 150)),
                         convergence_tol=solver_raw.get("convergence_tol",

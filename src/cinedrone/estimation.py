@@ -16,7 +16,7 @@ import numpy as np
 from .constraints import PixelBox
 from .kinematics import CameraRig
 from .objectives import TargetPrediction
-from .optics import CameraSensorSpec, calibration_matrix
+from .optics import CameraSensorSpec, back_project, calibration_matrix
 
 #: Targets slower than this keep their preliminary orientation (m/s).
 SPEED_THRESHOLD = 0.1
@@ -131,10 +131,8 @@ def robust_depth(patch: np.ndarray) -> float:
 def measure_world_position(det: Detection, rig: CameraRig,
                            spec: CameraSensorSpec) -> np.ndarray:
     """Back-project a detection to a world position using the rig pose."""
-    depth = robust_depth(det.depth_patch)
-    k_matrix = calibration_matrix(rig.intrinsics, spec)
-    homogeneous = np.array([det.pixel[0], det.pixel[1], 1.0])
-    rel = depth * np.linalg.solve(k_matrix, homogeneous)
+    rel = back_project(det.pixel, robust_depth(det.depth_patch),
+                       calibration_matrix(rig.intrinsics, spec))
     return rig.drone.position + rig.camera_rotation() @ rel
 
 

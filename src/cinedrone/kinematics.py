@@ -176,33 +176,6 @@ class DroneState:
         return rpy_from_rotation(self.orientation)
 
 
-@dataclass(frozen=True, eq=False)
-class DroneInput:
-    """Acceleration (m/s^2) and gimbal angular velocity (rad/s)."""
-
-    acceleration: np.ndarray
-    angular_velocity: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "acceleration",
-                           _readonly(self.acceleration))
-        object.__setattr__(self, "angular_velocity",
-                           _readonly(self.angular_velocity))
-
-
-@dataclass(frozen=True)
-class IntrinsicInput:
-    """Lens actuation rates: focal (mm/s), focus (m/s), aperture (f-stop/s)."""
-
-    focal_rate: float
-    focus_rate: float
-    aperture_rate: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.focal_rate, self.focus_rate,
-                         self.aperture_rate])
-
-
 @dataclass(frozen=True)
 class CameraRig:
     """Joint mount + lens state at one control step."""
@@ -260,16 +233,14 @@ class Horizon:
         """Every state's :meth:`CameraRig.camera_rotation`, computed once."""
         return self.rotations @ BODY_TO_CAMERA
 
-    def rigs(self, initial: CameraRig) -> list[CameraRig]:
-        """The states as rigs: ``initial`` itself for state 0, then one new
-        rig per later state, time indices counting on from ``initial``."""
-        return [initial] + [
-            CameraRig(drone=DroneState(self.positions[k],
-                                       self.velocities[k],
-                                       self.rotations[k]),
-                      intrinsics=IntrinsicState(*self.lens[k]),
-                      time_index=initial.time_index + k)
-            for k in range(1, len(self))]
+    def rig(self, k: int, initial: CameraRig) -> CameraRig:
+        """State ``k`` as a rig, its time index counting on from
+        ``initial``'s."""
+        return CameraRig(drone=DroneState(self.positions[k],
+                                          self.velocities[k],
+                                          self.rotations[k]),
+                         intrinsics=IntrinsicState(*self.lens[k]),
+                         time_index=initial.time_index + k)
 
 
 def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:

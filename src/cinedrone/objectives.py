@@ -20,8 +20,7 @@ import numpy as np
 
 from .kinematics import (BODY_TO_CAMERA, Horizon,
                          so3_exp_and_right_jacobian_batch)
-from .optics import (BehindCameraError, CameraSensorSpec, SingularDofError,
-                     mm_to_m)
+from .optics import CameraSensorSpec, SingularDofError, mm_to_m
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
 BARRIER_DEPTH = 0.1
@@ -252,7 +251,7 @@ class HorizonGradients:
 
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
-             barrier: bool, grads: HorizonGradients | None) -> np.ndarray:
+             grads: HorizonGradients | None) -> np.ndarray:
     dof = instr.dof
     near_star = instr._dof_limit(dof.near, "near")
     far_star = instr._dof_limit(dof.far, "far")
@@ -295,15 +294,13 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             grads.intrinsics[:, 2] += scale * dn_dh * dh_da
     if far_active:
         infinite = focus >= h
-        if not barrier and infinite.any():
-            cost[infinite] = math.inf
         finite = ~infinite
         h_focus = np.where(finite, h - focus, 1.0)
         far = focus * h_f / h_focus
         err = far - far_star
         term = dof.w_far * err * err
         cost += np.where(finite, term, 0.0)
-        if barrier and infinite.any():
+        if infinite.any():
             # sloped surrogate where the far limit went infinite: steers
             # the focus back below the hyperfocal distance
             over = focus - h
@@ -317,7 +314,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             g_f = scale * (df_dh * dh_df_m + df_df_direct) / 1000.0
             g_focus = scale * df_dfocus
             g_a = scale * df_dh * dh_da
-            if barrier and infinite.any():
+            if infinite.any():
                 bar = dof.w_far * _FAR_BARRIER
                 g_f = g_f + np.where(infinite, -bar * dh_df_m / 1000.0, 0.0)
                 g_focus = g_focus + np.where(infinite, bar, 0.0)
@@ -330,7 +327,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
 
 def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
                f_mm: np.ndarray, point_tracks, spec: CameraSensorSpec,
-               barrier: bool, grads: HorizonGradients | None) -> np.ndarray:
+               grads: HorizonGradients | None) -> np.ndarray:
     targets, points, weight, pixel = point_tracks
     cost = np.zeros(len(positions))
     # leading axis: the weighted composition targets, each added into the
@@ -340,13 +337,8 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
     rel = points - positions
     q = np.einsum("kji,tkj->tki", cam_rotations, rel)
     qz = q[:, :, 2]
-    if not barrier and np.any(qz <= 0.0):
-        first = int(np.argmax(np.any(qz <= 0.0, axis=1)))
-        raise BehindCameraError(
-            f"composition point '{targets[first].point_id}' of target"
-            f" '{targets[first].target_id}' has depth {qz[first].min():.4g}")
-    clamped = qz < BARRIER_DEPTH if barrier else None
-    if clamped is not None and not clamped.any():
+    clamped = qz < BARRIER_DEPTH
+    if not clamped.any():
         clamped = None  # then np.where would change no value
     qz_eff = qz if clamped is None else np.where(clamped, BARRIER_DEPTH, qz)
 
@@ -484,26 +476,24 @@ class HorizonTracks:
 
 def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
-                             barrier: bool, with_grads: bool,
-                             smooth: bool,
+                             with_grads: bool, smooth: bool,
                              ) -> tuple[CostBreakdown,
                                         HorizonGradients | None]:
     """Evaluate all four terms at every state of a horizon.
 
     Returns the per-step breakdown and, with ``with_grads``, the stacked
-    per-state gradients for the backward pass.  With ``barrier``, points
-    closer than :data:`BARRIER_DEPTH` are projected at that depth and
-    penalized smoothly instead of raising :class:`BehindCameraError`, and
-    an infinite far limit costs a sloped surrogate instead of ``inf``;
+    per-state gradients for the backward pass.  Points closer than
+    :data:`BARRIER_DEPTH` are projected at that depth and penalized
+    smoothly, and an infinite far limit costs a sloped surrogate;
     ``smooth`` rounds the rotation norm's kink off by
-    :data:`ROTATION_NORM_EPS`.  The planner's descent takes both.
+    :data:`ROTATION_NORM_EPS`, as the planner's descent asks.
     """
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
     grads = HorizonGradients(len(horizon)) if with_grads else None
-    dof = _dof_vec(horizon.lens, spec, instr, barrier, grads)
+    dof = _dof_vec(horizon.lens, spec, instr, grads)
     image = _image_vec(positions, horizon.camera_rotations, f_mm,
-                       tracks.points, spec, barrier, grads)
+                       tracks.points, spec, grads)
     pose = _pose_vec(positions, rotations, tracks.poses, smooth, grads)
     focal = _focal_vec(f_mm, tracks.f_star, instr.focal.weight, grads)
     return CostBreakdown(dof=dof, image=image, pose=pose, focal=focal), grads
@@ -512,11 +502,10 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
 def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
                      spec: CameraSensorSpec,
                      instr: Instructions) -> CostBreakdown:
-    """The exact cost a plan reports: the barrier on, the rotation norm
-    unsmoothed, no gradients."""
+    """The exact cost a plan reports: the rotation norm unsmoothed, no
+    gradients."""
     return evaluate_horizon_stacked(horizon, tracks, spec, instr,
-                                    barrier=True, with_grads=False,
-                                    smooth=False)[0]
+                                    with_grads=False, smooth=False)[0]
 
 
 def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,

@@ -34,6 +34,10 @@ logger = logging.getLogger(__name__)
 
 _MAX_PATCH_ROWS = 12
 _MAX_PATCH_COLS = 6
+#: CSV columns of the executed input row, in the solver's layout
+_INPUT_COLUMNS = ("input_ax", "input_ay", "input_az",
+                  "input_wx", "input_wy", "input_wz",
+                  "input_vf", "input_vF", "input_vA")
 
 
 @dataclass(eq=False)
@@ -78,25 +82,6 @@ class SensorModel:
             raise ValueError("dropout must be a probability")
         if self.depth_sigma < 0.0 or self.pixel_jitter < 0.0:
             raise ValueError("noise sigmas must be >= 0")
-
-
-@dataclass
-class SimClock:
-    """Control-period timing of the loop."""
-
-    period: float
-    substeps: int = 5
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-
-    @property
-    def time(self) -> float:
-        return self.step * self.period
 
 
 def _script_tangent(target: ScriptedTarget, t: float) -> np.ndarray:
@@ -253,9 +238,7 @@ def _log_columns(config: "ScenarioConfig") -> list[str]:
                "drone_vx", "drone_vy", "drone_vz",
                "roll", "pitch", "yaw",
                "focal_mm", "focus_m", "aperture",
-               "input_ax", "input_ay", "input_az",
-               "input_wx", "input_wy", "input_wz",
-               "input_vf", "input_vF", "input_vA",
+               *_INPUT_COLUMNS,
                "cost_now", "cost_plan", "cost_dof", "cost_im", "cost_pose",
                "cost_focal",
                "solver_iterations", "solver_converged", "solver_rounds",
@@ -318,7 +301,6 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
     rig = config.build_initial_rig(rng)
     tracks: dict[str, est.TargetTrack] = {}
     prev_plan: sol.Plan | None = None
-    clock = SimClock(period=period, substeps=config.control.substeps)
     over_budget = 0
     slowest = 0.0
 
@@ -333,8 +315,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
 
     n_periods = int(round(config.control.duration / period))
     for k0 in range(n_periods):
-        clock.step = k0
-        t = clock.time
+        t = k0 * period
         gt_poses = {tg.target_id: target_pose_at(tg, t) for tg in targets}
 
         detections: dict[str, est.Detection] = {}
@@ -396,9 +377,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
             over_budget += 1
             slowest = max(slowest, plan.stats.wall_time)
 
-        setpoints = interpolate_commands(plan.predicted_states[0],
-                                         plan.predicted_states[1],
-                                         clock.substeps)
+        executed = plan.horizon.rig(1, rig)
+        setpoints = interpolate_commands(rig, executed,
+                                         config.control.substeps)
         collision = None
         for j, sp in enumerate(setpoints):
             t_sub = t + (j + 1) * period / config.control.substeps
@@ -419,7 +400,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
             log.meta["status"] = "collision"
             log.meta["collision"] = collision
             break
-        rig = plan.predicted_states[1]
+        rig = executed
     if over_budget:
         logger.warning("%s seed %s: %d/%d solves exceeded the %.3gs control"
                        " period (worst %.3gs)", config.name, seed,
@@ -430,7 +411,6 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
 def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
              spec, cset) -> dict:
     nan = math.nan
-    drone_input, intr_input = plan.inputs[0]
     row = {
         "step": k0, "time": t,
         "drone_px": rig.drone.position[0],
@@ -442,15 +422,7 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
         "focal_mm": rig.intrinsics.focal_length,
         "focus_m": rig.intrinsics.focus_distance,
         "aperture": rig.intrinsics.aperture,
-        "input_ax": drone_input.acceleration[0],
-        "input_ay": drone_input.acceleration[1],
-        "input_az": drone_input.acceleration[2],
-        "input_wx": drone_input.angular_velocity[0],
-        "input_wy": drone_input.angular_velocity[1],
-        "input_wz": drone_input.angular_velocity[2],
-        "input_vf": intr_input.focal_rate,
-        "input_vF": intr_input.focus_rate,
-        "input_vA": intr_input.aperture_rate,
+        **dict(zip(_INPUT_COLUMNS, plan.inputs[0])),
         "cost_now": plan.cost.step_totals[0],
         "cost_plan": plan.cost.total,
         "cost_dof": float(np.sum(plan.cost.dof)),

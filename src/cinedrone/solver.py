@@ -85,13 +85,13 @@ class SolveStats:
 class Plan:
     """Result of one planning instance.
 
-    ``predicted_states[i + 1]`` is exactly the dynamics applied to
-    ``predicted_states[i]`` under ``inputs[i]`` (single shooting).
+    ``inputs`` is the read-only (n, 9) input array and ``horizon`` is
+    exactly ``kin.rollout(initial, inputs, dt)`` (single shooting).
     ``multipliers``/``penalty`` carry the augmented-Lagrangian state into
     the next warm-started solve."""
 
-    inputs: list[tuple[kin.DroneInput, kin.IntrinsicInput]]
-    predicted_states: list[kin.CameraRig]
+    inputs: np.ndarray
+    horizon: kin.Horizon
     cost: obj.CostBreakdown
     residuals: np.ndarray
     feasible: bool
@@ -104,14 +104,12 @@ class Plan:
 def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     """Shift a previous plan's inputs one step, repeating the last one.
 
-    Returns an (n_steps, 9) array in the solver's input layout; zeros when
-    there is no usable previous plan."""
-    if prev is None or not prev.inputs:
+    Returns an (n_steps, 9) array in the solver's input layout; zeros
+    without a previous plan."""
+    if prev is None:
         return np.zeros((n_steps, 9))
-    rows = [np.concatenate([di.acceleration, di.angular_velocity,
-                            ii.as_array()]) for di, ii in prev.inputs]
-    repeats = max(1, n_steps - len(rows) + 1)
-    return np.array(rows[1:] + [rows[-1]] * repeats)[:n_steps]
+    last = len(prev.inputs) - 1
+    return prev.inputs[np.minimum(np.arange(1, n_steps + 1), last)]
 
 
 class _PenaltyModel:
@@ -300,8 +298,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             domain_grad = np.cumsum(per_state[::-1], axis=0)[::-1]
         horizon = kin.rollout(initial, u, dt)
         breakdown, grads = obj.evaluate_horizon_stacked(
-            horizon, tracks, spec, instr, barrier=True,
-            with_grads=with_grads, smooth=True)
+            horizon, tracks, spec, instr, with_grads=with_grads,
+            smooth=True)
         penalty, g_all = model.residuals_and_grads(horizon, grads, lam, rho)
         merit = breakdown.total + penalty + domain_penalty
         if not with_grads:
@@ -375,10 +373,6 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     feasible = bool(residuals.size == 0
                     or np.min(residuals) >= FEASIBILITY_TOL)
     lam = np.maximum(0.0, lam - rho * g_all) if g_all.size else lam
-    inputs = [(kin.DroneInput(acceleration=row[0:3],
-                              angular_velocity=row[3:6]),
-               kin.IntrinsicInput(*row[6:9])) for row in u]
-    return Plan(inputs=inputs, predicted_states=horizon.rigs(initial),
-                cost=breakdown,
+    return Plan(inputs=u, horizon=horizon, cost=breakdown,
                 residuals=residuals, feasible=feasible, stats=stats,
                 records=records, multipliers=lam, penalty=rho)

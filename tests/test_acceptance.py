@@ -158,14 +158,14 @@ def test_criterion_03_gradient_oracle():
     for _ in range(100):
         rig, preds, instr, u = _random_gradient_instance(rng)
         horizon = rollout(rig, u, dt)
-        _, grads = stacked_cost(horizon, preds, SPEC, instr, barrier=True,
+        _, grads = stacked_cost(horizon, preds, SPEC, instr, smooth=True,
                                 with_grads=True)
         grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
 
         def total(flat):
             ro = rollout(rig, flat.reshape(-1, 9), dt)
             return stacked_cost(ro, preds, SPEC, instr,
-                                barrier=True)[0].total
+                                smooth=True)[0].total
 
         flat = u.ravel()
         fd = np.zeros_like(grad)
@@ -192,9 +192,8 @@ def test_criterion_04_grid_search_equivalence():
     cfg = sol.SolverConfig(horizon=5, dt=0.2)
     plan = sol.solve(make_rig(f=35.0), {}, instr, ConstraintSet.default(),
                      cfg, SPEC)
-    rates = np.array([ii.focal_rate for _, ii in plan.inputs])
-    max_rate = bool(np.allclose(rates, 7.0, atol=1e-6))
-    final = plan.predicted_states[-1].intrinsics.focal_length
+    max_rate = bool(np.allclose(plan.inputs[:, 6], 7.0, atol=1e-6))
+    final = plan.horizon.lens[-1, 0]
 
     # exhaustive 0.1 mm/s grid, enumerated exactly by value-DP and
     # cross-checked against literal brute force on a coarse grid

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from cinedrone import cli
-from cinedrone.config import (ScenarioParseError, ScenarioValidationError,
-                              load_scenario, dump_scenario,
-                              scenario_from_dict)
+from cinedrone.config import (ControlConfig, ScenarioParseError,
+                              ScenarioValidationError, load_scenario,
+                              dump_scenario, scenario_from_dict)
 from cinedrone.runlog import (RunLog, emit_outputs, summarize,
                               summary_metrics)
 from cinedrone.scene import run_closed_loop
@@ -90,6 +90,27 @@ class TestLoading:
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(raw)
         assert len(info.value.errors) >= 2
+
+    def test_control_violations_reported_together(self):
+        raw = minimal_raw()
+        raw["control"]["period"] = 0
+        raw["control"]["substeps"] = 0
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(raw)
+        control = [e for e in info.value.errors if e.startswith("control")]
+        assert len(control) == 1
+        assert "period" in control[0] and "substeps" in control[0]
+
+
+class TestControlConfig:
+    def test_invariants(self):
+        with pytest.raises(ValueError, match="period"):
+            ControlConfig(period=0.0)
+        with pytest.raises(ValueError, match="substeps"):
+            ControlConfig(period=0.1, substeps=0)
+        with pytest.raises(ValueError, match="duration"):
+            ControlConfig(duration=-1.0)
+        ControlConfig(period=0.1, substeps=1, duration=0.0)
 
 
 class TestSequencer:

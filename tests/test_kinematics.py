@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinedrone import kinematics as kin
-from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, hat_batch,
+from cinedrone.kinematics import (CameraRig, DroneState, hat_batch,
                                   interpolate_commands, rollout,
                                   rotation_from_rpy, rpy_from_rotation,
                                   so3_exp, so3_exp_and_right_jacobian_batch,
@@ -92,21 +91,21 @@ def rotations_step_loop(initial, u, dt):
     return rotations, projected
 
 
-def step_rig_oracle(rig, drone_input, intr_input, dt):
-    """One control period, state by state: position with the pre-update
-    velocity, then velocity, orientation and lens.  The oracle of the
-    rollout's bits."""
+def step_rig_oracle(rig, row, dt):
+    """One control period under the 9-entry input row, state by state:
+    position with the pre-update velocity, then velocity, orientation and
+    lens.  The oracle of the rollout's bits."""
     state, lens = rig.drone, rig.intrinsics
     return CameraRig(
         drone=DroneState(
             position=state.position + dt * state.velocity,
-            velocity=state.velocity + dt * drone_input.acceleration,
-            orientation=kin._chain(state.orientation, so3_exp(
-                dt * drone_input.angular_velocity)[None])[1]),
+            velocity=state.velocity + dt * row[0:3],
+            orientation=kin._chain(state.orientation,
+                                   so3_exp(dt * row[3:6])[None])[1]),
         intrinsics=IntrinsicState(
-            focal_length=lens.focal_length + dt * intr_input.focal_rate,
-            focus_distance=lens.focus_distance + dt * intr_input.focus_rate,
-            aperture=lens.aperture + dt * intr_input.aperture_rate),
+            focal_length=lens.focal_length + dt * row[6],
+            focus_distance=lens.focus_distance + dt * row[7],
+            aperture=lens.aperture + dt * row[8]),
         time_index=rig.time_index + 1)
 
 
@@ -142,15 +141,10 @@ def drone(p=(0, 0, 0), v=(0, 0, 0), rot=None):
                       orientation=np.eye(3) if rot is None else rot)
 
 
-def inp(a=(0, 0, 0), w=(0, 0, 0)):
-    return DroneInput(acceleration=np.array(a, dtype=float),
-                      angular_velocity=np.array(w, dtype=float))
-
-
 def advance(start, a=(0, 0, 0), w=(0, 0, 0), rates=(0, 0, 0), dt=0.2):
     """``start`` one control period on: a one-row rollout."""
     row = np.concatenate([a, w, rates]).astype(float)
-    return rollout(start, row[None], dt).rigs(start)[1]
+    return rollout(start, row[None], dt).rig(1, start)
 
 
 class TestTranslation:
@@ -309,20 +303,20 @@ class TestInterpolation:
 
 class TestRollout:
     def test_chain_matches_individual_steps(self):
-        inputs = [(inp(a=(0.5, 0, 0), w=(0, 0, 0.1)),
-                   IntrinsicInput(1.0, -0.5, 0.2)) for _ in range(4)]
         u = np.tile([0.5, 0, 0, 0, 0, 0.1, 1.0, -0.5, 0.2], (4, 1))
-        start = rig()
-        rigs = rollout(start, u, 0.2).rigs(start)
-        assert len(rigs) == 5
+        start = rig(k=3)
+        horizon = rollout(start, u, 0.2)
+        assert len(horizon) == 5
         for k in range(4):
-            expected = step_rig_oracle(rigs[k], *inputs[k], 0.2)
+            expected = step_rig_oracle(horizon.rig(k, start), u[k], 0.2)
+            actual = horizon.rig(k + 1, start)
             assert np.allclose(expected.drone.position,
-                               rigs[k + 1].drone.position)
+                               actual.drone.position)
             assert np.allclose(expected.drone.orientation,
-                               rigs[k + 1].drone.orientation)
-            assert expected.intrinsics == rigs[k + 1].intrinsics
-        assert rigs[-1].time_index == 4
+                               actual.drone.orientation)
+            assert expected.intrinsics == actual.intrinsics
+            assert expected.time_index == actual.time_index
+        assert horizon.rig(4, start).time_index == 7
 
     def test_bit_identical_to_stepping(self):
         rng = np.random.default_rng(11)
@@ -331,8 +325,7 @@ class TestRollout:
         horizon = rollout(start, u, 0.2)
         stepped = start
         for k, row in enumerate(u, 1):
-            stepped = step_rig_oracle(stepped, inp(row[0:3], row[3:6]),
-                                      IntrinsicInput(*row[6:9]), 0.2)
+            stepped = step_rig_oracle(stepped, row, 0.2)
             assert np.array_equal(stepped.drone.position,
                                   horizon.positions[k])
             assert np.array_equal(stepped.drone.velocity,
@@ -355,8 +348,7 @@ class TestRollout:
         assert not np.array_equal(horizon.rotations[1], first)
         stepped = start
         for k, row in enumerate(u, 1):
-            stepped = step_rig_oracle(stepped, inp(row[0:3], row[3:6]),
-                                      IntrinsicInput(*row[6:9]), 0.2)
+            stepped = step_rig_oracle(stepped, row, 0.2)
             assert np.array_equal(stepped.drone.orientation,
                                   horizon.rotations[k])
             assert np.array_equal(stepped.drone.position,
@@ -374,8 +366,7 @@ class TestRollout:
             u = rng.uniform(-1.0, 1.0, (n, 9))
             want, _ = rotations_step_loop(start, u, 0.2)
             assert_same_bits(rollout(start, u, 0.2).rotations, want)
-            stepped = step_rig_oracle(start, inp(u[0, 0:3], u[0, 3:6]),
-                                      IntrinsicInput(*u[0, 6:9]), 0.2)
+            stepped = step_rig_oracle(start, u[0], 0.2)
             assert_same_bits(stepped.drone.orientation, want[1])
 
     def test_mid_chain_projection_bit_identical_to_step_loop(self):

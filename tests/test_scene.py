@@ -183,6 +183,17 @@ class TestClosedLoop:
             f_next = log.rows[k + 1][log.columns.index("focal_mm")]
             assert f_next == pytest.approx(f + dt * vf, abs=1e-12)
 
+    def test_time_advances_with_step(self):
+        raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())
+        raw["control"]["period"] = 0.2
+        raw["control"]["substeps"] = 5
+        raw["control"]["duration"] = 1.6
+        log = scene.run_closed_loop(scenario_from_dict(raw), seed=0)
+        steps = log.column("step")
+        assert np.array_equal(steps, np.arange(8))
+        assert np.array_equal(log.column("time"), steps * 0.2)
+        assert log.column("time")[7] == pytest.approx(1.4)
+
     def test_collision_event_aborts(self):
         raw = json.loads((SCENARIOS / "e4_collision.json").read_text())
         raw["constraints"]["safety_distance"] = 0.0
@@ -205,15 +216,3 @@ class TestClosedLoop:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-
-class TestSimClock:
-    def test_time_advances_with_step(self):
-        clock = scene.SimClock(period=0.2, substeps=5)
-        clock.step = 7
-        assert clock.time == pytest.approx(1.4)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            scene.SimClock(period=0.0)
-        with pytest.raises(ValueError):
-            scene.SimClock(period=0.1, substeps=0)

@@ -12,8 +12,7 @@ from cinedrone import constraints as cons
 from cinedrone import objectives as obj
 from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
-from cinedrone.kinematics import (CameraRig, DroneInput, DroneState,
-                                  IntrinsicInput, rollout)
+from cinedrone.kinematics import CameraRig, DroneState, rollout
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
 from cinedrone.scene import run_closed_loop
 from test_kinematics import step_rig_oracle
@@ -71,10 +70,7 @@ class TestTrivialObjectives:
         cfg = sol.SolverConfig(horizon=5, dt=0.2)
         plan = sol.solve(make_rig(), {}, obj.Instructions(),
                          cons.ConstraintSet.default(), cfg, SPEC)
-        for drone_input, intr_input in plan.inputs:
-            assert np.max(np.abs(drone_input.acceleration)) < 1e-9
-            assert np.max(np.abs(drone_input.angular_velocity)) < 1e-9
-            assert np.max(np.abs(intr_input.as_array())) < 1e-9
+        assert np.max(np.abs(plan.inputs)) < 1e-9
         assert plan.cost.total == 0.0
         assert plan.feasible
 
@@ -91,10 +87,7 @@ class TestTrivialObjectives:
         plan = sol.solve(make_rig(), preds, instr,
                          cons.ConstraintSet.default(), cfg, SPEC)
         assert plan.cost.total < 1e-6
-        stacked = np.concatenate([
-            np.concatenate([di.acceleration, di.angular_velocity,
-                            ii.as_array()]) for di, ii in plan.inputs])
-        assert np.max(np.abs(stacked)) < 1e-3
+        assert np.max(np.abs(plan.inputs)) < 1e-3
 
 
 class TestGridOracle:
@@ -109,10 +102,8 @@ class TestGridOracle:
         cfg = sol.SolverConfig(horizon=5, dt=0.2)
         plan = sol.solve(make_rig(f=35.0), {}, instr,
                          cons.ConstraintSet.default(), cfg, SPEC)
-        rates = [ii.focal_rate for _, ii in plan.inputs]
-        assert rates == pytest.approx([7.0] * 5, abs=1e-6)
-        assert plan.predicted_states[-1].intrinsics.focal_length == \
-            pytest.approx(42.0, abs=1e-6)
+        assert plan.inputs[:, 6] == pytest.approx([7.0] * 5, abs=1e-6)
+        assert plan.horizon.lens[-1, 0] == pytest.approx(42.0, abs=1e-6)
         best = focal_grid_optimum(35.0, 50.0, 1.0, 7.0, 0.2, 5, 0.1)
         assert plan.cost.total <= best * 1.01
 
@@ -151,10 +142,7 @@ class TestGridOracle:
         plans = [sol.solve(make_rig(), {}, instr,
                            cons.ConstraintSet.default(), cfg, SPEC)
                  for _ in range(2)]
-        for (da, ia), (db, ib) in zip(plans[0].inputs, plans[1].inputs):
-            assert np.array_equal(da.acceleration, db.acceleration)
-            assert np.array_equal(da.angular_velocity, db.angular_velocity)
-            assert ia == ib
+        assert np.array_equal(plans[0].inputs, plans[1].inputs)
         assert plans[0].cost.total == plans[1].cost.total
 
 
@@ -166,8 +154,7 @@ class TestWarmStart:
         plan = sol.solve(make_rig(), {}, instr,
                          cons.ConstraintSet.default(), cfg, SPEC)
         guess = sol.shift_warm_start(plan, 3)
-        rows = [np.concatenate([di.acceleration, di.angular_velocity,
-                                ii.as_array()]) for di, ii in plan.inputs]
+        rows = plan.inputs
         assert np.allclose(guess[0], rows[1])
         assert np.allclose(guess[1], rows[2])
         assert np.allclose(guess[2], rows[2])
@@ -193,12 +180,15 @@ class TestPlanContract:
             obj.CompositionTarget("t", "center", (400.0, 250.0),
                                   (1.0, 1.0)),))
         cfg = sol.SolverConfig(horizon=5, dt=0.2)
-        plan = sol.solve(make_rig(), preds, instr,
-                         cons.ConstraintSet.default(), cfg, SPEC)
+        rig = make_rig()
+        plan = sol.solve(rig, preds, instr, cons.ConstraintSet.default(),
+                         cfg, SPEC)
+        assert plan.inputs.shape == (5, 9)
+        assert not plan.inputs.flags.writeable
         for k in range(5):
-            expected = step_rig_oracle(plan.predicted_states[k],
-                                       *plan.inputs[k], 0.2)
-            actual = plan.predicted_states[k + 1]
+            expected = step_rig_oracle(plan.horizon.rig(k, rig),
+                                       plan.inputs[k], 0.2)
+            actual = plan.horizon.rig(k + 1, rig)
             assert np.array_equal(expected.drone.position,
                                   actual.drone.position)
             assert np.array_equal(expected.drone.velocity,
@@ -236,7 +226,7 @@ class TestPlanContract:
         rig = make_rig()
         zero_rollout = rollout(rig, np.zeros((5, 9)), 0.2)
         cold = stacked_cost(zero_rollout, preds, SPEC, instr,
-                            barrier=True)[0].total
+                            smooth=True)[0].total
         plan = sol.solve(rig, preds, instr, cons.ConstraintSet.default(),
                          cfg, SPEC)
         assert plan.cost.total <= cold
@@ -259,16 +249,13 @@ class TestPlanContract:
         plans = [sol.solve(make_rig(), preds, instr, cset, cfg, SPEC)
                  for _ in range(2)]
         plan = plans[0]
-        assert all(ii.aperture_rate == 0.0 for _, ii in plan.inputs)
-        assert any(ii.focus_rate != 0.0 for _, ii in plan.inputs)
+        assert np.all(plan.inputs[:, 8] == 0.0)
+        assert np.any(plan.inputs[:, 7] != 0.0)
         assert plan.feasible
-        for (da, ia), (db, ib) in zip(plan.inputs, plans[1].inputs):
-            assert np.array_equal(da.acceleration, db.acceleration)
-            assert np.array_equal(da.angular_velocity, db.angular_velocity)
-            assert ia == ib
-        for a, b in zip(plan.predicted_states, plans[1].predicted_states):
-            assert np.array_equal(a.drone.orientation, b.drone.orientation)
-            assert a.intrinsics == b.intrinsics
+        assert np.array_equal(plan.inputs, plans[1].inputs)
+        assert np.array_equal(plan.horizon.rotations,
+                              plans[1].horizon.rotations)
+        assert np.array_equal(plan.horizon.lens, plans[1].horizon.lens)
         assert plan.cost.total == plans[1].cost.total
         assert np.array_equal(plan.residuals, plans[1].residuals)
         assert np.array_equal(plan.multipliers, plans[1].multipliers)
@@ -284,9 +271,8 @@ class TestPlanContract:
                                      "safety_distance": 2.0})
         cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), preds, instr, cset, cfg, SPEC)
-        for rig in plan.predicted_states:
-            dist = np.linalg.norm(rig.drone.position
-                                  - np.array([3.0, 0.0, 1.0]))
+        for position in plan.horizon.positions:
+            dist = np.linalg.norm(position - np.array([3.0, 0.0, 1.0]))
             assert dist >= 2.0 - 1e-3
 
 
@@ -368,16 +354,16 @@ class TestStackedHorizon:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, attr, counted)
 
-        for cls in (CameraRig, DroneState, DroneInput, IntrinsicInput,
-                    IntrinsicState):
+        for cls in (CameraRig, DroneState, IntrinsicState):
             count_calls(cls, "__init__", cls.__name__)
         count_calls(obj, "evaluate_horizon_stacked", "evaluations")
         plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
         evaluations = counts.pop("evaluations")
         assert len(plan.records) == 1
         assert evaluations > 50
-        for name, count in counts.items():
-            assert count <= 2 * (cfg.horizon + 1), (name, count)
+        # the plan carries the stacked arrays: no rig objects at all
+        assert counts == {"CameraRig": 0, "DroneState": 0,
+                          "IntrinsicState": 0}
 
     def test_one_evaluation_per_distinct_point(self, monkeypatch):
         rig, preds, sizes, instr, cset = side_by_side_problem()
@@ -468,8 +454,8 @@ class TestStackedHorizon:
                             lambda *args: penalty_always_accumulating(
                                 model, *args)):
                 _, grads = obj.evaluate_horizon_stacked(
-                    horizon, tracks, SPEC, instr, barrier=True,
-                    with_grads=True, smooth=True)
+                    horizon, tracks, SPEC, instr, with_grads=True,
+                    smooth=True)
                 value, g_flat = penalty(horizon, grads, lam, rho)
                 results.append((value, g_flat, grads))
             (value, g_flat, got), (want_value, want_g, want) = results
@@ -545,10 +531,7 @@ def solve_checked(monkeypatch, rig, preds, instr, cset, cfg, rule=True):
 
 
 def assert_same_plan(a: sol.Plan, b: sol.Plan) -> None:
-    for (da, ia), (db, ib) in zip(a.inputs, b.inputs, strict=True):
-        assert np.array_equal(da.acceleration, db.acceleration)
-        assert np.array_equal(da.angular_velocity, db.angular_velocity)
-        assert ia == ib
+    assert np.array_equal(a.inputs, b.inputs)
     assert a.cost.total == b.cost.total
     assert np.array_equal(a.residuals, b.residuals)
     assert np.array_equal(a.multipliers, b.multipliers)
@@ -621,10 +604,7 @@ def test_early_exits_are_feasible_with_half_the_margin(monkeypatch):
     run_closed_loop(scenario_from_dict(raw), 4)
     early = 0
     for (initial, preds, _, cset, cfg, spec), sizes, plan in solves:
-        u = np.array([np.concatenate([di.acceleration, di.angular_velocity,
-                                      ii.as_array()])
-                      for di, ii in plan.inputs])
-        horizon = rollout(initial, u, cfg.dt)
+        horizon = rollout(initial, plan.inputs, cfg.dt)
         tracks = cons.ConstraintTracks(preds, sizes, cset, plan.records,
                                        len(horizon))
         rows = cons.state_residuals(horizon, 1, tracks, spec,

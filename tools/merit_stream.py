@@ -4,9 +4,12 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
 
 - the SHA-256 over every merit value and gradient the planner hands to
   L-BFGS-B, in call order;
-- the SHA-256 over every plan's fields (inputs, predicted states, cost
+- the SHA-256 over every plan's fields (the input array; each horizon
+  state's position, velocity, rotation, lens and time index; cost
   breakdown, residuals, feasibility, solver statistics other than wall
-  time, occlusion records, multipliers and penalty weight);
+  time, occlusion records, multipliers and penalty weight); these are the
+  bytes, in the order, that versions of this tool from before plans held
+  stacked arrays hashed, so plan hashes compare across that change;
 - the number of solves, augmented-Lagrangian rounds (calls of
   ``scipy.optimize.minimize``), merit calls and cost evaluations
   (``objectives.evaluate_horizon_stacked`` calls, the report's included).
@@ -41,14 +44,13 @@ def _update(digest, *values) -> None:
         digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
 
 
-def _hash_plan(digest, plan: sol.Plan) -> None:
-    for drone_input, intr_input in plan.inputs:
-        _update(digest, drone_input.acceleration,
-                drone_input.angular_velocity, intr_input.as_array())
-    for rig in plan.predicted_states:
-        _update(digest, rig.drone.position, rig.drone.velocity,
-                rig.drone.orientation, rig.intrinsics.as_array(),
-                rig.time_index)
+def _hash_plan(digest, plan: sol.Plan, initial) -> None:
+    _update(digest, plan.inputs)
+    horizon = plan.horizon
+    for k in range(len(horizon)):
+        _update(digest, horizon.positions[k], horizon.velocities[k],
+                horizon.rotations[k], horizon.lens[k],
+                initial.time_index + k)
     cost = plan.cost
     _update(digest, cost.dof, cost.image, cost.pose, cost.focal,
             plan.residuals, plan.feasible, plan.stats.iterations,
@@ -84,10 +86,10 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
         counts["rounds"] += 1
         return minimize(merit, *args, **kwargs)
 
-    def hashed_solve(*args, **kwargs):
-        plan = solve(*args, **kwargs)
+    def hashed_solve(initial, *args, **kwargs):
+        plan = solve(initial, *args, **kwargs)
         counts["solves"] += 1
-        _hash_plan(plans, plan)
+        _hash_plan(plans, plan, initial)
         return plan
 
     scipy.optimize.minimize = hashed_minimize
