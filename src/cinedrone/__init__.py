@@ -17,7 +17,7 @@ from .constraints import ConstraintSet, OcclusionRecord
 from .solver import InfeasibleStartError, Plan, SolverConfig, solve
 from .scene import run_closed_loop
 from .config import (ScenarioConfig, ScenarioParseError,
-                     ScenarioValidationError, dump_scenario, load_scenario)
+                     ScenarioValidationError, load_scenario)
 from .runlog import RunLog, emit_outputs, summarize
 
 __version__ = "0.1.0"

@@ -3,8 +3,7 @@
 A scenario bundles the camera constants, constraint set, solver tuning,
 sensor model, target scripts and a list of instruction sequences.  Loading
 is strict: every violation is collected with its field path and reported at
-once.  ``to_dict`` emits the canonical form, so load(dump(config)) returns
-an identical configuration.
+once.  A key the file omits takes the default its dataclass declares.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import numpy as np
 from . import objectives as obj
 from .constraints import ConstraintSet
 from .estimation import TargetMeta
-from .kinematics import CameraRig, DroneState, rotation_from_rpy, \
-    rpy_from_rotation
+from .kinematics import CameraRig, DroneState, rotation_from_rpy
 from .optics import CameraSensorSpec, IntrinsicState
 from .scene import ScriptedTarget, SensorModel
 from .solver import SolverConfig
@@ -137,9 +135,6 @@ class ScenarioConfig:
                                       self.initial_rig.aperture),
             time_index=0)
 
-    def to_dict(self) -> dict:
-        return _scenario_to_dict(self)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -155,12 +150,22 @@ class _Collector:
         self.errors.append(f"{path}: {message}")
 
     def guard(self, path: str, fn, *args, **kwargs):
-        """Run a constructor, recording ValueError as a validation error."""
+        """Run ``fn``, recording a bad value or a missing key as a
+        validation error at ``path``."""
         try:
             return fn(*args, **kwargs)
-        except (ValueError, TypeError, KeyError) as exc:
+        except KeyError as exc:
+            self.add(path, f"missing key {exc}")
+        except (ValueError, TypeError) as exc:
             self.add(path, str(exc))
-            return None
+        return None
+
+
+def _given(raw: dict, *keys: str, cast=None) -> dict:
+    """The entries of ``raw`` under ``keys``, each through ``cast``: a key
+    the file omits is left to its dataclass default."""
+    return {key: raw[key] if cast is None else cast(raw[key])
+            for key in keys if key in raw}
 
 
 def _bounds_pair(raw, size: int, path: str, errs: _Collector
@@ -175,26 +180,21 @@ def _bounds_pair(raw, size: int, path: str, errs: _Collector
         return np.zeros(size), np.zeros(size)
 
 
-def _constraint_bounds(cset: ConstraintSet
-                       ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(low, high) of each bound of a constraint set, by scenario key."""
-    return {"acceleration": (cset.drone_input_low[:3],
-                             cset.drone_input_high[:3]),
-            "angular_velocity": (cset.drone_input_low[3:],
-                                 cset.drone_input_high[3:]),
-            "lens_rates": (cset.intr_input_low, cset.intr_input_high),
-            "position": (cset.position_low, cset.position_high),
-            "velocity": (cset.velocity_low, cset.velocity_high),
-            "rpy": (cset.rpy_low, cset.rpy_high),
-            "lens_state": (cset.intr_low, cset.intr_high)}
-
-
 def _parse_constraints(raw: dict, errs: _Collector) -> ConstraintSet | None:
+    """Each bound the file gives, else the stock set's."""
+    stock = ConstraintSet.default()
     accel, omega, rates, position, velocity, rpy, lens = (
-        _bounds_pair(raw.get(key, [low.tolist(), high.tolist()]), 3,
-                     f"constraints.{key}", errs)
-        for key, (low, high)
-        in _constraint_bounds(ConstraintSet.default()).items())
+        _bounds_pair(raw.get(key, (low, high)), 3, f"constraints.{key}", errs)
+        for key, low, high in (
+            ("acceleration", stock.drone_input_low[:3],
+             stock.drone_input_high[:3]),
+            ("angular_velocity", stock.drone_input_low[3:],
+             stock.drone_input_high[3:]),
+            ("lens_rates", stock.intr_input_low, stock.intr_input_high),
+            ("position", stock.position_low, stock.position_high),
+            ("velocity", stock.velocity_low, stock.velocity_high),
+            ("rpy", stock.rpy_low, stock.rpy_high),
+            ("lens_state", stock.intr_low, stock.intr_high)))
     return errs.guard("constraints", ConstraintSet,
                       drone_input_low=np.concatenate([accel[0], omega[0]]),
                       drone_input_high=np.concatenate([accel[1], omega[1]]),
@@ -203,8 +203,7 @@ def _parse_constraints(raw: dict, errs: _Collector) -> ConstraintSet | None:
                       velocity_low=velocity[0], velocity_high=velocity[1],
                       rpy_low=rpy[0], rpy_high=rpy[1],
                       intr_low=lens[0], intr_high=lens[1],
-                      safety_distance=raw.get("safety_distance", 0.0),
-                      occlusion_enabled=raw.get("occlusion_enabled", False))
+                      **_given(raw, "safety_distance", "occlusion_enabled"))
 
 
 def _parse_dof_limit(raw, path: str, errs: _Collector, target_ids):
@@ -225,20 +224,27 @@ def _parse_dof_limit(raw, path: str, errs: _Collector, target_ids):
     return None
 
 
+def _pose_target(entry: dict, tid: str) -> obj.PoseTarget:
+    given = _given(entry, "w_distance", "w_rotation")
+    if entry.get("distance") is not None:
+        given["distance"] = float(entry["distance"])
+    if "rotation" in entry:
+        given["rotation"] = np.asarray(entry["rotation"], dtype=float)
+    elif "rotation_rpy" in entry:
+        given["rotation"] = rotation_from_rpy(*entry["rotation_rpy"])
+    return obj.PoseTarget(target_id=tid, **given)
+
+
 def _parse_instructions(raw: dict, path: str, errs: _Collector,
                         target_points: dict[str, set[str]]
                         ) -> obj.Instructions:
     target_ids = set(target_points)
     dof_raw = raw.get("dof", {})
-    dof = errs.guard(f"{path}.dof", obj.DofTarget,
-                     near=_parse_dof_limit(dof_raw.get("near"),
-                                           f"{path}.dof.near", errs,
-                                           target_ids),
-                     far=_parse_dof_limit(dof_raw.get("far"),
-                                          f"{path}.dof.far", errs,
-                                          target_ids),
-                     w_near=dof_raw.get("w_near", 0.0),
-                     w_far=dof_raw.get("w_far", 0.0)) or obj.DofTarget()
+    dof = errs.guard(f"{path}.dof", lambda: obj.DofTarget(
+        **{key: _parse_dof_limit(dof_raw[key], f"{path}.dof.{key}", errs,
+                                 target_ids)
+           for key in ("near", "far") if key in dof_raw},
+        **_given(dof_raw, "w_near", "w_far")))
 
     composition = []
     for i, entry in enumerate(raw.get("composition", [])):
@@ -253,13 +259,11 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
             continue
         weight = entry.get("weight", 1.0)
         if isinstance(weight, (int, float)):
-            weight = (float(weight), float(weight))
-        else:
-            weight = (float(weight[0]), float(weight[1]))
-        ct = errs.guard(epath, obj.CompositionTarget, target_id=tid,
-                        point_id=pid,
-                        pixel=tuple(float(v) for v in entry["pixel"]),
-                        weight=weight)
+            weight = (weight, weight)
+        ct = errs.guard(epath, lambda: obj.CompositionTarget(
+            target_id=tid, point_id=pid,
+            pixel=tuple(float(v) for v in entry["pixel"]),
+            weight=(float(weight[0]), float(weight[1]))))
         if ct is not None:
             composition.append(ct)
 
@@ -270,43 +274,32 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
         if tid not in target_ids:
             errs.add(epath, f"unknown target id {tid!r}")
             continue
-        rotation = None
-        if "rotation" in entry:
-            rotation = np.asarray(entry["rotation"], dtype=float)
-        elif "rotation_rpy" in entry:
-            rotation = rotation_from_rpy(*entry["rotation_rpy"])
-        distance = entry.get("distance")
-        pt = errs.guard(epath, obj.PoseTarget, target_id=tid,
-                        distance=None if distance is None
-                        else float(distance),
-                        w_distance=entry.get("w_distance", 0.0),
-                        rotation=rotation,
-                        w_rotation=entry.get("w_rotation", 0.0))
+        pt = errs.guard(epath, _pose_target, entry, tid)
         if pt is not None:
             poses.append(pt)
 
     focal_raw = raw.get("focal", {})
-    schedule = None
+    focal = _given(focal_raw, "weight")
     if "schedule" in focal_raw:
-        schedule = errs.guard(
-            f"{path}.focal.schedule", obj.FocalSchedule,
-            times=tuple(float(v) for v in focal_raw["schedule"]["times"]),
-            values=tuple(float(v)
-                         for v in focal_raw["schedule"]["values_mm"]))
+        knots = focal_raw["schedule"]
+        focal["schedule"] = errs.guard(
+            f"{path}.focal.schedule", lambda: obj.FocalSchedule(
+                times=tuple(float(v) for v in knots["times"]),
+                values=tuple(float(v) for v in knots["values_mm"])))
     elif "ramp" in focal_raw:
         ramp = focal_raw["ramp"]
-        schedule = errs.guard(
-            f"{path}.focal.ramp", obj.FocalSchedule,
-            times=(float(ramp["start"]), float(ramp["end"])),
-            values=(float(ramp["from_mm"]), float(ramp["to_mm"])))
+        focal["schedule"] = errs.guard(
+            f"{path}.focal.ramp", lambda: obj.FocalSchedule(
+                times=(float(ramp["start"]), float(ramp["end"])),
+                values=(float(ramp["from_mm"]), float(ramp["to_mm"]))))
     elif "value_mm" in focal_raw:
-        schedule = obj.FocalSchedule.constant(float(focal_raw["value_mm"]))
-    focal = errs.guard(f"{path}.focal", obj.FocalTarget, schedule=schedule,
-                       weight=focal_raw.get("weight", 0.0)) \
-        or obj.FocalTarget()
+        focal["schedule"] = errs.guard(
+            f"{path}.focal.value_mm", lambda: obj.FocalSchedule.constant(
+                float(focal_raw["value_mm"])))
 
-    return obj.Instructions(dof=dof, composition=tuple(composition),
-                            poses=tuple(poses), focal=focal)
+    return obj.Instructions(
+        dof=dof, composition=tuple(composition), poses=tuple(poses),
+        focal=errs.guard(f"{path}.focal", obj.FocalTarget, **focal))
 
 
 def _parse_target(raw: dict, index: int, errs: _Collector
@@ -316,27 +309,21 @@ def _parse_target(raw: dict, index: int, errs: _Collector
     if not tid:
         errs.add(path, "missing target id")
         return None
-    rpy = raw.get("preliminary_rpy", [0.0, 0.0, 0.0])
-    meta = errs.guard(f"{path}", TargetMeta,
-                      nature=raw.get("nature", "object"),
-                      height=raw.get("height", 1.0),
-                      width=raw.get("width", 1.0),
-                      preliminary_rotation=rotation_from_rpy(*rpy))
+    meta = errs.guard(path, lambda: TargetMeta(
+        nature=raw.get("nature", "object"), height=raw.get("height", 1.0),
+        width=raw.get("width", 1.0),
+        preliminary_rotation=rotation_from_rpy(
+            *raw.get("preliminary_rpy", [0.0, 0.0, 0.0]))))
     if meta is None:
         return None
     waypoints = raw.get("waypoints", [])
     if not waypoints:
         errs.add(f"{path}.waypoints", "at least one waypoint is required")
         return None
-    times = [w[0] for w in waypoints]
-    positions = [w[1:4] for w in waypoints]
-    return errs.guard(path, ScriptedTarget, target_id=tid, meta=meta,
-                      times=times, waypoints=positions,
-                      interpolation=raw.get("interpolation", "linear"),
-                      is_obstacle=raw.get("is_obstacle", False),
-                      points={name: np.asarray(off, dtype=float)
-                              for name, off in
-                              raw.get("points", {}).items()})
+    return errs.guard(path, lambda: ScriptedTarget(
+        target_id=tid, meta=meta, times=[w[0] for w in waypoints],
+        waypoints=[w[1:4] for w in waypoints],
+        **_given(raw, "interpolation", "is_obstacle", "points")))
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
@@ -345,77 +332,49 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     name = raw.get("name") or "scenario"
 
     camera_raw = raw.get("camera", {})
-    if "beta_x" in camera_raw:
-        camera = errs.guard("camera", CameraSensorSpec,
-                            image_width=camera_raw.get("image_width", 0),
-                            image_height=camera_raw.get("image_height", 0),
-                            beta_x=camera_raw.get("beta_x", 0),
-                            beta_y=camera_raw.get("beta_y", 0),
-                            principal_u=camera_raw.get("principal_u", 0.0),
-                            principal_v=camera_raw.get("principal_v", 0.0),
-                            skew=camera_raw.get("skew", 0.0),
-                            circle_of_confusion=camera_raw.get(
-                                "circle_of_confusion_mm", 0.03))
-    else:
-        camera = errs.guard(
-            "camera", CameraSensorSpec.from_sensor_size,
-            image_width=camera_raw.get("image_width", 0),
-            image_height=camera_raw.get("image_height", 0),
-            sensor_width_mm=camera_raw.get("sensor_width_mm", 0),
-            sensor_height_mm=camera_raw.get("sensor_height_mm", 0),
-            principal_u=camera_raw.get("principal_u", 0.0),
-            principal_v=camera_raw.get("principal_v", 0.0),
-            skew=camera_raw.get("skew", 0.0),
-            circle_of_confusion=camera_raw.get("circle_of_confusion_mm",
-                                               0.03))
+    camera = errs.guard("camera", lambda: CameraSensorSpec.from_sensor_size(
+        image_width=camera_raw.get("image_width", 0),
+        image_height=camera_raw.get("image_height", 0),
+        sensor_width_mm=camera_raw.get("sensor_width_mm", 0),
+        sensor_height_mm=camera_raw.get("sensor_height_mm", 0),
+        principal_u=camera_raw.get("principal_u", 0.0),
+        principal_v=camera_raw.get("principal_v", 0.0),
+        **{arg: camera_raw[key] for arg, key in (
+            ("skew", "skew"),
+            ("circle_of_confusion", "circle_of_confusion_mm"))
+           if key in camera_raw}))
 
     control_raw = raw.get("control", {})
-    period = control_raw.get("period", 0.2)
-    control = errs.guard("control", ControlConfig, period=period,
-                         substeps=int(control_raw.get("substeps", 5)),
-                         duration=control_raw.get("duration", 10.0))
+    control = errs.guard("control", lambda: ControlConfig(
+        **_given(control_raw, "period", "duration"),
+        **_given(control_raw, "substeps", cast=int)))
 
-    solver_raw = dict(raw.get("solver", {}))
-    solver = errs.guard("solver", SolverConfig,
-                        horizon=int(solver_raw.get("horizon", 5)),
-                        dt=period,
-                        max_iterations=int(solver_raw.get(
-                            "max_iterations", 150)),
-                        convergence_tol=solver_raw.get("convergence_tol",
-                                                       1e-5),
-                        penalty_initial=solver_raw.get("penalty_initial",
-                                                       10.0),
-                        penalty_growth=solver_raw.get("penalty_growth",
-                                                      10.0),
-                        outer_rounds=int(solver_raw.get("outer_rounds", 4)),
-                        constraint_margin=solver_raw.get(
-                            "constraint_margin", 0.0))
+    solver_raw = raw.get("solver", {})
+    solver = None if control is None else errs.guard(
+        "solver", lambda: SolverConfig(
+            dt=control.period,
+            **_given(solver_raw, "horizon", "max_iterations",
+                     "outer_rounds", cast=int),
+            **_given(solver_raw, "convergence_tol", "penalty_initial",
+                     "penalty_growth", "constraint_margin")))
 
     constraints = _parse_constraints(raw.get("constraints", {}), errs)
 
-    sensor_raw = raw.get("sensor", {})
-    sensor = errs.guard("sensor", SensorModel,
-                        depth_sigma=sensor_raw.get("depth_sigma", 0.0),
-                        dropout=sensor_raw.get("dropout", 0.0),
-                        pixel_jitter=sensor_raw.get("pixel_jitter", 0.0)) \
-        or SensorModel()
+    sensor = errs.guard("sensor", SensorModel, **_given(
+        raw.get("sensor", {}), "depth_sigma", "dropout", "pixel_jitter"))
 
-    est_raw = raw.get("estimation", {})
-    estimation = EstimationConfig(
-        accel_sigma=est_raw.get("accel_sigma", 0.5),
-        meas_sigma=est_raw.get("meas_sigma", 0.04),
-        velocity_sigma=est_raw.get("velocity_sigma", 2.0))
+    estimation = EstimationConfig(**_given(
+        raw.get("estimation", {}), "accel_sigma", "meas_sigma",
+        "velocity_sigma"))
 
     rig_raw = raw.get("initial_rig", {})
-    initial_rig = RigInit(
+    initial_rig = errs.guard("initial_rig", lambda: RigInit(
         position=tuple(rig_raw.get("position", (0.0, 0.0, 1.0))),
         rpy=tuple(rig_raw.get("rpy", (0.0, 0.0, 0.0))),
         focal_mm=rig_raw.get("focal_mm", 35.0),
         focus_m=rig_raw.get("focus_m", 10.0),
         aperture=rig_raw.get("aperture", 2.0),
-        velocity=tuple(rig_raw.get("velocity", (0.0, 0.0, 0.0))),
-        position_jitter=tuple(rig_raw.get("position_jitter",
-                                          (0.0, 0.0, 0.0))))
+        **_given(rig_raw, "velocity", "position_jitter", cast=tuple)))
 
     targets: list[ScriptedTarget] = []
     for i, entry in enumerate(raw.get("targets", [])):
@@ -434,25 +393,28 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         errs.add("sequences", "at least one sequence is required")
     previous = -math.inf
     for i, entry in enumerate(raw_sequences):
-        start = float(entry.get("start", 0.0))
-        if i == 0 and start != 0.0:
-            errs.add("sequences[0].start", "first sequence must start at 0")
-        if start <= previous:
-            errs.add(f"sequences[{i}].start",
-                     f"start {start} is not strictly increasing")
-        previous = start
+        start = errs.guard(f"sequences[{i}].start", float,
+                           entry.get("start", 0.0))
+        if start is not None:
+            if i == 0 and start != 0.0:
+                errs.add("sequences[0].start",
+                         "first sequence must start at 0")
+            if start <= previous:
+                errs.add(f"sequences[{i}].start",
+                         f"start {start} is not strictly increasing")
+            previous = start
         instructions = _parse_instructions(
             entry.get("instructions", {}), f"sequences[{i}].instructions",
             errs, target_points)
         sequences.append(Sequence(start=start, instructions=instructions))
 
-    seeds = [int(s) for s in raw.get("seeds", [])]
+    seeds = errs.guard("seeds",
+                       lambda: [int(s) for s in raw.get("seeds", [])])
     if not seeds:
-        reps = int(raw.get("repetitions", 1))
-        if reps < 1:
+        reps = errs.guard("repetitions", int, raw.get("repetitions", 1))
+        if reps is not None and reps < 1:
             errs.add("repetitions", "must be >= 1")
-            reps = 1
-        seeds = list(range(reps))
+        seeds = list(range(reps or 0))
 
     if errs.errors:
         raise ScenarioValidationError(errs.errors)
@@ -460,7 +422,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                           solver=solver, control=control, sensor=sensor,
                           estimation=estimation, initial_rig=initial_rig,
                           targets=targets, sequences=sequences, seeds=seeds,
-                          contact_radius=raw.get("contact_radius", 0.5))
+                          **_given(raw, "contact_radius"))
 
 
 def load_scenario(path: Path | str) -> ScenarioConfig:
@@ -471,128 +433,3 @@ def load_scenario(path: Path | str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw)
-
-
-# ---------------------------------------------------------------------------
-# canonical serialization
-
-
-def _dof_limit_to_dict(limit):
-    if limit is None:
-        return None
-    if isinstance(limit, obj.RelativeDistance):
-        return {"target": limit.target_id, "offset": limit.offset}
-    if math.isinf(limit):
-        return "infinite"
-    return float(limit)
-
-
-def _instructions_to_dict(instr: obj.Instructions) -> dict:
-    out: dict = {}
-    dof = instr.dof
-    if (dof.near is not None or dof.far is not None or dof.w_near
-            or dof.w_far):
-        out["dof"] = {"near": _dof_limit_to_dict(dof.near),
-                      "far": _dof_limit_to_dict(dof.far),
-                      "w_near": dof.w_near, "w_far": dof.w_far}
-    if instr.composition:
-        out["composition"] = [
-            {"target": ct.target_id, "point": ct.point_id,
-             "pixel": list(ct.pixel), "weight": list(ct.weight)}
-            for ct in instr.composition]
-    if instr.poses:
-        out["pose"] = []
-        for pt in instr.poses:
-            entry: dict = {"target": pt.target_id,
-                           "w_distance": pt.w_distance,
-                           "w_rotation": pt.w_rotation}
-            if pt.distance is not None:
-                entry["distance"] = pt.distance
-            if pt.rotation is not None:
-                entry["rotation"] = [[float(v) for v in row]
-                                     for row in pt.rotation]
-            out["pose"].append(entry)
-    if instr.focal.schedule is not None or instr.focal.weight:
-        focal: dict = {"weight": instr.focal.weight}
-        if instr.focal.schedule is not None:
-            focal["schedule"] = {
-                "times": list(instr.focal.schedule.times),
-                "values_mm": list(instr.focal.schedule.values)}
-        out["focal"] = focal
-    return out
-
-
-def _scenario_to_dict(config: ScenarioConfig) -> dict:
-    camera = config.camera
-    cset = config.constraints
-    return {
-        "name": config.name,
-        "camera": {
-            "image_width": camera.image_width,
-            "image_height": camera.image_height,
-            "beta_x": camera.beta_x,
-            "beta_y": camera.beta_y,
-            "principal_u": camera.principal_u,
-            "principal_v": camera.principal_v,
-            "skew": camera.skew,
-            "circle_of_confusion_mm": camera.circle_of_confusion,
-        },
-        "control": {"period": config.control.period,
-                    "substeps": config.control.substeps,
-                    "duration": config.control.duration},
-        "solver": {
-            "horizon": config.solver.horizon,
-            "max_iterations": config.solver.max_iterations,
-            "convergence_tol": config.solver.convergence_tol,
-            "penalty_initial": config.solver.penalty_initial,
-            "penalty_growth": config.solver.penalty_growth,
-            "outer_rounds": config.solver.outer_rounds,
-            "constraint_margin": config.solver.constraint_margin,
-        },
-        "constraints": {
-            **{key: [low.tolist(), high.tolist()]
-               for key, (low, high) in _constraint_bounds(cset).items()},
-            "safety_distance": cset.safety_distance,
-            "occlusion_enabled": cset.occlusion_enabled,
-        },
-        "sensor": {"depth_sigma": config.sensor.depth_sigma,
-                   "dropout": config.sensor.dropout,
-                   "pixel_jitter": config.sensor.pixel_jitter},
-        "estimation": {"accel_sigma": config.estimation.accel_sigma,
-                       "meas_sigma": config.estimation.meas_sigma,
-                       "velocity_sigma": config.estimation.velocity_sigma},
-        "initial_rig": {
-            "position": list(config.initial_rig.position),
-            "rpy": list(config.initial_rig.rpy),
-            "focal_mm": config.initial_rig.focal_mm,
-            "focus_m": config.initial_rig.focus_m,
-            "aperture": config.initial_rig.aperture,
-            "velocity": list(config.initial_rig.velocity),
-            "position_jitter": list(config.initial_rig.position_jitter),
-        },
-        "targets": [{
-            "id": t.target_id,
-            "nature": t.meta.nature,
-            "height": t.meta.height,
-            "width": t.meta.width,
-            "preliminary_rpy": [float(v) for v in rpy_from_rotation(
-                t.meta.preliminary_rotation)],
-            "waypoints": [[float(t.times[i])] + t.waypoints[i].tolist()
-                          for i in range(len(t.times))],
-            "interpolation": t.interpolation,
-            "is_obstacle": t.is_obstacle,
-            "points": {name: off.tolist() for name, off in t.points.items()},
-        } for t in config.targets],
-        "sequences": [{"start": seq.start,
-                       "instructions": _instructions_to_dict(
-                           seq.instructions)}
-                      for seq in config.sequences],
-        "seeds": list(config.seeds),
-        "contact_radius": config.contact_radius,
-    }
-
-
-def dump_scenario(config: ScenarioConfig, path: Path | str) -> None:
-    """Write the canonical JSON form of a scenario."""
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2,
-                                     sort_keys=True) + "\n")

@@ -61,7 +61,7 @@ class SolverConfig:
     convergence_tol: float = 1e-5
     penalty_initial: float = 10.0
     penalty_growth: float = 10.0
-    outer_rounds: int = 6
+    outer_rounds: int = 4
     constraint_margin: float = 0.0
 
     def __post_init__(self) -> None:

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from cinedrone import cli
-from cinedrone.config import (ControlConfig, ScenarioParseError,
-                              ScenarioValidationError, load_scenario,
-                              dump_scenario, scenario_from_dict)
+from cinedrone.config import (ControlConfig, EstimationConfig,
+                              ScenarioParseError, ScenarioValidationError,
+                              load_scenario, scenario_from_dict)
 from cinedrone.runlog import (RunLog, emit_outputs, summarize,
                               summary_metrics)
-from cinedrone.scene import run_closed_loop
+from cinedrone.scene import SensorModel, run_closed_loop
+from cinedrone.solver import SolverConfig
 
 SCENARIOS = Path(__file__).parent.parent / "src/cinedrone/scenarios"
 SHIPPED = sorted(SCENARIOS.glob("*.json"))
@@ -46,6 +47,14 @@ class TestLoading:
         config = scenario_from_dict(minimal_raw())
         assert config.name == "minimal"
         assert len(config.targets) == 1
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        config = scenario_from_dict(minimal_raw())
+        assert config.solver == SolverConfig(dt=0.2)
+        assert config.control == ControlConfig(period=0.2, substeps=2,
+                                               duration=0.4)
+        assert config.sensor == SensorModel()
+        assert config.estimation == EstimationConfig()
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -97,9 +106,10 @@ class TestLoading:
         raw["control"]["substeps"] = 0
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(raw)
-        control = [e for e in info.value.errors if e.startswith("control")]
-        assert len(control) == 1
-        assert "period" in control[0] and "substeps" in control[0]
+        assert len(info.value.errors) == 1
+        assert info.value.errors[0].startswith("control")
+        assert "period" in info.value.errors[0]
+        assert "substeps" in info.value.errors[0]
 
 
 class TestControlConfig:
@@ -137,20 +147,25 @@ class TestSequencer:
         assert active.focal.schedule.value_at(midpoint) == pytest.approx(
             242.5)
 
+    def test_two_knot_schedule_is_the_ramp(self):
+        focals = []
+        for form in ({"ramp": {"start": 1.0, "end": 3.0, "from_mm": 35.0,
+                               "to_mm": 70.0}},
+                     {"schedule": {"times": [1.0, 3.0],
+                                   "values_mm": [35.0, 70.0]}}):
+            raw = minimal_raw()
+            raw["sequences"][0]["instructions"]["focal"] = {**form,
+                                                            "weight": 1.0}
+            focals.append(
+                scenario_from_dict(raw).sequences[0].instructions.focal)
+        ramp, schedule = focals
+        assert schedule.schedule is not None
+        assert schedule == ramp
+
     def test_negative_time_rejected(self):
         config = scenario_from_dict(minimal_raw())
         with pytest.raises(ValueError):
             config.active_instructions(-0.1)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-    def test_shipped_scenarios_round_trip(self, path, tmp_path):
-        config = load_scenario(path)
-        out = tmp_path / "dumped.json"
-        dump_scenario(config, out)
-        again = load_scenario(out)
-        assert again.to_dict() == config.to_dict()
 
 
 class TestOutputs:
@@ -212,6 +227,31 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x"}))
         assert cli.main(["validate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("path, spoil", [
+        ("solver", lambda raw: raw.update(solver={"horizon": None})),
+        ("control", lambda raw: raw["control"].update(substeps="five")),
+        ("sequences[0].instructions.composition[0]",
+         lambda raw: raw["sequences"][0]["instructions"]["composition"][
+             0].pop("pixel")),
+        ("seeds", lambda raw: raw.update(seeds=["a"])),
+        ("repetitions", lambda raw: raw.update(repetitions="two")),
+        ("sequences[0].start",
+         lambda raw: raw["sequences"][0].update(start="x")),
+        ("initial_rig", lambda raw: raw.update(initial_rig={"position": 5})),
+        ("sequences[0].instructions.focal.ramp",
+         lambda raw: raw["sequences"][0]["instructions"].update(focal={
+             "ramp": {"start": 0.0, "from_mm": 35.0, "to_mm": 50.0}})),
+    ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
+            "repetitions_text", "start_text", "position_scalar",
+            "ramp_end_missing"])
+    def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
+        raw = minimal_raw()
+        spoil(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert cli.main(["validate", str(bad)]) == 1
+        assert f"\n  {path}: " in capsys.readouterr().err
 
     def test_run_and_summarize(self, tmp_path, capsys):
         scenario = tmp_path / "mini.json"

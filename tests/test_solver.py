@@ -67,7 +67,7 @@ def brute_force_focal(f0, f_star, weight, v_max, dt, n, resolution):
 
 class TestTrivialObjectives:
     def test_zero_weights_zero_inputs(self):
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), {}, obj.Instructions(),
                          cons.ConstraintSet.default(), cfg, SPEC)
         assert np.max(np.abs(plan.inputs)) < 1e-9
@@ -83,7 +83,7 @@ class TestTrivialObjectives:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (480.0, 270.0),
                                   (1.0, 1.0)),))
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), preds, instr,
                          cons.ConstraintSet.default(), cfg, SPEC)
         assert plan.cost.total < 1e-6
@@ -99,7 +99,7 @@ class TestGridOracle:
     def test_focal_regulation_matches_grid(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(50.0), weight=1.0))
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(f=35.0), {}, instr,
                          cons.ConstraintSet.default(), cfg, SPEC)
         assert plan.inputs[:, 6] == pytest.approx([7.0] * 5, abs=1e-6)
@@ -138,7 +138,7 @@ class TestGridOracle:
     def test_deterministic(self):
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(50.0), weight=1.0))
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plans = [sol.solve(make_rig(), {}, instr,
                            cons.ConstraintSet.default(), cfg, SPEC)
                  for _ in range(2)]
@@ -148,7 +148,7 @@ class TestGridOracle:
 
 class TestWarmStart:
     def test_shift_definition(self):
-        cfg = sol.SolverConfig(horizon=3, dt=0.2)
+        cfg = sol.SolverConfig(horizon=3, dt=0.2, outer_rounds=6)
         instr = obj.Instructions(focal=obj.FocalTarget(
             obj.FocalSchedule.constant(50.0), weight=1.0))
         plan = sol.solve(make_rig(), {}, instr,
@@ -160,7 +160,7 @@ class TestWarmStart:
         assert np.allclose(guess[2], rows[2])
 
     def test_constant_plan_shifts_to_itself(self):
-        cfg = sol.SolverConfig(horizon=4, dt=0.2)
+        cfg = sol.SolverConfig(horizon=4, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), {}, obj.Instructions(),
                          cons.ConstraintSet.default(), cfg, SPEC)
         guess = sol.shift_warm_start(plan, 4)
@@ -179,7 +179,7 @@ class TestPlanContract:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (400.0, 250.0),
                                   (1.0, 1.0)),))
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         rig = make_rig()
         plan = sol.solve(rig, preds, instr, cons.ConstraintSet.default(),
                          cfg, SPEC)
@@ -198,14 +198,14 @@ class TestPlanContract:
             assert expected.intrinsics == actual.intrinsics
 
     def test_feasible_plan_residuals(self):
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), {}, obj.Instructions(),
                          cons.ConstraintSet.default(), cfg, SPEC)
         assert plan.feasible
         assert plan.residuals.min() >= -1e-6
 
     def test_infeasible_start_raises(self):
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         bad = CameraRig(drone=DroneState(position=np.array([100.0, 0, 0]),
                                          velocity=np.zeros(3),
                                          orientation=np.eye(3)),
@@ -222,7 +222,7 @@ class TestPlanContract:
         instr = obj.Instructions(composition=(
             obj.CompositionTarget("t", "center", (400.0, 250.0),
                                   (1.0, 1.0)),))
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         rig = make_rig()
         zero_rollout = rollout(rig, np.zeros((5, 9)), 0.2)
         cold = stacked_cost(zero_rollout, preds, SPEC, instr,
@@ -245,7 +245,7 @@ class TestPlanContract:
         low[2] = high[2] = 0.0
         cset = cons.ConstraintSet(**{**base.__dict__, "intr_input_low": low,
                                      "intr_input_high": high})
-        cfg = sol.SolverConfig(horizon=5, dt=0.2)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plans = [sol.solve(make_rig(), preds, instr, cset, cfg, SPEC)
                  for _ in range(2)]
         plan = plans[0]
@@ -342,7 +342,8 @@ class TestStackedHorizon:
     def test_solve_builds_rig_objects_only_at_the_boundary(self,
                                                            monkeypatch):
         rig, preds, sizes, instr, cset = side_by_side_problem()
-        cfg = sol.SolverConfig(horizon=8, dt=0.2, constraint_margin=0.15)
+        cfg = sol.SolverConfig(horizon=8, dt=0.2, constraint_margin=0.15,
+                               outer_rounds=6)
         counts = {}
 
         def count_calls(owner, attr, name):
@@ -367,7 +368,8 @@ class TestStackedHorizon:
 
     def test_one_evaluation_per_distinct_point(self, monkeypatch):
         rig, preds, sizes, instr, cset = side_by_side_problem()
-        cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15)
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15,
+                               outer_rounds=6)
         counts = {"evaluations": 0, "merit calls": 0, "rounds": 0,
                   "new points": 0}
         evaluate = obj.evaluate_horizon_stacked
@@ -502,7 +504,8 @@ def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),
                                      velocity=np.array(velocity, float),
                                      orientation=np.eye(3)),
                     intrinsics=IntrinsicState(focal, 10.0, 2.0))
-    cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.25)
+    cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.25,
+                           outer_rounds=6)
     return rig, preds, instr, cset, cfg
 
 
