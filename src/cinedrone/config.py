@@ -161,6 +161,26 @@ class _Collector:
         return None
 
 
+def _section(raw: dict, key: str, path: str, errs: _Collector):
+    """``raw[key]``, an empty object when omitted; None, recorded as a
+    validation error at ``path``, when it is not a JSON object."""
+    value = raw.get(key, {})
+    if isinstance(value, dict):
+        return value
+    errs.add(path, "expected a JSON object")
+    return None
+
+
+def _objects(raw: dict, key: str, path: str, errs: _Collector):
+    """(index, entry) of the JSON objects in the list ``raw[key]``; every
+    other entry is recorded as a validation error."""
+    for i, entry in enumerate(raw.get(key, [])):
+        if isinstance(entry, dict):
+            yield i, entry
+        else:
+            errs.add(f"{path}[{i}]", "expected a JSON object")
+
+
 def _given(raw: dict, *keys: str, cast=None) -> dict:
     """The entries of ``raw`` under ``keys``, each through ``cast``: a key
     the file omits is left to its dataclass default."""
@@ -239,15 +259,17 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
                         target_points: dict[str, set[str]]
                         ) -> obj.Instructions:
     target_ids = set(target_points)
-    dof_raw = raw.get("dof", {})
-    dof = errs.guard(f"{path}.dof", lambda: obj.DofTarget(
-        **{key: _parse_dof_limit(dof_raw[key], f"{path}.dof.{key}", errs,
-                                 target_ids)
-           for key in ("near", "far") if key in dof_raw},
-        **_given(dof_raw, "w_near", "w_far")))
+    dof_raw = _section(raw, "dof", f"{path}.dof", errs)
+    dof = None if dof_raw is None else errs.guard(
+        f"{path}.dof", lambda: obj.DofTarget(
+            **{key: _parse_dof_limit(dof_raw[key], f"{path}.dof.{key}",
+                                     errs, target_ids)
+               for key in ("near", "far") if key in dof_raw},
+            **_given(dof_raw, "w_near", "w_far")))
 
     composition = []
-    for i, entry in enumerate(raw.get("composition", [])):
+    for i, entry in _objects(raw, "composition", f"{path}.composition",
+                             errs):
         epath = f"{path}.composition[{i}]"
         tid = entry.get("target")
         pid = entry.get("point", "center")
@@ -268,7 +290,7 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
             composition.append(ct)
 
     poses = []
-    for i, entry in enumerate(raw.get("pose", [])):
+    for i, entry in _objects(raw, "pose", f"{path}.pose", errs):
         epath = f"{path}.pose[{i}]"
         tid = entry.get("target")
         if tid not in target_ids:
@@ -278,7 +300,7 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
         if pt is not None:
             poses.append(pt)
 
-    focal_raw = raw.get("focal", {})
+    focal_raw = _section(raw, "focal", f"{path}.focal", errs) or {}
     focal = _given(focal_raw, "weight")
     if "schedule" in focal_raw:
         knots = focal_raw["schedule"]
@@ -316,6 +338,8 @@ def _parse_target(raw: dict, index: int, errs: _Collector
             *raw.get("preliminary_rpy", [0.0, 0.0, 0.0]))))
     if meta is None:
         return None
+    if _section(raw, "points", f"{path}.points", errs) is None:
+        return None
     waypoints = raw.get("waypoints", [])
     if not waypoints:
         errs.add(f"{path}.waypoints", "at least one waypoint is required")
@@ -328,29 +352,36 @@ def _parse_target(raw: dict, index: int, errs: _Collector
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Build and fully validate a scenario from plain data."""
+    if not isinstance(raw, dict):
+        raise ScenarioValidationError(["scenario: expected a JSON object"])
     errs = _Collector()
     name = raw.get("name") or "scenario"
+    sections = {key: _section(raw, key, key, errs) for key in (
+        "camera", "control", "solver", "constraints", "sensor",
+        "estimation", "initial_rig")}
 
-    camera_raw = raw.get("camera", {})
-    camera = errs.guard("camera", lambda: CameraSensorSpec.from_sensor_size(
-        image_width=camera_raw.get("image_width", 0),
-        image_height=camera_raw.get("image_height", 0),
-        sensor_width_mm=camera_raw.get("sensor_width_mm", 0),
-        sensor_height_mm=camera_raw.get("sensor_height_mm", 0),
-        principal_u=camera_raw.get("principal_u", 0.0),
-        principal_v=camera_raw.get("principal_v", 0.0),
-        **{arg: camera_raw[key] for arg, key in (
-            ("skew", "skew"),
-            ("circle_of_confusion", "circle_of_confusion_mm"))
-           if key in camera_raw}))
+    camera_raw = sections["camera"]
+    camera = None if camera_raw is None else errs.guard(
+        "camera", lambda: CameraSensorSpec.from_sensor_size(
+            image_width=camera_raw.get("image_width", 0),
+            image_height=camera_raw.get("image_height", 0),
+            sensor_width_mm=camera_raw.get("sensor_width_mm", 0),
+            sensor_height_mm=camera_raw.get("sensor_height_mm", 0),
+            principal_u=camera_raw.get("principal_u", 0.0),
+            principal_v=camera_raw.get("principal_v", 0.0),
+            **{arg: camera_raw[key] for arg, key in (
+                ("skew", "skew"),
+                ("circle_of_confusion", "circle_of_confusion_mm"))
+               if key in camera_raw}))
 
-    control_raw = raw.get("control", {})
-    control = errs.guard("control", lambda: ControlConfig(
-        **_given(control_raw, "period", "duration"),
-        **_given(control_raw, "substeps", cast=int)))
+    control_raw = sections["control"]
+    control = None if control_raw is None else errs.guard(
+        "control", lambda: ControlConfig(
+            **_given(control_raw, "period", "duration"),
+            **_given(control_raw, "substeps", cast=int)))
 
-    solver_raw = raw.get("solver", {})
-    solver = None if control is None else errs.guard(
+    solver_raw = sections["solver"]
+    solver = None if control is None or solver_raw is None else errs.guard(
         "solver", lambda: SolverConfig(
             dt=control.period,
             **_given(solver_raw, "horizon", "max_iterations",
@@ -358,26 +389,29 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             **_given(solver_raw, "convergence_tol", "penalty_initial",
                      "penalty_growth", "constraint_margin")))
 
-    constraints = _parse_constraints(raw.get("constraints", {}), errs)
+    constraints = None if sections["constraints"] is None else \
+        _parse_constraints(sections["constraints"], errs)
 
-    sensor = errs.guard("sensor", SensorModel, **_given(
-        raw.get("sensor", {}), "depth_sigma", "dropout", "pixel_jitter"))
+    sensor = None if sections["sensor"] is None else errs.guard(
+        "sensor", SensorModel, **_given(
+            sections["sensor"], "depth_sigma", "dropout", "pixel_jitter"))
 
-    estimation = EstimationConfig(**_given(
-        raw.get("estimation", {}), "accel_sigma", "meas_sigma",
-        "velocity_sigma"))
+    estimation = None if sections["estimation"] is None else \
+        EstimationConfig(**_given(sections["estimation"], "accel_sigma",
+                                  "meas_sigma", "velocity_sigma"))
 
-    rig_raw = raw.get("initial_rig", {})
-    initial_rig = errs.guard("initial_rig", lambda: RigInit(
-        position=tuple(rig_raw.get("position", (0.0, 0.0, 1.0))),
-        rpy=tuple(rig_raw.get("rpy", (0.0, 0.0, 0.0))),
-        focal_mm=rig_raw.get("focal_mm", 35.0),
-        focus_m=rig_raw.get("focus_m", 10.0),
-        aperture=rig_raw.get("aperture", 2.0),
-        **_given(rig_raw, "velocity", "position_jitter", cast=tuple)))
+    rig_raw = sections["initial_rig"]
+    initial_rig = None if rig_raw is None else errs.guard(
+        "initial_rig", lambda: RigInit(
+            position=tuple(rig_raw.get("position", (0.0, 0.0, 1.0))),
+            rpy=tuple(rig_raw.get("rpy", (0.0, 0.0, 0.0))),
+            focal_mm=rig_raw.get("focal_mm", 35.0),
+            focus_m=rig_raw.get("focus_m", 10.0),
+            aperture=rig_raw.get("aperture", 2.0),
+            **_given(rig_raw, "velocity", "position_jitter", cast=tuple)))
 
     targets: list[ScriptedTarget] = []
-    for i, entry in enumerate(raw.get("targets", [])):
+    for i, entry in _objects(raw, "targets", "targets", errs):
         target = _parse_target(entry, i, errs)
         if target is not None:
             targets.append(target)
@@ -392,7 +426,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if not raw_sequences:
         errs.add("sequences", "at least one sequence is required")
     previous = -math.inf
-    for i, entry in enumerate(raw_sequences):
+    for i, entry in _objects(raw, "sequences", "sequences", errs):
         start = errs.guard(f"sequences[{i}].start", float,
                            entry.get("start", 0.0))
         if start is not None:
@@ -403,9 +437,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 errs.add(f"sequences[{i}].start",
                          f"start {start} is not strictly increasing")
             previous = start
-        instructions = _parse_instructions(
-            entry.get("instructions", {}), f"sequences[{i}].instructions",
-            errs, target_points)
+        ipath = f"sequences[{i}].instructions"
+        instructions = _section(entry, "instructions", ipath, errs)
+        if instructions is not None:
+            instructions = _parse_instructions(instructions, ipath, errs,
+                                               target_points)
         sequences.append(Sequence(start=start, instructions=instructions))
 
     seeds = errs.guard("seeds",

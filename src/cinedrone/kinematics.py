@@ -5,6 +5,10 @@ ROS-style body convention (x forward, y left, z up) over a z-up world, so a
 level mount looking along world +x is the identity and roll/pitch/yaw bounds
 read naturally.  The optical axes used for projection (x right, y down,
 z forward) are reached through the fixed :data:`BODY_TO_CAMERA` rotation.
+
+The rollout, its forward sensitivities (:func:`input_sensitivities`), the
+planner's adjoint pass and :func:`so3_exp` take every step exponential
+from :func:`so3_exp_and_right_jacobian_batch`, so they chain the same bits.
 """
 
 from __future__ import annotations
@@ -32,19 +36,10 @@ _EYE3.setflags(write=False)
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues closed form of the rotation exponential."""
-    return _so3_exp_rows(np.asarray(w, dtype=float)[None, :])[0]
-
-
-def _so3_exp_rows(w: np.ndarray) -> np.ndarray:
-    # Rodrigues per row, with scalar math.sin/cos and the row's own dot (as
-    # np.linalg.norm computes it): a row's bits ignore the rows stacked with it
-    theta = [math.sqrt(row.dot(row)) for row in w]
-    a = np.array([1.0 if t < 1e-8 else math.sin(t) / t for t in theta])
-    b = np.array([0.5 if t < 1e-8 else (1.0 - math.cos(t)) / (t * t)
-                  for t in theta])
-    k = hat_batch(w)
-    return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    """Rodrigues closed form of the rotation exponential: the one row of
+    :func:`so3_exp_and_right_jacobian_batch`."""
+    return so3_exp_and_right_jacobian_batch(
+        np.asarray(w, dtype=float)[None, :])[0][0]
 
 
 def so3_log(rotation: np.ndarray) -> np.ndarray:
@@ -86,13 +81,8 @@ def so3_exp_and_right_jacobian_batch(
         w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rodrigues exponentials (series below 1e-8 rad) and right Jacobians
     (below 1e-6 rad) of a stack of rotation vectors, in one pass.  The
-    exponentials agree with :func:`so3_exp` to a few ulp (1e-15 up to
-    0.1 rad), not bit for bit: vectorized ``sin``/``cos``/``norm`` round
-    apart.
-
-    The planner's adjoint pass keeps these exponentials rather than the
-    rollout's: its gradient feeds L-BFGS-B, and a last-bit change there
-    moves the executed trajectories."""
+    rollout, the adjoint pass and the input sensitivities all take their
+    step exponentials from here, so they chain the same bits."""
     theta = np.sqrt(np.add.reduce(w * w, axis=1))  # as np.linalg.norm
     k = hat_batch(w)
     k2 = k @ k
@@ -110,6 +100,19 @@ def so3_exp_and_right_jacobian_batch(
     a = np.where(small, 0.5, one_minus_cos)
     b = np.where(small, 1.0 / 6.0, (safe - sin) / (t2 * safe))
     return exps, _EYE3 - a[:, None, None] * k + b[:, None, None] * k2
+
+
+def tangent_gradients(rotations: np.ndarray,
+                      matrix_grads: np.ndarray) -> np.ndarray:
+    """Gradients w.r.t. the body rotation vectors ``d`` of ``R exp(d^)``
+    at ``d = 0``, from gradients w.r.t. the matrices ``R``: (n, 3, 3) each
+    -> (n, 3), the vee of ``R^T G - G^T R``."""
+    m = np.swapaxes(rotations, 1, 2) @ matrix_grads
+    vee = np.empty((len(m), 3))
+    vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]
+    vee[:, 1] = m[:, 0, 2] - m[:, 2, 0]
+    vee[:, 2] = m[:, 1, 0] - m[:, 0, 1]
+    return vee
 
 
 def project_to_so3(matrix: np.ndarray) -> np.ndarray:
@@ -260,11 +263,35 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
                                 dt * velocities[:-1]]).cumsum(axis=0)
     lens = np.concatenate([initial.intrinsics.as_array()[None],
                            dt * u[:, 6:9]]).cumsum(axis=0)
-    # so3_exp's rows, not the adjoint's stacked exponentials, which differ
-    # in the last bit now and then
     rotations = _chain(initial.drone.orientation,
-                       _so3_exp_rows(dt * u[:, 3:6]))
+                       so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])[0])
     return Horizon(positions, velocities, rotations, lens)
+
+
+def input_sensitivities(horizon: Horizon, u: np.ndarray,
+                        dt: float) -> np.ndarray:
+    """Forward sensitivities of the states 0..N of ``rollout(initial, u,
+    dt)`` to the flattened inputs: (N+1, 12, 9 n), rows position,
+    velocity, body rotation vector (the tangent of :func:`tangent_gradients`)
+    and lens.  Positions, velocities and lens are linear in ``u``; state
+    k's rotation moves with input j < k by ``R_k^T R_(j+1) Jr(dt w_j) dt``,
+    the re-orthonormalization aside."""
+    n = len(u)
+    k = np.arange(n + 1)[:, None]
+    j = np.arange(n)[None, :]
+    eye = _EYE3[None, :, None, :]
+    before = (j < k)[:, None, :, None]
+    sens = np.zeros((n + 1, 12, n, 9))
+    sens[:, 0:3, :, 0:3] = (dt * dt * np.maximum(k - 1 - j, 0))[
+        :, None, :, None] * eye
+    sens[:, 3:6, :, 0:3] = dt * before * eye
+    sens[:, 9:12, :, 6:9] = dt * before * eye
+    rotations = horizon.rotations
+    jacobians = so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])[1]
+    steps = dt * (rotations[1:] @ jacobians)
+    sens[:, 6:9, :, 3:6] = before * np.einsum("kba,jbc->kajc", rotations,
+                                              steps)
+    return sens.reshape(n + 1, 12, 9 * n)
 
 
 def _lerp_clipped(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kinematics import (BODY_TO_CAMERA, Horizon,
-                         so3_exp_and_right_jacobian_batch)
+                         so3_exp_and_right_jacobian_batch, tangent_gradients)
 from .optics import CameraSensorSpec, SingularDofError, mm_to_m
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
@@ -239,15 +239,45 @@ class CostBreakdown:
 
 
 class HorizonGradients:
-    """Stacked gradients of the accumulated cost w.r.t. every rig state."""
+    """Stacked gradients of the accumulated cost w.r.t. every rig state.
 
-    __slots__ = ("position", "velocity", "rotation", "intrinsics")
+    Given the states' ``rotations``, it also holds ``curvature``: per state,
+    the (12, 12) generalized Gauss-Newton block over position, velocity,
+    body rotation vector and lens (the rows of
+    :func:`kinematics.input_sensitivities`)."""
 
-    def __init__(self, n: int) -> None:
+    __slots__ = ("position", "velocity", "rotation", "intrinsics",
+                 "curvature", "rotations")
+
+    def __init__(self, n: int, rotations: np.ndarray | None = None) -> None:
         self.position = np.zeros((n, 3))
         self.velocity = np.zeros((n, 3))
         self.rotation = np.zeros((n, 3, 3))
         self.intrinsics = np.zeros((n, 3))
+        self.rotations = rotations
+        self.curvature = None if rotations is None else np.zeros((n, 12, 12))
+
+    def add_outer(self, weight: np.ndarray, position=None, rotation=None,
+                  intrinsics=None, states: slice = slice(None)) -> None:
+        """Add ``weight * d d^T`` to the curvature of ``states``, ``d`` one
+        residual's derivative per state given by its pieces: w.r.t. the
+        position (n, 3), the rotation matrix (n, 3, 3), taken to the
+        rotation vector, and the lens (n, 3) or the focal length (n,).  A
+        no-op without curvature."""
+        if self.curvature is None:
+            return
+        rows = np.zeros((len(weight), 12))
+        if position is not None:
+            rows[:, 0:3] = position
+        if rotation is not None:
+            rows[:, 6:9] = tangent_gradients(self.rotations[states], rotation)
+        if intrinsics is not None:
+            if intrinsics.ndim == 1:
+                rows[:, 9] = intrinsics
+            else:
+                rows[:, 9:12] = intrinsics
+        self.curvature[states] += weight[:, None, None] * (
+            rows[:, :, None] * rows[:, None, :])
 
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
@@ -287,11 +317,11 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             dn_dh = focus * (focus - f_m) / denom2
             dn_df_direct = focus * (h - focus) / denom2
             dn_dfocus = h_f * (h - two_f) / denom2
-            scale = 2.0 * dof.w_near * err
-            grads.intrinsics[:, 0] += scale * (dn_dh * dh_df_m
-                                               + dn_df_direct) / 1000.0
-            grads.intrinsics[:, 1] += scale * dn_dfocus
-            grads.intrinsics[:, 2] += scale * dn_dh * dh_da
+            d_near = np.stack([(dn_dh * dh_df_m + dn_df_direct) / 1000.0,
+                               dn_dfocus, dn_dh * dh_da], axis=1)
+            grads.intrinsics += (2.0 * dof.w_near * err)[:, None] * d_near
+            grads.add_outer(np.full(len(intr), 2.0 * dof.w_near),
+                            intrinsics=d_near)
     if far_active:
         infinite = focus >= h
         finite = ~infinite
@@ -310,18 +340,19 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             df_dh = focus * (f_m - focus) / (h_focus * h_focus)
             df_df_direct = -focus / h_focus
             df_dfocus = h_f * h / (h_focus * h_focus)
+            d_far = np.stack([(df_dh * dh_df_m + df_df_direct) / 1000.0,
+                              df_dfocus, df_dh * dh_da], axis=1)
             scale = np.where(finite, 2.0 * dof.w_far * err, 0.0)
-            g_f = scale * (df_dh * dh_df_m + df_df_direct) / 1000.0
-            g_focus = scale * df_dfocus
-            g_a = scale * df_dh * dh_da
+            g_lens = scale[:, None] * d_far
             if infinite.any():
+                # the surrogate is linear in H and the focus: no curvature
                 bar = dof.w_far * _FAR_BARRIER
-                g_f = g_f + np.where(infinite, -bar * dh_df_m / 1000.0, 0.0)
-                g_focus = g_focus + np.where(infinite, bar, 0.0)
-                g_a = g_a + np.where(infinite, -bar * dh_da, 0.0)
-            grads.intrinsics[:, 0] += g_f
-            grads.intrinsics[:, 1] += g_focus
-            grads.intrinsics[:, 2] += g_a
+                g_lens += np.where(infinite[:, None], np.stack(
+                    [-bar * dh_df_m / 1000.0, np.full(len(intr), bar),
+                     -bar * dh_da], axis=1), 0.0)
+            grads.intrinsics += g_lens
+            grads.add_outer(np.where(finite, 2.0 * dof.w_far, 0.0),
+                            intrinsics=d_far)
     return cost
 
 
@@ -358,25 +389,48 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             cost += barrier_terms[t]
 
     if grads is not None:
-        su = 2.0 * w_u * e_u
-        sv = 2.0 * w_v * e_v
-        g_q = np.empty(q.shape)
-        g_q[:, :, 0] = su * bxf / qz_eff
-        g_q[:, :, 1] = (su * spec.skew + sv * byf) / qz_eff
-        g_q[:, :, 2] = -(su * u_num + sv * byf * q[:, :, 1]) / (
-            qz_eff * qz_eff)
+        # derivatives of e_u, e_v and the depth shortfall w.r.t. q, and of
+        # e_u, e_v w.r.t. the focal length
+        d_u, d_v = np.zeros(q.shape), np.zeros(q.shape)
+        d_u[:, :, 0] = bxf / qz_eff
+        d_u[:, :, 1] = spec.skew / qz_eff
+        d_v[:, :, 1] = byf / qz_eff
+        d_u[:, :, 2] = -u_num / (qz_eff * qz_eff)
+        d_v[:, :, 2] = -byf * q[:, :, 1] / (qz_eff * qz_eff)
+        f_u = spec.beta_x * q[:, :, 0] / qz_eff
+        f_v = spec.beta_y * q[:, :, 1] / qz_eff
+        residuals = [(w_u, e_u, d_u, f_u), (w_v, e_v, d_v, f_v)]
         if clamped is not None:
-            g_q[:, :, 2] = np.where(clamped, 0.0, g_q[:, :, 2])
-            g_q[:, :, 2] -= np.where(
-                clamped, 2.0 * BARRIER_GAIN * (BARRIER_DEPTH - qz), 0.0)
-        pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
-        rot_terms = body_outer(rel, g_q)
-        f_terms = (su * spec.beta_x * q[:, :, 0]
-                   + sv * spec.beta_y * q[:, :, 1]) / qz_eff
+            # the projection is held at BARRIER_DEPTH: only the barrier
+            # moves with the depth
+            d_u[:, :, 2] = np.where(clamped, 0.0, d_u[:, :, 2])
+            d_v[:, :, 2] = np.where(clamped, 0.0, d_v[:, :, 2])
+            d_s = np.zeros(q.shape)
+            d_s[:, :, 2] = -1.0
+            residuals.append((np.where(clamped, BARRIER_GAIN, 0.0),
+                              shortfall, d_s, None))
+
+        def pieces(d_q):
+            # d/dq -> d/d position, d/d rotation matrix
+            return (-np.einsum("kij,tkj->tki", cam_rotations, d_q),
+                    body_outer(rel, d_q))
+        g_q = sum((2.0 * w * e)[:, :, None] * d_q
+                  for w, e, d_q, _ in residuals)
+        pos_terms, rot_terms = pieces(g_q)
+        f_terms = 2.0 * (w_u * e_u * f_u + w_v * e_v * f_v)
         for t in range(len(targets)):
-            grads.position -= pos_terms[t]
+            grads.position += pos_terms[t]
             grads.rotation += rot_terms[t]
             grads.intrinsics[:, 0] += f_terms[t]
+        if grads.curvature is not None:
+            for w, _, d_q, d_f in residuals:
+                d_pos, d_rot = pieces(d_q)
+                weight = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
+                for t in range(len(targets)):
+                    grads.add_outer(weight[t], position=d_pos[t],
+                                    rotation=d_rot[t],
+                                    intrinsics=None if d_f is None
+                                    else d_f[t])
     return cost
 
 
@@ -398,10 +452,12 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             err = dist - pt.distance
             cost += pt.w_distance * err * err
             if grads is not None:
-                safe = np.maximum(dist, 1e-12)
-                scale = np.where(dist > 1e-12,
-                                 2.0 * pt.w_distance * err / safe, 0.0)
-                grads.position += scale[:, None] * diff
+                d_dist = np.where(dist[:, None] > 1e-12, diff, 0.0) / (
+                    np.maximum(dist, 1e-12)[:, None])
+                grads.position += (2.0 * pt.w_distance * err)[:, None] \
+                    * d_dist
+                grads.add_outer(np.full(n, 2.0 * pt.w_distance),
+                                position=d_dist)
         if pt.w_rotation > 0.0 and pt.rotation is not None:
             residual = np.einsum("kji,kjl->kil", target_rotations,
                                  rotations) - pt.rotation
@@ -415,8 +471,19 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
                 scale = np.where(norm > 1e-12, pt.w_rotation
                                  / np.maximum(norm, 1e-12), 0.0)
             if grads is not None:
-                grads.rotation += scale[:, None, None] * np.einsum(
-                    "kij,kjl->kil", target_rotations, residual)
+                d_norm = np.einsum("kij,kjl->kil", target_rotations,
+                                   residual)
+                grads.rotation += scale[:, None, None] * d_norm
+                if smooth and grads.curvature is not None:
+                    # exact pseudo-Huber Hessian in the residual matrix M,
+                    # w (I / root - M M^T / root^3), pulled back through
+                    # dM/dd = R_t^T R hat(e_i), whose columns are
+                    # orthogonal with squared norm 2
+                    c = tangent_gradients(rotations, d_norm)
+                    grads.curvature[:, 6:9, 6:9] += pt.w_rotation * (
+                        2.0 * np.eye(3) / root[:, None, None]
+                        - c[:, :, None] * c[:, None, :]
+                        / (root ** 3)[:, None, None])
     return cost
 
 
@@ -427,6 +494,8 @@ def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
     err = f_mm - f_star
     if grads is not None:
         grads.intrinsics[:, 0] += 2.0 * weight * err
+        grads.add_outer(np.full(len(f_mm), 2.0 * weight),
+                        intrinsics=np.ones(len(f_mm)))
     return weight * err * err
 
 
@@ -482,7 +551,9 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
     """Evaluate all four terms at every state of a horizon.
 
     Returns the per-step breakdown and, with ``with_grads``, the stacked
-    per-state gradients for the backward pass.  Points closer than
+    per-state gradients for the backward pass and their generalized
+    Gauss-Newton stage blocks (the smoothed rotation norm's taken
+    exactly).  Points closer than
     :data:`BARRIER_DEPTH` are projected at that depth and penalized
     smoothly, and an infinite far limit costs a sloped surrogate;
     ``smooth`` rounds the rotation norm's kink off by
@@ -490,7 +561,7 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
     """
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
-    grads = HorizonGradients(len(horizon)) if with_grads else None
+    grads = HorizonGradients(len(horizon), rotations) if with_grads else None
     dof = _dof_vec(horizon.lens, spec, instr, grads)
     image = _image_vec(positions, horizon.camera_rotations, f_mm,
                        tracks.points, spec, grads)
@@ -539,11 +610,7 @@ def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
     for k in range(n, 0, -1):
         np.add(acc, grads.rotation[k], out=g_rot[k - 1])
         acc = g_rot[k - 1] @ exps[k - 1].T
-    m = np.swapaxes(horizon.rotations[1:], 1, 2) @ g_rot
-    vee = np.empty((n, 3))
-    vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]
-    vee[:, 1] = m[:, 0, 2] - m[:, 2, 0]
-    vee[:, 2] = m[:, 1, 0] - m[:, 0, 1]
+    vee = tangent_gradients(horizon.rotations[1:], g_rot)
     grad[:, 3:6] = dt * (np.swapaxes(jacobians, 1, 2) @ vee[:, :, None])[
         :, :, 0]
     return grad

@@ -2,11 +2,13 @@
 
 Each call minimizes the horizon cost over the stacked drone + lens input
 sequence subject to the rig dynamics and the feasibility inequalities.
-Inputs are normalized to [-1, 1] by their bounds and held in that box by
-the bounded quasi-Newton descent; state, collision and occlusion
-inequalities enter through an augmented-Lagrangian penalty whose
-multipliers are updated between descent rounds.  Everything is
-deterministic for identical arguments.
+Inputs are normalized to [-1, 1] by their bounds and held in that box by a
+box-constrained Gauss-Newton trust region (:func:`box_gauss_newton`),
+whose model Hessian sums the stage blocks of the merit over the forward
+sensitivities of the rollout; state, collision and occlusion inequalities
+enter through an augmented-Lagrangian penalty whose multipliers are
+updated between descent rounds and carried, shifted one state, into the
+next solve.  Everything is deterministic for identical arguments.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.optimize
 
 from . import constraints as cons
@@ -26,11 +29,14 @@ from .optics import CameraSensorSpec
 
 logger = logging.getLogger(__name__)
 
-_BIG_MERIT = 1e30
-#: Lens values (focal mm, focus m, aperture) may never reach zero; solver
-#: candidates are clamped here and penalized back toward the real bounds.
+#: Lens values (focal mm, focus m, aperture) may never reach zero; the
+#: rolled-out lens states of a candidate are clamped here and the shortfall
+#: is penalized back toward the real bounds.
 _DOMAIN_FLOOR = 1e-3
 _DOMAIN_GAIN = 1e6
+#: Ridge added to the model Hessian, relative to its largest diagonal
+#: entry, so that its Cholesky factorization exists.
+_DAMPING = 1e-10
 #: Pixels per unit of penalized occlusion-separation residual.
 _SEPARATION_SCALE = 100.0
 #: A plan is feasible when no residual of its report falls below this.
@@ -151,6 +157,9 @@ class _PenaltyModel:
             return value, g_flat
         diff, dist = pieces
         slopes = slack.reshape(g_all.shape)
+        if grads.curvature is not None:
+            self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff,
+                                dist, separations)
         # A group with all slopes zero is skipped: its terms are +-0.0, and
         # the gradient arrays start at +0.0 and only see += and -=, so under
         # round-to-nearest they never hold -0.0 and adding +-0.0 changes no
@@ -187,6 +196,36 @@ class _PenaltyModel:
                     and np.all(rows[:, self.n_box:]
                                >= -EARLY_EXIT_MARGIN_SHARE * self.margin))
 
+    def _add_curvature(self, horizon: kin.Horizon, grads, weights, diff,
+                       dist, separations) -> None:
+        """``rho dg dg^T`` of every active row (``weights`` is rho there,
+        0 elsewhere) into the stage blocks of states 1..N, each ``dg`` from
+        the pieces the gradient takes."""
+        n_box, states = self.n_box, slice(1, None)
+        half = n_box // 2
+        box = weights[:, :half] + weights[:, half:n_box]
+        linear = np.r_[0:6, 9:12]  # position, velocity and lens entries
+        grads.curvature[states, linear, linear] += box[:, linear]
+        for axis in range(3):
+            if box[:, 6 + axis].any():
+                unit = np.zeros((len(box), 3))
+                unit[:, axis] = 1.0
+                d_rot = np.zeros((len(box), 3, 3))
+                self._add_rpy_slopes(horizon.rotations[1:], unit, d_rot)
+                grads.add_outer(box[:, 6 + axis], rotation=d_rot,
+                                states=states)
+        for column, (d, r) in enumerate(zip(diff, dist), n_box):
+            if weights[:, column].any():
+                grads.add_outer(weights[:, column], states=states,
+                                position=d / np.maximum(r, 1e-9)[:, None])
+        for column, (d_pos, d_rot, d_f) in enumerate(separations,
+                                                     self.n_coll):
+            if weights[:, column].any():
+                grads.add_outer(weights[:, column], states=states,
+                                position=d_pos / _SEPARATION_SCALE,
+                                rotation=d_rot / _SEPARATION_SCALE,
+                                intrinsics=d_f / _SEPARATION_SCALE)
+
     @staticmethod
     def _add_rpy_slopes(rotations: np.ndarray, slopes: np.ndarray,
                         rot_grads: np.ndarray) -> None:
@@ -200,6 +239,145 @@ class _PenaltyModel:
         denom = rotations[:, 0, 0] ** 2 + rotations[:, 1, 0] ** 2
         rot_grads[:, 1, 0] += d_yaw * rotations[:, 0, 0] / denom
         rot_grads[:, 0, 0] -= d_yaw * rotations[:, 1, 0] / denom
+
+
+def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
+                     maxiter: int = 100, gtol: float = 1e-5,
+                     ftol: float = 1e-7,
+                     **unused) -> scipy.optimize.OptimizeResult:
+    """Box-constrained Gauss-Newton trust region, in the calling
+    convention of a ``scipy.optimize.minimize`` method.
+
+    ``hess(x)`` is a positive semidefinite model Hessian ``H``.  Each
+    iteration minimizes the model ``g s + s H s / 2`` over the box
+    intersected with the region ``|s|_inf <= radius``
+    (:func:`_model_step`, ``H`` damped just enough to factor) and
+    evaluates the step once.  The radius follows the ratio of actual to
+    predicted decrease (Conn, Gould & Toint, *Trust-Region Methods*, 2000);
+    a trial with a non-finite value is rejected.
+
+    Stops with status 0 when the projected gradient's largest entry is
+    ``<= gtol`` or an accepted step lowers the value by ``<= ftol`` of its
+    size (both L-BFGS-B's tests), 1 after ``maxiter`` trial steps, and 2
+    when the region has collapsed: the step no longer moves ``x``.
+    """
+    low, high = np.asarray(bounds.lb, float), np.asarray(bounds.ub, float)
+    x = np.clip(np.asarray(x0, float), low, high)
+    f, g = fun(x, *args), jac(x, *args)
+    nit, status = 0, 2
+    h = hess(x, *args) if math.isfinite(f) else None
+    radius = float(np.max(high - low, initial=0.0))
+    while h is not None:
+        if np.max(np.abs(np.clip(x - g, low, high) - x)) <= gtol:
+            status = 0
+            break
+        if nit >= maxiter:
+            status = 1
+            break
+        nit += 1
+        damping = _DAMPING * max(float(np.max(np.diag(h))), 1e-300)
+        try:
+            step = _model_step(h + damping * np.eye(len(x)), g,
+                               np.maximum(low - x, -radius),
+                               np.minimum(high - x, radius))
+        except np.linalg.LinAlgError:  # a model too ill-posed to factor
+            break
+        trial = np.clip(x + step, low, high)
+        step = trial - x
+        length = float(np.max(np.abs(step)))
+        if length == 0.0:
+            break  # the region collapsed below round-off
+        predicted = -(g @ step + 0.5 * step @ (h @ step))
+        f_trial = fun(trial, *args)
+        ratio = (f - f_trial) / predicted if predicted > 0.0 else -1.0
+        if not ratio >= 0.25:  # also a non-finite trial
+            radius = 0.25 * length
+        elif ratio > 0.75 and length >= 0.5 * radius:
+            radius = 2.0 * radius
+        if not ratio > 1e-4:
+            continue
+        previous = f
+        x, f, g = trial, f_trial, jac(trial, *args)
+        # a small decrease counts where the model foresaw it
+        if (ratio >= 0.25
+                and previous - f <= ftol * max(abs(previous), abs(f), 1.0)):
+            status = 0
+            break
+        h = hess(x, *args)
+    return scipy.optimize.OptimizeResult(
+        x=x, fun=f, jac=g, nit=nit, status=status, success=status == 0,
+        message=("converged", "iteration cap", "trust region collapsed")[
+            status])
+
+
+def _model_step(h: np.ndarray, g: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray) -> np.ndarray:
+    """Minimizer of ``g s + s h s / 2`` over ``lower <= s <= upper``
+    (``lower <= 0 <= upper``, ``h`` positive definite), by projected
+    Newton steps (Bertsekas, 1982).  A variable at a bound whose gradient
+    points out of the box is held there; where the Newton step makes no
+    progress, a projected-gradient step does."""
+    s, value = np.zeros_like(g), 0.0
+    tol = 1e-10 * float(np.max(np.abs(g)))
+    for _ in range(2 * len(g)):
+        grad = g + h @ s
+        at_lower, at_upper = s <= lower, s >= upper
+        held = (at_lower & (grad > 0.0)) | (at_upper & (grad < 0.0))
+        if np.max(np.abs(grad[~held]), initial=0.0) <= tol:
+            break
+        for direction in (_newton_direction(h, grad, held, at_lower,
+                                            at_upper),
+                          np.where(held, 0.0, -grad)):
+            trial, trial_value = _search(h, g, s, value, grad, direction,
+                                         lower, upper)
+            if trial_value < value:
+                break
+        else:
+            break
+        s, value = trial, trial_value
+    return s
+
+
+def _newton_direction(h, grad, held, at_lower, at_upper) -> np.ndarray:
+    """Newton direction over the variables not ``held``, holding as well
+    every variable at a bound whose Newton component points out of the
+    box; zero when none is left."""
+    direction = np.zeros_like(grad)
+    held = held.copy()
+    while not held.all():
+        free = ~held
+        # Cholesky factorization and solve in one LAPACK call
+        _, step, info = scipy.linalg.lapack.dposv(h[free][:, free],
+                                                  grad[free])
+        if info:
+            raise np.linalg.LinAlgError("model not positive definite")
+        direction[:] = 0.0
+        direction[free] = -step
+        outward = (at_lower & (direction < 0.0)) | (at_upper
+                                                    & (direction > 0.0))
+        if not outward.any():
+            return direction
+        held |= outward
+    return np.zeros_like(grad)
+
+
+def _search(h, g, s, value, grad, direction, lower, upper):
+    """The projected step ``clip(s + direction)`` if it lowers the model by
+    an Armijo share of its slope; else the step along ``direction`` to the
+    first bound it meets or the model's minimum on the line, whichever
+    comes first.  Returns the point and its model value."""
+    trial = np.clip(s + direction, lower, upper)
+    trial_value = g @ trial + 0.5 * trial @ (h @ trial)
+    if trial_value <= value + 1e-4 * grad @ (trial - s):
+        return trial, trial_value
+    room = np.full_like(s, np.inf)
+    up, down = direction > 0.0, direction < 0.0
+    room[up] = (upper[up] - s[up]) / direction[up]
+    room[down] = (lower[down] - s[down]) / direction[down]
+    t = min(float(np.min(room)), -(grad @ direction) / (
+        direction @ (h @ direction)))
+    trial = np.clip(s + t * direction, lower, upper)
+    return trial, g @ trial + 0.5 * trial @ (h @ trial)
 
 
 def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
@@ -256,16 +434,22 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     lam = np.zeros(model.size)
     rho = cfg.penalty_initial
     if warm is not None and warm.multipliers.size == model.size:
-        lam = warm.multipliers.copy()
+        # each state's multipliers move one state on with the inputs, the
+        # last repeated: a multiplier copied in place pins the new state 1
+        # to the old state 1's bound, and the rounds rarely run long enough
+        # to unlearn it
+        rows = warm.multipliers.reshape(n, -1)
+        lam = rows[np.minimum(np.arange(1, n + 1), n - 1)].ravel()
         # carry the penalty weight but let it relax one growth step per
         # solve, so a transient never ratchets the merit stiff for good
         rho = max(rho, warm.penalty / cfg.penalty_growth)
 
-    intr0 = initial.intrinsics.as_array()
     tracks = obj.HorizonTracks(preds, instr, n + 1)
+    # d u / d z, flattened as the descent's variables are
+    scale = np.tile(np.where(free, half, 0.0), n)
 
     # the last evaluation (read-only) by z's bytes and the multipliers: it
-    # serves L-BFGS-B's first call and the check after each round
+    # serves the descent's first call and the check after each round
     last_key, last = None, None
 
     def evaluate(z: np.ndarray, with_grads: bool):
@@ -273,49 +457,43 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         key = (z.tobytes(), lam.tobytes(), rho)
         if key != last_key or (with_grads and last[1] is None):
             last_key, last = key, _evaluate(z, with_grads)
-            _, grad_z, (u, _, g_all) = last
-            for array in (u, g_all, grad_z):
+            _, grad_z, (u, _, g_all, stage) = last
+            for array in (u, g_all, grad_z, stage):
                 if array is not None:
                     array.setflags(write=False)
         return last
 
     def _evaluate(z: np.ndarray, with_grads: bool):
         u = to_inputs(z)
-        # keep the lens trajectory inside its physical domain: clamp the
-        # candidate to a small floor and penalize the shortfall with an
-        # analytic slope, so the line search is never left on a plateau
-        trajectory = intr0 + dt * u[:, 6:9].cumsum(axis=0)
-        shortfall = np.maximum(0.0, _DOMAIN_FLOOR - trajectory)
-        domain_penalty = 0.0
-        domain_grad = None
-        if shortfall.any():
-            clamped = np.maximum(trajectory, _DOMAIN_FLOOR)
-            previous = np.vstack([intr0, clamped[:-1]])
-            u = u.copy()
-            u[:, 6:9] = (clamped - previous) / dt
-            domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
-            per_state = -2.0 * _DOMAIN_GAIN * dt * shortfall
-            domain_grad = np.cumsum(per_state[::-1], axis=0)[::-1]
         horizon = kin.rollout(initial, u, dt)
+        # keep the lens trajectory inside its physical domain: clamp the
+        # rollout's lens states to a small floor and penalize the shortfall
+        shortfall = np.maximum(0.0, _DOMAIN_FLOOR - horizon.lens[1:])
+        domain_penalty = 0.0
+        if shortfall.any():
+            clamped = np.maximum(horizon.lens, _DOMAIN_FLOOR)
+            u = u.copy()
+            u[:, 6:9] = np.diff(clamped, axis=0) / dt
+            horizon = kin.rollout(initial, u, dt)
+            domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
         breakdown, grads = obj.evaluate_horizon_stacked(
             horizon, tracks, spec, instr, with_grads=with_grads,
             smooth=True)
         penalty, g_all = model.residuals_and_grads(horizon, grads, lam, rho)
         merit = breakdown.total + penalty + domain_penalty
         if not with_grads:
-            return merit, None, (u, horizon, g_all)
+            return merit, None, (u, horizon, g_all, None)
+        if domain_penalty:
+            grads.intrinsics[1:] -= 2.0 * _DOMAIN_GAIN * shortfall
+            lens = grads.curvature[1:, 9:12, 9:12]
+            lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
+                shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)
         grad_u = obj.chain_through_dynamics(grads, horizon, u, dt)
-        if domain_grad is not None:
-            grad_u[:, 6:9] += domain_grad
-        grad_z = grad_u * half
-        if pinned.size:
-            grad_z[:, pinned] = 0.0
-        return merit, grad_z, (u, horizon, g_all)
+        grad_z = (grad_u.ravel() * scale).reshape(n, 9)
+        return merit, grad_z, (u, horizon, g_all, grads.curvature)
 
     z = to_scaled(shift_warm_start(warm, n))
-    merit, _, (_, horizon, _) = evaluate(z, with_grads=True)
-    if not math.isfinite(merit):
-        z = to_scaled(np.zeros((n, 9)))  # shifted guess left the domain
+    _, _, (_, horizon, _, _) = evaluate(z, with_grads=True)
     # state 0 is the start in every rollout; its report row, taken from a
     # whole horizon as the report takes it, is the report's to the bit.  An
     # infeasible start makes every plan infeasible, so it never ends the
@@ -326,26 +504,29 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     def merit_fun(z_flat: np.ndarray):
         merit, grad, _ = evaluate(z_flat.reshape(n, 9), with_grads=True)
-        if not math.isfinite(merit):
-            # out-of-domain candidate: huge flat value, line search retreats
-            return _BIG_MERIT, np.zeros(n * 9)
         return merit, grad.ravel()
 
-    bounds = [(-1.0, 1.0)] * (n * 9)
+    def gauss_newton_hessian(z_flat: np.ndarray) -> np.ndarray:
+        # sum over states of S_k^T W_k S_k; state 0 moves with no input
+        _, _, (u, horizon, _, stage) = evaluate(z_flat.reshape(n, 9),
+                                                with_grads=True)
+        sens = kin.input_sensitivities(horizon, u, dt)[1:] * scale
+        weighted = stage[1:] @ sens
+        return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
+
+    box = scipy.optimize.Bounds(-np.ones(9 * n), np.ones(9 * n))
     stats = SolveStats()
-    converged = False
-    prev_violation = math.inf
+    status = 1
     for outer in range(cfg.outer_rounds):
         stats.outer_rounds = outer + 1
         result = scipy.optimize.minimize(
-            merit_fun, z.ravel(), jac=True, method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": cfg.max_iterations, "maxls": 60,
-                     "maxcor": 20,
-                     "ftol": 1e-7, "gtol": cfg.convergence_tol})
-        z = np.clip(result.x.reshape(n, 9), -1.0, 1.0)
+            merit_fun, z.ravel(), jac=True, hess=gauss_newton_hessian,
+            method=box_gauss_newton, bounds=box,
+            options={"maxiter": cfg.max_iterations,
+                     "gtol": cfg.convergence_tol, "ftol": 1e-7})
+        z = result.x.reshape(n, 9)
         stats.iterations += int(result.nit)
-        converged = bool(result.status in (0, 2))  # tolerance reached
+        status = int(result.status)
 
         _, _, info = evaluate(z, with_grads=False)
         g_all = info[2]
@@ -355,17 +536,18 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         if violation <= 1e-7 or (model.feasible_with_margin(g_all)
                                  and start_feasible):
             break
+        # each round is solved to its tolerance, so the multiplier update
+        # alone closes the gap only linearly: a round that did not end the
+        # solve stiffens the penalty too
         lam = np.maximum(0.0, lam - rho * g_all)
-        if violation > 0.25 * prev_violation:
-            rho = min(rho * cfg.penalty_growth, 1e8)
-        prev_violation = violation
+        rho = min(rho * cfg.penalty_growth, 1e8)
 
-    u, horizon, g_all = info
+    u, horizon, g_all, _ = info
     # report the exact cost; the descent merit smooths the rotation norm
     breakdown = obj.evaluate_horizon(horizon, tracks, spec, instr)
     residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
                                           spec)
-    stats.converged = converged
+    stats.converged = status == 0
     stats.wall_time = time.perf_counter() - start_time
     if stats.wall_time > dt:
         logger.debug("solve exceeded its %.3gs period: %.3gs", dt,

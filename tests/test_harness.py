@@ -242,9 +242,14 @@ class TestCli:
         ("sequences[0].instructions.focal.ramp",
          lambda raw: raw["sequences"][0]["instructions"].update(focal={
              "ramp": {"start": 0.0, "from_mm": 35.0, "to_mm": 50.0}})),
+        ("camera", lambda raw: raw.update(camera=5)),
+        ("targets[0]", lambda raw: raw.update(targets=[5])),
+        ("targets[0].points", lambda raw: raw["targets"][0].update(
+            points=[1])),
     ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
             "repetitions_text", "start_text", "position_scalar",
-            "ramp_end_missing"])
+            "ramp_end_missing", "camera_number", "target_number",
+            "points_list"])
     def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
         raw = minimal_raw()
         spoil(raw)
@@ -284,6 +289,28 @@ class TestCli:
             csvs[threads] = [path.read_bytes()
                              for path in sorted(out_dir.glob("*.csv"))]
         assert csvs["1"] and csvs["1"] == csvs["2"]
+
+    def test_one_period_csv_independent_of_blas_threads(self, tmp_path):
+        # the cold first solve, the longest, factors its model Hessians
+        # with LAPACK
+        raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())
+        raw["control"]["duration"] = raw["control"]["period"]
+        scenario = tmp_path / "one_period.json"
+        scenario.write_text(json.dumps(raw))
+        src = str(Path(cli.__file__).parent.parent)
+        csvs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            out_dir = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "cinedrone.cli", "run",
+                            str(scenario), "--seed", "0", "--out",
+                            str(out_dir)], env=env, check=True,
+                           stdout=subprocess.DEVNULL, timeout=600)
+            csvs[threads] = [path.read_bytes()
+                             for path in sorted(out_dir.glob("*.csv"))]
+        assert len(csvs["1"]) == 1 and csvs["1"] == csvs["2"]
 
 
 class TestRootApi:

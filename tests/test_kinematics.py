@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinedrone import kinematics as kin
+from cinedrone import objectives as obj
 from cinedrone.kinematics import (CameraRig, DroneState, hat_batch,
                                   interpolate_commands, rollout,
                                   rotation_from_rpy, rpy_from_rotation,
@@ -27,17 +28,6 @@ def hat_assigned(w):
     out[:, 2, 0] = -w[:, 1]
     out[:, 2, 1] = w[:, 0]
     return out
-
-
-def so3_exp_rows_assigned(w):
-    """The rollout's step exponentials with the skew matrices of
-    :func:`hat_assigned`: the oracle of their bits."""
-    theta = [math.sqrt(row.dot(row)) for row in w]
-    a = np.array([1.0 if t < 1e-8 else math.sin(t) / t for t in theta])
-    b = np.array([0.5 if t < 1e-8 else (1.0 - math.cos(t)) / (t * t)
-                  for t in theta])
-    k = hat_assigned(w)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def so3_exp_batch(w):
@@ -84,7 +74,8 @@ def rotations_step_loop(initial, u, dt):
     rotations = np.empty((len(u) + 1, 3, 3))
     rotations[0] = initial.drone.orientation
     projected = []
-    for k, exp in enumerate(kin._so3_exp_rows(dt * u[:, 3:6])):
+    exps = so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])[0]
+    for k, exp in enumerate(exps):
         rotations[k + 1] = rotate(rotations[k], exp)
         if not np.array_equal(rotations[k + 1], rotations[k] @ exp):
             projected.append(k + 1)
@@ -175,12 +166,33 @@ class TestTranslation:
 
 
 class TestRotation:
-    def test_batch_exp_agrees_with_scalar(self):
-        # not bit for bit: vectorized sin/cos/norm round differently
-        w = 0.06 * np.random.default_rng(5).uniform(-1, 1, (20000, 3))
-        scalar = np.array([so3_exp(row) for row in w])
-        exps, _ = so3_exp_and_right_jacobian_batch(w)
-        assert np.max(np.abs(exps - scalar)) <= 1e-15
+    def test_batch_exp_agrees_with_scalar(self, monkeypatch):
+        # the rollout and the adjoint chain the very same exponentials, and
+        # so3_exp is one row of them
+        seen = {}
+
+        def recorder(module, name):
+            original = module.so3_exp_and_right_jacobian_batch
+
+            def recorded(w):
+                seen[name] = original(w)
+                return seen[name]
+            monkeypatch.setattr(module, "so3_exp_and_right_jacobian_batch",
+                                recorded)
+        recorder(kin, "rollout")
+        recorder(obj, "adjoint")
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            u = rng.uniform(-1.0, 1.0, (1 + trial % 9, 9))
+            u[:, 3:6] *= 10.0 ** rng.uniform(-9.0, 0.5, (len(u), 1))
+            start = rig(rot=rotation_from_rpy(*rng.uniform(-0.3, 0.3, 3)))
+            horizon = rollout(start, u, 0.2)
+            obj.chain_through_dynamics(obj.HorizonGradients(len(horizon)),
+                                       horizon, u, 0.2)
+            exps = seen["adjoint"][0]
+            assert_same_bits(seen["rollout"][0], exps)
+            for k, exp in enumerate(exps):
+                assert_same_bits(so3_exp(0.2 * u[k, 3:6]), exp)
 
     def test_shared_pass_bit_identical_to_separate_ones(self):
         for w in rotation_vector_stacks(8):
@@ -192,10 +204,8 @@ class TestRotation:
         for w in rotation_vector_stacks(9):
             # the values alone: a zero entry's sign may differ
             assert np.array_equal(hat_batch(w), hat_assigned(w))
-            assert_same_bits(kin._so3_exp_rows(w), so3_exp_rows_assigned(w))
             for row in w:
-                assert_same_bits(so3_exp(row), so3_exp_rows_assigned(
-                    row[None])[0])
+                assert_same_bits(so3_exp(row), so3_exp_batch(row[None])[0])
 
     def test_quarter_turn_about_z(self):
         out = advance(rig(), w=(0, 0, np.pi / 2), dt=1.0).drone
@@ -386,6 +396,34 @@ class TestRollout:
             mid_chain += bool(projected) and projected[0] > 1
             assert_same_bits(rollout(start, u, 0.2).rotations, want)
         assert mid_chain > 0
+
+
+class TestSensitivities:
+    def test_match_finite_differences(self):
+        rng = np.random.default_rng(17)
+        start = rig(v=(0.3, -0.2, 0.1), rot=rotation_from_rpy(0.1, 0.2, 0.3))
+        dt, h = 0.2, 1e-6
+        for n in (1, 4):
+            u = rng.uniform(-1.0, 1.0, (n, 9))
+            horizon = rollout(start, u, dt)
+            sens = kin.input_sensitivities(horizon, u, dt)
+            assert sens.shape == (n + 1, 12, 9 * n)
+            for i in range(9 * n):
+                moved = []
+                for step in (h, -h):
+                    flat = u.ravel().copy()
+                    flat[i] += step
+                    moved.append(rollout(start, flat.reshape(n, 9), dt))
+                for k in range(n + 1):
+                    turn = [so3_log(horizon.rotations[k].T @ m.rotations[k])
+                            for m in moved]
+                    fd = np.concatenate([
+                        moved[0].positions[k] - moved[1].positions[k],
+                        moved[0].velocities[k] - moved[1].velocities[k],
+                        turn[0] - turn[1],
+                        moved[0].lens[k] - moved[1].lens[k]]) / (2.0 * h)
+                    assert np.allclose(sens[k, :, i], fd, rtol=0.0,
+                                       atol=1e-8)
 
 
 class TestEulerHelpers:

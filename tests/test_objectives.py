@@ -8,7 +8,8 @@ import pytest
 
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
-                                  rollout, rotation_from_rpy)
+                                  input_sensitivities, rollout,
+                                  rotation_from_rpy, tangent_gradients)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
 from test_kinematics import so3_exp_batch, so3_right_jacobian_batch
 
@@ -383,6 +384,24 @@ class TestGradient:
             # array_equal takes -0.0 == 0.0; signbit tells them apart
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sensitivities_carry_the_adjoint_gradient(self):
+        # the forward sensitivities and the backward pass are transposes
+        rng = np.random.default_rng(29)
+        for trial in range(20):
+            rig, preds, instr, u = random_instance(rng, n=1 + trial % 6)
+            horizon = rollout(rig, u, 0.2)
+            _, grads = stacked_cost(horizon, preds, SPEC, instr,
+                                    smooth=True, with_grads=True)
+            states = np.concatenate([
+                grads.position, grads.velocity,
+                tangent_gradients(horizon.rotations, grads.rotation),
+                grads.intrinsics], axis=1)
+            sens = input_sensitivities(horizon, u, 0.2)
+            got = np.einsum("kai,ka->i", sens, states)
+            want = obj.chain_through_dynamics(grads, horizon, u, 0.2)
+            assert np.allclose(got, want.ravel(), rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
     def test_zero_weights_zero_gradient(self):
         rig = make_rig()

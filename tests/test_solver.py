@@ -2,6 +2,7 @@
 and feasibility handling."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from cinedrone import constraints as cons
 from cinedrone import objectives as obj
 from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
-from cinedrone.kinematics import CameraRig, DroneState, rollout
-from cinedrone.optics import CameraSensorSpec, IntrinsicState
+from cinedrone.kinematics import (CameraRig, DroneState, rollout,
+                                  rotation_from_rpy)
+from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
 from cinedrone.scene import run_closed_loop
 from test_kinematics import step_rig_oracle
 from test_objectives import stacked_cost
@@ -361,7 +363,8 @@ class TestStackedHorizon:
         plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
         evaluations = counts.pop("evaluations")
         assert len(plan.records) == 1
-        assert evaluations > 50
+        # at least one descent evaluation per round, and the report's
+        assert evaluations >= plan.stats.outer_rounds + 1
         # the plan carries the stacked arrays: no rig objects at all
         assert counts == {"CameraRig": 0, "DroneState": 0,
                           "IntrinsicState": 0}
@@ -602,9 +605,10 @@ def test_early_exits_are_feasible_with_half_the_margin(monkeypatch):
         solves.append((args, kwargs["sizes"], plan))
         return plan
     monkeypatch.setattr(sol, "solve", recorded)
-    # at seed 4 a solve ends after its first round with a margin row
-    # violated by 0.015
-    run_closed_loop(scenario_from_dict(raw), 4)
+    # at seeds 2, 3 and 6 a solve ends after its first round with a margin
+    # row violated, by up to 0.016
+    for seed in range(8):
+        run_closed_loop(scenario_from_dict(raw), seed)
     early = 0
     for (initial, preds, _, cset, cfg, spec), sizes, plan in solves:
         horizon = rollout(initial, plan.inputs, cfg.dt)
@@ -623,3 +627,240 @@ def test_early_exits_are_feasible_with_half_the_margin(monkeypatch):
         assert plan.feasible
         assert rows[:, n_box:].min() >= -0.5 * cfg.constraint_margin
     assert early > 0
+
+
+def capture_rounds(monkeypatch, evaluate):
+    """Hook ``scipy.optimize.minimize`` so that ``evaluate(fun, kwargs,
+    x0, minimize)`` runs at the start of every round, before the descent,
+    with the unhooked ``minimize``; returns the list of its results."""
+    results = []
+    minimize = scipy.optimize.minimize
+
+    def hooked(fun, x0, **kwargs):
+        results.append(evaluate(fun, kwargs, x0, minimize))
+        return minimize(fun, x0, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "minimize", hooked)
+    return results
+
+
+def lbfgsb_oracle(minimize, fun, x0, evaluations):
+    """L-BFGS-B as the planner ran it before, uncapped (1000
+    iterations), counting its evaluations into ``evaluations``."""
+    def counted(x):
+        evaluations.append(None)
+        return fun(x)
+    return minimize(
+        counted, x0, jac=True, method="L-BFGS-B", bounds=[(-1.0, 1.0)]
+        * len(x0), options={"maxiter": 1000, "maxls": 60, "maxcor": 20,
+                            "ftol": 1e-7, "gtol": 1e-5})
+
+
+def gauss_newton_problem():
+    """``side_by_side_problem`` with every kind of squared term and the
+    pseudo-Huber rotation term."""
+    rig, preds, sizes, instr, cset = side_by_side_problem()
+    instr = replace(
+        instr, dof=obj.DofTarget(near=6.0, far=14.0, w_near=1.0, w_far=2.0),
+        poses=(obj.PoseTarget("b", distance=1.0, w_distance=50.0,
+                              rotation=rotation_from_rpy(0.1, -0.2, 0.3),
+                              w_rotation=5.0),))
+    cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15,
+                           outer_rounds=1)
+    return rig, preds, sizes, instr, cset, cfg
+
+
+def merit_residuals(z, problem, records):
+    """The first-round merit's residuals at the scaled inputs ``z``, built
+    from the optics and the report rows: each squared term's residual times
+    sqrt(2 w), the penalty rows g of states 1..N, and each state's rotation
+    residual matrix T^T R - R* (flattened)."""
+    rig, preds, sizes, instr, cset, cfg = problem
+    low, high = cset.input_bounds
+    u = 0.5 * (low + high) + z.reshape(-1, 9) * 0.5 * (high - low)
+    horizon = rollout(rig, u, cfg.dt)
+    dof, (ct,), (pose,) = instr.dof, instr.composition, instr.poses
+    squares = []
+    for k in range(len(horizon)):
+        lens = horizon.lens[k]
+        limits = depth_of_field(IntrinsicState(*lens), SPEC)
+        squares += [np.sqrt(2.0 * dof.w_near) * (limits.near_distance
+                                                 - dof.near),
+                    np.sqrt(2.0 * dof.w_far) * (limits.far_distance
+                                                - dof.far)]
+        q = horizon.camera_rotations[k].T @ (
+            preds[ct.target_id].positions[k] - horizon.positions[k])
+        pixel = (SPEC.beta_x * lens[0] * q[0] / q[2] + SPEC.principal_u,
+                 SPEC.beta_y * lens[0] * q[1] / q[2] + SPEC.principal_v)
+        squares += [np.sqrt(2.0 * w) * (p - want) for w, p, want
+                    in zip(ct.weight, pixel, ct.pixel)]
+        offset = horizon.positions[k] - preds["b"].positions[k]
+        squares.append(np.sqrt(2.0 * pose.w_distance)
+                       * (np.linalg.norm(offset) - pose.distance))
+        squares.append(np.sqrt(2.0 * instr.focal.weight)
+                       * (lens[0] - instr.focal_value(k)))
+    tracks = cons.ConstraintTracks(preds, sizes, cset, records,
+                                   len(horizon))
+    rows = cons.state_residuals(horizon, 1, tracks, SPEC,
+                                margin=cfg.constraint_margin,
+                                with_grads=False)[0]
+    sep = 24 + len(tracks.collisions)
+    rows[:, sep:] = (rows[:, sep:] / sol._SEPARATION_SCALE
+                     - cfg.constraint_margin)
+    matrices = np.einsum("kji,kjl->kil", preds["b"].rotations[:len(horizon)],
+                         horizon.rotations) - pose.rotation
+    return (np.array(squares), rows.ravel(),
+            matrices.reshape(len(horizon), 9))
+
+
+def central_jacobian(fun, z, h=1e-6):
+    columns = []
+    for i in range(z.size):
+        up, down = z.copy(), z.copy()
+        up[i] += h
+        down[i] -= h
+        columns.append((fun(up) - fun(down)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+class TestGaussNewton:
+    def test_hessian_is_the_residual_gauss_newton_matrix(self, monkeypatch):
+        problem = gauss_newton_problem()
+        rig, preds, sizes, instr, cset, cfg = problem
+        records = cons.activate_occlusions(rig, preds, sizes, SPEC)
+        first = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
+        # multipliers that hold every penalty row with g < 100 active
+        lam, rho = 1e3, 10.0
+        warm = replace(first, multipliers=np.full(first.multipliers.size,
+                                                  lam),
+                       penalty=rho * cfg.penalty_growth)
+        points = [None, np.random.default_rng(1).uniform(-0.4, 0.4, 45)]
+
+        def at_points(fun, kwargs, x0, _):
+            points[0] = x0.copy()
+            return [(fun(z), kwargs["hess"](z)) for z in points]
+        captured = capture_rounds(monkeypatch, at_points)
+        sol.solve(rig, preds, instr, cset, cfg, SPEC, warm=warm,
+                  sizes=sizes)
+        eps = obj.ROTATION_NORM_EPS
+        w_rot = instr.poses[0].w_rotation
+        for z, ((merit, grad), hess) in zip(points, captured[0]):
+            squares, g, matrices = merit_residuals(z, problem, records)
+            active = lam - rho * g > 0.0
+            assert active.sum() > 100
+            roots = np.sqrt(np.sum(matrices ** 2, axis=1) + eps ** 2)
+
+            def merit_of(x):
+                r2, g2, m2 = merit_residuals(x, problem, records)
+                slack = np.maximum(0.0, lam - rho * g2)
+                return (0.5 * r2 @ r2 + np.sum(slack ** 2 - lam ** 2)
+                        / (2.0 * rho) + w_rot * np.sum(np.sqrt(np.sum(
+                            m2 ** 2, axis=1) + eps ** 2) - eps))
+            # the reference is the planner's merit, and its gradient the
+            # adjoint's
+            assert merit == pytest.approx(merit_of(z), rel=1e-12)
+            fd = central_jacobian(merit_of, z)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+            j_squares = central_jacobian(
+                lambda x: merit_residuals(x, problem, records)[0], z)
+            j_rows = central_jacobian(
+                lambda x: merit_residuals(x, problem, records)[1], z)[active]
+            j_matrices = central_jacobian(
+                lambda x: merit_residuals(x, problem, records)[2], z)
+            want = j_squares.T @ j_squares + rho * j_rows.T @ j_rows
+            for m, root, jac in zip(matrices, roots, j_matrices):
+                huber = w_rot * (np.eye(9) / root
+                                 - np.outer(m, m) / root ** 3)
+                want += jac.T @ huber @ jac
+            assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-9 * np.abs(
+                hess).max())
+            assert np.linalg.norm(hess - want) <= 1e-5 * np.linalg.norm(want)
+
+    def test_no_worse_than_uncapped_lbfgsb(self, monkeypatch):
+        # a bound-constrained quadratic takes L-BFGS-B two evaluations, so
+        # the evaluation counts compare over the whole set
+        mine, theirs = 0, 0
+        for name, problem in fixed_problems().items():
+            def both(fun, kwargs, x0, minimize):
+                counted = []
+
+                def merit(x):
+                    counted.append(None)
+                    return fun(x)
+                ours = minimize(merit, x0, **kwargs)
+                oracle_counted = []
+                oracle = lbfgsb_oracle(minimize, fun, x0, oracle_counted)
+                return ours, len(counted), oracle, len(oracle_counted)
+            with monkeypatch.context() as patch:
+                captured = capture_rounds(patch, both)
+                sol.solve(*problem[:-1], **problem[-1])
+            ours, count, oracle, oracle_count = captured[0]
+            assert oracle.fun >= ours.fun - 1e-9 * abs(ours.fun), name
+            mine += count
+            theirs += oracle_count
+        assert 5 * mine <= theirs
+
+    def test_capped_round_is_not_converged(self, monkeypatch):
+        rig, preds, instr, cset, cfg, _, kwargs = fixed_problems()[
+            "side by side"]
+        statuses = []
+        minimize = scipy.optimize.minimize
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        plans = [sol.solve(rig, preds, instr, cset,
+                           replace(cfg, max_iterations=cap), SPEC, **kwargs)
+                 for cap in (2, 100)]
+        assert statuses[plans[0].stats.outer_rounds - 1] == 1
+        assert not plans[0].stats.converged
+        assert statuses[-1] == 0 and plans[1].stats.converged
+
+
+def fixed_problems():
+    """Solve arguments of this file's fixed problems, by name."""
+    default = cons.ConstraintSet.default()
+    cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
+    ahead = {"t": obj.TargetPrediction(
+        positions=np.tile([12.0, 1.0, 1.0], (6, 1)),
+        rotations=np.tile(np.eye(3), (6, 1, 1)))}
+    composition = obj.Instructions(composition=(
+        obj.CompositionTarget("t", "center", (400.0, 250.0), (1.0, 1.0)),))
+    focal = obj.Instructions(focal=obj.FocalTarget(
+        obj.FocalSchedule.constant(50.0), weight=1.0))
+    low, high = default.intr_input_low.copy(), default.intr_input_high.copy()
+    low[2] = high[2] = 0.0
+    pinned = cons.ConstraintSet(**{**default.__dict__, "intr_input_low": low,
+                                   "intr_input_high": high})
+    near = {"t": obj.TargetPrediction(
+        positions=np.tile([3.0, 0.0, 1.0], (6, 1)),
+        rotations=np.tile(np.eye(3), (6, 1, 1)))}
+    rig, preds, sizes, instr, cset = side_by_side_problem()
+    return {
+        "focal": (make_rig(f=35.0), {}, focal, default, cfg, SPEC, {}),
+        "two channels": (
+            make_rig(f=35.0), {"t": obj.TargetPrediction(
+                positions=np.tile([10.0, 0.0, 1.0], (6, 1)),
+                rotations=np.tile(np.eye(3), (6, 1, 1)))},
+            obj.Instructions(
+                poses=(obj.PoseTarget("t", distance=8.0, w_distance=1.0),),
+                focal=obj.FocalTarget(obj.FocalSchedule.constant(42.0),
+                                      weight=1.0)),
+            default, replace(cfg, max_iterations=300, outer_rounds=2), SPEC,
+            {}),
+        "composition": (make_rig(), ahead, composition, default, cfg, SPEC,
+                        {}),
+        "pinned": (make_rig(), ahead, replace(composition, dof=obj.DofTarget(
+            near=6.0, far=14.0, w_near=1.0, w_far=1.0)), pinned, cfg, SPEC,
+            {}),
+        "collision": (make_rig(), near, obj.Instructions(
+            poses=(obj.PoseTarget("t", distance=0.5, w_distance=100.0),)),
+            cons.ConstraintSet(**{**default.__dict__,
+                                  "safety_distance": 2.0}), cfg, SPEC, {}),
+        "side by side": (rig, preds, instr, cset, replace(
+            cfg, constraint_margin=0.15), SPEC, {"sizes": sizes}),
+        "approach": (*approach_problem()[:4], approach_problem()[4], SPEC,
+                     {}),
+    }

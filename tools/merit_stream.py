@@ -1,9 +1,10 @@
-"""Fingerprint one closed-loop run: what L-BFGS-B saw and what it planned.
+"""Fingerprint one closed-loop run: what the descent saw and what it planned.
 
 Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
 
 - the SHA-256 over every merit value and gradient the planner hands to
-  L-BFGS-B, in call order;
+  its descent (``solver.box_gauss_newton``, called through
+  ``scipy.optimize.minimize``), in call order;
 - the SHA-256 over every plan's fields (the input array; each horizon
   state's position, velocity, rotation, lens and time index; cost
   breakdown, residuals, feasibility, solver statistics other than wall
@@ -14,9 +15,10 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   ``scipy.optimize.minimize``), merit calls and cost evaluations
   (``objectives.evaluate_horizon_stacked`` calls, the report's included).
 
-Two checkouts that print the same lines handed L-BFGS-B the same bits at
-every call, so a rewrite claimed to be bit for bit can be checked on whole
-runs.  Hashes may differ between CPUs, so compare runs made on one machine.
+Two checkouts that print the same lines handed the descent the same bits
+at every call, so a rewrite claimed to be bit for bit can be checked on
+whole runs.  Hashes may differ between CPUs, so compare runs made on one
+machine.
 
     PYTHONPATH=src python3 tools/merit_stream.py --scenario e4_occlusion --seed 0
 """
