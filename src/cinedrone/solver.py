@@ -3,12 +3,13 @@
 Each call minimizes the horizon cost over the stacked drone + lens input
 sequence subject to the rig dynamics and the feasibility inequalities.
 Inputs are normalized to [-1, 1] by their bounds and held in that box by a
-box-constrained Gauss-Newton trust region (:func:`box_gauss_newton`),
-whose model Hessian sums the stage blocks of the merit over the forward
-sensitivities of the rollout; state, collision and occlusion inequalities
-enter through an augmented-Lagrangian penalty whose multipliers are
-updated between descent rounds and carried, shifted one state, into the
-next solve.  Everything is deterministic for identical arguments.
+box-constrained Levenberg-Marquardt descent (:func:`box_gauss_newton`),
+whose Gauss-Newton model Hessian sums the stage blocks of the merit over
+the forward sensitivities of the rollout; state, collision and occlusion
+inequalities enter through an augmented-Lagrangian penalty whose
+multipliers are updated between descent rounds and carried, shifted one
+state, into the next solve.  Everything is deterministic for identical
+arguments.
 """
 
 from __future__ import annotations
@@ -245,28 +246,27 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
                      maxiter: int = 100, gtol: float = 1e-5,
                      ftol: float = 1e-7,
                      **unused) -> scipy.optimize.OptimizeResult:
-    """Box-constrained Gauss-Newton trust region, in the calling
+    """Box-constrained Levenberg-Marquardt descent, in the calling
     convention of a ``scipy.optimize.minimize`` method.
 
-    ``hess(x)`` is a positive semidefinite model Hessian ``H``.  Each
-    iteration minimizes the model ``g s + s H s / 2`` over the box
-    intersected with the region ``|s|_inf <= radius``
-    (:func:`_model_step`, ``H`` damped just enough to factor) and
-    evaluates the step once.  The radius follows the ratio of actual to
-    predicted decrease (Conn, Gould & Toint, *Trust-Region Methods*, 2000);
-    a trial with a non-finite value is rejected.
+    ``hess(x)`` is a positive semidefinite Gauss-Newton matrix ``H``.
+    Each iteration minimizes the damped model ``g s + s (H + mu I) s / 2``
+    over the box alone (:func:`_model_step`) and evaluates the step once.
+    ``mu`` starts at 0, the full box step, and follows the ratio of actual
+    to predicted decrease by Nielsen's rule (Moré, 1978; Nielsen,
+    IMM-REP-1999-05); a trial with a non-finite value is rejected.
 
     Stops with status 0 when the projected gradient's largest entry is
     ``<= gtol`` or an accepted step lowers the value by ``<= ftol`` of its
     size (both L-BFGS-B's tests), 1 after ``maxiter`` trial steps, and 2
-    when the region has collapsed: the step no longer moves ``x``.
+    when the damped step no longer moves ``x``.
     """
     low, high = np.asarray(bounds.lb, float), np.asarray(bounds.ub, float)
     x = np.clip(np.asarray(x0, float), low, high)
     f, g = fun(x, *args), jac(x, *args)
     nit, status = 0, 2
     h = hess(x, *args) if math.isfinite(f) else None
-    radius = float(np.max(high - low, initial=0.0))
+    mu, growth = 0.0, 2.0
     while h is not None:
         if np.max(np.abs(np.clip(x - g, low, high) - x)) <= gtol:
             status = 0
@@ -275,27 +275,25 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
             status = 1
             break
         nit += 1
-        damping = _DAMPING * max(float(np.max(np.diag(h))), 1e-300)
+        diagonal = max(float(np.max(np.diag(h))), 1e-300)
         try:
-            step = _model_step(h + damping * np.eye(len(x)), g,
-                               np.maximum(low - x, -radius),
-                               np.minimum(high - x, radius))
+            step = _model_step(h + (_DAMPING * diagonal + mu) * np.eye(
+                len(x)), g, low - x, high - x)
         except np.linalg.LinAlgError:  # a model too ill-posed to factor
             break
         trial = np.clip(x + step, low, high)
         step = trial - x
-        length = float(np.max(np.abs(step)))
-        if length == 0.0:
-            break  # the region collapsed below round-off
+        if not step.any():
+            break  # damped below round-off
         predicted = -(g @ step + 0.5 * step @ (h @ step))
         f_trial = fun(trial, *args)
         ratio = (f - f_trial) / predicted if predicted > 0.0 else -1.0
-        if not ratio >= 0.25:  # also a non-finite trial
-            radius = 0.25 * length
-        elif ratio > 0.75 and length >= 0.5 * radius:
-            radius = 2.0 * radius
-        if not ratio > 1e-4:
+        if not ratio > 1e-4:  # also a non-finite trial
+            mu, growth = max(growth * mu, 1e-3 * diagonal), 2.0 * growth
             continue
+        mu, growth = mu * max(1 / 3, 1 - (2 * ratio - 1) ** 3), 2.0
+        if ratio < 0.25:  # a poor model starts the damping from 0
+            mu = max(mu, 1e-3 * diagonal)
         previous = f
         x, f, g = trial, f_trial, jac(trial, *args)
         # a small decrease counts where the model foresaw it
@@ -306,8 +304,8 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
         h = hess(x, *args)
     return scipy.optimize.OptimizeResult(
         x=x, fun=f, jac=g, nit=nit, status=status, success=status == 0,
-        message=("converged", "iteration cap", "trust region collapsed")[
-            status])
+        message=("converged", "iteration cap", "damped step no longer "
+                 "moves x")[status])
 
 
 def _model_step(h: np.ndarray, g: np.ndarray, lower: np.ndarray,
@@ -376,7 +374,9 @@ def _search(h, g, s, value, grad, direction, lower, upper):
     room[down] = (lower[down] - s[down]) / direction[down]
     t = min(float(np.min(room)), -(grad @ direction) / (
         direction @ (h @ direction)))
-    trial = np.clip(s + t * direction, lower, upper)
+    # blocking entries go onto their bound, which s + t d can miss by an ulp
+    trial = np.where(room <= t, np.where(up, upper, lower),
+                     np.clip(s + t * direction, lower, upper))
     return trial, g @ trial + 0.5 * trial @ (h @ trial)
 
 

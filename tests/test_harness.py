@@ -333,6 +333,7 @@ class TestMeritStream:
     def test_fingerprint_repeats_and_restores_hooks(self, tmp_path):
         import importlib.util
 
+        import scipy.linalg.lapack
         import scipy.optimize
 
         from cinedrone import objectives, solver
@@ -341,8 +342,11 @@ class TestMeritStream:
             Path(__file__).parent.parent / "tools" / "merit_stream.py")
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
-        hooked = (scipy.optimize.minimize, solver.solve,
-                  objectives.evaluate_horizon_stacked)
+        def hooks():
+            return (scipy.optimize.minimize, solver.solve,
+                    objectives.evaluate_horizon_stacked, solver._model_step,
+                    solver._newton_direction, scipy.linalg.lapack.dposv)
+        hooked = hooks()
         prints = {}
         for pixel in (270.0, 270.0, 250.0):
             raw = minimal_raw()
@@ -352,8 +356,7 @@ class TestMeritStream:
             scenario.write_text(json.dumps(raw))
             prints.setdefault(pixel, []).append(
                 tool.fingerprint(str(scenario), 3))
-        assert (scipy.optimize.minimize, solver.solve,
-                objectives.evaluate_horizon_stacked) == hooked
+        assert hooks() == hooked
         first, again = prints[270.0]
         assert first == again
         assert first["solves"] == 2 and first["merit calls"] > 0
@@ -362,5 +365,11 @@ class TestMeritStream:
         # the report's evaluation comes on top of the merit calls'
         assert first["evaluations"] > first["merit calls"]
         moved = prints[250.0][0]
+        # a round's first merit call is at its start, and every model step
+        # but possibly a round's last is followed by its trial's; the
+        # centred target is planned without a step
+        assert first["model steps"] == 0
+        assert 0 < moved["model steps"] <= moved["merit calls"]
+        assert moved["Newton directions"] > 0 and moved["factorizations"] > 0
         assert moved["merit sha256"] != first["merit sha256"]
         assert moved["plan sha256"] != first["plan sha256"]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from cinedrone import constraints as cons
@@ -817,6 +818,109 @@ class TestGaussNewton:
         assert statuses[plans[0].stats.outer_rounds - 1] == 1
         assert not plans[0].stats.converged
         assert statuses[-1] == 0 and plans[1].stats.converged
+
+
+def box_qp(seed, n):
+    """Seeded positive definite ``h``, gradient ``g`` and a box around 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return (a @ a.T + 1e-3 * np.eye(n), 10.0 * rng.standard_normal(n),
+            -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n))
+
+
+def bvls_minimum(h, g, lower, upper):
+    """Minimizer of ``g s + s h s / 2`` over the box, as the bounded least
+    squares ``|L^T s + L^-1 g|^2 / 2`` with ``h = L L^T`` (scipy's BVLS)."""
+    factor = np.linalg.cholesky(h)
+    rhs = -scipy.linalg.solve_triangular(factor, g, lower=True)
+    return scipy.optimize.lsq_linear(factor.T, rhs, bounds=(lower, upper),
+                                     method="bvls", tol=1e-15).x
+
+
+class TestBoxGaussNewton:
+    @staticmethod
+    def descend(fun, jac, hess, x0, low, high, **options):
+        """``box_gauss_newton`` from ``x0`` with every point it evaluates
+        ``fun`` and ``jac`` at recorded."""
+        values, gradients = [], []
+
+        def value(x):
+            values.append(x.copy())
+            return fun(x)
+
+        def gradient(x):
+            gradients.append(x.copy())
+            return jac(x)
+        result = sol.box_gauss_newton(
+            value, np.asarray(x0, float), jac=gradient, hess=hess,
+            bounds=scipy.optimize.Bounds(low, high), **options)
+        return result, values, gradients
+
+    @staticmethod
+    def quadratic(seed, n=6):
+        """``(x - c) A (x - c) / 2`` with ``c`` partly outside ``[-1, 1]``."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + 0.1 * np.eye(n)
+        c = rng.uniform(-2.0, 2.0, n)
+        return (lambda x: 0.5 * (x - c) @ a @ (x - c),
+                lambda x: a @ (x - c), lambda x: a, a, c)
+
+    def test_line_search_meets_its_blocking_bound_exactly(self):
+        # s + t d lands one ulp inside the lower bound of one entry here;
+        # left there, the entry is neither held nor free to move and the
+        # projected Newton steps stop 41% above the box minimum
+        h, g, lower, upper = box_qp(134, 10)
+        step = sol._model_step(h, g, lower, upper)
+        want = bvls_minimum(h, g, lower, upper)
+        assert np.all((lower <= step) & (step <= upper))
+        value = g @ step + 0.5 * step @ (h @ step)
+        assert value == pytest.approx(g @ want + 0.5 * want @ (h @ want),
+                                      rel=1e-12)
+
+    def test_bound_constrained_quadratic_ends_at_its_box_minimum(self):
+        fun, jac, hess, a, c = self.quadratic(3)
+        low, high = -np.ones(6), np.ones(6)
+        assert np.any((c < low) | (c > high))
+        want = bvls_minimum(a, -a @ c, low, high)
+        result, _, _ = self.descend(fun, jac, hess, np.zeros(6), low, high)
+        assert result.status == 0 and result.success
+        assert np.allclose(result.x, want, rtol=0.0, atol=1e-9)
+        assert result.fun == fun(result.x)
+
+    def test_finite_only_at_the_start_ends_without_moving(self):
+        quadratic, jac, hess, _, _ = self.quadratic(4)
+        x0 = np.random.default_rng(5).uniform(-0.8, 0.8, 6)
+
+        def fun(x):
+            return quadratic(x) if np.array_equal(x, x0) else np.inf
+        result, values, gradients = self.descend(
+            fun, jac, hess, x0, -np.ones(6), np.ones(6))
+        assert result.status == 2 and not result.success
+        assert np.array_equal(result.x, x0) and result.fun == quadratic(x0)
+        # every trial was evaluated, found non-finite and rejected: the
+        # gradient is never taken away from the start
+        trials = values[1:]
+        assert trials and all(not np.array_equal(x, x0) for x in trials)
+        assert all(np.array_equal(x, x0) for x in gradients)
+
+    def test_iteration_cap_is_status_1(self):
+        # Rosenbrock's function as the least squares of (10 (y - x^2), 1 - x)
+        def residuals(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jacobian(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        problem = (lambda x: 0.5 * residuals(x) @ residuals(x),
+                   lambda x: jacobian(x).T @ residuals(x),
+                   lambda x: jacobian(x).T @ jacobian(x),
+                   [-1.2, 1.0], -2.0 * np.ones(2), 2.0 * np.ones(2))
+        capped, _, _ = self.descend(*problem, maxiter=1)
+        assert capped.status == 1 and capped.nit == 1
+        assert not capped.success
+        solved, _, _ = self.descend(*problem)
+        assert solved.status == 0 and solved.nit > 1
+        assert np.allclose(solved.x, 1.0, rtol=0.0, atol=1e-4)
 
 
 def fixed_problems():

@@ -13,7 +13,11 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   stacked arrays hashed, so plan hashes compare across that change;
 - the number of solves, augmented-Lagrangian rounds (calls of
   ``scipy.optimize.minimize``), merit calls and cost evaluations
-  (``objectives.evaluate_horizon_stacked`` calls, the report's included).
+  (``objectives.evaluate_horizon_stacked`` calls, the report's included);
+- the descent's own work: model steps (``solver._model_step`` calls, one
+  per trial step), Newton directions (``solver._newton_direction`` calls)
+  and Cholesky factorizations (LAPACK ``dposv`` calls, one per active set
+  a Newton direction tries).
 
 Two checkouts that print the same lines handed the descent the same bits
 at every call, so a rewrite claimed to be bit for bit can be checked on
@@ -31,6 +35,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.optimize
 
 from cinedrone import objectives as obj
@@ -71,13 +76,21 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     config = load_scenario(path)
     merits, plans = hashlib.sha256(), hashlib.sha256()
     counts = {"solves": 0, "rounds": 0, "merit calls": 0,
-              "evaluations": 0}
+              "evaluations": 0, "model steps": 0, "Newton directions": 0,
+              "factorizations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
-    evaluate = obj.evaluate_horizon_stacked
+    # the hooks that count a call and pass it on, by module and name
+    counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
+               (sol, "_model_step"): "model steps",
+               (sol, "_newton_direction"): "Newton directions",
+               (scipy.linalg.lapack, "dposv"): "factorizations"}
+    originals = {hook: getattr(*hook) for hook in counted}
 
-    def counted_evaluate(*args, **kwargs):
-        counts["evaluations"] += 1
-        return evaluate(*args, **kwargs)
+    def counter(hook):
+        def call(*args, **kwargs):
+            counts[counted[hook]] += 1
+            return originals[hook](*args, **kwargs)
+        return call
 
     def hashed_minimize(fun, *args, **kwargs):
         def merit(x):
@@ -96,13 +109,15 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
 
     scipy.optimize.minimize = hashed_minimize
     sol.solve = hashed_solve
-    obj.evaluate_horizon_stacked = counted_evaluate
+    for module, name in counted:
+        setattr(module, name, counter((module, name)))
     try:
         log = run_closed_loop(config, seed)
     finally:
         scipy.optimize.minimize = minimize
         sol.solve = solve
-        obj.evaluate_horizon_stacked = evaluate
+        for (module, name), original in originals.items():
+            setattr(module, name, original)
     return {"scenario": config.name, "seed": seed, "status": log.status,
             "merit sha256": merits.hexdigest(),
             "plan sha256": plans.hexdigest(), **counts}

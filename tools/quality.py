@@ -21,6 +21,15 @@ No wall-clock figure is read, so two runs on one tree write the same
 bytes.  Compare trees by running a copy of this file in each:
 
     PYTHONPATH=src python3 tools/quality.py --seeds 8 --out quality.json
+
+or compare this tree with a committed result: ``--against`` reads a
+report of this tool, or the ``change`` half of a ``QUALITY_<n>.json``, as
+the parent, prints each scenario's figures parent -> change with the
+per-seed better/worse counts of ``plan_feasible`` and ``converged`` and
+their two-sided sign-test p-value, and writes ``{"parent", "change"}`` to
+``--out``:
+
+    python3 tools/quality.py --against QUALITY_12.json --out QUALITY_13.json
 """
 
 from __future__ import annotations
@@ -131,6 +140,52 @@ def scenario_quality(path: Path, seeds: int) -> dict:
     }
 
 
+def sign_test(better: int, worse: int) -> float:
+    """Two-sided sign-test p-value of ``better`` against ``worse`` paired
+    outcomes (ties dropped): the chance of a split at least this uneven
+    when each is equally likely."""
+    n, k = better + worse, min(better, worse)
+    tail = sum(math.comb(n, i) for i in range(k + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """Lines of a parent -> change comparison of two reports."""
+    lines = []
+    for name in sorted(set(parent) | set(change)):
+        if name not in parent or name not in change:
+            lines.append(f"{name}: only in the "
+                         f"{'parent' if name in parent else 'change'}")
+            continue
+        old, new = parent[name], change[name]
+        lines.append(f"{name}:")
+        figures = [(key, old[key], new[key]) for key in (
+            "completed", "plan_feasible_mean", "converged_share",
+            "worst_bound_overshoot", "evals_per_step_mean",
+            "evals_per_step_max")]
+        figures += [(key, old["summary_metrics"].get(key, {}).get("mean"),
+                     new["summary_metrics"].get(key, {}).get("mean"))
+                    for key in sorted(set(old["summary_metrics"])
+                                      | set(new["summary_metrics"]))]
+        for key, before, after in figures:
+            lines.append(f"  {key}: {before:.6g} -> {after:.6g}"
+                         if before is not None and after is not None
+                         else f"  {key}: {before} -> {after}")
+        seeds = {entry["seed"]: entry for entry in old["per_seed"]}
+        for key in ("plan_feasible", "converged"):
+            pairs = [(seeds[entry["seed"]].get(key), entry.get(key))
+                     for entry in new["per_seed"] if entry["seed"] in seeds]
+            pairs = [pair for pair in pairs if None not in pair]
+            better = sum(after > before for before, after in pairs)
+            worse = sum(after < before for before, after in pairs)
+            p = sign_test(better, worse)
+            lines.append(f"  {key} per seed: {better} better, {worse} worse, "
+                         f"{len(pairs) - better - worse} tied of "
+                         f"{len(pairs)}; sign test p = {p:.3g}"
+                         + ("  LOSS" if worse > better and p < 0.1 else ""))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=8,
@@ -138,17 +193,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", action="append",
                         help="shipped scenario name (default: all)")
     parser.add_argument("--out", type=Path,
-                        help="write the JSON here instead of stdout")
+                        help="write the JSON here instead of stdout (with "
+                        "--against, stdout gets the comparison only)")
+    parser.add_argument("--against", type=Path,
+                        help="parent report (or QUALITY_<n>.json, whose "
+                        "change half is taken) to compare with")
     args = parser.parse_args(argv)
+    parent = None
+    if args.against is not None:
+        parent = json.loads(args.against.read_text())
+        parent = parent.get("change", parent)
     logging.disable(logging.WARNING)  # the loop's over-period warnings
     names = args.scenario or sorted(p.stem for p in SCENARIOS.glob("*.json"))
     report = {name: scenario_quality(SCENARIOS / f"{name}.json", args.seeds)
               for name in names}
+    if parent is not None:
+        parent = {name: parent[name] for name in names if name in parent}
+        sys.stdout.write("\n".join(compare(parent, report)) + "\n")
+        report = {"about": f"tools/quality.py --seeds {args.seeds} "
+                  f"--against {args.against.name}",
+                  "parent": parent, "change": report}
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
+    if args.out is not None:
         args.out.write_text(text)
+    elif parent is None:
+        sys.stdout.write(text)
     return 0
 
 
