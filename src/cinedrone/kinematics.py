@@ -6,9 +6,11 @@ level mount looking along world +x is the identity and roll/pitch/yaw bounds
 read naturally.  The optical axes used for projection (x right, y down,
 z forward) are reached through the fixed :data:`BODY_TO_CAMERA` rotation.
 
-The rollout, its forward sensitivities (:func:`input_sensitivities`), the
-planner's adjoint pass and :func:`so3_exp` take every step exponential
-from :func:`so3_exp_and_right_jacobian_batch`, so they chain the same bits.
+The rollout takes every step exponential and right Jacobian from one call
+of :func:`so3_exp_and_right_jacobian_batch` and keeps the Jacobians on its
+:class:`Horizon`, where the forward sensitivities
+(:func:`input_sensitivities`), the planner's one chain rule through the
+dynamics, read them; :func:`so3_exp` is one row of the same pass.
 """
 
 from __future__ import annotations
@@ -80,9 +82,8 @@ def hat_batch(w: np.ndarray) -> np.ndarray:
 def so3_exp_and_right_jacobian_batch(
         w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rodrigues exponentials (series below 1e-8 rad) and right Jacobians
-    (below 1e-6 rad) of a stack of rotation vectors, in one pass.  The
-    rollout, the adjoint pass and the input sensitivities all take their
-    step exponentials from here, so they chain the same bits."""
+    (below 1e-6 rad) of a stack of rotation vectors, in one pass: the
+    rollout's, whose Jacobians its :class:`Horizon` keeps."""
     theta = np.sqrt(np.add.reduce(w * w, axis=1))  # as np.linalg.norm
     k = hat_batch(w)
     k2 = k @ k
@@ -221,12 +222,14 @@ def _chain(first: np.ndarray, exps: np.ndarray) -> np.ndarray:
 class Horizon:
     """Rig states 0..N of one horizon as stacked arrays: ``positions``,
     ``velocities`` and ``lens`` (focal mm, focus m, aperture) are (N+1, 3),
-    ``rotations`` the (N+1, 3, 3) body orientations."""
+    ``rotations`` the (N+1, 3, 3) body orientations and ``jacobians`` the
+    (N, 3, 3) right Jacobians of the N step exponentials."""
 
     positions: np.ndarray
     velocities: np.ndarray
     rotations: np.ndarray
     lens: np.ndarray
+    jacobians: np.ndarray
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -263,20 +266,19 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
                                 dt * velocities[:-1]]).cumsum(axis=0)
     lens = np.concatenate([initial.intrinsics.as_array()[None],
                            dt * u[:, 6:9]]).cumsum(axis=0)
-    rotations = _chain(initial.drone.orientation,
-                       so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])[0])
-    return Horizon(positions, velocities, rotations, lens)
+    exps, jacobians = so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])
+    rotations = _chain(initial.drone.orientation, exps)
+    return Horizon(positions, velocities, rotations, lens, jacobians)
 
 
-def input_sensitivities(horizon: Horizon, u: np.ndarray,
-                        dt: float) -> np.ndarray:
-    """Forward sensitivities of the states 0..N of ``rollout(initial, u,
-    dt)`` to the flattened inputs: (N+1, 12, 9 n), rows position,
+def input_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
+    """Forward sensitivities of the states 0..N of a ``rollout(initial, u,
+    dt)`` to its N flattened input rows: (N+1, 12, 9 N), rows position,
     velocity, body rotation vector (the tangent of :func:`tangent_gradients`)
     and lens.  Positions, velocities and lens are linear in ``u``; state
     k's rotation moves with input j < k by ``R_k^T R_(j+1) Jr(dt w_j) dt``,
     the re-orthonormalization aside."""
-    n = len(u)
+    n = len(horizon) - 1
     k = np.arange(n + 1)[:, None]
     j = np.arange(n)[None, :]
     eye = _EYE3[None, :, None, :]
@@ -287,8 +289,7 @@ def input_sensitivities(horizon: Horizon, u: np.ndarray,
     sens[:, 3:6, :, 0:3] = dt * before * eye
     sens[:, 9:12, :, 6:9] = dt * before * eye
     rotations = horizon.rotations
-    jacobians = so3_exp_and_right_jacobian_batch(dt * u[:, 3:6])[1]
-    steps = dt * (rotations[1:] @ jacobians)
+    steps = dt * (rotations[1:] @ horizon.jacobians)
     sens[:, 6:9, :, 3:6] = before * np.einsum("kba,jbc->kajc", rotations,
                                               steps)
     return sens.reshape(n + 1, 12, 9 * n)

@@ -3,8 +3,9 @@
 Four weighted terms are evaluated per control step: depth-of-field tracking,
 image composition, relative camera-target pose, and focal-length tracking.
 Analytic gradients with respect to the stacked input sequence are provided
-for the planner; they are chained through the rig dynamics with a backward
-(adjoint) pass.
+for the planner: :func:`chain_through_dynamics` contracts the per-state
+gradients with the rollout's forward sensitivities, the same ones the
+planner's Gauss-Newton model is built from.
 
 Desired values may be expressed relative to a target (distance offsets) or
 as time schedules (focal ramps); call :meth:`Instructions.resolve` before
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import (BODY_TO_CAMERA, Horizon,
-                         so3_exp_and_right_jacobian_batch, tangent_gradients)
+from .kinematics import BODY_TO_CAMERA, Horizon, tangent_gradients
 from .optics import CameraSensorSpec, SingularDofError, mm_to_m
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
@@ -239,33 +239,30 @@ class CostBreakdown:
 
 
 class HorizonGradients:
-    """Stacked gradients of the accumulated cost w.r.t. every rig state.
-
-    Given the states' ``rotations``, it also holds ``curvature``: per state,
-    the (12, 12) generalized Gauss-Newton block over position, velocity,
-    body rotation vector and lens (the rows of
+    """Stacked gradients of the accumulated cost w.r.t. the rig states whose
+    body orientations are ``rotations``, and ``curvature``: per state, the
+    (12, 12) generalized Gauss-Newton block over position, velocity, body
+    rotation vector and lens (the rows of
     :func:`kinematics.input_sensitivities`)."""
 
     __slots__ = ("position", "velocity", "rotation", "intrinsics",
                  "curvature", "rotations")
 
-    def __init__(self, n: int, rotations: np.ndarray | None = None) -> None:
+    def __init__(self, rotations: np.ndarray) -> None:
+        n = len(rotations)
         self.position = np.zeros((n, 3))
         self.velocity = np.zeros((n, 3))
         self.rotation = np.zeros((n, 3, 3))
         self.intrinsics = np.zeros((n, 3))
         self.rotations = rotations
-        self.curvature = None if rotations is None else np.zeros((n, 12, 12))
+        self.curvature = np.zeros((n, 12, 12))
 
     def add_outer(self, weight: np.ndarray, position=None, rotation=None,
                   intrinsics=None, states: slice = slice(None)) -> None:
         """Add ``weight * d d^T`` to the curvature of ``states``, ``d`` one
         residual's derivative per state given by its pieces: w.r.t. the
         position (n, 3), the rotation matrix (n, 3, 3), taken to the
-        rotation vector, and the lens (n, 3) or the focal length (n,).  A
-        no-op without curvature."""
-        if self.curvature is None:
-            return
+        rotation vector, and the lens (n, 3) or the focal length (n,)."""
         rows = np.zeros((len(weight), 12))
         if position is not None:
             rows[:, 0:3] = position
@@ -422,15 +419,13 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             grads.position += pos_terms[t]
             grads.rotation += rot_terms[t]
             grads.intrinsics[:, 0] += f_terms[t]
-        if grads.curvature is not None:
-            for w, _, d_q, d_f in residuals:
-                d_pos, d_rot = pieces(d_q)
-                weight = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
-                for t in range(len(targets)):
-                    grads.add_outer(weight[t], position=d_pos[t],
-                                    rotation=d_rot[t],
-                                    intrinsics=None if d_f is None
-                                    else d_f[t])
+        for w, _, d_q, d_f in residuals:
+            d_pos, d_rot = pieces(d_q)
+            weight = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
+            for t in range(len(targets)):
+                grads.add_outer(weight[t], position=d_pos[t],
+                                rotation=d_rot[t],
+                                intrinsics=None if d_f is None else d_f[t])
     return cost
 
 
@@ -465,25 +460,22 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             if smooth:
                 root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
                 cost += pt.w_rotation * (root - ROTATION_NORM_EPS)
-                scale = pt.w_rotation / root
             else:
                 cost += pt.w_rotation * norm
-                scale = np.where(norm > 1e-12, pt.w_rotation
-                                 / np.maximum(norm, 1e-12), 0.0)
-            if grads is not None:
+            if grads is not None:  # of the smoothed norm
                 d_norm = np.einsum("kij,kjl->kil", target_rotations,
                                    residual)
-                grads.rotation += scale[:, None, None] * d_norm
-                if smooth and grads.curvature is not None:
-                    # exact pseudo-Huber Hessian in the residual matrix M,
-                    # w (I / root - M M^T / root^3), pulled back through
-                    # dM/dd = R_t^T R hat(e_i), whose columns are
-                    # orthogonal with squared norm 2
-                    c = tangent_gradients(rotations, d_norm)
-                    grads.curvature[:, 6:9, 6:9] += pt.w_rotation * (
-                        2.0 * np.eye(3) / root[:, None, None]
-                        - c[:, :, None] * c[:, None, :]
-                        / (root ** 3)[:, None, None])
+                grads.rotation += (pt.w_rotation / root)[:, None, None] \
+                    * d_norm
+                # exact pseudo-Huber Hessian in the residual matrix M,
+                # w (I / root - M M^T / root^3), pulled back through
+                # dM/dd = R_t^T R hat(e_i), whose columns are orthogonal
+                # with squared norm 2
+                c = tangent_gradients(rotations, d_norm)
+                grads.curvature[:, 6:9, 6:9] += pt.w_rotation * (
+                    2.0 * np.eye(3) / root[:, None, None]
+                    - c[:, :, None] * c[:, None, :]
+                    / (root ** 3)[:, None, None])
     return cost
 
 
@@ -545,23 +537,26 @@ class HorizonTracks:
 
 def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
-                             with_grads: bool, smooth: bool,
+                             *, with_grads: bool, smooth: bool,
                              ) -> tuple[CostBreakdown,
                                         HorizonGradients | None]:
     """Evaluate all four terms at every state of a horizon.
 
     Returns the per-step breakdown and, with ``with_grads``, the stacked
-    per-state gradients for the backward pass and their generalized
-    Gauss-Newton stage blocks (the smoothed rotation norm's taken
-    exactly).  Points closer than
+    per-state gradients that :func:`chain_through_dynamics` takes to the
+    inputs and their generalized Gauss-Newton stage blocks (the smoothed
+    rotation norm's taken exactly).  Points closer than
     :data:`BARRIER_DEPTH` are projected at that depth and penalized
     smoothly, and an infinite far limit costs a sloped surrogate;
     ``smooth`` rounds the rotation norm's kink off by
-    :data:`ROTATION_NORM_EPS`, as the planner's descent asks.
+    :data:`ROTATION_NORM_EPS`, as the planner's descent asks, and
+    gradients are of that smoothed cost alone.
     """
+    if with_grads and not smooth:
+        raise ValueError("gradients are of the smoothed cost: smooth=True")
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
-    grads = HorizonGradients(len(horizon), rotations) if with_grads else None
+    grads = HorizonGradients(rotations) if with_grads else None
     dof = _dof_vec(horizon.lens, spec, instr, grads)
     image = _image_vec(positions, horizon.camera_rotations, f_mm,
                        tracks.points, spec, grads)
@@ -579,38 +574,13 @@ def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
                                     with_grads=False, smooth=False)[0]
 
 
-def chain_through_dynamics(grads: HorizonGradients, horizon: Horizon,
-                           u: np.ndarray, dt: float) -> np.ndarray:
-    """Backward pass: per-state gradients -> gradient per input.
-
-    Input layout per step, as in ``u``: acceleration (3), angular velocity
-    (3), focal / focus / aperture rates (3).
-    """
-    n = len(u)
-    grad = np.empty((n, 9))
-    thetas = dt * u[:, 3:6]
-    exps, jacobians = so3_exp_and_right_jacobian_batch(thetas)
-    # position and lens adjoints: sums over states N..1, in the loop's order
-    # and from an explicit zero row, so that signed zeros match
-    steps = np.zeros((n + 1, 6))
-    steps[1:, 0:3] = grads.position[:0:-1]
-    steps[1:, 3:6] = grads.intrinsics[:0:-1]
-    sums = steps.cumsum(axis=0)
-    g_p, g_intr = sums[1:, 0:3], sums[1:, 3:6]
-    # velocity adjoint: add state k's gradient, read, then add dt * g_p
-    terms = np.zeros((2 * n + 1, 3))
-    terms[1::2] = grads.velocity[:0:-1]
-    terms[2::2] = dt * g_p
-    g_v = terms.cumsum(axis=0)[1::2]
-    grad[:, 0:3] = dt * g_v[::-1]
-    grad[:, 6:9] = dt * g_intr[::-1]
-
-    g_rot = np.empty((n, 3, 3))
-    acc = np.zeros((3, 3))
-    for k in range(n, 0, -1):
-        np.add(acc, grads.rotation[k], out=g_rot[k - 1])
-        acc = g_rot[k - 1] @ exps[k - 1].T
-    vee = tangent_gradients(horizon.rotations[1:], g_rot)
-    grad[:, 3:6] = dt * (np.swapaxes(jacobians, 1, 2) @ vee[:, :, None])[
-        :, :, 0]
-    return grad
+def chain_through_dynamics(grads: HorizonGradients,
+                           sens: np.ndarray) -> np.ndarray:
+    """Per-state gradients -> gradient per input: ``sum_k g_k^T S_k`` over
+    the states 1..N, ``sens`` their (N, 12, m) sensitivities to the m
+    inputs (:func:`kinematics.input_sensitivities`; state 0 moves with no
+    input) and ``g_k`` state k's gradient in the same rows."""
+    g = np.concatenate([grads.position, grads.velocity,
+                        tangent_gradients(grads.rotations, grads.rotation),
+                        grads.intrinsics], axis=1)[1:]
+    return g.ravel() @ sens.reshape(g.size, -1)

@@ -72,12 +72,16 @@ class SolverConfig:
     constraint_margin: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
+        failed = [message for ok, message in (
+            (self.horizon >= 1, "horizon must be >= 1"),
+            (self.dt > 0.0, "dt must be positive"),
+            (self.convergence_tol > 0.0, "convergence_tol must be positive"),
+            (self.outer_rounds >= 1, "outer_rounds must be >= 1"),
+            (self.penalty_initial > 0.0, "penalty_initial must be positive"),
+            (self.penalty_growth >= 1.0, "penalty_growth must be >= 1"))
+            if not ok]
+        if failed:
+            raise ValueError("; ".join(failed))
 
 
 @dataclass
@@ -108,6 +112,11 @@ class Plan:
     penalty: float = 0.0
 
 
+def _shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows 1..n of ``rows``, the last one repeated where they run out."""
+    return rows[np.minimum(np.arange(1, n + 1), len(rows) - 1)]
+
+
 def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     """Shift a previous plan's inputs one step, repeating the last one.
 
@@ -115,8 +124,7 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     without a previous plan."""
     if prev is None:
         return np.zeros((n_steps, 9))
-    last = len(prev.inputs) - 1
-    return prev.inputs[np.minimum(np.arange(1, n_steps + 1), last)]
+    return _shift_rows(prev.inputs, n_steps)
 
 
 class _PenaltyModel:
@@ -158,9 +166,8 @@ class _PenaltyModel:
             return value, g_flat
         diff, dist = pieces
         slopes = slack.reshape(g_all.shape)
-        if grads.curvature is not None:
-            self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff,
-                                dist, separations)
+        self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff, dist,
+                            separations)
         # A group with all slopes zero is skipped: its terms are +-0.0, and
         # the gradient arrays start at +0.0 and only see += and -=, so under
         # round-to-nearest they never hold -0.0 and adding +-0.0 changes no
@@ -438,8 +445,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         # last repeated: a multiplier copied in place pins the new state 1
         # to the old state 1's bound, and the rounds rarely run long enough
         # to unlearn it
-        rows = warm.multipliers.reshape(n, -1)
-        lam = rows[np.minimum(np.arange(1, n + 1), n - 1)].ravel()
+        lam = _shift_rows(warm.multipliers.reshape(n, -1), n).ravel()
         # carry the penalty weight but let it relax one growth step per
         # solve, so a transient never ratchets the merit stiff for good
         rho = max(rho, warm.penalty / cfg.penalty_growth)
@@ -457,8 +463,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         key = (z.tobytes(), lam.tobytes(), rho)
         if key != last_key or (with_grads and last[1] is None):
             last_key, last = key, _evaluate(z, with_grads)
-            _, grad_z, (u, _, g_all, stage) = last
-            for array in (u, g_all, grad_z, stage):
+            _, grad_z, (u, _, g_all, stage, sens) = last
+            for array in (u, g_all, grad_z, stage, sens):
                 if array is not None:
                     array.setflags(write=False)
         return last
@@ -482,18 +488,19 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         penalty, g_all = model.residuals_and_grads(horizon, grads, lam, rho)
         merit = breakdown.total + penalty + domain_penalty
         if not with_grads:
-            return merit, None, (u, horizon, g_all, None)
+            return merit, None, (u, horizon, g_all, None, None)
         if domain_penalty:
             grads.intrinsics[1:] -= 2.0 * _DOMAIN_GAIN * shortfall
             lens = grads.curvature[1:, 9:12, 9:12]
             lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
                 shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)
-        grad_u = obj.chain_through_dynamics(grads, horizon, u, dt)
-        grad_z = (grad_u.ravel() * scale).reshape(n, 9)
-        return merit, grad_z, (u, horizon, g_all, grads.curvature)
+        # d state / d z of states 1..N; state 0 moves with no input
+        sens = kin.input_sensitivities(horizon, dt)[1:] * scale
+        grad_z = obj.chain_through_dynamics(grads, sens).reshape(n, 9)
+        return merit, grad_z, (u, horizon, g_all, grads.curvature, sens)
 
     z = to_scaled(shift_warm_start(warm, n))
-    _, _, (_, horizon, _, _) = evaluate(z, with_grads=True)
+    _, _, (_, horizon, _, _, _) = evaluate(z, with_grads=True)
     # state 0 is the start in every rollout; its report row, taken from a
     # whole horizon as the report takes it, is the report's to the bit.  An
     # infeasible start makes every plan infeasible, so it never ends the
@@ -507,10 +514,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         return merit, grad.ravel()
 
     def gauss_newton_hessian(z_flat: np.ndarray) -> np.ndarray:
-        # sum over states of S_k^T W_k S_k; state 0 moves with no input
-        _, _, (u, horizon, _, stage) = evaluate(z_flat.reshape(n, 9),
+        # sum over states 1..N of S_k^T W_k S_k, the merit call's S_k
+        _, _, (_, _, _, stage, sens) = evaluate(z_flat.reshape(n, 9),
                                                 with_grads=True)
-        sens = kin.input_sensitivities(horizon, u, dt)[1:] * scale
         weighted = stage[1:] @ sens
         return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
 
@@ -542,7 +548,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         lam = np.maximum(0.0, lam - rho * g_all)
         rho = min(rho * cfg.penalty_growth, 1e8)
 
-    u, horizon, g_all, _ = info
+    u, horizon, g_all, _, _ = info
     # report the exact cost; the descent merit smooths the rotation norm
     breakdown = obj.evaluate_horizon(horizon, tracks, spec, instr)
     residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,

@@ -28,7 +28,7 @@ from cinedrone.kinematics import (CameraRig, DroneState, rollout,
 from cinedrone.optics import (CameraSensorSpec, IntrinsicState,
                               depth_of_field, hyperfocal)
 from cinedrone.scene import run_closed_loop
-from test_objectives import stacked_cost
+from test_objectives import input_gradient, stacked_cost
 
 SCENARIOS = Path(__file__).parent.parent / "src/cinedrone/scenarios"
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -160,7 +160,7 @@ def test_criterion_03_gradient_oracle():
         horizon = rollout(rig, u, dt)
         _, grads = stacked_cost(horizon, preds, SPEC, instr, smooth=True,
                                 with_grads=True)
-        grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
+        grad = input_gradient(grads, horizon, dt)
 
         def total(flat):
             ro = rollout(rig, flat.reshape(-1, 9), dt)

@@ -255,7 +255,8 @@ class TestSeparationGradient:
                 horizon = Horizon(np.vstack([np.zeros((start, 3)), p]),
                                   np.zeros((start + n, 3)),
                                   np.vstack([np.zeros((start, 3, 3)), rot]),
-                                  np.vstack([np.zeros((start, 3)), lens]))
+                                  np.vstack([np.zeros((start, 3)), lens]),
+                                  np.zeros((start + n - 1, 3, 3)))
                 track = cons.ConstraintTracks(
                     preds, sizes, cons.ConstraintSet.default(), [record],
                     start + n).separations[0]

@@ -1,5 +1,7 @@
 """Scenario schema, sequencer, output emission and the CLI."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -110,6 +112,17 @@ class TestLoading:
         assert info.value.errors[0].startswith("control")
         assert "period" in info.value.errors[0]
         assert "substeps" in info.value.errors[0]
+
+    def test_solver_violations_reported_together(self):
+        raw = minimal_raw()
+        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0,
+                         "penalty_growth": 0.5}
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(raw)
+        assert len(info.value.errors) == 1
+        assert info.value.errors[0].startswith("solver")
+        for name in ("outer_rounds", "penalty_initial", "penalty_growth"):
+            assert name in info.value.errors[0]
 
 
 class TestControlConfig:
@@ -246,10 +259,14 @@ class TestCli:
         ("targets[0]", lambda raw: raw.update(targets=[5])),
         ("targets[0].points", lambda raw: raw["targets"][0].update(
             points=[1])),
+        ("solver", lambda raw: raw.update(solver={"outer_rounds": 0})),
+        ("solver", lambda raw: raw.update(solver={"penalty_initial": 0})),
+        ("solver", lambda raw: raw.update(solver={"penalty_growth": 0.5})),
     ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
             "repetitions_text", "start_text", "position_scalar",
             "ramp_end_missing", "camera_number", "target_number",
-            "points_list"])
+            "points_list", "outer_rounds_zero", "penalty_initial_zero",
+            "penalty_growth_below_one"])
     def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
         raw = minimal_raw()
         spoil(raw)
@@ -329,6 +346,22 @@ class TestRootApi:
         assert json.loads(summary_path.read_text())["name"] == "minimal"
 
 
+class TestBenchmarkHooks:
+    def test_traced_attributes_resolve(self):
+        # the benchmark's traced run patches these module attributes; one
+        # renamed away would break that run alone
+        spans = Path(__file__).parent.parent / "perfbench" / "spans.py"
+        traced = next(ast.literal_eval(node.value)
+                      for node in ast.parse(spans.read_text()).body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets]
+                      == ["TRACED"])
+        assert traced
+        for module, attr, _ in traced:
+            assert callable(getattr(importlib.import_module(module), attr,
+                                    None)), f"{module}.{attr}"
+
+
 class TestMeritStream:
     def test_fingerprint_repeats_and_restores_hooks(self, tmp_path):
         import importlib.util
@@ -360,7 +393,7 @@ class TestMeritStream:
         first, again = prints[270.0]
         assert first == again
         assert first["solves"] == 2 and first["merit calls"] > 0
-        # one or more L-BFGS-B calls per solve, each with merit calls
+        # one or more descent rounds per solve, each with merit calls
         assert first["solves"] <= first["rounds"] <= first["merit calls"]
         # the report's evaluation comes on top of the merit calls'
         assert first["evaluations"] > first["merit calls"]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinedrone import kinematics as kin
-from cinedrone import objectives as obj
 from cinedrone.kinematics import (CameraRig, DroneState, hat_batch,
                                   interpolate_commands, rollout,
                                   rotation_from_rpy, rpy_from_rotation,
@@ -31,7 +30,7 @@ def hat_assigned(w):
 
 
 def so3_exp_batch(w):
-    """The adjoint's exponentials as computed before they shared a pass
+    """The step exponentials as computed before they shared a pass
     with the Jacobians: the oracle of their bits."""
     theta = np.linalg.norm(w, axis=1)
     k = hat_assigned(w)
@@ -44,7 +43,7 @@ def so3_exp_batch(w):
 
 
 def so3_right_jacobian_batch(w):
-    """The adjoint's right Jacobians as computed before they shared a pass
+    """The step right Jacobians as computed before they shared a pass
     with the exponentials: the oracle of their bits."""
     theta = np.linalg.norm(w, axis=1)
     k = hat_assigned(w)
@@ -167,30 +166,27 @@ class TestTranslation:
 
 class TestRotation:
     def test_batch_exp_agrees_with_scalar(self, monkeypatch):
-        # the rollout and the adjoint chain the very same exponentials, and
-        # so3_exp is one row of them
-        seen = {}
+        # the rollout chains the exponentials of its one batch pass and
+        # keeps that pass's Jacobians, and so3_exp is one row of it
+        seen = []
+        original = kin.so3_exp_and_right_jacobian_batch
 
-        def recorder(module, name):
-            original = module.so3_exp_and_right_jacobian_batch
-
-            def recorded(w):
-                seen[name] = original(w)
-                return seen[name]
-            monkeypatch.setattr(module, "so3_exp_and_right_jacobian_batch",
-                                recorded)
-        recorder(kin, "rollout")
-        recorder(obj, "adjoint")
+        def recorded(w):
+            seen.append(original(w))
+            return seen[-1]
+        monkeypatch.setattr(kin, "so3_exp_and_right_jacobian_batch",
+                            recorded)
         rng = np.random.default_rng(5)
         for trial in range(200):
             u = rng.uniform(-1.0, 1.0, (1 + trial % 9, 9))
             u[:, 3:6] *= 10.0 ** rng.uniform(-9.0, 0.5, (len(u), 1))
             start = rig(rot=rotation_from_rpy(*rng.uniform(-0.3, 0.3, 3)))
+            seen.clear()
             horizon = rollout(start, u, 0.2)
-            obj.chain_through_dynamics(obj.HorizonGradients(len(horizon)),
-                                       horizon, u, 0.2)
-            exps = seen["adjoint"][0]
-            assert_same_bits(seen["rollout"][0], exps)
+            (exps, jacobians), = seen
+            assert_same_bits(horizon.jacobians, jacobians)
+            assert_same_bits(horizon.rotations, kin._chain(
+                start.drone.orientation, exps))
             for k, exp in enumerate(exps):
                 assert_same_bits(so3_exp(0.2 * u[k, 3:6]), exp)
 
@@ -406,7 +402,7 @@ class TestSensitivities:
         for n in (1, 4):
             u = rng.uniform(-1.0, 1.0, (n, 9))
             horizon = rollout(start, u, dt)
-            sens = kin.input_sensitivities(horizon, u, dt)
+            sens = kin.input_sensitivities(horizon, dt)
             assert sens.shape == (n + 1, 12, 9 * n)
             for i in range(9 * n):
                 moved = []

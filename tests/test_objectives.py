@@ -9,9 +9,8 @@ import pytest
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   input_sensitivities, rollout,
-                                  rotation_from_rpy, tangent_gradients)
+                                  rotation_from_rpy)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
-from test_kinematics import so3_exp_batch, so3_right_jacobian_batch
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
 
@@ -30,7 +29,14 @@ def stacked_cost(horizon, preds, spec, instr, smooth=False,
     the rotation norm's kink off, as the descent does."""
     return obj.evaluate_horizon_stacked(
         horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr,
-        with_grads, smooth)
+        with_grads=with_grads, smooth=smooth)
+
+
+def input_gradient(grads, horizon, dt):
+    """The gradient per input of a rollout's stacked state gradients, as
+    the planner chains it through the dynamics."""
+    return obj.chain_through_dynamics(
+        grads, input_sensitivities(horizon, dt)[1:])
 
 
 def rig_terms(rig, preds, instr):
@@ -298,35 +304,6 @@ class TestHorizon:
                     at_k.focal[0], abs=1e-9)
 
 
-def chain_step_loop(grads, horizon, u, dt):
-    """The per-step backward pass the stacked one replaced: the oracle of
-    its bits."""
-    n = len(u)
-    grad = np.zeros((n, 9))
-    thetas = dt * u[:, 3:6]
-    exps = so3_exp_batch(thetas)
-    jacobians = so3_right_jacobian_batch(thetas)
-    g_p = np.zeros(3)
-    g_v = np.zeros(3)
-    g_rot = np.zeros((3, 3))
-    g_intr = np.zeros(3)
-    for k in range(n, 0, -1):
-        g_p = g_p + grads.position[k]
-        g_v = g_v + grads.velocity[k]
-        g_rot = g_rot + grads.rotation[k]
-        g_intr = g_intr + grads.intrinsics[k]
-        grad[k - 1, 0:3] = dt * g_v
-        m = horizon.rotations[k].T @ g_rot
-        vee = np.array([m[2, 1] - m[1, 2],
-                        m[0, 2] - m[2, 0],
-                        m[1, 0] - m[0, 1]])
-        grad[k - 1, 3:6] = dt * (jacobians[k - 1].T @ vee)
-        grad[k - 1, 6:9] = dt * g_intr
-        g_v = g_v + dt * g_p
-        g_rot = g_rot @ exps[k - 1].T
-    return grad
-
-
 def body_outer_matmul(rel, g_q):
     """The rotation terms as computed before :func:`obj.body_outer`: the
     oracle of their bits."""
@@ -362,54 +339,13 @@ class TestGradient:
             assert np.array_equal(obj.body_outer(rel, g_q),
                                   body_outer_matmul(rel, g_q))
 
-    def test_adjoint_bit_identical_to_step_loop(self):
-        rng = np.random.default_rng(23)
-        dt = 0.2
-        for trial in range(40):
-            rig, preds, instr, u = random_instance(rng, n=1 + trial % 7)
-            # rotation steps below the exponentials' 1e-8 rad series branch
-            # and between it and the Jacobian's 1e-6 rad one
-            tiny = rng.random(len(u)) < 0.4
-            u[tiny, 3:6] *= 10.0 ** rng.uniform(-12, -5, (tiny.sum(), 1))
-            horizon = rollout(rig, u, dt)
-            _, grads = stacked_cost(horizon, preds, SPEC, instr,
-                                    smooth=True, with_grads=True)
-            if trial % 4 == 0:
-                # signed zeros in the state gradients
-                for field in (grads.position, grads.velocity,
-                              grads.intrinsics, grads.rotation):
-                    field[rng.random(field.shape) < 0.3] = -0.0
-            got = obj.chain_through_dynamics(grads, horizon, u, dt)
-            want = chain_step_loop(grads, horizon, u, dt)
-            # array_equal takes -0.0 == 0.0; signbit tells them apart
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_sensitivities_carry_the_adjoint_gradient(self):
-        # the forward sensitivities and the backward pass are transposes
-        rng = np.random.default_rng(29)
-        for trial in range(20):
-            rig, preds, instr, u = random_instance(rng, n=1 + trial % 6)
-            horizon = rollout(rig, u, 0.2)
-            _, grads = stacked_cost(horizon, preds, SPEC, instr,
-                                    smooth=True, with_grads=True)
-            states = np.concatenate([
-                grads.position, grads.velocity,
-                tangent_gradients(horizon.rotations, grads.rotation),
-                grads.intrinsics], axis=1)
-            sens = input_sensitivities(horizon, u, 0.2)
-            got = np.einsum("kai,ka->i", sens, states)
-            want = obj.chain_through_dynamics(grads, horizon, u, 0.2)
-            assert np.allclose(got, want.ravel(), rtol=1e-12,
-                               atol=1e-12 * np.abs(want).max())
-
     def test_zero_weights_zero_gradient(self):
         rig = make_rig()
         u = np.random.default_rng(0).uniform(-1, 1, (4, 9))
         horizon = rollout(rig, u, 0.2)
         _, grads = stacked_cost(horizon, {}, SPEC, obj.Instructions(),
                                 smooth=True, with_grads=True)
-        grad = obj.chain_through_dynamics(grads, horizon, u, 0.2).ravel()
+        grad = input_gradient(grads, horizon, 0.2)
         assert np.all(grad == 0.0)
 
     def test_single_step_focal_chain(self):
@@ -422,7 +358,7 @@ class TestGradient:
             obj.FocalSchedule.constant(fstar), weight=w))
         _, grads = stacked_cost(horizon, {}, SPEC, instr, smooth=True,
                                 with_grads=True)
-        grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
+        grad = input_gradient(grads, horizon, dt)
         f1 = horizon.lens[1, 0]
         assert grad[6] == pytest.approx(2.0 * w * dt * (f1 - fstar))
 
@@ -434,7 +370,7 @@ class TestGradient:
             horizon = rollout(rig, u, dt)
             _, grads = stacked_cost(horizon, preds, SPEC, instr,
                                     smooth=True, with_grads=True)
-            grad = obj.chain_through_dynamics(grads, horizon, u, dt).ravel()
+            grad = input_gradient(grads, horizon, dt)
 
             def total(flat):
                 ro = rollout(rig, flat.reshape(-1, 9), dt)

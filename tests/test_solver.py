@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.optimize
 
 from cinedrone import constraints as cons
+from cinedrone import kinematics as kin
 from cinedrone import objectives as obj
 from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
@@ -391,7 +392,7 @@ class TestStackedHorizon:
                 last_point[:] = [x.tobytes()]
                 return fun(x)
             result = minimize(merit, *args, **kwargs)
-            # the solver checks the clipped point L-BFGS-B returned
+            # the solver checks the clipped point the descent returned
             counts["rounds"] += 1
             if np.clip(result.x, -1.0, 1.0).tobytes() != last_point[0]:
                 counts["new points"] += 1
@@ -400,9 +401,9 @@ class TestStackedHorizon:
                             counted_evaluate)
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        # one per L-BFGS-B call and one for the report; the start check
+        # one per merit call and one for the report; the start check
         # shares the first call's, and the check after a round the last
-        # call's unless L-BFGS-B returned another point
+        # call's unless the descent returned another point
         assert counts["rounds"] == plan.stats.outer_rounds
         assert counts["new points"] < counts["rounds"]
         assert counts["evaluations"] == (counts["merit calls"] + 1
@@ -486,11 +487,13 @@ class TestStackedHorizon:
                                 add_rpy_slopes(*args))))
         horizon = rollout(rig, np.zeros((5, 9)), 0.2)
         lam = np.zeros(model.size)
-        model.residuals_and_grads(horizon, obj.HorizonGradients(6), lam, 0.5)
+        grads = obj.HorizonGradients(horizon.rotations)
+        model.residuals_and_grads(horizon, grads, lam, 0.5)
         assert calls == []
         lam.reshape(5, -1)[:, 6] = 1.0
-        model.residuals_and_grads(horizon, obj.HorizonGradients(6), lam, 0.5)
-        assert len(calls) == 1
+        model.residuals_and_grads(horizon, grads, lam, 0.5)
+        # the roll slopes' curvature, then their gradient
+        assert len(calls) == 2
 
 
 def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),
@@ -514,7 +517,7 @@ def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),
 
 
 def solve_checked(monkeypatch, rig, preds, instr, cset, cfg, rule=True):
-    """Solve, counting the L-BFGS-B calls and recording each round's check
+    """Solve, counting the descent's rounds and recording each round's check
     as (violation, the stop rule's verdict on states 1..N).  With
     ``rule=False`` the verdict never ends the rounds: the loop as it was
     before the rule."""
@@ -757,7 +760,7 @@ class TestGaussNewton:
                         / (2.0 * rho) + w_rot * np.sum(np.sqrt(np.sum(
                             m2 ** 2, axis=1) + eps ** 2) - eps))
             # the reference is the planner's merit, and its gradient the
-            # adjoint's
+            # one chained through the sensitivities
             assert merit == pytest.approx(merit_of(z), rel=1e-12)
             fd = central_jacobian(merit_of, z)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
@@ -776,6 +779,39 @@ class TestGaussNewton:
             assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-9 * np.abs(
                 hess).max())
             assert np.linalg.norm(hess - want) <= 1e-5 * np.linalg.norm(want)
+
+    def test_one_chain_rule_per_merit_call(self, monkeypatch):
+        # a merit call with gradients takes its step exponentials from one
+        # batch pass, in the rollout, and builds the sensitivities once,
+        # for the gradient; the Hessian at its point reuses them
+        rig, preds, sizes, instr, cset, cfg = gauss_newton_problem()
+        counts = {"so3_exp_and_right_jacobian_batch": 0,
+                  "input_sensitivities": 0}
+        for module in (kin, obj, sol, cons):
+            for name in counts:
+                if hasattr(module, name):
+                    def counted(*args, _name=name,
+                                _original=getattr(module, name)):
+                        counts[_name] += 1
+                        return _original(*args)
+                    monkeypatch.setattr(module, name, counted)
+        z = np.random.default_rng(3).uniform(-0.4, 0.4, 45)
+
+        def at_point(fun, kwargs, x0, _):
+            before = dict(counts)
+            fun(z)
+            merit = {name: counts[name] - before[name] for name in counts}
+            before = dict(counts)
+            kwargs["hess"](z)
+            return merit, {name: counts[name] - before[name]
+                           for name in counts}
+        captured = capture_rounds(monkeypatch, at_point)
+        sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
+        merit, hessian = captured[0]
+        assert merit == {"so3_exp_and_right_jacobian_batch": 1,
+                         "input_sensitivities": 1}
+        assert hessian == {"so3_exp_and_right_jacobian_batch": 0,
+                           "input_sensitivities": 0}
 
     def test_no_worse_than_uncapped_lbfgsb(self, monkeypatch):
         # a bound-constrained quadratic takes L-BFGS-B two evaluations, so

@@ -67,7 +67,7 @@ def _run(config, seed: int) -> dict:
     def counted_evaluate(*args, **kwargs):
         # the descent evaluates the smoothed merit, the report the exact
         # cost; only the first are merit evaluations
-        if kwargs.get("smooth", args[5] if len(args) > 5 else False):
+        if kwargs["smooth"]:
             evals[-1] += 1
         return evaluate(*args, **kwargs)
 
