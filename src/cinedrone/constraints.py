@@ -9,6 +9,7 @@ problem smooth instead of mixed-integer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,16 +193,17 @@ _GAP_SIGNS.setflags(write=False)
 
 def separation_pieces(horizon: Horizon, start: int,
                       track: tuple[np.ndarray, np.ndarray],
-                      spec: CameraSensorSpec, with_grads: bool = True,
-                      ) -> tuple[np.ndarray, np.ndarray | None,
-                                 np.ndarray | None, np.ndarray | None]:
+                      spec: CameraSensorSpec,
+                      ) -> tuple[np.ndarray, Callable[[], tuple[
+                          np.ndarray, np.ndarray, np.ndarray]]]:
     """Signed pixel gap between the right box's left edge and the left
     box's right edge, feasible when >= 0, at horizon states ``start``..N;
     ``track`` is the record's entry in :attr:`ConstraintTracks.separations`.
 
-    Returns (residuals, d/d position, d/d rotation, d/d focal) per state,
-    the three gradient pieces None without ``with_grads``; the caller
-    scales them by its penalty slopes.
+    Returns the residuals per state and a callable that builds their
+    gradient pieces (d/d position, d/d rotation, d/d focal) from the
+    projections the residuals took; the caller scales them by its penalty
+    slopes.
     """
     centers, half = track
     positions = horizon.positions[start:]
@@ -220,22 +222,21 @@ def separation_pieces(horizon: Horizon, start: int,
     edges = gap_signs * (u + edge_signs * (bxf_half / qz))
     # from an explicit 0.0, as a sum into zeros would give signed zeros
     gap = 0.0 + edges[0] + edges[1]
-    if not with_grads:
-        return gap, None, None, None
 
-    g_q = np.empty((2, n, 3))
-    g_q[:, :, 0] = bxf / qz
-    g_q[:, :, 1] = spec.skew / qz
-    g_q[:, :, 2] = -(u_num + edge_signs * bxf_half) / (qz * qz)
-    g_q *= gap_signs[:, :, None]
-    pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
-    rot_terms = body_outer(rel, g_q)
-    f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
-                           + edge_signs * spec.beta_x * half) / qz
-    return (gap,
-            0.0 - pos_terms[0] - pos_terms[1],
-            0.0 + rot_terms[0] + rot_terms[1],
-            0.0 + f_terms[0] + f_terms[1])
+    def pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g_q = np.empty((2, n, 3))
+        g_q[:, :, 0] = bxf / qz
+        g_q[:, :, 1] = spec.skew / qz
+        g_q[:, :, 2] = -(u_num + edge_signs * bxf_half) / (qz * qz)
+        g_q *= gap_signs[:, :, None]
+        pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
+        rot_terms = body_outer(rel, g_q)
+        f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
+                               + edge_signs * spec.beta_x * half) / qz
+        return (0.0 - pos_terms[0] - pos_terms[1],
+                0.0 + rot_terms[0] + rot_terms[1],
+                0.0 + f_terms[0] + f_terms[1])
+    return gap, pieces
 
 
 def input_bound_residuals(u: np.ndarray, cset: ConstraintSet) -> np.ndarray:
@@ -295,8 +296,7 @@ class ConstraintTracks:
 
 
 def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
-                    spec: CameraSensorSpec, margin: float = 0.0,
-                    with_grads: bool = True):
+                    spec: CameraSensorSpec, margin: float = 0.0):
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
     :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
@@ -304,10 +304,10 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     ``margin``) per target by sorted id; the :func:`separation_pieces`
     pixel gap per active record.
 
-    Returns the rows, then the derivative pieces: the rig - target
-    offsets (m, n, 3) and distances (m, n) of the collision entries, and
-    the :func:`separation_pieces` gradients per separation entry; both
-    None without ``with_grads``.
+    Returns the rows and a callable that gives their derivative pieces:
+    the rig - target offsets (m, n, 3) and distances (m, n) of the
+    collision entries, and the :func:`separation_pieces` gradients per
+    separation entry, built when it is called.
     """
     positions = horizon.positions[start:]
     rows = np.empty((len(positions), tracks.width))
@@ -319,12 +319,13 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     rows[:, n_box:n_coll] = (dist - (tracks.safety_distance + margin)).T
     separations = []
     for column, track in enumerate(tracks.separations, n_coll):
-        rows[:, column], *pieces = separation_pieces(horizon, start, track,
-                                                     spec, with_grads)
-        separations.append(pieces)
-    if not with_grads:
-        return rows, None, None
-    return rows, (diff, dist), separations
+        rows[:, column], build = separation_pieces(horizon, start, track,
+                                                   spec)
+        separations.append(build)
+
+    def derivative_pieces():
+        return (diff, dist), [build() for build in separations]
+    return rows, derivative_pieces
 
 
 def evaluate_constraints(u: np.ndarray, horizon: Horizon,
@@ -336,6 +337,6 @@ def evaluate_constraints(u: np.ndarray, horizon: Horizon,
     Order: the 18 :func:`input_bound_residuals` of each (n, 9) input row,
     then the :func:`state_residuals` row of every state 0..N.
     """
-    states = state_residuals(horizon, 0, tracks, spec, with_grads=False)[0]
+    states = state_residuals(horizon, 0, tracks, spec)[0]
     return np.concatenate([input_bound_residuals(u, cset).ravel(),
                            states.ravel()])

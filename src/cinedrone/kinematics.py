@@ -10,7 +10,10 @@ The rollout takes every step exponential and right Jacobian from one call
 of :func:`so3_exp_and_right_jacobian_batch` and keeps the Jacobians on its
 :class:`Horizon`, where the forward sensitivities
 (:func:`input_sensitivities`), the planner's one chain rule through the
-dynamics, read them; :func:`so3_exp` is one row of the same pass.
+dynamics, read them; :func:`so3_exp` is one row of the same pass.  Only the
+rotation block of the sensitivities depends on the inputs
+(:func:`rotation_sensitivities`); the planner builds the rest
+(:func:`linear_sensitivities`) once per solve.
 """
 
 from __future__ import annotations
@@ -275,10 +278,20 @@ def input_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
     """Forward sensitivities of the states 0..N of a ``rollout(initial, u,
     dt)`` to its N flattened input rows: (N+1, 12, 9 N), rows position,
     velocity, body rotation vector (the tangent of :func:`tangent_gradients`)
-    and lens.  Positions, velocities and lens are linear in ``u``; state
-    k's rotation moves with input j < k by ``R_k^T R_(j+1) Jr(dt w_j) dt``,
+    and lens.  Positions, velocities and lens are linear in ``u``
+    (:func:`linear_sensitivities`); state k's rotation moves with input
+    j < k by ``R_k^T R_(j+1) Jr(dt w_j) dt`` (:func:`rotation_sensitivities`),
     the re-orthonormalization aside."""
     n = len(horizon) - 1
+    sens = linear_sensitivities(n, dt)
+    sens[:, 6:9, :, 3:6] = rotation_sensitivities(horizon, dt)
+    return sens.reshape(n + 1, 12, 9 * n)
+
+
+def linear_sensitivities(n: int, dt: float) -> np.ndarray:
+    """The blocks of :func:`input_sensitivities` that no input moves, in
+    its (N+1, 12, N, 9) layout before flattening: position, velocity and
+    lens rows filled, the rotation rows zero."""
     k = np.arange(n + 1)[:, None]
     j = np.arange(n)[None, :]
     eye = _EYE3[None, :, None, :]
@@ -288,11 +301,18 @@ def input_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
         :, None, :, None] * eye
     sens[:, 3:6, :, 0:3] = dt * before * eye
     sens[:, 9:12, :, 6:9] = dt * before * eye
+    return sens
+
+
+def rotation_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
+    """The rotation block of :func:`input_sensitivities`: (N+1, 3, N, 3),
+    state k's rotation vector by input j's angular velocity."""
+    n = len(horizon) - 1
+    before = (np.arange(n)[None, :] < np.arange(n + 1)[:, None])[
+        :, None, :, None]
     rotations = horizon.rotations
     steps = dt * (rotations[1:] @ horizon.jacobians)
-    sens[:, 6:9, :, 3:6] = before * np.einsum("kba,jbc->kajc", rotations,
-                                              steps)
-    return sens.reshape(n + 1, 12, 9 * n)
+    return before * np.einsum("kba,jbc->kajc", rotations, steps)
 
 
 def _lerp_clipped(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:

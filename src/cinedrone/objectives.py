@@ -3,9 +3,10 @@
 Four weighted terms are evaluated per control step: depth-of-field tracking,
 image composition, relative camera-target pose, and focal-length tracking.
 Analytic gradients with respect to the stacked input sequence are provided
-for the planner: :func:`chain_through_dynamics` contracts the per-state
-gradients with the rollout's forward sensitivities, the same ones the
-planner's Gauss-Newton model is built from.
+for the planner, built on demand from the intermediates of a value pass:
+:func:`chain_through_dynamics` contracts the per-state gradients with the
+rollout's forward sensitivities, the same ones the planner's Gauss-Newton
+model is built from.
 
 Desired values may be expressed relative to a target (distance offsets) or
 as time schedules (focal ramps); call :meth:`Instructions.resolve` before
@@ -15,7 +16,9 @@ evaluating costs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,8 @@ ROTATION_NORM_EPS = 1e-3
 #: Slope of the in-planner surrogate used where the far limit is infinite
 #: but a finite one is requested; steers the focus back below hyperfocal.
 _FAR_BARRIER = 1e9
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -277,8 +282,13 @@ class HorizonGradients:
             rows[:, :, None] * rows[:, None, :])
 
 
+#: What a cost term leaves for its derivatives: a callable that adds them
+#: into the horizon's gradients from the term's own intermediates.
+TermGradients = Callable[[HorizonGradients], None]
+
+
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
-             grads: HorizonGradients | None) -> np.ndarray:
+             ) -> tuple[np.ndarray, TermGradients | None]:
     dof = instr.dof
     near_star = instr._dof_limit(dof.near, "near")
     far_star = instr._dof_limit(dof.far, "far")
@@ -287,7 +297,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
                   and math.isfinite(far_star))
     cost = np.zeros(len(intr))
     if not near_active and not far_active:
-        return cost
+        return cost, None
 
     f_mm, focus, aperture = intr[:, 0], intr[:, 1], intr[:, 2]
     c_m = mm_to_m(spec.circle_of_confusion)
@@ -295,9 +305,6 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
     f_m = f_mm / 1000.0
     f_m2, two_f, a_c = f_m * f_m, 2.0 * f_m, aperture * c_m
     h = f_m2 / a_c + f_m
-    if grads is not None:
-        dh_df_m = two_f / a_c + 1.0
-        dh_da = -f_m2 / (aperture * aperture * c_m)
 
     denom = h + focus - two_f
     if (denom <= 0.0).any():
@@ -307,25 +314,15 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
 
     if near_active:
         near = focus * h_f / denom
-        err = near - near_star
-        cost += dof.w_near * err * err
-        if grads is not None:
-            denom2 = denom * denom
-            dn_dh = focus * (focus - f_m) / denom2
-            dn_df_direct = focus * (h - focus) / denom2
-            dn_dfocus = h_f * (h - two_f) / denom2
-            d_near = np.stack([(dn_dh * dh_df_m + dn_df_direct) / 1000.0,
-                               dn_dfocus, dn_dh * dh_da], axis=1)
-            grads.intrinsics += (2.0 * dof.w_near * err)[:, None] * d_near
-            grads.add_outer(np.full(len(intr), 2.0 * dof.w_near),
-                            intrinsics=d_near)
+        near_err = near - near_star
+        cost += dof.w_near * near_err * near_err
     if far_active:
         infinite = focus >= h
         finite = ~infinite
         h_focus = np.where(finite, h - focus, 1.0)
         far = focus * h_f / h_focus
-        err = far - far_star
-        term = dof.w_far * err * err
+        far_err = far - far_star
+        term = dof.w_far * far_err * far_err
         cost += np.where(finite, term, 0.0)
         if infinite.any():
             # sloped surrogate where the far limit went infinite: steers
@@ -333,13 +330,28 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             over = focus - h
             cost += np.where(infinite,
                              dof.w_far * _FAR_BARRIER * (1.0 + over), 0.0)
-        if grads is not None:
+
+    def add_gradients(grads: HorizonGradients) -> None:
+        dh_df_m = two_f / a_c + 1.0
+        dh_da = -f_m2 / (aperture * aperture * c_m)
+        if near_active:
+            denom2 = denom * denom
+            dn_dh = focus * (focus - f_m) / denom2
+            dn_df_direct = focus * (h - focus) / denom2
+            dn_dfocus = h_f * (h - two_f) / denom2
+            d_near = np.stack([(dn_dh * dh_df_m + dn_df_direct) / 1000.0,
+                               dn_dfocus, dn_dh * dh_da], axis=1)
+            grads.intrinsics += (2.0 * dof.w_near * near_err)[:, None] \
+                * d_near
+            grads.add_outer(np.full(len(intr), 2.0 * dof.w_near),
+                            intrinsics=d_near)
+        if far_active:
             df_dh = focus * (f_m - focus) / (h_focus * h_focus)
             df_df_direct = -focus / h_focus
             df_dfocus = h_f * h / (h_focus * h_focus)
             d_far = np.stack([(df_dh * dh_df_m + df_df_direct) / 1000.0,
                               df_dfocus, df_dh * dh_da], axis=1)
-            scale = np.where(finite, 2.0 * dof.w_far * err, 0.0)
+            scale = np.where(finite, 2.0 * dof.w_far * far_err, 0.0)
             g_lens = scale[:, None] * d_far
             if infinite.any():
                 # the surrogate is linear in H and the focus: no curvature
@@ -350,12 +362,12 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             grads.intrinsics += g_lens
             grads.add_outer(np.where(finite, 2.0 * dof.w_far, 0.0),
                             intrinsics=d_far)
-    return cost
+    return cost, add_gradients
 
 
 def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
                f_mm: np.ndarray, point_tracks, spec: CameraSensorSpec,
-               grads: HorizonGradients | None) -> np.ndarray:
+               ) -> tuple[np.ndarray, TermGradients]:
     targets, points, weight, pixel = point_tracks
     cost = np.zeros(len(positions))
     # leading axis: the weighted composition targets, each added into the
@@ -385,7 +397,7 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
         if clamped is not None and clamped[t].any():
             cost += barrier_terms[t]
 
-    if grads is not None:
+    def add_gradients(grads: HorizonGradients) -> None:
         # derivatives of e_u, e_v and the depth shortfall w.r.t. q, and of
         # e_u, e_v w.r.t. the focal length
         d_u, d_v = np.zeros(q.shape), np.zeros(q.shape)
@@ -421,12 +433,12 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             grads.intrinsics[:, 0] += f_terms[t]
         for w, _, d_q, d_f in residuals:
             d_pos, d_rot = pieces(d_q)
-            weight = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
+            weights = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
             for t in range(len(targets)):
-                grads.add_outer(weight[t], position=d_pos[t],
+                grads.add_outer(weights[t], position=d_pos[t],
                                 rotation=d_rot[t],
                                 intrinsics=None if d_f is None else d_f[t])
-    return cost
+    return cost, add_gradients
 
 
 def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
@@ -437,22 +449,19 @@ def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
 
 def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
               pose_tracks, smooth: bool,
-              grads: HorizonGradients | None) -> np.ndarray:
+              ) -> tuple[np.ndarray, TermGradients | None]:
     n = len(positions)
     cost = np.zeros(n)
+    # each target's distance, then rotation derivatives, in that order
+    adds = []
     for pt, target_positions, target_rotations in pose_tracks:
         if pt.w_distance > 0.0 and pt.distance is not None:
             diff = positions - target_positions
             dist = np.linalg.norm(diff, axis=1)
             err = dist - pt.distance
             cost += pt.w_distance * err * err
-            if grads is not None:
-                d_dist = np.where(dist[:, None] > 1e-12, diff, 0.0) / (
-                    np.maximum(dist, 1e-12)[:, None])
-                grads.position += (2.0 * pt.w_distance * err)[:, None] \
-                    * d_dist
-                grads.add_outer(np.full(n, 2.0 * pt.w_distance),
-                                position=d_dist)
+            adds.append(partial(_add_distance_gradients, pt.w_distance, diff,
+                                dist, err))
         if pt.w_rotation > 0.0 and pt.rotation is not None:
             residual = np.einsum("kji,kjl->kil", target_rotations,
                                  rotations) - pt.rotation
@@ -460,35 +469,55 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             if smooth:
                 root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
                 cost += pt.w_rotation * (root - ROTATION_NORM_EPS)
+                adds.append(partial(_add_rotation_gradients, pt.w_rotation,
+                                    rotations, target_rotations, residual,
+                                    root))
             else:
                 cost += pt.w_rotation * norm
-            if grads is not None:  # of the smoothed norm
-                d_norm = np.einsum("kij,kjl->kil", target_rotations,
-                                   residual)
-                grads.rotation += (pt.w_rotation / root)[:, None, None] \
-                    * d_norm
-                # exact pseudo-Huber Hessian in the residual matrix M,
-                # w (I / root - M M^T / root^3), pulled back through
-                # dM/dd = R_t^T R hat(e_i), whose columns are orthogonal
-                # with squared norm 2
-                c = tangent_gradients(rotations, d_norm)
-                grads.curvature[:, 6:9, 6:9] += pt.w_rotation * (
-                    2.0 * np.eye(3) / root[:, None, None]
-                    - c[:, :, None] * c[:, None, :]
-                    / (root ** 3)[:, None, None])
-    return cost
+
+    def add_gradients(grads: HorizonGradients) -> None:
+        for add in adds:
+            add(grads)
+    return cost, add_gradients if adds else None
+
+
+def _add_distance_gradients(weight: float, diff: np.ndarray,
+                            dist: np.ndarray, err: np.ndarray,
+                            grads: HorizonGradients) -> None:
+    d_dist = np.where(dist[:, None] > 1e-12, diff, 0.0) / (
+        np.maximum(dist, 1e-12)[:, None])
+    grads.position += (2.0 * weight * err)[:, None] * d_dist
+    grads.add_outer(np.full(len(dist), 2.0 * weight), position=d_dist)
+
+
+def _add_rotation_gradients(weight: float, rotations: np.ndarray,
+                            target_rotations: np.ndarray,
+                            residual: np.ndarray, root: np.ndarray,
+                            grads: HorizonGradients) -> None:
+    # of the smoothed norm
+    d_norm = np.einsum("kij,kjl->kil", target_rotations, residual)
+    grads.rotation += (weight / root)[:, None, None] * d_norm
+    # exact pseudo-Huber Hessian in the residual matrix M,
+    # w (I / root - M M^T / root^3), pulled back through
+    # dM/dd = R_t^T R hat(e_i), whose columns are orthogonal
+    # with squared norm 2
+    c = tangent_gradients(rotations, d_norm)
+    grads.curvature[:, 6:9, 6:9] += weight * (
+        2.0 * _EYE3 / root[:, None, None]
+        - c[:, :, None] * c[:, None, :] / (root ** 3)[:, None, None])
 
 
 def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
-               grads: HorizonGradients | None) -> np.ndarray:
+               ) -> tuple[np.ndarray, TermGradients | None]:
     if weight == 0.0:
-        return np.zeros(len(f_mm))
+        return np.zeros(len(f_mm)), None
     err = f_mm - f_star
-    if grads is not None:
+
+    def add_gradients(grads: HorizonGradients) -> None:
         grads.intrinsics[:, 0] += 2.0 * weight * err
         grads.add_outer(np.full(len(f_mm), 2.0 * weight),
                         intrinsics=np.ones(len(f_mm)))
-    return weight * err * err
+    return weight * err * err, add_gradients
 
 
 def _point_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
@@ -537,32 +566,42 @@ class HorizonTracks:
 
 def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
-                             *, with_grads: bool, smooth: bool,
+                             *, smooth: bool,
                              ) -> tuple[CostBreakdown,
-                                        HorizonGradients | None]:
+                                        Callable[[], HorizonGradients]
+                                        | None]:
     """Evaluate all four terms at every state of a horizon.
 
-    Returns the per-step breakdown and, with ``with_grads``, the stacked
-    per-state gradients that :func:`chain_through_dynamics` takes to the
-    inputs and their generalized Gauss-Newton stage blocks (the smoothed
-    rotation norm's taken exactly).  Points closer than
+    Returns the per-step breakdown and, with ``smooth``, a callable that
+    builds the stacked per-state gradients that
+    :func:`chain_through_dynamics` takes to the inputs and their
+    generalized Gauss-Newton stage blocks (the smoothed rotation norm's
+    taken exactly) from the projections, depths, errors and lens terms the
+    breakdown computed; without ``smooth``, None.  Points closer than
     :data:`BARRIER_DEPTH` are projected at that depth and penalized
     smoothly, and an infinite far limit costs a sloped surrogate;
     ``smooth`` rounds the rotation norm's kink off by
     :data:`ROTATION_NORM_EPS`, as the planner's descent asks, and
     gradients are of that smoothed cost alone.
     """
-    if with_grads and not smooth:
-        raise ValueError("gradients are of the smoothed cost: smooth=True")
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
-    grads = HorizonGradients(rotations) if with_grads else None
-    dof = _dof_vec(horizon.lens, spec, instr, grads)
-    image = _image_vec(positions, horizon.camera_rotations, f_mm,
-                       tracks.points, spec, grads)
-    pose = _pose_vec(positions, rotations, tracks.poses, smooth, grads)
-    focal = _focal_vec(f_mm, tracks.f_star, instr.focal.weight, grads)
-    return CostBreakdown(dof=dof, image=image, pose=pose, focal=focal), grads
+    terms = (_dof_vec(horizon.lens, spec, instr),
+             _image_vec(positions, horizon.camera_rotations, f_mm,
+                        tracks.points, spec),
+             _pose_vec(positions, rotations, tracks.poses, smooth),
+             _focal_vec(f_mm, tracks.f_star, instr.focal.weight))
+    breakdown = CostBreakdown(*(cost for cost, _ in terms))
+    if not smooth:
+        return breakdown, None
+
+    def gradients() -> HorizonGradients:
+        grads = HorizonGradients(rotations)
+        for _, add in terms:
+            if add is not None:
+                add(grads)
+        return grads
+    return breakdown, gradients
 
 
 def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
@@ -571,7 +610,7 @@ def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
     """The exact cost a plan reports: the rotation norm unsmoothed, no
     gradients."""
     return evaluate_horizon_stacked(horizon, tracks, spec, instr,
-                                    with_grads=False, smooth=False)[0]
+                                    smooth=False)[0]
 
 
 def chain_through_dynamics(grads: HorizonGradients,

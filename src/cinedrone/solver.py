@@ -14,9 +14,9 @@ arguments.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +28,6 @@ from . import kinematics as kin
 from . import objectives as obj
 from .optics import CameraSensorSpec
 
-logger = logging.getLogger(__name__)
-
 #: Lens values (focal mm, focus m, aperture) may never reach zero; the
 #: rolled-out lens states of a candidate are clamped here and the shortfall
 #: is penalized back toward the real bounds.
@@ -40,6 +38,12 @@ _DOMAIN_GAIN = 1e6
 _DAMPING = 1e-10
 #: Pixels per unit of penalized occlusion-separation residual.
 _SEPARATION_SCALE = 100.0
+#: State entries whose box rows are linear in the state: position,
+#: velocity and lens.
+_LINEAR_ROWS = np.r_[0:6, 9:12]
+_LINEAR_ROWS.setflags(write=False)
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 #: A plan is feasible when no residual of its report falls below this.
 FEASIBILITY_TOL = -1e-6
 #: Share of ``SolverConfig.constraint_margin`` a plan may give up and still
@@ -141,16 +145,19 @@ class _PenaltyModel:
         #: first collision column, then first separation column of a row
         self.n_box = 2 * len(self.tracks.bounds[0])
         self.n_coll = self.n_box + len(self.tracks.collisions)
+        #: per roll, pitch and yaw, its unit slope at each of states 1..N
+        self.units = np.repeat(_EYE3[:, None, :], n_steps, axis=1)
+        self.units.setflags(write=False)
 
-    def residuals_and_grads(self, horizon: kin.Horizon, grads,
-                            lam: np.ndarray,
-                            rho: float) -> tuple[float, np.ndarray]:
-        """Total AL penalty; gradients accumulated into ``grads`` when
-        given.  The separation entries are rescaled to
-        ``gap / _SEPARATION_SCALE - margin``."""
-        g_all, pieces, separations = cons.state_residuals(
-            horizon, 1, self.tracks, self.spec, margin=self.margin,
-            with_grads=grads is not None)
+    def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
+                ) -> tuple[float, np.ndarray,
+                           Callable[[obj.HorizonGradients], None]]:
+        """Total AL penalty, its rows ``g_flat`` and a callable that adds
+        its gradients and curvature into a horizon's gradients.  The
+        separation entries are rescaled to ``gap / _SEPARATION_SCALE -
+        margin``."""
+        g_all, derivative_pieces = cons.state_residuals(
+            horizon, 1, self.tracks, self.spec, margin=self.margin)
         n_box, sep = self.n_box, slice(self.n_coll, None)
         # pixel gap scaled to O(1) so the shared penalty weight conditions
         # all inequality groups comparably; the margin keeps the held gap
@@ -162,36 +169,38 @@ class _PenaltyModel:
         # w.r.t. g is -slack, inlined at the accumulation sites
         slack = np.maximum(0.0, lam - rho * g_flat)
         value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
-        if grads is None:
-            return value, g_flat
-        diff, dist = pieces
-        slopes = slack.reshape(g_all.shape)
-        self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff, dist,
-                            separations)
-        # A group with all slopes zero is skipped: its terms are +-0.0, and
-        # the gradient arrays start at +0.0 and only see += and -=, so under
-        # round-to-nearest they never hold -0.0 and adding +-0.0 changes no
-        # bit; only 0 * inf at pitch +-pi/2 would have written NaN.
-        half = n_box // 2
-        box = slopes[:, half:n_box] - slopes[:, :half]
-        if box[:, 0:6].any() or box[:, 9:12].any():
-            grads.position[1:] += box[:, 0:3]
-            grads.velocity[1:] += box[:, 3:6]
-            grads.intrinsics[1:] += box[:, 9:12]
-        if box[:, 6:9].any():
-            self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
-                                 grads.rotation[1:])
-        if slopes[:, n_box:sep.start].any():
-            coefficients = -slopes[:, n_box:sep.start].T / np.maximum(
-                dist, 1e-9)
-            for term in coefficients[:, :, None] * diff:
-                grads.position[1:] += term
-        for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
-            slope = -slopes[:, idx] / _SEPARATION_SCALE
-            grads.position[1:] += slope[:, None] * d_pos
-            grads.rotation[1:] += slope[:, None, None] * d_rot
-            grads.intrinsics[1:, 0] += slope * d_f
-        return value, g_flat
+
+        def add_gradients(grads: obj.HorizonGradients) -> None:
+            (diff, dist), separations = derivative_pieces()
+            slopes = slack.reshape(g_all.shape)
+            self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff,
+                                dist, separations)
+            # A group with all slopes zero is skipped: its terms are +-0.0,
+            # and the gradient arrays start at +0.0 and only see += and -=,
+            # so under round-to-nearest they never hold -0.0 and adding
+            # +-0.0 changes no bit; only 0 * inf at pitch +-pi/2 would have
+            # written NaN.
+            half = n_box // 2
+            box = slopes[:, half:n_box] - slopes[:, :half]
+            if box[:, 0:6].any() or box[:, 9:12].any():
+                grads.position[1:] += box[:, 0:3]
+                grads.velocity[1:] += box[:, 3:6]
+                grads.intrinsics[1:] += box[:, 9:12]
+            if box[:, 6:9].any():
+                self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
+                                     grads.rotation[1:])
+            if slopes[:, n_box:sep.start].any():
+                coefficients = -slopes[:, n_box:sep.start].T / np.maximum(
+                    dist, 1e-9)
+                for term in coefficients[:, :, None] * diff:
+                    grads.position[1:] += term
+            for idx, (d_pos, d_rot, d_f) in enumerate(separations,
+                                                      sep.start):
+                slope = -slopes[:, idx] / _SEPARATION_SCALE
+                grads.position[1:] += slope[:, None] * d_pos
+                grads.rotation[1:] += slope[:, None, None] * d_rot
+                grads.intrinsics[1:, 0] += slope * d_f
+        return value, g_flat, add_gradients
 
     def feasible_with_margin(self, g_flat: np.ndarray) -> bool:
         """Whether the penalized rows ``g_flat`` of states 1..N hold every
@@ -212,12 +221,10 @@ class _PenaltyModel:
         n_box, states = self.n_box, slice(1, None)
         half = n_box // 2
         box = weights[:, :half] + weights[:, half:n_box]
-        linear = np.r_[0:6, 9:12]  # position, velocity and lens entries
+        linear = _LINEAR_ROWS
         grads.curvature[states, linear, linear] += box[:, linear]
-        for axis in range(3):
+        for axis, unit in enumerate(self.units):
             if box[:, 6 + axis].any():
-                unit = np.zeros((len(box), 3))
-                unit[:, axis] = 1.0
                 d_rot = np.zeros((len(box), 3, 3))
                 self._add_rpy_slopes(horizon.rotations[1:], unit, d_rot)
                 grads.add_outer(box[:, 6 + axis], rotation=d_rot,
@@ -267,20 +274,30 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
     ``<= gtol`` or an accepted step lowers the value by ``<= ftol`` of its
     size (both L-BFGS-B's tests), 1 after ``maxiter`` trial steps, and 2
     when the damped step no longer moves ``x``.
+
+    A trial needs only ``fun``: ``jac`` is called at a point only once the
+    descent goes on from it (the start, or an accepted trial past the
+    ``ftol`` test), and ``hess`` only once a step is to be taken from it
+    (past the ``gtol`` and ``maxiter`` tests).  The result's ``jac`` is
+    None where the descent stopped without the gradient at ``x``.
     """
     low, high = np.asarray(bounds.lb, float), np.asarray(bounds.ub, float)
     x = np.clip(np.asarray(x0, float), low, high)
-    f, g = fun(x, *args), jac(x, *args)
+    f = fun(x, *args)
+    g = h = None  # at x, each built when the descent first needs it
     nit, status = 0, 2
-    h = hess(x, *args) if math.isfinite(f) else None
     mu, growth = 0.0, 2.0
-    while h is not None:
+    while math.isfinite(f):
+        if g is None:
+            g = jac(x, *args)
         if np.max(np.abs(np.clip(x - g, low, high) - x)) <= gtol:
             status = 0
             break
         if nit >= maxiter:
             status = 1
             break
+        if h is None:
+            h = hess(x, *args)
         nit += 1
         diagonal = max(float(np.max(np.diag(h))), 1e-300)
         try:
@@ -302,13 +319,12 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
         if ratio < 0.25:  # a poor model starts the damping from 0
             mu = max(mu, 1e-3 * diagonal)
         previous = f
-        x, f, g = trial, f_trial, jac(trial, *args)
+        x, f, g, h = trial, f_trial, None, None
         # a small decrease counts where the model foresaw it
         if (ratio >= 0.25
                 and previous - f <= ftol * max(abs(previous), abs(f), 1.0)):
             status = 0
             break
-        h = hess(x, *args)
     return scipy.optimize.OptimizeResult(
         x=x, fun=f, jac=g, nit=nit, status=status, success=status == 0,
         message=("converged", "iteration cap", "damped step no longer "
@@ -453,23 +469,38 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     tracks = obj.HorizonTracks(preds, instr, n + 1)
     # d u / d z, flattened as the descent's variables are
     scale = np.tile(np.where(free, half, 0.0), n)
+    # the blocks of the sensitivities of states 1..N that no input moves,
+    # times d u / d z, in kin.linear_sensitivities' layout; each gradient
+    # build fills in the rotation block alone
+    linear_sens = kin.linear_sensitivities(n, dt)[1:] * scale.reshape(n, 9)
+    rotation_scale = scale.reshape(n, 9)[:, 3:6]
 
-    # the last evaluation (read-only) by z's bytes and the multipliers: it
-    # serves the descent's first call and the check after each round
-    last_key, last = None, None
+    # the last evaluation (read-only) by z's bytes and the multipliers, and
+    # its derivatives once the descent asks for them: it serves the
+    # descent's calls at its point, the start check and the check after
+    # each round
+    last_key, last, last_derivatives = None, None, None
 
-    def evaluate(z: np.ndarray, with_grads: bool):
-        nonlocal last_key, last
+    def evaluate(z: np.ndarray):
+        nonlocal last_key, last, last_derivatives
         key = (z.tobytes(), lam.tobytes(), rho)
-        if key != last_key or (with_grads and last[1] is None):
-            last_key, last = key, _evaluate(z, with_grads)
-            _, grad_z, (u, _, g_all, stage, sens) = last
-            for array in (u, g_all, grad_z, stage, sens):
-                if array is not None:
-                    array.setflags(write=False)
+        if key != last_key:
+            last_key, last, last_derivatives = key, _evaluate(z), None
+            inputs, _, rows = last[1]
+            inputs.setflags(write=False)
+            rows.setflags(write=False)
         return last
 
-    def _evaluate(z: np.ndarray, with_grads: bool):
+    def derivatives(z: np.ndarray):
+        nonlocal last_derivatives
+        build = evaluate(z)[2]
+        if last_derivatives is None:
+            last_derivatives = build()
+            for array in last_derivatives:
+                array.setflags(write=False)
+        return last_derivatives
+
+    def _evaluate(z: np.ndarray):
         u = to_inputs(z)
         horizon = kin.rollout(initial, u, dt)
         # keep the lens trajectory inside its physical domain: clamp the
@@ -482,41 +513,47 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             u[:, 6:9] = np.diff(clamped, axis=0) / dt
             horizon = kin.rollout(initial, u, dt)
             domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
-        breakdown, grads = obj.evaluate_horizon_stacked(
-            horizon, tracks, spec, instr, with_grads=with_grads,
-            smooth=True)
-        penalty, g_all = model.residuals_and_grads(horizon, grads, lam, rho)
+        breakdown, cost_gradients = obj.evaluate_horizon_stacked(
+            horizon, tracks, spec, instr, smooth=True)
+        penalty, g_all, add_penalty_gradients = model.penalty(horizon, lam,
+                                                              rho)
         merit = breakdown.total + penalty + domain_penalty
-        if not with_grads:
-            return merit, None, (u, horizon, g_all, None, None)
-        if domain_penalty:
-            grads.intrinsics[1:] -= 2.0 * _DOMAIN_GAIN * shortfall
-            lens = grads.curvature[1:, 9:12, 9:12]
-            lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
-                shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)
-        # d state / d z of states 1..N; state 0 moves with no input
-        sens = kin.input_sensitivities(horizon, dt)[1:] * scale
-        grad_z = obj.chain_through_dynamics(grads, sens).reshape(n, 9)
-        return merit, grad_z, (u, horizon, g_all, grads.curvature, sens)
+
+        def build_derivatives():
+            grads = cost_gradients()
+            add_penalty_gradients(grads)
+            if domain_penalty:
+                grads.intrinsics[1:] -= 2.0 * _DOMAIN_GAIN * shortfall
+                lens = grads.curvature[1:, 9:12, 9:12]
+                lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
+                    shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)
+            # d state / d z of states 1..N; state 0 moves with no input
+            sens = linear_sens.copy()
+            sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(
+                horizon, dt)[1:] * rotation_scale
+            sens = sens.reshape(n, 12, 9 * n)
+            grad_z = obj.chain_through_dynamics(grads, sens)
+            return grad_z, grads.curvature, sens
+        return merit, (u, horizon, g_all), build_derivatives
 
     z = to_scaled(shift_warm_start(warm, n))
-    _, _, (_, horizon, _, _, _) = evaluate(z, with_grads=True)
+    _, (_, horizon, _), _ = evaluate(z)
     # state 0 is the start in every rollout; its report row, taken from a
     # whole horizon as the report takes it, is the report's to the bit.  An
     # infeasible start makes every plan infeasible, so it never ends the
     # rounds early.
     start_feasible = bool(np.all(cons.state_residuals(
-        horizon, 0, model.tracks, spec, with_grads=False)[0][0]
-        >= FEASIBILITY_TOL))
+        horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
-    def merit_fun(z_flat: np.ndarray):
-        merit, grad, _ = evaluate(z_flat.reshape(n, 9), with_grads=True)
-        return merit, grad.ravel()
+    def merit_value(z_flat: np.ndarray) -> float:
+        return evaluate(z_flat.reshape(n, 9))[0]
+
+    def merit_gradient(z_flat: np.ndarray) -> np.ndarray:
+        return derivatives(z_flat.reshape(n, 9))[0]
 
     def gauss_newton_hessian(z_flat: np.ndarray) -> np.ndarray:
-        # sum over states 1..N of S_k^T W_k S_k, the merit call's S_k
-        _, _, (_, _, _, stage, sens) = evaluate(z_flat.reshape(n, 9),
-                                                with_grads=True)
+        # sum over states 1..N of S_k^T W_k S_k, the gradient's S_k
+        _, stage, sens = derivatives(z_flat.reshape(n, 9))
         weighted = stage[1:] @ sens
         return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
 
@@ -526,7 +563,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     for outer in range(cfg.outer_rounds):
         stats.outer_rounds = outer + 1
         result = scipy.optimize.minimize(
-            merit_fun, z.ravel(), jac=True, hess=gauss_newton_hessian,
+            merit_value, z.ravel(), jac=merit_gradient,
+            hess=gauss_newton_hessian,
             method=box_gauss_newton, bounds=box,
             options={"maxiter": cfg.max_iterations,
                      "gtol": cfg.convergence_tol, "ftol": 1e-7})
@@ -534,7 +572,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         stats.iterations += int(result.nit)
         status = int(result.status)
 
-        _, _, info = evaluate(z, with_grads=False)
+        _, info, _ = evaluate(z)
         g_all = info[2]
         violation = float(max(0.0, -np.min(g_all))) if g_all.size else 0.0
         # a plan the report calls feasible with half its margin left ends
@@ -548,16 +586,13 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         lam = np.maximum(0.0, lam - rho * g_all)
         rho = min(rho * cfg.penalty_growth, 1e8)
 
-    u, horizon, g_all, _, _ = info
+    u, horizon, g_all = info
     # report the exact cost; the descent merit smooths the rotation norm
     breakdown = obj.evaluate_horizon(horizon, tracks, spec, instr)
     residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
                                           spec)
     stats.converged = status == 0
     stats.wall_time = time.perf_counter() - start_time
-    if stats.wall_time > dt:
-        logger.debug("solve exceeded its %.3gs period: %.3gs", dt,
-                     stats.wall_time)
     feasible = bool(residuals.size == 0
                     or np.min(residuals) >= FEASIBILITY_TOL)
     lam = np.maximum(0.0, lam - rho * g_all) if g_all.size else lam

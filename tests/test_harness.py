@@ -392,17 +392,23 @@ class TestMeritStream:
         assert hooks() == hooked
         first, again = prints[270.0]
         assert first == again
-        assert first["solves"] == 2 and first["merit calls"] > 0
-        # one or more descent rounds per solve, each with merit calls
-        assert first["solves"] <= first["rounds"] <= first["merit calls"]
-        # the report's evaluation comes on top of the merit calls'
-        assert first["evaluations"] > first["merit calls"]
+        assert first["solves"] == 2 and first["value passes"] > 0
+        # one or more descent rounds per solve, each with value passes
+        assert first["solves"] <= first["rounds"] <= first["value passes"]
+        # the report's evaluation comes on top of the value passes'
+        assert first["evaluations"] > first["value passes"]
         moved = prints[250.0][0]
-        # a round's first merit call is at its start, and every model step
+        # a round's first value pass is at its start, and every model step
         # but possibly a round's last is followed by its trial's; the
         # centred target is planned without a step
         assert first["model steps"] == 0
-        assert 0 < moved["model steps"] <= moved["merit calls"]
+        assert 0 < moved["model steps"] <= moved["value passes"]
         assert moved["Newton directions"] > 0 and moved["factorizations"] > 0
-        assert moved["merit sha256"] != first["merit sha256"]
-        assert moved["plan sha256"] != first["plan sha256"]
+        # gradients only where the descent goes on, and a Hessian only
+        # where it takes a step from
+        for counts in (first, moved):
+            assert counts["rounds"] <= counts["gradient builds"]
+            assert counts["Hessian builds"] <= counts["gradient builds"]
+        assert moved["gradient builds"] < moved["value passes"]
+        for stream in ("value sha256", "gradient sha256", "plan sha256"):
+            assert moved[stream] != first[stream]

@@ -27,9 +27,10 @@ def stacked_cost(horizon, preds, spec, instr, smooth=False,
     """The cost breakdown of a horizon and, with ``with_grads``, its
     stacked gradients, through the planner's evaluation; ``smooth`` rounds
     the rotation norm's kink off, as the descent does."""
-    return obj.evaluate_horizon_stacked(
+    breakdown, gradients = obj.evaluate_horizon_stacked(
         horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr,
-        with_grads=with_grads, smooth=smooth)
+        smooth=smooth)
+    return breakdown, gradients() if with_grads else None
 
 
 def input_gradient(grads, horizon, dt):

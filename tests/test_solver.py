@@ -300,10 +300,11 @@ def side_by_side_problem():
 
 
 def penalty_always_accumulating(model, horizon, grads, lam, rho):
-    """``_PenaltyModel.residuals_and_grads`` as it was before it skipped
-    the groups whose slopes are all zero: the oracle of its bits."""
-    g_all, (diff, dist), separations = cons.state_residuals(
+    """The gradients of ``_PenaltyModel.penalty`` as they were before it
+    skipped the groups whose slopes are all zero: the oracle of its bits."""
+    g_all, derivative_pieces = cons.state_residuals(
         horizon, 1, model.tracks, model.spec, margin=model.margin)
+    (diff, dist), separations = derivative_pieces()
     n_box = g_all.shape[1] - len(dist) - len(separations)
     sep = slice(n_box + len(dist), None)
     g_all[:, sep] = g_all[:, sep] / sol._SEPARATION_SCALE - model.margin
@@ -384,14 +385,23 @@ class TestStackedHorizon:
             counts["evaluations"] += 1
             return evaluate(*args, **kwargs)
 
-        def counted_minimize(fun, *args, **kwargs):
+        def counted_minimize(fun, *args, jac, hess, **kwargs):
             last_point = []
 
             def merit(x):
                 counts["merit calls"] += 1
                 last_point[:] = [x.tobytes()]
                 return fun(x)
-            result = minimize(merit, *args, **kwargs)
+
+            def at_last_point(derivative):
+                # the derivatives are asked at the point just valued, so
+                # they reuse its evaluation
+                def call(x):
+                    assert x.tobytes() == last_point[0]
+                    return derivative(x)
+                return call
+            result = minimize(merit, *args, jac=at_last_point(jac),
+                              hess=at_last_point(hess), **kwargs)
             # the solver checks the clipped point the descent returned
             counts["rounds"] += 1
             if np.clip(result.x, -1.0, 1.0).tobytes() != last_point[0]:
@@ -417,14 +427,18 @@ class TestStackedHorizon:
         horizon = rollout(rig, u, 0.2)
         model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, n,
                                   margin)
-        _, penalty = model.residuals_and_grads(horizon, None,
-                                               np.zeros(model.size), 10.0)
+        _, penalty, _ = model.penalty(horizon, np.zeros(model.size), 10.0)
         report = cons.evaluate_constraints(
             u, horizon, cons.ConstraintTracks(preds, sizes, cset, records,
                                               n + 1), cset, SPEC)
-        # both skip the gradient pieces, which change no row
-        with_pieces = cons.state_residuals(horizon, 0, model.tracks, SPEC)[0]
-        assert np.array_equal(report[18 * n:], with_pieces.ravel())
+        # neither builds the gradient pieces, and building them changes no
+        # row
+        rows, derivative_pieces = cons.state_residuals(horizon, 0,
+                                                       model.tracks, SPEC)
+        before = rows.copy()
+        derivative_pieces()
+        assert np.array_equal(rows, before)
+        assert np.array_equal(report[18 * n:], rows.ravel())
         # layout per state: 24 box, 2 collision, 1 separation entries
         penalty = penalty.reshape(n, 27)
         states = report[18 * n:].reshape(n + 1, 27)[1:]
@@ -449,20 +463,23 @@ class TestStackedHorizon:
             horizon = rollout(rig, u, 0.2)
             # multipliers that put the slope max(0, lam - rho g) of the
             # group's entries above zero, and of no other entry
-            _, g_flat = model.residuals_and_grads(horizon, None,
-                                                  np.zeros(model.size), rho)
+            _, g_flat, _ = model.penalty(horizon, np.zeros(model.size), rho)
             columns = PENALTY_GROUPS[group]
             lam = np.zeros((n, model.tracks.width))
             lam[:, columns] = rng.uniform(0.5, 1.5, (n, len(columns)))
             lam = lam.ravel()
             lam += np.where(lam > 0.0, rho * g_flat, 0.0)
+            def skipping(horizon, grads, lam, rho):
+                value, g_flat, add_gradients = model.penalty(horizon, lam,
+                                                             rho)
+                add_gradients(grads)
+                return value, g_flat
             results = []
-            for penalty in (model.residuals_and_grads,
+            for penalty in (skipping,
                             lambda *args: penalty_always_accumulating(
                                 model, *args)):
-                _, grads = obj.evaluate_horizon_stacked(
-                    horizon, tracks, SPEC, instr, with_grads=True,
-                    smooth=True)
+                grads = obj.evaluate_horizon_stacked(
+                    horizon, tracks, SPEC, instr, smooth=True)[1]()
                 value, g_flat = penalty(horizon, grads, lam, rho)
                 results.append((value, g_flat, grads))
             (value, g_flat, got), (want_value, want_g, want) = results
@@ -488,10 +505,10 @@ class TestStackedHorizon:
         horizon = rollout(rig, np.zeros((5, 9)), 0.2)
         lam = np.zeros(model.size)
         grads = obj.HorizonGradients(horizon.rotations)
-        model.residuals_and_grads(horizon, grads, lam, 0.5)
+        model.penalty(horizon, lam, 0.5)[2](grads)
         assert calls == []
         lam.reshape(5, -1)[:, 6] = 1.0
-        model.residuals_and_grads(horizon, grads, lam, 0.5)
+        model.penalty(horizon, lam, 0.5)[2](grads)
         # the roll slopes' curvature, then their gradient
         assert len(calls) == 2
 
@@ -647,14 +664,15 @@ def capture_rounds(monkeypatch, evaluate):
     return results
 
 
-def lbfgsb_oracle(minimize, fun, x0, evaluations):
+def lbfgsb_oracle(minimize, fun, jac, x0, evaluations):
     """L-BFGS-B as the planner ran it before, uncapped (1000
-    iterations), counting its evaluations into ``evaluations``."""
+    iterations), counting its evaluations (value calls) into
+    ``evaluations``."""
     def counted(x):
         evaluations.append(None)
         return fun(x)
     return minimize(
-        counted, x0, jac=True, method="L-BFGS-B", bounds=[(-1.0, 1.0)]
+        counted, x0, jac=jac, method="L-BFGS-B", bounds=[(-1.0, 1.0)]
         * len(x0), options={"maxiter": 1000, "maxls": 60, "maxcor": 20,
                             "ftol": 1e-7, "gtol": 1e-5})
 
@@ -705,8 +723,7 @@ def merit_residuals(z, problem, records):
     tracks = cons.ConstraintTracks(preds, sizes, cset, records,
                                    len(horizon))
     rows = cons.state_residuals(horizon, 1, tracks, SPEC,
-                                margin=cfg.constraint_margin,
-                                with_grads=False)[0]
+                                margin=cfg.constraint_margin)[0]
     sep = 24 + len(tracks.collisions)
     rows[:, sep:] = (rows[:, sep:] / sol._SEPARATION_SCALE
                      - cfg.constraint_margin)
@@ -741,13 +758,14 @@ class TestGaussNewton:
 
         def at_points(fun, kwargs, x0, _):
             points[0] = x0.copy()
-            return [(fun(z), kwargs["hess"](z)) for z in points]
+            return [(fun(z), kwargs["jac"](z), kwargs["hess"](z))
+                    for z in points]
         captured = capture_rounds(monkeypatch, at_points)
         sol.solve(rig, preds, instr, cset, cfg, SPEC, warm=warm,
                   sizes=sizes)
         eps = obj.ROTATION_NORM_EPS
         w_rot = instr.poses[0].w_rotation
-        for z, ((merit, grad), hess) in zip(points, captured[0]):
+        for z, (merit, grad, hess) in zip(points, captured[0]):
             squares, g, matrices = merit_residuals(z, problem, records)
             active = lam - rho * g > 0.0
             assert active.sum() > 100
@@ -781,12 +799,14 @@ class TestGaussNewton:
             assert np.linalg.norm(hess - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_one_chain_rule_per_merit_call(self, monkeypatch):
-        # a merit call with gradients takes its step exponentials from one
-        # batch pass, in the rollout, and builds the sensitivities once,
-        # for the gradient; the Hessian at its point reuses them
+        # a value call takes its step exponentials from one batch pass, in
+        # the rollout, and builds no sensitivities; the gradient at its
+        # point builds the input-dependent ones once, and the Hessian
+        # there reuses them; the input-independent ones are built once per
+        # solve, before any call
         rig, preds, sizes, instr, cset, cfg = gauss_newton_problem()
         counts = {"so3_exp_and_right_jacobian_batch": 0,
-                  "input_sensitivities": 0}
+                  "rotation_sensitivities": 0, "linear_sensitivities": 0}
         for module in (kin, obj, sol, cons):
             for name in counts:
                 if hasattr(module, name):
@@ -798,20 +818,63 @@ class TestGaussNewton:
         z = np.random.default_rng(3).uniform(-0.4, 0.4, 45)
 
         def at_point(fun, kwargs, x0, _):
-            before = dict(counts)
-            fun(z)
-            merit = {name: counts[name] - before[name] for name in counts}
-            before = dict(counts)
-            kwargs["hess"](z)
-            return merit, {name: counts[name] - before[name]
-                           for name in counts}
+            stages = []
+            for call in (fun, kwargs["jac"], kwargs["hess"]):
+                before = dict(counts)
+                call(z)
+                stages.append({name: counts[name] - before[name]
+                               for name in counts})
+            return stages
         captured = capture_rounds(monkeypatch, at_point)
         sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        merit, hessian = captured[0]
-        assert merit == {"so3_exp_and_right_jacobian_batch": 1,
-                         "input_sensitivities": 1}
+        value, gradient, hessian = captured[0]
+        assert value == {"so3_exp_and_right_jacobian_batch": 1,
+                         "rotation_sensitivities": 0,
+                         "linear_sensitivities": 0}
+        assert gradient == {"so3_exp_and_right_jacobian_batch": 0,
+                            "rotation_sensitivities": 1,
+                            "linear_sensitivities": 0}
         assert hessian == {"so3_exp_and_right_jacobian_batch": 0,
-                           "input_sensitivities": 0}
+                           "rotation_sensitivities": 0,
+                           "linear_sensitivities": 0}
+
+    def test_sensitivities_built_where_the_descent_goes_on(self,
+                                                          monkeypatch):
+        # per solve, the input-dependent sensitivities are built at each
+        # round's start and at each accepted trial after which the round
+        # went on: never at a rejected trial, nor where the ftol test ended
+        # the round
+        rig, preds, sizes, instr, cset = side_by_side_problem()
+        cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15,
+                               outer_rounds=6)
+        builds, logs = [], []
+        rotation_sensitivities = kin.rotation_sensitivities
+        minimize = scipy.optimize.minimize
+
+        def counted(*args):
+            builds.append(None)
+            return rotation_sensitivities(*args)
+
+        def logged_minimize(fun, x0, *, jac, hess, **kwargs):
+            logs.append([])
+            value, gradient, hessian = logged_descent(fun, jac, hess,
+                                                      logs[-1])
+            return minimize(value, x0, jac=gradient, hess=hessian, **kwargs)
+        monkeypatch.setattr(kin, "rotation_sensitivities", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", logged_minimize)
+        plan = None
+        for _ in range(2):  # a cold solve, then one warm-started from it
+            builds.clear()
+            logs.clear()
+            plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, warm=plan,
+                             sizes=sizes)
+            went_on = 0
+            for log in logs:
+                _, _, accepted, ftol_end = replay_descent(log)
+                went_on += len(accepted) - ftol_end
+            assert len(builds) == len(logs) + went_on
+            values = sum(call == "fun" for log in logs for call, _, _ in log)
+            assert len(builds) < values
 
     def test_no_worse_than_uncapped_lbfgsb(self, monkeypatch):
         # a bound-constrained quadratic takes L-BFGS-B two evaluations, so
@@ -826,7 +889,8 @@ class TestGaussNewton:
                     return fun(x)
                 ours = minimize(merit, x0, **kwargs)
                 oracle_counted = []
-                oracle = lbfgsb_oracle(minimize, fun, x0, oracle_counted)
+                oracle = lbfgsb_oracle(minimize, fun, kwargs["jac"], x0,
+                                       oracle_counted)
                 return ours, len(counted), oracle, len(oracle_counted)
             with monkeypatch.context() as patch:
                 captured = capture_rounds(patch, both)
@@ -871,6 +935,54 @@ def bvls_minimum(h, g, lower, upper):
     rhs = -scipy.linalg.solve_triangular(factor, g, lower=True)
     return scipy.optimize.lsq_linear(factor.T, rhs, bounds=(lower, upper),
                                      method="bvls", tol=1e-15).x
+
+
+def logged_descent(fun, jac, hess, log):
+    """``fun``, ``jac`` and ``hess`` that append ``(name, x, result)`` to
+    ``log`` at every call, in call order."""
+    def logged(name, call):
+        def wrapped(x, *args):
+            result = call(x, *args)
+            log.append((name, x.copy(), result))
+            return result
+        return wrapped
+    return logged("fun", fun), logged("jac", jac), logged("hess", hess)
+
+
+def replay_descent(log, ftol=1e-7):
+    """Walk the log of one ``box_gauss_newton`` call and judge each trial
+    by the descent's acceptance rule, from its value and the gradient and
+    Hessian logged at the point it was taken from.  Asserts that every
+    ``jac`` and ``hess`` call is at the descent's current point.  Returns
+    that point at the end, the rejected trials, the accepted ones, and
+    whether the ``ftol`` test ended the descent at the last accepted
+    trial."""
+    (name, current, f), *calls = log
+    assert name == "fun"
+    g = h = None
+    rejected, accepted, ftol_end = [], [], False
+    for name, x, result in calls:
+        if name == "jac":
+            assert np.array_equal(x, current), name
+            g = result
+            continue
+        if name == "hess":
+            assert np.array_equal(x, current), name
+            h = result
+            continue
+        # a step is taken only with the gradient and Hessian at hand
+        assert g is not None and h is not None
+        step = x - current
+        predicted = -(g @ step + 0.5 * step @ (h @ step))
+        ratio = (f - result) / predicted if predicted > 0.0 else -1.0
+        if not ratio > 1e-4:
+            rejected.append(x)
+            continue
+        accepted.append(x)
+        ftol_end = bool(ratio >= 0.25 and f - result
+                        <= ftol * max(abs(f), abs(result), 1.0))
+        current, f, g, h = x, result, None, None
+    return current, rejected, accepted, ftol_end
 
 
 class TestBoxGaussNewton:
@@ -940,23 +1052,63 @@ class TestBoxGaussNewton:
         assert trials and all(not np.array_equal(x, x0) for x in trials)
         assert all(np.array_equal(x, x0) for x in gradients)
 
-    def test_iteration_cap_is_status_1(self):
-        # Rosenbrock's function as the least squares of (10 (y - x^2), 1 - x)
+    @staticmethod
+    def rosenbrock():
+        """Rosenbrock's function as the least squares of (10 (y - x^2),
+        1 - x), its Gauss-Newton matrix, start and box."""
         def residuals(x):
             return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
         def jacobian(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        problem = (lambda x: 0.5 * residuals(x) @ residuals(x),
-                   lambda x: jacobian(x).T @ residuals(x),
-                   lambda x: jacobian(x).T @ jacobian(x),
-                   [-1.2, 1.0], -2.0 * np.ones(2), 2.0 * np.ones(2))
+        return (lambda x: 0.5 * residuals(x) @ residuals(x),
+                lambda x: jacobian(x).T @ residuals(x),
+                lambda x: jacobian(x).T @ jacobian(x),
+                [-1.2, 1.0], -2.0 * np.ones(2), 2.0 * np.ones(2))
+
+    def test_iteration_cap_is_status_1(self):
+        problem = self.rosenbrock()
         capped, _, _ = self.descend(*problem, maxiter=1)
         assert capped.status == 1 and capped.nit == 1
         assert not capped.success
         solved, _, _ = self.descend(*problem)
         assert solved.status == 0 and solved.nit > 1
         assert np.allclose(solved.x, 1.0, rtol=0.0, atol=1e-4)
+
+    def test_derivatives_only_where_the_descent_goes_on(self):
+        fun, jac, hess, _, _ = self.quadratic(3)
+        problems = {"Rosenbrock": self.rosenbrock(),
+                    "box quadratic": (fun, jac, hess, np.zeros(6),
+                                      -np.ones(6), np.ones(6))}
+        ftol_ends = 0
+        for name, (fun, jac, hess, x0, low, high) in problems.items():
+            log = []
+            value, gradient, hessian = logged_descent(fun, jac, hess, log)
+            result = sol.box_gauss_newton(
+                value, np.asarray(x0, float), jac=gradient, hess=hessian,
+                bounds=scipy.optimize.Bounds(low, high))
+            assert result.status == 0, name
+            end, rejected, accepted, ftol_end = replay_descent(log)
+            assert np.array_equal(result.x, end), name
+            assert accepted, name
+            if name == "Rosenbrock":
+                assert rejected
+            jac_points = [x for call, x, _ in log if call == "jac"]
+            hess_points = [x for call, x, _ in log if call == "hess"]
+            for trial in rejected:
+                assert not any(np.array_equal(trial, x)
+                               for x in jac_points), name
+            assert not any(np.array_equal(result.x, x)
+                           for x in hess_points), name
+            if ftol_end:
+                ftol_ends += 1
+                assert not any(np.array_equal(result.x, x)
+                               for x in jac_points), name
+                assert result.jac is None
+            else:
+                assert np.array_equal(result.jac, jac(result.x))
+        # the descent ends on the ftol test at least once here
+        assert ftol_ends > 0
 
 
 def fixed_problems():

@@ -2,9 +2,9 @@
 
 Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
 
-- the SHA-256 over every merit value and gradient the planner hands to
-  its descent (``solver.box_gauss_newton``, called through
-  ``scipy.optimize.minimize``), in call order;
+- the SHA-256 over every merit value the planner hands to its descent
+  (``solver.box_gauss_newton``, called through ``scipy.optimize.minimize``),
+  and the SHA-256 over every gradient, each stream in call order;
 - the SHA-256 over every plan's fields (the input array; each horizon
   state's position, velocity, rotation, lens and time index; cost
   breakdown, residuals, feasibility, solver statistics other than wall
@@ -12,8 +12,10 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   bytes, in the order, that versions of this tool from before plans held
   stacked arrays hashed, so plan hashes compare across that change;
 - the number of solves, augmented-Lagrangian rounds (calls of
-  ``scipy.optimize.minimize``), merit calls and cost evaluations
-  (``objectives.evaluate_horizon_stacked`` calls, the report's included);
+  ``scipy.optimize.minimize``), value passes, gradient builds and Hessian
+  builds (calls of the descent's ``fun``, ``jac`` and ``hess``), and cost
+  evaluations (``objectives.evaluate_horizon_stacked`` calls, the report's
+  included);
 - the descent's own work: model steps (``solver._model_step`` calls, one
   per trial step), Newton directions (``solver._newton_direction`` calls)
   and Cholesky factorizations (LAPACK ``dposv`` calls, one per active set
@@ -74,10 +76,11 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     if not path.suffix:
         path = SCENARIOS / f"{scenario}.json"
     config = load_scenario(path)
-    merits, plans = hashlib.sha256(), hashlib.sha256()
-    counts = {"solves": 0, "rounds": 0, "merit calls": 0,
-              "evaluations": 0, "model steps": 0, "Newton directions": 0,
-              "factorizations": 0}
+    values, gradients = hashlib.sha256(), hashlib.sha256()
+    plans = hashlib.sha256()
+    counts = {"solves": 0, "rounds": 0, "value passes": 0,
+              "gradient builds": 0, "Hessian builds": 0, "evaluations": 0,
+              "model steps": 0, "Newton directions": 0, "factorizations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     # the hooks that count a call and pass it on, by module and name
     counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
@@ -92,14 +95,24 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
             return originals[hook](*args, **kwargs)
         return call
 
-    def hashed_minimize(fun, *args, **kwargs):
-        def merit(x):
-            value, grad = fun(x)
-            counts["merit calls"] += 1
-            _update(merits, value, grad)
-            return value, grad
+    def hashed_minimize(fun, *args, jac, hess, **kwargs):
+        def value(x):
+            result = fun(x)
+            counts["value passes"] += 1
+            _update(values, result)
+            return result
+
+        def gradient(x):
+            result = jac(x)
+            counts["gradient builds"] += 1
+            _update(gradients, result)
+            return result
+
+        def hessian(x):
+            counts["Hessian builds"] += 1
+            return hess(x)
         counts["rounds"] += 1
-        return minimize(merit, *args, **kwargs)
+        return minimize(value, *args, jac=gradient, hess=hessian, **kwargs)
 
     def hashed_solve(initial, *args, **kwargs):
         plan = solve(initial, *args, **kwargs)
@@ -119,7 +132,8 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
         for (module, name), original in originals.items():
             setattr(module, name, original)
     return {"scenario": config.name, "seed": seed, "status": log.status,
-            "merit sha256": merits.hexdigest(),
+            "value sha256": values.hexdigest(),
+            "gradient sha256": gradients.hexdigest(),
             "plan sha256": plans.hexdigest(), **counts}
 
 
