@@ -14,7 +14,7 @@ from .objectives import (CompositionTarget, CostBreakdown, DofTarget,
                          FocalSchedule, FocalTarget, Instructions,
                          PoseTarget, RelativeDistance, TargetPrediction)
 from .constraints import ConstraintSet, OcclusionRecord
-from .solver import InfeasibleStartError, Plan, SolverConfig, solve
+from .solver import Plan, SolverConfig, solve
 from .scene import run_closed_loop
 from .config import (ScenarioConfig, ScenarioParseError,
                      ScenarioValidationError, load_scenario)

@@ -3,7 +3,8 @@
 A scenario bundles the camera constants, constraint set, solver tuning,
 sensor model, target scripts and a list of instruction sequences.  Loading
 is strict: every violation is collected with its field path and reported at
-once.  A key the file omits takes the default its dataclass declares.
+once.  A key the file omits takes the default its dataclass declares; a
+key the solver section does not read is an error.
 """
 
 from __future__ import annotations
@@ -381,13 +382,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             **_given(control_raw, "substeps", cast=int)))
 
     solver_raw = sections["solver"]
+    counts = ("horizon", "max_iterations", "outer_rounds")
+    reals = ("penalty_initial", "constraint_margin")
+    for key in solver_raw or ():
+        if key not in counts + reals:
+            errs.add(f"solver.{key}", "unknown key")
     solver = None if control is None or solver_raw is None else errs.guard(
         "solver", lambda: SolverConfig(
-            dt=control.period,
-            **_given(solver_raw, "horizon", "max_iterations",
-                     "outer_rounds", cast=int),
-            **_given(solver_raw, "convergence_tol", "penalty_initial",
-                     "penalty_growth", "constraint_margin")))
+            dt=control.period, **_given(solver_raw, *counts, cast=int),
+            **_given(solver_raw, *reals)))
 
     constraints = None if sections["constraints"] is None else \
         _parse_constraints(sections["constraints"], errs)

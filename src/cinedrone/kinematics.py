@@ -1,4 +1,4 @@
-"""Discrete-time rig dynamics and inter-step command interpolation.
+"""Discrete-time rig dynamics and the set-points between control steps.
 
 The drone/gimbal mount orientation is stored as a rotation matrix in the
 ROS-style body convention (x forward, y left, z up) over a z-up world, so a
@@ -8,10 +8,9 @@ z forward) are reached through the fixed :data:`BODY_TO_CAMERA` rotation.
 
 The rollout takes every step exponential and right Jacobian from one call
 of :func:`so3_exp_and_right_jacobian_batch` and keeps the Jacobians on its
-:class:`Horizon`, where the forward sensitivities
-(:func:`input_sensitivities`), the planner's one chain rule through the
-dynamics, read them; :func:`so3_exp` is one row of the same pass.  Only the
-rotation block of the sensitivities depends on the inputs
+:class:`Horizon`, where the forward sensitivities of the states to the
+inputs, the planner's one chain rule through the dynamics, read them.
+Only their rotation block depends on the inputs
 (:func:`rotation_sensitivities`); the planner builds the rest
 (:func:`linear_sensitivities`) once per solve.
 """
@@ -38,35 +37,6 @@ _ORTHONORMAL_TOL = 1e-9
 _REORTHONORMALIZE_TOL = 1e-12
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
-
-
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues closed form of the rotation exponential: the one row of
-    :func:`so3_exp_and_right_jacobian_batch`."""
-    return so3_exp_and_right_jacobian_batch(
-        np.asarray(w, dtype=float)[None, :])[0][0]
-
-
-def so3_log(rotation: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle) of a rotation matrix."""
-    trace = float(np.trace(rotation))
-    cos_theta = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
-    theta = math.acos(cos_theta)
-    residue = np.array([rotation[2, 1] - rotation[1, 2],
-                        rotation[0, 2] - rotation[2, 0],
-                        rotation[1, 0] - rotation[0, 1]])
-    if theta < 1e-8:
-        return residue * 0.5  # first-order: R ~ I + w^
-    if theta > math.pi - 1e-6:
-        # the antisymmetric part degenerates near pi; recover the axis
-        # from the dominant column of R + I, sign from the residue
-        m = rotation + np.eye(3)
-        i = int(np.argmax(np.diag(m)))
-        axis = m[:, i] / np.linalg.norm(m[:, i])
-        if residue @ axis < 0.0:
-            axis = -axis
-        return axis * theta
-    return theta / (2.0 * math.sin(theta)) * residue
 
 
 #: Row i lays vector entry i, with its sign, into the flattened skew matrix.
@@ -274,24 +244,13 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     return Horizon(positions, velocities, rotations, lens, jacobians)
 
 
-def input_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
-    """Forward sensitivities of the states 0..N of a ``rollout(initial, u,
-    dt)`` to its N flattened input rows: (N+1, 12, 9 N), rows position,
-    velocity, body rotation vector (the tangent of :func:`tangent_gradients`)
-    and lens.  Positions, velocities and lens are linear in ``u``
-    (:func:`linear_sensitivities`); state k's rotation moves with input
-    j < k by ``R_k^T R_(j+1) Jr(dt w_j) dt`` (:func:`rotation_sensitivities`),
-    the re-orthonormalization aside."""
-    n = len(horizon) - 1
-    sens = linear_sensitivities(n, dt)
-    sens[:, 6:9, :, 3:6] = rotation_sensitivities(horizon, dt)
-    return sens.reshape(n + 1, 12, 9 * n)
-
-
 def linear_sensitivities(n: int, dt: float) -> np.ndarray:
-    """The blocks of :func:`input_sensitivities` that no input moves, in
-    its (N+1, 12, N, 9) layout before flattening: position, velocity and
-    lens rows filled, the rotation rows zero."""
+    """The blocks no input moves of the forward sensitivities of the states
+    0..N of a ``rollout(initial, u, dt)`` to its N input rows: (N+1, 12,
+    N, 9), rows position, velocity, body rotation vector (the tangent of
+    :func:`tangent_gradients`) and lens.  Position, velocity and lens are
+    linear in ``u``, and their rows are filled; the rotation rows are zero
+    (:func:`rotation_sensitivities`)."""
     k = np.arange(n + 1)[:, None]
     j = np.arange(n)[None, :]
     eye = _EYE3[None, :, None, :]
@@ -305,8 +264,10 @@ def linear_sensitivities(n: int, dt: float) -> np.ndarray:
 
 
 def rotation_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
-    """The rotation block of :func:`input_sensitivities`: (N+1, 3, N, 3),
-    state k's rotation vector by input j's angular velocity."""
+    """The rotation rows that :func:`linear_sensitivities` leaves zero:
+    (N+1, 3, N, 3), state k's rotation vector by input j's angular
+    velocity, ``R_k^T R_(j+1) Jr(dt w_j) dt`` for j < k, the
+    re-orthonormalization aside."""
     n = len(horizon) - 1
     before = (np.arange(n)[None, :] < np.arange(n + 1)[:, None])[
         :, None, :, None]
@@ -315,44 +276,16 @@ def rotation_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
     return before * np.einsum("kba,jbc->kajc", rotations, steps)
 
 
-def _lerp_clipped(a: np.ndarray, b: np.ndarray, frac: float) -> np.ndarray:
-    # convex combination, clipped so floating point can never overshoot
-    # the closed interval of the endpoints
-    value = (1.0 - frac) * np.asarray(a) + frac * np.asarray(b)
-    return np.clip(value, np.minimum(a, b), np.maximum(a, b))
-
-
 def interpolate_commands(start: CameraRig, end: CameraRig,
-                         substeps: int) -> list[CameraRig]:
-    """Split one control command into ``substeps`` intermediate set-points.
-
-    Scalars interpolate linearly, the orientation along its geodesic, so no
-    set-point ever oversteps the commanded segment.  The final set-point is
-    exactly ``end``.
-    """
+                         substeps: int) -> np.ndarray:
+    """Positions of the ``substeps`` set-points that split one control
+    command: (substeps, 3), row i at ``(i + 1) / substeps`` of the straight
+    segment, clipped to it so floating point never oversteps it; the last
+    row is exactly ``end``'s position."""
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    delta_rotation = so3_log(start.drone.orientation.T
-                             @ end.drone.orientation)
-    start_intr = start.intrinsics.as_array()
-    end_intr = end.intrinsics.as_array()
-
-    points: list[CameraRig] = []
-    for i in range(1, substeps):
-        frac = i / substeps
-        drone = DroneState(
-            position=_lerp_clipped(start.drone.position,
-                                   end.drone.position, frac),
-            velocity=_lerp_clipped(start.drone.velocity,
-                                   end.drone.velocity, frac),
-            orientation=start.drone.orientation
-            @ so3_exp(frac * delta_rotation),
-        )
-        intr = _lerp_clipped(start_intr, end_intr, frac)
-        points.append(CameraRig(
-            drone=drone,
-            intrinsics=IntrinsicState(*intr),
-            time_index=end.time_index,
-        ))
-    points.append(end)
-    return points
+    a, b = start.drone.position, end.drone.position
+    frac = (np.arange(1, substeps) / substeps)[:, None]
+    inner = np.clip((1.0 - frac) * a + frac * b, np.minimum(a, b),
+                    np.maximum(a, b))
+    return np.concatenate([inner, b[None]])

@@ -248,7 +248,7 @@ class HorizonGradients:
     body orientations are ``rotations``, and ``curvature``: per state, the
     (12, 12) generalized Gauss-Newton block over position, velocity, body
     rotation vector and lens (the rows of
-    :func:`kinematics.input_sensitivities`)."""
+    :func:`kinematics.linear_sensitivities`)."""
 
     __slots__ = ("position", "velocity", "rotation", "intrinsics",
                  "curvature", "rotations")
@@ -617,7 +617,8 @@ def chain_through_dynamics(grads: HorizonGradients,
                            sens: np.ndarray) -> np.ndarray:
     """Per-state gradients -> gradient per input: ``sum_k g_k^T S_k`` over
     the states 1..N, ``sens`` their (N, 12, m) sensitivities to the m
-    inputs (:func:`kinematics.input_sensitivities`; state 0 moves with no
+    inputs (:func:`kinematics.linear_sensitivities` with the rotation rows
+    of :func:`kinematics.rotation_sensitivities`; state 0 moves with no
     input) and ``g_k`` state k's gradient in the same rows."""
     g = np.concatenate([grads.position, grads.velocity,
                         tangent_gradients(grads.rotations, grads.rotation),

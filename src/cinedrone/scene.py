@@ -2,9 +2,10 @@
 
 Targets follow scripted waypoint trajectories; a synthetic RGB-D-style
 detector replaces a learned one, producing bounding boxes, representative
-pixels and noisy depth patches from ground-truth geometry.  The rig executes
-planned states kinematically on the same substep grid as the low-level
-interpolation, so identical scenario + seed reproduce a bit-identical log.
+pixels and noisy depth patches from ground-truth geometry.  Each control
+period the rig takes on the plan's state 1 exactly; the straight-line
+set-point positions between the two states are read only by the obstacle
+contact check.  Identical scenario + seed reproduce a bit-identical log.
 """
 
 from __future__ import annotations
@@ -381,11 +382,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
         setpoints = interpolate_commands(rig, executed,
                                          config.control.substeps)
         collision = None
-        for j, sp in enumerate(setpoints):
+        for j, position in enumerate(setpoints):
             t_sub = t + (j + 1) * period / config.control.substeps
             for obstacle in obstacles:
                 opos, _ = target_pose_at(obstacle, t_sub)
-                gap = float(np.linalg.norm(sp.drone.position - opos))
+                gap = float(np.linalg.norm(position - opos))
                 if gap < config.contact_radius:
                     collision = {"step": k0, "time": t_sub,
                                  "obstacle": obstacle.target_id,

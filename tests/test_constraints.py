@@ -6,10 +6,11 @@ import pytest
 from cinedrone import constraints as cons
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
-                                  Horizon, hat_batch, rollout, so3_exp,
+                                  Horizon, hat_batch, rollout,
                                   rotation_from_rpy)
 from cinedrone.optics import BehindCameraError, CameraSensorSpec, \
     IntrinsicState
+from test_kinematics import so3_exp
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
 

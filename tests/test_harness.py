@@ -115,13 +115,12 @@ class TestLoading:
 
     def test_solver_violations_reported_together(self):
         raw = minimal_raw()
-        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0,
-                         "penalty_growth": 0.5}
+        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0}
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(raw)
         assert len(info.value.errors) == 1
         assert info.value.errors[0].startswith("solver")
-        for name in ("outer_rounds", "penalty_initial", "penalty_growth"):
+        for name in ("outer_rounds", "penalty_initial"):
             assert name in info.value.errors[0]
 
 
@@ -261,12 +260,13 @@ class TestCli:
             points=[1])),
         ("solver", lambda raw: raw.update(solver={"outer_rounds": 0})),
         ("solver", lambda raw: raw.update(solver={"penalty_initial": 0})),
-        ("solver", lambda raw: raw.update(solver={"penalty_growth": 0.5})),
+        ("solver.convergence_tol",
+         lambda raw: raw.update(solver={"convergence_tol": 1e-5})),
     ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
             "repetitions_text", "start_text", "position_scalar",
             "ramp_end_missing", "camera_number", "target_number",
             "points_list", "outer_rounds_zero", "penalty_initial_zero",
-            "penalty_growth_below_one"])
+            "unknown_key"])
     def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
         raw = minimal_raw()
         spoil(raw)

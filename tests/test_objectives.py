@@ -8,9 +8,9 @@ import pytest
 
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
-                                  input_sensitivities, rollout,
-                                  rotation_from_rpy)
+                                  rollout, rotation_from_rpy)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
+from test_kinematics import input_sensitivities
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
 
