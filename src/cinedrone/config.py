@@ -4,7 +4,7 @@ A scenario bundles the camera constants, constraint set, solver tuning,
 sensor model, target scripts and a list of instruction sequences.  Loading
 is strict: every violation is collected with its field path and reported at
 once.  A key the file omits takes the default its dataclass declares; a
-key the solver section does not read is an error.
+key the parser does not read is an error.
 """
 
 from __future__ import annotations
@@ -182,6 +182,14 @@ def _objects(raw: dict, key: str, path: str, errs: _Collector):
             errs.add(f"{path}[{i}]", "expected a JSON object")
 
 
+def _known(raw, path: str, errs: _Collector, keys: str) -> None:
+    """Record every key of the JSON object ``raw`` at ``path`` that is not
+    one of the space-separated ``keys`` as a validation error."""
+    for key in raw if isinstance(raw, dict) else ():
+        if key not in keys.split():
+            errs.add(f"{path}.{key}" if path else key, "unknown key")
+
+
 def _given(raw: dict, *keys: str, cast=None) -> dict:
     """The entries of ``raw`` under ``keys``, each through ``cast``: a key
     the file omits is left to its dataclass default."""
@@ -204,6 +212,9 @@ def _bounds_pair(raw, size: int, path: str, errs: _Collector
 def _parse_constraints(raw: dict, errs: _Collector) -> ConstraintSet | None:
     """Each bound the file gives, else the stock set's."""
     stock = ConstraintSet.default()
+    _known(raw, "constraints", errs, "acceleration angular_velocity"
+           " lens_rates position velocity rpy lens_state safety_distance"
+           " occlusion_enabled")
     accel, omega, rates, position, velocity, rpy, lens = (
         _bounds_pair(raw.get(key, (low, high)), 3, f"constraints.{key}", errs)
         for key, low, high in (
@@ -235,6 +246,7 @@ def _parse_dof_limit(raw, path: str, errs: _Collector, target_ids):
     if isinstance(raw, (int, float)):
         return float(raw)
     if isinstance(raw, dict):
+        _known(raw, path, errs, "target offset")
         tid = raw.get("target")
         if tid not in target_ids:
             errs.add(path, f"unknown target id {tid!r}")
@@ -260,7 +272,9 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
                         target_points: dict[str, set[str]]
                         ) -> obj.Instructions:
     target_ids = set(target_points)
+    _known(raw, path, errs, "dof composition pose focal")
     dof_raw = _section(raw, "dof", f"{path}.dof", errs)
+    _known(dof_raw, f"{path}.dof", errs, "near far w_near w_far")
     dof = None if dof_raw is None else errs.guard(
         f"{path}.dof", lambda: obj.DofTarget(
             **{key: _parse_dof_limit(dof_raw[key], f"{path}.dof.{key}",
@@ -272,6 +286,7 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
     for i, entry in _objects(raw, "composition", f"{path}.composition",
                              errs):
         epath = f"{path}.composition[{i}]"
+        _known(entry, epath, errs, "target point pixel weight")
         tid = entry.get("target")
         pid = entry.get("point", "center")
         if tid not in target_ids:
@@ -293,6 +308,8 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
     poses = []
     for i, entry in _objects(raw, "pose", f"{path}.pose", errs):
         epath = f"{path}.pose[{i}]"
+        _known(entry, epath, errs, "target distance w_distance rotation"
+               " rotation_rpy w_rotation")
         tid = entry.get("target")
         if tid not in target_ids:
             errs.add(epath, f"unknown target id {tid!r}")
@@ -302,15 +319,18 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
             poses.append(pt)
 
     focal_raw = _section(raw, "focal", f"{path}.focal", errs) or {}
+    _known(focal_raw, f"{path}.focal", errs, "weight schedule ramp value_mm")
     focal = _given(focal_raw, "weight")
     if "schedule" in focal_raw:
         knots = focal_raw["schedule"]
+        _known(knots, f"{path}.focal.schedule", errs, "times values_mm")
         focal["schedule"] = errs.guard(
             f"{path}.focal.schedule", lambda: obj.FocalSchedule(
                 times=tuple(float(v) for v in knots["times"]),
                 values=tuple(float(v) for v in knots["values_mm"])))
     elif "ramp" in focal_raw:
         ramp = focal_raw["ramp"]
+        _known(ramp, f"{path}.focal.ramp", errs, "start end from_mm to_mm")
         focal["schedule"] = errs.guard(
             f"{path}.focal.ramp", lambda: obj.FocalSchedule(
                 times=(float(ramp["start"]), float(ramp["end"])),
@@ -328,6 +348,8 @@ def _parse_instructions(raw: dict, path: str, errs: _Collector,
 def _parse_target(raw: dict, index: int, errs: _Collector
                   ) -> ScriptedTarget | None:
     path = f"targets[{index}]"
+    _known(raw, path, errs, "id nature height width preliminary_rpy points"
+           " waypoints interpolation is_obstacle")
     tid = raw.get("id")
     if not tid:
         errs.add(path, "missing target id")
@@ -360,6 +382,20 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     sections = {key: _section(raw, key, key, errs) for key in (
         "camera", "control", "solver", "constraints", "sensor",
         "estimation", "initial_rig")}
+    _known(raw, "", errs, " ".join([*sections, "name targets sequences seeds"
+                                    " repetitions contact_radius"]))
+    for key, keys in (
+            ("camera", "image_width image_height sensor_width_mm"
+             " sensor_height_mm principal_u principal_v skew"
+             " circle_of_confusion_mm"),
+            ("control", "period substeps duration"),
+            ("solver", "horizon max_iterations outer_rounds penalty_initial"
+             " constraint_margin"),
+            ("sensor", "depth_sigma dropout pixel_jitter"),
+            ("estimation", "accel_sigma meas_sigma velocity_sigma"),
+            ("initial_rig", "position rpy focal_mm focus_m aperture velocity"
+             " position_jitter")):
+        _known(sections[key], key, errs, keys)
 
     camera_raw = sections["camera"]
     camera = None if camera_raw is None else errs.guard(
@@ -384,9 +420,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     solver_raw = sections["solver"]
     counts = ("horizon", "max_iterations", "outer_rounds")
     reals = ("penalty_initial", "constraint_margin")
-    for key in solver_raw or ():
-        if key not in counts + reals:
-            errs.add(f"solver.{key}", "unknown key")
     solver = None if control is None or solver_raw is None else errs.guard(
         "solver", lambda: SolverConfig(
             dt=control.period, **_given(solver_raw, *counts, cast=int),
@@ -430,6 +463,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         errs.add("sequences", "at least one sequence is required")
     previous = -math.inf
     for i, entry in _objects(raw, "sequences", "sequences", errs):
+        _known(entry, f"sequences[{i}]", errs, "start instructions")
         start = errs.guard(f"sequences[{i}].start", float,
                            entry.get("start", 0.0))
         if start is not None:

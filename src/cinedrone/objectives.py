@@ -244,31 +244,29 @@ class CostBreakdown:
 
 
 class HorizonGradients:
-    """Stacked gradients of the accumulated cost w.r.t. the rig states whose
-    body orientations are ``rotations``, and ``curvature``: per state, the
-    (12, 12) generalized Gauss-Newton block over position, velocity, body
-    rotation vector and lens (the rows of
-    :func:`kinematics.linear_sensitivities`)."""
+    """Stacked derivatives of the accumulated merit w.r.t. the rig states
+    whose body orientations are ``rotations``: per state, the ``gradient``
+    (12,) and the (12, 12) generalized Gauss-Newton block ``curvature``,
+    both over position, velocity, body rotation vector and lens (the rows
+    of :func:`kinematics.linear_sensitivities`)."""
 
-    __slots__ = ("position", "velocity", "rotation", "intrinsics",
-                 "curvature", "rotations")
+    __slots__ = ("gradient", "curvature", "rotations")
 
     def __init__(self, rotations: np.ndarray) -> None:
         n = len(rotations)
-        self.position = np.zeros((n, 3))
-        self.velocity = np.zeros((n, 3))
-        self.rotation = np.zeros((n, 3, 3))
-        self.intrinsics = np.zeros((n, 3))
-        self.rotations = rotations
+        self.gradient = np.zeros((n, 12))
         self.curvature = np.zeros((n, 12, 12))
+        self.rotations = rotations
 
-    def add_outer(self, weight: np.ndarray, position=None, rotation=None,
-                  intrinsics=None, states: slice = slice(None)) -> None:
-        """Add ``weight * d d^T`` to the curvature of ``states``, ``d`` one
+    def add(self, slope: np.ndarray, weight: np.ndarray | None = None,
+            position=None, rotation=None, intrinsics=None,
+            states: slice = slice(None)) -> None:
+        """Add ``slope * d`` to the gradient and ``weight * d d^T`` to the
+        curvature of ``states`` (none without ``weight``), ``d`` one
         residual's derivative per state given by its pieces: w.r.t. the
         position (n, 3), the rotation matrix (n, 3, 3), taken to the
         rotation vector, and the lens (n, 3) or the focal length (n,)."""
-        rows = np.zeros((len(weight), 12))
+        rows = np.zeros((len(slope), 12))
         if position is not None:
             rows[:, 0:3] = position
         if rotation is not None:
@@ -278,8 +276,10 @@ class HorizonGradients:
                 rows[:, 9] = intrinsics
             else:
                 rows[:, 9:12] = intrinsics
-        self.curvature[states] += weight[:, None, None] * (
-            rows[:, :, None] * rows[:, None, :])
+        self.gradient[states] += slope[:, None] * rows
+        if weight is not None:
+            self.curvature[states] += weight[:, None, None] * (
+                rows[:, :, None] * rows[:, None, :])
 
 
 #: What a cost term leaves for its derivatives: a callable that adds them
@@ -341,27 +341,24 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             dn_dfocus = h_f * (h - two_f) / denom2
             d_near = np.stack([(dn_dh * dh_df_m + dn_df_direct) / 1000.0,
                                dn_dfocus, dn_dh * dh_da], axis=1)
-            grads.intrinsics += (2.0 * dof.w_near * near_err)[:, None] \
-                * d_near
-            grads.add_outer(np.full(len(intr), 2.0 * dof.w_near),
-                            intrinsics=d_near)
+            grads.add(2.0 * dof.w_near * near_err,
+                      np.full(len(intr), 2.0 * dof.w_near), intrinsics=d_near)
         if far_active:
             df_dh = focus * (f_m - focus) / (h_focus * h_focus)
             df_df_direct = -focus / h_focus
             df_dfocus = h_f * h / (h_focus * h_focus)
             d_far = np.stack([(df_dh * dh_df_m + df_df_direct) / 1000.0,
                               df_dfocus, df_dh * dh_da], axis=1)
-            scale = np.where(finite, 2.0 * dof.w_far * far_err, 0.0)
-            g_lens = scale[:, None] * d_far
+            grads.add(np.where(finite, 2.0 * dof.w_far * far_err, 0.0),
+                      np.where(finite, 2.0 * dof.w_far, 0.0),
+                      intrinsics=d_far)
             if infinite.any():
                 # the surrogate is linear in H and the focus: no curvature
                 bar = dof.w_far * _FAR_BARRIER
-                g_lens += np.where(infinite[:, None], np.stack(
-                    [-bar * dh_df_m / 1000.0, np.full(len(intr), bar),
-                     -bar * dh_da], axis=1), 0.0)
-            grads.intrinsics += g_lens
-            grads.add_outer(np.where(finite, 2.0 * dof.w_far, 0.0),
-                            intrinsics=d_far)
+                grads.gradient[:, 9:12] += np.where(
+                    infinite[:, None], np.stack(
+                        [-bar * dh_df_m / 1000.0, np.full(len(intr), bar),
+                         -bar * dh_da], axis=1), 0.0)
     return cost, add_gradients
 
 
@@ -418,26 +415,16 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
             d_s[:, :, 2] = -1.0
             residuals.append((np.where(clamped, BARRIER_GAIN, 0.0),
                               shortfall, d_s, None))
-
-        def pieces(d_q):
+        for w, e, d_q, d_f in residuals:
             # d/dq -> d/d position, d/d rotation matrix
-            return (-np.einsum("kij,tkj->tki", cam_rotations, d_q),
-                    body_outer(rel, d_q))
-        g_q = sum((2.0 * w * e)[:, :, None] * d_q
-                  for w, e, d_q, _ in residuals)
-        pos_terms, rot_terms = pieces(g_q)
-        f_terms = 2.0 * (w_u * e_u * f_u + w_v * e_v * f_v)
-        for t in range(len(targets)):
-            grads.position += pos_terms[t]
-            grads.rotation += rot_terms[t]
-            grads.intrinsics[:, 0] += f_terms[t]
-        for w, _, d_q, d_f in residuals:
-            d_pos, d_rot = pieces(d_q)
-            weights = 2.0 * np.broadcast_to(w, d_pos.shape[:2])
+            d_pos = -np.einsum("kij,tkj->tki", cam_rotations, d_q)
+            d_rot = body_outer(rel, d_q)
+            slopes = 2.0 * w * e
+            weights = 2.0 * np.broadcast_to(w, slopes.shape)
             for t in range(len(targets)):
-                grads.add_outer(weights[t], position=d_pos[t],
-                                rotation=d_rot[t],
-                                intrinsics=None if d_f is None else d_f[t])
+                grads.add(slopes[t], weights[t], position=d_pos[t],
+                          rotation=d_rot[t],
+                          intrinsics=None if d_f is None else d_f[t])
     return cost, add_gradients
 
 
@@ -486,22 +473,22 @@ def _add_distance_gradients(weight: float, diff: np.ndarray,
                             grads: HorizonGradients) -> None:
     d_dist = np.where(dist[:, None] > 1e-12, diff, 0.0) / (
         np.maximum(dist, 1e-12)[:, None])
-    grads.position += (2.0 * weight * err)[:, None] * d_dist
-    grads.add_outer(np.full(len(dist), 2.0 * weight), position=d_dist)
+    grads.add(2.0 * weight * err, np.full(len(dist), 2.0 * weight),
+              position=d_dist)
 
 
 def _add_rotation_gradients(weight: float, rotations: np.ndarray,
                             target_rotations: np.ndarray,
                             residual: np.ndarray, root: np.ndarray,
                             grads: HorizonGradients) -> None:
-    # of the smoothed norm
-    d_norm = np.einsum("kij,kjl->kil", target_rotations, residual)
-    grads.rotation += (weight / root)[:, None, None] * d_norm
+    # of the smoothed norm, taken to the rotation vector
+    c = tangent_gradients(rotations, np.einsum(
+        "kij,kjl->kil", target_rotations, residual))
+    grads.gradient[:, 6:9] += (weight / root)[:, None] * c
     # exact pseudo-Huber Hessian in the residual matrix M,
     # w (I / root - M M^T / root^3), pulled back through
     # dM/dd = R_t^T R hat(e_i), whose columns are orthogonal
     # with squared norm 2
-    c = tangent_gradients(rotations, d_norm)
     grads.curvature[:, 6:9, 6:9] += weight * (
         2.0 * _EYE3 / root[:, None, None]
         - c[:, :, None] * c[:, None, :] / (root ** 3)[:, None, None])
@@ -514,9 +501,8 @@ def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
     err = f_mm - f_star
 
     def add_gradients(grads: HorizonGradients) -> None:
-        grads.intrinsics[:, 0] += 2.0 * weight * err
-        grads.add_outer(np.full(len(f_mm), 2.0 * weight),
-                        intrinsics=np.ones(len(f_mm)))
+        grads.add(2.0 * weight * err, np.full(len(f_mm), 2.0 * weight),
+                  intrinsics=np.ones(len(f_mm)))
     return weight * err * err, add_gradients
 
 
@@ -620,7 +606,5 @@ def chain_through_dynamics(grads: HorizonGradients,
     inputs (:func:`kinematics.linear_sensitivities` with the rotation rows
     of :func:`kinematics.rotation_sensitivities`; state 0 moves with no
     input) and ``g_k`` state k's gradient in the same rows."""
-    g = np.concatenate([grads.position, grads.velocity,
-                        tangent_gradients(grads.rotations, grads.rotation),
-                        grads.intrinsics], axis=1)[1:]
+    g = grads.gradient[1:]
     return g.ravel() @ sens.reshape(g.size, -1)

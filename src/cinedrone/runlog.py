@@ -64,8 +64,8 @@ def summary_metrics(log: RunLog) -> dict:
     """Headline acceptance metrics of one run.
 
     Steady-state statistics use the tail of the run (last quarter for pixel
-    error, last half for sharpness tracking, last three quarters for the
-    dolly-zoom ratio).
+    error, last half for sharpness and focal tracking, last three quarters
+    for the dolly-zoom ratio).
     """
     metrics: dict = {
         "status": log.status,
@@ -96,6 +96,12 @@ def summary_metrics(log: RunLog) -> dict:
     if "dn_actual" in log.columns and "dn_target" in log.columns:
         err = np.abs(log.column("dn_actual") - log.column("dn_target"))
         metrics["dof_tracking_error"] = _nan_mean(
+            err[-max(1, len(log.rows) // 2):])
+
+    if "f_target_mm" in log.columns and "focal_mm" in log.columns:
+        target = log.column("f_target_mm")
+        err = np.abs(log.column("focal_mm") - target) / target
+        metrics["focal_tracking_error"] = _nan_mean(
             err[-max(1, len(log.rows) // 2):])
 
     ratio_cols = [c for c in log.columns if c.endswith("_distance")]

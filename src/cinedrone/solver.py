@@ -42,8 +42,6 @@ _SEPARATION_SCALE = 100.0
 #: velocity and lens.
 _LINEAR_ROWS = np.r_[0:6, 9:12]
 _LINEAR_ROWS.setflags(write=False)
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
 #: A plan is feasible when no residual of its report falls below this.
 FEASIBILITY_TOL = -1e-6
 #: Share of ``SolverConfig.constraint_margin`` a plan may give up and still
@@ -139,9 +137,6 @@ class _PenaltyModel:
         #: first collision column, then first separation column of a row
         self.n_box = 2 * len(self.tracks.bounds[0])
         self.n_coll = self.n_box + len(self.tracks.collisions)
-        #: per roll, pitch and yaw, its unit slope at each of states 1..N
-        self.units = np.repeat(_EYE3[:, None, :], n_steps, axis=1)
-        self.units.setflags(write=False)
 
     def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
                 ) -> tuple[float, np.ndarray,
@@ -167,33 +162,40 @@ class _PenaltyModel:
         def add_gradients(grads: obj.HorizonGradients) -> None:
             (diff, dist), separations = derivative_pieces()
             slopes = slack.reshape(g_all.shape)
-            self._add_curvature(horizon, grads, rho * (slopes > 0.0), diff,
-                                dist, separations)
+            weights = rho * (slopes > 0.0)
+            states, rotations = slice(1, None), horizon.rotations[1:]
             # A group with all slopes zero is skipped: its terms are +-0.0,
-            # and the gradient arrays start at +0.0 and only see += and -=,
-            # so under round-to-nearest they never hold -0.0 and adding
-            # +-0.0 changes no bit; only 0 * inf at pitch +-pi/2 would have
-            # written NaN.
+            # and the accumulators start at +0.0 and only see += and -=, so
+            # under round-to-nearest they never hold -0.0 and adding +-0.0
+            # changes no bit; only 0 * inf at pitch +-pi/2 would have
+            # written NaN.  A box row x - lo has slope -slack and hi - x
+            # +slack, both of the same d d^T.
             half = n_box // 2
             box = slopes[:, half:n_box] - slopes[:, :half]
-            if box[:, 0:6].any() or box[:, 9:12].any():
-                grads.position[1:] += box[:, 0:3]
-                grads.velocity[1:] += box[:, 3:6]
-                grads.intrinsics[1:] += box[:, 9:12]
-            if box[:, 6:9].any():
-                self._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
-                                     grads.rotation[1:])
-            if slopes[:, n_box:sep.start].any():
-                coefficients = -slopes[:, n_box:sep.start].T / np.maximum(
-                    dist, 1e-9)
-                for term in coefficients[:, :, None] * diff:
-                    grads.position[1:] += term
-            for idx, (d_pos, d_rot, d_f) in enumerate(separations,
-                                                      sep.start):
-                slope = -slopes[:, idx] / _SEPARATION_SCALE
-                grads.position[1:] += slope[:, None] * d_pos
-                grads.rotation[1:] += slope[:, None, None] * d_rot
-                grads.intrinsics[1:, 0] += slope * d_f
+            box_weights = weights[:, :half] + weights[:, half:n_box]
+            linear = _LINEAR_ROWS
+            if box_weights[:, linear].any():
+                grads.gradient[states, linear] += box[:, linear]
+                grads.curvature[states, linear, linear] += box_weights[
+                    :, linear]
+            for axis in range(3):
+                if box_weights[:, 6 + axis].any():
+                    grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
+                              rotation=_rpy_derivative(rotations, axis),
+                              states=states)
+            for column, (d, r) in enumerate(zip(diff, dist), n_box):
+                if weights[:, column].any():
+                    grads.add(-slopes[:, column], weights[:, column],
+                              position=d / np.maximum(r, 1e-9)[:, None],
+                              states=states)
+            for column, (d_pos, d_rot, d_f) in enumerate(separations,
+                                                         self.n_coll):
+                if weights[:, column].any():
+                    grads.add(-slopes[:, column], weights[:, column],
+                              position=d_pos / _SEPARATION_SCALE,
+                              rotation=d_rot / _SEPARATION_SCALE,
+                              intrinsics=d_f / _SEPARATION_SCALE,
+                              states=states)
         return value, g_flat, add_gradients
 
     def feasible_with_margin(self, g_flat: np.ndarray) -> bool:
@@ -207,47 +209,20 @@ class _PenaltyModel:
                     and np.all(rows[:, self.n_box:]
                                >= -EARLY_EXIT_MARGIN_SHARE * self.margin))
 
-    def _add_curvature(self, horizon: kin.Horizon, grads, weights, diff,
-                       dist, separations) -> None:
-        """``rho dg dg^T`` of every active row (``weights`` is rho there,
-        0 elsewhere) into the stage blocks of states 1..N, each ``dg`` from
-        the pieces the gradient takes."""
-        n_box, states = self.n_box, slice(1, None)
-        half = n_box // 2
-        box = weights[:, :half] + weights[:, half:n_box]
-        linear = _LINEAR_ROWS
-        grads.curvature[states, linear, linear] += box[:, linear]
-        for axis, unit in enumerate(self.units):
-            if box[:, 6 + axis].any():
-                d_rot = np.zeros((len(box), 3, 3))
-                self._add_rpy_slopes(horizon.rotations[1:], unit, d_rot)
-                grads.add_outer(box[:, 6 + axis], rotation=d_rot,
-                                states=states)
-        for column, (d, r) in enumerate(zip(diff, dist), n_box):
-            if weights[:, column].any():
-                grads.add_outer(weights[:, column], states=states,
-                                position=d / np.maximum(r, 1e-9)[:, None])
-        for column, (d_pos, d_rot, d_f) in enumerate(separations,
-                                                     self.n_coll):
-            if weights[:, column].any():
-                grads.add_outer(weights[:, column], states=states,
-                                position=d_pos / _SEPARATION_SCALE,
-                                rotation=d_rot / _SEPARATION_SCALE,
-                                intrinsics=d_f / _SEPARATION_SCALE)
 
-    @staticmethod
-    def _add_rpy_slopes(rotations: np.ndarray, slopes: np.ndarray,
-                        rot_grads: np.ndarray) -> None:
-        # d(rpy)/dR for Z-Y-X extraction; bounds keep pitch off +-pi/2
-        d_roll, d_pitch, d_yaw = slopes[:, 0], slopes[:, 1], slopes[:, 2]
-        denom = rotations[:, 2, 1] ** 2 + rotations[:, 2, 2] ** 2
-        rot_grads[:, 2, 1] += d_roll * rotations[:, 2, 2] / denom
-        rot_grads[:, 2, 2] -= d_roll * rotations[:, 2, 1] / denom
-        rot_grads[:, 2, 0] -= d_pitch / np.sqrt(
-            np.maximum(1.0 - rotations[:, 2, 0] ** 2, 1e-12))
-        denom = rotations[:, 0, 0] ** 2 + rotations[:, 1, 0] ** 2
-        rot_grads[:, 1, 0] += d_yaw * rotations[:, 0, 0] / denom
-        rot_grads[:, 0, 0] -= d_yaw * rotations[:, 1, 0] / denom
+def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
+    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction in
+    :func:`cons.state_bound_residuals`: (n, 3, 3); bounds keep pitch off
+    +-pi/2."""
+    flat = rotations.reshape(-1, 9)  # R_ij at 3 i + j
+    d = np.zeros((len(rotations), 9))
+    if axis == 1:  # -arcsin(R_20)
+        d[:, 6] = -1.0 / np.sqrt(np.maximum(1.0 - flat[:, 6] ** 2, 1e-12))
+    else:  # atan2(R_21, R_22) and atan2(R_10, R_00)
+        y, x = (7, 8) if axis == 0 else (3, 0)
+        denom = flat[:, y] ** 2 + flat[:, x] ** 2
+        d[:, y], d[:, x] = flat[:, x] / denom, -flat[:, y] / denom
+    return d.reshape(-1, 3, 3)
 
 
 def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
@@ -509,7 +484,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             grads = cost_gradients()
             add_penalty_gradients(grads)
             if domain_penalty:
-                grads.intrinsics[1:] -= 2.0 * _DOMAIN_GAIN * shortfall
+                grads.gradient[1:, 9:12] -= 2.0 * _DOMAIN_GAIN * shortfall
                 lens = grads.curvature[1:, 9:12, 9:12]
                 lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
                     shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)

@@ -40,6 +40,11 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number:02d} {name}: {detail}"
 
 
+#: Seconds of shot the counterfactual dolly zooms run: criterion 06's window
+#: opens at 12 s and 07's at 14 s.
+DOLLY_CUT = 16.0
+
+
 def _pool_run(raw: dict, seed: int):
     logging.disable(logging.WARNING)
     return run_closed_loop(scenario_from_dict(raw), seed)
@@ -66,6 +71,15 @@ def runs():
         tasks["rot_b"] = pool.submit(_pool_run, rot, 0)
         tasks["dolly"] = pool.submit(_pool_run, _load_raw("e3_dolly_zoom"),
                                      0)
+        # counterfactual dolly zooms, their lens rates pinned at zero
+        for key, channels in (("dolly_fixed_focal", [0]),
+                              ("dolly_fixed_focus", [1, 2])):
+            pinned = _load_raw("e3_dolly_zoom")
+            pinned["control"]["duration"] = DOLLY_CUT
+            for bound in pinned["constraints"]["lens_rates"]:
+                for channel in channels:
+                    bound[channel] = 0.0
+            tasks[key] = pool.submit(_pool_run, pinned, 0)
         collision = _load_raw("e4_collision")
         for seed in range(10):
             tasks[f"col_{seed}"] = pool.submit(_pool_run, collision, seed)
@@ -234,8 +248,10 @@ def _dolly_ramp(raw: dict) -> tuple[float, float]:
     return float(ramp["start"]), float(ramp["end"])
 
 
-def test_criterion_06_dolly_zoom(runs):
-    log = runs["dolly"]
+def _dolly_zoom_holds(log) -> tuple[bool, str]:
+    """Criterion 06 on one run: over the ramp from its 10th period, the
+    distance/focal spread, the worst pixel error and the mean relative
+    focal-tracking error."""
     t = log.column("time")
     ramp_start, ramp_end = _dolly_ramp(_load_raw("e3_dolly_zoom"))
     window = (t >= ramp_start + 10 * 0.2) & (t <= ramp_end)
@@ -246,23 +262,45 @@ def test_criterion_06_dolly_zoom(runs):
                  log.column("actor_head_v") - 150.0),
         np.hypot(log.column("actor_hips_u") - 480.0,
                  log.column("actor_hips_v") - 390.0)], axis=0)[window]
-    ok = spread <= 0.05 and errors.max() < 10.0
-    report(6, "dolly zoom holds composition", ok,
-           f"distance/focal spread {spread * 100:.2f}% (<=5%), max pixel"
-           f" error {errors.max():.2f} px (<10)")
+    target = log.column("f_target_mm")[window]
+    tracking = np.mean(np.abs(log.column("focal_mm")[window] - target)
+                       / target)
+    ok = spread <= 0.05 and errors.max() < 10.0 and tracking <= 0.05
+    return ok, (f"distance/focal spread {spread * 100:.2f}% (<=5%), max"
+                f" pixel error {errors.max():.2f} px (<10), mean |f - f*| /"
+                f" f* {tracking * 100:.2f}% (<=5%)")
 
 
-def test_criterion_07_dolly_zoom_dof_tracking(runs):
-    log = runs["dolly"]
+def _near_limit_tracks(log) -> tuple[bool, str]:
+    """Criterion 07 on one run: the near limit's worst error over the ramp,
+    after a 20-period transient (the requested limit starts moving with
+    the ramp)."""
     t = log.column("time")
     ramp_start, ramp_end = _dolly_ramp(_load_raw("e3_dolly_zoom"))
-    # the requested near limit starts moving with the ramp; track after a
-    # 20-period transient
     window = (t >= ramp_start + 20 * 0.2) & (t <= ramp_end)
     error = np.abs(log.column("dn_actual")
                    - log.column("dn_target"))[window]
-    report(7, "near-limit tracks distance minus 3 m", error.max() < 0.5,
-           f"max |Dn - Dn*| = {error.max():.3f} m (<0.5)")
+    return error.max() < 0.5, f"max |Dn - Dn*| = {error.max():.3f} m (<0.5)"
+
+
+def test_criterion_06_dolly_zoom(runs):
+    # a camera that never zooms keeps distance/focal constant as well: it
+    # fails the focal tracking, in the first 16 s of its shot
+    fixed_ok, fixed_detail = _dolly_zoom_holds(runs["dolly_fixed_focal"])
+    ok, detail = _dolly_zoom_holds(runs["dolly"])
+    report(6, "dolly zoom holds composition", ok and not fixed_ok,
+           f"{detail}; focal rate pinned, first {DOLLY_CUT:.0f} s:"
+           f" {fixed_detail}")
+
+
+def test_criterion_07_dolly_zoom_dof_tracking(runs):
+    # with focus and aperture pinned the near limit is lost from the
+    # window's first step, in the first 16 s of the shot
+    fixed_ok, fixed_detail = _near_limit_tracks(runs["dolly_fixed_focus"])
+    ok, detail = _near_limit_tracks(runs["dolly"])
+    report(7, "near-limit tracks distance minus 3 m", ok and not fixed_ok,
+           f"{detail}; focus and aperture rates pinned, first"
+           f" {DOLLY_CUT:.0f} s: {fixed_detail}")
 
 
 def test_criterion_08_collision_constraint(runs):

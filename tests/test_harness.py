@@ -58,6 +58,41 @@ class TestLoading:
         assert config.sensor == SensorModel()
         assert config.estimation == EstimationConfig()
 
+    @pytest.mark.parametrize("path", [
+        "contact_radus", "control.perod", "constraints.velocity_typo",
+        "sensor.dropuot", "camera.skw", "estimation.acel_sigma",
+        "initial_rig.focal", "targets[0].colour",
+        "sequences[0].strat", "sequences[0].instructions.focus",
+        "sequences[0].instructions.dof.w_nera",
+        "sequences[0].instructions.dof.near.ofset",
+        "sequences[0].instructions.focal.wieght",
+        "sequences[0].instructions.focal.ramp.stop",
+        "sequences[0].instructions.focal.schedule.values",
+        "sequences[0].instructions.composition[0].pixels",
+        "sequences[0].instructions.pose[0].w_distanse"])
+    def test_unknown_key_rejected(self, path):
+        raw = minimal_raw()
+        instructions = raw["sequences"][0]["instructions"]
+        instructions.update(
+            dof={"near": {"target": "thing", "offset": -1.0}, "w_near": 1.0},
+            pose=[{"target": "thing", "distance": 5.0, "w_distance": 1.0}])
+        if "ramp" in path:
+            instructions["focal"] = {"ramp": {
+                "start": 0.0, "end": 1.0, "from_mm": 35.0, "to_mm": 50.0}}
+        elif "schedule" in path:
+            instructions["focal"] = {"schedule": {"times": [0.0],
+                                                  "values_mm": [35.0]}}
+        scenario_from_dict(raw)  # loads before the misspelt key goes in
+        *parents, key = path.replace("[", ".[").split(".")
+        owner = raw
+        for part in parents:
+            owner = owner[int(part[1:-1])] if part.startswith("[") else \
+                owner.setdefault(part, {})
+        owner[key] = 1.0
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(raw)
+        assert info.value.errors == [f"{path}: unknown key"]
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -193,6 +228,16 @@ class TestOutputs:
             log.append({"collision_residual_min": value})
         metrics = summary_metrics(log)
         assert metrics["min_safety_distance"] == pytest.approx(2.25)
+
+    def test_summary_focal_tracking_error(self):
+        log = RunLog(columns=["focal_mm", "f_target_mm"],
+                     meta={"name": "x", "seed": 0})
+        # the first half is left out, and so are rows with no target
+        for focal, target in ((10.0, 50.0), (55.0, 50.0), (70.0, np.nan),
+                              (90.0, 100.0)):
+            log.append({"focal_mm": focal, "f_target_mm": target})
+        metrics = summary_metrics(log)
+        assert metrics["focal_tracking_error"] == pytest.approx(0.1)
 
     def test_schema_is_config_function(self):
         config = scenario_from_dict(minimal_raw())

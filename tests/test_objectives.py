@@ -311,6 +311,59 @@ def body_outer_matmul(rel, g_q):
     return np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
 
 
+def hat(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]],
+                     [-w[1], w[0], 0.0]])
+
+
+def test_horizon_gradients_add_builds_one_row_per_residual():
+    # d's rotation entries are <G, R hat(e_i)>, the derivative of a
+    # function with matrix gradient G under R exp(d^)
+    rng = np.random.default_rng(4)
+    n = 5
+    rotations = np.stack([rotation_from_rpy(*rng.uniform(-1.0, 1.0, 3))
+                          for _ in range(n)])
+    grads = obj.HorizonGradients(rotations)
+    want_gradient, want_curvature = np.zeros((n, 12)), np.zeros((n, 12, 12))
+    states = slice(1, None)
+    residuals = [
+        {"position": rng.standard_normal((n - 1, 3)),
+         "rotation": rng.standard_normal((n - 1, 3, 3)),
+         "intrinsics": rng.standard_normal(n - 1)},
+        {"position": rng.standard_normal((n - 1, 3)),
+         "intrinsics": rng.standard_normal((n - 1, 3))},
+        {"rotation": rng.standard_normal((n - 1, 3, 3))}]
+    for index, pieces in enumerate(residuals):
+        slope = rng.standard_normal(n - 1)
+        weight = None if index == 2 else rng.uniform(0.5, 2.0, n - 1)
+        grads.add(slope, weight, states=states, **pieces)
+        d = np.zeros((n - 1, 12))
+        d[:, 0:3] = pieces.get("position", 0.0)
+        if "rotation" in pieces:
+            for i in range(3):
+                d[:, 6 + i] = np.einsum(
+                    "kab,kab->k", pieces["rotation"],
+                    rotations[1:] @ hat(np.eye(3)[i]))
+        lens = pieces.get("intrinsics", np.zeros(n - 1))
+        if lens.ndim == 1:
+            d[:, 9] = lens
+        else:
+            d[:, 9:12] = lens
+        want_gradient[1:] += slope[:, None] * d
+        if weight is not None:
+            want_curvature[1:] += weight[:, None, None] * np.einsum(
+                "ki,kj->kij", d, d)
+    assert np.allclose(grads.gradient, want_gradient, rtol=1e-13,
+                       atol=1e-13)
+    assert np.allclose(grads.curvature, want_curvature, rtol=1e-13,
+                       atol=1e-13)
+    # state 0 is outside ``states``, and the last residual has no weight
+    assert not grads.gradient[0].any() and not grads.curvature[0].any()
+    before = grads.curvature.copy()
+    grads.add(np.ones(n), rotation=rng.standard_normal((n, 3, 3)))
+    assert np.array_equal(grads.curvature, before)
+
+
 class TestGradient:
     def test_rotation_terms_bit_identical_in_the_gradient(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -329,7 +382,7 @@ class TestGradient:
                                         smooth=True, with_grads=True)
                 results.append(grads)
             got, want = results
-            for name in ("position", "rotation", "intrinsics"):
+            for name in ("gradient", "curvature"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.array_equal(a, b), name
                 assert np.array_equal(np.signbit(a), np.signbit(b)), name

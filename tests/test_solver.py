@@ -306,8 +306,8 @@ def side_by_side_problem():
 
 
 def penalty_always_accumulating(model, horizon, grads, lam, rho):
-    """The gradients of ``_PenaltyModel.penalty`` as they were before it
-    skipped the groups whose slopes are all zero: the oracle of its bits."""
+    """The derivatives of ``_PenaltyModel.penalty`` with every group added,
+    its slopes zero or not: the oracle of its bits."""
     g_all, derivative_pieces = cons.state_residuals(
         horizon, 1, model.tracks, model.spec, margin=model.margin)
     (diff, dist), separations = derivative_pieces()
@@ -318,21 +318,25 @@ def penalty_always_accumulating(model, horizon, grads, lam, rho):
     slack = np.maximum(0.0, lam - rho * g_flat)
     value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
     slopes = slack.reshape(g_all.shape)
-    half = n_box // 2
+    weights = rho * (slopes > 0.0)
+    states, half = slice(1, None), n_box // 2
     box = slopes[:, half:n_box] - slopes[:, :half]
-    grads.position[1:] += box[:, 0:3]
-    grads.velocity[1:] += box[:, 3:6]
-    grads.intrinsics[1:] += box[:, 9:12]
-    sol._PenaltyModel._add_rpy_slopes(horizon.rotations[1:], box[:, 6:9],
-                                      grads.rotation[1:])
-    coefficients = -slopes[:, n_box:sep.start].T / np.maximum(dist, 1e-9)
-    for term in coefficients[:, :, None] * diff:
-        grads.position[1:] += term
-    for idx, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
-        slope = -slopes[:, idx] / sol._SEPARATION_SCALE
-        grads.position[1:] += slope[:, None] * d_pos
-        grads.rotation[1:] += slope[:, None, None] * d_rot
-        grads.intrinsics[1:, 0] += slope * d_f
+    box_weights = weights[:, :half] + weights[:, half:n_box]
+    linear = np.r_[0:6, 9:12]
+    grads.gradient[states, linear] += box[:, linear]
+    grads.curvature[states, linear, linear] += box_weights[:, linear]
+    for axis in range(3):
+        grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
+                  rotation=sol._rpy_derivative(horizon.rotations[1:], axis),
+                  states=states)
+    for column, (d, r) in enumerate(zip(diff, dist), n_box):
+        grads.add(-slopes[:, column], weights[:, column],
+                  position=d / np.maximum(r, 1e-9)[:, None], states=states)
+    for column, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
+        scale = sol._SEPARATION_SCALE
+        grads.add(-slopes[:, column], weights[:, column],
+                  position=d_pos / scale, rotation=d_rot / scale,
+                  intrinsics=d_f / scale, states=states)
     return value, g_flat
 
 
@@ -494,7 +498,7 @@ class TestStackedHorizon:
             assert np.array_equal(slopes != 0.0, lam != 0.0)
             assert value == want_value
             assert np.array_equal(g_flat, want_g)
-            for name in ("position", "velocity", "rotation", "intrinsics"):
+            for name in ("gradient", "curvature"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.array_equal(a, b), name
                 assert np.array_equal(np.signbit(a), np.signbit(b)), name
@@ -503,20 +507,47 @@ class TestStackedHorizon:
         rig, preds, sizes, instr, cset = side_by_side_problem()
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, 5, 0.15)
-        calls = []
-        add_rpy_slopes = sol._PenaltyModel._add_rpy_slopes
-        monkeypatch.setattr(sol._PenaltyModel, "_add_rpy_slopes",
-                            staticmethod(lambda *args: calls.append(
-                                add_rpy_slopes(*args))))
+        axes = []
+        rpy_derivative = sol._rpy_derivative
+        monkeypatch.setattr(sol, "_rpy_derivative", lambda rotations, axis: (
+            axes.append(axis), rpy_derivative(rotations, axis))[1])
         horizon = rollout(rig, np.zeros((5, 9)), 0.2)
         lam = np.zeros(model.size)
         grads = obj.HorizonGradients(horizon.rotations)
         model.penalty(horizon, lam, 0.5)[2](grads)
-        assert calls == []
+        assert axes == []
+        # a roll low row and a yaw high row active: no pitch row is built
         lam.reshape(5, -1)[:, 6] = 1.0
+        lam.reshape(5, -1)[:, 20] = 1.0
         model.penalty(horizon, lam, 0.5)[2](grads)
-        # the roll slopes' curvature, then their gradient
-        assert len(calls) == 2
+        assert axes == [0, 2]
+
+
+def test_rpy_derivative_matches_central_differences():
+    # roll, pitch and yaw as state_bound_residuals extracts them, moved by
+    # R exp(d^) along each body axis
+    rng = np.random.default_rng(12)
+    n = 16
+    rotations = np.stack([rotation_from_rpy(
+        rng.uniform(-3.0, 3.0), rng.uniform(-1.2, 1.2),
+        rng.uniform(-3.0, 3.0)) for _ in range(n)])
+    bounds = (np.zeros(12), np.zeros(12))
+
+    def angles(rots):
+        horizon = kin.Horizon(positions=np.zeros((n, 3)),
+                              velocities=np.zeros((n, 3)), rotations=rots,
+                              lens=np.ones((n, 3)),
+                              jacobians=np.zeros((n - 1, 3, 3)))
+        return cons.state_bound_residuals(horizon, bounds)[:, 6:9]
+    h = 1e-6
+    for axis in range(3):
+        got = kin.tangent_gradients(rotations,
+                                    sol._rpy_derivative(rotations, axis))
+        for i in range(3):
+            step = scipy.linalg.expm(h * kin.hat_batch(np.eye(3)[i:i + 1])[0])
+            fd = (angles(rotations @ step) - angles(rotations @ step.T))[
+                :, axis] / (2.0 * h)
+            assert np.allclose(got[:, i], fd, rtol=1e-6, atol=1e-7)
 
 
 def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),

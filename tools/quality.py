@@ -14,8 +14,8 @@ writes one JSON object per scenario:
   ``runlog.summary_metrics`` entry, and in how many runs it was finite;
 - ``evals_per_step_mean``/``evals_per_step_max``: merit evaluations
   (descent calls of ``objectives.evaluate_horizon_stacked``) per solve;
-- ``per_seed``: status, feasibility, convergence and mean evaluations of
-  each run, for paired comparisons.
+- ``per_seed``: status, feasibility, convergence, mean evaluations and the
+  numeric ``runlog.summary_metrics`` of each run, for paired comparisons.
 
 No wall-clock figure is read, so two runs on one tree write the same
 bytes.  Compare trees by running a copy of this file in each:
@@ -115,9 +115,12 @@ def scenario_quality(path: Path, seeds: int) -> dict:
                 np.mean(log.column("plan_feasible")))
             entry["converged"] = float(
                 np.mean(log.column("solver_converged")))
-            for name, value in runlog.summary_metrics(log).items():
-                if isinstance(value, float):
-                    metrics.setdefault(name, []).append(value)
+            entry["summary_metrics"] = {
+                name: value for name, value in sorted(
+                    runlog.summary_metrics(log).items())
+                if isinstance(value, float)}
+            for name, value in entry["summary_metrics"].items():
+                metrics.setdefault(name, []).append(value)
         per_seed.append(entry)
     return {
         "runs": seeds,
