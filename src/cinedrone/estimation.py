@@ -10,6 +10,7 @@ pixel at the robust depth of its bounding box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,12 +119,13 @@ def robust_depth(patch: np.ndarray) -> float:
     patch = np.asarray(patch, dtype=float)
     if patch.size == 0:
         raise NoValidDepthError("empty depth patch")
-    valid = np.isfinite(patch) & (patch > 0.0)
-    row_mins = []
-    for row, row_valid in zip(np.atleast_2d(patch), np.atleast_2d(valid)):
-        if np.any(row_valid):
-            row_mins.append(np.min(row[row_valid]))
-    if not row_mins:
+    rows = np.atleast_2d(patch)
+    valid = np.isfinite(rows) & (rows > 0.0)
+    # an all-invalid row's minimum is inf; min is exact, so the finite
+    # minima are the per-row minima of the valid entries, in row order
+    row_mins = np.where(valid, rows, np.inf).min(axis=1)
+    row_mins = row_mins[np.isfinite(row_mins)]
+    if not row_mins.size:
         raise NoValidDepthError("no valid entries in depth patch")
     return float(np.median(row_mins))
 
@@ -136,11 +138,11 @@ def measure_world_position(det: Detection, rig: CameraRig,
     return rig.drone.position + rig.camera_rotation() @ rel
 
 
-def kf_predict(track: TargetTrack, dt: float,
-               accel_sigma: float = 0.5) -> TargetTrack:
-    """Constant-velocity prediction with white-acceleration process noise."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+@lru_cache(maxsize=16)
+def _constant_velocity_model(dt: float, accel_sigma: float,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only transition and white-acceleration process-noise matrices
+    of one constant-velocity step, built once per ``(dt, accel_sigma)``."""
     transition = np.eye(6)
     transition[:3, 3:] = dt * np.eye(3)
     q = accel_sigma ** 2
@@ -150,6 +152,17 @@ def kf_predict(track: TargetTrack, dt: float,
     noise[:3, 3:] = np.eye(3) * (q * dt2 * dt / 2.0)
     noise[3:, :3] = noise[:3, 3:]
     noise[3:, 3:] = np.eye(3) * (q * dt2)
+    transition.setflags(write=False)
+    noise.setflags(write=False)
+    return transition, noise
+
+
+def kf_predict(track: TargetTrack, dt: float,
+               accel_sigma: float = 0.5) -> TargetTrack:
+    """Constant-velocity prediction with white-acceleration process noise."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    transition, noise = _constant_velocity_model(dt, accel_sigma)
     cov = transition @ track.covariance @ transition.T + noise
     return TargetTrack(
         position=track.position + dt * track.velocity,

@@ -12,14 +12,14 @@ of :func:`so3_exp_and_right_jacobian_batch` and keeps the Jacobians on its
 inputs, the planner's one chain rule through the dynamics, read them.
 Only their rotation block depends on the inputs
 (:func:`rotation_sensitivities`); the planner builds the rest
-(:func:`linear_sensitivities`) once per solve.
+(:func:`linear_sensitivities`) once per horizon length and step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -244,13 +244,15 @@ def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:
     return Horizon(positions, velocities, rotations, lens, jacobians)
 
 
+@lru_cache(maxsize=16)
 def linear_sensitivities(n: int, dt: float) -> np.ndarray:
     """The blocks no input moves of the forward sensitivities of the states
     0..N of a ``rollout(initial, u, dt)`` to its N input rows: (N+1, 12,
     N, 9), rows position, velocity, body rotation vector (the tangent of
     :func:`tangent_gradients`) and lens.  Position, velocity and lens are
     linear in ``u``, and their rows are filled; the rotation rows are zero
-    (:func:`rotation_sensitivities`)."""
+    (:func:`rotation_sensitivities`).  Built once per ``(n, dt)`` and
+    read-only: a caller that writes into it takes a copy."""
     k = np.arange(n + 1)[:, None]
     j = np.arange(n)[None, :]
     eye = _EYE3[None, :, None, :]
@@ -260,6 +262,7 @@ def linear_sensitivities(n: int, dt: float) -> np.ndarray:
         :, None, :, None] * eye
     sens[:, 3:6, :, 0:3] = dt * before * eye
     sens[:, 9:12, :, 6:9] = dt * before * eye
+    sens.setflags(write=False)
     return sens
 
 

@@ -214,9 +214,9 @@ class TargetPrediction:
             raise ValueError("positions must be (n, 3)")
         if self.rotations.shape != (len(self.positions), 3, 3):
             raise ValueError("rotations must be (n, 3, 3)")
-        for rot in self.rotations:
-            if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-6:
-                raise ValueError("prediction rotation is not in SO(3)")
+        drift = np.swapaxes(self.rotations, 1, 2) @ self.rotations - _EYE3
+        if (np.linalg.norm(drift, axis=(1, 2)) > 1e-6).any():
+            raise ValueError("prediction rotation is not in SO(3)")
         self.anchors = {name: np.asarray(off, dtype=float)
                         for name, off in self.anchors.items()}
         self.anchors.setdefault("center", np.zeros(3))
@@ -227,12 +227,25 @@ class TargetPrediction:
 
 @dataclass(frozen=True, eq=False)
 class CostBreakdown:
-    """Per-step values of the four cost terms over a horizon."""
+    """Per-step values of the four cost terms over a horizon.
+
+    Where ``pose`` holds the smoothed rotation norm, ``exact_pose`` holds
+    the same term with the norm exact, from the same pass."""
 
     dof: np.ndarray
     image: np.ndarray
     pose: np.ndarray
     focal: np.ndarray
+    exact_pose: np.ndarray | None = None
+
+    @property
+    def exact(self) -> "CostBreakdown":
+        """The breakdown with the rotation norm exact: the cost a plan
+        reports."""
+        if self.exact_pose is None:
+            return self
+        return CostBreakdown(self.dof, self.image, self.exact_pose,
+                             self.focal)
 
     @property
     def step_totals(self) -> np.ndarray:
@@ -436,9 +449,14 @@ def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
 
 def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
               pose_tracks, smooth: bool,
-              ) -> tuple[np.ndarray, TermGradients | None]:
+              ) -> tuple[np.ndarray, np.ndarray | None,
+                         TermGradients | None]:
+    """The pose term with the exact rotation norm; with ``smooth``, the
+    term with the smoothed norm first, the exact one next and the
+    smoothed one's gradients."""
     n = len(positions)
-    cost = np.zeros(n)
+    exact = np.zeros(n)
+    smoothed = np.zeros(n) if smooth else None
     # each target's distance, then rotation derivatives, in that order
     adds = []
     for pt, target_positions, target_rotations in pose_tracks:
@@ -446,26 +464,30 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             diff = positions - target_positions
             dist = np.linalg.norm(diff, axis=1)
             err = dist - pt.distance
-            cost += pt.w_distance * err * err
-            adds.append(partial(_add_distance_gradients, pt.w_distance, diff,
-                                dist, err))
+            term = pt.w_distance * err * err
+            exact += term
+            if smooth:
+                smoothed += term
+                adds.append(partial(_add_distance_gradients, pt.w_distance,
+                                    diff, dist, err))
         if pt.w_rotation > 0.0 and pt.rotation is not None:
             residual = np.einsum("kji,kjl->kil", target_rotations,
                                  rotations) - pt.rotation
             norm = np.sqrt(np.einsum("kij,kij->k", residual, residual))
+            exact += pt.w_rotation * norm
             if smooth:
                 root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
-                cost += pt.w_rotation * (root - ROTATION_NORM_EPS)
+                smoothed += pt.w_rotation * (root - ROTATION_NORM_EPS)
                 adds.append(partial(_add_rotation_gradients, pt.w_rotation,
                                     rotations, target_rotations, residual,
                                     root))
-            else:
-                cost += pt.w_rotation * norm
+    if not smooth:
+        return exact, None, None
 
     def add_gradients(grads: HorizonGradients) -> None:
         for add in adds:
             add(grads)
-    return cost, add_gradients if adds else None
+    return smoothed, exact, add_gradients if adds else None
 
 
 def _add_distance_gradients(weight: float, diff: np.ndarray,
@@ -568,16 +590,21 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
     smoothly, and an infinite far limit costs a sloped surrogate;
     ``smooth`` rounds the rotation norm's kink off by
     :data:`ROTATION_NORM_EPS`, as the planner's descent asks, and
-    gradients are of that smoothed cost alone.
+    gradients are of that smoothed cost alone; the breakdown's
+    :attr:`CostBreakdown.exact` is then :func:`evaluate_horizon`'s, bit
+    for bit, from the same pass.
     """
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
+    pose, exact_pose, pose_gradients = _pose_vec(positions, rotations,
+                                                 tracks.poses, smooth)
     terms = (_dof_vec(horizon.lens, spec, instr),
              _image_vec(positions, horizon.camera_rotations, f_mm,
                         tracks.points, spec),
-             _pose_vec(positions, rotations, tracks.poses, smooth),
+             (pose, pose_gradients),
              _focal_vec(f_mm, tracks.f_star, instr.focal.weight))
-    breakdown = CostBreakdown(*(cost for cost, _ in terms))
+    breakdown = CostBreakdown(*(cost for cost, _ in terms),
+                              exact_pose=exact_pose)
     if not smooth:
         return breakdown, None
 
@@ -594,7 +621,7 @@ def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
                      spec: CameraSensorSpec,
                      instr: Instructions) -> CostBreakdown:
     """The exact cost a plan reports: the rotation norm unsmoothed, no
-    gradients."""
+    gradients.  The planner takes it from its last value pass instead."""
     return evaluate_horizon_stacked(horizon, tracks, spec, instr,
                                     smooth=False)[0]
 

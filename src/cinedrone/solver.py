@@ -251,15 +251,16 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
     None where the descent stopped without the gradient at ``x``.
     """
     low, high = np.asarray(bounds.lb, float), np.asarray(bounds.ub, float)
-    x = np.clip(np.asarray(x0, float), low, high)
+    x = np.asarray(x0, float).clip(low, high)
     f = fun(x, *args)
     g = h = None  # at x, each built when the descent first needs it
     nit, status = 0, 2
     mu, growth = 0.0, 2.0
+    eye = np.eye(len(x))
     while math.isfinite(f):
         if g is None:
             g = jac(x, *args)
-        if np.max(np.abs(np.clip(x - g, low, high) - x)) <= gtol:
+        if np.abs((x - g).clip(low, high) - x).max() <= gtol:
             status = 0
             break
         if nit >= maxiter:
@@ -268,13 +269,13 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
         if h is None:
             h = hess(x, *args)
         nit += 1
-        diagonal = max(float(np.max(np.diag(h))), 1e-300)
+        diagonal = max(float(h.diagonal().max()), 1e-300)
         try:
-            step = _model_step(h + (_DAMPING * diagonal + mu) * np.eye(
-                len(x)), g, low - x, high - x)
+            step = _model_step(h + (_DAMPING * diagonal + mu) * eye, g,
+                               low - x, high - x)
         except np.linalg.LinAlgError:  # a model too ill-posed to factor
             break
-        trial = np.clip(x + step, low, high)
+        trial = (x + step).clip(low, high)
         step = trial - x
         if not step.any():
             break  # damped below round-off
@@ -308,12 +309,12 @@ def _model_step(h: np.ndarray, g: np.ndarray, lower: np.ndarray,
     points out of the box is held there; where the Newton step makes no
     progress, a projected-gradient step does."""
     s, value = np.zeros_like(g), 0.0
-    tol = 1e-10 * float(np.max(np.abs(g)))
+    tol = 1e-10 * float(np.abs(g).max())
     for _ in range(2 * len(g)):
         grad = g + h @ s
         at_lower, at_upper = s <= lower, s >= upper
         held = (at_lower & (grad > 0.0)) | (at_upper & (grad < 0.0))
-        if np.max(np.abs(grad[~held]), initial=0.0) <= tol:
+        if np.abs(grad[~held]).max(initial=0.0) <= tol:
             break
         for direction in (_newton_direction(h, grad, held, at_lower,
                                             at_upper),
@@ -336,9 +337,10 @@ def _newton_direction(h, grad, held, at_lower, at_upper) -> np.ndarray:
     held = held.copy()
     while not held.all():
         free = ~held
-        # Cholesky factorization and solve in one LAPACK call
-        _, step, info = scipy.linalg.lapack.dposv(h[free][:, free],
-                                                  grad[free])
+        # Cholesky factorization and solve in one LAPACK call, on h itself
+        # while no variable is held
+        system = (h[free][:, free], grad[free]) if held.any() else (h, grad)
+        _, step, info = scipy.linalg.lapack.dposv(*system)
         if info:
             raise np.linalg.LinAlgError("model not positive definite")
         direction[:] = 0.0
@@ -356,7 +358,7 @@ def _search(h, g, s, value, grad, direction, lower, upper):
     an Armijo share of its slope; else the step along ``direction`` to the
     first bound it meets or the model's minimum on the line, whichever
     comes first.  Returns the point and its model value."""
-    trial = np.clip(s + direction, lower, upper)
+    trial = (s + direction).clip(lower, upper)
     trial_value = g @ trial + 0.5 * trial @ (h @ trial)
     if trial_value <= value + 1e-4 * grad @ (trial - s):
         return trial, trial_value
@@ -364,11 +366,11 @@ def _search(h, g, s, value, grad, direction, lower, upper):
     up, down = direction > 0.0, direction < 0.0
     room[up] = (upper[up] - s[up]) / direction[up]
     room[down] = (lower[down] - s[down]) / direction[down]
-    t = min(float(np.min(room)), -(grad @ direction) / (
+    t = min(float(room.min()), -(grad @ direction) / (
         direction @ (h @ direction)))
     # blocking entries go onto their bound, which s + t d can miss by an ulp
     trial = np.where(room <= t, np.where(up, upper, lower),
-                     np.clip(s + t * direction, lower, upper))
+                     (s + t * direction).clip(lower, upper))
     return trial, g @ trial + 0.5 * trial @ (h @ trial)
 
 
@@ -438,8 +440,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     # the last evaluation (read-only) by z's bytes and the multipliers, and
     # its derivatives once the descent asks for them: it serves the
-    # descent's calls at its point, the start row's check and the check
-    # after each round
+    # descent's calls at its point, the check after each round and the
+    # report
     last_key, last, last_derivatives = None, None, None
 
     def evaluate(z: np.ndarray):
@@ -447,7 +449,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         key = (z.tobytes(), lam.tobytes(), rho)
         if key != last_key:
             last_key, last, last_derivatives = key, _evaluate(z), None
-            inputs, _, rows = last[1]
+            inputs, _, rows, _ = last[1]
             inputs.setflags(write=False)
             rows.setflags(write=False)
         return last
@@ -495,16 +497,17 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             sens = sens.reshape(n, 12, 9 * n)
             grad_z = obj.chain_through_dynamics(grads, sens)
             return grad_z, grads.curvature, sens
-        return merit, (u, horizon, g_all), build_derivatives
+        return merit, (u, horizon, g_all, breakdown), build_derivatives
+
+    def start_feasible(horizon: kin.Horizon) -> bool:
+        # state 0 is the start in every rollout; its report row, taken from
+        # a whole horizon as the report takes it, is the report's to the
+        # bit.  An infeasible start makes every plan infeasible, so it never
+        # ends the rounds early; it is checked only where it would.
+        return bool(np.all(cons.state_residuals(
+            horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
     z = to_scaled(shift_warm_start(warm, n))
-    _, (_, horizon, _), _ = evaluate(z)
-    # state 0 is the start in every rollout; its report row, taken from a
-    # whole horizon as the report takes it, is the report's to the bit.  An
-    # infeasible start makes every plan infeasible, so it never ends the
-    # rounds early.
-    start_feasible = bool(np.all(cons.state_residuals(
-        horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
     def merit_value(z_flat: np.ndarray) -> float:
         return evaluate(z_flat.reshape(n, 9))[0]
@@ -539,7 +542,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         # a plan the report calls feasible with half its margin left ends
         # the rounds; the input rows hold by construction
         if violation <= 1e-7 or (model.feasible_with_margin(g_all)
-                                 and start_feasible):
+                                 and start_feasible(info[1])):
             break
         # each round is solved to its tolerance, so the multiplier update
         # alone closes the gap only linearly: a round that did not end the
@@ -547,9 +550,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         lam = np.maximum(0.0, lam - rho * g_all)
         rho = min(rho * PENALTY_GROWTH, 1e8)
 
-    u, horizon, g_all = info
-    # report the exact cost; the descent merit smooths the rotation norm
-    breakdown = obj.evaluate_horizon(horizon, tracks, spec, instr)
+    # the report's cost is exact: the last value pass computed it beside
+    # the descent merit's smoothed rotation norm
+    u, horizon, g_all, breakdown = info
     residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
                                           spec)
     stats.converged = status == 0
@@ -557,6 +560,6 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     feasible = bool(residuals.size == 0
                     or np.min(residuals) >= FEASIBILITY_TOL)
     lam = np.maximum(0.0, lam - rho * g_all) if g_all.size else lam
-    return Plan(inputs=u, horizon=horizon, cost=breakdown,
+    return Plan(inputs=u, horizon=horizon, cost=breakdown.exact,
                 residuals=residuals, feasible=feasible, stats=stats,
                 records=records, multipliers=lam, penalty=rho)

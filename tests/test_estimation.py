@@ -31,7 +31,64 @@ def detection(pixel, depth, rows=3, cols=3, target="t"):
                          depth_patch=patch)
 
 
+def robust_depth_per_row(patch):
+    """Robust depth as computed row by row before it became one masked
+    reduction: the oracle of its bits."""
+    patch = np.asarray(patch, dtype=float)
+    if patch.size == 0:
+        raise est.NoValidDepthError("empty depth patch")
+    valid = np.isfinite(patch) & (patch > 0.0)
+    row_mins = []
+    for row, row_valid in zip(np.atleast_2d(patch), np.atleast_2d(valid)):
+        if np.any(row_valid):
+            row_mins.append(np.min(row[row_valid]))
+    if not row_mins:
+        raise est.NoValidDepthError("no valid entries in depth patch")
+    return float(np.median(row_mins))
+
+
+def spoiled_patch(rng, shape):
+    """Depths with NaN, +-inf, zero and negative entries strewn in, and
+    now and then a row with no valid entry."""
+    patch = rng.uniform(0.5, 40.0, shape)
+    spoil = rng.random(shape)
+    for value, share in ((np.nan, 0.1), (np.inf, 0.2), (-np.inf, 0.3),
+                         (0.0, 0.4), (-3.0, 0.5)):
+        patch[(spoil >= share - 0.1) & (spoil < share)] = value
+    if patch.ndim == 2 and rng.random() < 0.5:
+        patch[rng.integers(len(patch))] = rng.choice(
+            [np.nan, np.inf, -np.inf, 0.0, -1.0], patch.shape[1])
+    return patch
+
+
 class TestRobustDepth:
+    def test_bit_identical_to_per_row_minima(self):
+        rng = np.random.default_rng(11)
+        shapes = ([(int(rng.integers(1, 13)), int(rng.integers(1, 9)))
+                   for _ in range(300)]
+                  + [(k,) for k in range(1, 9)]
+                  + [(1, k) for k in range(1, 9)])
+        checked = 0
+        for shape in shapes:
+            patch = spoiled_patch(rng, shape)
+            try:
+                want = robust_depth_per_row(patch)
+            except est.NoValidDepthError as error:
+                with pytest.raises(est.NoValidDepthError, match=str(error)):
+                    est.robust_depth(patch)
+                continue
+            got = est.robust_depth(patch)
+            assert got == want and type(got) is float
+            checked += 1
+        assert checked > 250
+        # the rule that a 1-D patch is one row, and both error cases
+        row = np.array([np.nan, 4.0, -2.0, 3.0, np.inf])
+        assert est.robust_depth(row) == est.robust_depth(row[None]) == 3.0
+        with pytest.raises(est.NoValidDepthError, match="empty"):
+            est.robust_depth(np.zeros((2, 0)))
+        with pytest.raises(est.NoValidDepthError, match="no valid"):
+            est.robust_depth(np.array([[np.nan, -np.inf], [0.0, np.inf]]))
+
     def test_median_of_row_minima(self):
         assert est.robust_depth(np.array([[5, 9], [7, 8], [6, 10]])) == 6.0
 

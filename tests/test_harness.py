@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -375,6 +376,88 @@ class TestCli:
         assert len(csvs["1"]) == 1 and csvs["1"] == csvs["2"]
 
 
+class TestQualityReport:
+    def test_report_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        import importlib.util
+        spec = importlib.util.spec_from_file_location(
+            "quality", Path(__file__).parent.parent / "tools" / "quality.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+
+        def strict_loads(text):
+            def reject(token):
+                raise ValueError(f"non-standard JSON token {token}")
+            return json.loads(text, parse_constant=reject)
+        # e1_plane's dof and focal tracking errors have no finite value
+        out = tmp_path / "report.json"
+        assert tool.main(["--scenario", "e1_plane", "--seeds", "1",
+                          "--out", str(out)]) == 0
+        report = strict_loads(out.read_text())["e1_plane"]
+        metrics = report["summary_metrics"]
+        assert metrics["dof_tracking_error"] == {"mean": None,
+                                                 "finite_runs": 0}
+        assert report["per_seed"][0]["summary_metrics"][
+            "dof_tracking_error"] is None
+        # an older report, with NaN tokens, still reads as the parent, and
+        # both halves are written strict
+        metrics["dof_tracking_error"]["mean"] = math.nan
+        report["evals_per_step_mean"] = math.inf
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({"e1_plane": report}))
+        assert "NaN" in older.read_text()
+        monkeypatch.setattr(tool, "scenario_quality",
+                            lambda path, seeds: report)
+        both = tmp_path / "both.json"
+        assert tool.main(["--scenario", "e1_plane", "--seeds", "1",
+                          "--against", str(older), "--out", str(both)]) == 0
+        assert "dof_tracking_error: nan -> nan" in capsys.readouterr().out
+        written = strict_loads(both.read_text())
+        for half in (written["parent"], written["change"]):
+            assert half["e1_plane"]["evals_per_step_mean"] is None
+            assert half["e1_plane"]["summary_metrics"][
+                "dof_tracking_error"]["mean"] is None
+
+
+class TestConstantCaches:
+    def test_memoized_arrays_are_read_only(self):
+        import pkgutil
+
+        import cinedrone
+        from cinedrone import estimation, kinematics
+        # the package's memoized builders, each with a key it is built for
+        builders = {
+            kinematics.linear_sensitivities: (5, 0.2),
+            estimation._constant_velocity_model: (0.3, 0.5),
+        }
+        modules = pkgutil.iter_modules(cinedrone.__path__, "cinedrone.")
+        memoized = {value for module in modules
+                    for value in vars(importlib.import_module(
+                        module.name)).values()
+                    if hasattr(value, "cache_info")}
+        assert memoized == set(builders)
+        for builder, key in builders.items():
+            built = builder(*key)
+            assert builder(*key) is built
+            for array in built if isinstance(built, tuple) else (built,):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_runs_in_one_process_share_no_state(self, tmp_path):
+        # rule_of_thirds, a shot at another period, then rule_of_thirds
+        # again: the second shot's constants must not leak into the third
+        dolly = json.loads((SCENARIOS / "e3_dolly_zoom.json").read_text())
+        dolly["control"]["duration"] = 10 * dolly["control"]["period"]
+        thirds = load_scenario(SCENARIOS / "rule_of_thirds.json")
+        assert dolly["control"]["period"] != thirds.control.period
+        csvs = []
+        for config in (thirds, scenario_from_dict(dolly), thirds):
+            out_dir = tmp_path / str(len(csvs))
+            paths = emit_outputs(run_closed_loop(config, 0), out_dir)
+            csvs.append([path.read_bytes() for path in paths
+                         if path.suffix == ".csv"])
+        assert csvs[0] and csvs[0] == csvs[2]
+
+
 class TestRootApi:
     def test_one_period_shot_through_the_root(self, tmp_path):
         import cinedrone
@@ -440,9 +523,14 @@ class TestMeritStream:
         assert first["solves"] == 2 and first["value passes"] > 0
         # one or more descent rounds per solve, each with value passes
         assert first["solves"] <= first["rounds"] <= first["value passes"]
-        # the report's evaluation comes on top of the value passes'
-        assert first["evaluations"] > first["value passes"]
+        # the report takes the cost of the last value pass, and a round
+        # that takes no step ends at the point it valued last: one
+        # evaluation per value pass
+        assert first["evaluations"] == first["value passes"]
         moved = prints[250.0][0]
+        # plus one per round whose descent returned another point
+        assert (moved["value passes"] <= moved["evaluations"]
+                <= moved["value passes"] + moved["rounds"])
         # a round's first value pass is at its start, and every model step
         # but possibly a round's last is followed by its trial's; the
         # centred target is planned without a step

@@ -50,7 +50,7 @@ def input_sensitivities(horizon, dt):
     the two blocks the planner builds: the oracle the finite differences
     and the gradient checks read."""
     n = len(horizon) - 1
-    sens = kin.linear_sensitivities(n, dt)
+    sens = kin.linear_sensitivities(n, dt).copy()
     sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(horizon, dt)
     return sens.reshape(n + 1, 12, 9 * n)
 

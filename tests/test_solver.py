@@ -201,6 +201,31 @@ class TestPlanContract:
                                   actual.drone.orientation)
             assert expected.intrinsics == actual.intrinsics
 
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in SCENARIOS.glob("*.json")))
+    def test_reported_cost_is_the_exact_cost(self, monkeypatch, name):
+        # the report takes its cost from the last value pass; it is the
+        # exact cost of the plan's horizon, to the bit
+        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        raw["control"]["duration"] = raw["control"]["period"]
+        solves = []
+        solve = sol.solve
+
+        def recorded(*args, **kwargs):
+            plan = solve(*args, **kwargs)
+            solves.append((args, plan))
+            return plan
+        monkeypatch.setattr(sol, "solve", recorded)
+        run_closed_loop(scenario_from_dict(raw), 0)
+        [((_, preds, instr, _, cfg, spec), plan)] = solves
+        exact = obj.evaluate_horizon(
+            plan.horizon, obj.HorizonTracks(preds, instr, cfg.horizon + 1),
+            spec, instr)
+        for term in ("dof", "image", "pose", "focal"):
+            assert np.array_equal(getattr(plan.cost, term),
+                                  getattr(exact, term))
+        assert plan.cost.exact_pose is None
+
     def test_feasible_plan_residuals(self):
         cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
         plan = sol.solve(make_rig(), {}, obj.Instructions(),
@@ -421,12 +446,12 @@ class TestStackedHorizon:
                             counted_evaluate)
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        # one per merit call and one for the report; the start check
-        # shares the first call's, and the check after a round the last
-        # call's unless the descent returned another point
+        # one per merit call; the check after a round shares the last
+        # call's unless the descent returned another point, and the report
+        # the check's
         assert counts["rounds"] == plan.stats.outer_rounds
         assert counts["new points"] < counts["rounds"]
-        assert counts["evaluations"] == (counts["merit calls"] + 1
+        assert counts["evaluations"] == (counts["merit calls"]
                                          + counts["new points"])
 
     def test_penalty_rows_are_report_rows(self):
@@ -839,8 +864,8 @@ class TestGaussNewton:
         # a value call takes its step exponentials from one batch pass, in
         # the rollout, and builds no sensitivities; the gradient at its
         # point builds the input-dependent ones once, and the Hessian
-        # there reuses them; the input-independent ones are built once per
-        # solve, before any call
+        # there reuses them; the input-independent ones are read once per
+        # solve, before any call, from their memo
         rig, preds, sizes, instr, cset, cfg = gauss_newton_problem()
         counts = {"so3_exp_and_right_jacobian_batch": 0,
                   "rotation_sensitivities": 0, "linear_sensitivities": 0}

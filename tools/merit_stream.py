@@ -14,8 +14,8 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
 - the number of solves, augmented-Lagrangian rounds (calls of
   ``scipy.optimize.minimize``), value passes, gradient builds and Hessian
   builds (calls of the descent's ``fun``, ``jac`` and ``hess``), and cost
-  evaluations (``objectives.evaluate_horizon_stacked`` calls, the report's
-  included);
+  evaluations (``objectives.evaluate_horizon_stacked`` calls: the plan's
+  reported cost comes from the last of them, with no pass of its own);
 - the descent's own work: model steps (``solver._model_step`` calls, one
   per trial step), Newton directions (``solver._newton_direction`` calls)
   and Cholesky factorizations (LAPACK ``dposv`` calls, one per active set

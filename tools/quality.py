@@ -17,8 +17,11 @@ writes one JSON object per scenario:
 - ``per_seed``: status, feasibility, convergence, mean evaluations and the
   numeric ``runlog.summary_metrics`` of each run, for paired comparisons.
 
-No wall-clock figure is read, so two runs on one tree write the same
-bytes.  Compare trees by running a copy of this file in each:
+A figure with no finite value (a mean over no finite run) is written as
+``null``, so the report is strict JSON; reports from before this rule hold
+the token ``NaN`` there, and ``--against`` still reads them.  No
+wall-clock figure is read, so two runs on one tree write the same bytes.
+Compare trees by running a copy of this file in each:
 
     PYTHONPATH=src python3 tools/quality.py --seeds 8 --out quality.json
 
@@ -143,6 +146,18 @@ def scenario_quality(path: Path, seeds: int) -> dict:
     }
 
 
+def strict(value):
+    """``value`` with every non-finite float, at any depth, as None: JSON's
+    null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [strict(item) for item in value]
+    return value
+
+
 def sign_test(better: int, worse: int) -> float:
     """Two-sided sign-test p-value of ``better`` against ``worse`` paired
     outcomes (ties dropped): the chance of a split at least this uneven
@@ -216,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         report = {"about": f"tools/quality.py --seeds {args.seeds} "
                   f"--against {args.against.name}",
                   "parent": parent, "change": report}
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(strict(report), indent=1, sort_keys=True,
+                      allow_nan=False) + "\n"
     if args.out is not None:
         args.out.write_text(text)
     elif parent is None:
