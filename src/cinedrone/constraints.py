@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import CameraRig, Horizon
-from .objectives import TargetPrediction, body_outer
+from .objectives import HorizonGradients, TargetPrediction, body_outer
 from .optics import BehindCameraError, CameraSensorSpec
 
 
@@ -295,19 +295,48 @@ class ConstraintTracks:
                 + len(self.separations))
 
 
+#: State entries whose box rows are linear in the state: position,
+#: velocity and lens.
+_LINEAR_ROWS = np.r_[0:6, 9:12]
+_LINEAR_ROWS.setflags(write=False)
+
+
+def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
+    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction in
+    :func:`state_bound_residuals`: (n, 3, 3); bounds keep pitch off
+    +-pi/2."""
+    flat = rotations.reshape(-1, 9)  # R_ij at 3 i + j
+    d = np.zeros((len(rotations), 9))
+    if axis == 1:  # -arcsin(R_20)
+        d[:, 6] = -1.0 / np.sqrt(np.maximum(1.0 - flat[:, 6] ** 2, 1e-12))
+    else:  # atan2(R_21, R_22) and atan2(R_10, R_00)
+        y, x = (7, 8) if axis == 0 else (3, 0)
+        denom = flat[:, y] ** 2 + flat[:, x] ** 2
+        d[:, y], d[:, x] = flat[:, x] / denom, -flat[:, y] / denom
+    return d.reshape(-1, 3, 3)
+
+
 def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
-                    spec: CameraSensorSpec, margin: float = 0.0):
+                    spec: CameraSensorSpec, margin: float = 0.0,
+                    separation_scale: float = 1.0,
+                    ) -> tuple[np.ndarray, Callable[
+                        [HorizonGradients, np.ndarray, np.ndarray], None]]:
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
     :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
     when ``cset.safety_distance > 0``, distance - (safety distance +
-    ``margin``) per target by sorted id; the :func:`separation_pieces`
-    pixel gap per active record.
+    ``margin``) per target by sorted id; per active record, the
+    :func:`separation_pieces` pixel gap / ``separation_scale`` -
+    ``margin``.
 
-    Returns the rows and a callable that gives their derivative pieces:
-    the rig - target offsets (m, n, 3) and distances (m, n) of the
-    collision entries, and the :func:`separation_pieces` gradients per
-    separation entry, built when it is called.
+    Returns the rows and ``add(grads, slopes, weights)``, which adds to
+    ``grads`` of states ``start``..N each row's derivative ``d`` times its
+    entry of ``slopes`` and ``d d^T`` times its entry of ``weights`` (both
+    shaped as the rows).  A group of entries whose weights are all zero is
+    skipped, its derivatives never built: the caller's slopes are zero
+    there too, and adding +-0.0 to accumulators that start at +0.0 and only
+    see += and -= changes no bit (only 0 * inf at pitch +-pi/2 would write
+    NaN).
     """
     positions = horizon.positions[start:]
     rows = np.empty((len(positions), tracks.width))
@@ -319,13 +348,40 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     rows[:, n_box:n_coll] = (dist - (tracks.safety_distance + margin)).T
     separations = []
     for column, track in enumerate(tracks.separations, n_coll):
-        rows[:, column], build = separation_pieces(horizon, start, track,
-                                                   spec)
+        gap, build = separation_pieces(horizon, start, track, spec)
+        rows[:, column] = gap / separation_scale - margin
         separations.append(build)
 
-    def derivative_pieces():
-        return (diff, dist), [build() for build in separations]
-    return rows, derivative_pieces
+    def add(grads: HorizonGradients, slopes: np.ndarray,
+            weights: np.ndarray) -> None:
+        states, rotations = slice(start, None), horizon.rotations[start:]
+        # a box row x - lo has derivative d and hi - x has -d, both the
+        # same d d^T
+        half = n_box // 2
+        box = slopes[:, :half] - slopes[:, half:n_box]
+        box_weights = weights[:, :half] + weights[:, half:n_box]
+        linear = _LINEAR_ROWS
+        if box_weights[:, linear].any():
+            grads.gradient[states, linear] += box[:, linear]
+            grads.curvature[states, linear, linear] += box_weights[:, linear]
+        for axis in range(3):
+            if box_weights[:, 6 + axis].any():
+                grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
+                          rotation=_rpy_derivative(rotations, axis),
+                          states=states)
+        for column, (d, r) in enumerate(zip(diff, dist), n_box):
+            if weights[:, column].any():
+                grads.add(slopes[:, column], weights[:, column],
+                          position=d / np.maximum(r, 1e-9)[:, None],
+                          states=states)
+        for column, build in enumerate(separations, n_coll):
+            if weights[:, column].any():
+                d_pos, d_rot, d_f = build()
+                grads.add(slopes[:, column], weights[:, column],
+                          position=d_pos / separation_scale,
+                          rotation=d_rot / separation_scale,
+                          intrinsics=d_f / separation_scale, states=states)
+    return rows, add
 
 
 def evaluate_constraints(u: np.ndarray, horizon: Horizon,

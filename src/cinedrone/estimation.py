@@ -176,16 +176,17 @@ def kf_update(track: TargetTrack, measurement: np.ndarray,
               meas_sigma: float) -> TargetTrack:
     """Linear position correction; Joseph form keeps the covariance SPD."""
     measurement = np.asarray(measurement, dtype=float)
-    h = np.zeros((3, 6))
-    h[:, :3] = np.eye(3)
-    r = np.eye(3) * meas_sigma ** 2
+    # the measurement matrix selects the position, [I 0]: its products are
+    # slices of the covariance and of the gain
+    noise = meas_sigma ** 2
     cov = track.covariance
-    innovation_cov = h @ cov @ h.T + r
-    gain = cov @ h.T @ np.linalg.inv(innovation_cov)
+    innovation_cov = cov[:3, :3] + np.eye(3) * noise
+    gain = cov[:, :3] @ np.linalg.inv(innovation_cov)
     state = np.concatenate([track.position, track.velocity])
     state = state + gain @ (measurement - track.position)
-    joseph = np.eye(6) - gain @ h
-    cov = joseph @ cov @ joseph.T + gain @ r @ gain.T
+    joseph = np.eye(6)
+    joseph[:, :3] -= gain
+    cov = joseph @ cov @ joseph.T + (gain * noise) @ gain.T
     return TargetTrack(
         position=state[:3],
         velocity=state[3:],

@@ -14,6 +14,7 @@ arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Callable
@@ -36,12 +37,10 @@ _DOMAIN_GAIN = 1e6
 #: Ridge added to the model Hessian, relative to its largest diagonal
 #: entry, so that its Cholesky factorization exists.
 _DAMPING = 1e-10
-#: Pixels per unit of penalized occlusion-separation residual.
+#: Pixels per unit of penalized occlusion-separation residual: the gap,
+#: scaled to O(1), lets the shared penalty weight condition all inequality
+#: groups comparably.
 _SEPARATION_SCALE = 100.0
-#: State entries whose box rows are linear in the state: position,
-#: velocity and lens.
-_LINEAR_ROWS = np.r_[0:6, 9:12]
-_LINEAR_ROWS.setflags(write=False)
 #: A plan is feasible when no residual of its report falls below this.
 FEASIBILITY_TOL = -1e-6
 #: Share of ``SolverConfig.constraint_margin`` a plan may give up and still
@@ -134,68 +133,29 @@ class _PenaltyModel:
         self.spec = spec
         self.margin = margin
         self.size = n_steps * self.tracks.width
-        #: first collision column, then first separation column of a row
+        #: first collision column of a row
         self.n_box = 2 * len(self.tracks.bounds[0])
-        self.n_coll = self.n_box + len(self.tracks.collisions)
 
     def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
                 ) -> tuple[float, np.ndarray,
                            Callable[[obj.HorizonGradients], None]]:
         """Total AL penalty, its rows ``g_flat`` and a callable that adds
         its gradients and curvature into a horizon's gradients.  The
-        separation entries are rescaled to ``gap / _SEPARATION_SCALE -
-        margin``."""
-        g_all, derivative_pieces = cons.state_residuals(
-            horizon, 1, self.tracks, self.spec, margin=self.margin)
-        n_box, sep = self.n_box, slice(self.n_coll, None)
-        # pixel gap scaled to O(1) so the shared penalty weight conditions
-        # all inequality groups comparably; the margin keeps the held gap
-        # strictly positive, which keeps the activation predicate firing
-        # at the next solve
-        g_all[:, sep] = g_all[:, sep] / _SEPARATION_SCALE - self.margin
-        g_flat = g_all.ravel()
+        separation entries are ``gap / _SEPARATION_SCALE - margin``: the
+        margin keeps the held gap strictly positive, which keeps the
+        activation predicate firing at the next solve."""
+        rows, add_rows = cons.state_residuals(
+            horizon, 1, self.tracks, self.spec, margin=self.margin,
+            separation_scale=_SEPARATION_SCALE)
+        g_flat = rows.ravel()
         # augmented-Lagrangian term for inequalities g >= 0; its slope
-        # w.r.t. g is -slack, inlined at the accumulation sites
+        # w.r.t. g is -slack
         slack = np.maximum(0.0, lam - rho * g_flat)
         value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
 
         def add_gradients(grads: obj.HorizonGradients) -> None:
-            (diff, dist), separations = derivative_pieces()
-            slopes = slack.reshape(g_all.shape)
-            weights = rho * (slopes > 0.0)
-            states, rotations = slice(1, None), horizon.rotations[1:]
-            # A group with all slopes zero is skipped: its terms are +-0.0,
-            # and the accumulators start at +0.0 and only see += and -=, so
-            # under round-to-nearest they never hold -0.0 and adding +-0.0
-            # changes no bit; only 0 * inf at pitch +-pi/2 would have
-            # written NaN.  A box row x - lo has slope -slack and hi - x
-            # +slack, both of the same d d^T.
-            half = n_box // 2
-            box = slopes[:, half:n_box] - slopes[:, :half]
-            box_weights = weights[:, :half] + weights[:, half:n_box]
-            linear = _LINEAR_ROWS
-            if box_weights[:, linear].any():
-                grads.gradient[states, linear] += box[:, linear]
-                grads.curvature[states, linear, linear] += box_weights[
-                    :, linear]
-            for axis in range(3):
-                if box_weights[:, 6 + axis].any():
-                    grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
-                              rotation=_rpy_derivative(rotations, axis),
-                              states=states)
-            for column, (d, r) in enumerate(zip(diff, dist), n_box):
-                if weights[:, column].any():
-                    grads.add(-slopes[:, column], weights[:, column],
-                              position=d / np.maximum(r, 1e-9)[:, None],
-                              states=states)
-            for column, (d_pos, d_rot, d_f) in enumerate(separations,
-                                                         self.n_coll):
-                if weights[:, column].any():
-                    grads.add(-slopes[:, column], weights[:, column],
-                              position=d_pos / _SEPARATION_SCALE,
-                              rotation=d_rot / _SEPARATION_SCALE,
-                              intrinsics=d_f / _SEPARATION_SCALE,
-                              states=states)
+            slopes = slack.reshape(rows.shape)
+            add_rows(grads, -slopes, rho * (slopes > 0.0))
         return value, g_flat, add_gradients
 
     def feasible_with_margin(self, g_flat: np.ndarray) -> bool:
@@ -210,56 +170,44 @@ class _PenaltyModel:
                                >= -EARLY_EXIT_MARGIN_SHARE * self.margin))
 
 
-def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
-    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction in
-    :func:`cons.state_bound_residuals`: (n, 3, 3); bounds keep pitch off
-    +-pi/2."""
-    flat = rotations.reshape(-1, 9)  # R_ij at 3 i + j
-    d = np.zeros((len(rotations), 9))
-    if axis == 1:  # -arcsin(R_20)
-        d[:, 6] = -1.0 / np.sqrt(np.maximum(1.0 - flat[:, 6] ** 2, 1e-12))
-    else:  # atan2(R_21, R_22) and atan2(R_10, R_00)
-        y, x = (7, 8) if axis == 0 else (3, 0)
-        denom = flat[:, y] ** 2 + flat[:, x] ** 2
-        d[:, y], d[:, x] = flat[:, x] / denom, -flat[:, y] / denom
-    return d.reshape(-1, 3, 3)
-
-
-def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
-                     maxiter: int = 100, gtol: float = 1e-5,
-                     ftol: float = 1e-7,
+def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
+                     gtol: float = 1e-5, ftol: float = 1e-7,
                      **unused) -> scipy.optimize.OptimizeResult:
-    """Box-constrained Levenberg-Marquardt descent, in the calling
-    convention of a ``scipy.optimize.minimize`` method.
+    """Box-constrained Levenberg-Marquardt descent over ``bounds``, a
+    ``(low, high)`` pair, in the calling convention of a
+    ``scipy.optimize.minimize`` method.
 
-    ``hess(x)`` is a positive semidefinite Gauss-Newton matrix ``H``.
-    Each iteration minimizes the damped model ``g s + s (H + mu I) s / 2``
-    over the box alone (:func:`_model_step`) and evaluates the step once.
-    ``mu`` starts at 0, the full box step, and follows the ratio of actual
-    to predicted decrease by Nielsen's rule (Moré, 1978; Nielsen,
-    IMM-REP-1999-05); a trial with a non-finite value is rejected.
+    ``fun(x)`` returns the value at ``x``, zero-argument builders of the
+    gradient ``g`` and of a positive semidefinite Gauss-Newton matrix
+    ``H`` there, and a record of ``x`` that the result hands back as
+    ``point``.  Each iteration minimizes the damped model
+    ``g s + s (H + mu I) s / 2`` over the box alone (:func:`_model_step`)
+    and evaluates the step once.  ``mu`` starts at 0, the full box step,
+    and follows the ratio of actual to predicted decrease by Nielsen's rule
+    (Moré, 1978; Nielsen, IMM-REP-1999-05); a trial with a non-finite value
+    is rejected.
 
     Stops with status 0 when the projected gradient's largest entry is
     ``<= gtol`` or an accepted step lowers the value by ``<= ftol`` of its
     size (both L-BFGS-B's tests), 1 after ``maxiter`` trial steps, and 2
     when the damped step no longer moves ``x``.
 
-    A trial needs only ``fun``: ``jac`` is called at a point only once the
-    descent goes on from it (the start, or an accepted trial past the
-    ``ftol`` test), and ``hess`` only once a step is to be taken from it
+    A trial needs only its value: a point's gradient is built only once
+    the descent goes on from it (the start, or an accepted trial past the
+    ``ftol`` test), and its Hessian only once a step is to be taken from it
     (past the ``gtol`` and ``maxiter`` tests).  The result's ``jac`` is
     None where the descent stopped without the gradient at ``x``.
     """
-    low, high = np.asarray(bounds.lb, float), np.asarray(bounds.ub, float)
+    low, high = bounds
     x = np.asarray(x0, float).clip(low, high)
-    f = fun(x, *args)
+    f, gradient, hessian, point = fun(x)
     g = h = None  # at x, each built when the descent first needs it
     nit, status = 0, 2
     mu, growth = 0.0, 2.0
     eye = np.eye(len(x))
     while math.isfinite(f):
         if g is None:
-            g = jac(x, *args)
+            g = gradient()
         if np.abs((x - g).clip(low, high) - x).max() <= gtol:
             status = 0
             break
@@ -267,7 +215,7 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
             status = 1
             break
         if h is None:
-            h = hess(x, *args)
+            h = hessian()
         nit += 1
         diagonal = max(float(h.diagonal().max()), 1e-300)
         try:
@@ -280,7 +228,8 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
         if not step.any():
             break  # damped below round-off
         predicted = -(g @ step + 0.5 * step @ (h @ step))
-        f_trial = fun(trial, *args)
+        passed = fun(trial)
+        f_trial = passed[0]
         ratio = (f - f_trial) / predicted if predicted > 0.0 else -1.0
         if not ratio > 1e-4:  # also a non-finite trial
             mu, growth = max(growth * mu, 1e-3 * diagonal), 2.0 * growth
@@ -289,16 +238,16 @@ def box_gauss_newton(fun, x0, args=(), jac=None, hess=None, bounds=None,
         if ratio < 0.25:  # a poor model starts the damping from 0
             mu = max(mu, 1e-3 * diagonal)
         previous = f
-        x, f, g, h = trial, f_trial, None, None
+        x, (f, gradient, hessian, point), g, h = trial, passed, None, None
         # a small decrease counts where the model foresaw it
         if (ratio >= 0.25
                 and previous - f <= ftol * max(abs(previous), abs(f), 1.0)):
             status = 0
             break
     return scipy.optimize.OptimizeResult(
-        x=x, fun=f, jac=g, nit=nit, status=status, success=status == 0,
-        message=("converged", "iteration cap", "damped step no longer "
-                 "moves x")[status])
+        x=x, fun=f, jac=g, point=point, nit=nit, status=status,
+        success=status == 0, message=("converged", "iteration cap",
+                                      "damped step no longer moves x")[status])
 
 
 def _model_step(h: np.ndarray, g: np.ndarray, lower: np.ndarray,
@@ -438,33 +387,12 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     linear_sens = kin.linear_sensitivities(n, dt)[1:] * scale.reshape(n, 9)
     rotation_scale = scale.reshape(n, 9)[:, 3:6]
 
-    # the last evaluation (read-only) by z's bytes and the multipliers, and
-    # its derivatives once the descent asks for them: it serves the
-    # descent's calls at its point, the check after each round and the
-    # report
-    last_key, last, last_derivatives = None, None, None
-
-    def evaluate(z: np.ndarray):
-        nonlocal last_key, last, last_derivatives
-        key = (z.tobytes(), lam.tobytes(), rho)
-        if key != last_key:
-            last_key, last, last_derivatives = key, _evaluate(z), None
-            inputs, _, rows, _ = last[1]
-            inputs.setflags(write=False)
-            rows.setflags(write=False)
-        return last
-
-    def derivatives(z: np.ndarray):
-        nonlocal last_derivatives
-        build = evaluate(z)[2]
-        if last_derivatives is None:
-            last_derivatives = build()
-            for array in last_derivatives:
-                array.setflags(write=False)
-        return last_derivatives
-
-    def _evaluate(z: np.ndarray):
-        u = to_inputs(z)
+    def merit(z_flat: np.ndarray):
+        """One value pass at the scaled inputs ``z_flat``: the merit,
+        builders of its gradient and Gauss-Newton matrix, which share one
+        derivative build, and the pass's record (inputs, horizon, rows,
+        cost breakdown), its inputs and rows read-only."""
+        u = to_inputs(z_flat.reshape(n, 9))
         horizon = kin.rollout(initial, u, dt)
         # keep the lens trajectory inside its physical domain: clamp the
         # rollout's lens states to a small floor and penalize the shortfall
@@ -480,9 +408,11 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             horizon, tracks, spec, instr, smooth=True)
         penalty, g_all, add_penalty_gradients = model.penalty(horizon, lam,
                                                               rho)
-        merit = breakdown.total + penalty + domain_penalty
+        u.setflags(write=False)
+        g_all.setflags(write=False)
 
-        def build_derivatives():
+        @functools.cache
+        def derivatives():
             grads = cost_gradients()
             add_penalty_gradients(grads)
             if domain_penalty:
@@ -495,9 +425,20 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt)[1:] * rotation_scale
             sens = sens.reshape(n, 12, 9 * n)
-            grad_z = obj.chain_through_dynamics(grads, sens)
-            return grad_z, grads.curvature, sens
-        return merit, (u, horizon, g_all, breakdown), build_derivatives
+            built = (obj.chain_through_dynamics(grads, sens),
+                     grads.curvature, sens)
+            for array in built:
+                array.setflags(write=False)
+            return built
+
+        def hessian() -> np.ndarray:
+            # sum over states 1..N of S_k^T W_k S_k, the gradient's S_k
+            _, stage, sens = derivatives()
+            weighted = stage[1:] @ sens
+            return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
+        return (breakdown.total + penalty + domain_penalty,
+                lambda: derivatives()[0], hessian,
+                (u, horizon, g_all, breakdown))
 
     def start_feasible(horizon: kin.Horizon) -> bool:
         # state 0 is the start in every rollout; its report row, taken from
@@ -507,42 +448,26 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         return bool(np.all(cons.state_residuals(
             horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
-    z = to_scaled(shift_warm_start(warm, n))
-
-    def merit_value(z_flat: np.ndarray) -> float:
-        return evaluate(z_flat.reshape(n, 9))[0]
-
-    def merit_gradient(z_flat: np.ndarray) -> np.ndarray:
-        return derivatives(z_flat.reshape(n, 9))[0]
-
-    def gauss_newton_hessian(z_flat: np.ndarray) -> np.ndarray:
-        # sum over states 1..N of S_k^T W_k S_k, the gradient's S_k
-        _, stage, sens = derivatives(z_flat.reshape(n, 9))
-        weighted = stage[1:] @ sens
-        return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
-
-    box = scipy.optimize.Bounds(-np.ones(9 * n), np.ones(9 * n))
+    z = to_scaled(shift_warm_start(warm, n)).ravel()
     stats = SolveStats()
     status = 1
     for outer in range(cfg.outer_rounds):
         stats.outer_rounds = outer + 1
         result = scipy.optimize.minimize(
-            merit_value, z.ravel(), jac=merit_gradient,
-            hess=gauss_newton_hessian,
-            method=box_gauss_newton, bounds=box,
+            merit, z, method=box_gauss_newton, bounds=(-1.0, 1.0),
             options={"maxiter": cfg.max_iterations,
                      "gtol": CONVERGENCE_TOL, "ftol": 1e-7})
-        z = result.x.reshape(n, 9)
+        z = result.x
         stats.iterations += int(result.nit)
         status = int(result.status)
 
-        _, info, _ = evaluate(z)
-        g_all = info[2]
+        # the last value pass at the point the round ended on
+        u, horizon, g_all, breakdown = result.point
         violation = float(max(0.0, -np.min(g_all))) if g_all.size else 0.0
         # a plan the report calls feasible with half its margin left ends
         # the rounds; the input rows hold by construction
         if violation <= 1e-7 or (model.feasible_with_margin(g_all)
-                                 and start_feasible(info[1])):
+                                 and start_feasible(horizon)):
             break
         # each round is solved to its tolerance, so the multiplier update
         # alone closes the gap only linearly: a round that did not end the
@@ -552,7 +477,6 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     # the report's cost is exact: the last value pass computed it beside
     # the descent merit's smoothed rotation norm
-    u, horizon, g_all, breakdown = info
     residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
                                           spec)
     stats.converged = status == 0

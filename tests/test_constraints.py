@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cinedrone import constraints as cons
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   Horizon, hat_batch, rollout,
-                                  rotation_from_rpy)
+                                  rotation_from_rpy, tangent_gradients)
 from cinedrone.optics import BehindCameraError, CameraSensorSpec, \
     IntrinsicState
 from test_kinematics import so3_exp
@@ -287,3 +288,102 @@ class TestSeparationGradient:
                         - residual(positions, rotations, focal - df)
                         ) / (2 * h)
                 assert d_f[k] == pytest.approx(fd_f[k], rel=1e-4, abs=1e-6)
+
+
+def moved_state(horizon, k, direction, h):
+    """``horizon`` with state ``k`` moved by ``h`` along one of its 12
+    derivative directions: position, velocity, the rotation ``R exp(h
+    e_i^)`` and lens."""
+    arrays = [horizon.positions.copy(), horizon.velocities.copy(),
+              horizon.rotations.copy(), horizon.lens.copy()]
+    group, i = divmod(direction, 3)
+    if group == 2:
+        arrays[2][k] = horizon.rotations[k] @ so3_exp(h * np.eye(3)[i])
+    else:
+        arrays[(0, 1, None, 3)[group]][k, i] += h
+    return Horizon(*arrays, horizon.jacobians)
+
+
+class TestStateResidualDerivatives:
+    def test_each_row_matches_central_differences(self):
+        # two targets side by side ahead of the rig, kept apart by one
+        # active record, under a collision safety distance: every group of
+        # a row, 24 box, 2 collision and 1 separation entries
+        sizes = {"a": (2.0, 0.5), "b": (2.0, 0.5)}
+        cset = cons.ConstraintSet(**{**cons.ConstraintSet.default().__dict__,
+                                     "safety_distance": 2.0})
+        record = cons.OcclusionRecord("a", "b", True)
+        rng = np.random.default_rng(19)
+        n, h = 4, 1e-6
+        for trial in range(6):
+            preds = {tid: obj.TargetPrediction(
+                positions=np.array([10.0, y, 1.0]) + rng.uniform(
+                    -0.5, 0.5, (n + 1, 3)),
+                rotations=np.array([so3_exp(rng.uniform(-0.3, 0.3, 3))
+                                    for _ in range(n + 1)]),
+                anchors={"center": rng.uniform(-0.2, 0.2, 3)})
+                for tid, y in (("a", 1.0), ("b", -1.0))}
+            tracks = cons.ConstraintTracks(preds, sizes, cset, [record],
+                                           n + 1)
+            horizon = rollout(make_rig(p=rng.uniform(-1, 1, 3),
+                                       rpy=rng.uniform(-0.3, 0.3, 3),
+                                       f=rng.uniform(20, 120)),
+                              rng.uniform(-1.0, 1.0, (n, 9)), 0.2)
+            # the report's rows, and the penalty's with a margin and the
+            # separation rescaled
+            start, options = [(0, {}), (1, {"margin": 0.15,
+                                            "separation_scale": 100.0})][
+                trial % 2]
+            rows, add = cons.state_residuals(horizon, start, tracks, SPEC,
+                                             **options)
+            assert rows.shape == (n + 1 - start, 27)
+            for k in range(len(rows)):
+                fd = np.stack([(cons.state_residuals(
+                    moved_state(horizon, start + k, j, h), start, tracks,
+                    SPEC, **options)[0][k] - cons.state_residuals(
+                    moved_state(horizon, start + k, j, -h), start, tracks,
+                    SPEC, **options)[0][k]) / (2.0 * h)
+                    for j in range(12)], axis=1)
+                for column in range(rows.shape[1]):
+                    unit = np.zeros_like(rows)
+                    unit[k, column] = 1.0
+                    grads = obj.HorizonGradients(horizon.rotations)
+                    add(grads, unit, unit)
+                    d = grads.gradient[start + k]
+                    assert np.abs(d).max() > 0.0, column
+                    assert np.allclose(d, fd[column], rtol=1e-5,
+                                       atol=1e-6), column
+                    # the curvature takes the same derivative, and no other
+                    # state moves
+                    assert np.array_equal(grads.curvature[start + k],
+                                          np.outer(d, d)), column
+                    others = np.arange(n + 1) != start + k
+                    assert not grads.gradient[others].any(), column
+                    assert not grads.curvature[others].any(), column
+
+
+def test_rpy_derivative_matches_central_differences():
+    # roll, pitch and yaw as state_bound_residuals extracts them, moved by
+    # R exp(d^) along each body axis
+    rng = np.random.default_rng(12)
+    n = 16
+    rotations = np.stack([rotation_from_rpy(
+        rng.uniform(-3.0, 3.0), rng.uniform(-1.2, 1.2),
+        rng.uniform(-3.0, 3.0)) for _ in range(n)])
+    bounds = (np.zeros(12), np.zeros(12))
+
+    def angles(rots):
+        horizon = Horizon(positions=np.zeros((n, 3)),
+                          velocities=np.zeros((n, 3)), rotations=rots,
+                          lens=np.ones((n, 3)),
+                          jacobians=np.zeros((n - 1, 3, 3)))
+        return cons.state_bound_residuals(horizon, bounds)[:, 6:9]
+    h = 1e-6
+    for axis in range(3):
+        got = tangent_gradients(rotations,
+                                cons._rpy_derivative(rotations, axis))
+        for i in range(3):
+            step = scipy.linalg.expm(h * hat_batch(np.eye(3)[i:i + 1])[0])
+            fd = (angles(rotations @ step) - angles(rotations @ step.T))[
+                :, axis] / (2.0 * h)
+            assert np.allclose(got[:, i], fd, rtol=1e-6, atol=1e-7)

@@ -141,6 +141,25 @@ class TestWorldMeasurement:
         assert np.allclose(measured, [1, 1, 11], atol=1e-9)
 
 
+def kf_update_with_h(track, measurement, meas_sigma):
+    """The Joseph-form update written with the measurement matrix ``h``
+    and noise ``r``: the oracle of :func:`est.kf_update`'s slices."""
+    measurement = np.asarray(measurement, dtype=float)
+    h = np.zeros((3, 6))
+    h[:, :3] = np.eye(3)
+    r = np.eye(3) * meas_sigma ** 2
+    cov = track.covariance
+    innovation_cov = h @ cov @ h.T + r
+    gain = cov @ h.T @ np.linalg.inv(innovation_cov)
+    state = np.concatenate([track.position, track.velocity])
+    state = state + gain @ (measurement - track.position)
+    joseph = np.eye(6) - gain @ h
+    cov = joseph @ cov @ joseph.T + gain @ r @ gain.T
+    return est.TargetTrack(position=state[:3], velocity=state[3:],
+                           covariance=0.5 * (cov + cov.T),
+                           orientation=track.orientation)
+
+
 class TestKalman:
     def test_predict_keeps_position_with_zero_velocity(self):
         track = est.initialize_track(np.array([1.0, 2.0, 3.0]), 0.04)
@@ -183,6 +202,33 @@ class TestKalman:
                                   sigma)
         assert np.linalg.norm(track.position - truth) < 3 * sigma / np.sqrt(n)
         assert np.linalg.norm(track.velocity) < 0.01
+
+    def test_update_bit_identical_to_measurement_matrix_form(self):
+        # filter runs as the loop makes them, and tracks with random
+        # symmetric positive definite covariances
+        rng = np.random.default_rng(19)
+        tracks = []
+        for _ in range(20):
+            sigma = rng.uniform(0.01, 0.5)
+            track = est.initialize_track(rng.normal(0, 5, 3), sigma)
+            for _ in range(50):
+                track = est.kf_predict(track, rng.uniform(0.05, 0.3),
+                                       accel_sigma=rng.uniform(0.0, 2.0))
+                tracks.append((track, rng.normal(0, 5, 3), sigma))
+                track = est.kf_update(track, *tracks[-1][1:])
+        for _ in range(1000):
+            a = rng.normal(0, rng.uniform(0.01, 10.0), (6, 6))
+            tracks.append((est.TargetTrack(
+                position=rng.normal(0, 5, 3), velocity=rng.normal(0, 1, 3),
+                covariance=a @ a.T, orientation=np.eye(3)),
+                rng.normal(0, 5, 3), rng.uniform(0.01, 0.5)))
+        for track, measurement, sigma in tracks:
+            got = est.kf_update(track, measurement, sigma)
+            want = kf_update_with_h(track, measurement, sigma)
+            for name in ("position", "velocity", "covariance"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
     def test_covariance_stays_spd(self):
         rng = np.random.default_rng(1)

@@ -523,14 +523,11 @@ class TestMeritStream:
         assert first["solves"] == 2 and first["value passes"] > 0
         # one or more descent rounds per solve, each with value passes
         assert first["solves"] <= first["rounds"] <= first["value passes"]
-        # the report takes the cost of the last value pass, and a round
-        # that takes no step ends at the point it valued last: one
-        # evaluation per value pass
-        assert first["evaluations"] == first["value passes"]
+        # the check after each round and the report read the round's last
+        # value pass: one evaluation per value pass
         moved = prints[250.0][0]
-        # plus one per round whose descent returned another point
-        assert (moved["value passes"] <= moved["evaluations"]
-                <= moved["value passes"] + moved["rounds"])
+        for counts in (first, moved):
+            assert counts["evaluations"] == counts["value passes"]
         # a round's first value pass is at its start, and every model step
         # but possibly a round's last is followed by its trial's; the
         # centred target is planned without a step

@@ -330,38 +330,25 @@ def side_by_side_problem():
     return make_rig(), preds, sizes, instr, cset
 
 
+class EveryGroup(np.ndarray):
+    """Weights whose every group reads as nonzero, so that the rows' adder
+    adds each group, its slopes zero or not."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
 def penalty_always_accumulating(model, horizon, grads, lam, rho):
     """The derivatives of ``_PenaltyModel.penalty`` with every group added,
     its slopes zero or not: the oracle of its bits."""
-    g_all, derivative_pieces = cons.state_residuals(
-        horizon, 1, model.tracks, model.spec, margin=model.margin)
-    (diff, dist), separations = derivative_pieces()
-    n_box = g_all.shape[1] - len(dist) - len(separations)
-    sep = slice(n_box + len(dist), None)
-    g_all[:, sep] = g_all[:, sep] / sol._SEPARATION_SCALE - model.margin
-    g_flat = g_all.ravel()
+    rows, add = cons.state_residuals(
+        horizon, 1, model.tracks, model.spec, margin=model.margin,
+        separation_scale=sol._SEPARATION_SCALE)
+    g_flat = rows.ravel()
     slack = np.maximum(0.0, lam - rho * g_flat)
     value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
-    slopes = slack.reshape(g_all.shape)
-    weights = rho * (slopes > 0.0)
-    states, half = slice(1, None), n_box // 2
-    box = slopes[:, half:n_box] - slopes[:, :half]
-    box_weights = weights[:, :half] + weights[:, half:n_box]
-    linear = np.r_[0:6, 9:12]
-    grads.gradient[states, linear] += box[:, linear]
-    grads.curvature[states, linear, linear] += box_weights[:, linear]
-    for axis in range(3):
-        grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
-                  rotation=sol._rpy_derivative(horizon.rotations[1:], axis),
-                  states=states)
-    for column, (d, r) in enumerate(zip(diff, dist), n_box):
-        grads.add(-slopes[:, column], weights[:, column],
-                  position=d / np.maximum(r, 1e-9)[:, None], states=states)
-    for column, (d_pos, d_rot, d_f) in enumerate(separations, sep.start):
-        scale = sol._SEPARATION_SCALE
-        grads.add(-slopes[:, column], weights[:, column],
-                  position=d_pos / scale, rotation=d_rot / scale,
-                  intrinsics=d_f / scale, states=states)
+    slopes = slack.reshape(rows.shape)
+    add(grads, -slopes, (rho * (slopes > 0.0)).view(EveryGroup))
     return value, g_flat
 
 
@@ -411,8 +398,7 @@ class TestStackedHorizon:
         rig, preds, sizes, instr, cset = side_by_side_problem()
         cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15,
                                outer_rounds=6)
-        counts = {"evaluations": 0, "merit calls": 0, "rounds": 0,
-                  "new points": 0}
+        counts = {"evaluations": 0, "value passes": 0, "rounds": 0}
         evaluate = obj.evaluate_horizon_stacked
         minimize = scipy.optimize.minimize
 
@@ -420,41 +406,39 @@ class TestStackedHorizon:
             counts["evaluations"] += 1
             return evaluate(*args, **kwargs)
 
-        def counted_minimize(fun, *args, jac, hess, **kwargs):
-            last_point = []
+        def counted_minimize(fun, *args, **kwargs):
+            passes = []
 
             def merit(x):
-                counts["merit calls"] += 1
-                last_point[:] = [x.tobytes()]
-                return fun(x)
+                counts["value passes"] += 1
+                passed = fun(x)
+                passes.append((x.copy(), passed))
 
-            def at_last_point(derivative):
-                # the derivatives are asked at the point just valued, so
-                # they reuse its evaluation
-                def call(x):
-                    assert x.tobytes() == last_point[0]
-                    return derivative(x)
-                return call
-            result = minimize(merit, *args, jac=at_last_point(jac),
-                              hess=at_last_point(hess), **kwargs)
-            # the solver checks the clipped point the descent returned
+                def latest(build):
+                    # derivatives are asked of the pass just made, so they
+                    # build on its evaluation
+                    def call():
+                        assert passes[-1][1] is passed
+                        return build()
+                    return call
+                return (passed[0], latest(passed[1]), latest(passed[2]),
+                        passed[3])
+            result = minimize(merit, *args, **kwargs)
             counts["rounds"] += 1
-            if np.clip(result.x, -1.0, 1.0).tobytes() != last_point[0]:
-                counts["new points"] += 1
+            # the round hands back the record of the point it ended on
+            assert any(record is result.point and np.array_equal(x, result.x)
+                       for x, (_, _, _, record) in passes)
             return result
         monkeypatch.setattr(obj, "evaluate_horizon_stacked",
                             counted_evaluate)
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         plan = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        # one per merit call; the check after a round shares the last
-        # call's unless the descent returned another point, and the report
-        # the check's
+        # one per value pass: the check after a round and the report read
+        # the round's last point, with no pass of their own
         assert counts["rounds"] == plan.stats.outer_rounds
-        assert counts["new points"] < counts["rounds"]
-        assert counts["evaluations"] == (counts["merit calls"]
-                                         + counts["new points"])
+        assert counts["evaluations"] == counts["value passes"]
 
-    def test_penalty_rows_are_report_rows(self):
+    def test_penalty_rows_are_report_rows(self, monkeypatch):
         rig, preds, sizes, _, cset = side_by_side_problem()
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         n, margin = 5, 0.15
@@ -466,12 +450,19 @@ class TestStackedHorizon:
         report = cons.evaluate_constraints(
             u, horizon, cons.ConstraintTracks(preds, sizes, cset, records,
                                               n + 1), cset, SPEC)
-        # neither builds the gradient pieces, and building them changes no
-        # row
-        rows, derivative_pieces = cons.state_residuals(horizon, 0,
-                                                       model.tracks, SPEC)
+        # the separation derivatives are built only for nonzero weights,
+        # and building them changes no row
+        builds = []
+        body_outer = cons.body_outer
+        monkeypatch.setattr(cons, "body_outer", lambda *args: (
+            builds.append(None), body_outer(*args))[1])
+        rows, add = cons.state_residuals(horizon, 0, model.tracks, SPEC)
         before = rows.copy()
-        derivative_pieces()
+        grads = obj.HorizonGradients(horizon.rotations)
+        add(grads, np.zeros_like(rows), np.zeros_like(rows))
+        assert builds == []
+        add(grads, np.ones_like(rows), np.ones_like(rows))
+        assert len(builds) == 1
         assert np.array_equal(rows, before)
         assert np.array_equal(report[18 * n:], rows.ravel())
         # layout per state: 24 box, 2 collision, 1 separation entries
@@ -480,9 +471,9 @@ class TestStackedHorizon:
         assert np.array_equal(penalty[:, :24], states[:, :24])
         assert np.allclose(penalty[:, 24:26], states[:, 24:26] - margin,
                            rtol=0.0, atol=1e-12)
-        assert np.allclose(penalty[:, 26:],
-                           states[:, 26:] / sol._SEPARATION_SCALE - margin,
-                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(penalty[:, 26:],
+                              states[:, 26:] / sol._SEPARATION_SCALE
+                              - margin)
 
     @pytest.mark.parametrize("group", sorted(PENALTY_GROUPS))
     def test_zero_slope_skips_bit_identical(self, group):
@@ -533,8 +524,8 @@ class TestStackedHorizon:
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, 5, 0.15)
         axes = []
-        rpy_derivative = sol._rpy_derivative
-        monkeypatch.setattr(sol, "_rpy_derivative", lambda rotations, axis: (
+        rpy_derivative = cons._rpy_derivative
+        monkeypatch.setattr(cons, "_rpy_derivative", lambda rotations, axis: (
             axes.append(axis), rpy_derivative(rotations, axis))[1])
         horizon = rollout(rig, np.zeros((5, 9)), 0.2)
         lam = np.zeros(model.size)
@@ -546,33 +537,6 @@ class TestStackedHorizon:
         lam.reshape(5, -1)[:, 20] = 1.0
         model.penalty(horizon, lam, 0.5)[2](grads)
         assert axes == [0, 2]
-
-
-def test_rpy_derivative_matches_central_differences():
-    # roll, pitch and yaw as state_bound_residuals extracts them, moved by
-    # R exp(d^) along each body axis
-    rng = np.random.default_rng(12)
-    n = 16
-    rotations = np.stack([rotation_from_rpy(
-        rng.uniform(-3.0, 3.0), rng.uniform(-1.2, 1.2),
-        rng.uniform(-3.0, 3.0)) for _ in range(n)])
-    bounds = (np.zeros(12), np.zeros(12))
-
-    def angles(rots):
-        horizon = kin.Horizon(positions=np.zeros((n, 3)),
-                              velocities=np.zeros((n, 3)), rotations=rots,
-                              lens=np.ones((n, 3)),
-                              jacobians=np.zeros((n - 1, 3, 3)))
-        return cons.state_bound_residuals(horizon, bounds)[:, 6:9]
-    h = 1e-6
-    for axis in range(3):
-        got = kin.tangent_gradients(rotations,
-                                    sol._rpy_derivative(rotations, axis))
-        for i in range(3):
-            step = scipy.linalg.expm(h * kin.hat_batch(np.eye(3)[i:i + 1])[0])
-            fd = (angles(rotations @ step) - angles(rotations @ step.T))[
-                :, axis] / (2.0 * h)
-            assert np.allclose(got[:, i], fd, rtol=1e-6, atol=1e-7)
 
 
 def approach_problem(position=(0.5, 0.0, 1.0), velocity=(0.0, 0.0, 0.0),
@@ -697,12 +661,10 @@ def test_early_exits_are_feasible_with_half_the_margin(monkeypatch):
         horizon = rollout(initial, plan.inputs, cfg.dt)
         tracks = cons.ConstraintTracks(preds, sizes, cset, plan.records,
                                        len(horizon))
-        rows = cons.state_residuals(horizon, 1, tracks, spec,
-                                    margin=cfg.constraint_margin)[0]
+        rows = cons.state_residuals(
+            horizon, 1, tracks, spec, margin=cfg.constraint_margin,
+            separation_scale=sol._SEPARATION_SCALE)[0]
         n_box = 24
-        sep = n_box + len(tracks.collisions)
-        rows[:, sep:] = (rows[:, sep:] / sol._SEPARATION_SCALE
-                         - cfg.constraint_margin)
         if (plan.stats.outer_rounds == cfg.outer_rounds
                 or rows.min() >= -1e-7):
             continue
@@ -726,17 +688,18 @@ def capture_rounds(monkeypatch, evaluate):
     return results
 
 
-def lbfgsb_oracle(minimize, fun, jac, x0, evaluations):
+def lbfgsb_oracle(minimize, fun, x0, evaluations):
     """L-BFGS-B as the planner ran it before, uncapped (1000
-    iterations), counting its evaluations (value calls) into
-    ``evaluations``."""
+    iterations), on the value and gradient of the merit ``fun``, counting
+    its evaluations (value calls) into ``evaluations``."""
     def counted(x):
         evaluations.append(None)
-        return fun(x)
+        return fun(x)[0]
     return minimize(
-        counted, x0, jac=jac, method="L-BFGS-B", bounds=[(-1.0, 1.0)]
-        * len(x0), options={"maxiter": 1000, "maxls": 60, "maxcor": 20,
-                            "ftol": 1e-7, "gtol": 1e-5})
+        counted, x0, jac=lambda x: fun(x)[1](), method="L-BFGS-B",
+        bounds=[(-1.0, 1.0)] * len(x0),
+        options={"maxiter": 1000, "maxls": 60, "maxcor": 20, "ftol": 1e-7,
+                 "gtol": 1e-5})
 
 
 def gauss_newton_problem():
@@ -785,10 +748,8 @@ def merit_residuals(z, problem, records):
     tracks = cons.ConstraintTracks(preds, sizes, cset, records,
                                    len(horizon))
     rows = cons.state_residuals(horizon, 1, tracks, SPEC,
-                                margin=cfg.constraint_margin)[0]
-    sep = 24 + len(tracks.collisions)
-    rows[:, sep:] = (rows[:, sep:] / sol._SEPARATION_SCALE
-                     - cfg.constraint_margin)
+                                margin=cfg.constraint_margin,
+                                separation_scale=sol._SEPARATION_SCALE)[0]
     matrices = np.einsum("kji,kjl->kil", preds["b"].rotations[:len(horizon)],
                          horizon.rotations) - pose.rotation
     return (np.array(squares), rows.ravel(),
@@ -820,8 +781,8 @@ class TestGaussNewton:
 
         def at_points(fun, kwargs, x0, _):
             points[0] = x0.copy()
-            return [(fun(z), kwargs["jac"](z), kwargs["hess"](z))
-                    for z in points]
+            return [(value, gradient(), hessian())
+                    for value, gradient, hessian, _ in map(fun, points)]
         captured = capture_rounds(monkeypatch, at_points)
         sol.solve(rig, preds, instr, cset, cfg, SPEC, warm=warm,
                   sizes=sizes)
@@ -880,10 +841,11 @@ class TestGaussNewton:
         z = np.random.default_rng(3).uniform(-0.4, 0.4, 45)
 
         def at_point(fun, kwargs, x0, _):
-            stages = []
-            for call in (fun, kwargs["jac"], kwargs["hess"]):
+            stages, passed = [], []
+            for call in (lambda: passed.extend(fun(z)),
+                         lambda: passed[1](), lambda: passed[2]()):
                 before = dict(counts)
-                call(z)
+                call()
                 stages.append({name: counts[name] - before[name]
                                for name in counts})
             return stages
@@ -917,11 +879,9 @@ class TestGaussNewton:
             builds.append(None)
             return rotation_sensitivities(*args)
 
-        def logged_minimize(fun, x0, *, jac, hess, **kwargs):
+        def logged_minimize(fun, x0, **kwargs):
             logs.append([])
-            value, gradient, hessian = logged_descent(fun, jac, hess,
-                                                      logs[-1])
-            return minimize(value, x0, jac=gradient, hess=hessian, **kwargs)
+            return minimize(logged_descent(fun, logs[-1]), x0, **kwargs)
         monkeypatch.setattr(kin, "rotation_sensitivities", counted)
         monkeypatch.setattr(scipy.optimize, "minimize", logged_minimize)
         plan = None
@@ -951,8 +911,7 @@ class TestGaussNewton:
                     return fun(x)
                 ours = minimize(merit, x0, **kwargs)
                 oracle_counted = []
-                oracle = lbfgsb_oracle(minimize, fun, kwargs["jac"], x0,
-                                       oracle_counted)
+                oracle = lbfgsb_oracle(minimize, fun, x0, oracle_counted)
                 return ours, len(counted), oracle, len(oracle_counted)
             with monkeypatch.context() as patch:
                 captured = capture_rounds(patch, both)
@@ -999,16 +958,24 @@ def bvls_minimum(h, g, lower, upper):
                                      method="bvls", tol=1e-15).x
 
 
-def logged_descent(fun, jac, hess, log):
-    """``fun``, ``jac`` and ``hess`` that append ``(name, x, result)`` to
-    ``log`` at every call, in call order."""
-    def logged(name, call):
-        def wrapped(x, *args):
-            result = call(x, *args)
-            log.append((name, x.copy(), result))
-            return result
-        return wrapped
-    return logged("fun", fun), logged("jac", jac), logged("hess", hess)
+def logged_descent(fun, log):
+    """The merit ``fun`` with every value pass and every call of the
+    gradient and Hessian builders it returns appended to ``log`` as
+    ``(name, x, result)``, in call order: ``"fun"``, ``"jac"`` and
+    ``"hess"``, each with the point of its pass."""
+    def merit(x):
+        at = x.copy()
+        value, gradient, hessian, point = fun(x)
+        log.append(("fun", at, value))
+
+        def logged(name, build):
+            def call():
+                result = build()
+                log.append((name, at, result))
+                return result
+            return call
+        return value, logged("jac", gradient), logged("hess", hessian), point
+    return merit
 
 
 def replay_descent(log, ftol=1e-7):
@@ -1050,20 +1017,21 @@ def replay_descent(log, ftol=1e-7):
 class TestBoxGaussNewton:
     @staticmethod
     def descend(fun, jac, hess, x0, low, high, **options):
-        """``box_gauss_newton`` from ``x0`` with every point it evaluates
-        ``fun`` and ``jac`` at recorded."""
+        """``box_gauss_newton`` from ``x0`` with every point it values and
+        every point it builds the gradient at recorded."""
         values, gradients = [], []
 
-        def value(x):
+        def recorded(x):
             values.append(x.copy())
-            return fun(x)
 
-        def gradient(x):
-            gradients.append(x.copy())
-            return jac(x)
-        result = sol.box_gauss_newton(
-            value, np.asarray(x0, float), jac=gradient, hess=hess,
-            bounds=scipy.optimize.Bounds(low, high), **options)
+            def gradient():
+                gradients.append(x.copy())
+                return jac(x)
+            return fun(x), gradient, lambda: hess(x), x.copy()
+        result = sol.box_gauss_newton(recorded, np.asarray(x0, float),
+                                      bounds=(low, high), **options)
+        # the result hands back the record of its x
+        assert np.array_equal(result.point, result.x)
         return result, values, gradients
 
     @staticmethod
@@ -1145,10 +1113,11 @@ class TestBoxGaussNewton:
         ftol_ends = 0
         for name, (fun, jac, hess, x0, low, high) in problems.items():
             log = []
-            value, gradient, hessian = logged_descent(fun, jac, hess, log)
+            def merit(x):
+                return fun(x), lambda: jac(x), lambda: hess(x), x.copy()
             result = sol.box_gauss_newton(
-                value, np.asarray(x0, float), jac=gradient, hess=hessian,
-                bounds=scipy.optimize.Bounds(low, high))
+                logged_descent(merit, log), np.asarray(x0, float),
+                bounds=(low, high))
             assert result.status == 0, name
             end, rejected, accepted, ftol_end = replay_descent(log)
             assert np.array_equal(result.x, end), name

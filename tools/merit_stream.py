@@ -12,10 +12,12 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   bytes, in the order, that versions of this tool from before plans held
   stacked arrays hashed, so plan hashes compare across that change;
 - the number of solves, augmented-Lagrangian rounds (calls of
-  ``scipy.optimize.minimize``), value passes, gradient builds and Hessian
-  builds (calls of the descent's ``fun``, ``jac`` and ``hess``), and cost
-  evaluations (``objectives.evaluate_horizon_stacked`` calls: the plan's
-  reported cost comes from the last of them, with no pass of its own);
+  ``scipy.optimize.minimize``), value passes (calls of the merit handed to
+  the descent), gradient and Hessian builds (calls of the builders each
+  value pass returns), and cost evaluations
+  (``objectives.evaluate_horizon_stacked`` calls: one per value pass, and
+  the plan's reported cost and rows come from a round's last pass, with no
+  pass of their own);
 - the descent's own work: model steps (``solver._model_step`` calls, one
   per trial step), Newton directions (``solver._newton_direction`` calls)
   and Cholesky factorizations (LAPACK ``dposv`` calls, one per active set
@@ -95,24 +97,24 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
             return originals[hook](*args, **kwargs)
         return call
 
-    def hashed_minimize(fun, *args, jac, hess, **kwargs):
-        def value(x):
-            result = fun(x)
+    def hashed_minimize(fun, *args, **kwargs):
+        def merit(x):
+            value, gradient, hessian, point = fun(x)
             counts["value passes"] += 1
-            _update(values, result)
-            return result
+            _update(values, value)
 
-        def gradient(x):
-            result = jac(x)
-            counts["gradient builds"] += 1
-            _update(gradients, result)
-            return result
+            def hashed_gradient():
+                result = gradient()
+                counts["gradient builds"] += 1
+                _update(gradients, result)
+                return result
 
-        def hessian(x):
-            counts["Hessian builds"] += 1
-            return hess(x)
+            def counted_hessian():
+                counts["Hessian builds"] += 1
+                return hessian()
+            return value, hashed_gradient, counted_hessian, point
         counts["rounds"] += 1
-        return minimize(value, *args, jac=gradient, hess=hessian, **kwargs)
+        return minimize(merit, *args, **kwargs)
 
     def hashed_solve(initial, *args, **kwargs):
         plan = solve(initial, *args, **kwargs)
