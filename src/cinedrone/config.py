@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +69,11 @@ class RigInit:
     """Initial rig pose/lens state, with optional per-axis uniform position
     jitter (sampled per seed) for repetition studies."""
 
-    position: tuple[float, float, float]
-    rpy: tuple[float, float, float]
-    focal_mm: float
-    focus_m: float
-    aperture: float
+    position: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    rpy: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    focal_mm: float = 35.0
+    focus_m: float = 10.0
+    aperture: float = 2.0
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     position_jitter: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
@@ -133,8 +133,7 @@ class ScenarioConfig:
                 orientation=rotation_from_rpy(*self.initial_rig.rpy)),
             intrinsics=IntrinsicState(self.initial_rig.focal_mm,
                                       self.initial_rig.focus_m,
-                                      self.initial_rig.aperture),
-            time_index=0)
+                                      self.initial_rig.aperture))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +189,32 @@ def _known(raw, path: str, errs: _Collector, keys: str) -> None:
             errs.add(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _given(raw: dict, *keys: str, cast=None) -> dict:
-    """The entries of ``raw`` under ``keys``, each through ``cast``: a key
-    the file omits is left to its dataclass default."""
-    return {key: raw[key] if cast is None else cast(raw[key])
-            for key in keys if key in raw}
+def _given(raw: dict, *keys: str) -> dict:
+    """The entries of ``raw`` under ``keys``: a key the file omits is left
+    to its dataclass default."""
+    return {key: raw[key] for key in keys if key in raw}
+
+
+def _flat(cls, raw, path: str, errs: _Collector, **fixed):
+    """``cls`` from the JSON object ``raw`` at ``path``, whose keys are the
+    fields of ``cls`` other than the ``fixed`` ones: a key the file omits
+    takes its field's default, ``int`` fields go through ``int`` and tuple
+    fields through ``tuple``.  Nothing is built when ``raw`` is None or a
+    fixed value is None; the keys are checked whenever ``raw`` is given."""
+    if raw is None:
+        return None
+    kinds = {f.name: f.type for f in fields(cls) if f.name not in fixed}
+    _known(raw, path, errs, " ".join(kinds))
+    if any(value is None for value in fixed.values()):
+        return None
+
+    def cast(name: str):
+        value = raw[name]
+        if kinds[name] == "int":
+            return int(value)
+        return tuple(value) if kinds[name].startswith("tuple") else value
+    return errs.guard(path, lambda: cls(**fixed, **{
+        name: cast(name) for name in kinds if name in raw}))
 
 
 def _bounds_pair(raw, size: int, path: str, errs: _Collector
@@ -384,20 +404,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         "estimation", "initial_rig")}
     _known(raw, "", errs, " ".join([*sections, "name targets sequences seeds"
                                     " repetitions contact_radius"]))
-    for key, keys in (
-            ("camera", "image_width image_height sensor_width_mm"
-             " sensor_height_mm principal_u principal_v skew"
-             " circle_of_confusion_mm"),
-            ("control", "period substeps duration"),
-            ("solver", "horizon max_iterations outer_rounds penalty_initial"
-             " constraint_margin"),
-            ("sensor", "depth_sigma dropout pixel_jitter"),
-            ("estimation", "accel_sigma meas_sigma velocity_sigma"),
-            ("initial_rig", "position rpy focal_mm focus_m aperture velocity"
-             " position_jitter")):
-        _known(sections[key], key, errs, keys)
 
     camera_raw = sections["camera"]
+    _known(camera_raw, "camera", errs, "image_width image_height"
+           " sensor_width_mm sensor_height_mm principal_u principal_v skew"
+           " circle_of_confusion_mm")
     camera = None if camera_raw is None else errs.guard(
         "camera", lambda: CameraSensorSpec.from_sensor_size(
             image_width=camera_raw.get("image_width", 0),
@@ -410,41 +421,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 ("skew", "skew"),
                 ("circle_of_confusion", "circle_of_confusion_mm"))
                if key in camera_raw}))
-
-    control_raw = sections["control"]
-    control = None if control_raw is None else errs.guard(
-        "control", lambda: ControlConfig(
-            **_given(control_raw, "period", "duration"),
-            **_given(control_raw, "substeps", cast=int)))
-
-    solver_raw = sections["solver"]
-    counts = ("horizon", "max_iterations", "outer_rounds")
-    reals = ("penalty_initial", "constraint_margin")
-    solver = None if control is None or solver_raw is None else errs.guard(
-        "solver", lambda: SolverConfig(
-            dt=control.period, **_given(solver_raw, *counts, cast=int),
-            **_given(solver_raw, *reals)))
-
+    control = _flat(ControlConfig, sections["control"], "control", errs)
+    solver = _flat(SolverConfig, sections["solver"], "solver", errs,
+                   dt=None if control is None else control.period)
     constraints = None if sections["constraints"] is None else \
         _parse_constraints(sections["constraints"], errs)
-
-    sensor = None if sections["sensor"] is None else errs.guard(
-        "sensor", SensorModel, **_given(
-            sections["sensor"], "depth_sigma", "dropout", "pixel_jitter"))
-
-    estimation = None if sections["estimation"] is None else \
-        EstimationConfig(**_given(sections["estimation"], "accel_sigma",
-                                  "meas_sigma", "velocity_sigma"))
-
-    rig_raw = sections["initial_rig"]
-    initial_rig = None if rig_raw is None else errs.guard(
-        "initial_rig", lambda: RigInit(
-            position=tuple(rig_raw.get("position", (0.0, 0.0, 1.0))),
-            rpy=tuple(rig_raw.get("rpy", (0.0, 0.0, 0.0))),
-            focal_mm=rig_raw.get("focal_mm", 35.0),
-            focus_m=rig_raw.get("focus_m", 10.0),
-            aperture=rig_raw.get("aperture", 2.0),
-            **_given(rig_raw, "velocity", "position_jitter", cast=tuple)))
+    sensor = _flat(SensorModel, sections["sensor"], "sensor", errs)
+    estimation = _flat(EstimationConfig, sections["estimation"],
+                       "estimation", errs)
+    initial_rig = _flat(RigInit, sections["initial_rig"], "initial_rig", errs)
 
     targets: list[ScriptedTarget] = []
     for i, entry in _objects(raw, "targets", "targets", errs):

@@ -110,13 +110,12 @@ class ConstraintSet:
 class OcclusionRecord:
     """Frozen image-plane ordering of one target pair at solve time.
 
-    While active, the planner must keep the right-hand box's left edge to
-    the right of the left-hand box's right edge.
+    The planner must keep the right-hand box's left edge to the right of
+    the left-hand box's right edge.
     """
 
     left_id: str
     right_id: str
-    active: bool
 
 
 def box_from_center(rig: CameraRig, center: np.ndarray, height: float,
@@ -143,24 +142,22 @@ def boxes_vertically_overlap(box_a: PixelBox, box_b: PixelBox) -> bool:
     return box_a.y_lt < box_b.y_rb and box_b.y_lt < box_a.y_rb
 
 
-def occlusion_activation(box_first: PixelBox, box_second: PixelBox,
-                         first_id: str, second_id: str) -> OcclusionRecord:
+def occlusion_activation(box_first: PixelBox, box_second: PixelBox) -> bool:
     """Decide whether to keep the pair horizontally separated.
 
     Active exactly when the vertical pixel intervals overlap and the second
     box is strictly to the right of the first: two vertically conflicting
     targets that are still separated must not cross in the image.
     """
-    active = (boxes_vertically_overlap(box_first, box_second)
-              and box_second.x_lt > box_first.x_rb)
-    return OcclusionRecord(left_id=first_id, right_id=second_id,
-                           active=active)
+    return (boxes_vertically_overlap(box_first, box_second)
+            and box_second.x_lt > box_first.x_rb)
 
 
 def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
                         sizes: dict[str, tuple[float, float]],
                         spec: CameraSensorSpec) -> list[OcclusionRecord]:
-    """Evaluate the activation predicate for every ordered visible pair."""
+    """A record of every ordered visible pair that the activation
+    predicate keeps separated."""
     boxes: dict[str, PixelBox] = {}
     for tid, pred in preds.items():
         if tid not in sizes:
@@ -177,9 +174,8 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
     for i, first in enumerate(ids):
         for second in ids[i + 1:]:
             for a, b in ((first, second), (second, first)):
-                record = occlusion_activation(boxes[a], boxes[b], a, b)
-                if record.active:
-                    records.append(record)
+                if occlusion_activation(boxes[a], boxes[b]):
+                    records.append(OcclusionRecord(left_id=a, right_id=b))
     return records
 
 
@@ -264,7 +260,7 @@ def state_bound_residuals(horizon: Horizon,
 
 class ConstraintTracks:
     """Per-solve data of :func:`state_residuals` over states 0..N: state
-    bounds; collision target positions (m, N+1, 3); per active record, its
+    bounds; collision target positions (m, N+1, 3); per record, its
     right, then left box's centers (2, N+1, 3) and half widths (2, 1)."""
 
     __slots__ = ("bounds", "safety_distance", "collisions", "separations")
@@ -280,13 +276,12 @@ class ConstraintTracks:
                                     for tid in ids]).reshape(len(ids), n, 3)
         self.separations = []
         for record in records:
-            if record.active:
-                pair = (record.right_id, record.left_id)
-                centers = np.stack([preds[tid].positions[:n] + np.einsum(
-                    "kij,j->ki", preds[tid].rotations[:n],
-                    preds[tid].anchors["center"]) for tid in pair])
-                half = np.array([[sizes[tid][1]] for tid in pair]) / 2.0
-                self.separations.append((centers, half))
+            pair = (record.right_id, record.left_id)
+            centers = np.stack([preds[tid].positions[:n] + np.einsum(
+                "kij,j->ki", preds[tid].rotations[:n],
+                preds[tid].anchors["center"]) for tid in pair])
+            half = np.array([[sizes[tid][1]] for tid in pair]) / 2.0
+            self.separations.append((centers, half))
 
     @property
     def width(self) -> int:
@@ -325,7 +320,7 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     row per state in the layout the planner's penalty and
     :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
     when ``cset.safety_distance > 0``, distance - (safety distance +
-    ``margin``) per target by sorted id; per active record, the
+    ``margin``) per target by sorted id; per occlusion record, the
     :func:`separation_pieces` pixel gap / ``separation_scale`` -
     ``margin``.
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import PixelBox
 from .kinematics import CameraRig
 from .objectives import TargetPrediction
 from .optics import CameraSensorSpec, back_project, calibration_matrix
@@ -57,10 +56,9 @@ def reference_offset(meta: TargetMeta) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One synthetic or real detector output for a single target."""
+    """One synthetic or real detector output for a single target: its
+    representative pixel and the depth patch of its bounding box."""
 
-    target_id: str
-    box: PixelBox
     pixel: np.ndarray
     depth_patch: np.ndarray
 
@@ -78,7 +76,6 @@ class TargetTrack:
     position: np.ndarray
     velocity: np.ndarray
     covariance: np.ndarray
-    orientation: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "position",
@@ -89,13 +86,10 @@ class TargetTrack:
         if cov.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "orientation",
-                           np.asarray(self.orientation, dtype=float))
 
 
 def initialize_track(measurement: np.ndarray, meas_sigma: float,
-                     velocity_sigma: float = 2.0,
-                     orientation: np.ndarray | None = None) -> TargetTrack:
+                     velocity_sigma: float) -> TargetTrack:
     """Start a track at the first measurement with an uninformative
     velocity."""
     cov = np.zeros((6, 6))
@@ -105,7 +99,6 @@ def initialize_track(measurement: np.ndarray, meas_sigma: float,
         position=np.asarray(measurement, dtype=float),
         velocity=np.zeros(3),
         covariance=cov,
-        orientation=np.eye(3) if orientation is None else orientation,
     )
 
 
@@ -158,7 +151,7 @@ def _constant_velocity_model(dt: float, accel_sigma: float,
 
 
 def kf_predict(track: TargetTrack, dt: float,
-               accel_sigma: float = 0.5) -> TargetTrack:
+               accel_sigma: float) -> TargetTrack:
     """Constant-velocity prediction with white-acceleration process noise."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -168,7 +161,6 @@ def kf_predict(track: TargetTrack, dt: float,
         position=track.position + dt * track.velocity,
         velocity=track.velocity,
         covariance=0.5 * (cov + cov.T),
-        orientation=track.orientation,
     )
 
 
@@ -191,28 +183,27 @@ def kf_update(track: TargetTrack, measurement: np.ndarray,
         position=state[:3],
         velocity=state[3:],
         covariance=0.5 * (cov + cov.T),
-        orientation=track.orientation,
     )
 
 
 def predict_horizon(track: TargetTrack, n_steps: int, dt: float,
+                    orientation: np.ndarray,
                     anchors: dict[str, np.ndarray] | None = None,
                     ) -> TargetPrediction:
     """Noise-free constant-velocity poses for the next ``n_steps`` steps.
 
-    The first entry is the current estimate; orientation is held constant
-    over the horizon."""
+    The first entry is the current estimate; the target's ``orientation``
+    is held constant over the horizon."""
     steps = np.arange(n_steps + 1)[:, None]
     positions = track.position[None, :] + steps * dt * track.velocity[None, :]
-    rotations = np.broadcast_to(track.orientation,
+    rotations = np.broadcast_to(orientation,
                                 (n_steps + 1, 3, 3)).copy()
     return TargetPrediction(positions=positions, rotations=rotations,
                             anchors=dict(anchors or {}))
 
 
-def orientation_from_velocity(velocity: np.ndarray, fallback: np.ndarray,
-                              speed_threshold: float = SPEED_THRESHOLD,
-                              ) -> np.ndarray:
+def orientation_from_velocity(velocity: np.ndarray,
+                              fallback: np.ndarray) -> np.ndarray:
     """Rotation whose first axis is the motion direction, built against
     gravity.
 
@@ -222,7 +213,7 @@ def orientation_from_velocity(velocity: np.ndarray, fallback: np.ndarray,
     """
     velocity = np.asarray(velocity, dtype=float)
     speed = float(np.linalg.norm(velocity))
-    if speed < speed_threshold:
+    if speed < SPEED_THRESHOLD:
         return np.array(fallback, dtype=float)
     forward = velocity / speed
     lateral = np.cross(forward, _GRAVITY_DIR)

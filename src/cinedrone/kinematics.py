@@ -148,10 +148,6 @@ class DroneState:
         object.__setattr__(self, "orientation", _readonly(self.orientation))
         _check_rotation(self.orientation)
 
-    @property
-    def rpy(self) -> np.ndarray:
-        return rpy_from_rotation(self.orientation)
-
 
 @dataclass(frozen=True)
 class CameraRig:
@@ -159,7 +155,6 @@ class CameraRig:
 
     drone: DroneState
     intrinsics: IntrinsicState
-    time_index: int = 0
 
     def camera_rotation(self) -> np.ndarray:
         """Optical-axes matrix (columns: right, down, forward in world)."""
@@ -212,14 +207,12 @@ class Horizon:
         """Every state's :meth:`CameraRig.camera_rotation`, computed once."""
         return self.rotations @ BODY_TO_CAMERA
 
-    def rig(self, k: int, initial: CameraRig) -> CameraRig:
-        """State ``k`` as a rig, its time index counting on from
-        ``initial``'s."""
+    def rig(self, k: int) -> CameraRig:
+        """State ``k`` as a rig."""
         return CameraRig(drone=DroneState(self.positions[k],
                                           self.velocities[k],
                                           self.rotations[k]),
-                         intrinsics=IntrinsicState(*self.lens[k]),
-                         time_index=initial.time_index + k)
+                         intrinsics=IntrinsicState(*self.lens[k]))
 
 
 def rollout(initial: CameraRig, u: np.ndarray, dt: float) -> Horizon:

@@ -46,7 +46,9 @@ class ScriptedTarget:
     """A scene actor or obstacle on a time-stamped waypoint script.
 
     ``points`` are named body-frame offsets from the target center used as
-    composition anchors.
+    composition anchors.  ``tangents``, built with the script, are the
+    central-difference velocities at the waypoints: the cubic segments'
+    Hermite tangents.
     """
 
     target_id: str
@@ -56,6 +58,7 @@ class ScriptedTarget:
     interpolation: str = "linear"
     is_obstacle: bool = False
     points: dict[str, np.ndarray] = field(default_factory=dict)
+    tangents: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -68,6 +71,13 @@ class ScriptedTarget:
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         self.points = {name: np.asarray(off, dtype=float)
                        for name, off in self.points.items()}
+        knots = np.arange(len(self.times))
+        low = np.maximum(knots - 1, 0)
+        high = np.minimum(knots + 1, len(knots) - 1)
+        # a single waypoint has no segment, so no tangent of it is read
+        self.tangents = np.zeros_like(self.waypoints) if len(knots) < 2 \
+            else (self.waypoints[high] - self.waypoints[low]) \
+            / (self.times[high] - self.times[low])[:, None]
 
 
 @dataclass(frozen=True)
@@ -85,44 +95,21 @@ class SensorModel:
             raise ValueError("noise sigmas must be >= 0")
 
 
-def _script_tangent(target: ScriptedTarget, t: float) -> np.ndarray:
-    times, pts = target.times, target.waypoints
-    if len(times) < 2 or t <= times[0] or t >= times[-1]:
-        return np.zeros(3)
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(i, len(times) - 2)
-    if target.interpolation == "linear":
-        return (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])
-    return _hermite(target, t, i, derivative=True)
-
-
-def _hermite_tangents(target: ScriptedTarget) -> np.ndarray:
-    times, pts = target.times, target.waypoints
-    n = len(times)
-    tangents = np.zeros_like(pts)
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        tangents[i] = (pts[hi] - pts[lo]) / (times[hi] - times[lo])
-    return tangents
-
-
-def _hermite(target: ScriptedTarget, t: float, segment: int,
-             derivative: bool = False) -> np.ndarray:
-    times, pts = target.times, target.waypoints
-    tangents = _hermite_tangents(target)
+def _hermite(target: ScriptedTarget, t: float,
+             segment: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and time derivative of the cubic Hermite segment."""
+    times, pts, tangents = target.times, target.waypoints, target.tangents
     t0, t1 = times[segment], times[segment + 1]
     h = t1 - t0
     s = (t - t0) / h
     p0, p1 = pts[segment], pts[segment + 1]
     m0, m1 = tangents[segment] * h, tangents[segment + 1] * h
-    if derivative:
-        ds = np.array([6 * s * s - 6 * s, 3 * s * s - 4 * s + 1,
-                       -6 * s * s + 6 * s, 3 * s * s - 2 * s])
-        return (ds[0] * p0 + ds[1] * m0 + ds[2] * p1 + ds[3] * m1) / h
     basis = np.array([2 * s ** 3 - 3 * s ** 2 + 1, s ** 3 - 2 * s ** 2 + s,
                       -2 * s ** 3 + 3 * s ** 2, s ** 3 - s ** 2])
-    return basis[0] * p0 + basis[1] * m0 + basis[2] * p1 + basis[3] * m1
+    ds = np.array([6 * s * s - 6 * s, 3 * s * s - 4 * s + 1,
+                   -6 * s * s + 6 * s, 3 * s * s - 2 * s])
+    return (basis[0] * p0 + basis[1] * m0 + basis[2] * p1 + basis[3] * m1,
+            (ds[0] * p0 + ds[1] * m0 + ds[2] * p1 + ds[3] * m1) / h)
 
 
 def target_pose_at(target: ScriptedTarget,
@@ -130,18 +117,20 @@ def target_pose_at(target: ScriptedTarget,
     """Ground-truth (position, rotation) of a scripted target, clamped to
     the script span; orientation follows the motion direction when moving."""
     times, pts = target.times, target.waypoints
-    if t <= times[0]:
-        position = pts[0].copy()
-    elif t >= times[-1]:
-        position = pts[-1].copy()
-    elif target.interpolation == "linear":
-        position = np.array([np.interp(t, times, pts[:, i])
-                             for i in range(3)])
+    if t <= times[0] or t >= times[-1]:
+        position = (pts[0] if t <= times[0] else pts[-1]).copy()
+        tangent = np.zeros(3)
     else:
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        position = _hermite(target, t, min(i, len(times) - 2))
+        i = min(int(np.searchsorted(times, t, side="right") - 1),
+                len(times) - 2)
+        if target.interpolation == "linear":
+            position = np.array([np.interp(t, times, pts[:, j])
+                                 for j in range(3)])
+            tangent = (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])
+        else:
+            position, tangent = _hermite(target, t, i)
     rotation = est.orientation_from_velocity(
-        _script_tangent(target, t), target.meta.preliminary_rotation)
+        tangent, target.meta.preliminary_rotation)
     return position, rotation
 
 
@@ -163,8 +152,8 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
 
     Returns nothing when the target is behind the camera, out of frame,
     occluded by a closer obstacle box, or dropped out; otherwise a detection
-    with the projected box, a jittered representative pixel and a noisy
-    depth patch.
+    with a jittered representative pixel and a noisy depth patch sized by
+    the projected box.
     """
     center, rotation = target_pose_at(target, t)
     reference = center + rotation @ est.reference_offset(target.meta)
@@ -199,8 +188,7 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
     if sensor.depth_sigma > 0.0:
         patch = patch + rng.normal(0.0, sensor.depth_sigma, (rows, cols))
     patch = np.maximum(patch, 1e-3)
-    return est.Detection(target_id=target.target_id, box=box, pixel=pixel,
-                         depth_patch=patch)
+    return est.Detection(pixel=pixel, depth_patch=patch)
 
 
 def _prune_instructions(instr: obj.Instructions,
@@ -338,14 +326,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
                 if track is None:
                     track = est.initialize_track(
                         measured, config.estimation.meas_sigma,
-                        config.estimation.velocity_sigma,
-                        orientation=target.meta.preliminary_rotation)
+                        config.estimation.velocity_sigma)
                 else:
                     track = est.kf_update(track, measured,
                                           config.estimation.meas_sigma)
             if track is not None:
-                track = replace(track, orientation=est.orientation_from_velocity(
-                    track.velocity, target.meta.preliminary_rotation))
                 tracks[tid] = track
 
         preds: dict[str, obj.TargetPrediction] = {}
@@ -353,7 +338,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
             track = tracks.get(target.target_id)
             if track is not None:
                 preds[target.target_id] = est.predict_horizon(
-                    track, n_steps, period, anchors[target.target_id])
+                    track, n_steps, period, est.orientation_from_velocity(
+                        track.velocity, target.meta.preliminary_rotation),
+                    anchors[target.target_id])
         for obstacle in obstacles:
             future = [target_pose_at(obstacle, t + k * period)
                       for k in range(n_steps + 1)]
@@ -378,7 +365,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
             over_budget += 1
             slowest = max(slowest, plan.stats.wall_time)
 
-        executed = plan.horizon.rig(1, rig)
+        executed = plan.horizon.rig(1)
         setpoints = interpolate_commands(rig, executed,
                                          config.control.substeps)
         collision = None

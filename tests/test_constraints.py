@@ -63,21 +63,17 @@ class TestOcclusionActivation:
     def test_active_when_vertically_conflicting_and_separated(self):
         first = cons.PixelBox(100, 100, 200, 200)
         second = cons.PixelBox(250, 120, 350, 220)
-        record = cons.occlusion_activation(first, second, "t1", "t2")
-        assert record.active
-        assert record.left_id == "t1" and record.right_id == "t2"
+        assert cons.occlusion_activation(first, second)
 
     def test_inactive_when_vertically_disjoint(self):
         first = cons.PixelBox(100, 100, 200, 200)
         second = cons.PixelBox(250, 300, 350, 400)
-        assert not cons.occlusion_activation(first, second, "a",
-                                             "b").active
+        assert not cons.occlusion_activation(first, second)
 
     def test_inactive_when_horizontally_interleaved(self):
         first = cons.PixelBox(100, 100, 200, 200)
         second = cons.PixelBox(150, 120, 350, 220)
-        assert not cons.occlusion_activation(first, second, "a",
-                                             "b").active
+        assert not cons.occlusion_activation(first, second)
 
     def test_activate_occlusions_orders_pairs(self):
         # one target left of the other in the image, both vertically tall
@@ -140,7 +136,7 @@ class TestResiduals:
         preds = {"a": pred_at([10.0, 1.0, 0.0]),
                  "b": pred_at([10.0, -1.0, 0.0])}
         sizes = {"a": (2.0, 0.5), "b": (2.0, 0.5)}
-        record = cons.OcclusionRecord("a", "b", True)
+        record = cons.OcclusionRecord("a", "b")
         u = np.zeros((0, 9))
         horizon = rollout(make_rig(), u, 0.2)
         tracks = cons.ConstraintTracks(preds, sizes, cset, [record],
@@ -209,8 +205,7 @@ class TestSeparationGradient:
                                   ("b", [3.0, -2.0, 1.2]))}
             sizes = {"a": (1.5, rng.uniform(0.2, 1.0)),
                      "b": (2.0, rng.uniform(0.2, 1.0))}
-            record = cons.OcclusionRecord(*rng.permutation(["a", "b"]),
-                                          True)
+            record = cons.OcclusionRecord(*rng.permutation(["a", "b"]))
             track = cons.ConstraintTracks(preds, sizes, cset, [record],
                                           n + 1).separations[0]
             for start in (0, 1):
@@ -225,7 +220,7 @@ class TestSeparationGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         sizes = {"a": (1.5, 0.6), "b": (2.0, 0.8)}
-        record = cons.OcclusionRecord("a", "b", True)
+        record = cons.OcclusionRecord("a", "b")
         h = 1e-6
         n = 3
         for trial in range(20):
@@ -312,7 +307,7 @@ class TestStateResidualDerivatives:
         sizes = {"a": (2.0, 0.5), "b": (2.0, 0.5)}
         cset = cons.ConstraintSet(**{**cons.ConstraintSet.default().__dict__,
                                      "safety_distance": 2.0})
-        record = cons.OcclusionRecord("a", "b", True)
+        record = cons.OcclusionRecord("a", "b")
         rng = np.random.default_rng(19)
         n, h = 4, 1e-6
         for trial in range(6):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cinedrone import estimation as est
-from cinedrone.constraints import PixelBox
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   rotation_from_rpy)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
@@ -22,13 +21,9 @@ def rig_with_camera_matrix(cam_rotation, position=(0, 0, 0)):
                      intrinsics=IntrinsicState(35.0, 10.0, 2.0))
 
 
-def detection(pixel, depth, rows=3, cols=3, target="t"):
+def detection(pixel, depth, rows=3, cols=3):
     patch = np.full((rows, cols), float(depth))
-    return est.Detection(target_id=target,
-                         box=PixelBox(pixel[0] - 5, pixel[1] - 5,
-                                      pixel[0] + 5, pixel[1] + 5),
-                         pixel=np.asarray(pixel, float),
-                         depth_patch=patch)
+    return est.Detection(pixel=np.asarray(pixel, float), depth_patch=patch)
 
 
 def robust_depth_per_row(patch):
@@ -156,36 +151,32 @@ def kf_update_with_h(track, measurement, meas_sigma):
     joseph = np.eye(6) - gain @ h
     cov = joseph @ cov @ joseph.T + gain @ r @ gain.T
     return est.TargetTrack(position=state[:3], velocity=state[3:],
-                           covariance=0.5 * (cov + cov.T),
-                           orientation=track.orientation)
+                           covariance=0.5 * (cov + cov.T))
 
 
 class TestKalman:
     def test_predict_keeps_position_with_zero_velocity(self):
-        track = est.initialize_track(np.array([1.0, 2.0, 3.0]), 0.04)
-        out = est.kf_predict(track, 0.2)
+        track = est.initialize_track(np.array([1.0, 2.0, 3.0]), 0.04, 2.0)
+        out = est.kf_predict(track, 0.2, 0.5)
         assert np.allclose(out.position, [1, 2, 3])
         assert np.trace(out.covariance) > np.trace(track.covariance)
 
     def test_predict_moves_with_velocity(self):
         track = est.TargetTrack(position=np.zeros(3),
                                 velocity=np.array([1.0, 0, 0]),
-                                covariance=np.eye(6),
-                                orientation=np.eye(3))
-        out = est.kf_predict(track, 0.2)
+                                covariance=np.eye(6))
+        out = est.kf_predict(track, 0.2, 0.5)
         assert np.allclose(out.position, [0.2, 0, 0])
 
     def test_zero_covariance_prior_ignores_measurement(self):
         track = est.TargetTrack(position=np.zeros(3), velocity=np.zeros(3),
-                                covariance=np.zeros((6, 6)),
-                                orientation=np.eye(3))
+                                covariance=np.zeros((6, 6)))
         out = est.kf_update(track, np.array([5.0, 5.0, 5.0]), 0.1)
         assert np.allclose(out.position, 0.0)
 
     def test_uninformative_prior_trusts_measurement(self):
         track = est.TargetTrack(position=np.zeros(3), velocity=np.zeros(3),
-                                covariance=np.eye(6) * 1e9,
-                                orientation=np.eye(3))
+                                covariance=np.eye(6) * 1e9)
         out = est.kf_update(track, np.array([5.0, -2.0, 1.0]), 0.1)
         assert np.allclose(out.position, [5.0, -2.0, 1.0], atol=1e-6)
 
@@ -194,7 +185,7 @@ class TestKalman:
         truth = np.array([1.0, 2.0, 3.0])
         sigma = 0.04
         track = est.initialize_track(truth + rng.normal(0, sigma, 3),
-                                     sigma)
+                                     sigma, 2.0)
         n = 200
         for _ in range(n):
             track = est.kf_predict(track, 0.2, accel_sigma=0.0)
@@ -210,7 +201,7 @@ class TestKalman:
         tracks = []
         for _ in range(20):
             sigma = rng.uniform(0.01, 0.5)
-            track = est.initialize_track(rng.normal(0, 5, 3), sigma)
+            track = est.initialize_track(rng.normal(0, 5, 3), sigma, 2.0)
             for _ in range(50):
                 track = est.kf_predict(track, rng.uniform(0.05, 0.3),
                                        accel_sigma=rng.uniform(0.0, 2.0))
@@ -220,7 +211,7 @@ class TestKalman:
             a = rng.normal(0, rng.uniform(0.01, 10.0), (6, 6))
             tracks.append((est.TargetTrack(
                 position=rng.normal(0, 5, 3), velocity=rng.normal(0, 1, 3),
-                covariance=a @ a.T, orientation=np.eye(3)),
+                covariance=a @ a.T),
                 rng.normal(0, 5, 3), rng.uniform(0.01, 0.5)))
         for track, measurement, sigma in tracks:
             got = est.kf_update(track, measurement, sigma)
@@ -232,7 +223,7 @@ class TestKalman:
 
     def test_covariance_stays_spd(self):
         rng = np.random.default_rng(1)
-        track = est.initialize_track(np.zeros(3), 0.04)
+        track = est.initialize_track(np.zeros(3), 0.04, 2.0)
         for _ in range(500):
             track = est.kf_predict(track, 0.2, accel_sigma=0.5)
             if rng.random() < 0.7:
@@ -243,23 +234,26 @@ class TestKalman:
 
 class TestHorizonPrediction:
     def test_static_target(self):
-        track = est.initialize_track(np.array([1.0, 0, 0]), 0.04)
-        pred = est.predict_horizon(track, 5, 0.2)
+        track = est.initialize_track(np.array([1.0, 0, 0]), 0.04, 2.0)
+        orientation = rotation_from_rpy(0.1, -0.2, 0.3)
+        pred = est.predict_horizon(track, 5, 0.2, orientation)
         assert len(pred) == 6
         assert np.allclose(pred.positions, [1, 0, 0])
+        # the orientation is held over the horizon
+        assert np.array_equal(pred.rotations,
+                              np.broadcast_to(orientation, (6, 3, 3)))
 
     def test_constant_velocity_sequence(self):
         track = est.TargetTrack(position=np.zeros(3),
                                 velocity=np.array([1.0, 0, 0]),
-                                covariance=np.eye(6),
-                                orientation=np.eye(3))
-        pred = est.predict_horizon(track, 5, 0.2)
+                                covariance=np.eye(6))
+        pred = est.predict_horizon(track, 5, 0.2, np.eye(3))
         assert np.allclose(pred.positions[:, 0], [0, 0.2, 0.4, 0.6, 0.8,
                                                   1.0])
 
     def test_first_entry_is_current_estimate(self):
-        track = est.initialize_track(np.array([3.0, 2.0, 1.0]), 0.04)
-        pred = est.predict_horizon(track, 3, 0.5)
+        track = est.initialize_track(np.array([3.0, 2.0, 1.0]), 0.04, 2.0)
+        pred = est.predict_horizon(track, 3, 0.5, np.eye(3))
         assert np.array_equal(pred.positions[0], track.position)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cinedrone import cli
-from cinedrone.config import (ControlConfig, EstimationConfig,
+from cinedrone.config import (ControlConfig, EstimationConfig, RigInit,
                               ScenarioParseError, ScenarioValidationError,
                               load_scenario, scenario_from_dict)
 from cinedrone.runlog import (RunLog, emit_outputs, summarize,
@@ -58,9 +58,11 @@ class TestLoading:
                                                duration=0.4)
         assert config.sensor == SensorModel()
         assert config.estimation == EstimationConfig()
+        assert config.initial_rig == RigInit()
 
     @pytest.mark.parametrize("path", [
-        "contact_radus", "control.perod", "constraints.velocity_typo",
+        "contact_radus", "control.perod", "solver.dt",
+        "constraints.velocity_typo",
         "sensor.dropuot", "camera.skw", "estimation.acel_sigma",
         "initial_rig.focal", "targets[0].colour",
         "sequences[0].strat", "sequences[0].instructions.focus",
@@ -148,6 +150,15 @@ class TestLoading:
         assert info.value.errors[0].startswith("control")
         assert "period" in info.value.errors[0]
         assert "substeps" in info.value.errors[0]
+
+    def test_solver_keys_checked_when_control_invalid(self):
+        raw = minimal_raw()
+        raw["control"]["period"] = 0
+        raw["solver"] = {"horizn": 5}
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(raw)
+        assert "solver.horizn: unknown key" in info.value.errors
+        assert len(info.value.errors) == 2
 
     def test_solver_violations_reported_together(self):
         raw = minimal_raw()

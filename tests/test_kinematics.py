@@ -141,8 +141,7 @@ def step_rig_oracle(rig, row, dt):
         intrinsics=IntrinsicState(
             focal_length=lens.focal_length + dt * row[6],
             focus_distance=lens.focus_distance + dt * row[7],
-            aperture=lens.aperture + dt * row[8]),
-        time_index=rig.time_index + 1)
+            aperture=lens.aperture + dt * row[8]))
 
 
 def rotation_vector_stacks(seed, count=300):
@@ -180,7 +179,7 @@ def drone(p=(0, 0, 0), v=(0, 0, 0), rot=None):
 def advance(start, a=(0, 0, 0), w=(0, 0, 0), rates=(0, 0, 0), dt=0.2):
     """``start`` one control period on: a one-row rollout."""
     row = np.concatenate([a, w, rates]).astype(float)
-    return rollout(start, row[None], dt).rig(1, start)
+    return rollout(start, row[None], dt).rig(1)
 
 
 class TestTranslation:
@@ -305,22 +304,21 @@ class TestIntrinsicsStep:
         assert out.focal_length == pytest.approx(14.6)
 
 
-def rig(p=(0, 0, 0), v=(0, 0, 0), rot=None, f=35.0, focus=10.0, a=2.0,
-        k=0):
+def rig(p=(0, 0, 0), v=(0, 0, 0), rot=None, f=35.0, focus=10.0, a=2.0):
     return CameraRig(drone=drone(p, v, rot),
-                     intrinsics=IntrinsicState(f, focus, a), time_index=k)
+                     intrinsics=IntrinsicState(f, focus, a))
 
 
 class TestInterpolation:
     def test_single_substep_returns_endpoint(self):
-        start, end = rig(), rig(p=(1, 0, 0), f=40.0, k=1)
+        start, end = rig(), rig(p=(1, 0, 0), f=40.0)
         points = interpolate_commands(start, end, 1)
         assert points.shape == (1, 3)
         assert_same_bits(points[0], end.drone.position)
 
     def test_identical_endpoints(self):
         start = rig(p=(1, 2, 3))
-        end = rig(p=(1, 2, 3), k=1)
+        end = rig(p=(1, 2, 3))
         points = interpolate_commands(start, end, 3)
         for p in points:
             assert np.allclose(p, [1, 2, 3])
@@ -330,7 +328,7 @@ class TestInterpolation:
            m=st.integers(1, 9))
     def test_no_overshoot(self, start, end, m):
         a = rig(p=(start, 0, 0), f=35.0)
-        b = rig(p=(end, 0, 0), f=35.0, k=1)
+        b = rig(p=(end, 0, 0), f=35.0)
         lo, hi = min(start, end), max(start, end)
         for point in interpolate_commands(a, b, m):
             assert lo <= point[0] <= hi
@@ -339,7 +337,7 @@ class TestInterpolation:
     @given(ends=st.lists(st.floats(-100, 100), min_size=6, max_size=6),
            m=st.integers(1, 9))
     def test_bit_identical_to_per_row_lerp(self, ends, m):
-        a, b = rig(p=ends[:3]), rig(p=ends[3:], k=1)
+        a, b = rig(p=ends[:3]), rig(p=ends[3:])
         points = interpolate_commands(a, b, m)
         assert points.shape == (m, 3)
         for i, point in enumerate(points[:-1], 1):
@@ -348,31 +346,29 @@ class TestInterpolation:
         assert_same_bits(points[-1], b.drone.position)
 
     def test_endpoint_exact(self):
-        start, end = rig(v=(0.1, 0.2, 0.3)), rig(p=(0.7, 0.1, -0.2), k=1)
+        start, end = rig(v=(0.1, 0.2, 0.3)), rig(p=(0.7, 0.1, -0.2))
         points = interpolate_commands(start, end, 5)
         assert_same_bits(points[-1], end.drone.position)
 
     def test_rejects_no_substeps(self):
         with pytest.raises(ValueError, match="substeps"):
-            interpolate_commands(rig(), rig(k=1), 0)
+            interpolate_commands(rig(), rig(), 0)
 
 
 class TestRollout:
     def test_chain_matches_individual_steps(self):
         u = np.tile([0.5, 0, 0, 0, 0, 0.1, 1.0, -0.5, 0.2], (4, 1))
-        start = rig(k=3)
+        start = rig()
         horizon = rollout(start, u, 0.2)
         assert len(horizon) == 5
         for k in range(4):
-            expected = step_rig_oracle(horizon.rig(k, start), u[k], 0.2)
-            actual = horizon.rig(k + 1, start)
+            expected = step_rig_oracle(horizon.rig(k), u[k], 0.2)
+            actual = horizon.rig(k + 1)
             assert np.allclose(expected.drone.position,
                                actual.drone.position)
             assert np.allclose(expected.drone.orientation,
                                actual.drone.orientation)
             assert expected.intrinsics == actual.intrinsics
-            assert expected.time_index == actual.time_index
-        assert horizon.rig(4, start).time_index == 7
 
     def test_bit_identical_to_stepping(self):
         rng = np.random.default_rng(11)

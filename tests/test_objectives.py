@@ -290,7 +290,7 @@ class TestHorizon:
             breakdown, _ = stacked_cost(horizon, preds, SPEC, instr)
             for k in range(len(horizon)):
                 # state k alone, against the predictions at step k
-                at_k = rig_terms(horizon.rig(k, rig), {
+                at_k = rig_terms(horizon.rig(k), {
                     tid: obj.TargetPrediction(pred.positions[k:k + 1],
                                               pred.rotations[k:k + 1],
                                               pred.anchors)

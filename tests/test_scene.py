@@ -70,6 +70,83 @@ class TestTargetScript:
         with pytest.raises(ValueError):
             make_target([[0, 0, 0], [1, 0, 0]], times=[1.0, 0.5])
 
+    @pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+    @pytest.mark.parametrize("count", [1, 2, 5, 8])
+    def test_bit_identical_to_per_call_tangents(self, interpolation, count):
+        rng = np.random.default_rng(count)
+        for _ in range(5):
+            times = rng.uniform(-3.0, 3.0) + np.cumsum(
+                rng.uniform(0.2, 2.0, count))
+            target = make_target(rng.uniform(-5.0, 5.0, (count, 3)),
+                                 times=times, interpolation=interpolation)
+            between = times[:-1] + rng.uniform(0.0, 1.0, (4, count - 1)) \
+                * np.diff(times)
+            for t in (times[0] - 1.0, *times, *between.ravel(),
+                      times[-1] + 1.0):
+                position, rotation = scene.target_pose_at(target, float(t))
+                want = target_pose_per_call(target, float(t))
+                assert np.array_equal(position, want[0])
+                assert np.array_equal(rotation, want[1])
+
+
+def script_tangent_per_call(target, t):
+    times, pts = target.times, target.waypoints
+    if len(times) < 2 or t <= times[0] or t >= times[-1]:
+        return np.zeros(3)
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(i, len(times) - 2)
+    if target.interpolation == "linear":
+        return (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])
+    return hermite_per_call(target, t, i, derivative=True)
+
+
+def hermite_tangents_per_call(target):
+    times, pts = target.times, target.waypoints
+    n = len(times)
+    tangents = np.zeros_like(pts)
+    for i in range(n):
+        lo = max(i - 1, 0)
+        hi = min(i + 1, n - 1)
+        tangents[i] = (pts[hi] - pts[lo]) / (times[hi] - times[lo])
+    return tangents
+
+
+def hermite_per_call(target, t, segment, derivative=False):
+    times, pts = target.times, target.waypoints
+    tangents = hermite_tangents_per_call(target)
+    t0, t1 = times[segment], times[segment + 1]
+    h = t1 - t0
+    s = (t - t0) / h
+    p0, p1 = pts[segment], pts[segment + 1]
+    m0, m1 = tangents[segment] * h, tangents[segment + 1] * h
+    if derivative:
+        ds = np.array([6 * s * s - 6 * s, 3 * s * s - 4 * s + 1,
+                       -6 * s * s + 6 * s, 3 * s * s - 2 * s])
+        return (ds[0] * p0 + ds[1] * m0 + ds[2] * p1 + ds[3] * m1) / h
+    basis = np.array([2 * s ** 3 - 3 * s ** 2 + 1, s ** 3 - 2 * s ** 2 + s,
+                      -2 * s ** 3 + 3 * s ** 2, s ** 3 - s ** 2])
+    return basis[0] * p0 + basis[1] * m0 + basis[2] * p1 + basis[3] * m1
+
+
+def target_pose_per_call(target, t):
+    """A scripted pose as sampled before scripts kept their tangents, with
+    the tangents rebuilt and the segment looked up on every call: the
+    oracle of the bits of :func:`scene.target_pose_at`."""
+    times, pts = target.times, target.waypoints
+    if t <= times[0]:
+        position = pts[0].copy()
+    elif t >= times[-1]:
+        position = pts[-1].copy()
+    elif target.interpolation == "linear":
+        position = np.array([np.interp(t, times, pts[:, i])
+                             for i in range(3)])
+    else:
+        i = int(np.searchsorted(times, t, side="right") - 1)
+        position = hermite_per_call(target, t, min(i, len(times) - 2))
+    rotation = est.orientation_from_velocity(
+        script_tangent_per_call(target, t), target.meta.preliminary_rotation)
+    return position, rotation
+
 
 class TestSyntheticDetector:
     def test_behind_camera_gives_nothing(self):

@@ -10,7 +10,12 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   breakdown, residuals, feasibility, solver statistics other than wall
   time, occlusion records, multipliers and penalty weight); these are the
   bytes, in the order, that versions of this tool from before plans held
-  stacked arrays hashed, so plan hashes compare across that change;
+  stacked arrays hashed, so plan hashes compare across that change.  The
+  same holds across the change that took the time index off rigs and the
+  always-true ``active`` flag off occlusion records: the tool hashes the
+  values they held, the time index of state ``k`` of the loop's ``s``-th
+  solve (from 0) as ``s + k``, and each record as the text
+  ``OcclusionRecord(left_id=..., right_id=..., active=np.True_)``;
 - the number of solves, augmented-Lagrangian rounds (calls of
   ``scipy.optimize.minimize``), value passes (calls of the merit handed to
   the descent), gradient and Hessian builds (calls of the builders each
@@ -55,20 +60,21 @@ def _update(digest, *values) -> None:
         digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
 
 
-def _hash_plan(digest, plan: sol.Plan, initial) -> None:
+def _hash_plan(digest, plan: sol.Plan, index: int) -> None:
+    """Hash the fields of the loop's ``index``-th plan (from 0)."""
     _update(digest, plan.inputs)
     horizon = plan.horizon
     for k in range(len(horizon)):
         _update(digest, horizon.positions[k], horizon.velocities[k],
-                horizon.rotations[k], horizon.lens[k],
-                initial.time_index + k)
+                horizon.rotations[k], horizon.lens[k], index + k)
     cost = plan.cost
     _update(digest, cost.dof, cost.image, cost.pose, cost.focal,
             plan.residuals, plan.feasible, plan.stats.iterations,
             plan.stats.outer_rounds, plan.stats.converged,
             plan.multipliers, plan.penalty)
     for record in plan.records:
-        digest.update(repr(record).encode())
+        digest.update(f"OcclusionRecord(left_id={record.left_id!r}, right_id="
+                      f"{record.right_id!r}, active=np.True_)".encode())
 
 
 def fingerprint(scenario: str, seed: int) -> dict[str, object]:
@@ -116,10 +122,10 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
         counts["rounds"] += 1
         return minimize(merit, *args, **kwargs)
 
-    def hashed_solve(initial, *args, **kwargs):
-        plan = solve(initial, *args, **kwargs)
+    def hashed_solve(*args, **kwargs):
+        plan = solve(*args, **kwargs)
+        _hash_plan(plans, plan, counts["solves"])
         counts["solves"] += 1
-        _hash_plan(plans, plan, initial)
         return plan
 
     scipy.optimize.minimize = hashed_minimize

@@ -13,7 +13,8 @@ writes one JSON object per scenario:
 - ``summary_metrics``: the mean over the runs of each numeric
   ``runlog.summary_metrics`` entry, and in how many runs it was finite;
 - ``evals_per_step_mean``/``evals_per_step_max``: merit evaluations
-  (descent calls of ``objectives.evaluate_horizon_stacked``) per solve;
+  (calls of ``objectives.evaluate_horizon_stacked``, one per value pass
+  of the descent) per solve;
 - ``per_seed``: status, feasibility, convergence, mean evaluations and the
   numeric ``runlog.summary_metrics`` of each run, for paired comparisons.
 
@@ -68,10 +69,7 @@ def _run(config, seed: int) -> dict:
     solve, evaluate = sol.solve, obj.evaluate_horizon_stacked
 
     def counted_evaluate(*args, **kwargs):
-        # the descent evaluates the smoothed merit, the report the exact
-        # cost; only the first are merit evaluations
-        if kwargs["smooth"]:
-            evals[-1] += 1
+        evals[-1] += 1
         return evaluate(*args, **kwargs)
 
     def counted_solve(*args, **kwargs):
