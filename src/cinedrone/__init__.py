@@ -7,8 +7,8 @@ modules hold the rest."""
 import types as _types
 
 from .optics import (CameraSensorSpec, DepthOfField, IntrinsicState,
-                     INFINITE_FAR, back_project, calibration_matrix,
-                     depth_of_field, hyperfocal, project)
+                     INFINITE_FAR, back_project, depth_of_field,
+                     hyperfocal)
 from .kinematics import CameraRig, DroneState, Horizon, rollout
 from .objectives import (CompositionTarget, CostBreakdown, DofTarget,
                          FocalSchedule, FocalTarget, Instructions,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import CameraRig, Horizon
+from .kinematics import CameraRig, Horizon, euler_angles, rig_camera_points
 from .objectives import HorizonGradients, TargetPrediction, body_outer
-from .optics import BehindCameraError, CameraSensorSpec
+from .optics import CameraSensorSpec, camera_points, pixel_coordinates
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,13 @@ class PixelBox:
     def contains(self, pixel: np.ndarray) -> bool:
         return (self.x_lt <= pixel[0] <= self.x_rb
                 and self.y_lt <= pixel[1] <= self.y_rb)
+
+    def overlaps(self, other: "PixelBox", horizontally: bool = True) -> bool:
+        """Whether the open vertical pixel intervals of the two boxes
+        overlap and, with ``horizontally``, their horizontal ones too."""
+        return (self.y_lt < other.y_rb and other.y_lt < self.y_rb
+                and (not horizontally or (self.x_lt < other.x_rb
+                                          and other.x_lt < self.x_rb)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,27 +126,34 @@ class OcclusionRecord:
 
 
 def box_from_center(rig: CameraRig, center: np.ndarray, height: float,
-                    width: float, spec: CameraSensorSpec) -> PixelBox:
-    """Project a world-vertical box around a center point to pixel corners.
+                    width: float, spec: CameraSensorSpec) -> PixelBox | None:
+    """Project a world-vertical box around a center point to pixel
+    corners; None when the center is not in front of the camera."""
+    return pixel_box(rig_camera_points(rig, center[None])[0],
+                     rig.intrinsics.focal_length, height, width, spec)
+
+
+def pixel_box(q: np.ndarray, f_mm: float, height: float, width: float,
+              spec: CameraSensorSpec) -> PixelBox | None:
+    """:func:`box_from_center` from the center's camera-frame point ``q``.
 
     The half extents are applied in the image axes at the center's depth,
     so the box stays axis-aligned in the image.
     """
-    q = rig.camera_frame(center)
     if q[2] <= 0.0:
-        raise BehindCameraError(f"target center depth {q[2]:.4g}")
-    f_mm = rig.intrinsics.focal_length
-    u = (spec.beta_x * f_mm * q[0] + spec.skew * q[1]) / q[2] \
-        + spec.principal_u
-    v = spec.beta_y * f_mm * q[1] / q[2] + spec.principal_v
-    half_w = spec.beta_x * f_mm * (width / 2.0) / q[2]
-    half_h = spec.beta_y * f_mm * (height / 2.0) / q[2]
+        return None
+    bxf, _, u, v = pixel_coordinates(q, q[2], f_mm, spec)
+    half_w = _half_extent(bxf, width / 2.0, q[2])
+    half_h = _half_extent(spec.beta_y * f_mm, height / 2.0, q[2])
     return PixelBox(x_lt=u - half_w, y_lt=v - half_h,
                     x_rb=u + half_w, y_rb=v + half_h)
 
 
-def boxes_vertically_overlap(box_a: PixelBox, box_b: PixelBox) -> bool:
-    return box_a.y_lt < box_b.y_rb and box_b.y_lt < box_a.y_rb
+def _half_extent(bf: np.ndarray, half: np.ndarray,
+                 depth: np.ndarray) -> np.ndarray:
+    """Pixels from a box's center to its edge, ``half`` meters out at
+    ``depth``; ``bf`` is the pixel scale times the focal length."""
+    return bf * half / depth
 
 
 def occlusion_activation(box_first: PixelBox, box_second: PixelBox) -> bool:
@@ -149,7 +163,7 @@ def occlusion_activation(box_first: PixelBox, box_second: PixelBox) -> bool:
     box is strictly to the right of the first: two vertically conflicting
     targets that are still separated must not cross in the image.
     """
-    return (boxes_vertically_overlap(box_first, box_second)
+    return (box_first.overlaps(box_second, horizontally=False)
             and box_second.x_lt > box_first.x_rb)
 
 
@@ -158,19 +172,11 @@ def activate_occlusions(rig: CameraRig, preds: dict[str, TargetPrediction],
                         spec: CameraSensorSpec) -> list[OcclusionRecord]:
     """A record of every ordered visible pair that the activation
     predicate keeps separated."""
-    boxes: dict[str, PixelBox] = {}
-    for tid, pred in preds.items():
-        if tid not in sizes:
-            continue
-        height, width = sizes[tid]
-        try:
-            boxes[tid] = box_from_center(
-                rig, pred.positions[0] + pred.rotations[0]
-                @ pred.anchors["center"], height, width, spec)
-        except BehindCameraError:
-            continue
+    boxes = {tid: box_from_center(rig, pred.anchor_track("center", 1)[0],
+                                  *sizes[tid], spec)
+             for tid, pred in preds.items() if tid in sizes}
     records = []
-    ids = sorted(boxes)
+    ids = sorted(tid for tid, box in boxes.items() if box is not None)
     for i, first in enumerate(ids):
         for second in ids[i + 1:]:
             for a, b in ((first, second), (second, first)):
@@ -207,19 +213,16 @@ def separation_pieces(horizon: Horizon, start: int,
     f_mm = horizon.lens[start:, 0]
     n = len(positions)
     edge_signs, gap_signs = _EDGE_SIGNS, _GAP_SIGNS
-    rel = centers[:, start:] - positions
-    q = np.einsum("kji,tkj->tki", cam_rotations, rel)
+    rel, q = camera_points(cam_rotations, positions, centers[:, start:])
     qz = np.maximum(q[:, :, 2], 1e-6)
-    bxf = spec.beta_x * f_mm
-    u_num = bxf * q[:, :, 0] + spec.skew * q[:, :, 1]
-    u = u_num / qz + spec.principal_u
-    # (sign * a) * b == sign * (a * b) exactly for a sign of +-1
-    bxf_half = bxf * half
-    edges = gap_signs * (u + edge_signs * (bxf_half / qz))
+    bxf, u_num, u, _ = pixel_coordinates(q, qz, f_mm, spec, vertical=False)
+    edges = gap_signs * (u + edge_signs * _half_extent(bxf, half, qz))
     # from an explicit 0.0, as a sum into zeros would give signed zeros
     gap = 0.0 + edges[0] + edges[1]
 
     def pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (sign * a) * b == sign * (a * b) exactly for a sign of +-1
+        bxf_half = bxf * half
         g_q = np.empty((2, n, 3))
         g_q[:, :, 0] = bxf / qz
         g_q[:, :, 1] = spec.skew / qz
@@ -247,12 +250,9 @@ def state_bound_residuals(horizon: Horizon,
                           ) -> np.ndarray:
     """State-box residuals ``x - lo, hi - x`` of every state: (n, 24);
     ``bounds`` is :attr:`ConstraintSet.state_bounds`."""
-    rotations = horizon.rotations
     state = np.empty((len(horizon), 12))
     state[:, 0:3], state[:, 3:6] = horizon.positions, horizon.velocities
-    state[:, 6] = np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2])
-    state[:, 7] = -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0))
-    state[:, 8] = np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
+    euler_angles(horizon.rotations, out=state[:, 6:9])
     state[:, 9:12] = horizon.lens
     low, high = bounds
     return np.concatenate([state - low, high - state], axis=1)
@@ -277,9 +277,8 @@ class ConstraintTracks:
         self.separations = []
         for record in records:
             pair = (record.right_id, record.left_id)
-            centers = np.stack([preds[tid].positions[:n] + np.einsum(
-                "kij,j->ki", preds[tid].rotations[:n],
-                preds[tid].anchors["center"]) for tid in pair])
+            centers = np.stack([preds[tid].anchor_track("center", n)
+                                for tid in pair])
             half = np.array([[sizes[tid][1]] for tid in pair]) / 2.0
             self.separations.append((centers, half))
 
@@ -297,8 +296,8 @@ _LINEAR_ROWS.setflags(write=False)
 
 
 def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
-    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction in
-    :func:`state_bound_residuals`: (n, 3, 3); bounds keep pitch off
+    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction
+    :func:`kinematics.euler_angles`: (n, 3, 3); bounds keep pitch off
     +-pi/2."""
     flat = rotations.reshape(-1, 9)  # R_ij at 3 i + j
     d = np.zeros((len(rotations), 9))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kinematics import CameraRig
 from .objectives import TargetPrediction
-from .optics import CameraSensorSpec, back_project, calibration_matrix
+from .optics import CameraSensorSpec, back_project
 
 #: Targets slower than this keep their preliminary orientation (m/s).
 SPEED_THRESHOLD = 0.1
@@ -127,7 +127,7 @@ def measure_world_position(det: Detection, rig: CameraRig,
                            spec: CameraSensorSpec) -> np.ndarray:
     """Back-project a detection to a world position using the rig pose."""
     rel = back_project(det.pixel, robust_depth(det.depth_patch),
-                       calibration_matrix(rig.intrinsics, spec))
+                       rig.intrinsics, spec)
     return rig.drone.position + rig.camera_rotation() @ rel
 
 

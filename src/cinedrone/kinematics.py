@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .optics import IntrinsicState
+from .optics import IntrinsicState, camera_points
 
 #: Columns are the camera axes (right, down, forward) in body coordinates.
 BODY_TO_CAMERA = np.array([
@@ -111,12 +111,16 @@ def rotation_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
-def rpy_from_rotation(rotation: np.ndarray) -> np.ndarray:
-    """Z-Y-X Euler angles (roll, pitch, yaw) of a rotation matrix."""
-    pitch = -math.asin(min(1.0, max(-1.0, rotation[2, 0])))
-    roll = math.atan2(rotation[2, 1], rotation[2, 2])
-    yaw = math.atan2(rotation[1, 0], rotation[0, 0])
-    return np.array([roll, pitch, yaw])
+def euler_angles(rotations: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Z-Y-X Euler angles (roll, pitch, yaw) of a stack of rotation
+    matrices: (n, 3, 3) -> (n, 3), written into ``out`` when given."""
+    if out is None:
+        out = np.empty((len(rotations), 3))
+    out[:, 0] = np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2])
+    out[:, 1] = -np.arcsin(rotations[:, 2, 0].clip(-1.0, 1.0))
+    out[:, 2] = np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
+    return out
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -160,10 +164,12 @@ class CameraRig:
         """Optical-axes matrix (columns: right, down, forward in world)."""
         return self.drone.orientation @ BODY_TO_CAMERA
 
-    def camera_frame(self, world_point: np.ndarray) -> np.ndarray:
-        """Express a world point in the optical frame of this rig."""
-        return self.camera_rotation().T @ (
-            np.asarray(world_point, dtype=float) - self.drone.position)
+
+def rig_camera_points(rig: CameraRig, points: np.ndarray) -> np.ndarray:
+    """World points (m, 3) in one rig's optical frame: (m, 3), each a
+    one-row track of :func:`optics.camera_points`."""
+    return camera_points(rig.camera_rotation()[None],
+                         rig.drone.position[None], points[:, None])[1][:, 0]
 
 
 def _chain(first: np.ndarray, exps: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from functools import partial
 import numpy as np
 
 from .kinematics import BODY_TO_CAMERA, Horizon, tangent_gradients
-from .optics import CameraSensorSpec, SingularDofError, mm_to_m
+from .optics import (CameraSensorSpec, SingularDofError, camera_points,
+                     mm_to_m, pixel_coordinates, thin_lens)
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
 BARRIER_DEPTH = 0.1
@@ -224,6 +225,12 @@ class TargetPrediction:
     def __len__(self) -> int:
         return len(self.positions)
 
+    def anchor_track(self, name: str, n: int) -> np.ndarray:
+        """World positions of anchor ``name`` at the first ``n`` states:
+        (n, 3)."""
+        return self.positions[:n] + np.einsum(
+            "kij,j->ki", self.rotations[:n], self.anchors[name])
+
 
 @dataclass(frozen=True, eq=False)
 class CostBreakdown:
@@ -313,17 +320,10 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
         return cost, None
 
     f_mm, focus, aperture = intr[:, 0], intr[:, 1], intr[:, 2]
-    c_m = mm_to_m(spec.circle_of_confusion)
-    # shared subexpressions once, each as the formulas below compute it
-    f_m = f_mm / 1000.0
-    f_m2, two_f, a_c = f_m * f_m, 2.0 * f_m, aperture * c_m
-    h = f_m2 / a_c + f_m
-
-    denom = h + focus - two_f
+    f_m, a_c, h, denom, h_f = thin_lens(f_mm, focus, aperture, spec)
     if (denom <= 0.0).any():
         raise SingularDofError(
             f"H + F - 2f = {denom.min():.6g} <= 0")
-    h_f = h - f_m
 
     if near_active:
         near = focus * h_f / denom
@@ -345,8 +345,10 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
                              dof.w_far * _FAR_BARRIER * (1.0 + over), 0.0)
 
     def add_gradients(grads: HorizonGradients) -> None:
+        f_m2, two_f = f_m * f_m, 2.0 * f_m
         dh_df_m = two_f / a_c + 1.0
-        dh_da = -f_m2 / (aperture * aperture * c_m)
+        dh_da = -f_m2 / (aperture * aperture
+                         * mm_to_m(spec.circle_of_confusion))
         if near_active:
             denom2 = denom * denom
             dn_dh = focus * (focus - f_m) / denom2
@@ -382,19 +384,13 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
     cost = np.zeros(len(positions))
     # leading axis: the weighted composition targets, each added into the
     # totals in turn, as a loop over them would
-    bxf = spec.beta_x * f_mm
-    byf = spec.beta_y * f_mm
-    rel = points - positions
-    q = np.einsum("kji,tkj->tki", cam_rotations, rel)
+    rel, q = camera_points(cam_rotations, positions, points)
     qz = q[:, :, 2]
     clamped = qz < BARRIER_DEPTH
     if not clamped.any():
         clamped = None  # then np.where would change no value
     qz_eff = qz if clamped is None else np.where(clamped, BARRIER_DEPTH, qz)
-
-    u_num = bxf * q[:, :, 0] + spec.skew * q[:, :, 1]
-    u = u_num / qz_eff + spec.principal_u
-    v = byf * q[:, :, 1] / qz_eff + spec.principal_v
+    bxf, u_num, u, v = pixel_coordinates(q, qz_eff, f_mm, spec)
     e_u = u - pixel[:, 0]
     e_v = v - pixel[:, 1]
     w_u, w_v = weight[:, 0], weight[:, 1]
@@ -410,6 +406,7 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
     def add_gradients(grads: HorizonGradients) -> None:
         # derivatives of e_u, e_v and the depth shortfall w.r.t. q, and of
         # e_u, e_v w.r.t. the focal length
+        byf = spec.beta_y * f_mm
         d_u, d_v = np.zeros(q.shape), np.zeros(q.shape)
         d_u[:, :, 0] = bxf / qz_eff
         d_u[:, :, 1] = spec.skew / qz_eff
@@ -533,9 +530,7 @@ def _point_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
     # weighted composition targets, points (T, n, 3), weights, pixels
     targets, points = [], []
     for ct in instr.composition:
-        pred = preds[ct.target_id]
-        point = pred.positions[:n] + np.einsum(
-            "kij,j->ki", pred.rotations[:n], pred.anchors[ct.point_id])
+        point = preds[ct.target_id].anchor_track(ct.point_id, n)
         if ct.weight[0] != 0.0 or ct.weight[1] != 0.0:
             targets.append(ct)
             points.append(point)

@@ -41,10 +41,6 @@ class BehindCameraError(OpticsError):
     """Point to project has non-positive depth."""
 
 
-class SingularCalibrationError(OpticsError):
-    """Calibration matrix is not invertible."""
-
-
 @dataclass(frozen=True)
 class CameraSensorSpec:
     """Fixed sensor/lens-mount constants of one camera body.
@@ -141,11 +137,62 @@ class DepthOfField:
         return math.isinf(self.far_distance)
 
 
-def hyperfocal(intr: IntrinsicState, spec: CameraSensorSpec) -> float:
-    """Hyperfocal distance in meters: f^2 / (A c) + f, evaluated in mm."""
+def camera_points(cam_rotations: np.ndarray, positions: np.ndarray,
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points in the optical frames of a stack of cameras: ``rel``, the
+    world offsets ``points - positions``, and ``q``, the same offsets in
+    camera axes, (T, n, 3) each from the (n, 3, 3) optical-axes matrices
+    (columns right, down, forward in world), the (n, 3) camera positions
+    and T tracks of (n, 3) world points.  One camera passes n = 1."""
+    rel = points - positions
+    return rel, np.einsum("kji,tkj->tki", cam_rotations, rel)
+
+
+def pixel_coordinates(q: np.ndarray, depth: np.ndarray, f_mm: np.ndarray,
+                      spec: CameraSensorSpec, vertical: bool = True,
+                      ) -> tuple[np.ndarray, ...]:
+    """Pinhole pixels of camera-frame points ``q`` (..., 3) at the
+    caller's ``depth`` (q's z, or q's z clamped) with focal lengths
+    ``f_mm``: ``beta_x f``, the u numerator ``beta_x f q_x + skew q_y``,
+    u and v (None unless ``vertical``)."""
+    bxf = spec.beta_x * f_mm
+    u_num = bxf * q[..., 0] + spec.skew * q[..., 1]
+    u = u_num / depth + spec.principal_u
+    v = spec.beta_y * f_mm * q[..., 1] / depth + spec.principal_v \
+        if vertical else None
+    return bxf, u_num, u, v
+
+
+def back_project(pixel: np.ndarray, depth: float, intr: IntrinsicState,
+                 spec: CameraSensorSpec) -> np.ndarray:
+    """Invert :func:`pixel_coordinates`: pixel + depth -> camera-frame
+    point.  The focal length and both pixel scales are positive, so the
+    inverse always exists."""
+    if depth <= 0.0:
+        raise BehindCameraError(f"depth {depth} is not positive")
     f = intr.focal_length
-    h_mm = f * f / (intr.aperture * spec.circle_of_confusion) + f
-    return mm_to_m(h_mm)
+    y = (pixel[1] - spec.principal_v) * depth / (spec.beta_y * f)
+    x = ((pixel[0] - spec.principal_u) * depth - spec.skew * y) / (
+        spec.beta_x * f)
+    return np.array([x, y, depth])
+
+
+def thin_lens(f_mm: np.ndarray, focus: np.ndarray, aperture: np.ndarray,
+              spec: CameraSensorSpec) -> tuple[np.ndarray, ...]:
+    """Thin-lens terms in meters, for scalars or arrays of lens states:
+    the focal length ``f``, ``A c``, the hyperfocal distance
+    ``H = f^2 / (A c) + f``, the near limit's denominator ``H + F - 2f``
+    and ``H - f``."""
+    f_m = mm_to_m(f_mm)
+    a_c = aperture * mm_to_m(spec.circle_of_confusion)
+    h = f_m * f_m / a_c + f_m
+    return f_m, a_c, h, h + focus - 2.0 * f_m, h - f_m
+
+
+def hyperfocal(intr: IntrinsicState, spec: CameraSensorSpec) -> float:
+    """Hyperfocal distance in meters, ``f^2 / (A c) + f``."""
+    return thin_lens(intr.focal_length, intr.focus_distance, intr.aperture,
+                     spec)[2]
 
 
 def depth_of_field(intr: IntrinsicState,
@@ -156,50 +203,16 @@ def depth_of_field(intr: IntrinsicState,
     infinite; that case is reported via :data:`INFINITE_FAR`, not as a
     float overflow.
     """
-    h = hyperfocal(intr, spec)
-    f_m = mm_to_m(intr.focal_length)
     focus = intr.focus_distance
-
-    denom_near = h + focus - 2.0 * f_m
+    _, _, h, denom_near, h_f = thin_lens(intr.focal_length, focus,
+                                         intr.aperture, spec)
     if denom_near <= 0.0:
         raise SingularDofError(
             f"H + F - 2f = {denom_near:.6g} <= 0 for f={intr.focal_length} mm,"
             f" F={focus} m, A={intr.aperture}")
 
-    numer = focus * (h - f_m)
+    numer = focus * h_f
     near = numer / denom_near
     far = INFINITE_FAR if focus >= h else numer / (h - focus)
     return DepthOfField(hyperfocal=h, near_distance=near, far_distance=far)
 
-
-def calibration_matrix(intr: IntrinsicState,
-                       spec: CameraSensorSpec) -> np.ndarray:
-    """3x3 pinhole calibration matrix with the focal length in millimeters."""
-    f = intr.focal_length
-    return np.array([
-        [spec.beta_x * f, spec.skew, spec.principal_u],
-        [0.0, spec.beta_y * f, spec.principal_v],
-        [0.0, 0.0, 1.0],
-    ])
-
-
-def project(rel_pos: np.ndarray, k_matrix: np.ndarray) -> np.ndarray:
-    """Project a camera-frame point (meters, z forward) to a pixel pair."""
-    rel_pos = np.asarray(rel_pos, dtype=float)
-    depth = rel_pos[2]
-    if depth <= 0.0:
-        raise BehindCameraError(f"point depth {depth} is not positive")
-    homogeneous = k_matrix @ rel_pos
-    return homogeneous[:2] / depth
-
-
-def back_project(pixel: np.ndarray, depth: float,
-                 k_matrix: np.ndarray) -> np.ndarray:
-    """Invert :func:`project`: pixel + depth -> camera-frame point."""
-    if depth <= 0.0:
-        raise BehindCameraError(f"depth {depth} is not positive")
-    if abs(np.linalg.det(k_matrix)) < 1e-12:
-        raise SingularCalibrationError("calibration matrix is singular")
-    pixel = np.asarray(pixel, dtype=float)
-    homogeneous = np.array([pixel[0], pixel[1], 1.0])
-    return depth * np.linalg.solve(k_matrix, homogeneous)

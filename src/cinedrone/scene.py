@@ -22,10 +22,9 @@ from . import constraints as cons
 from . import estimation as est
 from . import objectives as obj
 from . import solver as sol
-from .kinematics import CameraRig, interpolate_commands, \
-    rpy_from_rotation
-from .optics import (BehindCameraError, CameraSensorSpec,
-                     calibration_matrix, depth_of_field, project)
+from .kinematics import (CameraRig, euler_angles, interpolate_commands,
+                         rig_camera_points)
+from .optics import CameraSensorSpec, depth_of_field, pixel_coordinates
 from .runlog import RunLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -134,15 +133,6 @@ def target_pose_at(target: ScriptedTarget,
     return position, rotation
 
 
-def _box_from_center(rig: CameraRig, center: np.ndarray, height: float,
-                     width: float, spec: CameraSensorSpec
-                     ) -> cons.PixelBox | None:
-    try:
-        return cons.box_from_center(rig, center, height, width, spec)
-    except BehindCameraError:
-        return None
-
-
 def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
                          sensor: SensorModel, spec: CameraSensorSpec,
                          rng: np.random.Generator,
@@ -157,25 +147,25 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
     """
     center, rotation = target_pose_at(target, t)
     reference = center + rotation @ est.reference_offset(target.meta)
-    q = rig.camera_frame(reference)
+    q, q_center = rig_camera_points(rig, np.array([reference, center]))
     if q[2] <= 0.0:
         return None
-    pixel_true = project(q, calibration_matrix(rig.intrinsics, spec))
+    f_mm = rig.intrinsics.focal_length
+    pixel_true = np.array(pixel_coordinates(q, q[2], f_mm, spec)[2:])
     if not (0.0 <= pixel_true[0] <= spec.image_width
             and 0.0 <= pixel_true[1] <= spec.image_height):
         return None
-    box = _box_from_center(rig, center, target.meta.height,
-                           target.meta.width, spec)
+    box = cons.pixel_box(q_center, f_mm, target.meta.height,
+                         target.meta.width, spec)
     if box is None:
         return None
     for obstacle in obstacles:
         opos, _ = target_pose_at(obstacle, t)
-        oq = rig.camera_frame(opos)
+        oq = rig_camera_points(rig, opos[None])[0]
         if oq[2] <= 0.0 or oq[2] >= q[2]:
             continue
-        obox = _box_from_center(rig, opos, obstacle.meta.height,
-                                obstacle.meta.width, spec)
-        if obox is not None and obox.contains(pixel_true):
+        if cons.pixel_box(oq, f_mm, obstacle.meta.height, obstacle.meta.width,
+                          spec).contains(pixel_true):
             return None
     if sensor.dropout > 0.0 and rng.random() < sensor.dropout:
         return None
@@ -255,14 +245,6 @@ def _log_columns(config: "ScenarioConfig") -> list[str]:
             columns.append(
                 f"sep_{target.target_id}_{filmed.target_id}")
     return columns
-
-
-def _boxes_disjoint(a: cons.PixelBox | None,
-                    b: cons.PixelBox | None) -> bool:
-    if a is None or b is None:
-        return True
-    return (a.x_rb < b.x_lt or b.x_rb < a.x_lt
-            or a.y_rb < b.y_lt or b.y_rb < a.y_lt)
 
 
 def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
@@ -426,8 +408,8 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
         "f_target_mm": instr.focal_value(0)
         if instr.focal.weight > 0.0 else nan,
     }
-    rpy = rpy_from_rotation(rig.drone.orientation)
-    row["roll"], row["pitch"], row["yaw"] = rpy
+    row["roll"], row["pitch"], row["yaw"] = euler_angles(
+        rig.drone.orientation[None])[0]
 
     dof = depth_of_field(rig.intrinsics, spec)
     row["dn_actual"] = dof.near_distance
@@ -463,20 +445,18 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
     row["collision_residual_min"] = min(collision_residuals) \
         if collision_residuals else nan
 
-    k_matrix = calibration_matrix(rig.intrinsics, spec)
     desired = {(ct.target_id, ct.point_id): ct.pixel
                for ct in instr.composition}
     targets_by_id = {tg.target_id: tg for tg in config.targets}
-    for tid, pid in config.composition_points():
-        target = targets_by_id[tid]
-        position, rotation = gt_poses[tid]
-        point = position + rotation @ (target.points[pid]
-                                       if pid != "center" else np.zeros(3))
-        try:
-            pixel = project(rig.camera_frame(point), k_matrix)
-            row[f"{tid}_{pid}_u"], row[f"{tid}_{pid}_v"] = pixel
-        except BehindCameraError:
-            row[f"{tid}_{pid}_u"] = row[f"{tid}_{pid}_v"] = nan
+    keys = config.composition_points()
+    points = [gt_poses[tid][0] + gt_poses[tid][1] @ (
+        targets_by_id[tid].points[pid] if pid != "center" else np.zeros(3))
+        for tid, pid in keys]
+    camera = rig_camera_points(rig, np.array(points).reshape(-1, 3))
+    for (tid, pid), q in zip(keys, camera):
+        row[f"{tid}_{pid}_u"], row[f"{tid}_{pid}_v"] = pixel_coordinates(
+            q, q[2], rig.intrinsics.focal_length, spec)[2:] \
+            if q[2] > 0.0 else (nan, nan)
         pix_des = desired.get((tid, pid))
         row[f"{tid}_{pid}_u_des"] = pix_des[0] if pix_des else nan
         row[f"{tid}_{pid}_v_des"] = pix_des[1] if pix_des else nan
@@ -484,15 +464,15 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
     for obstacle in config.targets:
         if not obstacle.is_obstacle:
             continue
-        obox = _box_from_center(rig, gt_poses[obstacle.target_id][0],
-                                obstacle.meta.height, obstacle.meta.width,
-                                spec)
+        obox = cons.box_from_center(rig, gt_poses[obstacle.target_id][0],
+                                    obstacle.meta.height,
+                                    obstacle.meta.width, spec)
         for filmed in config.targets:
             if filmed.is_obstacle:
                 continue
-            fbox = _box_from_center(rig, gt_poses[filmed.target_id][0],
-                                    filmed.meta.height, filmed.meta.width,
-                                    spec)
+            fbox = cons.box_from_center(rig, gt_poses[filmed.target_id][0],
+                                        filmed.meta.height,
+                                        filmed.meta.width, spec)
             row[f"sep_{obstacle.target_id}_{filmed.target_id}"] = float(
-                _boxes_disjoint(obox, fbox))
+                obox is None or fbox is None or not obox.overlaps(fbox))
     return row

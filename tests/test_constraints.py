@@ -9,8 +9,7 @@ from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   Horizon, hat_batch, rollout,
                                   rotation_from_rpy, tangent_gradients)
-from cinedrone.optics import BehindCameraError, CameraSensorSpec, \
-    IntrinsicState
+from cinedrone.optics import CameraSensorSpec, IntrinsicState
 from test_kinematics import so3_exp
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -54,9 +53,10 @@ class TestBoundingBox:
             (near.x_rb - near.x_lt) / 2.0)
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            cons.box_from_center(make_rig(), np.array([-10.0, 0.0, 0.0]),
-                                 2.0, 1.0, SPEC)
+        for depth in (-10.0, 0.0):
+            assert cons.box_from_center(make_rig(), np.array([depth, 0.0,
+                                                              0.0]),
+                                        2.0, 1.0, SPEC) is None
 
 
 class TestOcclusionActivation:

@@ -9,7 +9,7 @@ import pytest
 from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   rollout, rotation_from_rpy)
-from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
+from cinedrone.optics import CameraSensorSpec, IntrinsicState
 from test_kinematics import input_sensitivities
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -46,6 +46,19 @@ def rig_terms(rig, preds, instr):
                         instr)[0]
 
 
+def mm_depth_of_field(lens, spec):
+    """Near and far limits (m) of one lens state (focal mm, focus m,
+    aperture), with the hyperfocal distance taken in the lens convention's
+    millimeters: an oracle of the planner's metre-form thin lens, written
+    apart from it."""
+    f, focus, aperture = lens
+    h = (f * f / (aperture * spec.circle_of_confusion) + f) / 1000.0
+    f_m = f / 1000.0
+    numer = focus * (h - f_m)
+    near = numer / (h + focus - 2.0 * f_m)
+    return near, math.inf if focus >= h else numer / (h - focus)
+
+
 def static_pred(position, rotation=None, n=6, anchors=None):
     rot = np.eye(3) if rotation is None else rotation
     return obj.TargetPrediction(
@@ -56,17 +69,16 @@ def static_pred(position, rotation=None, n=6, anchors=None):
 
 class TestDofCost:
     def test_zero_at_setpoints(self):
-        dof = depth_of_field(IntrinsicState(35.0, 10.0, 1.2), SPEC)
+        near, far = mm_depth_of_field((35.0, 10.0, 1.2), SPEC)
         instr = obj.Instructions(dof=obj.DofTarget(
-            near=dof.near_distance, far=dof.far_distance,
-            w_near=10.0, w_far=10.0))
+            near=near, far=far, w_near=10.0, w_far=10.0))
         assert rig_terms(make_rig(), {}, instr).dof[0] == pytest.approx(
             0.0, abs=1e-18)
 
     def test_near_error_squared(self):
-        dof = depth_of_field(IntrinsicState(35.0, 10.0, 1.2), SPEC)
-        instr = obj.Instructions(dof=obj.DofTarget(
-            near=dof.near_distance + 1.0, w_near=10.0))
+        near, _ = mm_depth_of_field((35.0, 10.0, 1.2), SPEC)
+        instr = obj.Instructions(dof=obj.DofTarget(near=near + 1.0,
+                                                   w_near=10.0))
         assert rig_terms(make_rig(), {}, instr).dof[0] == pytest.approx(
             10.0)
 

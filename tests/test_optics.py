@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 
 from cinedrone.optics import (BehindCameraError, CameraSensorSpec,
                               DepthOfField, IntrinsicState, INFINITE_FAR,
-                              SingularCalibrationError, SingularDofError,
-                              back_project, calibration_matrix,
-                              depth_of_field, hyperfocal, project)
+                              SingularDofError, back_project,
+                              depth_of_field, hyperfocal, pixel_coordinates)
 
 SIM_SPEC = CameraSensorSpec.from_sensor_size(
     image_width=960, image_height=540,
     sensor_width_mm=23.76, sensor_height_mm=13.365,
     principal_u=480.0, principal_v=270.0, circle_of_confusion=0.03)
+
+# a sensor with skewed pixel axes
+SKEWED_SPEC = CameraSensorSpec(
+    image_width=960, image_height=540, beta_x=40.0, beta_y=41.0,
+    principal_u=470.0, principal_v=265.0, skew=3.5)
 
 # datasheet of the real camera gives the pixel-per-mm factors directly
 REAL_SPEC = CameraSensorSpec(
@@ -31,6 +35,12 @@ REAL_SPEC = CameraSensorSpec(
 def intr(f=35.0, focus=10.0, aperture=1.2):
     return IntrinsicState(focal_length=f, focus_distance=focus,
                           aperture=aperture)
+
+
+def project(point, f, spec=SIM_SPEC):
+    """The pixel of one camera-frame point in front of the camera."""
+    point = np.asarray(point, dtype=float)
+    return np.array(pixel_coordinates(point, point[2], f, spec)[2:])
 
 
 class TestSensorSpec:
@@ -126,60 +136,63 @@ class TestDepthOfField:
 
 
 class TestCalibrationMatrix:
+    """The pinhole's pixel scales and principal point, read off the pixels
+    of unit offsets at unit depth."""
+
     def test_sim_camera(self):
-        k = calibration_matrix(intr(f=35.0), SIM_SPEC)
-        assert k[0, 0] == pytest.approx(1414.141414, abs=1e-3)
-        assert k[1, 1] == pytest.approx(1414.141414, abs=1e-3)
-        assert k[0, 2] == 480.0 and k[1, 2] == 270.0
-        assert k[2, 2] == 1.0 and k[1, 0] == 0.0
+        bxf, _, u, v = pixel_coordinates(np.array([1.0, 1.0, 1.0]), 1.0,
+                                         35.0, SIM_SPEC)
+        assert bxf == pytest.approx(1414.141414, abs=1e-3)
+        assert u - 480.0 == pytest.approx(1414.141414, abs=1e-3)
+        assert v - 270.0 == pytest.approx(1414.141414, abs=1e-3)
+        assert np.array_equal(project([0.0, 0.0, 1.0], 35.0), [480.0, 270.0])
+        # no skew: a vertical offset moves v alone
+        assert project([0.0, 1.0, 1.0], 35.0)[0] == 480.0
 
     def test_zero_focal_rejected(self):
         with pytest.raises(ValueError):
             IntrinsicState(0.0, 10.0, 1.2)
 
     def test_real_camera(self):
-        k = calibration_matrix(IntrinsicState(5.0, 1.0, 2.0), REAL_SPEC)
-        assert k[0, 0] == pytest.approx(536.5, rel=1e-12)
-        assert k[1, 1] == pytest.approx(403.0, rel=1e-12)
-        assert k[0, 2] == 337.0 and k[1, 2] == 190.0
+        _, _, u, v = pixel_coordinates(np.array([1.0, 1.0, 1.0]), 1.0, 5.0,
+                                       REAL_SPEC)
+        assert u - 337.0 == pytest.approx(536.5, rel=1e-12)
+        assert v - 190.0 == pytest.approx(403.0, rel=1e-12)
+        assert np.array_equal(project([0.0, 0.0, 1.0], 5.0, REAL_SPEC),
+                              [337.0, 190.0])
 
 
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
-        k = calibration_matrix(intr(), SIM_SPEC)
-        assert np.allclose(project(np.array([0.0, 0.0, 10.0]), k),
-                           [480.0, 270.0])
+        assert np.allclose(project([0.0, 0.0, 10.0], 35.0), [480.0, 270.0])
 
     def test_lateral_offset(self):
-        k = calibration_matrix(intr(f=35.0), SIM_SPEC)
-        pixel = project(np.array([1.0, 0.0, 10.0]), k)
+        pixel = project([1.0, 0.0, 10.0], 35.0)
         assert pixel[0] == pytest.approx(621.414141, abs=1e-3)
         assert pixel[1] == pytest.approx(270.0)
 
     def test_behind_camera(self):
-        k = calibration_matrix(intr(), SIM_SPEC)
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), k)
+        for depth in (-1.0, 0.0):
+            with pytest.raises(BehindCameraError):
+                back_project(np.array([480.0, 270.0]), depth, intr(),
+                             SIM_SPEC)
 
     def test_back_project_examples(self):
-        k = calibration_matrix(intr(f=35.0), SIM_SPEC)
-        assert np.allclose(back_project(np.array([480.0, 270.0]), 10.0, k),
+        assert np.allclose(back_project(np.array([480.0, 270.0]), 10.0,
+                                        intr(f=35.0), SIM_SPEC),
                            [0.0, 0.0, 10.0], atol=1e-12)
-        point = back_project(np.array([621.4141414141415, 270.0]), 10.0, k)
+        point = back_project(np.array([621.4141414141415, 270.0]), 10.0,
+                             intr(f=35.0), SIM_SPEC)
         assert np.allclose(point, [1.0, 0.0, 10.0], atol=1e-9)
-
-    def test_singular_matrix(self):
-        with pytest.raises(SingularCalibrationError):
-            back_project(np.array([1.0, 1.0]), 5.0, np.zeros((3, 3)))
 
     @settings(max_examples=200, deadline=None)
     @given(u=st.floats(0.0, 960.0), v=st.floats(0.0, 540.0),
            depth=st.floats(0.1, 500.0), f=st.floats(15.0, 500.0))
     def test_round_trip(self, u, v, depth, f):
-        k = calibration_matrix(intr(f=f), SIM_SPEC)
-        point = back_project(np.array([u, v]), depth, k)
-        pixel = project(point, k)
-        assert abs(pixel[0] - u) < 1e-9 and abs(pixel[1] - v) < 1e-9
+        for spec in (SIM_SPEC, SKEWED_SPEC):
+            point = back_project(np.array([u, v]), depth, intr(f=f), spec)
+            pixel = project(point, f, spec)
+            assert abs(pixel[0] - u) < 1e-9 and abs(pixel[1] - v) < 1e-9
 
 
 def test_depth_of_field_value_type():

@@ -17,10 +17,10 @@ from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
 from cinedrone.kinematics import (CameraRig, DroneState, rollout,
                                   rotation_from_rpy)
-from cinedrone.optics import CameraSensorSpec, IntrinsicState, depth_of_field
+from cinedrone.optics import CameraSensorSpec, IntrinsicState
 from cinedrone.scene import run_closed_loop
 from test_kinematics import step_rig_oracle
-from test_objectives import stacked_cost
+from test_objectives import mm_depth_of_field, stacked_cost
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
 SCENARIOS = Path(__file__).parent.parent / "src/cinedrone/scenarios"
@@ -731,11 +731,9 @@ def merit_residuals(z, problem, records):
     squares = []
     for k in range(len(horizon)):
         lens = horizon.lens[k]
-        limits = depth_of_field(IntrinsicState(*lens), SPEC)
-        squares += [np.sqrt(2.0 * dof.w_near) * (limits.near_distance
-                                                 - dof.near),
-                    np.sqrt(2.0 * dof.w_far) * (limits.far_distance
-                                                - dof.far)]
+        near, far = mm_depth_of_field(lens, SPEC)
+        squares += [np.sqrt(2.0 * dof.w_near) * (near - dof.near),
+                    np.sqrt(2.0 * dof.w_far) * (far - dof.far)]
         q = horizon.camera_rotations[k].T @ (
             preds[ct.target_id].positions[k] - horizon.positions[k])
         pixel = (SPEC.beta_x * lens[0] * q[0] / q[2] + SPEC.principal_u,

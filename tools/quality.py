@@ -24,16 +24,34 @@ the token ``NaN`` there, and ``--against`` still reads them.  No
 wall-clock figure is read, so two runs on one tree write the same bytes.
 Compare trees by running a copy of this file in each:
 
-    PYTHONPATH=src python3 tools/quality.py --seeds 8 --out quality.json
+    PYTHONPATH=src python3 tools/quality.py --out quality.json
 
 or compare this tree with a committed result: ``--against`` reads a
 report of this tool, or the ``change`` half of a ``QUALITY_<n>.json``, as
-the parent, prints each scenario's figures parent -> change with the
-per-seed better/worse counts of ``plan_feasible`` and ``converged`` and
-their two-sided sign-test p-value, and writes ``{"parent", "change"}`` to
-``--out``:
+the parent, prints each scenario's figures parent -> change, judges them
+seed by seed, and writes ``{"parent", "change"}`` to ``--out``:
 
-    python3 tools/quality.py --against QUALITY_12.json --out QUALITY_13.json
+    python3 tools/quality.py --against QUALITY_22.json --out QUALITY_23.json
+
+Each judged figure is compared on the seeds both reports ran, as paired
+better/worse/tied counts with their two-sided sign-test p-value:
+
+- ``plan_feasible`` and ``converged`` (higher is better): LOSS when more
+  seeds are worse than better at p < 0.1;
+- the shot metrics of :data:`SHOT_METRICS`, each in its declared
+  direction.  ``min_safety_distance`` is judged by its shortfall below the
+  scenario file's declared ``safety_distance`` only, since staying
+  farther away is not better.  A paired difference smaller than the
+  metric's declared resolution is a tie, so a last-bit change of a run
+  that has no noise (``rule_of_thirds``) is no evidence.  The shot-metric
+  tests of all scenarios form one family, corrected by Holm's step-down
+  method at :data:`HOLM_ALPHA`; LOSS marks a test Holm rejects with more
+  seeds worse than better.
+
+With 16 seeds (the default) the smallest sign-test p-value is 2/2^16, so
+about twenty tests can pass Holm; 8 seeds could not (2/2^8 = 0.0078).
+The exit status is 1 when any LOSS is printed, after ``--out`` is written,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +61,7 @@ import json
 import logging
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +76,21 @@ from cinedrone.config import load_scenario  # noqa: E402
 from cinedrone.scene import run_closed_loop  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "cinedrone" / "scenarios"
+#: Shot metrics judged per seed: direction ("lower", "higher", or
+#: "shortfall" below the declared safety distance, lower better),
+#: resolution (a smaller paired difference is a tie) and the scenarios it
+#: is judged on (None: every scenario reporting it).  A name ending in
+#: ``*_detected`` stands for every ``final_<target>_detected``.
+SHOT_METRICS = {
+    "steady_state_pixel_error": ("lower", 1e-3, None),  # px
+    "dof_tracking_error": ("lower", 1e-4, None),  # m
+    "focal_tracking_error": ("lower", 1e-6, None),  # relative
+    "dolly_zoom_ratio_spread": ("lower", 1e-6, {"e3_dolly_zoom"}),
+    "min_safety_distance": ("shortfall", 1e-4, None),  # m
+    "final_*_detected": ("higher", 0.5, None),  # a 0/1 flag
+}
+#: Family-wise error rate of the shot-metric tests.
+HOLM_ALPHA = 0.1
 #: executed state columns, in the order of ``ConstraintSet.state_bounds``
 STATE_COLUMNS = ("drone_px", "drone_py", "drone_pz",
                  "drone_vx", "drone_vy", "drone_vz",
@@ -94,8 +128,8 @@ def _overshoot(log, cset) -> float:
                                  / (high - low))))
 
 
-def scenario_quality(path: Path, seeds: int) -> dict:
-    config = load_scenario(path)
+def scenario_quality(config, seeds: int) -> dict:
+    """The report entry of one scenario at seeds 0..``seeds``-1."""
     per_seed, feasible, converged, evals = [], [], [], []
     overshoot = 0.0
     metrics: dict[str, list[float]] = {}
@@ -165,11 +199,93 @@ def sign_test(better: int, worse: int) -> float:
     return min(1.0, 2.0 * tail / 2 ** n)
 
 
-def compare(parent: dict, change: dict) -> list[str]:
-    """Lines of a parent -> change comparison of two reports."""
-    lines = []
-    for name in sorted(set(parent) | set(change)):
-        if name not in parent or name not in change:
+def holm(pvalues: list[float], alpha: float = HOLM_ALPHA) -> list[bool]:
+    """Holm's step-down rejections of a family of tests at family-wise
+    error rate ``alpha``: the i-th smallest p-value (from 0) is rejected
+    while each p-value up to it is at most alpha / (m - i)."""
+    rejected = [False] * len(pvalues)
+    order = sorted(range(len(pvalues)), key=pvalues.__getitem__)
+    for rank, index in enumerate(order):
+        if pvalues[index] > alpha / (len(pvalues) - rank):
+            break
+        rejected[index] = True
+    return rejected
+
+
+def _shot_spec(scenario: str, metric: str):
+    """The :data:`SHOT_METRICS` entry judging ``metric`` on ``scenario``,
+    or None."""
+    key = "final_*_detected" if metric.startswith("final_") \
+        and metric.endswith("_detected") else metric
+    spec = SHOT_METRICS.get(key)
+    if spec is None or (spec[2] is not None and scenario not in spec[2]):
+        return None
+    return spec
+
+
+def _paired(old: dict, new: dict, read) -> list[tuple[float, float]]:
+    """(parent, change) values of ``read(entry)`` on the seeds both
+    reports ran, where both are known."""
+    seeds = {entry["seed"]: entry for entry in old["per_seed"]}
+    pairs = [(read(seeds[entry["seed"]]), read(entry))
+             for entry in new["per_seed"] if entry["seed"] in seeds]
+    return [pair for pair in pairs if None not in pair]
+
+
+def _score(entry: dict, metric: str, direction: str,
+           safety_distance: float) -> float | None:
+    """One seed's ``metric``, oriented so that lower is better; None when
+    it is unknown."""
+    value = entry.get("summary_metrics", {}).get(metric)
+    if value is None or not math.isfinite(value):
+        return None
+    if direction == "shortfall":
+        return max(0.0, safety_distance - value)
+    return -value if direction == "higher" else value
+
+
+def shot_tests(scenario: str, old: dict, new: dict,
+               safety_distance: float) -> list[dict]:
+    """The per-seed sign test of each judged shot metric of one scenario:
+    its better, worse and tied seeds after the resolution, and p."""
+    names = set()
+    for entry in old["per_seed"] + new["per_seed"]:
+        names |= set(entry.get("summary_metrics", {}))
+    tests = []
+    for metric in sorted(names):
+        spec = _shot_spec(scenario, metric)
+        if spec is None:
+            continue
+        direction, resolution, _ = spec
+        pairs = _paired(old, new, partial(
+            _score, metric=metric, direction=direction,
+            safety_distance=safety_distance))
+        if not pairs:
+            continue
+        better = sum(after < before - resolution for before, after in pairs)
+        worse = sum(after > before + resolution for before, after in pairs)
+        tests.append({"metric": metric, "direction": direction,
+                      "resolution": resolution, "better": better,
+                      "worse": worse, "n": len(pairs),
+                      "p": sign_test(better, worse)})
+    return tests
+
+
+def compare(parent: dict, change: dict,
+            safety: dict[str, float]) -> tuple[list[str], bool]:
+    """Lines of a parent -> change comparison of two reports, and whether
+    any of them is a LOSS; ``safety`` maps each scenario to its declared
+    safety distance."""
+    names = sorted(set(parent) | set(change))
+    tests = {name: shot_tests(name, parent[name], change[name],
+                              safety.get(name, 0.0))
+             for name in names if name in parent and name in change}
+    family = [test for name in names for test in tests.get(name, [])]
+    for test, rejected in zip(family, holm([t["p"] for t in family])):
+        test["loss"] = rejected and test["worse"] > test["better"]
+    lines, loss = [], False
+    for name in names:
+        if name not in tests:
             lines.append(f"{name}: only in the "
                          f"{'parent' if name in parent else 'change'}")
             continue
@@ -187,25 +303,33 @@ def compare(parent: dict, change: dict) -> list[str]:
             lines.append(f"  {key}: {before:.6g} -> {after:.6g}"
                          if before is not None and after is not None
                          else f"  {key}: {before} -> {after}")
-        seeds = {entry["seed"]: entry for entry in old["per_seed"]}
         for key in ("plan_feasible", "converged"):
-            pairs = [(seeds[entry["seed"]].get(key), entry.get(key))
-                     for entry in new["per_seed"] if entry["seed"] in seeds]
-            pairs = [pair for pair in pairs if None not in pair]
+            pairs = _paired(old, new, lambda entry, key=key: entry.get(key))
             better = sum(after > before for before, after in pairs)
             worse = sum(after < before for before, after in pairs)
             p = sign_test(better, worse)
+            lost = worse > better and p < 0.1
+            loss |= lost
             lines.append(f"  {key} per seed: {better} better, {worse} worse, "
                          f"{len(pairs) - better - worse} tied of "
                          f"{len(pairs)}; sign test p = {p:.3g}"
-                         + ("  LOSS" if worse > better and p < 0.1 else ""))
-    return lines
+                         + ("  LOSS" if lost else ""))
+        for test in tests[name]:
+            loss |= test["loss"]
+            lines.append(
+                f"  {test['metric']} per seed ({test['direction']}, ties"
+                f" within {test['resolution']:g}): {test['better']} better,"
+                f" {test['worse']} worse,"
+                f" {test['n'] - test['better'] - test['worse']} tied of"
+                f" {test['n']}; sign test p = {test['p']:.3g}"
+                + ("  LOSS" if test["loss"] else ""))
+    return lines, loss
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=8,
-                        help="run seeds 0..K-1 (default 8)")
+    parser.add_argument("--seeds", type=int, default=16,
+                        help="run seeds 0..K-1 (default 16)")
     parser.add_argument("--scenario", action="append",
                         help="shipped scenario name (default: all)")
     parser.add_argument("--out", type=Path,
@@ -221,11 +345,17 @@ def main(argv: list[str] | None = None) -> int:
         parent = parent.get("change", parent)
     logging.disable(logging.WARNING)  # the loop's over-period warnings
     names = args.scenario or sorted(p.stem for p in SCENARIOS.glob("*.json"))
-    report = {name: scenario_quality(SCENARIOS / f"{name}.json", args.seeds)
-              for name in names}
+    configs = {name: load_scenario(SCENARIOS / f"{name}.json")
+               for name in names}
+    report = {name: scenario_quality(config, args.seeds)
+              for name, config in configs.items()}
+    loss = False
     if parent is not None:
         parent = {name: parent[name] for name in names if name in parent}
-        sys.stdout.write("\n".join(compare(parent, report)) + "\n")
+        lines, loss = compare(parent, report, {
+            name: config.constraints.safety_distance
+            for name, config in configs.items()})
+        sys.stdout.write("\n".join(lines) + "\n")
         report = {"about": f"tools/quality.py --seeds {args.seeds} "
                   f"--against {args.against.name}",
                   "parent": parent, "change": report}
@@ -235,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(text)
     elif parent is None:
         sys.stdout.write(text)
-    return 0
+    return 1 if loss else 0
 
 
 if __name__ == "__main__":
