@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import CameraRig, Horizon, euler_angles, rig_camera_points
-from .objectives import HorizonGradients, TargetPrediction, body_outer
+from .kinematics import (CameraRig, Horizon, euler_angles, rig_camera_points,
+                         tangent_gradients)
+from .objectives import Rows, TargetPrediction, body_outer, derivative_rows
 from .optics import CameraSensorSpec, camera_points, pixel_coordinates
 
 
@@ -289,10 +290,12 @@ class ConstraintTracks:
                 + len(self.separations))
 
 
-#: State entries whose box rows are linear in the state: position,
-#: velocity and lens.
+#: State entries whose box rows are linear in the state (position,
+#: velocity and lens), and their unit derivative rows.
 _LINEAR_ROWS = np.r_[0:6, 9:12]
+_LINEAR_UNITS = np.eye(12)[_LINEAR_ROWS, None]
 _LINEAR_ROWS.setflags(write=False)
+_LINEAR_UNITS.setflags(write=False)
 
 
 def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
@@ -314,7 +317,7 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
                     spec: CameraSensorSpec, margin: float = 0.0,
                     separation_scale: float = 1.0,
                     ) -> tuple[np.ndarray, Callable[
-                        [HorizonGradients, np.ndarray, np.ndarray], None]]:
+                        [np.ndarray, np.ndarray], list[Rows]]]:
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
     :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
@@ -323,14 +326,12 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     :func:`separation_pieces` pixel gap / ``separation_scale`` -
     ``margin``.
 
-    Returns the rows and ``add(grads, slopes, weights)``, which adds to
-    ``grads`` of states ``start``..N each row's derivative ``d`` times its
-    entry of ``slopes`` and ``d d^T`` times its entry of ``weights`` (both
-    shaped as the rows).  A group of entries whose weights are all zero is
-    skipped, its derivatives never built: the caller's slopes are zero
-    there too, and adding +-0.0 to accumulators that start at +0.0 and only
-    see += and -= changes no bit (only 0 * inf at pitch +-pi/2 would write
-    NaN).
+    Returns the rows and ``derivatives(slopes, weights)``: the row blocks
+    (:data:`objectives.Rows`) of states ``start``..N with each entry's
+    slope and weight (both shaped as the rows).  A box entry's ``x - lo``
+    and ``hi - x`` share one row, of slope ``s_lo - s_hi`` and weight
+    ``w_lo + w_hi``.  A group whose weights are all zero gives no rows, its
+    derivatives never built: the caller's slopes are zero there too.
     """
     positions = horizon.positions[start:]
     rows = np.empty((len(positions), tracks.width))
@@ -346,36 +347,42 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
         rows[:, column] = gap / separation_scale - margin
         separations.append(build)
 
-    def add(grads: HorizonGradients, slopes: np.ndarray,
-            weights: np.ndarray) -> None:
-        states, rotations = slice(start, None), horizon.rotations[start:]
-        # a box row x - lo has derivative d and hi - x has -d, both the
-        # same d d^T
+    def derivatives(slopes: np.ndarray, weights: np.ndarray) -> list[Rows]:
+        rotations = horizon.rotations[start:]
+        slopes, weights = slopes.T, weights.T  # entries by states
         half = n_box // 2
-        box = slopes[:, :half] - slopes[:, half:n_box]
-        box_weights = weights[:, :half] + weights[:, half:n_box]
+        box = slopes[:half] - slopes[half:n_box]
+        box_weights = weights[:half] + weights[half:n_box]
+        blocks = []
         linear = _LINEAR_ROWS
-        if box_weights[:, linear].any():
-            grads.gradient[states, linear] += box[:, linear]
-            grads.curvature[states, linear, linear] += box_weights[:, linear]
-        for axis in range(3):
-            if box_weights[:, 6 + axis].any():
-                grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
-                          rotation=_rpy_derivative(rotations, axis),
-                          states=states)
-        for column, (d, r) in enumerate(zip(diff, dist), n_box):
-            if weights[:, column].any():
-                grads.add(slopes[:, column], weights[:, column],
-                          position=d / np.maximum(r, 1e-9)[:, None],
-                          states=states)
-        for column, build in enumerate(separations, n_coll):
-            if weights[:, column].any():
-                d_pos, d_rot, d_f = build()
-                grads.add(slopes[:, column], weights[:, column],
-                          position=d_pos / separation_scale,
-                          rotation=d_rot / separation_scale,
-                          intrinsics=d_f / separation_scale, states=states)
-    return rows, add
+        if box_weights[linear].any():
+            blocks.append((np.broadcast_to(_LINEAR_UNITS,
+                                           (len(linear), len(rotations), 12)),
+                           box[linear], box_weights[linear]))
+        axes = [axis for axis in range(3) if box_weights[6 + axis].any()]
+        if axes:
+            blocks.append(derivative_rows(
+                box[6:9][axes], box_weights[6:9][axes],
+                tangent=tangent_gradients(rotations, np.stack([
+                    _rpy_derivative(rotations, axis) for axis in axes]))))
+        near = weights[n_box:n_coll].any(axis=1)
+        if near.any():
+            blocks.append(derivative_rows(
+                slopes[n_box:n_coll][near], weights[n_box:n_coll][near],
+                position=diff[near] / np.maximum(dist[near], 1e-9)[
+                    :, :, None]))
+        held = [column for column in range(n_coll, tracks.width)
+                if weights[column].any()]
+        if held:
+            d_pos, d_rot, d_f = (np.stack(piece) / separation_scale
+                                 for piece in zip(*(
+                                     separations[column - n_coll]()
+                                     for column in held)))
+            blocks.append(derivative_rows(
+                slopes[held], weights[held], position=d_pos,
+                tangent=tangent_gradients(rotations, d_rot), lens=d_f))
+        return blocks
+    return rows, derivatives
 
 
 def evaluate_constraints(u: np.ndarray, horizon: Horizon,

@@ -79,13 +79,13 @@ def so3_exp_and_right_jacobian_batch(
 def tangent_gradients(rotations: np.ndarray,
                       matrix_grads: np.ndarray) -> np.ndarray:
     """Gradients w.r.t. the body rotation vectors ``d`` of ``R exp(d^)``
-    at ``d = 0``, from gradients w.r.t. the matrices ``R``: (n, 3, 3) each
-    -> (n, 3), the vee of ``R^T G - G^T R``."""
-    m = np.swapaxes(rotations, 1, 2) @ matrix_grads
-    vee = np.empty((len(m), 3))
-    vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]
-    vee[:, 1] = m[:, 0, 2] - m[:, 2, 0]
-    vee[:, 2] = m[:, 1, 0] - m[:, 0, 1]
+    at ``d = 0``, from gradients w.r.t. the matrices ``R``: (n, 3, 3) and
+    (..., n, 3, 3) -> (..., n, 3), the vee of ``R^T G - G^T R``."""
+    m = np.swapaxes(rotations, -1, -2) @ matrix_grads
+    vee = np.empty(m.shape[:-1])
+    vee[..., 0] = m[..., 2, 1] - m[..., 1, 2]
+    vee[..., 1] = m[..., 0, 2] - m[..., 2, 0]
+    vee[..., 2] = m[..., 1, 0] - m[..., 0, 1]
     return vee
 
 

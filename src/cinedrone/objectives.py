@@ -2,11 +2,10 @@
 
 Four weighted terms are evaluated per control step: depth-of-field tracking,
 image composition, relative camera-target pose, and focal-length tracking.
-Analytic gradients with respect to the stacked input sequence are provided
-for the planner, built on demand from the intermediates of a value pass:
-:func:`chain_through_dynamics` contracts the per-state gradients with the
-rollout's forward sensitivities, the same ones the planner's Gauss-Newton
-model is built from.
+The planner's derivatives are built on demand from the intermediates of a
+value pass, as rows of states 1..N (:data:`Rows`); :func:`contract_rows`
+forms their per-state gradients and stage blocks, and
+:func:`chain_through_dynamics` takes the gradients to the inputs.
 
 Desired values may be expressed relative to a target (distance offsets) or
 as time schedules (focal ramps); call :meth:`Instructions.resolve` before
@@ -24,7 +23,7 @@ import numpy as np
 
 from .kinematics import BODY_TO_CAMERA, Horizon, tangent_gradients
 from .optics import (CameraSensorSpec, SingularDofError, camera_points,
-                     mm_to_m, pixel_coordinates, thin_lens)
+                     dof_limits, mm_to_m, pixel_coordinates, thin_lens)
 
 #: Depth below which the in-planner projection switches to a smooth barrier.
 BARRIER_DEPTH = 0.1
@@ -263,52 +262,50 @@ class CostBreakdown:
         return float(self.step_totals.sum())
 
 
-class HorizonGradients:
-    """Stacked derivatives of the accumulated merit w.r.t. the rig states
-    whose body orientations are ``rotations``: per state, the ``gradient``
-    (12,) and the (12, 12) generalized Gauss-Newton block ``curvature``,
-    both over position, velocity, body rotation vector and lens (the rows
-    of :func:`kinematics.linear_sensitivities`)."""
-
-    __slots__ = ("gradient", "curvature", "rotations")
-
-    def __init__(self, rotations: np.ndarray) -> None:
-        n = len(rotations)
-        self.gradient = np.zeros((n, 12))
-        self.curvature = np.zeros((n, 12, 12))
-        self.rotations = rotations
-
-    def add(self, slope: np.ndarray, weight: np.ndarray | None = None,
-            position=None, rotation=None, intrinsics=None,
-            states: slice = slice(None)) -> None:
-        """Add ``slope * d`` to the gradient and ``weight * d d^T`` to the
-        curvature of ``states`` (none without ``weight``), ``d`` one
-        residual's derivative per state given by its pieces: w.r.t. the
-        position (n, 3), the rotation matrix (n, 3, 3), taken to the
-        rotation vector, and the lens (n, 3) or the focal length (n,)."""
-        rows = np.zeros((len(slope), 12))
-        if position is not None:
-            rows[:, 0:3] = position
-        if rotation is not None:
-            rows[:, 6:9] = tangent_gradients(self.rotations[states], rotation)
-        if intrinsics is not None:
-            if intrinsics.ndim == 1:
-                rows[:, 9] = intrinsics
-            else:
-                rows[:, 9:12] = intrinsics
-        self.gradient[states] += slope[:, None] * rows
-        if weight is not None:
-            self.curvature[states] += weight[:, None, None] * (
-                rows[:, :, None] * rows[:, None, :])
+#: A block of R derivative rows of states 1..N, the states an input moves:
+#: ``D`` (R, N, 12) by position, velocity, body rotation vector and lens
+#: (the rows of :func:`kinematics.linear_sensitivities`), slopes ``s`` and
+#: Gauss-Newton weights ``w`` (R, N); see :func:`contract_rows`.
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A builder of row blocks from a value pass's intermediates.
+TermRows = Callable[[], list[Rows]]
 
 
-#: What a cost term leaves for its derivatives: a callable that adds them
-#: into the horizon's gradients from the term's own intermediates.
-TermGradients = Callable[[HorizonGradients], None]
+def derivative_rows(slope: np.ndarray, weight, position=None, tangent=None,
+                    lens=None) -> Rows:
+    """A block of rows from their slopes (..., N), weights (broadcast to
+    the slopes) and derivatives by position and body rotation vector
+    (..., N, 3), and by lens (..., N, 3) or focal length alone (..., N):
+    the leading axes become the rows."""
+    shape = np.shape(slope)
+    rows, n = math.prod(shape[:-1]), shape[-1]
+    d = np.zeros(shape + (12,))
+    if position is not None:
+        d[..., 0:3] = position
+    if tangent is not None:
+        d[..., 6:9] = tangent
+    if lens is not None:  # by the lens, or by the focal length alone
+        d[..., slice(9, 12) if np.ndim(lens) > len(shape) else 9] = lens
+    return (d.reshape(rows, n, 12), np.reshape(slope, (rows, n)),
+            np.full(shape, weight).reshape(rows, n))
+
+
+def contract_rows(blocks: list[Rows], n: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-state gradients ``D^T s`` (n, 12) and generalized
+    Gauss-Newton stage blocks ``D^T diag(w) D`` (n, 12, 12) of the row
+    blocks of n states."""
+    d, s, w = (np.concatenate(part) for part in zip(
+        (np.empty((0, n, 12)), np.empty((0, n)), np.empty((0, n))),
+        *blocks))
+    # row after row from +0.0, so that a row of zeros changes no bit
+    gradient = np.add.reduce(s[:, :, None] * d, axis=0, initial=0.0)
+    d = d.transpose(1, 0, 2)  # (n, R, 12)
+    return gradient, d.transpose(0, 2, 1) @ (w.T[:, :, None] * d)
 
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
-             ) -> tuple[np.ndarray, TermGradients | None]:
+             ) -> tuple[np.ndarray, list[TermRows]]:
     dof = instr.dof
     near_star = instr._dof_limit(dof.near, "near")
     far_star = instr._dof_limit(dof.far, "far")
@@ -317,7 +314,7 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
                   and math.isfinite(far_star))
     cost = np.zeros(len(intr))
     if not near_active and not far_active:
-        return cost, None
+        return cost, []
 
     f_mm, focus, aperture = intr[:, 0], intr[:, 1], intr[:, 2]
     f_m, a_c, h, denom, h_f = thin_lens(f_mm, focus, aperture, spec)
@@ -325,15 +322,14 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
         raise SingularDofError(
             f"H + F - 2f = {denom.min():.6g} <= 0")
 
+    near, h_focus, far = dof_limits(focus, h, denom, h_f)
+    near_err = far_err = None
     if near_active:
-        near = focus * h_f / denom
         near_err = near - near_star
         cost += dof.w_near * near_err * near_err
     if far_active:
         infinite = focus >= h
         finite = ~infinite
-        h_focus = np.where(finite, h - focus, 1.0)
-        far = focus * h_f / h_focus
         far_err = far - far_star
         term = dof.w_far * far_err * far_err
         cost += np.where(finite, term, 0.0)
@@ -344,42 +340,49 @@ def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,
             cost += np.where(infinite,
                              dof.w_far * _FAR_BARRIER * (1.0 + over), 0.0)
 
-    def add_gradients(grads: HorizonGradients) -> None:
+    def rows(f_m, a_c, focus, aperture, h, h_f, denom, h_focus, near_err,
+             far_err) -> list[Rows]:
+        # of states 1..N; an error is None where its limit is not weighted
         f_m2, two_f = f_m * f_m, 2.0 * f_m
         dh_df_m = two_f / a_c + 1.0
         dh_da = -f_m2 / (aperture * aperture
                          * mm_to_m(spec.circle_of_confusion))
-        if near_active:
+        blocks = []
+        if near_err is not None:
             denom2 = denom * denom
             dn_dh = focus * (focus - f_m) / denom2
             dn_df_direct = focus * (h - focus) / denom2
             dn_dfocus = h_f * (h - two_f) / denom2
             d_near = np.stack([(dn_dh * dh_df_m + dn_df_direct) / 1000.0,
                                dn_dfocus, dn_dh * dh_da], axis=1)
-            grads.add(2.0 * dof.w_near * near_err,
-                      np.full(len(intr), 2.0 * dof.w_near), intrinsics=d_near)
-        if far_active:
+            blocks.append(derivative_rows(2.0 * dof.w_near * near_err,
+                                          2.0 * dof.w_near, lens=d_near))
+        if far_err is not None:
+            finite = focus < h
             df_dh = focus * (f_m - focus) / (h_focus * h_focus)
             df_df_direct = -focus / h_focus
             df_dfocus = h_f * h / (h_focus * h_focus)
             d_far = np.stack([(df_dh * dh_df_m + df_df_direct) / 1000.0,
                               df_dfocus, df_dh * dh_da], axis=1)
-            grads.add(np.where(finite, 2.0 * dof.w_far * far_err, 0.0),
-                      np.where(finite, 2.0 * dof.w_far, 0.0),
-                      intrinsics=d_far)
-            if infinite.any():
+            blocks.append(derivative_rows(
+                np.where(finite, 2.0 * dof.w_far * far_err, 0.0),
+                np.where(finite, 2.0 * dof.w_far, 0.0), lens=d_far))
+            if not finite.all():
                 # the surrogate is linear in H and the focus: no curvature
-                bar = dof.w_far * _FAR_BARRIER
-                grads.gradient[:, 9:12] += np.where(
-                    infinite[:, None], np.stack(
-                        [-bar * dh_df_m / 1000.0, np.full(len(intr), bar),
-                         -bar * dh_da], axis=1), 0.0)
-    return cost, add_gradients
+                blocks.append(derivative_rows(
+                    np.where(finite, 0.0, dof.w_far * _FAR_BARRIER), 0.0,
+                    lens=np.stack([-dh_df_m / 1000.0, np.ones(len(h)),
+                                   -dh_da], axis=1)))
+        return blocks
+    terms = (f_m, a_c, focus, aperture, h, h_f, denom, h_focus, near_err,
+             far_err)
+    return cost, [lambda: rows(*(None if term is None else term[1:]
+                                 for term in terms))]
 
 
 def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
-               f_mm: np.ndarray, point_tracks, spec: CameraSensorSpec,
-               ) -> tuple[np.ndarray, TermGradients]:
+               rotations: np.ndarray, f_mm: np.ndarray, point_tracks,
+               spec: CameraSensorSpec) -> tuple[np.ndarray, list[TermRows]]:
     targets, points, weight, pixel = point_tracks
     cost = np.zeros(len(positions))
     # leading axis: the weighted composition targets, each added into the
@@ -395,6 +398,7 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
     e_v = v - pixel[:, 1]
     w_u, w_v = weight[:, 0], weight[:, 1]
     terms = w_u * e_u * e_u + w_v * e_v * e_v
+    shortfall = None
     if clamped is not None:
         shortfall = np.where(clamped, BARRIER_DEPTH - qz, 0.0)
         barrier_terms = BARRIER_GAIN * shortfall * shortfall
@@ -403,39 +407,41 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
         if clamped is not None and clamped[t].any():
             cost += barrier_terms[t]
 
-    def add_gradients(grads: HorizonGradients) -> None:
-        # derivatives of e_u, e_v and the depth shortfall w.r.t. q, and of
-        # e_u, e_v w.r.t. the focal length
-        byf = spec.beta_y * f_mm
-        d_u, d_v = np.zeros(q.shape), np.zeros(q.shape)
-        d_u[:, :, 0] = bxf / qz_eff
-        d_u[:, :, 1] = spec.skew / qz_eff
-        d_v[:, :, 1] = byf / qz_eff
-        d_u[:, :, 2] = -u_num / (qz_eff * qz_eff)
-        d_v[:, :, 2] = -byf * q[:, :, 1] / (qz_eff * qz_eff)
-        f_u = spec.beta_x * q[:, :, 0] / qz_eff
-        f_v = spec.beta_y * q[:, :, 1] / qz_eff
-        residuals = [(w_u, e_u, d_u, f_u), (w_v, e_v, d_v, f_v)]
+    def rows(rel, q, qz_eff, u_num, e_u, e_v, clamped, shortfall,
+             ) -> list[Rows]:
+        # of states 1..N; the leading axis of the residuals: u, v and, with
+        # any point clamped, the depth shortfall, each over the targets
+        states = slice(1, None)
+        byf, depth2 = spec.beta_y * f_mm[states], qz_eff * qz_eff
+        d_q = np.zeros((2 if clamped is None else 3,) + q.shape)
+        weights, errors = np.empty(d_q.shape[:-1]), np.empty(d_q.shape[:-1])
+        weights[0], weights[1], errors[0], errors[1] = w_u, w_v, e_u, e_v
+        d_q[0, :, :, 0] = bxf[states] / qz_eff
+        d_q[0, :, :, 1] = spec.skew / qz_eff
+        d_q[0, :, :, 2] = -u_num / depth2
+        d_q[1, :, :, 1] = byf / qz_eff
+        d_q[1, :, :, 2] = -byf * q[:, :, 1] / depth2
         if clamped is not None:
             # the projection is held at BARRIER_DEPTH: only the barrier
             # moves with the depth
-            d_u[:, :, 2] = np.where(clamped, 0.0, d_u[:, :, 2])
-            d_v[:, :, 2] = np.where(clamped, 0.0, d_v[:, :, 2])
-            d_s = np.zeros(q.shape)
-            d_s[:, :, 2] = -1.0
-            residuals.append((np.where(clamped, BARRIER_GAIN, 0.0),
-                              shortfall, d_s, None))
-        for w, e, d_q, d_f in residuals:
-            # d/dq -> d/d position, d/d rotation matrix
-            d_pos = -np.einsum("kij,tkj->tki", cam_rotations, d_q)
-            d_rot = body_outer(rel, d_q)
-            slopes = 2.0 * w * e
-            weights = 2.0 * np.broadcast_to(w, slopes.shape)
-            for t in range(len(targets)):
-                grads.add(slopes[t], weights[t], position=d_pos[t],
-                          rotation=d_rot[t],
-                          intrinsics=None if d_f is None else d_f[t])
-    return cost, add_gradients
+            d_q[:2, :, :, 2] = np.where(clamped, 0.0, d_q[:2, :, :, 2])
+            d_q[2, :, :, 2] = -1.0
+            weights[2] = np.where(clamped, BARRIER_GAIN, 0.0)
+            errors[2] = shortfall
+        focal = np.zeros(d_q.shape[:-1])
+        focal[0] = spec.beta_x * q[:, :, 0] / qz_eff
+        focal[1] = spec.beta_y * q[:, :, 1] / qz_eff
+        # d/dq -> d/d position, d/d rotation matrix
+        return [derivative_rows(
+            2.0 * weights * errors, 2.0 * weights,
+            position=-np.einsum("kij,...kj->...ki", cam_rotations[states],
+                                d_q),
+            tangent=tangent_gradients(rotations[states],
+                                      body_outer(rel, d_q)),
+            lens=focal)]
+    return cost, [lambda: rows(*(None if term is None else term[:, 1:]
+                                 for term in (rel, q, qz_eff, u_num, e_u, e_v,
+                                              clamped, shortfall)))]
 
 
 def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
@@ -446,16 +452,14 @@ def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
 
 def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
               pose_tracks, smooth: bool,
-              ) -> tuple[np.ndarray, np.ndarray | None,
-                         TermGradients | None]:
+              ) -> tuple[np.ndarray, np.ndarray | None, list[TermRows]]:
     """The pose term with the exact rotation norm; with ``smooth``, the
     term with the smoothed norm first, the exact one next and the
-    smoothed one's gradients."""
+    smoothed one's row builders."""
     n = len(positions)
     exact = np.zeros(n)
     smoothed = np.zeros(n) if smooth else None
-    # each target's distance, then rotation derivatives, in that order
-    adds = []
+    builds = []
     for pt, target_positions, target_rotations in pose_tracks:
         if pt.w_distance > 0.0 and pt.distance is not None:
             diff = positions - target_positions
@@ -465,8 +469,8 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             exact += term
             if smooth:
                 smoothed += term
-                adds.append(partial(_add_distance_gradients, pt.w_distance,
-                                    diff, dist, err))
+                builds.append(partial(_distance_rows, pt.w_distance,
+                                      diff, dist, err))
         if pt.w_rotation > 0.0 and pt.rotation is not None:
             residual = np.einsum("kji,kjl->kil", target_rotations,
                                  rotations) - pt.rotation
@@ -475,54 +479,44 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             if smooth:
                 root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
                 smoothed += pt.w_rotation * (root - ROTATION_NORM_EPS)
-                adds.append(partial(_add_rotation_gradients, pt.w_rotation,
-                                    rotations, target_rotations, residual,
-                                    root))
-    if not smooth:
-        return exact, None, None
-
-    def add_gradients(grads: HorizonGradients) -> None:
-        for add in adds:
-            add(grads)
-    return smoothed, exact, add_gradients if adds else None
+                builds.append(partial(_rotation_rows, pt.w_rotation,
+                                      rotations, target_rotations, residual,
+                                      root))
+    return (smoothed, exact, builds) if smooth else (exact, None, [])
 
 
-def _add_distance_gradients(weight: float, diff: np.ndarray,
-                            dist: np.ndarray, err: np.ndarray,
-                            grads: HorizonGradients) -> None:
+def _distance_rows(weight: float, diff: np.ndarray, dist: np.ndarray,
+                   err: np.ndarray) -> list[Rows]:
+    diff, dist, err = diff[1:], dist[1:], err[1:]  # states 1..N
     d_dist = np.where(dist[:, None] > 1e-12, diff, 0.0) / (
         np.maximum(dist, 1e-12)[:, None])
-    grads.add(2.0 * weight * err, np.full(len(dist), 2.0 * weight),
-              position=d_dist)
+    return [derivative_rows(2.0 * weight * err, 2.0 * weight,
+                            position=d_dist)]
 
 
-def _add_rotation_gradients(weight: float, rotations: np.ndarray,
-                            target_rotations: np.ndarray,
-                            residual: np.ndarray, root: np.ndarray,
-                            grads: HorizonGradients) -> None:
+def _rotation_rows(weight: float, rotations: np.ndarray,
+                   target_rotations: np.ndarray, residual: np.ndarray,
+                   root: np.ndarray) -> list[Rows]:
+    rotations, root = rotations[1:], root[1:]  # states 1..N
     # of the smoothed norm, taken to the rotation vector
     c = tangent_gradients(rotations, np.einsum(
-        "kij,kjl->kil", target_rotations, residual))
-    grads.gradient[:, 6:9] += (weight / root)[:, None] * c
-    # exact pseudo-Huber Hessian in the residual matrix M,
-    # w (I / root - M M^T / root^3), pulled back through
-    # dM/dd = R_t^T R hat(e_i), whose columns are orthogonal
-    # with squared norm 2
-    grads.curvature[:, 6:9, 6:9] += weight * (
-        2.0 * _EYE3 / root[:, None, None]
-        - c[:, :, None] * c[:, None, :] / (root ** 3)[:, None, None])
+        "kij,kjl->kil", target_rotations[1:], residual[1:]))
+    # exact pseudo-Huber Hessian in the residual matrix M, w (I / root -
+    # M M^T / root^3), pulled back through dM/dd = R_t^T R hat(e_i), whose
+    # columns are orthogonal with squared norm 2: w (2 I / root - c c^T /
+    # root^3), the row c weighted -w / root^3 and three unit rows 2 w / root
+    return [derivative_rows(weight / root, -weight / root ** 3, tangent=c),
+            derivative_rows(np.zeros((3, len(root))), 2.0 * weight / root,
+                            tangent=_EYE3[:, None])]
 
 
 def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
-               ) -> tuple[np.ndarray, TermGradients | None]:
+               ) -> tuple[np.ndarray, list[TermRows]]:
     if weight == 0.0:
-        return np.zeros(len(f_mm)), None
+        return np.zeros(len(f_mm)), []
     err = f_mm - f_star
-
-    def add_gradients(grads: HorizonGradients) -> None:
-        grads.add(2.0 * weight * err, np.full(len(f_mm), 2.0 * weight),
-                  intrinsics=np.ones(len(f_mm)))
-    return weight * err * err, add_gradients
+    return weight * err * err, [lambda: [derivative_rows(
+        2.0 * weight * err[1:], 2.0 * weight, lens=np.ones(len(err) - 1))]]
 
 
 def _point_tracks(preds: dict[str, TargetPrediction], instr: Instructions,
@@ -570,46 +564,35 @@ class HorizonTracks:
 def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
                              *, smooth: bool,
-                             ) -> tuple[CostBreakdown,
-                                        Callable[[], HorizonGradients]
-                                        | None]:
+                             ) -> tuple[CostBreakdown, TermRows | None]:
     """Evaluate all four terms at every state of a horizon.
 
     Returns the per-step breakdown and, with ``smooth``, a callable that
-    builds the stacked per-state gradients that
-    :func:`chain_through_dynamics` takes to the inputs and their
-    generalized Gauss-Newton stage blocks (the smoothed rotation norm's
-    taken exactly) from the projections, depths, errors and lens terms the
-    breakdown computed; without ``smooth``, None.  Points closer than
-    :data:`BARRIER_DEPTH` are projected at that depth and penalized
-    smoothly, and an infinite far limit costs a sloped surrogate;
-    ``smooth`` rounds the rotation norm's kink off by
-    :data:`ROTATION_NORM_EPS`, as the planner's descent asks, and
-    gradients are of that smoothed cost alone; the breakdown's
+    builds the row blocks (:data:`Rows`) of states 1..N from the
+    projections, depths, errors and lens terms the breakdown computed;
+    without ``smooth``, None.  Points closer than :data:`BARRIER_DEPTH`
+    are projected at that depth and penalized smoothly, and an infinite
+    far limit costs a sloped surrogate; ``smooth`` rounds the rotation
+    norm's kink off by :data:`ROTATION_NORM_EPS`, as the planner's descent
+    asks, and the rows are of that smoothed cost alone; the breakdown's
     :attr:`CostBreakdown.exact` is then :func:`evaluate_horizon`'s, bit
     for bit, from the same pass.
     """
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
-    pose, exact_pose, pose_gradients = _pose_vec(positions, rotations,
-                                                 tracks.poses, smooth)
+    pose, exact_pose, pose_rows = _pose_vec(positions, rotations,
+                                            tracks.poses, smooth)
     terms = (_dof_vec(horizon.lens, spec, instr),
-             _image_vec(positions, horizon.camera_rotations, f_mm,
-                        tracks.points, spec),
-             (pose, pose_gradients),
+             _image_vec(positions, horizon.camera_rotations, rotations,
+                        f_mm, tracks.points, spec),
+             (pose, pose_rows),
              _focal_vec(f_mm, tracks.f_star, instr.focal.weight))
     breakdown = CostBreakdown(*(cost for cost, _ in terms),
                               exact_pose=exact_pose)
     if not smooth:
         return breakdown, None
-
-    def gradients() -> HorizonGradients:
-        grads = HorizonGradients(rotations)
-        for _, add in terms:
-            if add is not None:
-                add(grads)
-        return grads
-    return breakdown, gradients
+    return breakdown, lambda: [block for _, builds in terms
+                               for build in builds for block in build()]
 
 
 def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
@@ -621,12 +604,11 @@ def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
                                     smooth=False)[0]
 
 
-def chain_through_dynamics(grads: HorizonGradients,
+def chain_through_dynamics(gradient: np.ndarray,
                            sens: np.ndarray) -> np.ndarray:
     """Per-state gradients -> gradient per input: ``sum_k g_k^T S_k`` over
-    the states 1..N, ``sens`` their (N, 12, m) sensitivities to the m
-    inputs (:func:`kinematics.linear_sensitivities` with the rotation rows
-    of :func:`kinematics.rotation_sensitivities`; state 0 moves with no
-    input) and ``g_k`` state k's gradient in the same rows."""
-    g = grads.gradient[1:]
-    return g.ravel() @ sens.reshape(g.size, -1)
+    the states 1..N, from their (N, 12) ``gradient`` and their (N, 12, m)
+    sensitivities ``sens`` to the m inputs
+    (:func:`kinematics.linear_sensitivities` with the rotation rows of
+    :func:`kinematics.rotation_sensitivities`)."""
+    return gradient.ravel() @ sens.reshape(gradient.size, -1)

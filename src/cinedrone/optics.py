@@ -189,6 +189,19 @@ def thin_lens(f_mm: np.ndarray, focus: np.ndarray, aperture: np.ndarray,
     return f_m, a_c, h, h + focus - 2.0 * f_m, h - f_m
 
 
+def dof_limits(focus: np.ndarray, h: np.ndarray, denom: np.ndarray,
+               h_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From :func:`thin_lens`'s ``H``, ``H + F - 2f`` and ``H - f``: the
+    near limit ``F (H - f) / (H + F - 2f)``, ``H - F`` (1 where ``F >= H``)
+    and the far limit ``F (H - f) / (H - F)`` (:data:`INFINITE_FAR` where
+    ``F >= H``)."""
+    numer = focus * h_f
+    finite = focus < h
+    h_focus = np.where(finite, h - focus, 1.0)
+    return (numer / denom, h_focus,
+            np.where(finite, numer / h_focus, INFINITE_FAR))
+
+
 def hyperfocal(intr: IntrinsicState, spec: CameraSensorSpec) -> float:
     """Hyperfocal distance in meters, ``f^2 / (A c) + f``."""
     return thin_lens(intr.focal_length, intr.focus_distance, intr.aperture,
@@ -210,9 +223,7 @@ def depth_of_field(intr: IntrinsicState,
         raise SingularDofError(
             f"H + F - 2f = {denom_near:.6g} <= 0 for f={intr.focal_length} mm,"
             f" F={focus} m, A={intr.aperture}")
-
-    numer = focus * h_f
-    near = numer / denom_near
-    far = INFINITE_FAR if focus >= h else numer / (h - focus)
-    return DepthOfField(hyperfocal=h, near_distance=near, far_distance=far)
+    near, _, far = dof_limits(focus, h, denom_near, h_f)
+    return DepthOfField(hyperfocal=h, near_distance=float(near),
+                        far_distance=float(far))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,14 +136,13 @@ class _PenaltyModel:
         self.n_box = 2 * len(self.tracks.bounds[0])
 
     def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
-                ) -> tuple[float, np.ndarray,
-                           Callable[[obj.HorizonGradients], None]]:
-        """Total AL penalty, its rows ``g_flat`` and a callable that adds
-        its gradients and curvature into a horizon's gradients.  The
-        separation entries are ``gap / _SEPARATION_SCALE - margin``: the
-        margin keeps the held gap strictly positive, which keeps the
-        activation predicate firing at the next solve."""
-        rows, add_rows = cons.state_residuals(
+                ) -> tuple[float, np.ndarray, obj.TermRows]:
+        """Total AL penalty, its rows ``g_flat`` and a builder of its
+        derivative row blocks of states 1..N.  The separation entries are
+        ``gap / _SEPARATION_SCALE - margin``: the margin keeps the held gap
+        strictly positive, which keeps the activation predicate firing at
+        the next solve."""
+        rows, derivatives = cons.state_residuals(
             horizon, 1, self.tracks, self.spec, margin=self.margin,
             separation_scale=_SEPARATION_SCALE)
         g_flat = rows.ravel()
@@ -152,11 +150,9 @@ class _PenaltyModel:
         # w.r.t. g is -slack
         slack = np.maximum(0.0, lam - rho * g_flat)
         value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
-
-        def add_gradients(grads: obj.HorizonGradients) -> None:
-            slopes = slack.reshape(rows.shape)
-            add_rows(grads, -slopes, rho * (slopes > 0.0))
-        return value, g_flat, add_gradients
+        slopes = slack.reshape(rows.shape)
+        return value, g_flat, lambda: derivatives(-slopes,
+                                                  rho * (slopes > 0.0))
 
     def feasible_with_margin(self, g_flat: np.ndarray) -> bool:
         """Whether the penalized rows ``g_flat`` of states 1..N hold every
@@ -404,29 +400,29 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             u[:, 6:9] = np.diff(clamped, axis=0) / dt
             horizon = kin.rollout(initial, u, dt)
             domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
-        breakdown, cost_gradients = obj.evaluate_horizon_stacked(
+        breakdown, cost_rows = obj.evaluate_horizon_stacked(
             horizon, tracks, spec, instr, smooth=True)
-        penalty, g_all, add_penalty_gradients = model.penalty(horizon, lam,
-                                                              rho)
+        penalty, g_all, penalty_rows = model.penalty(horizon, lam, rho)
         u.setflags(write=False)
         g_all.setflags(write=False)
 
         @functools.cache
         def derivatives():
-            grads = cost_gradients()
-            add_penalty_gradients(grads)
+            # the rows of states 1..N; state 0 moves with no input
+            blocks = cost_rows() + penalty_rows()
             if domain_penalty:
-                grads.gradient[1:, 9:12] -= 2.0 * _DOMAIN_GAIN * shortfall
-                lens = grads.curvature[1:, 9:12, 9:12]
-                lens[:, [0, 1, 2], [0, 1, 2]] += np.where(
-                    shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0)
-            # d state / d z of states 1..N; state 0 moves with no input
+                # unit lens rows, weighted where clamped
+                blocks.append(obj.derivative_rows(
+                    -2.0 * _DOMAIN_GAIN * shortfall.T, np.where(
+                        shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0).T,
+                    lens=np.eye(3)[:, None]))
+            gradient, stage = obj.contract_rows(blocks, n)
             sens = linear_sens.copy()
             sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt)[1:] * rotation_scale
             sens = sens.reshape(n, 12, 9 * n)
-            built = (obj.chain_through_dynamics(grads, sens),
-                     grads.curvature, sens)
+            built = (obj.chain_through_dynamics(gradient, sens), stage,
+                     sens)
             for array in built:
                 array.setflags(write=False)
             return built
@@ -434,7 +430,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         def hessian() -> np.ndarray:
             # sum over states 1..N of S_k^T W_k S_k, the gradient's S_k
             _, stage, sens = derivatives()
-            weighted = stage[1:] @ sens
+            weighted = stage @ sens
             return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
         return (breakdown.total + penalty + domain_penalty,
                 lambda: derivatives()[0], hessian,

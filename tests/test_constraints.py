@@ -329,8 +329,8 @@ class TestStateResidualDerivatives:
             start, options = [(0, {}), (1, {"margin": 0.15,
                                             "separation_scale": 100.0})][
                 trial % 2]
-            rows, add = cons.state_residuals(horizon, start, tracks, SPEC,
-                                             **options)
+            rows, derivatives = cons.state_residuals(horizon, start,
+                                                     tracks, SPEC, **options)
             assert rows.shape == (n + 1 - start, 27)
             for k in range(len(rows)):
                 fd = np.stack([(cons.state_residuals(
@@ -342,19 +342,18 @@ class TestStateResidualDerivatives:
                 for column in range(rows.shape[1]):
                     unit = np.zeros_like(rows)
                     unit[k, column] = 1.0
-                    grads = obj.HorizonGradients(horizon.rotations)
-                    add(grads, unit, unit)
-                    d = grads.gradient[start + k]
+                    gradient, stage = obj.contract_rows(
+                        derivatives(unit, unit), len(rows))
+                    d = gradient[k]
                     assert np.abs(d).max() > 0.0, column
                     assert np.allclose(d, fd[column], rtol=1e-5,
                                        atol=1e-6), column
-                    # the curvature takes the same derivative, and no other
-                    # state moves
-                    assert np.array_equal(grads.curvature[start + k],
-                                          np.outer(d, d)), column
-                    others = np.arange(n + 1) != start + k
-                    assert not grads.gradient[others].any(), column
-                    assert not grads.curvature[others].any(), column
+                    # the stage block takes the same derivative, and no
+                    # other state moves
+                    assert np.array_equal(stage[k], np.outer(d, d)), column
+                    others = np.arange(len(rows)) != k
+                    assert not gradient[others].any(), column
+                    assert not stage[others].any(), column
 
 
 def test_rpy_derivative_matches_central_differences():

@@ -10,6 +10,7 @@ from cinedrone import objectives as obj
 from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
                                   rollout, rotation_from_rpy)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
+from gradient_oracle import HorizonGradients
 from test_kinematics import input_sensitivities
 
 SPEC = CameraSensorSpec.from_sensor_size(960, 540, 23.76, 13.365, 480, 270)
@@ -24,20 +25,22 @@ def make_rig(p=(0, 0, 0), rpy=(0, 0, 0), f=35.0, focus=10.0, a=1.2):
 
 def stacked_cost(horizon, preds, spec, instr, smooth=False,
                  with_grads=False):
-    """The cost breakdown of a horizon and, with ``with_grads``, its
-    stacked gradients, through the planner's evaluation; ``smooth`` rounds
-    the rotation norm's kink off, as the descent does."""
-    breakdown, gradients = obj.evaluate_horizon_stacked(
+    """The cost breakdown of a horizon and, with ``with_grads``, the
+    per-state gradients and stage blocks of its states 1..N, through the
+    planner's evaluation; ``smooth`` rounds the rotation norm's kink off,
+    as the descent does."""
+    breakdown, rows = obj.evaluate_horizon_stacked(
         horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr,
         smooth=smooth)
-    return breakdown, gradients() if with_grads else None
+    return breakdown, (obj.contract_rows(rows(), len(horizon) - 1)
+                       if with_grads else None)
 
 
 def input_gradient(grads, horizon, dt):
-    """The gradient per input of a rollout's stacked state gradients, as
-    the planner chains it through the dynamics."""
+    """The gradient per input of a rollout's state gradients, as the
+    planner chains it through the dynamics."""
     return obj.chain_through_dynamics(
-        grads, input_sensitivities(horizon, dt)[1:])
+        grads[0], input_sensitivities(horizon, dt)[1:])
 
 
 def rig_terms(rig, preds, instr):
@@ -320,7 +323,7 @@ class TestHorizon:
 def body_outer_matmul(rel, g_q):
     """The rotation terms as computed before :func:`obj.body_outer`: the
     oracle of their bits."""
-    return np.einsum("tki,tkj->tkij", rel, g_q) @ BODY_TO_CAMERA.T
+    return np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T
 
 
 def hat(w):
@@ -329,13 +332,13 @@ def hat(w):
 
 
 def test_horizon_gradients_add_builds_one_row_per_residual():
-    # d's rotation entries are <G, R hat(e_i)>, the derivative of a
-    # function with matrix gradient G under R exp(d^)
+    # the oracle's accumulator; d's rotation entries are <G, R hat(e_i)>,
+    # the derivative of a function with matrix gradient G under R exp(d^)
     rng = np.random.default_rng(4)
     n = 5
     rotations = np.stack([rotation_from_rpy(*rng.uniform(-1.0, 1.0, 3))
                           for _ in range(n)])
-    grads = obj.HorizonGradients(rotations)
+    grads = HorizonGradients(rotations)
     want_gradient, want_curvature = np.zeros((n, 12)), np.zeros((n, 12, 12))
     states = slice(1, None)
     residuals = [
@@ -394,10 +397,9 @@ class TestGradient:
                                         smooth=True, with_grads=True)
                 results.append(grads)
             got, want = results
-            for name in ("gradient", "curvature"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert np.array_equal(a, b), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            for a, b in zip(got, want):  # the gradients, the stage blocks
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
             # the two forms differ at most in the signs of zeros
             rel = rng.standard_normal((2, 4, 3))
             g_q = rng.standard_normal((2, 4, 3))

@@ -114,11 +114,9 @@ def test_ratio_spread_judged_on_dolly_zoom_only():
                            {})[1]
 
 
-@pytest.mark.parametrize("delta, status", [(0.0, 0), (1.0, 1)])
-def test_exit_status_after_out_is_written(tmp_path, monkeypatch, delta,
-                                          status):
-    parent = report()
-    change = shifted(parent, "steady_state_pixel_error", delta)
+def main_against(tmp_path, monkeypatch, parent, change):
+    """The exit status of ``tools/quality.py --against`` a written
+    ``parent``, its own run replaced by ``change``, and what it wrote."""
     against = tmp_path / "parent.json"
     against.write_text(json.dumps(parent))
     config = types.SimpleNamespace(
@@ -128,9 +126,66 @@ def test_exit_status_after_out_is_written(tmp_path, monkeypatch, delta,
                         lambda config, seeds: change["shot"])
     out = tmp_path / "out.json"
     try:
-        assert quality.main(["--scenario", "shot", "--against",
-                             str(against), "--out", str(out)]) == status
+        status = quality.main(["--scenario", "shot", "--against",
+                               str(against), "--out", str(out)])
     finally:
         logging.disable(logging.NOTSET)  # main silences the loop's warnings
-    written = json.loads(out.read_text())
-    assert written["parent"] == parent and written["change"] == change
+    return status, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("delta, status", [(0.0, 0), (1.0, 1)])
+def test_exit_status_after_out_is_written(tmp_path, monkeypatch, delta,
+                                          status):
+    parent = report()
+    change = shifted(parent, "steady_state_pixel_error", delta)
+    assert main_against(tmp_path, monkeypatch, parent, change) == (
+        status, {"about": "tools/quality.py --seeds 16 --against "
+                 "parent.json", "parent": parent, "change": change})
+
+
+def errored(base, seeds=range(SEEDS)):
+    """``base`` with the runs of ``seeds`` ended by an exception, as
+    ``scenario_quality`` records them."""
+    out = copy.deepcopy(base)
+    for seed in seeds:
+        out["shot"]["per_seed"][seed] = {
+            "seed": seed, "status": "error: RuntimeError",
+            "mean_evals": float("nan")}
+    return out
+
+
+def test_one_errored_seed_counts_as_worse_on_each_figure():
+    parent = report()
+    lines, loss = judge(parent, errored(parent, [3]))
+    assert not loss
+    judged = [line for line in lines if " per seed" in line]
+    # plan_feasible, converged and the three shot metrics
+    assert len(judged) == 5
+    for line in judged:
+        assert "0 better, 1 worse, 15 tied of 16" in line, line
+
+
+def test_sixteen_errored_seeds_lose(tmp_path, monkeypatch):
+    parent = report()
+    change = errored(parent)
+    lines, loss = judge(parent, change)
+    assert loss
+    assert len([line for line in lines if "LOSS" in line]) == 5
+    assert main_against(tmp_path, monkeypatch, parent, change)[0] == 1
+
+
+def test_identical_halves_pass(tmp_path, monkeypatch):
+    parent = report()
+    lines, loss = judge(parent, copy.deepcopy(parent))
+    assert not loss
+    assert not any("LOSS" in line for line in lines)
+    assert main_against(tmp_path, monkeypatch, parent,
+                        copy.deepcopy(parent))[0] == 0
+
+
+def test_a_seed_errored_in_both_is_not_judged():
+    parent = errored(report(), [0])
+    lines, _ = judge(parent, copy.deepcopy(parent))
+    line, = [line for line in lines
+             if line.startswith("  plan_feasible per seed")]
+    assert "0 better, 0 worse, 15 tied of 15" in line

@@ -331,25 +331,27 @@ def side_by_side_problem():
 
 
 class EveryGroup(np.ndarray):
-    """Weights whose every group reads as nonzero, so that the rows' adder
-    adds each group, its slopes zero or not."""
+    """Weights whose every group reads as nonzero, so that the rows'
+    derivatives hold each group, its slopes zero or not."""
 
-    def any(self, *args, **kwargs):
-        return True
+    def any(self, axis=None, **kwargs):
+        if axis is None:
+            return True
+        return np.ones(np.delete(self.shape, axis), bool)
 
 
-def penalty_always_accumulating(model, horizon, grads, lam, rho):
-    """The derivatives of ``_PenaltyModel.penalty`` with every group added,
-    its slopes zero or not: the oracle of its bits."""
-    rows, add = cons.state_residuals(
+def penalty_every_group(model, horizon, lam, rho):
+    """``_PenaltyModel.penalty`` with the rows of every group, its slopes
+    zero or not: the oracle of its bits."""
+    rows, derivatives = cons.state_residuals(
         horizon, 1, model.tracks, model.spec, margin=model.margin,
         separation_scale=sol._SEPARATION_SCALE)
     g_flat = rows.ravel()
     slack = np.maximum(0.0, lam - rho * g_flat)
     value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
     slopes = slack.reshape(rows.shape)
-    add(grads, -slopes, (rho * (slopes > 0.0)).view(EveryGroup))
-    return value, g_flat
+    return value, g_flat, lambda: derivatives(
+        -slopes, (rho * (slopes > 0.0)).view(EveryGroup))
 
 
 #: Penalty columns per state of side_by_side_problem, by skipped group.
@@ -458,12 +460,12 @@ class TestStackedHorizon:
         body_outer = cons.body_outer
         monkeypatch.setattr(cons, "body_outer", lambda *args: (
             builds.append(None), body_outer(*args))[1])
-        rows, add = cons.state_residuals(horizon, 0, model.tracks, SPEC)
+        rows, derivatives = cons.state_residuals(horizon, 0, model.tracks,
+                                                 SPEC)
         before = rows.copy()
-        grads = obj.HorizonGradients(horizon.rotations)
-        add(grads, np.zeros_like(rows), np.zeros_like(rows))
+        assert derivatives(np.zeros_like(rows), np.zeros_like(rows)) == []
         assert builds == []
-        add(grads, np.ones_like(rows), np.ones_like(rows))
+        derivatives(np.ones_like(rows), np.ones_like(rows))
         assert len(builds) == 1
         assert np.array_equal(rows, before)
         assert np.array_equal(report[18 * n:], rows.ravel())
@@ -497,29 +499,23 @@ class TestStackedHorizon:
             lam[:, columns] = rng.uniform(0.5, 1.5, (n, len(columns)))
             lam = lam.ravel()
             lam += np.where(lam > 0.0, rho * g_flat, 0.0)
-            def skipping(horizon, grads, lam, rho):
-                value, g_flat, add_gradients = model.penalty(horizon, lam,
-                                                             rho)
-                add_gradients(grads)
-                return value, g_flat
             results = []
-            for penalty in (skipping,
-                            lambda *args: penalty_always_accumulating(
-                                model, *args)):
-                grads = obj.evaluate_horizon_stacked(
-                    horizon, tracks, SPEC, instr, smooth=True)[1]()
-                value, g_flat = penalty(horizon, grads, lam, rho)
-                results.append((value, g_flat, grads))
+            for penalty in (model.penalty,
+                            lambda *args: penalty_every_group(model, *args)):
+                cost_rows = obj.evaluate_horizon_stacked(
+                    horizon, tracks, SPEC, instr, smooth=True)[1]
+                value, g_flat, rows = penalty(horizon, lam, rho)
+                results.append((value, g_flat, obj.contract_rows(
+                    cost_rows() + rows(), n)))
             (value, g_flat, got), (want_value, want_g, want) = results
             assert g_flat.min() > 0.0
             slopes = np.maximum(0.0, lam - rho * g_flat)
             assert np.array_equal(slopes != 0.0, lam != 0.0)
             assert value == want_value
             assert np.array_equal(g_flat, want_g)
-            for name in ("gradient", "curvature"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert np.array_equal(a, b), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            for a, b in zip(got, want):  # the gradients, the stage blocks
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_zero_slopes_skip_the_rotation_box(self, monkeypatch):
         rig, preds, sizes, instr, cset = side_by_side_problem()
@@ -531,13 +527,12 @@ class TestStackedHorizon:
             axes.append(axis), rpy_derivative(rotations, axis))[1])
         horizon = rollout(rig, np.zeros((5, 9)), 0.2)
         lam = np.zeros(model.size)
-        grads = obj.HorizonGradients(horizon.rotations)
-        model.penalty(horizon, lam, 0.5)[2](grads)
+        model.penalty(horizon, lam, 0.5)[2]()
         assert axes == []
         # a roll low row and a yaw high row active: no pitch row is built
         lam.reshape(5, -1)[:, 6] = 1.0
         lam.reshape(5, -1)[:, 20] = 1.0
-        model.penalty(horizon, lam, 0.5)[2](grads)
+        model.penalty(horizon, lam, 0.5)[2]()
         assert axes == [0, 2]
 
 

@@ -18,8 +18,11 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   ``OcclusionRecord(left_id=..., right_id=..., active=np.True_)``;
 - the number of solves, augmented-Lagrangian rounds (calls of
   ``scipy.optimize.minimize``), value passes (calls of the merit handed to
-  the descent), gradient and Hessian builds (calls of the builders each
-  value pass returns), and cost evaluations
+  the descent), gradient and Hessian builds (calls of the two builders
+  each value pass returns; the first of them called at a point gathers
+  that point's derivative rows, contracts them once with
+  ``objectives.contract_rows`` and builds the sensitivities, and the other
+  reuses them), and cost evaluations
   (``objectives.evaluate_horizon_stacked`` calls: one per value pass, and
   the plan's reported cost and rows come from a round's last pass, with no
   pass of their own);

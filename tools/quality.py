@@ -34,7 +34,10 @@ seed by seed, and writes ``{"parent", "change"}`` to ``--out``:
     python3 tools/quality.py --against QUALITY_22.json --out QUALITY_23.json
 
 Each judged figure is compared on the seeds both reports ran, as paired
-better/worse/tied counts with their two-sided sign-test p-value:
+better/worse/tied counts with their two-sided sign-test p-value.  A seed
+that completed in the parent and not in the change (an error, or a run
+the loop ended early) counts as worse on every judged figure of its
+scenario:
 
 - ``plan_feasible`` and ``converged`` (higher is better): LOSS when more
   seeds are worse than better at p < 0.1;
@@ -223,13 +226,24 @@ def _shot_spec(scenario: str, metric: str):
     return spec
 
 
-def _paired(old: dict, new: dict, read) -> list[tuple[float, float]]:
+def _paired(old: dict, new: dict, read,
+            ) -> tuple[list[tuple[float, float]], int]:
     """(parent, change) values of ``read(entry)`` on the seeds both
-    reports ran, where both are known."""
+    reports ran, where both are known, and the number of those seeds that
+    completed in the parent and not in the change: each counts as
+    worse, whatever its figures."""
     seeds = {entry["seed"]: entry for entry in old["per_seed"]}
-    pairs = [(read(seeds[entry["seed"]]), read(entry))
-             for entry in new["per_seed"] if entry["seed"] in seeds]
-    return [pair for pair in pairs if None not in pair]
+    pairs, broken = [], 0
+    for entry in new["per_seed"]:
+        parent = seeds.get(entry["seed"])
+        if parent is None:
+            continue
+        if (parent["status"] == "completed"
+                and entry["status"] != "completed"):
+            broken += 1
+        elif None not in (pair := (read(parent), read(entry))):
+            pairs.append(pair)
+    return pairs, broken
 
 
 def _score(entry: dict, metric: str, direction: str,
@@ -257,16 +271,17 @@ def shot_tests(scenario: str, old: dict, new: dict,
         if spec is None:
             continue
         direction, resolution, _ = spec
-        pairs = _paired(old, new, partial(
+        pairs, broken = _paired(old, new, partial(
             _score, metric=metric, direction=direction,
             safety_distance=safety_distance))
-        if not pairs:
+        if not pairs and not broken:
             continue
         better = sum(after < before - resolution for before, after in pairs)
-        worse = sum(after > before + resolution for before, after in pairs)
+        worse = broken + sum(after > before + resolution
+                             for before, after in pairs)
         tests.append({"metric": metric, "direction": direction,
                       "resolution": resolution, "better": better,
-                      "worse": worse, "n": len(pairs),
+                      "worse": worse, "n": len(pairs) + broken,
                       "p": sign_test(better, worse)})
     return tests
 
@@ -300,20 +315,22 @@ def compare(parent: dict, change: dict,
                     for key in sorted(set(old["summary_metrics"])
                                       | set(new["summary_metrics"]))]
         for key, before, after in figures:
+            before, after = strict(before), strict(after)
             lines.append(f"  {key}: {before:.6g} -> {after:.6g}"
                          if before is not None and after is not None
                          else f"  {key}: {before} -> {after}")
         for key in ("plan_feasible", "converged"):
-            pairs = _paired(old, new, lambda entry, key=key: entry.get(key))
+            pairs, broken = _paired(old, new,
+                                    lambda entry, key=key: entry.get(key))
             better = sum(after > before for before, after in pairs)
-            worse = sum(after < before for before, after in pairs)
+            worse = broken + sum(after < before for before, after in pairs)
+            n = len(pairs) + broken
             p = sign_test(better, worse)
             lost = worse > better and p < 0.1
             loss |= lost
             lines.append(f"  {key} per seed: {better} better, {worse} worse, "
-                         f"{len(pairs) - better - worse} tied of "
-                         f"{len(pairs)}; sign test p = {p:.3g}"
-                         + ("  LOSS" if lost else ""))
+                         f"{n - better - worse} tied of {n}; sign test p = "
+                         f"{p:.3g}" + ("  LOSS" if lost else ""))
         for test in tests[name]:
             loss |= test["loss"]
             lines.append(
