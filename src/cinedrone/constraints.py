@@ -78,6 +78,8 @@ class ConstraintSet:
             object.__setattr__(self, name + "_high", high)
         if self.safety_distance < 0.0:
             raise ValueError("safety_distance must be >= 0")
+        if np.any(self.intr_low <= 0.0):
+            raise ValueError("intr lower bound must be positive")
 
     @property
     def input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,14 +292,6 @@ class ConstraintTracks:
                 + len(self.separations))
 
 
-#: State entries whose box rows are linear in the state (position,
-#: velocity and lens), and their unit derivative rows.
-_LINEAR_ROWS = np.r_[0:6, 9:12]
-_LINEAR_UNITS = np.eye(12)[_LINEAR_ROWS, None]
-_LINEAR_ROWS.setflags(write=False)
-_LINEAR_UNITS.setflags(write=False)
-
-
 def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
     """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction
     :func:`kinematics.euler_angles`: (n, 3, 3); bounds keep pitch off
@@ -331,7 +325,9 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     slope and weight (both shaped as the rows).  A box entry's ``x - lo``
     and ``hi - x`` share one row, of slope ``s_lo - s_hi`` and weight
     ``w_lo + w_hi``.  A group whose weights are all zero gives no rows, its
-    derivatives never built: the caller's slopes are zero there too.
+    derivatives never built: the caller's slopes are zero there too.  The
+    position, velocity and lens box entries give no rows at all: the
+    planner holds them in its model step, not in its penalty.
     """
     positions = horizon.positions[start:]
     rows = np.empty((len(positions), tracks.width))
@@ -350,19 +346,13 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     def derivatives(slopes: np.ndarray, weights: np.ndarray) -> list[Rows]:
         rotations = horizon.rotations[start:]
         slopes, weights = slopes.T, weights.T  # entries by states
-        half = n_box // 2
-        box = slopes[:half] - slopes[half:n_box]
-        box_weights = weights[:half] + weights[half:n_box]
+        # roll, pitch and yaw: x - lo at entries 6..8, hi - x at 18..20
+        rpy = slopes[6:9] - slopes[18:21], weights[6:9] + weights[18:21]
         blocks = []
-        linear = _LINEAR_ROWS
-        if box_weights[linear].any():
-            blocks.append((np.broadcast_to(_LINEAR_UNITS,
-                                           (len(linear), len(rotations), 12)),
-                           box[linear], box_weights[linear]))
-        axes = [axis for axis in range(3) if box_weights[6 + axis].any()]
+        axes = [axis for axis in range(3) if rpy[1][axis].any()]
         if axes:
             blocks.append(derivative_rows(
-                box[6:9][axes], box_weights[6:9][axes],
+                rpy[0][axes], rpy[1][axes],
                 tangent=tangent_gradients(rotations, np.stack([
                     _rpy_derivative(rotations, axis) for axis in axes]))))
         near = weights[n_box:n_coll].any(axis=1)

@@ -2,12 +2,14 @@
 
 Each call minimizes the horizon cost over the stacked drone + lens input
 sequence subject to the rig dynamics and the feasibility inequalities.
-Inputs are normalized to [-1, 1] by their bounds and held in that box by a
-box-constrained Levenberg-Marquardt descent (:func:`box_gauss_newton`),
-whose Gauss-Newton model Hessian sums the stage blocks of the merit over
-the forward sensitivities of the rollout; state, collision and occlusion
+Inputs are normalized to [-1, 1] by their bounds.  A Levenberg-Marquardt
+descent (:func:`box_gauss_newton`) holds that box and the state-box rows
+that are linear in the inputs (position, velocity and lens) in every
+model step, a quadratic program; its Gauss-Newton model Hessian sums the
+stage blocks of the merit over the forward sensitivities of the rollout.
+The roll, pitch and yaw bounds and the collision and occlusion
 inequalities enter through an augmented-Lagrangian penalty whose
-multipliers are updated between descent rounds and carried, shifted one
+multipliers are updated once per descent round and carried, shifted one
 state, into the next solve.  Everything is deterministic for identical
 arguments.
 """
@@ -28,11 +30,12 @@ from . import kinematics as kin
 from . import objectives as obj
 from .optics import CameraSensorSpec
 
-#: Lens values (focal mm, focus m, aperture) may never reach zero; the
-#: rolled-out lens states of a candidate are clamped here and the shortfall
-#: is penalized back toward the real bounds.
-_DOMAIN_FLOOR = 1e-3
-_DOMAIN_GAIN = 1e6
+#: Price per unit of the elastic variable of a start that leaves the linear
+#: rows no feasible value: large, so that it finds the least violation.
+_ELASTIC = 1e6
+#: State entries whose box rows are linear in the inputs: position,
+#: velocity and lens state.
+_LINEAR_STATE = np.r_[0:6, 9:12]
 #: Ridge added to the model Hessian, relative to its largest diagonal
 #: entry, so that its Cholesky factorization exists.
 _DAMPING = 1e-10
@@ -54,6 +57,9 @@ CONVERGENCE_TOL = 1e-5
 #: Factor by which a round that does not end the solve stiffens the
 #: penalty, and by which a warm-started solve relaxes it.
 PENALTY_GROWTH = 10.0
+#: A plan carries no multiplier of a state-box entry it holds by more than
+#: this share of the entry's box width.
+HELD_SHARE = 0.01
 
 
 @dataclass
@@ -134,6 +140,10 @@ class _PenaltyModel:
         self.size = n_steps * self.tracks.width
         #: first collision column of a row
         self.n_box = 2 * len(self.tracks.bounds[0])
+        #: the entries of g_flat the model step holds, with no multiplier
+        self.linear = np.tile(np.isin(np.arange(self.tracks.width) % 12,
+                                      _LINEAR_STATE)
+                              & (np.arange(self.tracks.width) < 24), n_steps)
 
     def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
                 ) -> tuple[float, np.ndarray, obj.TermRows]:
@@ -148,11 +158,15 @@ class _PenaltyModel:
         g_flat = rows.ravel()
         # augmented-Lagrangian term for inequalities g >= 0; its slope
         # w.r.t. g is -slack
-        slack = np.maximum(0.0, lam - rho * g_flat)
+        slack = self.update(lam, rho, g_flat)
         value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
         slopes = slack.reshape(rows.shape)
         return value, g_flat, lambda: derivatives(-slopes,
                                                   rho * (slopes > 0.0))
+
+    def update(self, lam, rho: float, g_flat: np.ndarray) -> np.ndarray:
+        """``max(0, lam - rho g)``, 0 on the linear entries."""
+        return np.where(self.linear, 0.0, np.maximum(0.0, lam - rho * g_flat))
 
     def feasible_with_margin(self, g_flat: np.ndarray) -> bool:
         """Whether the penalized rows ``g_flat`` of states 1..N hold every
@@ -166,45 +180,58 @@ class _PenaltyModel:
                                >= -EARLY_EXIT_MARGIN_SHARE * self.margin))
 
 
-def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
+def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
                      gtol: float = 1e-5, ftol: float = 1e-7,
                      **unused) -> scipy.optimize.OptimizeResult:
-    """Box-constrained Levenberg-Marquardt descent over ``bounds``, a
-    ``(low, high)`` pair, in the calling convention of a
-    ``scipy.optimize.minimize`` method.
+    """Levenberg-Marquardt descent over the box ``bounds``, a ``(low,
+    high)`` pair, and the rows ``a @ x <= b`` of ``constraints = (a, b)``,
+    in the calling convention of a ``scipy.optimize.minimize`` method.
 
     ``fun(x)`` returns the value at ``x``, zero-argument builders of the
     gradient ``g`` and of a positive semidefinite Gauss-Newton matrix
     ``H`` there, and a record of ``x`` that the result hands back as
-    ``point``.  Each iteration minimizes the damped model
-    ``g s + s (H + mu I) s / 2`` over the box alone (:func:`_model_step`)
-    and evaluates the step once.  ``mu`` starts at 0, the full box step,
-    and follows the ratio of actual to predicted decrease by Nielsen's rule
-    (Moré, 1978; Nielsen, IMM-REP-1999-05); a trial with a non-finite value
-    is rejected.
+    ``point``.  From :func:`_project`'s point of ``x0``, each iteration
+    minimizes the damped model ``g s + s (H + mu I) s / 2`` over the box
+    and the rows (:func:`_model_step`), so every trial holds them, and
+    evaluates the step once; ``mu`` starts at 0 and follows the ratio of
+    actual to predicted decrease by Nielsen's rule (Moré, 1978; Nielsen,
+    IMM-REP-1999-05), a non-finite trial rejected.  Stops with status 0
+    when the projected gradient (the model step with ``H = I``) is
+    ``<= gtol`` in every entry or an accepted step lowers the value by
+    ``<= ftol`` of its size (both L-BFGS-B's tests) or the first step
+    from ``x`` foresees a decrease below the value's rounding, 1 after
+    ``maxiter`` trial steps, and 2 when the model step fails or no longer
+    moves ``x``.
 
-    Stops with status 0 when the projected gradient's largest entry is
-    ``<= gtol`` or an accepted step lowers the value by ``<= ftol`` of its
-    size (both L-BFGS-B's tests), 1 after ``maxiter`` trial steps, and 2
-    when the damped step no longer moves ``x``.
-
-    A trial needs only its value: a point's gradient is built only once
-    the descent goes on from it (the start, or an accepted trial past the
-    ``ftol`` test), and its Hessian only once a step is to be taken from it
-    (past the ``gtol`` and ``maxiter`` tests).  The result's ``jac`` is
-    None where the descent stopped without the gradient at ``x``.
+    A point's gradient is built only once the descent goes on from it (the
+    start, or an accepted trial past the ``ftol`` test), and its Hessian
+    only once a step is to be taken from it; the result's ``jac`` is None
+    where the descent stopped without the gradient at ``x``.
     """
-    low, high = bounds
-    x = np.asarray(x0, float).clip(low, high)
+    (a, b), (low, high) = constraints, bounds
+    x, b = _project(np.asarray(x0, float).clip(low, high), low, high, a, b)
     f, gradient, hessian, point = fun(x)
     g = h = None  # at x, each built when the descent first needs it
+    held = active = ()  # the last active sets, where the next QPs start
     nit, status = 0, 2
     mu, growth = 0.0, 2.0
     eye = np.eye(len(x))
+    normals = np.concatenate([eye, -eye, a])
+    unread = ~a.any(axis=0)
     while math.isfinite(f):
         if g is None:
             g = gradient()
-        if np.abs((x - g).clip(low, high) - x).max() <= gtol:
+        levels = np.concatenate([high - x, x - low, b - a @ x])
+        # the box's projected gradient is the QP's where it holds the rows,
+        # and on each variable that no row reads
+        steepest = (-g).clip(low - x, high - x)
+        try:
+            if (np.abs(steepest[unread]).max(initial=0.0) <= gtol
+                    and np.any(a @ steepest > levels[2 * len(x):])):
+                steepest, held = _model_step(eye, g, normals, levels, held)
+        except np.linalg.LinAlgError:
+            break
+        if np.abs(steepest).max() <= gtol:
             status = 0
             break
         if nit >= maxiter:
@@ -215,15 +242,22 @@ def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
         nit += 1
         diagonal = max(float(h.diagonal().max()), 1e-300)
         try:
-            step = _model_step(h + (_DAMPING * diagonal + mu) * eye, g,
-                               low - x, high - x)
-        except np.linalg.LinAlgError:  # a model too ill-posed to factor
+            step, active = _model_step(
+                h + (_DAMPING * diagonal + mu) * eye, g, normals, levels,
+                active)
+        except np.linalg.LinAlgError:  # a model too ill-posed to solve
             break
         trial = (x + step).clip(low, high)
         step = trial - x
         if not step.any():
             break  # damped below round-off
         predicted = -(g @ step + 0.5 * step @ (h @ step))
+        # the model's own step from x (no trial from x rejected yet, so
+        # growth is 2) foresees a decrease below the value's rounding
+        if (growth == 2.0 and predicted
+                <= 4.0 * np.finfo(float).eps * max(abs(f), 1.0)):
+            status = 0
+            break
         passed = fun(trial)
         f_trial = passed[0]
         ratio = (f - f_trial) / predicted if predicted > 0.0 else -1.0
@@ -246,77 +280,130 @@ def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
                                       "damped step no longer moves x")[status])
 
 
-def _model_step(h: np.ndarray, g: np.ndarray, lower: np.ndarray,
-                upper: np.ndarray) -> np.ndarray:
-    """Minimizer of ``g s + s h s / 2`` over ``lower <= s <= upper``
-    (``lower <= 0 <= upper``, ``h`` positive definite), by projected
-    Newton steps (Bertsekas, 1982).  A variable at a bound whose gradient
-    points out of the box is held there; where the Newton step makes no
-    progress, a projected-gradient step does."""
-    s, value = np.zeros_like(g), 0.0
-    tol = 1e-10 * float(np.abs(g).max())
-    for _ in range(2 * len(g)):
-        grad = g + h @ s
-        at_lower, at_upper = s <= lower, s >= upper
-        held = (at_lower & (grad > 0.0)) | (at_upper & (grad < 0.0))
-        if np.abs(grad[~held]).max(initial=0.0) <= tol:
-            break
-        for direction in (_newton_direction(h, grad, held, at_lower,
-                                            at_upper),
-                          np.where(held, 0.0, -grad)):
-            trial, trial_value = _search(h, g, s, value, grad, direction,
-                                         lower, upper)
-            if trial_value < value:
-                break
-        else:
-            break
-        s, value = trial, trial_value
-    return s
+def _project(x, low, high, a, b):
+    """The point of the box nearest ``x`` (in it) that holds ``a @ x <=
+    b``, and ``b``; where the box holds no such point, ``b`` raised by the
+    least uniform violation, one elastic variable ``t >= 0`` priced at
+    :data:`_ELASTIC` (Kerrigan and Maciejowski, CDC 2000)."""
+    if not np.any(a @ x > b):
+        return x, b
+    eye = np.eye(len(x))
+    try:
+        step = _model_step(eye, np.zeros(len(x)), np.concatenate(
+            [eye, -eye, a]), np.concatenate([high - x, x - low, b - a @ x]))
+        return (x + step[0]).clip(low, high), b
+    except np.linalg.LinAlgError:
+        pass  # no point of the box holds the rows: relax them
+    eye = np.eye(len(x) + 1)
+    try:
+        step = _model_step(eye, np.r_[np.zeros(len(x)), _ELASTIC],
+                           np.concatenate([eye, -eye, np.column_stack(
+                               [a, -np.ones(len(b))])]), np.concatenate(
+                               [high - x, [np.inf], x - low, [0.0],
+                                b - a @ x]))[0]
+        x = (x + step[:-1]).clip(low, high)
+    except np.linalg.LinAlgError:
+        pass  # x stays, the rows relaxed to its own violation
+    return x, b + max(0.0, float((a @ x - b).max()))
 
 
-def _newton_direction(h, grad, held, at_lower, at_upper) -> np.ndarray:
-    """Newton direction over the variables not ``held``, holding as well
-    every variable at a bound whose Newton component points out of the
-    box; zero when none is left."""
-    direction = np.zeros_like(grad)
-    held = held.copy()
-    while not held.all():
-        free = ~held
-        # Cholesky factorization and solve in one LAPACK call, on h itself
-        # while no variable is held
-        system = (h[free][:, free], grad[free]) if held.any() else (h, grad)
-        _, step, info = scipy.linalg.lapack.dposv(*system)
+def _model_step(h, g, normals, levels, start=()):
+    """Minimizer of ``g s + s h s / 2`` over ``normals @ s <= levels``,
+    whose first 2n rows are the box (``I``, then ``-I``), and the rows it
+    holds: Goldfarb and Idnani's dual active-set method (1983), started
+    from the held rows ``start`` less those of negative multiplier.  A
+    held bound is met exactly, a row to rounding.  Raises
+    ``np.linalg.LinAlgError`` where ``h`` does not factor, the rows hold
+    no point, or the held set cycles."""
+    n, lapack = len(g), scipy.linalg.lapack
+    factor, info = lapack.dpotrf(h, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("model not positive definite")
+    inverse = lapack.dtrtri(factor, lower=1)[0]  # L^-1 of h = L L^T
+
+    def face(q):
+        # per column of q, the minimizer of q s + s h s / 2 with the held
+        # rows at their levels (the first column) or at 0, and the rows'
+        # multipliers, from the Schur complement y^T y, y = L^-1 rows^T
+        w = inverse @ q
+        if not active:
+            return -inverse.T @ w, np.zeros((0, q.shape[1]))
+        held, y = normals[active], inverse @ normals[active].T
+        targets = np.zeros((len(active), q.shape[1]))
+        targets[:, 0] = levels[active]
+        schur, info = lapack.dpotrf(y.T @ y, lower=1)
         if info:
-            raise np.linalg.LinAlgError("model not positive definite")
-        direction[:] = 0.0
-        direction[free] = -step
-        outward = (at_lower & (direction < 0.0)) | (at_upper
-                                                    & (direction > 0.0))
-        if not outward.any():
-            return direction
-        held |= outward
-    return np.zeros_like(grad)
+            raise np.linalg.LinAlgError("held rows dependent")
+        multipliers = lapack.dpotrs(schur, -targets - y.T @ w, lower=1)[0]
+        s = -inverse.T @ (w + y @ multipliers)
+        # w + y multipliers cancels to rounding of its largest entries:
+        # one correction puts the held rows back on their targets
+        miss = lapack.dpotrs(schur, held @ s - targets, lower=1)[0]
+        return s - inverse.T @ (y @ miss), multipliers
+    active, letting = list(start), [True]
+    while any(letting):
+        s, multipliers = face(g[:, None])
+        letting = multipliers[:, 0] < 0.0
+        active = [k for k, gone in zip(active, letting) if not gone]
+    s = s[:, 0]
+    for _ in range(4 * len(levels)):
+        excess = normals @ s - levels
+        excess[active] = 0.0
+        k = int(excess.argmax())
+        if not excess[k] > 1e-12:
+            bounds = np.array([k for k in active if k < 2 * n], int)
+            s[bounds % n] = np.where(bounds < n, 1.0, -1.0) * levels[bounds]
+            return s, active
+        weight = 0.0  # the multiplier of row k, as row k is taken on
+        while True:
+            both, multipliers = face(np.column_stack(
+                [g + weight * normals[k], normals[k]]))
+            s, ds = both.T
+            values, rates = multipliers.T
+            falling = rates < 0.0
+            # the growth of the weight at which each held row's multiplier
+            # reaches 0, then row k's own (full) where it is met
+            reach = np.append(np.where(falling, values.clip(0.0), np.inf)
+                              / np.where(falling, -rates, 1.0), np.inf)
+            drop = int(reach.argmin())
+            gain = -float(normals[k] @ ds)
+            full = np.inf
+            if gain > 1e-14 * float(normals[k] @ normals[k]):
+                full = (float(normals[k] @ s) - levels[k]) / gain
+            if reach[drop] == full == np.inf:
+                raise np.linalg.LinAlgError("the rows hold no point")
+            if full <= reach[drop]:
+                s = s + full * ds
+                active.append(k)
+                break
+            weight += reach[drop]
+            del active[drop]
+    raise np.linalg.LinAlgError("active set cycles")
 
 
-def _search(h, g, s, value, grad, direction, lower, upper):
-    """The projected step ``clip(s + direction)`` if it lowers the model by
-    an Armijo share of its slope; else the step along ``direction`` to the
-    first bound it meets or the model's minimum on the line, whichever
-    comes first.  Returns the point and its model value."""
-    trial = (s + direction).clip(lower, upper)
-    trial_value = g @ trial + 0.5 * trial @ (h @ trial)
-    if trial_value <= value + 1e-4 * grad @ (trial - s):
-        return trial, trial_value
-    room = np.full_like(s, np.inf)
-    up, down = direction > 0.0, direction < 0.0
-    room[up] = (upper[up] - s[up]) / direction[up]
-    room[down] = (lower[down] - s[down]) / direction[down]
-    t = min(float(room.min()), -(grad @ direction) / (
-        direction @ (h @ direction)))
-    # blocking entries go onto their bound, which s + t d can miss by an ulp
-    trial = np.where(room <= t, np.where(up, upper, lower),
-                     (s + t * direction).clip(lower, upper))
-    return trial, g @ trial + 0.5 * trial @ (h @ trial)
+def _linear_rows(initial: kin.CameraRig, inputs: np.ndarray,
+                 sens: np.ndarray, dt: float, bounds):
+    """The state-box rows linear in the scaled inputs ``z``, as ``(a, b)``
+    holding ``a @ z <= b``, each scaled by its box width: the positions of
+    states 2..N (state 1's is the start's alone) and the velocities and
+    lens states of states 1..N, from the inputs at ``z = 0`` and the
+    states' sensitivities ``sens`` (N, 12, N, 9) to ``z``."""
+    n, drone = len(sens), initial.drone
+    # the states at z = 0: the start's, drifting, plus the inputs' share
+    share = kin.linear_sensitivities(n, dt)[1:, _LINEAR_STATE].reshape(
+        9 * n, -1) @ inputs.ravel()
+    state = np.r_[drone.position, drone.velocity,
+                  initial.intrinsics.as_array()] + share.reshape(n, 9)
+    state[:, 0:3] += dt * np.arange(1, n + 1)[:, None] * drone.velocity
+    picked = np.ones((n, 9), bool)
+    picked[0, 0:3] = False
+    low, high = (np.broadcast_to(edge[_LINEAR_STATE], (n, 9))[picked]
+                 for edge in bounds)
+    width = np.where((high - low > 0.0) & np.isfinite(high - low),
+                     high - low, 1.0)
+    a = sens[:, _LINEAR_STATE].reshape(n, 9, -1)[picked] / width[:, None]
+    return (np.concatenate([a, -a]), np.concatenate(
+        [high - state[picked], state[picked] - low]) / np.tile(width, 2))
 
 
 def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
@@ -330,7 +417,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     handling when ``cset.occlusion_enabled``; the activation set is frozen
     from the initial state before descent starts.  A start outside the
     state box is planned from all the same; row 0 of the plan's residuals
-    reports it, and the plan is infeasible.
+    reports it, and the plan is infeasible.  Where the start leaves a
+    position, velocity or lens row of states 1..N no feasible value, the
+    descent holds those rows at their least uniform violation.
     """
     start_time = time.perf_counter()
     n = cfg.horizon
@@ -342,23 +431,11 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         records = cons.activate_occlusions(initial, preds, sizes, spec)
 
     low, high = cset.input_bounds
-    width = high - low
-    free = width > 1e-12
-    center = 0.5 * (low + high)
-    half = np.where(free, 0.5 * width, 1.0)
-    # input channels held at their bound (none in the shipped scenarios)
-    pinned = np.flatnonzero(~free)
-
-    def to_scaled(u: np.ndarray) -> np.ndarray:
-        z = (u - center) / half
-        z[:, pinned] = 0.0
-        return np.clip(z, -1.0, 1.0)
-
-    def to_inputs(z: np.ndarray) -> np.ndarray:
-        u = center + z * half
-        if pinned.size:
-            u[:, pinned] = low[pinned]
-        return u
+    center, half = 0.5 * (low + high), 0.5 * (high - low)
+    # the scaled box, [0, 0] on an input channel held at its bound (none in
+    # the shipped scenarios)
+    free = high - low > 1e-12
+    box = np.tile(np.where(free, 1.0, 0.0), n)
 
     model = _PenaltyModel(cset, preds, sizes, records, spec, n,
                           cfg.constraint_margin)
@@ -382,24 +459,16 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     # build fills in the rotation block alone
     linear_sens = kin.linear_sensitivities(n, dt)[1:] * scale.reshape(n, 9)
     rotation_scale = scale.reshape(n, 9)[:, 3:6]
+    rows = _linear_rows(initial, np.tile(center, (n, 1)), linear_sens, dt,
+                        cset.state_bounds)
 
     def merit(z_flat: np.ndarray):
         """One value pass at the scaled inputs ``z_flat``: the merit,
         builders of its gradient and Gauss-Newton matrix, which share one
         derivative build, and the pass's record (inputs, horizon, rows,
         cost breakdown), its inputs and rows read-only."""
-        u = to_inputs(z_flat.reshape(n, 9))
+        u = center + z_flat.reshape(n, 9) * half
         horizon = kin.rollout(initial, u, dt)
-        # keep the lens trajectory inside its physical domain: clamp the
-        # rollout's lens states to a small floor and penalize the shortfall
-        shortfall = np.maximum(0.0, _DOMAIN_FLOOR - horizon.lens[1:])
-        domain_penalty = 0.0
-        if shortfall.any():
-            clamped = np.maximum(horizon.lens, _DOMAIN_FLOOR)
-            u = u.copy()
-            u[:, 6:9] = np.diff(clamped, axis=0) / dt
-            horizon = kin.rollout(initial, u, dt)
-            domain_penalty = _DOMAIN_GAIN * float(np.sum(shortfall ** 2))
         breakdown, cost_rows = obj.evaluate_horizon_stacked(
             horizon, tracks, spec, instr, smooth=True)
         penalty, g_all, penalty_rows = model.penalty(horizon, lam, rho)
@@ -409,14 +478,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         @functools.cache
         def derivatives():
             # the rows of states 1..N; state 0 moves with no input
-            blocks = cost_rows() + penalty_rows()
-            if domain_penalty:
-                # unit lens rows, weighted where clamped
-                blocks.append(obj.derivative_rows(
-                    -2.0 * _DOMAIN_GAIN * shortfall.T, np.where(
-                        shortfall > 0.0, 2.0 * _DOMAIN_GAIN, 0.0).T,
-                    lens=np.eye(3)[:, None]))
-            gradient, stage = obj.contract_rows(blocks, n)
+            gradient, stage = obj.contract_rows(
+                cost_rows() + penalty_rows(), n)
             sens = linear_sens.copy()
             sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt)[1:] * rotation_scale
@@ -432,7 +495,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             _, stage, sens = derivatives()
             weighted = stage @ sens
             return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
-        return (breakdown.total + penalty + domain_penalty,
+        return (breakdown.total + penalty,
                 lambda: derivatives()[0], hessian,
                 (u, horizon, g_all, breakdown))
 
@@ -444,13 +507,15 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         return bool(np.all(cons.state_residuals(
             horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
-    z = to_scaled(shift_warm_start(warm, n)).ravel()
+    z = np.divide(shift_warm_start(warm, n) - center, half, where=free,
+                  out=np.zeros((n, 9))).ravel()
     stats = SolveStats()
     status = 1
     for outer in range(cfg.outer_rounds):
         stats.outer_rounds = outer + 1
         result = scipy.optimize.minimize(
-            merit, z, method=box_gauss_newton, bounds=(-1.0, 1.0),
+            merit, z, method=box_gauss_newton, bounds=(-box, box),
+            constraints=rows,
             options={"maxiter": cfg.max_iterations,
                      "gtol": CONVERGENCE_TOL, "ftol": 1e-7})
         z = result.x
@@ -459,16 +524,18 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
         # the last value pass at the point the round ended on
         u, horizon, g_all, breakdown = result.point
-        violation = float(max(0.0, -np.min(g_all))) if g_all.size else 0.0
+        lam = model.update(lam, rho, g_all)
+        violation = max(0.0, -float(g_all.min()))
         # a plan the report calls feasible with half its margin left ends
-        # the rounds; the input rows hold by construction
+        # the rounds; the input rows hold by construction, and g_all holds
+        # the rows the model step holds too, state 1's positions among
+        # them, which no input moves
         if violation <= 1e-7 or (model.feasible_with_margin(g_all)
                                  and start_feasible(horizon)):
             break
         # each round is solved to its tolerance, so the multiplier update
         # alone closes the gap only linearly: a round that did not end the
         # solve stiffens the penalty too
-        lam = np.maximum(0.0, lam - rho * g_all)
         rho = min(rho * PENALTY_GROWTH, 1e8)
 
     # the report's cost is exact: the last value pass computed it beside
@@ -479,7 +546,11 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     stats.wall_time = time.perf_counter() - start_time
     feasible = bool(residuals.size == 0
                     or np.min(residuals) >= FEASIBILITY_TOL)
-    lam = np.maximum(0.0, lam - rho * g_all) if g_all.size else lam
+    # complementary slackness: a state-box entry the plan holds strictly
+    # carries no multiplier into the next solve
+    lam.reshape(n, -1)[:, :model.n_box][g_all.reshape(n, -1)[
+        :, :model.n_box] > HELD_SHARE * np.tile(np.subtract(
+            *model.tracks.bounds[::-1]), 2)] = 0.0
     return Plan(inputs=u, horizon=horizon, cost=breakdown.exact,
                 residuals=residuals, feasible=feasible, stats=stats,
                 records=records, multipliers=lam, penalty=rho)

@@ -1,7 +1,7 @@
 """The merit's derivatives accumulated as the planner accumulated them
 before it built row blocks: one ``HorizonGradients.add`` call per residual,
-and direct writes for the far-limit surrogate, the pseudo-Huber rotation
-term, the linear state box and the lens floor, over states 0..N.  It is
+and direct writes for the far-limit surrogate and the pseudo-Huber
+rotation term, over states 0..N.  It is
 the oracle of ``objectives.contract_rows`` over the rows the planner
 builds: the terms below are the cost terms' derivative code from before
 that change, with their value passes, and ``add_state_rows`` is the
@@ -84,7 +84,9 @@ def add_state_rows(grads, horizon, start, tracks, spec, slopes, weights,
                    separation_scale=1.0) -> None:
     """Add the derivatives of :func:`constraints.state_residuals`' rows of
     states ``start``..N, times ``slopes`` and ``weights``, into
-    ``grads``, skipping each group whose weights are all zero."""
+    ``grads``, skipping each group whose weights are all zero.  The
+    position, velocity and lens box entries add nothing: the planner holds
+    them in its model step."""
     n_box = 2 * len(tracks.bounds[0])
     diff = horizon.positions[start:] - tracks.collisions[:, start:]
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
@@ -98,10 +100,6 @@ def add_state_rows(grads, horizon, start, tracks, spec, slopes, weights,
     half = n_box // 2
     box = slopes[:, :half] - slopes[:, half:n_box]
     box_weights = weights[:, :half] + weights[:, half:n_box]
-    linear = cons._LINEAR_ROWS
-    if box_weights[:, linear].any():
-        grads.gradient[states, linear] += box[:, linear]
-        grads.curvature[states, linear, linear] += box_weights[:, linear]
     for axis in range(3):
         if box_weights[:, 6 + axis].any():
             grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
@@ -119,14 +117,6 @@ def add_state_rows(grads, horizon, start, tracks, spec, slopes, weights,
                       position=d_pos / separation_scale,
                       rotation=d_rot / separation_scale,
                       intrinsics=d_f / separation_scale, states=states)
-
-
-def add_floor(grads, shortfall, gain) -> None:
-    """The lens domain floor's lines: its gradient and curvature."""
-    grads.gradient[1:, 9:12] -= 2.0 * gain * shortfall
-    lens = grads.curvature[1:, 9:12, 9:12]
-    lens[:, [0, 1, 2], [0, 1, 2]] += np.where(shortfall > 0.0, 2.0 * gain,
-                                              0.0)
 
 
 def _dof_vec(intr: np.ndarray, spec: CameraSensorSpec, instr: Instructions,

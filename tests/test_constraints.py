@@ -345,6 +345,11 @@ class TestStateResidualDerivatives:
                     gradient, stage = obj.contract_rows(
                         derivatives(unit, unit), len(rows))
                     d = gradient[k]
+                    if column < 24 and column % 12 not in (6, 7, 8):
+                        # a position, velocity or lens box entry: the
+                        # planner holds it in its model step, with no row
+                        assert not gradient.any() and not stage.any()
+                        continue
                     assert np.abs(d).max() > 0.0, column
                     assert np.allclose(d, fd[column], rtol=1e-5,
                                        atol=1e-6), column

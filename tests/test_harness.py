@@ -491,15 +491,20 @@ class TestBenchmarkHooks:
         # the benchmark's traced run patches these module attributes; one
         # renamed away would break that run alone
         spans = Path(__file__).parent.parent / "perfbench" / "spans.py"
-        traced = next(ast.literal_eval(node.value)
-                      for node in ast.parse(spans.read_text()).body
-                      if isinstance(node, ast.Assign)
-                      and [getattr(t, "id", None) for t in node.targets]
-                      == ["TRACED"])
+        tables = {node.targets[0].id: ast.literal_eval(node.value)
+                  for node in ast.parse(spans.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.targets[0], ast.Name)
+                  and node.targets[0].id in ("TRACED", "MINIMIZE",
+                                             "ESTIMATION")}
+        traced = tables["TRACED"]
         assert traced
-        for module, attr, _ in traced:
+        for module, attr in [entry[:2] for entry in traced] + [
+                tables["MINIMIZE"]]:
             assert callable(getattr(importlib.import_module(module), attr,
                                     None)), f"{module}.{attr}"
+        # the per-step estimation metric sums spans the table records
+        assert set(tables["ESTIMATION"]) <= {name for *_, name in traced}
 
 
 class TestMeritStream:
@@ -518,7 +523,7 @@ class TestMeritStream:
         def hooks():
             return (scipy.optimize.minimize, solver.solve,
                     objectives.evaluate_horizon_stacked, solver._model_step,
-                    solver._newton_direction, scipy.linalg.lapack.dposv)
+                    scipy.linalg.lapack.dpotrf)
         hooked = hooks()
         prints = {}
         for pixel in (270.0, 270.0, 250.0):
@@ -540,12 +545,14 @@ class TestMeritStream:
         moved = prints[250.0][0]
         for counts in (first, moved):
             assert counts["evaluations"] == counts["value passes"]
-        # a round's first value pass is at its start, and every model step
-        # but possibly a round's last is followed by its trial's; the
-        # centred target is planned without a step
+        # a round's first value pass is at its start, and every trial's
+        # model step but possibly a round's last is followed by its pass;
+        # here the box alone settles every projected gradient, so each
+        # model step is a trial's, and the centred target is planned
+        # without one
         assert first["model steps"] == 0
         assert 0 < moved["model steps"] <= moved["value passes"]
-        assert moved["Newton directions"] > 0 and moved["factorizations"] > 0
+        assert moved["factorizations"] > 0
         # gradients only where the descent goes on, and a Hessian only
         # where it takes a step from
         for counts in (first, moved):

@@ -1,13 +1,12 @@
 """The merit's derivative rows against the accumulator they replaced
 (``gradient_oracle``): the per-state gradients and stage blocks of states
-1..N that ``objectives.contract_rows`` forms from the cost terms', the
-penalty's and the lens floor's row blocks."""
+1..N that ``objectives.contract_rows`` forms from the cost terms' and the
+penalty's row blocks."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import gradient_oracle as oracle
 from cinedrone import constraints as cons
@@ -130,6 +129,10 @@ def penalty_problem(group, rng):
     return model, horizon, lam, rho
 
 
+#: The penalty groups with no rows.
+LINEAR_GROUPS = ("none", "position box", "velocity box", "lens box")
+
+
 @pytest.mark.parametrize("group", sorted(PENALTY_GROUPS))
 def test_penalty_rows_match_the_accumulator(group):
     rng = np.random.default_rng(8)
@@ -145,47 +148,7 @@ def test_penalty_rows_match_the_accumulator(group):
                               -slopes, rho * (slopes > 0.0),
                               separation_scale=sol._SEPARATION_SCALE)
         blocks = rows()
-        assert (blocks == []) == (group == "none")
+        # the linear state-box groups are held in the model step, and give
+        # no rows
+        assert (blocks == []) == (group in LINEAR_GROUPS)
         assert_matches_oracle(obj.contract_rows(blocks, 5), grads)
-
-
-def test_lens_floor_rows_match_the_accumulator(monkeypatch):
-    # a focus pulled at full rate from 10 m runs under the floor at state
-    # 4: the merit's rows there are the cost's, the penalty's (the lens
-    # box among them) and the floor's
-    rig, preds, sizes, instr, cset = side_by_side_problem()
-    cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=1)
-    low, high = cset.input_bounds
-    z = np.zeros((5, 9))
-    z[:, 7] = -1.0
-    u = 0.5 * (low + high) + z * 0.5 * (high - low)
-    contracted, passes = [], []
-    contract_rows = obj.contract_rows
-    monkeypatch.setattr(obj, "contract_rows", lambda blocks, n: (
-        contracted.append(contract_rows(blocks, n)), contracted[-1])[1])
-    minimize = scipy.optimize.minimize
-
-    def hooked(fun, x0, **kwargs):
-        value, gradient, _, point = fun(z.ravel())
-        gradient()
-        passes.append(point)
-        return minimize(fun, x0, **kwargs)
-    monkeypatch.setattr(scipy.optimize, "minimize", hooked)
-    sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-    _, horizon, _, _ = passes[0]
-    shortfall = np.maximum(0.0, sol._DOMAIN_FLOOR
-                           - rollout(rig, u, cfg.dt).lens[1:])
-    assert shortfall[:, 1].any() and not shortfall[:3].any()
-    records = cons.activate_occlusions(rig, preds, sizes, SPEC)
-    model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, 5,
-                              cfg.constraint_margin)
-    rho = cfg.penalty_initial
-    _, g_flat, _ = model.penalty(horizon, np.zeros(model.size), rho)
-    slopes = np.maximum(0.0, -rho * g_flat).reshape(5, -1)
-    grads = oracle.cost_gradients(horizon, obj.HorizonTracks(
-        preds, instr, 6), SPEC, instr)
-    oracle.add_state_rows(grads, horizon, 1, model.tracks, SPEC, -slopes,
-                          rho * (slopes > 0.0),
-                          separation_scale=sol._SEPARATION_SCALE)
-    oracle.add_floor(grads, shortfall, sol._DOMAIN_GAIN)
-    assert_matches_oracle(contracted[0], grads)

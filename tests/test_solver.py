@@ -347,7 +347,7 @@ def penalty_every_group(model, horizon, lam, rho):
         horizon, 1, model.tracks, model.spec, margin=model.margin,
         separation_scale=sol._SEPARATION_SCALE)
     g_flat = rows.ravel()
-    slack = np.maximum(0.0, lam - rho * g_flat)
+    slack = np.where(model.linear, 0.0, np.maximum(0.0, lam - rho * g_flat))
     value = float((slack * slack - lam * lam).sum() / (2.0 * rho))
     slopes = slack.reshape(rows.shape)
     return value, g_flat, lambda: derivatives(
@@ -699,6 +699,47 @@ def lbfgsb_oracle(minimize, fun, x0, evaluations):
                  "gtol": 1e-5})
 
 
+def legacy_merit(fun, constraints, rig, cset, cfg):
+    """The first round's merit ``fun`` as the planner handed it to
+    L-BFGS-B, which holds no rows: the position, velocity and lens rows
+    ``constraints`` (scaled by their box widths) as the augmented-
+    Lagrangian penalty of the first round (multipliers 0, weight
+    ``penalty_initial``), and the lens trajectory clamped to a floor of
+    1e-3 with the shortfall penalized at 1e6, so that a trial stays in the
+    lens domain."""
+    n, dt, (a, b) = cfg.horizon, cfg.dt, constraints
+    picked = np.zeros((n, 12), bool)
+    picked[:, sol._LINEAR_STATE] = True
+    picked[0, 0:3] = False
+    low, high = cset.state_bounds
+    width = np.tile((high - low)[np.nonzero(picked)[1]], 2)
+    low, high = cset.input_bounds
+    center, half = 0.5 * (low + high), 0.5 * (high - low)
+    start = rig.intrinsics.as_array()
+
+    def merit(z):
+        rates = (center + z.reshape(n, 9) * half)[:, 6:9]
+        lens = start + dt * np.cumsum(rates, axis=0)
+        shortfall = np.maximum(0.0, 1e-3 - lens)
+        clamped = z.reshape(n, 9).copy()
+        if shortfall.any():
+            rates = np.diff(np.vstack([start, np.maximum(lens, 1e-3)]),
+                            axis=0) / dt
+            clamped[:, 6:9] = np.divide(rates - center[6:9], half[6:9],
+                                        out=np.zeros_like(rates),
+                                        where=half[6:9] > 0.0)
+        value, gradient, hessian, point = fun(clamped.ravel())
+        miss = width * np.minimum(0.0, b - a @ z)
+        rho = cfg.penalty_initial
+        floor = np.zeros((n, 9))
+        floor[:, 6:9] = -2e6 * dt * half[6:9] * np.cumsum(
+            shortfall[::-1], axis=0)[::-1]
+        return (value + 0.5 * rho * miss @ miss + 1e6 * np.sum(shortfall ** 2),
+                lambda: (gradient() - rho * a.T @ (width * miss)
+                         + floor.ravel()), hessian, point)
+    return merit
+
+
 def gauss_newton_problem():
     """``side_by_side_problem`` with every kind of squared term and the
     pseudo-Huber rotation term."""
@@ -767,10 +808,12 @@ class TestGaussNewton:
         rig, preds, sizes, instr, cset, cfg = problem
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         first = sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        # multipliers that hold every penalty row with g < 100 active
-        lam, rho = 1e3, 10.0
-        warm = replace(first, multipliers=np.full(first.multipliers.size,
-                                                  lam),
+        # multipliers that hold every penalty row with g < 100 active; the
+        # linear state-box entries are no penalty rows
+        linear = sol._PenaltyModel(cset, preds, sizes, records, SPEC, 5,
+                                   cfg.constraint_margin).linear
+        lam, rho = np.where(linear, 0.0, 1e3), 10.0
+        warm = replace(first, multipliers=lam,
                        penalty=rho * sol.PENALTY_GROWTH)
         points = [None, np.random.default_rng(1).uniform(-0.4, 0.4, 45)]
 
@@ -785,13 +828,13 @@ class TestGaussNewton:
         w_rot = instr.poses[0].w_rotation
         for z, (merit, grad, hess) in zip(points, captured[0]):
             squares, g, matrices = merit_residuals(z, problem, records)
-            active = lam - rho * g > 0.0
-            assert active.sum() > 100
+            active = ~linear & (lam - rho * g > 0.0)
+            assert np.array_equal(active, ~linear)
             roots = np.sqrt(np.sum(matrices ** 2, axis=1) + eps ** 2)
 
             def merit_of(x):
                 r2, g2, m2 = merit_residuals(x, problem, records)
-                slack = np.maximum(0.0, lam - rho * g2)
+                slack = np.where(linear, 0.0, np.maximum(0.0, lam - rho * g2))
                 return (0.5 * r2 @ r2 + np.sum(slack ** 2 - lam ** 2)
                         / (2.0 * rho) + w_rot * np.sum(np.sqrt(np.sum(
                             m2 ** 2, axis=1) + eps ** 2) - eps))
@@ -895,7 +938,8 @@ class TestGaussNewton:
 
     def test_no_worse_than_uncapped_lbfgsb(self, monkeypatch):
         # a bound-constrained quadratic takes L-BFGS-B two evaluations, so
-        # the evaluation counts compare over the whole set
+        # the evaluation counts compare over the whole set; L-BFGS-B, which
+        # holds no rows, runs on the merit as the planner handed it over
         mine, theirs = 0, 0
         for name, problem in fixed_problems().items():
             def both(fun, kwargs, x0, minimize):
@@ -906,7 +950,9 @@ class TestGaussNewton:
                     return fun(x)
                 ours = minimize(merit, x0, **kwargs)
                 oracle_counted = []
-                oracle = lbfgsb_oracle(minimize, fun, x0, oracle_counted)
+                oracle = lbfgsb_oracle(minimize, legacy_merit(
+                    fun, kwargs["constraints"], problem[0], *problem[3:5]),
+                    x0, oracle_counted)
                 return ours, len(counted), oracle, len(oracle_counted)
             with monkeypatch.context() as patch:
                 captured = capture_rounds(patch, both)
@@ -934,6 +980,18 @@ class TestGaussNewton:
         assert statuses[plans[0].stats.outer_rounds - 1] == 1
         assert not plans[0].stats.converged
         assert statuses[-1] == 0 and plans[1].stats.converged
+
+
+def no_rows(n):
+    """The empty row set ``(a, b)`` of ``n`` variables: the box alone."""
+    return np.zeros((0, n)), np.zeros(0)
+
+
+def model_step(h, g, lower, upper, a, b):
+    """``solver._model_step``'s step over the box and the rows."""
+    eye = np.eye(len(g))
+    return sol._model_step(h, g, np.concatenate([eye, -eye, a]),
+                           np.concatenate([upper, -lower, b]))[0]
 
 
 def box_qp(seed, n):
@@ -1024,7 +1082,8 @@ class TestBoxGaussNewton:
                 return jac(x)
             return fun(x), gradient, lambda: hess(x), x.copy()
         result = sol.box_gauss_newton(recorded, np.asarray(x0, float),
-                                      bounds=(low, high), **options)
+                                      (low, high), no_rows(len(low)),
+                                      **options)
         # the result hands back the record of its x
         assert np.array_equal(result.point, result.x)
         return result, values, gradients
@@ -1040,11 +1099,11 @@ class TestBoxGaussNewton:
                 lambda x: a @ (x - c), lambda x: a, a, c)
 
     def test_line_search_meets_its_blocking_bound_exactly(self):
-        # s + t d lands one ulp inside the lower bound of one entry here;
-        # left there, the entry is neither held nor free to move and the
-        # projected Newton steps stop 41% above the box minimum
+        # the projected Newton steps that the model step replaced once
+        # stopped 41% above this box minimum, an entry left one ulp inside
+        # its bound; the QP holds each bound exactly
         h, g, lower, upper = box_qp(134, 10)
-        step = sol._model_step(h, g, lower, upper)
+        step = model_step(h, g, lower, upper, *no_rows(10))
         want = bvls_minimum(h, g, lower, upper)
         assert np.all((lower <= step) & (step <= upper))
         value = g @ step + 0.5 * step @ (h @ step)
@@ -1112,7 +1171,7 @@ class TestBoxGaussNewton:
                 return fun(x), lambda: jac(x), lambda: hess(x), x.copy()
             result = sol.box_gauss_newton(
                 logged_descent(merit, log), np.asarray(x0, float),
-                bounds=(low, high))
+                (low, high), no_rows(len(low)))
             assert result.status == 0, name
             end, rejected, accepted, ftol_end = replay_descent(log)
             assert np.array_equal(result.x, end), name
@@ -1182,3 +1241,203 @@ def fixed_problems():
         "approach": (*approach_problem()[:4], approach_problem()[4], SPEC,
                      {}),
     }
+
+
+def linear_qp(seed, n=12, m=10):
+    """Seeded positive definite ``h``, gradient ``g``, a box around 0 and
+    ``m`` linear rows ``a s <= b`` that ``s = 0`` holds."""
+    h, g, lower, upper = box_qp(seed, n)
+    rng = np.random.default_rng(1000 + seed)
+    return h, g, lower, upper, rng.standard_normal((m, n)), rng.uniform(
+        0.1, 1.0, m)
+
+
+def slsqp_minimum(h, g, lower, upper, a, b, x0=None):
+    """SLSQP's minimizer of ``g s + s h s / 2`` over the box and rows."""
+    return scipy.optimize.minimize(
+        lambda s: g @ s + 0.5 * s @ (h @ s), np.zeros(len(g)) if x0 is None
+        else x0, jac=lambda s: g + h @ s, method="SLSQP",
+        bounds=list(zip(lower, upper)), constraints=[{
+            "type": "ineq", "fun": lambda s: b - a @ s,
+            "jac": lambda s: -a}],
+        options={"ftol": 1e-15, "maxiter": 1000}).x
+
+
+class TestModelStep:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_slsqp_with_linear_rows(self, seed):
+        h, g, lower, upper, a, b = linear_qp(seed)
+        step = model_step(h, g, lower, upper, a, b)
+        want = slsqp_minimum(h, g, lower, upper, a, b)
+
+        def model(s):
+            return g @ s + 0.5 * s @ (h @ s)
+        assert model(step) == pytest.approx(model(want), rel=1e-9)
+        assert np.all((lower <= step) & (step <= upper))
+        assert np.all(a @ step - b <= 1e-12)
+        # the rows bind here: the box alone gives another minimizer
+        box = bvls_minimum(h, g, lower, upper)
+        assert np.any(a @ box > b)
+
+    def test_bounds_held_exactly_far_outside(self):
+        # a gradient that puts the unconstrained minimizer 1e8 out of the
+        # box: each bound the step holds is met to the bit
+        h, g, lower, upper, a, b = linear_qp(3)
+        step = model_step(h, 1e8 * g, lower, upper, a, b)
+        held = (step == lower) | (step == upper)
+        assert held.sum() >= 3
+        assert np.all((lower <= step) & (step <= upper))
+        assert np.all(a @ step - b <= 1e-12)
+
+    def test_identity_model_is_the_box_projection(self):
+        # with h = I and no binding row, the step is the box's projected
+        # gradient (x - g).clip(low, high) - x
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, 9)
+        x[[1, 5]] = [-1.0, 1.0]
+        g = rng.standard_normal(9)
+        step = model_step(np.eye(9), g, -1.0 - x, 1.0 - x, *no_rows(9))
+        assert np.allclose(step, (x - g).clip(-1.0, 1.0) - x, rtol=0.0,
+                           atol=1e-15)
+
+
+class TestProjection:
+    @staticmethod
+    def rows(seed, n=8, m=6, offset=0.3):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        return a, offset + a @ rng.uniform(-0.5, 0.5, n)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearest_point_where_the_rows_hold_one(self, seed):
+        a, b = self.rows(seed)
+        x = np.random.default_rng(50 + seed).uniform(-1.0, 1.0, 8)
+        low, high = -np.ones(8), np.ones(8)
+        assert np.any(a @ x > b)
+        point, relaxed = sol._project(x, low, high, a, b)
+        assert np.array_equal(relaxed, b)
+        want = x + slsqp_minimum(np.eye(8), np.zeros(8), low - x, high - x,
+                                 a, b - a @ x)
+        assert np.allclose(point, want, rtol=0.0, atol=1e-7)
+        assert np.all(a @ point <= b + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_elastic_start_holds_the_least_violation(self, seed):
+        # rows that no point of the box holds: the projection relaxes all
+        # of them by the least uniform violation, an LP's optimum
+        a, b = self.rows(seed, offset=-2.5)
+        x = np.random.default_rng(60 + seed).uniform(-1.0, 1.0, 8)
+        low, high = -np.ones(8), np.ones(8)
+        least = scipy.optimize.linprog(
+            np.r_[np.zeros(8), 1.0], A_ub=np.column_stack([a, -np.ones(6)]),
+            b_ub=b, bounds=[(-1.0, 1.0)] * 8 + [(0.0, None)],
+            method="highs").fun
+        assert least > 0.1
+        point, relaxed = sol._project(x, low, high, a, b)
+        assert relaxed - b == pytest.approx(np.full(6, least), rel=1e-9)
+        assert np.all((low <= point) & (point <= high))
+        assert np.all(a @ point <= relaxed + 1e-12)
+        want = x + slsqp_minimum(np.eye(8), np.zeros(8), low - x, high - x,
+                                 a, relaxed - a @ x)
+        assert np.allclose(point, want, rtol=0.0, atol=1e-6)
+
+    def test_descent_holds_the_rows(self):
+        # a quadratic whose box minimum breaks the rows: the descent starts
+        # at the projection of x0, every trial holds the rows, and it ends
+        # at the QP's minimum
+        h, g, lower, upper, a, b = linear_qp(7, n=6, m=4)
+        low, high = -np.ones(6), np.ones(6)
+        trials = []
+
+        def fun(x):
+            trials.append(x.copy())
+            return (g @ x + 0.5 * x @ (h @ x), lambda: g + h @ x,
+                    lambda: h, x.copy())
+        x0 = np.full(6, 0.9)
+        assert np.any(a @ x0 > b)
+        result = sol.box_gauss_newton(fun, x0, (low, high), (a, b))
+        assert result.status == 0
+        assert all(np.all(a @ x <= b + 1e-12) for x in trials)
+        want = slsqp_minimum(h, g, low, high, a, b)
+        assert result.fun == pytest.approx(g @ want + 0.5 * want @ (h @ want),
+                                           rel=1e-9)
+
+
+def yaw_problem(start, yaw):
+    """A rig at yaw ``start`` asked to turn to ``yaw`` about z, under the
+    stock +-0.25 rad attitude bounds."""
+    rig = CameraRig(drone=DroneState(position=np.array([0.0, 0.0, 1.0]),
+                                     velocity=np.zeros(3),
+                                     orientation=rotation_from_rpy(
+                                         0.0, 0.0, start)),
+                    intrinsics=IntrinsicState(35.0, 10.0, 2.0))
+    instr = obj.Instructions(poses=(obj.PoseTarget(
+        "t", distance=10.0, w_distance=0.0,
+        rotation=rotation_from_rpy(0.0, 0.0, yaw), w_rotation=5000.0),))
+    preds = {"t": obj.TargetPrediction(
+        positions=np.tile([10.0, 0.0, 1.0], (6, 1)),
+        rotations=np.tile(np.eye(3), (6, 1, 1)))}
+    return (rig, preds, instr, cons.ConstraintSet.default(),
+            sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=4), SPEC)
+
+
+class TestMultipliers:
+    def test_rounds_run_out_with_one_update_each(self, monkeypatch):
+        # state 1 is 0.15 m into the 0.25 m margin whatever the inputs, so
+        # every round runs; the carried multipliers are those of one
+        # update per round, each with that round's penalty weight
+        rig, preds, instr, cset, cfg = approach_problem(
+            position=(0.9, 0.0, 1.0))
+        rounds = []
+        minimize = scipy.optimize.minimize
+
+        def recorded(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            rounds.append(result.point[2])
+            return result
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        plan = sol.solve(rig, preds, instr, cset, cfg, SPEC)
+        assert len(rounds) == plan.stats.outer_rounds == cfg.outer_rounds
+        lam, rho = np.zeros(plan.multipliers.size), cfg.penalty_initial
+        for g_all in rounds:
+            lam = np.maximum(0.0, lam - rho * g_all)
+            rho *= sol.PENALTY_GROWTH
+        collision = plan.multipliers.reshape(cfg.horizon, -1)[:, 24]
+        assert collision.max() > 0.0
+        assert np.array_equal(collision, lam.reshape(cfg.horizon, -1)[:, 24])
+        assert plan.penalty == rho
+
+    def test_box_row_held_inside_carries_no_multiplier(self):
+        # the yaw-high row is active while the rig is asked past it, and
+        # held 0.25 rad inside it (half its box) in the next solve: its
+        # multiplier is not carried on
+        first = sol.solve(*yaw_problem(0.2, 1.0))
+        yaw_high = 12 + 8
+        assert first.multipliers.reshape(5, -1)[:, yaw_high].max() > 0.0
+        second = sol.solve(*yaw_problem(0.0, 0.0), warm=first)
+        rows = second.residuals[18 * 5:].reshape(6, -1)[1:]
+        assert rows[:, yaw_high].min() > 0.2
+        assert not second.multipliers.reshape(5, -1)[:, yaw_high].any()
+
+
+#: The executed state columns of the rows the model step holds.
+LINEAR_COLUMNS = ("drone_px", "drone_py", "drone_pz", "drone_vx", "drone_vy",
+                  "drone_vz", "focal_mm", "focus_m", "aperture")
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in SCENARIOS.glob("*.json")))
+def test_executed_linear_states_stay_in_their_box(name):
+    # the first 8 s of seeds 0 and 1: every executed position, velocity
+    # and lens state holds its bounds to rounding
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    raw["control"]["duration"] = min(raw["control"]["duration"], 8.0)
+    config = scenario_from_dict(raw)
+    low, high = config.constraints.state_bounds
+    low, high = low[sol._LINEAR_STATE], high[sol._LINEAR_STATE]
+    for seed in range(2):
+        log = run_closed_loop(config, seed)
+        assert log.status == "completed"
+        state = np.column_stack([log.column(c) for c in LINEAR_COLUMNS])
+        assert np.all(np.maximum(low - state, state - high)
+                      <= 1e-12 * (high - low))

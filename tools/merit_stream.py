@@ -26,10 +26,12 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
   (``objectives.evaluate_horizon_stacked`` calls: one per value pass, and
   the plan's reported cost and rows come from a round's last pass, with no
   pass of their own);
-- the descent's own work: model steps (``solver._model_step`` calls, one
-  per trial step), Newton directions (``solver._newton_direction`` calls)
-  and Cholesky factorizations (LAPACK ``dposv`` calls, one per active set
-  a Newton direction tries).
+- the descent's own work: model steps (``solver._model_step`` calls: one
+  per trial step, one per projected gradient that the box alone does not
+  settle, and one or two per round whose start breaks a linear row) and
+  Cholesky factorizations (LAPACK ``dpotrf`` calls: each model step's
+  model once, and the Schur complement of its held rows once per
+  iterate).
 
 Two checkouts that print the same lines handed the descent the same bits
 at every call, so a rewrite claimed to be bit for bit can be checked on
@@ -91,13 +93,12 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     plans = hashlib.sha256()
     counts = {"solves": 0, "rounds": 0, "value passes": 0,
               "gradient builds": 0, "Hessian builds": 0, "evaluations": 0,
-              "model steps": 0, "Newton directions": 0, "factorizations": 0}
+              "model steps": 0, "factorizations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     # the hooks that count a call and pass it on, by module and name
     counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
                (sol, "_model_step"): "model steps",
-               (sol, "_newton_direction"): "Newton directions",
-               (scipy.linalg.lapack, "dposv"): "factorizations"}
+               (scipy.linalg.lapack, "dpotrf"): "factorizations"}
     originals = {hook: getattr(*hook) for hook in counted}
 
     def counter(hook):
