@@ -14,10 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (CameraRig, Horizon, euler_angles, rig_camera_points,
-                         tangent_gradients)
+from .kinematics import (ROTATION, STATE_SIZE, CameraRig, Horizon,
+                         rig_camera_points, tangent_gradients)
 from .objectives import Rows, TargetPrediction, body_outer, derivative_rows
 from .optics import CameraSensorSpec, camera_points, pixel_coordinates
+
+#: The column groups of a constraint row (:func:`state_residuals`): the
+#: state box's ``x - lo``, then its ``hi - x``, each over a state row; of
+#: both, the roll, pitch and yaw columns; then the collision and separation
+#: columns, as many as :class:`ConstraintTracks` holds.
+BOX_LOW = slice(0, STATE_SIZE)
+BOX_HIGH = slice(STATE_SIZE, 2 * STATE_SIZE)
+BOX = slice(0, BOX_HIGH.stop)
+ANGLES = tuple(slice(half.start + ROTATION.start, half.start + ROTATION.stop)
+               for half in (BOX_LOW, BOX_HIGH))
 
 
 @dataclass(frozen=True)
@@ -248,31 +258,21 @@ def input_bound_residuals(u: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     return np.concatenate([u - low, high - u], axis=-1)
 
 
-def state_bound_residuals(horizon: Horizon,
-                          bounds: tuple[np.ndarray, np.ndarray],
-                          ) -> np.ndarray:
-    """State-box residuals ``x - lo, hi - x`` of every state: (n, 24);
-    ``bounds`` is :attr:`ConstraintSet.state_bounds`."""
-    state = np.empty((len(horizon), 12))
-    state[:, 0:3], state[:, 3:6] = horizon.positions, horizon.velocities
-    euler_angles(horizon.rotations, out=state[:, 6:9])
-    state[:, 9:12] = horizon.lens
-    low, high = bounds
-    return np.concatenate([state - low, high - state], axis=1)
-
-
 class ConstraintTracks:
     """Per-solve data of :func:`state_residuals` over states 0..N: state
-    bounds; collision target positions (m, N+1, 3); per record, its
-    right, then left box's centers (2, N+1, 3) and half widths (2, 1)."""
+    bounds and each :data:`BOX` column's box width; collision target
+    positions (m, N+1, 3); per record, its right, then left box's centers
+    (2, N+1, 3) and half widths (2, 1); a row's width and column groups."""
 
-    __slots__ = ("bounds", "safety_distance", "collisions", "separations")
+    __slots__ = ("bounds", "box_widths", "safety_distance", "collisions",
+                 "separations", "collision", "separation", "width")
 
     def __init__(self, preds: dict[str, TargetPrediction],
                  sizes: dict[str, tuple[float, float]],
                  cset: ConstraintSet, records: list[OcclusionRecord],
                  n: int):
-        self.bounds = cset.state_bounds
+        low, high = self.bounds = cset.state_bounds
+        self.box_widths = np.r_[high - low, high - low]
         self.safety_distance = cset.safety_distance
         ids = sorted(preds) if cset.safety_distance > 0.0 else []
         self.collisions = np.array([preds[tid].positions[:n]
@@ -284,12 +284,9 @@ class ConstraintTracks:
                                 for tid in pair])
             half = np.array([[sizes[tid][1]] for tid in pair]) / 2.0
             self.separations.append((centers, half))
-
-    @property
-    def width(self) -> int:
-        """Entries per state of :func:`state_residuals`."""
-        return (2 * len(self.bounds[0]) + len(self.collisions)
-                + len(self.separations))
+        self.collision = slice(BOX.stop, BOX.stop + len(ids))
+        self.width = self.collision.stop + len(records)
+        self.separation = slice(self.collision.stop, self.width)
 
 
 def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
@@ -314,11 +311,11 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
                         [np.ndarray, np.ndarray], list[Rows]]]:
     """Every state inequality g >= 0 of horizon states ``start``..N, one
     row per state in the layout the planner's penalty and
-    :func:`evaluate_constraints` share: 24 :func:`state_bound_residuals`;
-    when ``cset.safety_distance > 0``, distance - (safety distance +
-    ``margin``) per target by sorted id; per occlusion record, the
-    :func:`separation_pieces` pixel gap / ``separation_scale`` -
-    ``margin``.
+    :func:`evaluate_constraints` share: the :data:`BOX` residuals of the
+    state rows; in ``tracks.collision``, distance - (safety distance +
+    ``margin``) per target by sorted id; in ``tracks.separation``, per
+    occlusion record, the :func:`separation_pieces` pixel gap /
+    ``separation_scale`` - ``margin``.
 
     Returns the rows and ``derivatives(slopes, weights)``: the row blocks
     (:data:`objectives.Rows`) of states ``start``..N with each entry's
@@ -329,16 +326,16 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     position, velocity and lens box entries give no rows at all: the
     planner holds them in its model step, not in its penalty.
     """
-    positions = horizon.positions[start:]
-    rows = np.empty((len(positions), tracks.width))
-    n_box = 2 * len(tracks.bounds[0])
-    rows[:, :n_box] = state_bound_residuals(horizon, tracks.bounds)[start:]
-    diff = positions - tracks.collisions[:, start:]
+    states = horizon.state_rows(start)
+    rows = np.empty((len(states), tracks.width))
+    low, high = tracks.bounds
+    rows[:, BOX_LOW], rows[:, BOX_HIGH] = states - low, high - states
+    diff = horizon.positions[start:] - tracks.collisions[:, start:]
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))  # as np.linalg.norm
-    n_coll = n_box + len(dist)
-    rows[:, n_box:n_coll] = (dist - (tracks.safety_distance + margin)).T
+    rows[:, tracks.collision] = (dist - (tracks.safety_distance + margin)).T
     separations = []
-    for column, track in enumerate(tracks.separations, n_coll):
+    for column, track in enumerate(tracks.separations,
+                                   tracks.separation.start):
         gap, build = separation_pieces(horizon, start, track, spec)
         rows[:, column] = gap / separation_scale - margin
         separations.append(build)
@@ -346,8 +343,8 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     def derivatives(slopes: np.ndarray, weights: np.ndarray) -> list[Rows]:
         rotations = horizon.rotations[start:]
         slopes, weights = slopes.T, weights.T  # entries by states
-        # roll, pitch and yaw: x - lo at entries 6..8, hi - x at 18..20
-        rpy = slopes[6:9] - slopes[18:21], weights[6:9] + weights[18:21]
+        low, high = ANGLES  # each angle's x - lo and hi - x in one row
+        rpy = slopes[low] - slopes[high], weights[low] + weights[high]
         blocks = []
         axes = [axis for axis in range(3) if rpy[1][axis].any()]
         if axes:
@@ -355,19 +352,19 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
                 rpy[0][axes], rpy[1][axes],
                 tangent=tangent_gradients(rotations, np.stack([
                     _rpy_derivative(rotations, axis) for axis in axes]))))
-        near = weights[n_box:n_coll].any(axis=1)
+        collision = slopes[tracks.collision], weights[tracks.collision]
+        near = collision[1].any(axis=1)
         if near.any():
             blocks.append(derivative_rows(
-                slopes[n_box:n_coll][near], weights[n_box:n_coll][near],
+                collision[0][near], collision[1][near],
                 position=diff[near] / np.maximum(dist[near], 1e-9)[
                     :, :, None]))
-        held = [column for column in range(n_coll, tracks.width)
-                if weights[column].any()]
+        slopes, weights = slopes[tracks.separation], weights[tracks.separation]
+        held = [k for k, weight in enumerate(weights) if weight.any()]
         if held:
             d_pos, d_rot, d_f = (np.stack(piece) / separation_scale
-                                 for piece in zip(*(
-                                     separations[column - n_coll]()
-                                     for column in held)))
+                                 for piece in zip(*(separations[k]()
+                                                    for k in held)))
             blocks.append(derivative_rows(
                 slopes[held], weights[held], position=d_pos,
                 tangent=tangent_gradients(rotations, d_rot), lens=d_f))

@@ -33,6 +33,15 @@ BODY_TO_CAMERA = np.array([
 ])
 BODY_TO_CAMERA.setflags(write=False)
 
+#: State-row entries (:meth:`Horizon.state_rows`): position, velocity,
+#: roll/pitch/yaw (in a derivative, the body rotation vector) and lens.
+POSITION, VELOCITY, ROTATION, LENS = (slice(0, 3), slice(3, 6), slice(6, 9),
+                                      slice(9, 12))
+STATE_SIZE = LENS.stop
+#: The entries of a state row linear in the inputs: all but roll/pitch/yaw.
+LINEAR = np.isin(np.arange(STATE_SIZE), np.r_[ROTATION], invert=True)
+LINEAR.setflags(write=False)
+
 _ORTHONORMAL_TOL = 1e-9
 _REORTHONORMALIZE_TOL = 1e-12
 _EYE3 = np.eye(3)
@@ -111,12 +120,10 @@ def rotation_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
-def euler_angles(rotations: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def euler_angles(rotations: np.ndarray) -> np.ndarray:
     """Z-Y-X Euler angles (roll, pitch, yaw) of a stack of rotation
-    matrices: (n, 3, 3) -> (n, 3), written into ``out`` when given."""
-    if out is None:
-        out = np.empty((len(rotations), 3))
+    matrices: (n, 3, 3) -> (n, 3)."""
+    out = np.empty((len(rotations), 3))
     out[:, 0] = np.arctan2(rotations[:, 2, 1], rotations[:, 2, 2])
     out[:, 1] = -np.arcsin(rotations[:, 2, 0].clip(-1.0, 1.0))
     out[:, 2] = np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
@@ -163,6 +170,14 @@ class CameraRig:
     def camera_rotation(self) -> np.ndarray:
         """Optical-axes matrix (columns: right, down, forward in world)."""
         return self.drone.orientation @ BODY_TO_CAMERA
+
+    def state_row(self) -> np.ndarray:
+        """The rig's state row: its one-state :class:`Horizon`'s."""
+        drone = self.drone
+        return Horizon(drone.position[None], drone.velocity[None],
+                       drone.orientation[None],
+                       self.intrinsics.as_array()[None],
+                       np.empty((0, 3, 3))).state_rows()[0]
 
 
 def rig_camera_points(rig: CameraRig, points: np.ndarray) -> np.ndarray:
@@ -213,6 +228,15 @@ class Horizon:
         """Every state's :meth:`CameraRig.camera_rotation`, computed once."""
         return self.rotations @ BODY_TO_CAMERA
 
+    def state_rows(self, start: int = 0) -> np.ndarray:
+        """The state rows of states ``start``..N alone: (N+1-start, 12),
+        with :func:`euler_angles` in the :data:`ROTATION` entries."""
+        rows = np.empty((len(self) - start, STATE_SIZE))
+        rows[:, POSITION], rows[:, VELOCITY], rows[:, LENS] = (
+            self.positions[start:], self.velocities[start:], self.lens[start:])
+        rows[:, ROTATION] = euler_angles(self.rotations[start:])
+        return rows
+
     def rig(self, k: int) -> CameraRig:
         """State ``k`` as a rig."""
         return CameraRig(drone=DroneState(self.positions[k],
@@ -256,11 +280,11 @@ def linear_sensitivities(n: int, dt: float) -> np.ndarray:
     j = np.arange(n)[None, :]
     eye = _EYE3[None, :, None, :]
     before = (j < k)[:, None, :, None]
-    sens = np.zeros((n + 1, 12, n, 9))
-    sens[:, 0:3, :, 0:3] = (dt * dt * np.maximum(k - 1 - j, 0))[
+    sens = np.zeros((n + 1, STATE_SIZE, n, 9))
+    sens[:, POSITION, :, 0:3] = (dt * dt * np.maximum(k - 1 - j, 0))[
         :, None, :, None] * eye
-    sens[:, 3:6, :, 0:3] = dt * before * eye
-    sens[:, 9:12, :, 6:9] = dt * before * eye
+    sens[:, VELOCITY, :, 0:3] = dt * before * eye
+    sens[:, LENS, :, 6:9] = dt * before * eye
     sens.setflags(write=False)
     return sens
 

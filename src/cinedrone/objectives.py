@@ -21,7 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .kinematics import BODY_TO_CAMERA, Horizon, tangent_gradients
+from .kinematics import (BODY_TO_CAMERA, LENS, POSITION, ROTATION,
+                         STATE_SIZE, Horizon, tangent_gradients)
 from .optics import (CameraSensorSpec, SingularDofError, camera_points,
                      dof_limits, mm_to_m, pixel_coordinates, thin_lens)
 
@@ -250,8 +251,7 @@ class CostBreakdown:
         reports."""
         if self.exact_pose is None:
             return self
-        return CostBreakdown(self.dof, self.image, self.exact_pose,
-                             self.focal)
+        return replace(self, pose=self.exact_pose, exact_pose=None)
 
     @property
     def step_totals(self) -> np.ndarray:
@@ -279,14 +279,14 @@ def derivative_rows(slope: np.ndarray, weight, position=None, tangent=None,
     the leading axes become the rows."""
     shape = np.shape(slope)
     rows, n = math.prod(shape[:-1]), shape[-1]
-    d = np.zeros(shape + (12,))
+    d = np.zeros(shape + (STATE_SIZE,))
     if position is not None:
-        d[..., 0:3] = position
+        d[..., POSITION] = position
     if tangent is not None:
-        d[..., 6:9] = tangent
+        d[..., ROTATION] = tangent
     if lens is not None:  # by the lens, or by the focal length alone
-        d[..., slice(9, 12) if np.ndim(lens) > len(shape) else 9] = lens
-    return (d.reshape(rows, n, 12), np.reshape(slope, (rows, n)),
+        d[..., LENS if np.ndim(lens) > len(shape) else LENS.start] = lens
+    return (d.reshape(rows, n, STATE_SIZE), np.reshape(slope, (rows, n)),
             np.full(shape, weight).reshape(rows, n))
 
 
@@ -296,7 +296,7 @@ def contract_rows(blocks: list[Rows], n: int,
     Gauss-Newton stage blocks ``D^T diag(w) D`` (n, 12, 12) of the row
     blocks of n states."""
     d, s, w = (np.concatenate(part) for part in zip(
-        (np.empty((0, n, 12)), np.empty((0, n)), np.empty((0, n))),
+        (np.empty((0, n, STATE_SIZE)), np.empty((0, n)), np.empty((0, n))),
         *blocks))
     # row after row from +0.0, so that a row of zeros changes no bit
     gradient = np.add.reduce(s[:, :, None] * d, axis=0, initial=0.0)
@@ -450,15 +450,12 @@ def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
     return rel[..., :, None] * (g_q @ BODY_TO_CAMERA.T)[..., None, :]
 
 
-def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
-              pose_tracks, smooth: bool,
-              ) -> tuple[np.ndarray, np.ndarray | None, list[TermRows]]:
-    """The pose term with the exact rotation norm; with ``smooth``, the
-    term with the smoothed norm first, the exact one next and the
-    smoothed one's row builders."""
+def _pose_vec(positions: np.ndarray, rotations: np.ndarray, pose_tracks,
+              ) -> tuple[np.ndarray, np.ndarray, list[TermRows]]:
+    """The pose term with the smoothed rotation norm, the term with the
+    exact norm, and the smoothed term's row builders."""
     n = len(positions)
-    exact = np.zeros(n)
-    smoothed = np.zeros(n) if smooth else None
+    exact, smoothed = np.zeros(n), np.zeros(n)
     builds = []
     for pt, target_positions, target_rotations in pose_tracks:
         if pt.w_distance > 0.0 and pt.distance is not None:
@@ -467,22 +464,19 @@ def _pose_vec(positions: np.ndarray, rotations: np.ndarray,
             err = dist - pt.distance
             term = pt.w_distance * err * err
             exact += term
-            if smooth:
-                smoothed += term
-                builds.append(partial(_distance_rows, pt.w_distance,
-                                      diff, dist, err))
+            smoothed += term
+            builds.append(partial(_distance_rows, pt.w_distance, diff, dist,
+                                  err))
         if pt.w_rotation > 0.0 and pt.rotation is not None:
             residual = np.einsum("kji,kjl->kil", target_rotations,
                                  rotations) - pt.rotation
             norm = np.sqrt(np.einsum("kij,kij->k", residual, residual))
             exact += pt.w_rotation * norm
-            if smooth:
-                root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
-                smoothed += pt.w_rotation * (root - ROTATION_NORM_EPS)
-                builds.append(partial(_rotation_rows, pt.w_rotation,
-                                      rotations, target_rotations, residual,
-                                      root))
-    return (smoothed, exact, builds) if smooth else (exact, None, [])
+            root = np.sqrt(norm * norm + ROTATION_NORM_EPS ** 2)
+            smoothed += pt.w_rotation * (root - ROTATION_NORM_EPS)
+            builds.append(partial(_rotation_rows, pt.w_rotation, rotations,
+                                  target_rotations, residual, root))
+    return smoothed, exact, builds
 
 
 def _distance_rows(weight: float, diff: np.ndarray, dist: np.ndarray,
@@ -563,25 +557,20 @@ class HorizonTracks:
 
 def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
                              spec: CameraSensorSpec, instr: Instructions,
-                             *, smooth: bool,
-                             ) -> tuple[CostBreakdown, TermRows | None]:
-    """Evaluate all four terms at every state of a horizon.
-
-    Returns the per-step breakdown and, with ``smooth``, a callable that
-    builds the row blocks (:data:`Rows`) of states 1..N from the
-    projections, depths, errors and lens terms the breakdown computed;
-    without ``smooth``, None.  Points closer than :data:`BARRIER_DEPTH`
-    are projected at that depth and penalized smoothly, and an infinite
-    far limit costs a sloped surrogate; ``smooth`` rounds the rotation
-    norm's kink off by :data:`ROTATION_NORM_EPS`, as the planner's descent
-    asks, and the rows are of that smoothed cost alone; the breakdown's
-    :attr:`CostBreakdown.exact` is then :func:`evaluate_horizon`'s, bit
-    for bit, from the same pass.
-    """
+                             ) -> tuple[CostBreakdown, TermRows]:
+    """Evaluate all four terms at every state of a horizon, the rotation
+    norm's kink rounded off by :data:`ROTATION_NORM_EPS` as the planner's
+    descent asks: the per-step breakdown, whose :attr:`CostBreakdown.exact`
+    has the norm exact, and a callable that builds the row blocks
+    (:data:`Rows`) of states 1..N of the smoothed cost from the
+    projections, depths, errors and lens terms the breakdown computed.
+    Points closer than :data:`BARRIER_DEPTH` are projected at that depth
+    and penalized smoothly, and an infinite far limit costs a sloped
+    surrogate."""
     positions, rotations = horizon.positions, horizon.rotations
     f_mm = horizon.lens[:, 0]
     pose, exact_pose, pose_rows = _pose_vec(positions, rotations,
-                                            tracks.poses, smooth)
+                                            tracks.poses)
     terms = (_dof_vec(horizon.lens, spec, instr),
              _image_vec(positions, horizon.camera_rotations, rotations,
                         f_mm, tracks.points, spec),
@@ -589,8 +578,6 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
              _focal_vec(f_mm, tracks.f_star, instr.focal.weight))
     breakdown = CostBreakdown(*(cost for cost, _ in terms),
                               exact_pose=exact_pose)
-    if not smooth:
-        return breakdown, None
     return breakdown, lambda: [block for _, builds in terms
                                for build in builds for block in build()]
 
@@ -598,10 +585,9 @@ def evaluate_horizon_stacked(horizon: Horizon, tracks: HorizonTracks,
 def evaluate_horizon(horizon: Horizon, tracks: HorizonTracks,
                      spec: CameraSensorSpec,
                      instr: Instructions) -> CostBreakdown:
-    """The exact cost a plan reports: the rotation norm unsmoothed, no
-    gradients.  The planner takes it from its last value pass instead."""
-    return evaluate_horizon_stacked(horizon, tracks, spec, instr,
-                                    smooth=False)[0]
+    """The exact cost a plan reports, the rotation norm unsmoothed.  The
+    planner takes it from its last value pass instead."""
+    return evaluate_horizon_stacked(horizon, tracks, spec, instr)[0].exact
 
 
 def chain_through_dynamics(gradient: np.ndarray,

@@ -22,8 +22,7 @@ from . import constraints as cons
 from . import estimation as est
 from . import objectives as obj
 from . import solver as sol
-from .kinematics import (CameraRig, euler_angles, interpolate_commands,
-                         rig_camera_points)
+from .kinematics import CameraRig, interpolate_commands, rig_camera_points
 from .optics import CameraSensorSpec, depth_of_field, pixel_coordinates
 from .runlog import RunLog
 
@@ -34,6 +33,14 @@ logger = logging.getLogger(__name__)
 
 _MAX_PATCH_ROWS = 12
 _MAX_PATCH_COLS = 6
+#: CSV columns of the rig's state row (:meth:`CameraRig.state_row`)
+STATE_COLUMNS = ("drone_px", "drone_py", "drone_pz",
+                 "drone_vx", "drone_vy", "drone_vz",
+                 "roll", "pitch", "yaw", "focal_mm", "focus_m", "aperture")
+#: CSV columns of a filmed target's estimate, after its id: position,
+#: velocity and covariance trace (NaN before its first detection)
+_ESTIMATE_COLUMNS = ("est_x", "est_y", "est_z", "est_vx", "est_vy", "est_vz",
+                     "cov_trace")
 #: CSV columns of the executed input row, in the solver's layout
 _INPUT_COLUMNS = ("input_ax", "input_ay", "input_az",
                   "input_wx", "input_wy", "input_wz",
@@ -212,12 +219,7 @@ def _anchor_map(target: ScriptedTarget) -> dict[str, np.ndarray]:
 
 
 def _log_columns(config: "ScenarioConfig") -> list[str]:
-    columns = ["step", "time",
-               "drone_px", "drone_py", "drone_pz",
-               "drone_vx", "drone_vy", "drone_vz",
-               "roll", "pitch", "yaw",
-               "focal_mm", "focus_m", "aperture",
-               *_INPUT_COLUMNS,
+    columns = ["step", "time", *STATE_COLUMNS, *_INPUT_COLUMNS,
                "cost_now", "cost_plan", "cost_dof", "cost_im", "cost_pose",
                "cost_focal",
                "solver_iterations", "solver_converged", "solver_rounds",
@@ -230,9 +232,8 @@ def _log_columns(config: "ScenarioConfig") -> list[str]:
         columns += [f"{tid}_gt_x", f"{tid}_gt_y", f"{tid}_gt_z",
                     f"{tid}_distance"]
         if not target.is_obstacle:
-            columns += [f"{tid}_est_x", f"{tid}_est_y", f"{tid}_est_z",
-                        f"{tid}_est_vx", f"{tid}_est_vy", f"{tid}_est_vz",
-                        f"{tid}_cov_trace", f"{tid}_detected"]
+            columns += [f"{tid}_{name}" for name in _ESTIMATE_COLUMNS]
+            columns.append(f"{tid}_detected")
     for tid, pid in config.composition_points():
         columns += [f"{tid}_{pid}_u", f"{tid}_{pid}_v",
                     f"{tid}_{pid}_u_des", f"{tid}_{pid}_v_des"]
@@ -383,15 +384,7 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
     nan = math.nan
     row = {
         "step": k0, "time": t,
-        "drone_px": rig.drone.position[0],
-        "drone_py": rig.drone.position[1],
-        "drone_pz": rig.drone.position[2],
-        "drone_vx": rig.drone.velocity[0],
-        "drone_vy": rig.drone.velocity[1],
-        "drone_vz": rig.drone.velocity[2],
-        "focal_mm": rig.intrinsics.focal_length,
-        "focus_m": rig.intrinsics.focus_distance,
-        "aperture": rig.intrinsics.aperture,
+        **dict(zip(STATE_COLUMNS, rig.state_row())),
         **dict(zip(_INPUT_COLUMNS, plan.inputs[0])),
         "cost_now": plan.cost.step_totals[0],
         "cost_plan": plan.cost.total,
@@ -408,8 +401,6 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
         "f_target_mm": instr.focal_value(0)
         if instr.focal.weight > 0.0 else nan,
     }
-    row["roll"], row["pitch"], row["yaw"] = euler_angles(
-        rig.drone.orientation[None])[0]
 
     dof = depth_of_field(rig.intrinsics, spec)
     row["dn_actual"] = dof.near_distance
@@ -430,17 +421,10 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
         if target.is_obstacle:
             continue
         track = tracks.get(tid)
-        if track is None:
-            row.update({f"{tid}_est_x": nan, f"{tid}_est_y": nan,
-                        f"{tid}_est_z": nan, f"{tid}_est_vx": nan,
-                        f"{tid}_est_vy": nan, f"{tid}_est_vz": nan,
-                        f"{tid}_cov_trace": nan})
-        else:
-            row[f"{tid}_est_x"], row[f"{tid}_est_y"], row[f"{tid}_est_z"] = \
-                track.position
-            row[f"{tid}_est_vx"], row[f"{tid}_est_vy"], row[f"{tid}_est_vz"] \
-                = track.velocity
-            row[f"{tid}_cov_trace"] = float(np.trace(track.covariance))
+        row.update(zip((f"{tid}_{name}" for name in _ESTIMATE_COLUMNS),
+                       np.full(len(_ESTIMATE_COLUMNS), nan) if track is None
+                       else np.r_[track.position, track.velocity,
+                                  np.trace(track.covariance)]))
         row[f"{tid}_detected"] = float(tid in detections)
     row["collision_residual_min"] = min(collision_residuals) \
         if collision_residuals else nan

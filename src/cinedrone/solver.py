@@ -33,9 +33,6 @@ from .optics import CameraSensorSpec
 #: Price per unit of the elastic variable of a start that leaves the linear
 #: rows no feasible value: large, so that it finds the least violation.
 _ELASTIC = 1e6
-#: State entries whose box rows are linear in the inputs: position,
-#: velocity and lens state.
-_LINEAR_STATE = np.r_[0:6, 9:12]
 #: Ridge added to the model Hessian, relative to its largest diagonal
 #: entry, so that its Cholesky factorization exists.
 _DAMPING = 1e-10
@@ -138,12 +135,11 @@ class _PenaltyModel:
         self.spec = spec
         self.margin = margin
         self.size = n_steps * self.tracks.width
-        #: first collision column of a row
-        self.n_box = 2 * len(self.tracks.bounds[0])
-        #: the entries of g_flat the model step holds, with no multiplier
-        self.linear = np.tile(np.isin(np.arange(self.tracks.width) % 12,
-                                      _LINEAR_STATE)
-                              & (np.arange(self.tracks.width) < 24), n_steps)
+        #: the entries of g_flat with no price and no multiplier: the box
+        #: rows of the state entries linear in the inputs (_linear_rows)
+        linear = np.zeros((n_steps, self.tracks.width), bool)
+        linear[:, cons.BOX_LOW] = linear[:, cons.BOX_HIGH] = kin.LINEAR
+        self.linear = linear.ravel()
 
     def penalty(self, horizon: kin.Horizon, lam: np.ndarray, rho: float,
                 ) -> tuple[float, np.ndarray, obj.TermRows]:
@@ -175,8 +171,8 @@ class _PenaltyModel:
         ``-EARLY_EXIT_MARGIN_SHARE * margin``: the report then calls those
         states feasible, and the rest of the margin is still kept."""
         rows = g_flat.reshape(-1, self.tracks.width)
-        return bool(np.all(rows[:, :self.n_box] >= FEASIBILITY_TOL)
-                    and np.all(rows[:, self.n_box:]
+        return bool(np.all(rows[:, cons.BOX] >= FEASIBILITY_TOL)
+                    and np.all(rows[:, cons.BOX.stop:]
                                >= -EARLY_EXIT_MARGIN_SHARE * self.margin))
 
 
@@ -383,27 +379,26 @@ def _model_step(h, g, normals, levels, start=()):
 
 def _linear_rows(initial: kin.CameraRig, inputs: np.ndarray,
                  sens: np.ndarray, dt: float, bounds):
-    """The state-box rows linear in the scaled inputs ``z``, as ``(a, b)``
-    holding ``a @ z <= b``, each scaled by its box width: the positions of
-    states 2..N (state 1's is the start's alone) and the velocities and
-    lens states of states 1..N, from the inputs at ``z = 0`` and the
-    states' sensitivities ``sens`` (N, 12, N, 9) to ``z``."""
-    n, drone = len(sens), initial.drone
+    """The box rows of the state entries linear in the scaled inputs ``z``
+    (unpriced in the penalty) of states 1..N, but state 1's positions, ``p0
+    + dt v0``, which no input moves: ``(a, b)`` holding ``a @ z <= b``, each
+    scaled by its box width, from the inputs at ``z = 0`` and the states'
+    sensitivities ``sens`` (N, 12, N, 9) to ``z``."""
+    n, v0 = len(sens), initial.drone.velocity
+    held = np.tile(kin.LINEAR, (n, 1))
+    held[0, kin.POSITION] = False
     # the states at z = 0: the start's, drifting, plus the inputs' share
-    share = kin.linear_sensitivities(n, dt)[1:, _LINEAR_STATE].reshape(
-        9 * n, -1) @ inputs.ravel()
-    state = np.r_[drone.position, drone.velocity,
-                  initial.intrinsics.as_array()] + share.reshape(n, 9)
-    state[:, 0:3] += dt * np.arange(1, n + 1)[:, None] * drone.velocity
-    picked = np.ones((n, 9), bool)
-    picked[0, 0:3] = False
-    low, high = (np.broadcast_to(edge[_LINEAR_STATE], (n, 9))[picked]
-                 for edge in bounds)
+    share = kin.linear_sensitivities(n, dt)[1:, kin.LINEAR].reshape(
+        -1, inputs.size) @ inputs.ravel()
+    state = np.tile(initial.state_row(), (n, 1))
+    state[:, kin.LINEAR] += share.reshape(n, -1)
+    state[:, kin.POSITION] += dt * np.arange(1, n + 1)[:, None] * v0
+    low, high = (np.broadcast_to(edge, held.shape)[held] for edge in bounds)
     width = np.where((high - low > 0.0) & np.isfinite(high - low),
                      high - low, 1.0)
-    a = sens[:, _LINEAR_STATE].reshape(n, 9, -1)[picked] / width[:, None]
+    a = sens.reshape(held.shape + (-1,))[held] / width[:, None]
     return (np.concatenate([a, -a]), np.concatenate(
-        [high - state[picked], state[picked] - low]) / np.tile(width, 2))
+        [high - state[held], state[held] - low]) / np.tile(width, 2))
 
 
 def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
@@ -470,7 +465,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         u = center + z_flat.reshape(n, 9) * half
         horizon = kin.rollout(initial, u, dt)
         breakdown, cost_rows = obj.evaluate_horizon_stacked(
-            horizon, tracks, spec, instr, smooth=True)
+            horizon, tracks, spec, instr)
         penalty, g_all, penalty_rows = model.penalty(horizon, lam, rho)
         u.setflags(write=False)
         g_all.setflags(write=False)
@@ -481,9 +476,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             gradient, stage = obj.contract_rows(
                 cost_rows() + penalty_rows(), n)
             sens = linear_sens.copy()
-            sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(
+            sens[:, kin.ROTATION, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt)[1:] * rotation_scale
-            sens = sens.reshape(n, 12, 9 * n)
+            sens = sens.reshape(n, kin.STATE_SIZE, 9 * n)
             built = (obj.chain_through_dynamics(gradient, sens), stage,
                      sens)
             for array in built:
@@ -548,9 +543,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
                     or np.min(residuals) >= FEASIBILITY_TOL)
     # complementary slackness: a state-box entry the plan holds strictly
     # carries no multiplier into the next solve
-    lam.reshape(n, -1)[:, :model.n_box][g_all.reshape(n, -1)[
-        :, :model.n_box] > HELD_SHARE * np.tile(np.subtract(
-            *model.tracks.bounds[::-1]), 2)] = 0.0
+    lam.reshape(n, -1)[:, cons.BOX][g_all.reshape(n, -1)[:, cons.BOX] > (
+        HELD_SHARE * model.tracks.box_widths)] = 0.0
     return Plan(inputs=u, horizon=horizon, cost=breakdown.exact,
                 residuals=residuals, feasible=feasible, stats=stats,
                 records=records, multipliers=lam, penalty=rho)

@@ -216,9 +216,10 @@ def test_state_rows_euler_angles_bit_identical():
         want[:, 1] = -np.arcsin(np.clip(rotations[:, 2, 0], -1.0, 1.0))
         want[:, 2] = np.arctan2(rotations[:, 1, 0], rotations[:, 0, 0])
         assert_bits(kin.euler_angles(rotations), want)
-        rows = cons.state_bound_residuals(horizon, (np.zeros(12),
-                                                    np.zeros(12)))
-        assert_bits(rows[:, 6:9], want)
+        assert_bits(horizon.state_rows()[:, kin.ROTATION], want)
+        for start in range(len(horizon)):
+            assert_bits(horizon.state_rows(start)[:, kin.ROTATION],
+                        want[start:])
 
 
 def test_anchor_tracks_bit_identical():

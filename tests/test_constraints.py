@@ -6,8 +6,8 @@ import scipy.linalg
 
 from cinedrone import constraints as cons
 from cinedrone import objectives as obj
-from cinedrone.kinematics import (BODY_TO_CAMERA, CameraRig, DroneState,
-                                  Horizon, hat_batch, rollout,
+from cinedrone.kinematics import (BODY_TO_CAMERA, ROTATION, CameraRig,
+                                  DroneState, Horizon, hat_batch, rollout,
                                   rotation_from_rpy, tangent_gradients)
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
 from test_kinematics import so3_exp
@@ -345,7 +345,8 @@ class TestStateResidualDerivatives:
                     gradient, stage = obj.contract_rows(
                         derivatives(unit, unit), len(rows))
                     d = gradient[k]
-                    if column < 24 and column % 12 not in (6, 7, 8):
+                    if (column < cons.BOX.stop
+                            and column not in np.r_[cons.ANGLES]):
                         # a position, velocity or lens box entry: the
                         # planner holds it in its model step, with no row
                         assert not gradient.any() and not stage.any()
@@ -362,21 +363,20 @@ class TestStateResidualDerivatives:
 
 
 def test_rpy_derivative_matches_central_differences():
-    # roll, pitch and yaw as state_bound_residuals extracts them, moved by
-    # R exp(d^) along each body axis
+    # roll, pitch and yaw as the state rows extract them, moved by R exp(d^)
+    # along each body axis
     rng = np.random.default_rng(12)
     n = 16
     rotations = np.stack([rotation_from_rpy(
         rng.uniform(-3.0, 3.0), rng.uniform(-1.2, 1.2),
         rng.uniform(-3.0, 3.0)) for _ in range(n)])
-    bounds = (np.zeros(12), np.zeros(12))
 
     def angles(rots):
         horizon = Horizon(positions=np.zeros((n, 3)),
                           velocities=np.zeros((n, 3)), rotations=rots,
                           lens=np.ones((n, 3)),
                           jacobians=np.zeros((n - 1, 3, 3)))
-        return cons.state_bound_residuals(horizon, bounds)[:, 6:9]
+        return horizon.state_rows()[:, ROTATION]
     h = 1e-6
     for axis in range(3):
         got = tangent_gradients(rotations,

@@ -343,6 +343,17 @@ class TestCli:
         assert cli.main(["summarize", str(out_dir)]) == 0
         assert (out_dir / "summary_aggregate.json").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-8"])
+    def test_run_rejects_reps_below_one(self, tmp_path, capsys, reps):
+        # bad input: exit 2 before any run, and no output directory
+        scenario = tmp_path / "mini.json"
+        scenario.write_text(json.dumps(minimal_raw()))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(scenario), "--reps", reps,
+                         "--out", str(out_dir)]) == 2
+        assert "--reps must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_csv_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS reads its thread count when numpy loads, so each count
         # needs its own interpreter

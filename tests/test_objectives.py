@@ -27,13 +27,14 @@ def stacked_cost(horizon, preds, spec, instr, smooth=False,
                  with_grads=False):
     """The cost breakdown of a horizon and, with ``with_grads``, the
     per-state gradients and stage blocks of its states 1..N, through the
-    planner's evaluation; ``smooth`` rounds the rotation norm's kink off,
-    as the descent does."""
+    planner's evaluation; the breakdown is the exact one a plan reports
+    unless ``smooth``, which keeps the rotation norm's kink rounded off,
+    as the descent does (the rows always are)."""
     breakdown, rows = obj.evaluate_horizon_stacked(
-        horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr,
-        smooth=smooth)
-    return breakdown, (obj.contract_rows(rows(), len(horizon) - 1)
-                       if with_grads else None)
+        horizon, obj.HorizonTracks(preds, instr, len(horizon)), spec, instr)
+    return (breakdown if smooth else breakdown.exact,
+            obj.contract_rows(rows(), len(horizon) - 1) if with_grads
+            else None)
 
 
 def input_gradient(grads, horizon, dt):

@@ -32,8 +32,7 @@ def assert_matches_oracle(got, grads):
 def cost_rows(horizon, preds, instr):
     """The planner's cost rows of a horizon, and their oracle."""
     tracks = obj.HorizonTracks(preds, instr, len(horizon))
-    rows = obj.evaluate_horizon_stacked(horizon, tracks, SPEC, instr,
-                                        smooth=True)[1]()
+    rows = obj.evaluate_horizon_stacked(horizon, tracks, SPEC, instr)[1]()
     return rows, oracle.cost_gradients(horizon, tracks, SPEC, instr)
 
 

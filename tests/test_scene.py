@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cinedrone import estimation as est
+from cinedrone import kinematics as kin
 from cinedrone import scene
+from cinedrone import solver as sol
 from cinedrone.config import scenario_from_dict
 from cinedrone.kinematics import CameraRig, DroneState, rotation_from_rpy
 from cinedrone.optics import CameraSensorSpec, IntrinsicState
@@ -279,6 +281,35 @@ class TestClosedLoop:
         assert log.status == "collision"
         assert log.meta["collision"]["obstacle"] == "cactus"
         assert log.meta["collision"]["distance"] < 0.5
+
+    def test_logged_state_is_the_rig_state_row(self, monkeypatch):
+        # the 12 state columns of each logged step are its rig's state
+        # row, and from step 1 on row 1 of the last plan's state rows, bit
+        # for bit, under the names of the state row's entries
+        assert [scene.STATE_COLUMNS[entries] for entries in (
+            kin.POSITION, kin.VELOCITY, kin.ROTATION, kin.LENS)] == [
+            ("drone_px", "drone_py", "drone_pz"),
+            ("drone_vx", "drone_vy", "drone_vz"), ("roll", "pitch", "yaw"),
+            ("focal_mm", "focus_m", "aperture")]
+        raw = json.loads((SCENARIOS / "e4_occlusion.json").read_text())
+        raw["control"]["duration"] = 8 * raw["control"]["period"]
+        solves = []
+        solve = sol.solve
+
+        def recorded(rig, *args, **kwargs):
+            plan = solve(rig, *args, **kwargs)
+            solves.append((rig, plan))
+            return plan
+        monkeypatch.setattr(sol, "solve", recorded)
+        log = scene.run_closed_loop(scenario_from_dict(raw), 0)
+        logged = np.column_stack([log.column(c)
+                                  for c in scene.STATE_COLUMNS])
+        assert len(logged) == len(solves) == 8
+        for k, (rig, _) in enumerate(solves):
+            assert logged[k].tobytes() == rig.state_row().tobytes()
+            if k:
+                executed = solves[k - 1][1].horizon.state_rows()[1]
+                assert logged[k].tobytes() == executed.tobytes()
 
     def test_determinism_bitwise(self, tmp_path):
         raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())

@@ -1,6 +1,7 @@
 """Fingerprint one closed-loop run: what the descent saw and what it planned.
 
-Runs one scenario at one seed through ``scene.run_closed_loop`` and prints
+Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
+``--scenario``, each shipped scenario in turn, one block each) and prints
 
 - the SHA-256 over every merit value the planner hands to its descent
   (``solver.box_gauss_newton``, called through ``scipy.optimize.minimize``),
@@ -39,6 +40,7 @@ whole runs.  Hashes may differ between CPUs, so compare runs made on one
 machine.
 
     PYTHONPATH=src python3 tools/merit_stream.py --scenario e4_occlusion --seed 0
+    PYTHONPATH=src python3 tools/merit_stream.py --seed 0
 """
 
 from __future__ import annotations
@@ -151,12 +153,18 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scenario", required=True,
-                        help="shipped scenario name or scenario JSON path")
+    parser.add_argument("--scenario", default=None,
+                        help="shipped scenario name or scenario JSON path"
+                             " (default: every shipped scenario)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    for key, value in fingerprint(args.scenario, args.seed).items():
-        print(f"{key}: {value}")
+    scenarios = [args.scenario] if args.scenario else sorted(
+        path.stem for path in SCENARIOS.glob("*.json"))
+    for block, scenario in enumerate(scenarios):
+        if block:
+            print()
+        for key, value in fingerprint(scenario, args.seed).items():
+            print(f"{key}: {value}")
     return 0
 
 

@@ -76,7 +76,7 @@ from cinedrone import objectives as obj  # noqa: E402
 from cinedrone import runlog  # noqa: E402
 from cinedrone import solver as sol  # noqa: E402
 from cinedrone.config import load_scenario  # noqa: E402
-from cinedrone.scene import run_closed_loop  # noqa: E402
+from cinedrone.scene import STATE_COLUMNS, run_closed_loop  # noqa: E402
 
 SCENARIOS = ROOT / "src" / "cinedrone" / "scenarios"
 #: Shot metrics judged per seed: direction ("lower", "higher", or
@@ -94,10 +94,6 @@ SHOT_METRICS = {
 }
 #: Family-wise error rate of the shot-metric tests.
 HOLM_ALPHA = 0.1
-#: executed state columns, in the order of ``ConstraintSet.state_bounds``
-STATE_COLUMNS = ("drone_px", "drone_py", "drone_pz",
-                 "drone_vx", "drone_vy", "drone_vz",
-                 "roll", "pitch", "yaw", "focal_mm", "focus_m", "aperture")
 
 
 def _run(config, seed: int) -> dict:
