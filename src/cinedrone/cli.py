@@ -14,9 +14,11 @@ from .scene import run_closed_loop
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.reps is not None and args.reps < 1:
-        print(f"--reps must be >= 1, got {args.reps}", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--reps", args.reps, 1),
+                               ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     config = load_scenario(args.scenario)
     seeds = [args.seed] if args.seed is not None else list(config.seeds)
     if args.reps is not None:

@@ -216,10 +216,16 @@ def orientation_from_velocity(velocity: np.ndarray,
     if speed < SPEED_THRESHOLD:
         return np.array(fallback, dtype=float)
     forward = velocity / speed
-    lateral = np.cross(forward, _GRAVITY_DIR)
+    lateral = _cross(forward, _GRAVITY_DIR)
     lateral_norm = float(np.linalg.norm(lateral))
     if lateral_norm < 1e-8:
         return np.array(fallback, dtype=float)
     lateral = lateral / lateral_norm
-    up = np.cross(forward, lateral)
+    up = _cross(forward, lateral)
     return np.column_stack([forward, lateral, up])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vectors written out: its operations, its bits."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])

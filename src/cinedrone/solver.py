@@ -5,8 +5,9 @@ sequence subject to the rig dynamics and the feasibility inequalities.
 Inputs are normalized to [-1, 1] by their bounds.  A Levenberg-Marquardt
 descent (:func:`box_gauss_newton`) holds that box and the state-box rows
 that are linear in the inputs (position, velocity and lens) in every
-model step, a quadratic program; its Gauss-Newton model Hessian sums the
-stage blocks of the merit over the forward sensitivities of the rollout.
+model step, a quadratic program that starts from the rows the last one
+held; its Gauss-Newton model Hessian sums the stage blocks of the merit
+over the forward sensitivities of the rollout.
 The roll, pitch and yaw bounds and the collision and occlusion
 inequalities enter through an augmented-Lagrangian penalty whose
 multipliers are updated once per descent round and carried, shifted one
@@ -95,8 +96,8 @@ class Plan:
 
     ``inputs`` is the read-only (n, 9) input array and ``horizon`` is
     exactly ``kin.rollout(initial, inputs, dt)`` (single shooting).
-    ``multipliers``/``penalty`` carry the augmented-Lagrangian state into
-    the next warm-started solve."""
+    ``multipliers``/``penalty``/``held`` carry the augmented-Lagrangian
+    state and the model steps' held rows into the next warm-started solve."""
 
     inputs: np.ndarray
     horizon: kin.Horizon
@@ -107,6 +108,7 @@ class Plan:
     records: list[cons.OcclusionRecord] = field(default_factory=list)
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     penalty: float = 0.0
+    held: tuple = ((), ())
 
 
 def _shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -122,6 +124,29 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     if prev is None:
         return np.zeros((n_steps, 9))
     return _shift_rows(prev.inputs, n_steps)
+
+
+@functools.lru_cache(maxsize=16)
+def _model_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model step's rows in order, a (4, n, 12) mask of (stage, entry)
+    (the box's high and low rows, then :func:`_linear_rows`' two sides),
+    and the row each follows one stage on (:func:`_shift_held`); read-only."""
+    rows = np.zeros((4, n, kin.STATE_SIZE), bool)
+    rows[:2, :, :9], rows[2:] = True, kin.LINEAR
+    rows[2:, 0, kin.POSITION] = False
+    number = rows.cumsum().reshape(rows.shape) - 1  # where rows holds
+    follows = _shift_rows(number.swapaxes(0, 1), n).swapaxes(0, 1)[rows]
+    for array in rows, follows:
+        array.setflags(write=False)
+    return rows, follows
+
+
+def _shift_held(held, n: int) -> tuple[list[int], ...]:
+    """``held``'s row lists one stage on, as the inputs: stage k + 1's rows
+    become stage k's, the last repeated; state 2's positions are dropped."""
+    follows = _model_rows(n)[1].tolist()
+    return tuple([k for k, row in enumerate(follows) if row in last]
+                 for last in map(set, held))
 
 
 class _PenaltyModel:
@@ -177,7 +202,7 @@ class _PenaltyModel:
 
 
 def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
-                     gtol: float = 1e-5, ftol: float = 1e-7,
+                     gtol: float = 1e-5, ftol: float = 1e-7, start=((), ()),
                      **unused) -> scipy.optimize.OptimizeResult:
     """Levenberg-Marquardt descent over the box ``bounds``, a ``(low,
     high)`` pair, and the rows ``a @ x <= b`` of ``constraints = (a, b)``,
@@ -202,13 +227,15 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
     A point's gradient is built only once the descent goes on from it (the
     start, or an accepted trial past the ``ftol`` test), and its Hessian
     only once a step is to be taken from it; the result's ``jac`` is None
-    where the descent stopped without the gradient at ``x``.
+    where the descent stopped without the gradient at ``x``.  The first
+    projected gradient and trial step start from the row lists ``start``
+    (rows of ``I``, ``-I``, ``a``); ``active`` is where the last ones ended.
     """
     (a, b), (low, high) = constraints, bounds
     x, b = _project(np.asarray(x0, float).clip(low, high), low, high, a, b)
     f, gradient, hessian, point = fun(x)
     g = h = None  # at x, each built when the descent first needs it
-    held = active = ()  # the last active sets, where the next QPs start
+    held, active = start  # the last active sets, where the next QPs start
     nit, status = 0, 2
     mu, growth = 0.0, 2.0
     eye = np.eye(len(x))
@@ -272,6 +299,7 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
             break
     return scipy.optimize.OptimizeResult(
         x=x, fun=f, jac=g, point=point, nit=nit, status=status,
+        active=(held, active),
         success=status == 0, message=("converged", "iteration cap",
                                       "damped step no longer moves x")[status])
 
@@ -307,7 +335,8 @@ def _model_step(h, g, normals, levels, start=()):
     """Minimizer of ``g s + s h s / 2`` over ``normals @ s <= levels``,
     whose first 2n rows are the box (``I``, then ``-I``), and the rows it
     holds: Goldfarb and Idnani's dual active-set method (1983), started
-    from the held rows ``start`` less those of negative multiplier.  A
+    from the held rows ``start`` less those that the rows before them span
+    (a failed Schur pivot) or of negative multiplier, so from any start.  A
     held bound is met exactly, a row to rounding.  Raises
     ``np.linalg.LinAlgError`` where ``h`` does not factor, the rows hold
     no point, or the held set cycles."""
@@ -322,14 +351,16 @@ def _model_step(h, g, normals, levels, start=()):
         # rows at their levels (the first column) or at 0, and the rows'
         # multipliers, from the Schur complement y^T y, y = L^-1 rows^T
         w = inverse @ q
-        if not active:
+        while active:
+            held, y = normals[active], inverse @ normals[active].T
+            schur, info = lapack.dpotrf(y.T @ y, lower=1)
+            if not info:
+                break
+            del active[info - 1]  # a row that the held rows before it span
+        else:
             return -inverse.T @ w, np.zeros((0, q.shape[1]))
-        held, y = normals[active], inverse @ normals[active].T
         targets = np.zeros((len(active), q.shape[1]))
         targets[:, 0] = levels[active]
-        schur, info = lapack.dpotrf(y.T @ y, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("held rows dependent")
         multipliers = lapack.dpotrs(schur, -targets - y.T @ w, lower=1)[0]
         s = -inverse.T @ (w + y @ multipliers)
         # w + y multipliers cancels to rounding of its largest entries:
@@ -385,8 +416,7 @@ def _linear_rows(initial: kin.CameraRig, inputs: np.ndarray,
     scaled by its box width, from the inputs at ``z = 0`` and the states'
     sensitivities ``sens`` (N, 12, N, 9) to ``z``."""
     n, v0 = len(sens), initial.drone.velocity
-    held = np.tile(kin.LINEAR, (n, 1))
-    held[0, kin.POSITION] = False
+    held = _model_rows(n)[0][2]
     # the states at z = 0: the start's, drifting, plus the inputs' share
     share = kin.linear_sensitivities(n, dt)[1:, kin.LINEAR].reshape(
         -1, inputs.size) @ inputs.ravel()
@@ -504,6 +534,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     z = np.divide(shift_warm_start(warm, n) - center, half, where=free,
                   out=np.zeros((n, 9))).ravel()
+    held = _shift_held(warm.held, n) if warm is not None else ((), ())
     stats = SolveStats()
     status = 1
     for outer in range(cfg.outer_rounds):
@@ -512,8 +543,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             merit, z, method=box_gauss_newton, bounds=(-box, box),
             constraints=rows,
             options={"maxiter": cfg.max_iterations,
-                     "gtol": CONVERGENCE_TOL, "ftol": 1e-7})
-        z = result.x
+                     "gtol": CONVERGENCE_TOL, "ftol": 1e-7, "start": held})
+        z, held = result.x, result.active
         stats.iterations += int(result.nit)
         status = int(result.status)
 
@@ -547,4 +578,4 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         HELD_SHARE * model.tracks.box_widths)] = 0.0
     return Plan(inputs=u, horizon=horizon, cost=breakdown.exact,
                 residuals=residuals, feasible=feasible, stats=stats,
-                records=records, multipliers=lam, penalty=rho)
+                records=records, multipliers=lam, penalty=rho, held=held)

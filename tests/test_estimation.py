@@ -275,6 +275,26 @@ class TestOrientationFromVelocity:
                                             fallback)
         assert np.allclose(rot, fallback)
 
+    def test_cross_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        for a, b in rng.normal(0.0, 3.0, (10_000, 2, 3)):
+            assert np.array_equal(est._cross(a, b), np.cross(a, b))
+
+    @pytest.mark.parametrize("velocity", [(0.05, 0.0, 0.02),
+                                          (0.0, 0.0, -5.0),
+                                          (2e-9, 0.0, -1.0)],
+                             ids=["slow", "vertical", "near vertical"])
+    def test_fallbacks_as_with_numpys_cross(self, velocity):
+        # both fallbacks, as the function built on np.cross returned them
+        velocity, fallback = np.array(velocity), rotation_from_rpy(
+            0.1, -0.2, 1.0)
+        forward = velocity / np.linalg.norm(velocity)
+        speed_falls_back = np.linalg.norm(velocity) < est.SPEED_THRESHOLD
+        assert speed_falls_back or np.linalg.norm(
+            np.cross(forward, [0.0, 0.0, -1.0])) < 1e-8
+        rot = est.orientation_from_velocity(velocity, fallback)
+        assert np.array_equal(rot, fallback) and rot is not fallback
+
     def test_always_proper_rotation(self):
         rng = np.random.default_rng(9)
         for _ in range(2000):

@@ -354,6 +354,17 @@ class TestCli:
         assert "--reps must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_run_rejects_negative_seed(self, tmp_path, capsys):
+        # a seed NumPy cannot take: a one-line message and exit 2 before
+        # any run, not a traceback from the loop's generator
+        scenario = tmp_path / "mini.json"
+        scenario.write_text(json.dumps(minimal_raw()))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(scenario), "--seed", "-1",
+                         "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "--seed must be >= 0, got -1\n"
+        assert not out_dir.exists()
+
     def test_csv_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS reads its thread count when numpy loads, so each count
         # needs its own interpreter
@@ -446,11 +457,12 @@ class TestConstantCaches:
         import pkgutil
 
         import cinedrone
-        from cinedrone import estimation, kinematics
+        from cinedrone import estimation, kinematics, solver
         # the package's memoized builders, each with a key it is built for
         builders = {
             kinematics.linear_sensitivities: (5, 0.2),
             estimation._constant_velocity_model: (0.3, 0.5),
+            solver._model_rows: (5,),
         }
         modules = pkgutil.iter_modules(cinedrone.__path__, "cinedrone.")
         memoized = {value for module in modules

@@ -174,6 +174,24 @@ class TestWarmStart:
         assert np.array_equal(sol.shift_warm_start(None, 5),
                               np.zeros((5, 9)))
 
+    def test_held_rows_shift_definition(self):
+        # 3 stages: the box's high rows 0..26 and low rows 27..53 (stage s,
+        # input c at 9 s + c), then the linear rows of states 1..3, high
+        # 54..77 and low 78..101: state 1's six velocity and lens rows,
+        # then nine rows (positions, velocities, lens) of states 2 and 3
+        box_high, box_low, high, low = 0, 27, 54, 78
+        held = [box_high + 9 + 2,  # stage 1, input 2 -> stage 0
+                box_high + 18 + 4,  # the last stage, input 4 -> 1 and 2
+                box_low + 0,  # stage 0: no stage before it
+                high + 6,  # state 2's px: state 1's is no row
+                high + 6 + 3,  # state 2's vx -> state 1's
+                low + 15 + 8]  # state 3's aperture -> states 2 and 3
+        want = [box_high + 2, box_high + 9 + 4, box_high + 18 + 4,
+                high + 0, low + 6 + 8, low + 15 + 8]
+        assert sol._shift_held((held, []), 3) == (want, [])
+        # a plan of one stage follows itself
+        assert sol._shift_held(([3, 12, 18],), 1) == ([3, 12, 18],)
+
 
 class TestPlanContract:
     def test_single_shooting_consistency(self):
@@ -1312,6 +1330,51 @@ class TestModelStep:
         assert np.allclose(step, (x - g).clip(-1.0, 1.0) - x, rtol=0.0,
                            atol=1e-15)
 
+    @staticmethod
+    def warm_starts(seed, n=12, m=10):
+        """The rows ``normals @ s <= levels`` of ``linear_qp(seed)`` with
+        row 0 of ``a`` laid out twice, and the starts to try, by name."""
+        h, g, lower, upper, a, b = linear_qp(seed, n, m)
+        eye = np.eye(n)
+        normals = np.concatenate([eye, -eye, a, a[:1]])
+        levels = np.concatenate([upper, -lower, b, b[:1]])
+        cold, active = sol._model_step(h, g, normals, levels)
+        rng = np.random.default_rng(2000 + seed)
+        starts = {
+            "garbage": rng.choice(len(levels), 8, replace=False).tolist(),
+            "duplicate": [2 * n, 2 * n + m],
+            "spanned": list(range(n)) + [2 * n],
+            "cold": active}
+        return (h, g, lower, upper, normals, levels), cold, starts
+
+    @pytest.mark.parametrize("start", ["garbage", "duplicate", "spanned",
+                                       "cold"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_any_start_gives_the_cold_step(self, seed, start):
+        # a start of rows far from binding, of a row and its duplicate, of
+        # a row with the bounds that span it, or of the cold answer's own
+        # held rows ends at the cold step's model value, holding every
+        # bound and row, and raises nothing
+        (h, g, lower, upper, normals, levels), cold, starts = (
+            self.warm_starts(seed))
+        step, _ = sol._model_step(h, g, normals, levels, starts[start])
+
+        def model(s):
+            return g @ s + 0.5 * s @ (h @ s)
+        assert model(step) == pytest.approx(model(cold), rel=1e-12)
+        assert np.all((lower <= step) & (step <= upper))
+        assert np.all(normals[2 * len(g):] @ step - levels[2 * len(g):]
+                      <= 1e-12)
+
+    def test_dependent_start_rows_are_let_go(self):
+        # of a row and its duplicate, and of a row and the bounds that span
+        # it, the row that the held rows before it span is not held
+        (h, g, _, _, normals, levels), _, starts = self.warm_starts(0)
+        for name in ("duplicate", "spanned"):
+            start = starts[name]
+            _, active = sol._model_step(h, g, normals, levels, start)
+            assert not set(start) <= set(active)
+
 
 class TestProjection:
     @staticmethod
@@ -1491,3 +1554,64 @@ def test_executed_linear_states_stay_in_their_box(name):
         state = np.column_stack([log.column(c) for c in LINEAR_COLUMNS])
         assert np.all(np.maximum(low - state, state - high)
                       <= 1e-12 * (high - low))
+
+
+@pytest.mark.parametrize("name, duration", [("rule_of_thirds", 12.0),
+                                            ("e4_occlusion", 3.0)])
+def test_model_steps_start_where_the_last_ones_ended(monkeypatch, name,
+                                                     duration):
+    # each kind of model step (the stopping test's projected gradient, with
+    # H = I, and the trial step) starts from the rows the last one of its
+    # kind held: in its round, in the round before, or in the last solve,
+    # shifted one stage
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    raw["control"]["duration"] = duration
+    solves, rounds, steps = [], [], []
+    solve, descent, model_step = (sol.solve, sol.box_gauss_newton,
+                                  sol._model_step)
+
+    def recorded_step(h, g, normals, levels, start=()):
+        step, active = model_step(h, g, normals, levels, start)
+        if g.any():  # not the start's projection
+            kind = 0 if np.array_equal(h, np.eye(len(g))) else 1
+            steps.append((kind, list(start), list(active)))
+        return step, active
+
+    def recorded_descent(*args, start, **kwargs):
+        steps.clear()
+        result = descent(*args, start=start, **kwargs)
+        rounds.append((start, result.active, list(steps)))
+        return result
+
+    def recorded_solve(*args, **kwargs):
+        rounds.clear()
+        plan = solve(*args, **kwargs)
+        solves.append((plan, list(rounds)))
+        return plan
+    monkeypatch.setattr(sol, "_model_step", recorded_step)
+    monkeypatch.setattr(sol, "box_gauss_newton", recorded_descent)
+    monkeypatch.setattr(sol, "solve", recorded_solve)
+    assert run_closed_loop(scenario_from_dict(raw), 0).status == "completed"
+    last, warm, called = ((), ()), [0, 0], [0, 0]
+    for index, (plan, solve_rounds) in enumerate(solves):
+        for outer, (start, active, calls) in enumerate(solve_rounds):
+            want = last if outer else sol._shift_held(last, len(plan.inputs))
+            assert list(map(list, start)) == list(map(list, want))
+            for kind in (0, 1):
+                # where each call of this kind starts: where the last ended
+                ends = [list(start[kind])]
+                for k, begin, end in calls:
+                    if k == kind:
+                        assert begin == ends[-1]
+                        ends.append(end)
+                assert list(active[kind]) == ends[-1]
+                # so a first call starts empty only where the last held no
+                # row, or only rows the shift drops (stage 0's, state 2's
+                # positions)
+                called[kind] += bool(index and len(ends) > 1)
+                warm[kind] += bool(index and len(ends) > 1 and ends[0])
+            last = active
+        assert plan.held == last
+    # the trial steps, and the stopping test's QPs where it needs any (on
+    # rule_of_thirds), start warm after the first solve
+    assert warm[1] > 0 and (warm[0] > 0 or not called[0])

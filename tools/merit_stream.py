@@ -29,10 +29,13 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
   pass of their own);
 - the descent's own work: model steps (``solver._model_step`` calls: one
   per trial step, one per projected gradient that the box alone does not
-  settle, and one or two per round whose start breaks a linear row) and
+  settle, and one or two per round whose start breaks a linear row); cold
+  model steps, those of them whose start set is empty (the start's
+  projections, and the first of each kind where the last one held no row
+  or only rows that the one-stage shift between solves drops); and
   Cholesky factorizations (LAPACK ``dpotrf`` calls: each model step's
-  model once, and the Schur complement of its held rows once per
-  iterate).
+  model once, and the Schur complement of its held rows once per iterate
+  and once more per start row that the rows before it span).
 
 Two checkouts that print the same lines handed the descent the same bits
 at every call, so a rewrite claimed to be bit for bit can be checked on
@@ -95,7 +98,7 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     plans = hashlib.sha256()
     counts = {"solves": 0, "rounds": 0, "value passes": 0,
               "gradient builds": 0, "Hessian builds": 0, "evaluations": 0,
-              "model steps": 0, "factorizations": 0}
+              "model steps": 0, "cold model steps": 0, "factorizations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     # the hooks that count a call and pass it on, by module and name
     counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
@@ -128,6 +131,10 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
         counts["rounds"] += 1
         return minimize(merit, *args, **kwargs)
 
+    def model_step(h, g, normals, levels, start=()):
+        counts["cold model steps"] += not len(start)
+        return counted_step(h, g, normals, levels, start)
+
     def hashed_solve(*args, **kwargs):
         plan = solve(*args, **kwargs)
         _hash_plan(plans, plan, counts["solves"])
@@ -138,6 +145,8 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     sol.solve = hashed_solve
     for module, name in counted:
         setattr(module, name, counter((module, name)))
+    # the counted model step, wrapped once more to count its cold starts
+    counted_step, sol._model_step = sol._model_step, model_step
     try:
         log = run_closed_loop(config, seed)
     finally:
