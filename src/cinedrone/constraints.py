@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (ROTATION, STATE_SIZE, CameraRig, Horizon,
+from .kinematics import (ROTATION, STATE_SIZE, CameraRig, Horizon, _readonly,
                          rig_camera_points, tangent_gradients)
-from .objectives import Rows, TargetPrediction, body_outer, derivative_rows
+from .objectives import (Rows, TargetPrediction, camera_point_derivatives,
+                         derivative_rows)
 from .optics import CameraSensorSpec, camera_points, pixel_coordinates
 
 #: The column groups of a constraint row (:func:`state_residuals`): the
@@ -76,10 +77,11 @@ class ConstraintSet:
     occlusion_enabled: bool = False
 
     def __post_init__(self) -> None:
+        # read-only copies: nothing a solve or a memo read can change
         for name in ("drone_input", "intr_input", "position", "velocity",
                      "rpy", "intr"):
-            low = np.asarray(getattr(self, name + "_low"), dtype=float)
-            high = np.asarray(getattr(self, name + "_high"), dtype=float)
+            low = _readonly(getattr(self, name + "_low"))
+            high = _readonly(getattr(self, name + "_high"))
             if low.shape != high.shape:
                 raise ValueError(f"{name} bounds have mismatched shapes")
             if np.any(low > high):
@@ -241,11 +243,11 @@ def separation_pieces(horizon: Horizon, start: int,
         g_q[:, :, 1] = spec.skew / qz
         g_q[:, :, 2] = -(u_num + edge_signs * bxf_half) / (qz * qz)
         g_q *= gap_signs[:, :, None]
-        pos_terms = np.einsum("kij,tkj->tki", cam_rotations, g_q)
-        rot_terms = body_outer(rel, g_q)
+        pos_terms, rot_terms = camera_point_derivatives(cam_rotations, rel,
+                                                        g_q)
         f_terms = gap_signs * (spec.beta_x * q[:, :, 0]
                                + edge_signs * spec.beta_x * half) / qz
-        return (0.0 - pos_terms[0] - pos_terms[1],
+        return (0.0 + pos_terms[0] + pos_terms[1],
                 0.0 + rot_terms[0] + rot_terms[1],
                 0.0 + f_terms[0] + f_terms[1])
     return gap, pieces
@@ -272,7 +274,7 @@ class ConstraintTracks:
                  cset: ConstraintSet, records: list[OcclusionRecord],
                  n: int):
         low, high = self.bounds = cset.state_bounds
-        self.box_widths = np.r_[high - low, high - low]
+        self.box_widths = np.concatenate([high - low, high - low])
         self.safety_distance = cset.safety_distance
         ids = sorted(preds) if cset.safety_distance > 0.0 else []
         self.collisions = np.array([preds[tid].positions[:n]
@@ -362,7 +364,7 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
         slopes, weights = slopes[tracks.separation], weights[tracks.separation]
         held = [k for k, weight in enumerate(weights) if weight.any()]
         if held:
-            d_pos, d_rot, d_f = (np.stack(piece) / separation_scale
+            d_pos, d_rot, d_f = (np.array(piece) / separation_scale
                                  for piece in zip(*(separations[k]()
                                                     for k in held)))
             blocks.append(derivative_rows(

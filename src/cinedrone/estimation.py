@@ -117,10 +117,14 @@ def robust_depth(patch: np.ndarray) -> float:
     # an all-invalid row's minimum is inf; min is exact, so the finite
     # minima are the per-row minima of the valid entries, in row order
     row_mins = np.where(valid, rows, np.inf).min(axis=1)
-    row_mins = row_mins[np.isfinite(row_mins)]
-    if not row_mins.size:
+    row_mins = sorted(row_mins[np.isfinite(row_mins)].tolist())
+    if not row_mins:
         raise NoValidDepthError("no valid entries in depth patch")
-    return float(np.median(row_mins))
+    # np.median's values: the middle one, or the mean of the middle two
+    middle = len(row_mins) // 2
+    if len(row_mins) % 2:
+        return row_mins[middle]
+    return (row_mins[middle - 1] + row_mins[middle]) / 2.0
 
 
 def measure_world_position(det: Detection, rig: CameraRig,

@@ -172,12 +172,18 @@ class CameraRig:
         return self.drone.orientation @ BODY_TO_CAMERA
 
     def state_row(self) -> np.ndarray:
-        """The rig's state row: its one-state :class:`Horizon`'s."""
-        drone = self.drone
-        return Horizon(drone.position[None], drone.velocity[None],
-                       drone.orientation[None],
-                       self.intrinsics.as_array()[None],
-                       np.empty((0, 3, 3))).state_rows()[0]
+        """The rig's state row: its one-state :class:`Horizon`'s, built at
+        the first call and read-only."""
+        row = self.__dict__.get("_state_row")
+        if row is None:
+            drone = self.drone
+            row = Horizon(drone.position[None], drone.velocity[None],
+                          drone.orientation[None],
+                          self.intrinsics.as_array()[None],
+                          np.empty((0, 3, 3))).state_rows()[0]
+            row.setflags(write=False)
+            object.__setattr__(self, "_state_row", row)
+        return row
 
 
 def rig_camera_points(rig: CameraRig, points: np.ndarray) -> np.ndarray:
@@ -290,16 +296,16 @@ def linear_sensitivities(n: int, dt: float) -> np.ndarray:
 
 
 def rotation_sensitivities(horizon: Horizon, dt: float) -> np.ndarray:
-    """The rotation rows that :func:`linear_sensitivities` leaves zero:
-    (N+1, 3, N, 3), state k's rotation vector by input j's angular
-    velocity, ``R_k^T R_(j+1) Jr(dt w_j) dt`` for j < k, the
-    re-orthonormalization aside."""
+    """The rotation rows that :func:`linear_sensitivities` leaves zero, of
+    states 1..N (state 0's are zero): (N, 3, N, 3), state k's rotation
+    vector by input j's angular velocity, ``R_k^T R_(j+1) Jr(dt w_j) dt``
+    for j < k, the re-orthonormalization aside."""
     n = len(horizon) - 1
-    before = (np.arange(n)[None, :] < np.arange(n + 1)[:, None])[
+    before = (np.arange(n)[None, :] < np.arange(1, n + 1)[:, None])[
         :, None, :, None]
-    rotations = horizon.rotations
-    steps = dt * (rotations[1:] @ horizon.jacobians)
-    return before * np.einsum("kba,jbc->kajc", rotations, steps)
+    moved = horizon.rotations[1:]
+    steps = dt * (moved @ horizon.jacobians)
+    return before * np.einsum("kba,jbc->kajc", moved, steps)
 
 
 def interpolate_commands(start: CameraRig, end: CameraRig,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -67,7 +67,11 @@ class FocalSchedule:
         return cls(times=(0.0,), values=(value_mm,))
 
     def value_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
+        return self.values_at([t])[0]
+
+    def values_at(self, times) -> tuple[float, ...]:
+        """The desired focal length at each of ``times``."""
+        return tuple(np.interp(times, self.times, self.values).tolist())
 
 
 @dataclass(frozen=True)
@@ -169,12 +173,17 @@ class Instructions:
                 return distances[limit.target_id] + limit.offset
             return limit
 
-        dof = replace(self.dof, near=materialize(self.dof.near),
-                      far=materialize(self.dof.far))
+        dof = self.dof
+        if any(isinstance(limit, RelativeDistance)
+               for limit in (dof.near, dof.far)):
+            dof = replace(dof, near=materialize(dof.near),
+                          far=materialize(dof.far))
         steps = None
         if self.focal.schedule is not None:
-            steps = tuple(self.focal.schedule.value_at(t0 + k * dt)
-                          for k in range(n_steps + 1))
+            steps = self.focal.schedule.values_at(
+                t0 + np.arange(n_steps + 1) * dt)
+        if dof is self.dof and steps is None and self.focal_steps is None:
+            return self
         return replace(self, dof=dof, focal_steps=steps)
 
     def focal_value(self, step: int) -> float:
@@ -288,6 +297,20 @@ def derivative_rows(slope: np.ndarray, weight, position=None, tangent=None,
         d[..., LENS if np.ndim(lens) > len(shape) else LENS.start] = lens
     return (d.reshape(rows, n, STATE_SIZE), np.reshape(slope, (rows, n)),
             np.full(shape, weight).reshape(rows, n))
+
+
+@lru_cache(maxsize=16)
+def _constant_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The derivatives ``D`` of the rows that no value pass moves, over n
+    states, read-only: the three unit body rotation rows of the
+    pseudo-Huber rotation term (3, n, 12), and the focal row (1, n, 12),
+    as :func:`derivative_rows` lays them out."""
+    built = (derivative_rows(np.zeros((3, n)), 0.0,
+                             tangent=_EYE3[:, None])[0],
+             derivative_rows(np.zeros(n), 0.0, lens=np.ones(n))[0])
+    for array in built:
+        array.setflags(write=False)
+    return built
 
 
 def contract_rows(blocks: list[Rows], n: int,
@@ -431,23 +454,31 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
         focal = np.zeros(d_q.shape[:-1])
         focal[0] = spec.beta_x * q[:, :, 0] / qz_eff
         focal[1] = spec.beta_y * q[:, :, 1] / qz_eff
-        # d/dq -> d/d position, d/d rotation matrix
+        d_position, d_rotation = camera_point_derivatives(
+            cam_rotations[states], rel, d_q)
         return [derivative_rows(
-            2.0 * weights * errors, 2.0 * weights,
-            position=-np.einsum("kij,...kj->...ki", cam_rotations[states],
-                                d_q),
-            tangent=tangent_gradients(rotations[states],
-                                      body_outer(rel, d_q)),
+            2.0 * weights * errors, 2.0 * weights, position=d_position,
+            tangent=tangent_gradients(rotations[states], d_rotation),
             lens=focal)]
     return cost, [lambda: rows(*(None if term is None else term[:, 1:]
                                  for term in (rel, q, qz_eff, u_num, e_u, e_v,
                                               clamped, shortfall)))]
 
 
-def body_outer(rel: np.ndarray, g_q: np.ndarray) -> np.ndarray:
-    """``np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T``, the
-    signed permutation applied first: same values, zeros' signs aside."""
-    return rel[..., :, None] * (g_q @ BODY_TO_CAMERA.T)[..., None, :]
+def camera_point_derivatives(cam_rotations: np.ndarray, rel: np.ndarray,
+                             g_q: np.ndarray,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """The chain rule through the camera points ``q = C^T rel`` of
+    :func:`optics.camera_points`, ``rel`` the world points less the rig
+    position and ``C = R BODY_TO_CAMERA`` the optical axes
+    ``cam_rotations`` (n, 3, 3): from gradients ``g_q`` (..., n, 3) by
+    ``q``, those by the rig position, ``-C g_q``, and by its body rotation
+    matrix ``R``, ``rel (BODY_TO_CAMERA g_q)^T`` (..., n, 3, 3).  The
+    signed permutation is applied first: the values of
+    ``np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T``, zeros'
+    signs aside."""
+    return (-np.einsum("kij,...kj->...ki", cam_rotations, g_q),
+            rel[..., :, None] * (g_q @ BODY_TO_CAMERA.T)[..., None, :])
 
 
 def _pose_vec(positions: np.ndarray, rotations: np.ndarray, pose_tracks,
@@ -499,9 +530,10 @@ def _rotation_rows(weight: float, rotations: np.ndarray,
     # M M^T / root^3), pulled back through dM/dd = R_t^T R hat(e_i), whose
     # columns are orthogonal with squared norm 2: w (2 I / root - c c^T /
     # root^3), the row c weighted -w / root^3 and three unit rows 2 w / root
+    n = len(root)
     return [derivative_rows(weight / root, -weight / root ** 3, tangent=c),
-            derivative_rows(np.zeros((3, len(root))), 2.0 * weight / root,
-                            tangent=_EYE3[:, None])]
+            (_constant_rows(n)[0], np.zeros((3, n)),
+             np.full((3, n), 2.0 * weight / root))]
 
 
 def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
@@ -509,8 +541,10 @@ def _focal_vec(f_mm: np.ndarray, f_star: np.ndarray, weight: float,
     if weight == 0.0:
         return np.zeros(len(f_mm)), []
     err = f_mm - f_star
-    return weight * err * err, [lambda: [derivative_rows(
-        2.0 * weight * err[1:], 2.0 * weight, lens=np.ones(len(err) - 1))]]
+    n = len(err) - 1
+    return weight * err * err, [lambda: [(
+        _constant_rows(n)[1], (2.0 * weight * err[1:]).reshape(1, n),
+        np.full((1, n), 2.0 * weight))]]
 
 
 def _point_tracks(preds: dict[str, TargetPrediction], instr: Instructions,

@@ -179,8 +179,8 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
     pixel = pixel_true.copy()
     if sensor.pixel_jitter > 0.0:
         pixel = pixel + rng.normal(0.0, sensor.pixel_jitter, 2)
-    rows = int(np.clip(round(box.y_rb - box.y_lt), 1, _MAX_PATCH_ROWS))
-    cols = int(np.clip(round(box.x_rb - box.x_lt), 1, _MAX_PATCH_COLS))
+    rows = min(max(round(box.y_rb - box.y_lt), 1), _MAX_PATCH_ROWS)
+    cols = min(max(round(box.x_rb - box.x_lt), 1), _MAX_PATCH_COLS)
     patch = np.full((rows, cols), q[2])
     if sensor.depth_sigma > 0.0:
         patch = patch + rng.normal(0.0, sensor.depth_sigma, (rows, cols))
@@ -190,16 +190,16 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
 
 def _prune_instructions(instr: obj.Instructions,
                         available: set[str]) -> obj.Instructions:
-    """Drop set-points that reference targets we have no estimate for."""
+    """Drop set-points that reference targets we have no estimate for;
+    ``instr`` itself where none does."""
     dof = instr.dof
-    near = dof.near
-    far = dof.far
-    if isinstance(near, obj.RelativeDistance) and near.target_id \
-            not in available:
-        near = None
-    if isinstance(far, obj.RelativeDistance) and far.target_id \
-            not in available:
-        far = None
+    near, far = (None if isinstance(limit, obj.RelativeDistance)
+                 and limit.target_id not in available else limit
+                 for limit in (dof.near, dof.far))
+    if (near is dof.near and far is dof.far
+            and all(c.target_id in available for c in instr.composition)
+            and all(p.target_id in available for p in instr.poses)):
+        return instr
     return replace(
         instr,
         dof=replace(dof, near=near, far=far),
@@ -382,21 +382,23 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
 def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
              spec, cset) -> dict:
     nan = math.nan
+    cost = plan.cost
+    totals = cost.step_totals  # the sum CostBreakdown.total takes
     row = {
         "step": k0, "time": t,
-        **dict(zip(STATE_COLUMNS, rig.state_row())),
-        **dict(zip(_INPUT_COLUMNS, plan.inputs[0])),
-        "cost_now": plan.cost.step_totals[0],
-        "cost_plan": plan.cost.total,
-        "cost_dof": float(np.sum(plan.cost.dof)),
-        "cost_im": float(np.sum(plan.cost.image)),
-        "cost_pose": float(np.sum(plan.cost.pose)),
-        "cost_focal": float(np.sum(plan.cost.focal)),
+        **dict(zip(STATE_COLUMNS, rig.state_row().tolist())),
+        **dict(zip(_INPUT_COLUMNS, plan.inputs[0].tolist())),
+        "cost_now": totals[0],
+        "cost_plan": float(totals.sum()),
+        "cost_dof": float(cost.dof.sum()),
+        "cost_im": float(cost.image.sum()),
+        "cost_pose": float(cost.pose.sum()),
+        "cost_focal": float(cost.focal.sum()),
         "solver_iterations": plan.stats.iterations,
         "solver_converged": float(plan.stats.converged),
         "solver_rounds": plan.stats.outer_rounds,
         "plan_feasible": float(plan.feasible),
-        "plan_min_residual": float(np.min(plan.residuals))
+        "plan_min_residual": float(plan.residuals.min())
         if plan.residuals.size else nan,
         "f_target_mm": instr.focal_value(0)
         if instr.focal.weight > 0.0 else nan,
@@ -422,9 +424,10 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
             continue
         track = tracks.get(tid)
         row.update(zip((f"{tid}_{name}" for name in _ESTIMATE_COLUMNS),
-                       np.full(len(_ESTIMATE_COLUMNS), nan) if track is None
-                       else np.r_[track.position, track.velocity,
-                                  np.trace(track.covariance)]))
+                       (nan,) * len(_ESTIMATE_COLUMNS) if track is None
+                       else (*track.position.tolist(),
+                             *track.velocity.tolist(),
+                             track.covariance.trace())))
         row[f"{tid}_detected"] = float(tid in detections)
     row["collision_residual_min"] = min(collision_residuals) \
         if collision_residuals else nan

@@ -21,6 +21,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -58,6 +59,9 @@ PENALTY_GROWTH = 10.0
 #: A plan carries no multiplier of a state-box entry it holds by more than
 #: this share of the entry's box width.
 HELD_SHARE = 0.01
+#: Four ulps of a merit of size 1: a step foreseeing a decrease below this
+#: share of the merit ends the descent.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -144,9 +148,70 @@ def _model_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _shift_held(held, n: int) -> tuple[list[int], ...]:
     """``held``'s row lists one stage on, as the inputs: stage k + 1's rows
     become stage k's, the last repeated; state 2's positions are dropped."""
-    follows = _model_rows(n)[1].tolist()
-    return tuple([k for k, row in enumerate(follows) if row in last]
-                 for last in map(set, held))
+    follows = _model_rows(n)[1]
+    shifted = []
+    for last in held:
+        was = np.zeros(len(follows), bool)
+        was[list(last)] = True
+        shifted.append(np.flatnonzero(was[follows]).tolist())
+    return tuple(shifted)
+
+
+class _Constants(NamedTuple):
+    """What every solve reads of its configuration alone, read-only: the
+    input scaling (``u = center + z half``) and the scaled box ``box``,
+    [0, 0] on an input channel held at its bound (``~free``); the blocks
+    of the sensitivities of states 1..N to ``z`` that no input moves,
+    each derivative build filling in the rotation block, scaled by
+    ``rotation_scale``; and of :func:`_linear_rows`, the matrix ``a``, the
+    rows' state bounds and both sides' box widths, the inputs' share at
+    ``z = 0`` in each state (0 in the angles, which no row reads) and the
+    start velocity's ``drift`` factor per state."""
+
+    center: np.ndarray
+    half: np.ndarray
+    free: np.ndarray
+    box: np.ndarray
+    linear_sens: np.ndarray
+    rotation_scale: np.ndarray
+    a: np.ndarray
+    row_low: np.ndarray
+    row_high: np.ndarray
+    widths: np.ndarray
+    share: np.ndarray
+    drift: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _planner_constants(n: int, dt: float, *bounds: bytes) -> _Constants:
+    """The :class:`_Constants` of ``n`` stages of ``dt``, keyed by value:
+    ``bounds`` holds the bytes of the input row's low and high bounds,
+    then the state row's; equal configurations share one entry."""
+    low, high, state_low, state_high = map(np.frombuffer, bounds)
+    center, half = 0.5 * (low + high), 0.5 * (high - low)
+    free = high - low > 1e-12
+    box = np.tile(np.where(free, 1.0, 0.0), n)
+    # d u / d z per input row
+    scale = np.tile(np.where(free, half, 0.0), n).reshape(n, 9)
+    sens = kin.linear_sensitivities(n, dt)[1:]
+    linear_sens = sens * scale
+    held = _model_rows(n)[0][2]
+    share = np.zeros((n, kin.STATE_SIZE))
+    share[:, kin.LINEAR] = (sens[:, kin.LINEAR].reshape(-1, 9 * n)
+                            @ np.tile(center, n)).reshape(n, -1)
+    row_low, row_high = (np.broadcast_to(edge, held.shape)[held]
+                         for edge in (state_low, state_high))
+    width = np.where((row_high - row_low > 0.0)
+                     & np.isfinite(row_high - row_low),
+                     row_high - row_low, 1.0)
+    a = linear_sens.reshape(held.shape + (-1,))[held] / width[:, None]
+    built = _Constants(center, half, free, box, linear_sens,
+                       scale[:, 3:6], np.concatenate([a, -a]), row_low,
+                       row_high, np.tile(width, 2),
+                       share, dt * np.arange(1, n + 1)[:, None])
+    for array in built:
+        array.setflags(write=False)
+    return built
 
 
 class _PenaltyModel:
@@ -250,7 +315,7 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
         steepest = (-g).clip(low - x, high - x)
         try:
             if (np.abs(steepest[unread]).max(initial=0.0) <= gtol
-                    and np.any(a @ steepest > levels[2 * len(x):])):
+                    and (a @ steepest > levels[2 * len(x):]).any()):
                 steepest, held = _model_step(eye, g, normals, levels, held)
         except np.linalg.LinAlgError:
             break
@@ -277,8 +342,7 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
         predicted = -(g @ step + 0.5 * step @ (h @ step))
         # the model's own step from x (no trial from x rejected yet, so
         # growth is 2) foresees a decrease below the value's rounding
-        if (growth == 2.0 and predicted
-                <= 4.0 * np.finfo(float).eps * max(abs(f), 1.0)):
+        if growth == 2.0 and predicted <= _ROUNDING * max(abs(f), 1.0):
             status = 0
             break
         passed = fun(trial)
@@ -337,7 +401,8 @@ def _model_step(h, g, normals, levels, start=()):
     holds: Goldfarb and Idnani's dual active-set method (1983), started
     from the held rows ``start`` less those that the rows before them span
     (a failed Schur pivot) or of negative multiplier, so from any start.  A
-    held bound is met exactly, a row to rounding.  Raises
+    bound the step holds itself is met exactly; a held row, and a bound met
+    only through held rows, to rounding.  Raises
     ``np.linalg.LinAlgError`` where ``h`` does not factor, the rows hold
     no point, or the held set cycles."""
     n, lapack = len(g), scipy.linalg.lapack
@@ -408,27 +473,20 @@ def _model_step(h, g, normals, levels, start=()):
     raise np.linalg.LinAlgError("active set cycles")
 
 
-def _linear_rows(initial: kin.CameraRig, inputs: np.ndarray,
-                 sens: np.ndarray, dt: float, bounds):
+def _linear_rows(initial: kin.CameraRig, constants: _Constants):
     """The box rows of the state entries linear in the scaled inputs ``z``
     (unpriced in the penalty) of states 1..N, but state 1's positions, ``p0
     + dt v0``, which no input moves: ``(a, b)`` holding ``a @ z <= b``, each
-    scaled by its box width, from the inputs at ``z = 0`` and the states'
-    sensitivities ``sens`` (N, 12, N, 9) to ``z``."""
-    n, v0 = len(sens), initial.drone.velocity
-    held = _model_rows(n)[0][2]
+    scaled by its box width; the start's share of ``b`` alone is built here,
+    the rest is the solve's :func:`_planner_constants`."""
+    n = len(constants.drift)
     # the states at z = 0: the start's, drifting, plus the inputs' share
-    share = kin.linear_sensitivities(n, dt)[1:, kin.LINEAR].reshape(
-        -1, inputs.size) @ inputs.ravel()
-    state = np.tile(initial.state_row(), (n, 1))
-    state[:, kin.LINEAR] += share.reshape(n, -1)
-    state[:, kin.POSITION] += dt * np.arange(1, n + 1)[:, None] * v0
-    low, high = (np.broadcast_to(edge, held.shape)[held] for edge in bounds)
-    width = np.where((high - low > 0.0) & np.isfinite(high - low),
-                     high - low, 1.0)
-    a = sens.reshape(held.shape + (-1,))[held] / width[:, None]
-    return (np.concatenate([a, -a]), np.concatenate(
-        [high - state[held], state[held] - low]) / np.tile(width, 2))
+    state = initial.state_row() + constants.share
+    state[:, kin.POSITION] += constants.drift * initial.drone.velocity
+    state = state[_model_rows(n)[0][2]]
+    return constants.a, np.concatenate([constants.row_high - state,
+                                        state - constants.row_low]
+                                       ) / constants.widths
 
 
 def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
@@ -455,12 +513,10 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     if cset.occlusion_enabled and sizes:
         records = cons.activate_occlusions(initial, preds, sizes, spec)
 
-    low, high = cset.input_bounds
-    center, half = 0.5 * (low + high), 0.5 * (high - low)
-    # the scaled box, [0, 0] on an input channel held at its bound (none in
-    # the shipped scenarios)
-    free = high - low > 1e-12
-    box = np.tile(np.where(free, 1.0, 0.0), n)
+    constants = _planner_constants(n, dt, *(
+        edge.tobytes() for edges in (cset.input_bounds, cset.state_bounds)
+        for edge in edges))
+    center, half, box = constants.center, constants.half, constants.box
 
     model = _PenaltyModel(cset, preds, sizes, records, spec, n,
                           cfg.constraint_margin)
@@ -477,15 +533,12 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         rho = max(rho, warm.penalty / PENALTY_GROWTH)
 
     tracks = obj.HorizonTracks(preds, instr, n + 1)
-    # d u / d z, flattened as the descent's variables are
-    scale = np.tile(np.where(free, half, 0.0), n)
-    # the blocks of the sensitivities of states 1..N that no input moves,
-    # times d u / d z, in kin.linear_sensitivities' layout; each gradient
-    # build fills in the rotation block alone
-    linear_sens = kin.linear_sensitivities(n, dt)[1:] * scale.reshape(n, 9)
-    rotation_scale = scale.reshape(n, 9)[:, 3:6]
-    rows = _linear_rows(initial, np.tile(center, (n, 1)), linear_sens, dt,
-                        cset.state_bounds)
+    rows = _linear_rows(initial, constants)
+    # the sensitivities of states 1..N to z: each derivative build writes
+    # its rotation block into this one buffer, which the Hessian at the
+    # build's point reads before the descent builds at another point
+    sens = constants.linear_sens.copy()
+    flat = sens.reshape(n, kin.STATE_SIZE, 9 * n)
 
     def merit(z_flat: np.ndarray):
         """One value pass at the scaled inputs ``z_flat``: the merit,
@@ -505,21 +558,18 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             # the rows of states 1..N; state 0 moves with no input
             gradient, stage = obj.contract_rows(
                 cost_rows() + penalty_rows(), n)
-            sens = linear_sens.copy()
             sens[:, kin.ROTATION, :, 3:6] = kin.rotation_sensitivities(
-                horizon, dt)[1:] * rotation_scale
-            sens = sens.reshape(n, kin.STATE_SIZE, 9 * n)
-            built = (obj.chain_through_dynamics(gradient, sens), stage,
-                     sens)
+                horizon, dt) * constants.rotation_scale
+            built = (obj.chain_through_dynamics(gradient, flat), stage)
             for array in built:
                 array.setflags(write=False)
             return built
 
         def hessian() -> np.ndarray:
             # sum over states 1..N of S_k^T W_k S_k, the gradient's S_k
-            _, stage, sens = derivatives()
-            weighted = stage @ sens
-            return sens.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
+            stage = derivatives()[1]
+            weighted = stage @ flat
+            return flat.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
         return (breakdown.total + penalty,
                 lambda: derivatives()[0], hessian,
                 (u, horizon, g_all, breakdown))
@@ -532,8 +582,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         return bool(np.all(cons.state_residuals(
             horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
 
-    z = np.divide(shift_warm_start(warm, n) - center, half, where=free,
-                  out=np.zeros((n, 9))).ravel()
+    z = np.divide(shift_warm_start(warm, n) - center, half,
+                  where=constants.free, out=np.zeros((n, 9))).ravel()
     held = _shift_held(warm.held, n) if warm is not None else ((), ())
     stats = SolveStats()
     status = 1

@@ -18,7 +18,7 @@ from cinedrone import constraints as cons
 from cinedrone.kinematics import tangent_gradients
 from cinedrone.objectives import (BARRIER_DEPTH, BARRIER_GAIN,
                                   ROTATION_NORM_EPS, _FAR_BARRIER,
-                                  body_outer)
+                                  camera_point_derivatives)
 from cinedrone.optics import (SingularDofError, camera_points, mm_to_m,
                               pixel_coordinates, thin_lens)
 
@@ -239,8 +239,7 @@ def _image_vec(positions: np.ndarray, cam_rotations: np.ndarray,
                               shortfall, d_s, None))
         for w, e, d_q, d_f in residuals:
             # d/dq -> d/d position, d/d rotation matrix
-            d_pos = -np.einsum("kij,tkj->tki", cam_rotations, d_q)
-            d_rot = body_outer(rel, d_q)
+            d_pos, d_rot = camera_point_derivatives(cam_rotations, rel, d_q)
             slopes = 2.0 * w * e
             weights = 2.0 * np.broadcast_to(w, slopes.shape)
             for t in range(len(targets)):

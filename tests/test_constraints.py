@@ -87,6 +87,24 @@ class TestOcclusionActivation:
         assert records[0].left_id == "a" and records[0].right_id == "b"
 
 
+class TestConstraintSet:
+    def test_bounds_are_read_only_copies(self):
+        # nothing that a solve or a memo has read can change under it:
+        # every bound array refuses writes, and the caller's arrays are not
+        # the set's own
+        low = np.full(3, -30.0)
+        cset = cons.ConstraintSet(**{**cons.ConstraintSet.default().__dict__,
+                                     "position_low": low})
+        low[0] = 5.0
+        assert cset.position_low[0] == -30.0
+        names = [f"{group}_{side}" for group in (
+            "drone_input", "intr_input", "position", "velocity", "rpy",
+            "intr") for side in ("low", "high")]
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cset, name)[0] = 0.0
+
+
 class TestResiduals:
     def test_interior_point_all_positive(self):
         cset = cons.ConstraintSet.default()

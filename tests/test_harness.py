@@ -457,12 +457,19 @@ class TestConstantCaches:
         import pkgutil
 
         import cinedrone
-        from cinedrone import estimation, kinematics, solver
+        from cinedrone import estimation, kinematics, objectives, solver
+        from cinedrone.constraints import ConstraintSet
+        bounds = ConstraintSet.default()
         # the package's memoized builders, each with a key it is built for
         builders = {
             kinematics.linear_sensitivities: (5, 0.2),
             estimation._constant_velocity_model: (0.3, 0.5),
             solver._model_rows: (5,),
+            solver._planner_constants: (5, 0.2, *(
+                edge.tobytes() for edges in (bounds.input_bounds,
+                                             bounds.state_bounds)
+                for edge in edges)),
+            objectives._constant_rows: (5,),
         }
         modules = pkgutil.iter_modules(cinedrone.__path__, "cinedrone.")
         memoized = {value for module in modules
@@ -584,3 +591,32 @@ class TestMeritStream:
         assert moved["gradient builds"] < moved["value passes"]
         for stream in ("value sha256", "gradient sha256", "plan sha256"):
             assert moved[stream] != first[stream]
+
+    def test_against_a_saved_run(self, tmp_path, capsys):
+        # the same run exits 0 against its own output; one altered hash
+        # line, or a line more or less, exits 1 naming the line
+        import importlib.util
+        spec = importlib.util.spec_from_file_location(
+            "merit_stream",
+            Path(__file__).parent.parent / "tools" / "merit_stream.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        scenario = tmp_path / "mini.json"
+        scenario.write_text(json.dumps(minimal_raw()))
+        run = ["--scenario", str(scenario), "--seed", "3"]
+        assert tool.main(run) == 0
+        lines = capsys.readouterr().out.splitlines()
+        saved = tmp_path / "saved.txt"
+        saved.write_text("\n".join(lines) + "\n")
+        assert tool.main(run + ["--against", str(saved)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        at = next(k for k, line in enumerate(lines)
+                  if line.startswith("gradient sha256: "))
+        for altered, first in (
+                (lines[:at] + ["gradient sha256: 0"] + lines[at + 1:], at + 1),
+                (lines + ["solves: 2"], len(lines) + 1),
+                (lines[:-1], len(lines))):
+            saved.write_text("\n".join(altered) + "\n")
+            assert tool.main(run + ["--against", str(saved)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"line {first} differs")

@@ -51,7 +51,7 @@ def input_sensitivities(horizon, dt):
     and the gradient checks read."""
     n = len(horizon) - 1
     sens = kin.linear_sensitivities(n, dt).copy()
-    sens[:, 6:9, :, 3:6] = kin.rotation_sensitivities(horizon, dt)
+    sens[1:, 6:9, :, 3:6] = kin.rotation_sensitivities(horizon, dt)
     return sens.reshape(n + 1, 12, 9 * n)
 
 
@@ -466,6 +466,33 @@ class TestSensitivities:
                         moved[0].lens[k] - moved[1].lens[k]]) / (2.0 * h)
                     assert np.allclose(sens[k, :, i], fd, rtol=0.0,
                                        atol=1e-8)
+
+
+    def test_rotation_rows_of_states_one_on_bit_identical(self):
+        # the rows of states 1..N alone, against the former build of all
+        # N + 1 states with state 0's rows sliced off
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            n, dt = int(rng.integers(1, 8)), rng.uniform(0.05, 0.5)
+            start = rig(v=rng.uniform(-1.0, 1.0, 3), rot=rotation_from_rpy(
+                *rng.uniform(-1.0, 1.0, 3)))
+            horizon = rollout(start, rng.uniform(-1.0, 1.0, (n, 9)), dt)
+            before = (np.arange(n)[None, :] < np.arange(n + 1)[:, None])[
+                :, None, :, None]
+            steps = dt * (horizon.rotations[1:] @ horizon.jacobians)
+            want = (before * np.einsum("kba,jbc->kajc", horizon.rotations,
+                                       steps))[1:]
+            got = kin.rotation_sensitivities(horizon, dt)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_state_row_built_once_read_only():
+    start = rig(p=(1.0, 2.0, 3.0), rot=rotation_from_rpy(0.1, -0.2, 0.3))
+    row = start.state_row()
+    assert start.state_row() is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
 
 
 class TestEulerHelpers:

@@ -229,6 +229,26 @@ class TestResolve:
         with pytest.raises(KeyError):
             instr.resolve(0.0, 0.2, 5, {})
 
+    def test_focal_steps_bit_identical_to_one_call_per_step(self):
+        # one np.interp over the step times against the former call per
+        # step at t0 + k dt, on random ramps, times and periods
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            knots = int(rng.integers(1, 5))
+            times = tuple(np.cumsum(rng.uniform(0.1, 5.0, knots)).tolist())
+            values = tuple(rng.uniform(15.0, 500.0, knots).tolist())
+            t0, dt = rng.uniform(-1.0, 25.0), rng.uniform(0.01, 1.0)
+            n = int(rng.integers(0, 12))
+            instr = obj.Instructions(focal=obj.FocalTarget(
+                obj.FocalSchedule(times, values), 1.0))
+            want = tuple(float(np.interp(t0 + k * dt, times, values))
+                         for k in range(n + 1))
+            assert instr.resolve(t0, dt, n).focal_steps == want
+
+    def test_nothing_to_resolve_is_itself(self):
+        instr = obj.Instructions(dof=obj.DofTarget(near=4.0, w_near=1.0))
+        assert instr.resolve(1.0, 0.2, 5) is instr
+
 
 def random_instance(rng, n=4):
     rig = CameraRig(
@@ -321,10 +341,12 @@ class TestHorizon:
                     at_k.focal[0], abs=1e-9)
 
 
-def body_outer_matmul(rel, g_q):
-    """The rotation terms as computed before :func:`obj.body_outer`: the
-    oracle of their bits."""
-    return np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T
+def camera_point_derivatives_matmul(cam_rotations, rel, g_q):
+    """The position and rotation terms as computed before
+    :func:`obj.camera_point_derivatives`, the rotation term as a product:
+    the oracle of their bits."""
+    return (-np.einsum("kij,...kj->...ki", cam_rotations, g_q),
+            np.einsum("...i,...j->...ij", rel, g_q) @ BODY_TO_CAMERA.T)
 
 
 def hat(w):
@@ -392,8 +414,9 @@ class TestGradient:
                     for ct in instr.composition))
             horizon = rollout(rig, u, 0.2)
             results = []
-            for outer in (obj.body_outer, body_outer_matmul):
-                monkeypatch.setattr(obj, "body_outer", outer)
+            for chain in (obj.camera_point_derivatives,
+                          camera_point_derivatives_matmul):
+                monkeypatch.setattr(obj, "camera_point_derivatives", chain)
                 _, grads = stacked_cost(horizon, preds, SPEC, instr,
                                         smooth=True, with_grads=True)
                 results.append(grads)
@@ -405,8 +428,32 @@ class TestGradient:
             rel = rng.standard_normal((2, 4, 3))
             g_q = rng.standard_normal((2, 4, 3))
             g_q[rng.random(g_q.shape) < 0.3] = 0.0
-            assert np.array_equal(obj.body_outer(rel, g_q),
-                                  body_outer_matmul(rel, g_q))
+            cam = np.stack([rotation_from_rpy(*angles)
+                            for angles in rng.uniform(-1.0, 1.0, (4, 3))])
+            for got, want in zip(
+                    obj.camera_point_derivatives(cam, rel, g_q),
+                    camera_point_derivatives_matmul(cam, rel, g_q)):
+                assert np.array_equal(got, want)
+
+    def test_separation_position_terms_bit_identical(self):
+        # the separation rows' position terms as they were summed before
+        # they came from the shared chain rule: the right and left boxes'
+        # "kij,tkj->tki" products subtracted from 0.0, against the helper's
+        # negated "kij,...kj->...ki" products added to it
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            cam = np.stack([rotation_from_rpy(*angles)
+                            for angles in rng.uniform(-3.0, 3.0, (n, 3))])
+            g_q = rng.standard_normal((2, n, 3)) * 10.0 ** rng.uniform(
+                -3.0, 3.0, (2, n, 1))
+            g_q[rng.random(g_q.shape) < 0.2] = 0.0
+            terms = np.einsum("kij,tkj->tki", cam, g_q)
+            pos = obj.camera_point_derivatives(cam, g_q, g_q)[0]
+            assert np.array_equal(-terms, pos)
+            got, want = 0.0 + pos[0] + pos[1], 0.0 - terms[0] - terms[1]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_zero_weights_zero_gradient(self):
         rig = make_rig()

@@ -217,6 +217,16 @@ def equilibrium_scenario():
     return scenario_from_dict(raw)
 
 
+def test_pruning_nothing_keeps_the_instructions():
+    instr = scenario_from_dict(json.loads(
+        (SCENARIOS / "rule_of_thirds.json").read_text())).active_instructions(
+            0.0)
+    assert scene._prune_instructions(instr, {"actor"}) is instr
+    pruned = scene._prune_instructions(instr, set())
+    assert pruned.dof.near is None and not pruned.composition
+    assert not pruned.poses and pruned.focal is instr.focal
+
+
 class TestClosedLoop:
     def test_zero_duration_gives_empty_log(self):
         raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())

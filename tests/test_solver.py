@@ -482,9 +482,9 @@ class TestStackedHorizon:
         # the separation derivatives are built only for nonzero weights,
         # and building them changes no row
         builds = []
-        body_outer = cons.body_outer
-        monkeypatch.setattr(cons, "body_outer", lambda *args: (
-            builds.append(None), body_outer(*args))[1])
+        chain = cons.camera_point_derivatives
+        monkeypatch.setattr(cons, "camera_point_derivatives", lambda *args: (
+            builds.append(None), chain(*args))[1])
         rows, derivatives = cons.state_residuals(horizon, 0, model.tracks,
                                                  SPEC)
         before = rows.copy()
@@ -960,6 +960,49 @@ class TestGaussNewton:
             values = sum(call == "fun" for log in logs for call, _, _ in log)
             assert len(builds) < values
 
+    @pytest.mark.parametrize("name", ["side by side", "e4_occlusion"])
+    def test_hessian_read_before_the_next_build(self, monkeypatch, name):
+        # every derivative build writes its rotation block into the solve's
+        # one sensitivity buffer, so a point's Hessian must be read before
+        # the descent builds at another point: it is, on every solve of a
+        # cold and a warm solve and of 3 s of the occlusion shot
+        events, minimize = [], scipy.optimize.minimize
+
+        def recorded_minimize(fun, x0, **kwargs):
+            def merit(x):
+                value, gradient, hessian, point = fun(x)
+                at = len(events)
+                events.append(("fun", at))
+
+                def recorded(kind, build):
+                    def call():
+                        events.append((kind, at))
+                        return build()
+                    return call
+                return (value, recorded("jac", gradient),
+                        recorded("hess", hessian), point)
+            return minimize(merit, x0, **kwargs)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
+        if name == "side by side":
+            rig, preds, instr, cset, cfg, _, kwargs = fixed_problems()[name]
+            plan = None
+            for _ in range(2):
+                plan = sol.solve(rig, preds, instr, cset, cfg, SPEC,
+                                 warm=plan, **kwargs)
+        else:
+            raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+            raw["control"]["duration"] = 3.0
+            assert run_closed_loop(scenario_from_dict(raw), 0).status == (
+                "completed")
+        built, last = set(), None
+        for kind, at in events:
+            if kind != "fun" and at not in built:  # the point's one build
+                built.add(at)
+                last = at
+            if kind == "hess":
+                assert last == at
+        assert sum(kind == "hess" for kind, _ in events) > 10
+
     def test_no_worse_than_uncapped_lbfgsb(self, monkeypatch):
         """At least 5x fewer merit evaluations than uncapped L-BFGS-B on
         the first round of each fixed problem.  L-BFGS-B holds no rows, so
@@ -1318,6 +1361,27 @@ class TestModelStep:
         assert held.sum() >= 3
         assert np.all((lower <= step) & (step <= upper))
         assert np.all(a @ step - b <= 1e-12)
+
+    def test_a_bound_held_through_a_row_is_met_to_rounding(self):
+        # linear_qp(75) with the row e0 + e1 at the level u0 + u1, far
+        # outside: every bound the step holds is met to the bit, and
+        # bound 1, which the step meets only through that row and bound 0,
+        # to rounding alone: it may land an ulp off
+        h, g, lower, upper, a, b = linear_qp(75)
+        n = len(g)
+        row = np.zeros(n)
+        row[:2] = 1.0
+        eye = np.eye(n)
+        normals = np.concatenate([eye, -eye, a, row[None]])
+        levels = np.concatenate([upper, -lower, b, [upper[0] + upper[1]]])
+        step, active = sol._model_step(h, 1e8 * g, normals, levels)
+        held = np.array([k for k in active if k < 2 * n])
+        assert len(normals) - 1 in active and 0 in held and 1 not in held
+        assert np.array_equal(step[held % n], np.where(
+            held < n, upper[held % n], lower[held % n]))
+        assert abs(step[1] - upper[1]) <= 2.0 * np.finfo(float).eps * abs(
+            upper[1])
+        assert np.all(normals[2 * n:] @ step - levels[2 * n:] <= 1e-12)
 
     def test_identity_model_is_the_box_projection(self):
         # with h = I and no binding row, the step is the box's projected

@@ -39,17 +39,22 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
 
 Two checkouts that print the same lines handed the descent the same bits
 at every call, so a rewrite claimed to be bit for bit can be checked on
-whole runs.  Hashes may differ between CPUs, so compare runs made on one
-machine.
+whole runs.  ``--against FILE`` compares the printed lines with a saved
+run's, line by line: at the first line that differs (or is missing on
+either side) it names the line on stderr and exits 1; it exits 0 where
+they all match.  Hashes may differ between CPUs, so compare runs made on
+one machine.
 
     PYTHONPATH=src python3 tools/merit_stream.py --scenario e4_occlusion --seed 0
-    PYTHONPATH=src python3 tools/merit_stream.py --seed 0
+    PYTHONPATH=src python3 tools/merit_stream.py --seed 0 > saved.txt
+    PYTHONPATH=src python3 tools/merit_stream.py --seed 0 --against saved.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -160,20 +165,36 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
             "plan sha256": plans.hexdigest(), **counts}
 
 
+def _lines(scenarios: list[str], seed: int):
+    """The printed lines: one block per scenario, a blank line between."""
+    for block, scenario in enumerate(scenarios):
+        if block:
+            yield ""
+        for key, value in fingerprint(scenario, seed).items():
+            yield f"{key}: {value}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default=None,
                         help="shipped scenario name or scenario JSON path"
                              " (default: every shipped scenario)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a saved run's output: exit 1 at the first"
+                             " line that differs from it")
     args = parser.parse_args(argv)
     scenarios = [args.scenario] if args.scenario else sorted(
         path.stem for path in SCENARIOS.glob("*.json"))
-    for block, scenario in enumerate(scenarios):
-        if block:
-            print()
-        for key, value in fingerprint(scenario, args.seed).items():
-            print(f"{key}: {value}")
+    saved = args.against.read_text().splitlines() if args.against else None
+    for number, (line, want) in enumerate(itertools.zip_longest(
+            _lines(scenarios, args.seed), saved or []), 1):
+        if line is not None:
+            print(line)
+        if saved is not None and line != want:
+            print(f"line {number} differs: {line!r}, saved {want!r}",
+                  file=sys.stderr)
+            return 1
     return 0
 
 
