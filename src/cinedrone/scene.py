@@ -140,19 +140,21 @@ def target_pose_at(target: ScriptedTarget,
     return position, rotation
 
 
-def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
+def synthesize_detection(rig: CameraRig, target: ScriptedTarget,
+                         poses: dict[str, tuple[np.ndarray, np.ndarray]],
                          sensor: SensorModel, spec: CameraSensorSpec,
                          rng: np.random.Generator,
                          obstacles: list[ScriptedTarget] = (),
                          ) -> est.Detection | None:
-    """Detector stand-in over ground-truth geometry.
+    """Detector stand-in over the ground-truth ``poses`` at the detection
+    time (target id -> :func:`target_pose_at` pose).
 
     Returns nothing when the target is behind the camera, out of frame,
     occluded by a closer obstacle box, or dropped out; otherwise a detection
     with a jittered representative pixel and a noisy depth patch sized by
     the projected box.
     """
-    center, rotation = target_pose_at(target, t)
+    center, rotation = poses[target.target_id]
     reference = center + rotation @ est.reference_offset(target.meta)
     q, q_center = rig_camera_points(rig, np.array([reference, center]))
     if q[2] <= 0.0:
@@ -167,8 +169,7 @@ def synthesize_detection(rig: CameraRig, target: ScriptedTarget, t: float,
     if box is None:
         return None
     for obstacle in obstacles:
-        opos, _ = target_pose_at(obstacle, t)
-        oq = rig_camera_points(rig, opos[None])[0]
+        oq = rig_camera_points(rig, poses[obstacle.target_id][0][None])[0]
         if oq[2] <= 0.0 or oq[2] >= q[2]:
             continue
         if cons.pixel_box(oq, f_mm, obstacle.meta.height, obstacle.meta.width,
@@ -292,8 +293,8 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
 
         detections: dict[str, est.Detection] = {}
         for target in filmed:
-            det = synthesize_detection(rig, target, t, sensor, spec, rng,
-                                       obstacles)
+            det = synthesize_detection(rig, target, gt_poses, sensor, spec,
+                                       rng, obstacles)
             if det is not None:
                 detections[target.target_id] = det
 
@@ -325,8 +326,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int) -> RunLog:
                         track.velocity, target.meta.preliminary_rotation),
                     anchors[target.target_id])
         for obstacle in obstacles:
-            future = [target_pose_at(obstacle, t + k * period)
-                      for k in range(n_steps + 1)]
+            future = [gt_poses[obstacle.target_id]] + [
+                target_pose_at(obstacle, t + k * period)
+                for k in range(1, n_steps + 1)]
             preds[obstacle.target_id] = obj.TargetPrediction(
                 positions=np.array([p for p, _ in future]),
                 rotations=np.array([r for _, r in future]))

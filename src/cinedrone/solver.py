@@ -6,8 +6,8 @@ Inputs are normalized to [-1, 1] by their bounds.  A Levenberg-Marquardt
 descent (:func:`box_gauss_newton`) holds that box and the state-box rows
 that are linear in the inputs (position, velocity and lens) in every
 model step, a quadratic program that starts from the rows the last one
-held; its Gauss-Newton model Hessian sums the stage blocks of the merit
-over the forward sensitivities of the rollout.
+held, in the last solve too; its Gauss-Newton model Hessian sums the
+stage blocks of the merit over the forward sensitivities of the rollout.
 The roll, pitch and yaw bounds and the collision and occlusion
 inequalities enter through an augmented-Lagrangian penalty whose
 multipliers are updated once per descent round and carried, shifted one
@@ -79,8 +79,11 @@ class SolverConfig:
         failed = [message for ok, message in (
             (self.horizon >= 1, "horizon must be >= 1"),
             (self.dt > 0.0, "dt must be positive"),
+            (self.max_iterations >= 1, "max_iterations must be >= 1"),
             (self.outer_rounds >= 1, "outer_rounds must be >= 1"),
-            (self.penalty_initial > 0.0, "penalty_initial must be positive"))
+            (self.penalty_initial > 0.0, "penalty_initial must be positive"),
+            (self.constraint_margin >= 0.0,
+             "constraint_margin must be >= 0"))
             if not ok]
         if failed:
             raise ValueError("; ".join(failed))
@@ -101,7 +104,8 @@ class Plan:
     ``inputs`` is the read-only (n, 9) input array and ``horizon`` is
     exactly ``kin.rollout(initial, inputs, dt)`` (single shooting).
     ``multipliers``/``penalty``/``held`` carry the augmented-Lagrangian
-    state and the model steps' held rows into the next warm-started solve."""
+    state and the rows the last model steps held into the next solve, whose
+    model steps start from those rows as they are."""
 
     inputs: np.ndarray
     horizon: kin.Horizon
@@ -130,40 +134,14 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
     return _shift_rows(prev.inputs, n_steps)
 
 
-@functools.lru_cache(maxsize=16)
-def _model_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The model step's rows in order, a (4, n, 12) mask of (stage, entry)
-    (the box's high and low rows, then :func:`_linear_rows`' two sides),
-    and the row each follows one stage on (:func:`_shift_held`); read-only."""
-    rows = np.zeros((4, n, kin.STATE_SIZE), bool)
-    rows[:2, :, :9], rows[2:] = True, kin.LINEAR
-    rows[2:, 0, kin.POSITION] = False
-    number = rows.cumsum().reshape(rows.shape) - 1  # where rows holds
-    follows = _shift_rows(number.swapaxes(0, 1), n).swapaxes(0, 1)[rows]
-    for array in rows, follows:
-        array.setflags(write=False)
-    return rows, follows
-
-
-def _shift_held(held, n: int) -> tuple[list[int], ...]:
-    """``held``'s row lists one stage on, as the inputs: stage k + 1's rows
-    become stage k's, the last repeated; state 2's positions are dropped."""
-    follows = _model_rows(n)[1]
-    shifted = []
-    for last in held:
-        was = np.zeros(len(follows), bool)
-        was[list(last)] = True
-        shifted.append(np.flatnonzero(was[follows]).tolist())
-    return tuple(shifted)
-
-
 class _Constants(NamedTuple):
     """What every solve reads of its configuration alone, read-only: the
     input scaling (``u = center + z half``) and the scaled box ``box``,
     [0, 0] on an input channel held at its bound (``~free``); the blocks
     of the sensitivities of states 1..N to ``z`` that no input moves,
     each derivative build filling in the rotation block, scaled by
-    ``rotation_scale``; and of :func:`_linear_rows`, the matrix ``a``, the
+    ``rotation_scale``; and of :func:`_linear_rows`, the (n, 12) mask
+    ``linear`` of the entries of states 1..N it holds, the matrix ``a``, the
     rows' state bounds and both sides' box widths, the inputs' share at
     ``z = 0`` in each state (0 in the angles, which no row reads) and the
     start velocity's ``drift`` factor per state."""
@@ -174,6 +152,7 @@ class _Constants(NamedTuple):
     box: np.ndarray
     linear_sens: np.ndarray
     rotation_scale: np.ndarray
+    linear: np.ndarray
     a: np.ndarray
     row_low: np.ndarray
     row_high: np.ndarray
@@ -195,19 +174,20 @@ def _planner_constants(n: int, dt: float, *bounds: bytes) -> _Constants:
     scale = np.tile(np.where(free, half, 0.0), n).reshape(n, 9)
     sens = kin.linear_sensitivities(n, dt)[1:]
     linear_sens = sens * scale
-    held = _model_rows(n)[0][2]
+    linear = np.tile(kin.LINEAR, (n, 1))
+    linear[0, kin.POSITION] = False
     share = np.zeros((n, kin.STATE_SIZE))
     share[:, kin.LINEAR] = (sens[:, kin.LINEAR].reshape(-1, 9 * n)
                             @ np.tile(center, n)).reshape(n, -1)
-    row_low, row_high = (np.broadcast_to(edge, held.shape)[held]
+    row_low, row_high = (np.broadcast_to(edge, linear.shape)[linear]
                          for edge in (state_low, state_high))
     width = np.where((row_high - row_low > 0.0)
                      & np.isfinite(row_high - row_low),
                      row_high - row_low, 1.0)
-    a = linear_sens.reshape(held.shape + (-1,))[held] / width[:, None]
+    a = linear_sens.reshape(linear.shape + (-1,))[linear] / width[:, None]
     built = _Constants(center, half, free, box, linear_sens,
-                       scale[:, 3:6], np.concatenate([a, -a]), row_low,
-                       row_high, np.tile(width, 2),
+                       scale[:, 3:6], linear, np.concatenate([a, -a]),
+                       row_low, row_high, np.tile(width, 2),
                        share, dt * np.arange(1, n + 1)[:, None])
     for array in built:
         array.setflags(write=False)
@@ -479,11 +459,10 @@ def _linear_rows(initial: kin.CameraRig, constants: _Constants):
     + dt v0``, which no input moves: ``(a, b)`` holding ``a @ z <= b``, each
     scaled by its box width; the start's share of ``b`` alone is built here,
     the rest is the solve's :func:`_planner_constants`."""
-    n = len(constants.drift)
     # the states at z = 0: the start's, drifting, plus the inputs' share
     state = initial.state_row() + constants.share
     state[:, kin.POSITION] += constants.drift * initial.drone.velocity
-    state = state[_model_rows(n)[0][2]]
+    state = state[constants.linear]
     return constants.a, np.concatenate([constants.row_high - state,
                                         state - constants.row_low]
                                        ) / constants.widths
@@ -574,17 +553,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
                 lambda: derivatives()[0], hessian,
                 (u, horizon, g_all, breakdown))
 
-    def start_feasible(horizon: kin.Horizon) -> bool:
-        # state 0 is the start in every rollout; its report row, taken from
-        # a whole horizon as the report takes it, is the report's to the
-        # bit.  An infeasible start makes every plan infeasible, so it never
-        # ends the rounds early; it is checked only where it would.
-        return bool(np.all(cons.state_residuals(
-            horizon, 0, model.tracks, spec)[0][0] >= FEASIBILITY_TOL))
-
     z = np.divide(shift_warm_start(warm, n) - center, half,
                   where=constants.free, out=np.zeros((n, 9))).ravel()
-    held = _shift_held(warm.held, n) if warm is not None else ((), ())
+    held = warm.held if warm is not None else ((), ())
     stats = SolveStats()
     status = 1
     for outer in range(cfg.outer_rounds):
@@ -601,14 +572,16 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         # the last value pass at the point the round ended on
         u, horizon, g_all, breakdown = result.point
         lam = model.update(lam, rho, g_all)
-        violation = max(0.0, -float(g_all.min()))
-        # a plan the report calls feasible with half its margin left ends
-        # the rounds; the input rows hold by construction, and g_all holds
-        # the rows the model step holds too, state 1's positions among
-        # them, which no input moves
-        if violation <= 1e-7 or (model.feasible_with_margin(g_all)
-                                 and start_feasible(horizon)):
+        # the rounds end where every row holds, or where the report, taken
+        # once states 1..N keep half the margin, calls the plan feasible
+        residuals, violation = None, max(0.0, -float(g_all.min()))
+        if violation <= 1e-7:
             break
+        if model.feasible_with_margin(g_all):
+            residuals = cons.evaluate_constraints(u, horizon, model.tracks,
+                                                  cset, spec)
+            if residuals.min() >= FEASIBILITY_TOL:
+                break
         # each round is solved to its tolerance, so the multiplier update
         # alone closes the gap only linearly: a round that did not end the
         # solve stiffens the penalty too
@@ -616,12 +589,12 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     # the report's cost is exact: the last value pass computed it beside
     # the descent merit's smoothed rotation norm
-    residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
-                                          spec)
+    if residuals is None:
+        residuals = cons.evaluate_constraints(u, horizon, model.tracks, cset,
+                                              spec)
     stats.converged = status == 0
     stats.wall_time = time.perf_counter() - start_time
-    feasible = bool(residuals.size == 0
-                    or np.min(residuals) >= FEASIBILITY_TOL)
+    feasible = bool(residuals.min() >= FEASIBILITY_TOL)
     # complementary slackness: a state-box entry the plan holds strictly
     # carries no multiplier into the next solve
     lam.reshape(n, -1)[:, cons.BOX][g_all.reshape(n, -1)[:, cons.BOX] > (

@@ -162,12 +162,13 @@ class TestLoading:
 
     def test_solver_violations_reported_together(self):
         raw = minimal_raw()
-        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0}
+        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0,
+                         "max_iterations": 0, "constraint_margin": -0.5}
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(raw)
         assert len(info.value.errors) == 1
         assert info.value.errors[0].startswith("solver")
-        for name in ("outer_rounds", "penalty_initial"):
+        for name in raw["solver"]:
             assert name in info.value.errors[0]
 
 
@@ -317,12 +318,16 @@ class TestCli:
             points=[1])),
         ("solver", lambda raw: raw.update(solver={"outer_rounds": 0})),
         ("solver", lambda raw: raw.update(solver={"penalty_initial": 0})),
+        ("solver", lambda raw: raw.update(solver={"max_iterations": -3})),
+        ("solver",
+         lambda raw: raw.update(solver={"constraint_margin": -0.5})),
         ("solver.convergence_tol",
          lambda raw: raw.update(solver={"convergence_tol": 1e-5})),
     ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
             "repetitions_text", "start_text", "position_scalar",
             "ramp_end_missing", "camera_number", "target_number",
             "points_list", "outer_rounds_zero", "penalty_initial_zero",
+            "max_iterations_negative", "constraint_margin_negative",
             "unknown_key"])
     def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
         raw = minimal_raw()
@@ -464,7 +469,6 @@ class TestConstantCaches:
         builders = {
             kinematics.linear_sensitivities: (5, 0.2),
             estimation._constant_velocity_model: (0.3, 0.5),
-            solver._model_rows: (5,),
             solver._planner_constants: (5, 0.2, *(
                 edge.tobytes() for edges in (bounds.input_bounds,
                                              bounds.state_bounds)

@@ -150,19 +150,23 @@ def target_pose_per_call(target, t):
     return position, rotation
 
 
+def detect(target, rng, sensor=scene.SensorModel(), obstacles=()):
+    """The detector on ``make_rig()`` at time 0, over the ground-truth
+    poses of ``target`` and ``obstacles`` then."""
+    poses = {scripted.target_id: scene.target_pose_at(scripted, 0.0)
+             for scripted in (target, *obstacles)}
+    return scene.synthesize_detection(make_rig(), target, poses, sensor,
+                                      SPEC, rng, obstacles)
+
+
 class TestSyntheticDetector:
     def test_behind_camera_gives_nothing(self):
         target = make_target([[-5, 0, 0.85]])
-        rng = np.random.default_rng(0)
-        assert scene.synthesize_detection(make_rig(), target, 0.0,
-                                          scene.SensorModel(), SPEC,
-                                          rng) is None
+        assert detect(target, np.random.default_rng(0)) is None
 
     def test_noise_free_round_trip(self):
         target = make_target([[8, 0, 0.85]])
-        rng = np.random.default_rng(0)
-        det = scene.synthesize_detection(make_rig(), target, 0.0,
-                                         scene.SensorModel(), SPEC, rng)
+        det = detect(target, np.random.default_rng(0))
         assert det is not None
         measured = est.measure_world_position(det, make_rig(), SPEC)
         # person reference point is the top of the head
@@ -176,24 +180,17 @@ class TestSyntheticDetector:
                 preliminary_rotation=np.eye(3)),
             times=np.array([0.0]), waypoints=np.array([[4.0, 0.0, 1.0]]),
             is_obstacle=True)
-        rng = np.random.default_rng(0)
-        assert scene.synthesize_detection(make_rig(), target, 0.0,
-                                          scene.SensorModel(), SPEC, rng,
-                                          obstacles=[blocker]) is None
+        assert detect(target, np.random.default_rng(0),
+                      obstacles=[blocker]) is None
 
     def test_dropout(self):
         target = make_target([[8, 0, 0.85]])
-        rng = np.random.default_rng(0)
-        sensor = scene.SensorModel(dropout=1.0)
-        assert scene.synthesize_detection(make_rig(), target, 0.0, sensor,
-                                          SPEC, rng) is None
+        assert detect(target, np.random.default_rng(0),
+                      scene.SensorModel(dropout=1.0)) is None
 
     def test_out_of_frame_gives_nothing(self):
         target = make_target([[8, 8, 0.85]])  # far off to the side
-        rng = np.random.default_rng(0)
-        assert scene.synthesize_detection(make_rig(), target, 0.0,
-                                          scene.SensorModel(), SPEC,
-                                          rng) is None
+        assert detect(target, np.random.default_rng(0)) is None
 
 
 def equilibrium_scenario():
@@ -320,6 +317,28 @@ class TestClosedLoop:
             if k:
                 executed = solves[k - 1][1].horizon.state_rows()[1]
                 assert logged[k].tobytes() == executed.tobytes()
+
+    def test_one_ground_truth_pose_per_target_per_step(self, monkeypatch):
+        # each step evaluates every target's pose at its time once: the
+        # detector and the obstacles' forecast at k = 0 read the loop's
+        # ground truth; the forecast's later stages and the collision
+        # check's substeps are evaluated at their own times
+        raw = json.loads((SCENARIOS / "e4_occlusion.json").read_text())
+        raw["control"]["duration"] = 4 * raw["control"]["period"]
+        config = scenario_from_dict(raw)
+        calls = []
+        pose = scene.target_pose_at
+
+        def counted(target, t):
+            calls.append(target.target_id)
+            return pose(target, t)
+        monkeypatch.setattr(scene, "target_pose_at", counted)
+        log = scene.run_closed_loop(config, 0)
+        obstacles = [t for t in config.targets if t.is_obstacle]
+        assert obstacles and log.status == "completed"
+        assert len(calls) == len(log.rows) * (
+            len(config.targets) + len(obstacles) * (
+                config.solver.horizon + config.control.substeps))
 
     def test_determinism_bitwise(self, tmp_path):
         raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())

@@ -174,24 +174,6 @@ class TestWarmStart:
         assert np.array_equal(sol.shift_warm_start(None, 5),
                               np.zeros((5, 9)))
 
-    def test_held_rows_shift_definition(self):
-        # 3 stages: the box's high rows 0..26 and low rows 27..53 (stage s,
-        # input c at 9 s + c), then the linear rows of states 1..3, high
-        # 54..77 and low 78..101: state 1's six velocity and lens rows,
-        # then nine rows (positions, velocities, lens) of states 2 and 3
-        box_high, box_low, high, low = 0, 27, 54, 78
-        held = [box_high + 9 + 2,  # stage 1, input 2 -> stage 0
-                box_high + 18 + 4,  # the last stage, input 4 -> 1 and 2
-                box_low + 0,  # stage 0: no stage before it
-                high + 6,  # state 2's px: state 1's is no row
-                high + 6 + 3,  # state 2's vx -> state 1's
-                low + 15 + 8]  # state 3's aperture -> states 2 and 3
-        want = [box_high + 2, box_high + 9 + 4, box_high + 18 + 4,
-                high + 0, low + 6 + 8, low + 15 + 8]
-        assert sol._shift_held((held, []), 3) == (want, [])
-        # a plan of one stage follows itself
-        assert sol._shift_held(([3, 12, 18],), 1) == ([3, 12, 18],)
-
 
 class TestPlanContract:
     def test_single_shooting_consistency(self):
@@ -626,6 +608,23 @@ class TestEarlyExit:
         _, rounds_without, _ = solve_checked(monkeypatch, *problem,
                                              rule=False)
         assert rounds_without > 1
+
+    def test_the_stop_reads_the_plans_report(self, monkeypatch):
+        # a solve that ends early on the margin rule takes its report once,
+        # and that report both ends the rounds and becomes the plan's: one
+        # pass of the state rows from state 0 in all
+        starts = []
+        state_residuals = cons.state_residuals
+
+        def counted(horizon, start, *args, **kwargs):
+            starts.append(start)
+            return state_residuals(horizon, start, *args, **kwargs)
+        monkeypatch.setattr(cons, "state_residuals", counted)
+        plan, rounds, checks = solve_checked(monkeypatch,
+                                             *approach_problem())
+        violation, verdict = checks[0]
+        assert violation > 1e-7 and verdict and rounds == 1
+        assert plan.feasible and starts.count(0) == 1
 
     @pytest.mark.parametrize("start", [
         # state 1 is the start, 2.1 m from the target: 0.15 m into the
@@ -1627,7 +1626,7 @@ def test_model_steps_start_where_the_last_ones_ended(monkeypatch, name,
     # each kind of model step (the stopping test's projected gradient, with
     # H = I, and the trial step) starts from the rows the last one of its
     # kind held: in its round, in the round before, or in the last solve,
-    # shifted one stage
+    # as they are
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     raw["control"]["duration"] = duration
     solves, rounds, steps = [], [], []
@@ -1658,9 +1657,8 @@ def test_model_steps_start_where_the_last_ones_ended(monkeypatch, name,
     assert run_closed_loop(scenario_from_dict(raw), 0).status == "completed"
     last, warm, called = ((), ()), [0, 0], [0, 0]
     for index, (plan, solve_rounds) in enumerate(solves):
-        for outer, (start, active, calls) in enumerate(solve_rounds):
-            want = last if outer else sol._shift_held(last, len(plan.inputs))
-            assert list(map(list, start)) == list(map(list, want))
+        for start, active, calls in solve_rounds:
+            assert list(map(list, start)) == list(map(list, last))
             for kind in (0, 1):
                 # where each call of this kind starts: where the last ended
                 ends = [list(start[kind])]
@@ -1670,8 +1668,7 @@ def test_model_steps_start_where_the_last_ones_ended(monkeypatch, name,
                         ends.append(end)
                 assert list(active[kind]) == ends[-1]
                 # so a first call starts empty only where the last held no
-                # row, or only rows the shift drops (stage 0's, state 2's
-                # positions)
+                # row
                 called[kind] += bool(index and len(ends) > 1)
                 warm[kind] += bool(index and len(ends) > 1 and ends[0])
             last = active

@@ -31,8 +31,8 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
   per trial step, one per projected gradient that the box alone does not
   settle, and one or two per round whose start breaks a linear row); cold
   model steps, those of them whose start set is empty (the start's
-  projections, and the first of each kind where the last one held no row
-  or only rows that the one-stage shift between solves drops); and
+  projections, and the first of each kind where the last one held no
+  row); and
   Cholesky factorizations (LAPACK ``dpotrf`` calls: each model step's
   model once, and the Schur complement of its held rows once per iterate
   and once more per start row that the rows before it span).
