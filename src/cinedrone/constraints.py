@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (ROTATION, STATE_SIZE, CameraRig, Horizon, _readonly,
-                         rig_camera_points, tangent_gradients)
-from .objectives import (Rows, TargetPrediction, camera_point_derivatives,
-                         derivative_rows)
+from .kinematics import (LENS, POSITION, ROTATION, STATE_SIZE, CameraRig,
+                         Horizon, _readonly, rig_camera_points,
+                         tangent_gradients)
+from .objectives import TargetPrediction, camera_point_derivatives
 from .optics import CameraSensorSpec, camera_points, pixel_coordinates
 
 #: The column groups of a constraint row (:func:`state_residuals`): the
@@ -218,9 +218,8 @@ def separation_pieces(horizon: Horizon, start: int,
     ``track`` is the record's entry in :attr:`ConstraintTracks.separations`.
 
     Returns the residuals per state and a callable that builds their
-    gradient pieces (d/d position, d/d rotation, d/d focal) from the
-    projections the residuals took; the caller scales them by its penalty
-    slopes.
+    derivatives (d/d position, d/d rotation matrix, d/d focal) from the
+    projections the residuals took.
     """
     centers, half = track
     positions = horizon.positions[start:]
@@ -309,24 +308,21 @@ def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
 def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
                     spec: CameraSensorSpec, margin: float = 0.0,
                     separation_scale: float = 1.0,
-                    ) -> tuple[np.ndarray, Callable[
-                        [np.ndarray, np.ndarray], list[Rows]]]:
+                    ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Every state inequality g >= 0 of horizon states ``start``..N, one
-    row per state in the layout the planner's penalty and
+    row per state in the layout the planner's model step and
     :func:`evaluate_constraints` share: the :data:`BOX` residuals of the
     state rows; in ``tracks.collision``, distance - (safety distance +
     ``margin``) per target by sorted id; in ``tracks.separation``, per
     occlusion record, the :func:`separation_pieces` pixel gap /
     ``separation_scale`` - ``margin``.
 
-    Returns the rows and ``derivatives(slopes, weights)``: the row blocks
-    (:data:`objectives.Rows`) of states ``start``..N with each entry's
-    slope and weight (both shaped as the rows).  A box entry's ``x - lo``
-    and ``hi - x`` share one row, of slope ``s_lo - s_hi`` and weight
-    ``w_lo + w_hi``.  A group whose weights are all zero gives no rows, its
-    derivatives never built: the caller's slopes are zero there too.  The
-    position, velocity and lens box entries give no rows at all: the
-    planner holds them in its model step, not in its penalty.
+    Returns the rows and ``derivatives()``: (states, 3 + collision and
+    separation columns, 12), the derivative by its own state of each entry
+    that is not linear in the state: roll, pitch and yaw (of ``x - lo``;
+    ``hi - x`` has the negative), then the :attr:`ConstraintTracks.collision`
+    and ``.separation`` columns in order.  The position, velocity and lens
+    box entries are the state's own entries, and have none here.
     """
     states = horizon.state_rows(start)
     rows = np.empty((len(states), tracks.width))
@@ -342,35 +338,22 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
         rows[:, column] = gap / separation_scale - margin
         separations.append(build)
 
-    def derivatives(slopes: np.ndarray, weights: np.ndarray) -> list[Rows]:
+    def derivatives() -> np.ndarray:
         rotations = horizon.rotations[start:]
-        slopes, weights = slopes.T, weights.T  # entries by states
-        low, high = ANGLES  # each angle's x - lo and hi - x in one row
-        rpy = slopes[low] - slopes[high], weights[low] + weights[high]
-        blocks = []
-        axes = [axis for axis in range(3) if rpy[1][axis].any()]
-        if axes:
-            blocks.append(derivative_rows(
-                rpy[0][axes], rpy[1][axes],
-                tangent=tangent_gradients(rotations, np.stack([
-                    _rpy_derivative(rotations, axis) for axis in axes]))))
-        collision = slopes[tracks.collision], weights[tracks.collision]
-        near = collision[1].any(axis=1)
-        if near.any():
-            blocks.append(derivative_rows(
-                collision[0][near], collision[1][near],
-                position=diff[near] / np.maximum(dist[near], 1e-9)[
-                    :, :, None]))
-        slopes, weights = slopes[tracks.separation], weights[tracks.separation]
-        held = [k for k, weight in enumerate(weights) if weight.any()]
-        if held:
-            d_pos, d_rot, d_f = (np.array(piece) / separation_scale
-                                 for piece in zip(*(separations[k]()
-                                                    for k in held)))
-            blocks.append(derivative_rows(
-                slopes[held], weights[held], position=d_pos,
-                tangent=tangent_gradients(rotations, d_rot), lens=d_f))
-        return blocks
+        d = np.zeros((len(states), 3 + tracks.width - BOX.stop, STATE_SIZE))
+        d[:, :3, ROTATION] = tangent_gradients(rotations, np.stack([
+            _rpy_derivative(rotations, axis) for axis in range(3)])
+        ).transpose(1, 0, 2)
+        collision = slice(3, 3 + len(dist))
+        d[:, collision, POSITION] = (diff / np.maximum(dist, 1e-9)[
+            :, :, None]).transpose(1, 0, 2)
+        for column, build in enumerate(separations, collision.stop):
+            d_pos, d_rot, d_f = (piece / separation_scale
+                                 for piece in build())
+            d[:, column, POSITION] = d_pos
+            d[:, column, ROTATION] = tangent_gradients(rotations, d_rot)
+            d[:, column, LENS.start] = d_f
+        return d
     return rows, derivatives
 
 

@@ -223,8 +223,7 @@ def _log_columns(config: "ScenarioConfig") -> list[str]:
     columns = ["step", "time", *STATE_COLUMNS, *_INPUT_COLUMNS,
                "cost_now", "cost_plan", "cost_dof", "cost_im", "cost_pose",
                "cost_focal",
-               "solver_iterations", "solver_converged", "solver_rounds",
-               "plan_feasible",
+               "solver_iterations", "solver_converged", "plan_feasible",
                "plan_min_residual",
                "dn_actual", "df_actual", "dn_target", "df_target",
                "f_target_mm", "collision_residual_min"]
@@ -398,7 +397,6 @@ def _log_row(config, k0, t, rig, plan, instr, tracks, detections, gt_poses,
         "cost_focal": float(cost.focal.sum()),
         "solver_iterations": plan.stats.iterations,
         "solver_converged": float(plan.stats.converged),
-        "solver_rounds": plan.stats.outer_rounds,
         "plan_feasible": float(plan.feasible),
         "plan_min_residual": float(plan.residuals.min())
         if plan.residuals.size else nan,

@@ -203,7 +203,7 @@ def test_criterion_04_grid_search_equivalence():
     started = time.perf_counter()
     instr = obj.Instructions(focal=obj.FocalTarget(
         obj.FocalSchedule.constant(50.0), weight=1.0))
-    cfg = sol.SolverConfig(horizon=5, dt=0.2, outer_rounds=6)
+    cfg = sol.SolverConfig(horizon=5, dt=0.2)
     plan = sol.solve(make_rig(f=35.0), {}, instr, ConstraintSet.default(),
                      cfg, SPEC)
     max_rate = bool(np.allclose(plan.inputs[:, 6], 7.0, atol=1e-6))

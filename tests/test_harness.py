@@ -162,8 +162,8 @@ class TestLoading:
 
     def test_solver_violations_reported_together(self):
         raw = minimal_raw()
-        raw["solver"] = {"outer_rounds": 0, "penalty_initial": 0.0,
-                         "max_iterations": 0, "constraint_margin": -0.5}
+        raw["solver"] = {"horizon": 0, "max_iterations": 0,
+                         "constraint_margin": -0.5}
         with pytest.raises(ScenarioValidationError) as info:
             scenario_from_dict(raw)
         assert len(info.value.errors) == 1
@@ -316,8 +316,8 @@ class TestCli:
         ("targets[0]", lambda raw: raw.update(targets=[5])),
         ("targets[0].points", lambda raw: raw["targets"][0].update(
             points=[1])),
-        ("solver", lambda raw: raw.update(solver={"outer_rounds": 0})),
-        ("solver", lambda raw: raw.update(solver={"penalty_initial": 0})),
+        ("solver.outer_rounds",
+         lambda raw: raw.update(solver={"outer_rounds": 3})),
         ("solver", lambda raw: raw.update(solver={"max_iterations": -3})),
         ("solver",
          lambda raw: raw.update(solver={"constraint_margin": -0.5})),
@@ -326,7 +326,7 @@ class TestCli:
     ], ids=["horizon_null", "substeps_text", "pixel_missing", "seed_text",
             "repetitions_text", "start_text", "position_scalar",
             "ramp_end_missing", "camera_number", "target_number",
-            "points_list", "outer_rounds_zero", "penalty_initial_zero",
+            "points_list", "outer_rounds_unknown",
             "max_iterations_negative", "constraint_margin_negative",
             "unknown_key"])
     def test_validate_malformed_value(self, tmp_path, capsys, path, spoil):
@@ -572,25 +572,24 @@ class TestMeritStream:
         first, again = prints[270.0]
         assert first == again
         assert first["solves"] == 2 and first["value passes"] > 0
-        # one or more descent rounds per solve, each with value passes
-        assert first["solves"] <= first["rounds"] <= first["value passes"]
-        # the check after each round and the report read the round's last
-        # value pass: one evaluation per value pass
+        # one descent per solve, each with value passes
+        assert first["solves"] <= first["value passes"]
+        # the report reads the descent's last value pass: one evaluation
+        # per value pass
         moved = prints[250.0][0]
         for counts in (first, moved):
             assert counts["evaluations"] == counts["value passes"]
-        # a round's first value pass is at its start, and every trial's
-        # model step but possibly a round's last is followed by its pass;
-        # here the box alone settles every projected gradient, so each
-        # model step is a trial's, and the centred target is planned
-        # without one
+        # a descent's first value pass is at its start, and every trial's
+        # model step but possibly a descent's last is followed by its pass;
+        # here no start breaks a row, so each model step is a trial's, and
+        # the centred target is planned without one
         assert first["model steps"] == 0
         assert 0 < moved["model steps"] <= moved["value passes"]
         assert moved["factorizations"] > 0
         # gradients only where the descent goes on, and a Hessian only
         # where it takes a step from
         for counts in (first, moved):
-            assert counts["rounds"] <= counts["gradient builds"]
+            assert counts["solves"] <= counts["gradient builds"]
             assert counts["Hessian builds"] <= counts["gradient builds"]
         assert moved["gradient builds"] < moved["value passes"]
         for stream in ("value sha256", "gradient sha256", "plan sha256"):

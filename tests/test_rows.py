@@ -1,7 +1,8 @@
 """The merit's derivative rows against the accumulator they replaced
 (``gradient_oracle``): the per-state gradients and stage blocks of states
-1..N that ``objectives.contract_rows`` forms from the cost terms' and the
-penalty's row blocks."""
+1..N that ``objectives.contract_rows`` forms from the cost terms' row
+blocks, and from the derivatives by state of the rows the l1 merit
+prices."""
 
 from dataclasses import replace
 
@@ -15,7 +16,10 @@ from cinedrone import solver as sol
 from cinedrone.kinematics import Horizon, rollout
 from cinedrone.optics import thin_lens
 from test_objectives import SPEC, random_instance
-from test_solver import PENALTY_GROUPS, side_by_side_problem
+from test_solver import PENALTY_GROUPS, priced_rows, side_by_side_problem
+
+#: The groups with no derivative rows: the planner holds them linearly.
+LINEAR_GROUPS = ("none", "position box", "velocity box", "lens box")
 
 
 def assert_matches_oracle(got, grads):
@@ -110,44 +114,25 @@ class TestCostRows:
                     assert np.array_equal(x, y)
 
 
-def penalty_problem(group, rng):
-    """``side_by_side_problem``'s penalty at a seeded horizon, with
-    multipliers that make the slopes of ``group``'s entries, and of no
-    other entry, nonzero."""
-    rig, preds, sizes, instr, cset = side_by_side_problem()
-    records = cons.activate_occlusions(rig, preds, sizes, SPEC)
-    n, rho = 5, 0.5
-    model = sol._PenaltyModel(cset, preds, sizes, records, SPEC, n, 0.15)
-    horizon = rollout(rig, rng.uniform(-0.3, 0.3, (n, 9)), 0.2)
-    _, g_flat, _ = model.penalty(horizon, np.zeros(model.size), rho)
-    columns = PENALTY_GROUPS[group]
-    lam = np.zeros((n, model.tracks.width))
-    lam[:, columns] = rng.uniform(0.5, 1.5, (n, len(columns)))
-    lam = lam.ravel()
-    lam += np.where(lam > 0.0, rho * g_flat, 0.0)
-    return model, horizon, lam, rho
-
-
-#: The penalty groups with no rows.
-LINEAR_GROUPS = ("none", "position box", "velocity box", "lens box")
-
-
 @pytest.mark.parametrize("group", sorted(PENALTY_GROUPS))
 def test_penalty_rows_match_the_accumulator(group):
+    # seeded slopes and weights on the group's entries alone
     rng = np.random.default_rng(8)
+    rig, preds, sizes, _, cset = side_by_side_problem()
+    records = cons.activate_occlusions(rig, preds, sizes, SPEC)
+    n = 5
+    tracks = cons.ConstraintTracks(preds, sizes, cset, records, n + 1)
+    columns = PENALTY_GROUPS[group]
     for trial in range(5):
-        model, horizon, lam, rho = penalty_problem(group, rng)
-        _, g_flat, rows = model.penalty(horizon, lam, rho)
-        slopes = np.maximum(0.0, lam - rho * g_flat).reshape(5, -1)
-        assert np.array_equal(slopes.any(axis=0),
-                              np.isin(np.arange(slopes.shape[1]),
-                                      PENALTY_GROUPS[group]))
+        horizon = rollout(rig, rng.uniform(-0.3, 0.3, (n, 9)), 0.2)
+        slopes, weights = np.zeros((2, n, tracks.width))
+        slopes[:, columns] = rng.uniform(-1.5, 1.5, (n, len(columns)))
+        weights[:, columns] = rng.uniform(0.5, 1.5, (n, len(columns)))
+        d = cons.state_residuals(horizon, 1, tracks, SPEC, margin=0.15,
+                                 separation_scale=sol._SEPARATION_SCALE)[1]()
         grads = oracle.HorizonGradients(horizon.rotations)
-        oracle.add_state_rows(grads, horizon, 1, model.tracks, SPEC,
-                              -slopes, rho * (slopes > 0.0),
-                              separation_scale=sol._SEPARATION_SCALE)
-        blocks = rows()
-        # the linear state-box groups are held in the model step, and give
-        # no rows
+        oracle.add_state_rows(grads, horizon, 1, tracks, SPEC, slopes,
+                              weights, separation_scale=sol._SEPARATION_SCALE)
+        blocks = priced_rows(d, slopes, weights, columns)
         assert (blocks == []) == (group in LINEAR_GROUPS)
-        assert_matches_oracle(obj.contract_rows(blocks, 5), grads)
+        assert_matches_oracle(obj.contract_rows(blocks, n), grads)

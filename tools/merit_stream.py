@@ -3,36 +3,32 @@
 Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
 ``--scenario``, each shipped scenario in turn, one block each) and prints
 
-- the SHA-256 over every merit value the planner hands to its descent
-  (``solver.box_gauss_newton``, called through ``scipy.optimize.minimize``),
-  and the SHA-256 over every gradient, each stream in call order;
+- the SHA-256 over every value pass's values (the cost, then the
+  nonlinear rows) that the planner hands to its descent
+  (``solver.box_gauss_newton``, called through ``scipy.optimize.minimize``
+  once per solve), and the SHA-256 over every gradient (the cost's, then
+  the Jacobian of the rows), each stream in call order;
 - the SHA-256 over every plan's fields (the input array; each horizon
   state's position, velocity, rotation, lens and time index; cost
   breakdown, residuals, feasibility, solver statistics other than wall
-  time, occlusion records, multipliers and penalty weight); these are the
-  bytes, in the order, that versions of this tool from before plans held
-  stacked arrays hashed, so plan hashes compare across that change.  The
-  same holds across the change that took the time index off rigs and the
-  always-true ``active`` flag off occlusion records: the tool hashes the
-  values they held, the time index of state ``k`` of the loop's ``s``-th
-  solve (from 0) as ``s + k``, and each record as the text
-  ``OcclusionRecord(left_id=..., right_id=..., active=np.True_)``;
-- the number of solves, augmented-Lagrangian rounds (calls of
-  ``scipy.optimize.minimize``), value passes (calls of the merit handed to
-  the descent), gradient and Hessian builds (calls of the two builders
-  each value pass returns; the first of them called at a point gathers
-  that point's derivative rows, contracts them once with
+  time, and occlusion records, each hashed as the text
+  ``OcclusionRecord(left_id=..., right_id=..., active=np.True_)``, and the
+  time index of state ``k`` of the loop's ``s``-th solve (from 0) as ``s +
+  k``);
+- the number of solves, value passes (calls of the merit handed to the
+  descent), gradient and Hessian builds (calls of the two builders each
+  value pass returns; the first of them called at a point gathers that
+  point's derivative rows, contracts the cost's once with
   ``objectives.contract_rows`` and builds the sensitivities, and the other
-  reuses them), and cost evaluations
-  (``objectives.evaluate_horizon_stacked`` calls: one per value pass, and
-  the plan's reported cost and rows come from a round's last pass, with no
-  pass of their own);
+  reuses them), and cost evaluations (``objectives.evaluate_horizon_stacked``
+  calls: one per value pass, and the plan's reported cost comes from the
+  descent's last pass, with no pass of its own);
 - the descent's own work: model steps (``solver._model_step`` calls: one
-  per trial step, one per projected gradient that the box alone does not
-  settle, and one or two per round whose start breaks a linear row); cold
-  model steps, those of them whose start set is empty (the start's
-  projections, and the first of each kind where the last one held no
-  row); and
+  per trial step, one or two per solve whose start breaks a linear row,
+  and two more per point whose linearized rows hold no step: the elastic
+  step's, and the trial step's again); cold model steps, those of them
+  whose start set is empty (the start's projections, the elastic steps,
+  and a solve's first trial step where the last one held no row); and
   Cholesky factorizations (LAPACK ``dpotrf`` calls: each model step's
   model once, and the Schur complement of its held rows once per iterate
   and once more per start row that the rows before it span).
@@ -85,8 +81,7 @@ def _hash_plan(digest, plan: sol.Plan, index: int) -> None:
     cost = plan.cost
     _update(digest, cost.dof, cost.image, cost.pose, cost.focal,
             plan.residuals, plan.feasible, plan.stats.iterations,
-            plan.stats.outer_rounds, plan.stats.converged,
-            plan.multipliers, plan.penalty)
+            plan.stats.converged)
     for record in plan.records:
         digest.update(f"OcclusionRecord(left_id={record.left_id!r}, right_id="
                       f"{record.right_id!r}, active=np.True_)".encode())
@@ -101,9 +96,9 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     config = load_scenario(path)
     values, gradients = hashlib.sha256(), hashlib.sha256()
     plans = hashlib.sha256()
-    counts = {"solves": 0, "rounds": 0, "value passes": 0,
-              "gradient builds": 0, "Hessian builds": 0, "evaluations": 0,
-              "model steps": 0, "cold model steps": 0, "factorizations": 0}
+    counts = {"solves": 0, "value passes": 0, "gradient builds": 0,
+              "Hessian builds": 0, "evaluations": 0, "model steps": 0,
+              "cold model steps": 0, "factorizations": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     # the hooks that count a call and pass it on, by module and name
     counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
@@ -133,7 +128,6 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
                 counts["Hessian builds"] += 1
                 return hessian()
             return value, hashed_gradient, counted_hessian, point
-        counts["rounds"] += 1
         return minimize(merit, *args, **kwargs)
 
     def model_step(h, g, normals, levels, start=()):
