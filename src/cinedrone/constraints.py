@@ -21,14 +21,12 @@ from .objectives import TargetPrediction, camera_point_derivatives
 from .optics import CameraSensorSpec, camera_points, pixel_coordinates
 
 #: The column groups of a constraint row (:func:`state_residuals`): the
-#: state box's ``x - lo``, then its ``hi - x``, each over a state row; of
-#: both, the roll, pitch and yaw columns; then the collision and separation
-#: columns, as many as :class:`ConstraintTracks` holds.
+#: state box's ``x - lo``, then its ``hi - x``, each over a state row; then
+#: the collision and separation columns, as many as
+#: :class:`ConstraintTracks` holds.
 BOX_LOW = slice(0, STATE_SIZE)
 BOX_HIGH = slice(STATE_SIZE, 2 * STATE_SIZE)
 BOX = slice(0, BOX_HIGH.stop)
-ANGLES = tuple(slice(half.start + ROTATION.start, half.start + ROTATION.stop)
-               for half in (BOX_LOW, BOX_HIGH))
 
 
 @dataclass(frozen=True)
@@ -290,19 +288,19 @@ class ConstraintTracks:
         self.separation = slice(self.collision.stop, self.width)
 
 
-def _rpy_derivative(rotations: np.ndarray, axis: int) -> np.ndarray:
-    """d(roll, pitch or yaw, by ``axis``)/dR of the Z-Y-X extraction
-    :func:`kinematics.euler_angles`: (n, 3, 3); bounds keep pitch off
-    +-pi/2."""
+def _rpy_derivative(rotations: np.ndarray) -> np.ndarray:
+    """d(roll, pitch, yaw)/dR of the Z-Y-X extraction
+    :func:`kinematics.euler_angles`: (3, n, 3, 3), by angle; bounds keep
+    pitch off +-pi/2."""
     flat = rotations.reshape(-1, 9)  # R_ij at 3 i + j
-    d = np.zeros((len(rotations), 9))
-    if axis == 1:  # -arcsin(R_20)
-        d[:, 6] = -1.0 / np.sqrt(np.maximum(1.0 - flat[:, 6] ** 2, 1e-12))
-    else:  # atan2(R_21, R_22) and atan2(R_10, R_00)
-        y, x = (7, 8) if axis == 0 else (3, 0)
+    d = np.zeros((3, len(rotations), 9))
+    # -arcsin(R_20)
+    d[1, :, 6] = -1.0 / np.sqrt(np.maximum(1.0 - flat[:, 6] ** 2, 1e-12))
+    # atan2(R_21, R_22) and atan2(R_10, R_00)
+    for axis, (y, x) in ((0, (7, 8)), (2, (3, 0))):
         denom = flat[:, y] ** 2 + flat[:, x] ** 2
-        d[:, y], d[:, x] = flat[:, x] / denom, -flat[:, y] / denom
-    return d.reshape(-1, 3, 3)
+        d[axis, :, y], d[axis, :, x] = flat[:, x] / denom, -flat[:, y] / denom
+    return d.reshape(3, -1, 3, 3)
 
 
 def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
@@ -317,12 +315,12 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
     occlusion record, the :func:`separation_pieces` pixel gap /
     ``separation_scale`` - ``margin``.
 
-    Returns the rows and ``derivatives()``: (states, 3 + collision and
-    separation columns, 12), the derivative by its own state of each entry
-    that is not linear in the state: roll, pitch and yaw (of ``x - lo``;
-    ``hi - x`` has the negative), then the :attr:`ConstraintTracks.collision`
-    and ``.separation`` columns in order.  The position, velocity and lens
-    box entries are the state's own entries, and have none here.
+    Returns the rows and ``derivatives()``: (states, 12 + collision and
+    separation columns, 12), the derivative by its own state of each
+    :data:`BOX_LOW` entry (``hi - x`` has the negative): the unit row on
+    the entries linear in the state, the roll, pitch and yaw derivative on
+    ``ROTATION``; then of the :attr:`ConstraintTracks.collision` and
+    ``.separation`` columns in order.
     """
     states = horizon.state_rows(start)
     rows = np.empty((len(states), tracks.width))
@@ -340,18 +338,22 @@ def state_residuals(horizon: Horizon, start: int, tracks: ConstraintTracks,
 
     def derivatives() -> np.ndarray:
         rotations = horizon.rotations[start:]
-        d = np.zeros((len(states), 3 + tracks.width - BOX.stop, STATE_SIZE))
-        d[:, :3, ROTATION] = tangent_gradients(rotations, np.stack([
-            _rpy_derivative(rotations, axis) for axis in range(3)])
-        ).transpose(1, 0, 2)
-        collision = slice(3, 3 + len(dist))
+        d = np.zeros((len(states), STATE_SIZE + tracks.width - BOX.stop,
+                      STATE_SIZE))
+        d[:, :STATE_SIZE] = np.eye(STATE_SIZE)
+        collision = slice(STATE_SIZE, STATE_SIZE + len(dist))
         d[:, collision, POSITION] = (diff / np.maximum(dist, 1e-9)[
             :, :, None]).transpose(1, 0, 2)
-        for column, build in enumerate(separations, collision.stop):
-            d_pos, d_rot, d_f = (piece / separation_scale
-                                 for piece in build())
+        gaps = [[piece / separation_scale for piece in build()]
+                for build in separations]
+        by_rotation = tangent_gradients(rotations, np.concatenate(
+            [_rpy_derivative(rotations)] + [d_rot[None]
+                                            for _, d_rot, _ in gaps]))
+        d[:, ROTATION, ROTATION] = by_rotation[:3].transpose(1, 0, 2)
+        for column, (d_pos, _, d_f), d_rot in zip(
+                range(collision.stop, d.shape[1]), gaps, by_rotation[3:]):
             d[:, column, POSITION] = d_pos
-            d[:, column, ROTATION] = tangent_gradients(rotations, d_rot)
+            d[:, column, ROTATION] = d_rot
             d[:, column, LENS.start] = d_f
         return d
     return rows, derivatives

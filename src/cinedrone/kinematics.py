@@ -38,9 +38,6 @@ BODY_TO_CAMERA.setflags(write=False)
 POSITION, VELOCITY, ROTATION, LENS = (slice(0, 3), slice(3, 6), slice(6, 9),
                                       slice(9, 12))
 STATE_SIZE = LENS.stop
-#: The entries of a state row linear in the inputs: all but roll/pitch/yaw.
-LINEAR = np.isin(np.arange(STATE_SIZE), np.r_[ROTATION], invert=True)
-LINEAR.setflags(write=False)
 
 _ORTHONORMAL_TOL = 1e-9
 _REORTHONORMALIZE_TOL = 1e-12
@@ -172,18 +169,12 @@ class CameraRig:
         return self.drone.orientation @ BODY_TO_CAMERA
 
     def state_row(self) -> np.ndarray:
-        """The rig's state row: its one-state :class:`Horizon`'s, built at
-        the first call and read-only."""
-        row = self.__dict__.get("_state_row")
-        if row is None:
-            drone = self.drone
-            row = Horizon(drone.position[None], drone.velocity[None],
-                          drone.orientation[None],
-                          self.intrinsics.as_array()[None],
-                          np.empty((0, 3, 3))).state_rows()[0]
-            row.setflags(write=False)
-            object.__setattr__(self, "_state_row", row)
-        return row
+        """The rig's state row: its one-state :class:`Horizon`'s."""
+        drone = self.drone
+        return Horizon(drone.position[None], drone.velocity[None],
+                       drone.orientation[None],
+                       self.intrinsics.as_array()[None],
+                       np.empty((0, 3, 3))).state_rows()[0]
 
 
 def rig_camera_points(rig: CameraRig, points: np.ndarray) -> np.ndarray:

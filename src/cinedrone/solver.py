@@ -3,15 +3,14 @@
 Each call minimizes the horizon cost over the stacked drone + lens input
 sequence subject to the rig dynamics and the feasibility inequalities.
 Inputs are normalized to [-1, 1] by their bounds.  One Gauss-Newton SQP
-descent (:func:`box_gauss_newton`) holds that box, the state-box rows that
-are linear in the inputs (position, velocity and lens) and the other rows
-(roll, pitch and yaw, collision and occlusion separation), linearized at
-each point it steps from, in every model step: a quadratic program that
-starts from the rows the last one held, in the last solve too, and whose
-Gauss-Newton model Hessian sums the stage blocks of the cost over the
-forward sensitivities of the rollout.  Trials are judged by Fletcher's
-exact l1 merit, its weight taken from the model steps' multipliers.
-Everything is deterministic for identical arguments.
+descent (:func:`box_gauss_newton`) holds that box and every state row of
+states 1..N (the state box, collision and occlusion separation),
+linearized at each point it steps from, in every model step: a quadratic
+program that starts from the rows the last one held, in the last solve
+too, and whose Gauss-Newton model Hessian sums the stage blocks of the
+cost over the forward sensitivities of the rollout.  Trials are judged by
+Fletcher's exact l1 merit, its weight taken from the model steps'
+multipliers.  Everything is deterministic for identical arguments.
 """
 
 from __future__ import annotations
@@ -31,16 +30,14 @@ from . import kinematics as kin
 from . import objectives as obj
 from .optics import CameraSensorSpec
 
-#: Price per unit of the elastic variable of a start that leaves the linear
-#: rows no feasible value, or of a point whose linearized rows hold no
-#: step: large, so that it finds the least violation.
+#: Price per unit of the elastic variable of a point whose linearized rows
+#: hold no step: large, so that it finds the least violation.
 _ELASTIC = 1e6
 #: Ridge added to the model Hessian, relative to its largest diagonal
 #: entry, so that its Cholesky factorization exists.
 _DAMPING = 1e-10
 #: Pixels per unit of occlusion-separation row: the gap, scaled to O(1)
-#: like the collision rows in meters and the attitude rows by their box
-#: widths.
+#: like the collision rows in meters and the box rows by their box widths.
 _SEPARATION_SCALE = 100.0
 #: A plan is feasible when no residual of its report falls below this.
 FEASIBILITY_TOL = -1e-6
@@ -48,7 +45,7 @@ FEASIBILITY_TOL = -1e-6
 #: (``box_gauss_newton``'s ``gtol``), or at a relative decrease of 1e-7.
 CONVERGENCE_TOL = 1e-5
 #: The l1 merit's weight is at least this multiple of the largest
-#: multiplier a model step gives a nonlinear row; a weight above every
+#: multiplier a model step gives a state row; a weight above every
 #: multiplier makes each model step a descent direction of the merit.
 MERIT_WEIGHT_SHARE = 2.0
 #: Four ulps of a merit of size 1: a step foreseeing a decrease below this
@@ -115,16 +112,12 @@ def shift_warm_start(prev: Plan | None, n_steps: int) -> np.ndarray:
 
 
 class _Constants(NamedTuple):
-    """What every solve reads of its configuration alone, read-only: the
-    input scaling (``u = center + z half``) and the scaled box ``box``,
-    [0, 0] on an input channel held at its bound (``~free``); the blocks
-    of the sensitivities of states 1..N to ``z`` that no input moves,
-    each derivative build filling in the rotation block, scaled by
-    ``rotation_scale``; and of :func:`_linear_rows`, the (n, 12) mask
-    ``linear`` of the entries of states 1..N it holds, the matrix ``a``, the
-    rows' state bounds and both sides' box widths, the inputs' share at
-    ``z = 0`` in each state (0 in the angles, which no linear row reads)
-    and the start velocity's ``drift`` factor per state."""
+    """What every solve reads of its input bounds and stages alone,
+    read-only: the input scaling (``u = center + z half``) and the scaled
+    box ``box``, [0, 0] on an input channel held at its bound (``~free``);
+    and the blocks of the sensitivities of states 1..N to ``z`` that no
+    input moves, each derivative build filling in the rotation block,
+    scaled by ``rotation_scale``."""
 
     center: np.ndarray
     half: np.ndarray
@@ -132,87 +125,65 @@ class _Constants(NamedTuple):
     box: np.ndarray
     linear_sens: np.ndarray
     rotation_scale: np.ndarray
-    linear: np.ndarray
-    a: np.ndarray
-    row_low: np.ndarray
-    row_high: np.ndarray
-    widths: np.ndarray
-    share: np.ndarray
-    drift: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def _planner_constants(n: int, dt: float, *bounds: bytes) -> _Constants:
     """The :class:`_Constants` of ``n`` stages of ``dt``, keyed by value:
-    ``bounds`` holds the bytes of the input row's low and high bounds,
-    then the state row's; equal configurations share one entry."""
-    low, high, state_low, state_high = map(np.frombuffer, bounds)
+    ``bounds`` holds the bytes of the input row's low and high bounds;
+    equal configurations share one entry."""
+    low, high = map(np.frombuffer, bounds)
     center, half = 0.5 * (low + high), 0.5 * (high - low)
     free = high - low > 1e-12
     box = np.tile(np.where(free, 1.0, 0.0), n)
     # d u / d z per input row
     scale = np.tile(np.where(free, half, 0.0), n).reshape(n, 9)
-    sens = kin.linear_sensitivities(n, dt)[1:]
-    linear_sens = sens * scale
-    linear = np.tile(kin.LINEAR, (n, 1))
-    linear[0, kin.POSITION] = False
-    share = np.zeros((n, kin.STATE_SIZE))
-    share[:, kin.LINEAR] = (sens[:, kin.LINEAR].reshape(-1, 9 * n)
-                            @ np.tile(center, n)).reshape(n, -1)
-    row_low, row_high = (np.broadcast_to(edge, linear.shape)[linear]
-                         for edge in (state_low, state_high))
-    width = np.where((row_high - row_low > 0.0)
-                     & np.isfinite(row_high - row_low),
-                     row_high - row_low, 1.0)
-    a = linear_sens.reshape(linear.shape + (-1,))[linear] / width[:, None]
-    built = _Constants(center, half, free, box, linear_sens,
-                       scale[:, 3:6], linear, np.concatenate([a, -a]),
-                       row_low, row_high, np.tile(width, 2),
-                       share, dt * np.arange(1, n + 1)[:, None])
+    built = _Constants(center, half, free, box,
+                       kin.linear_sensitivities(n, dt)[1:] * scale,
+                       scale[:, 3:6])
     for array in built:
         array.setflags(write=False)
     return built
 
 
-def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
+def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
                      gtol: float = 1e-5, ftol: float = 1e-7, start=(),
                      **unused) -> scipy.optimize.OptimizeResult:
     """Levenberg-Marquardt SQP descent over the box ``bounds``, a ``(low,
-    high)`` pair, the rows ``a @ x <= b`` of ``constraints = (a, b)`` and
-    the nonlinear rows ``c(x) >= 0``, in the calling convention of a
-    ``scipy.optimize.minimize`` method.
+    high)`` pair, and the rows ``c(x) >= 0``, in the calling convention of
+    a ``scipy.optimize.minimize`` method.
 
     ``fun(x)`` returns the values ``[f, c]`` at ``x`` (a scalar ``f`` where
-    there are no nonlinear rows), zero-argument builders of their Jacobian
-    ``[g; J]`` (``g`` alone likewise) and of a positive semidefinite
-    Gauss-Newton matrix ``H`` of ``f`` there, and a record of ``x`` that the
-    result hands back as ``point``.  From :func:`_project`'s point of
-    ``x0``, each iteration minimizes the damped model ``g s + s (H + mu I)
-    s / 2`` over the box, the rows and ``c + J s >= 0``
-    (:func:`_model_step`), the last raised by the least uniform violation a
-    step can reach where they hold none (:func:`_elastic_step`), so every
-    trial holds the box and the linear rows, and evaluates the step once.
-    A trial is judged by Fletcher's exact l1 merit ``f + nu sum max(0,
-    -c)``, ``nu`` raised to :data:`MERIT_WEIGHT_SHARE` times each model
-    step's largest multiplier of a nonlinear row; ``mu`` starts at 0 and
-    follows the ratio of the merit's actual to predicted decrease by
-    Nielsen's rule (Moré, 1978; Nielsen, IMM-REP-1999-05), a non-finite
-    trial rejected.  Stops with status 0 when the box's projected gradient
-    holds every row and is ``<= gtol`` in every entry, or an accepted step
-    lowers the merit by ``<= ftol`` of its size (both L-BFGS-B's tests), or
-    the first step from ``x`` foresees a decrease below the merit's
-    rounding; 1 after ``maxiter`` trial steps, and 2 when the model step
-    fails or no longer moves ``x``.
+    there are no rows), zero-argument builders of their Jacobian ``[g; J]``
+    (``g`` alone likewise) and of a positive semidefinite Gauss-Newton
+    matrix ``H`` of ``f`` there, and a record of ``x`` that the result
+    hands back as ``point``.  From ``x0`` clipped to the box, each
+    iteration minimizes the damped model ``g s + s (H + mu I) s / 2`` over
+    the box and ``c + J s >= 0`` (:func:`_model_step`), the rows raised by
+    the least uniform violation a step can reach where they hold none
+    (:func:`_elastic_step`), so a row linear in ``x`` that the start
+    breaks holds from the first trial on where any step holds it, and
+    evaluates the step once.  A trial is judged by Fletcher's exact l1
+    merit ``f + nu sum max(0, -c)``, ``nu`` raised to
+    :data:`MERIT_WEIGHT_SHARE` times each model step's largest multiplier
+    of a row; ``mu`` starts at 0 and follows the ratio of the merit's
+    actual to predicted decrease by Nielsen's rule (Moré, 1978; Nielsen,
+    IMM-REP-1999-05), a non-finite trial rejected.  Stops with status 0
+    when the box's projected gradient holds every row and is ``<= gtol`` in
+    every entry, or an accepted step lowers the merit by ``<= ftol`` of its
+    size (both L-BFGS-B's tests), or the first step from ``x`` foresees a
+    decrease below the merit's rounding; 1 after ``maxiter`` trial steps,
+    and 2 when the model step fails or no longer moves ``x``.
 
     A point's Jacobian is built only once the descent goes on from it (the
     start, or an accepted trial past the ``ftol`` test), and its Hessian
     only once a step is to be taken from it; the result's ``jac`` (``g``)
     is None where the descent stopped without it at ``x``.  The first
-    model step starts from the rows ``start`` (rows of ``I``, ``-I``,
-    ``a``, ``-J``); ``active`` is where the last one ended.
+    model step starts from the rows ``start`` (rows of ``[I; -I; -J]``);
+    ``active`` is where the last one ended.
     """
-    (a, b), (low, high) = constraints, bounds
-    x, b = _project(np.asarray(x0, float).clip(low, high), low, high, a, b)
+    low, high = bounds
+    x = np.asarray(x0, float).clip(low, high)
     n = len(x)
     values, jacobian, hessian, point = fun(x)
     f, c = _split(values)
@@ -230,15 +201,14 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
         except np.linalg.LinAlgError:
             if not c.size:
                 raise
-        rows = slice(len(levels) - len(c), None)
-        reach = normals[rows] @ _elastic_step(normals, levels, len(c))
-        levels[rows] += max(0.0, float((reach - levels[rows]).max()))
+        reach = normals[2 * n:] @ _elastic_step(normals, levels)
+        levels[2 * n:] += max(0.0, float((reach - levels[2 * n:]).max()))
         return _model_step(model, g, normals, levels, active)
     while math.isfinite(f) and np.isfinite(c).all():
         if g is None:
             g, jac = _split(np.atleast_2d(jacobian()))
-            normals = np.concatenate([eye, -eye, a, -jac])
-            levels = np.concatenate([high - x, x - low, b - a @ x, c])
+            normals = np.concatenate([eye, -eye, -jac])
+            levels = np.concatenate([high - x, x - low, c])
         steepest = (-g).clip(low - x, high - x)
         if (np.abs(steepest).max() <= gtol
                 and not (normals[2 * n:] @ steepest > levels[2 * n:]).any()):
@@ -250,14 +220,14 @@ def box_gauss_newton(fun, x0, bounds, constraints, maxiter: int = 100,
         if h is None:
             h = hessian()
         nit += 1
-        diagonal = max(float(h.diagonal().max()), 1e-300)
+        diagonal = float(h.diagonal().max()) or 1.0  # 0: the cost is flat
         try:
             step, active, duals = model_step(
                 h + (_DAMPING * diagonal + mu) * eye)
         except np.linalg.LinAlgError:  # a model too ill-posed to solve
             break
         nu = max(nu, MERIT_WEIGHT_SHARE * float(duals[
-            np.array(active, int) >= len(levels) - len(c)].max(initial=0.0)))
+            np.array(active, int) >= 2 * n].max(initial=0.0)))
         trial = (x + step).clip(low, high)
         step = trial - x
         merit = f + nu * _violation(c)
@@ -306,37 +276,18 @@ def _violation(c: np.ndarray) -> float:
     return float(np.maximum(0.0, -c).sum())
 
 
-def _project(x, low, high, a, b):
-    """The point of the box nearest ``x`` (in it) that holds ``a @ x <=
-    b``, and ``b``; where the box holds no such point, ``b`` raised by the
-    least uniform violation (:func:`_elastic_step`)."""
-    if not np.any(a @ x > b):
-        return x, b
-    eye = np.eye(len(x))
-    normals = np.concatenate([eye, -eye, a])
-    levels = np.concatenate([high - x, x - low, b - a @ x])
-    try:
-        return (x + _model_step(eye, np.zeros(len(x)), normals, levels)[0]
-                ).clip(low, high), b
-    except np.linalg.LinAlgError:
-        pass  # no point of the box holds the rows: relax them
-    x = (x + _elastic_step(normals, levels, len(b))).clip(low, high)
-    return x, b + max(0.0, float((a @ x - b).max()))
-
-
-def _elastic_step(normals, levels, count):
+def _elastic_step(normals, levels):
     """The least step ``s`` of the box (the first 2n rows) that holds the
-    rows ``normals @ s <= levels``, the last ``count`` of them relaxed by
-    one elastic variable ``t >= 0`` priced at :data:`_ELASTIC` (Kerrigan and
+    rows after it, ``normals @ s <= levels``, all relaxed by one elastic
+    variable ``t >= 0`` priced at :data:`_ELASTIC` (Kerrigan and
     Maciejowski, CDC 2000): ``t`` is their least uniform violation.  Zero
-    where no step holds the other rows."""
+    where the model step fails even so."""
     n = normals.shape[1]
     eye = np.eye(n + 1)
-    elastic = np.zeros(len(normals) - 2 * n)
-    elastic[len(elastic) - count:] = -1.0
     try:
         return _model_step(eye, np.r_[np.zeros(n), _ELASTIC], np.concatenate(
-            [eye, -eye, np.column_stack([normals[2 * n:], elastic])]),
+            [eye, -eye, np.column_stack([normals[2 * n:],
+                                         -np.ones(len(normals) - 2 * n)])]),
             np.concatenate([levels[:n], [np.inf], levels[n:2 * n], [0.0],
                             levels[2 * n:]]))[0][:-1]
     except np.linalg.LinAlgError:
@@ -422,39 +373,30 @@ def _model_step(h, g, normals, levels, start=()):
     raise np.linalg.LinAlgError("active set cycles")
 
 
-def _linear_rows(initial: kin.CameraRig, constants: _Constants):
-    """The box rows of the state entries linear in the scaled inputs ``z``
-    of states 1..N, but state 1's positions, ``p0 + dt v0``, which no input
-    moves: ``(a, b)`` holding ``a @ z <= b``, each
-    scaled by its box width; the start's share of ``b`` alone is built here,
-    the rest is the solve's :func:`_planner_constants`."""
-    # the states at z = 0: the start's, drifting, plus the inputs' share
-    state = initial.state_row() + constants.share
-    state[:, kin.POSITION] += constants.drift * initial.drone.velocity
-    state = state[constants.linear]
-    return constants.a, np.concatenate([constants.row_high - state,
-                                        state - constants.row_low]
-                                       ) / constants.widths
-
-
-def _nonlinear_rows(limits: cons.ConstraintTracks, n: int,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layout of the nonlinear rows of states 1..N that the descent
-    linearizes: the :func:`cons.state_residuals` columns (the roll, pitch
-    and yaw ``x - lo``, then ``hi - x``, then the collision and separation
-    columns), the scale of each (1 / box width on the angles), and the
-    (columns, n) mask of the entries kept, column by column: all but state
-    1's collision rows, whose ``p0 + dt v0`` no input moves.  The angle
-    and collision rows come first, so a row's index is fixed by the
-    horizon and the targets alone."""
-    columns = np.r_[cons.ANGLES[0], cons.ANGLES[1],
-                    limits.collision.start:limits.width]
-    widths = limits.box_widths[columns[:6]]
-    scale = np.ones(len(columns))
-    scale[:6] = 1.0 / np.where(widths > 0.0, widths, 1.0)
-    kept = np.ones((len(columns), n), bool)
-    kept[6:6 + limits.collision.stop - limits.collision.start, 0] = False
-    return columns, scale, kept
+def _row_layout(limits: cons.ConstraintTracks, n: int, free: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of the rows of states 1..N that the descent linearizes,
+    column by column of :func:`cons.state_residuals` (the state box's ``x
+    - lo``, then ``hi - x``, then the collision and separation columns):
+    the scale of each column (1 / box width on the box, where that is
+    finite and positive) and the (columns, n) mask of the entries kept:
+    all but those no input moves, state 1's position and collision rows
+    (``p0 + dt v0``) and the position, velocity or lens rows of an input
+    channel held at its bound (``~free``), and the box rows of a bound
+    that is not finite.  So a row's index is fixed by the horizon, the
+    bounds and the targets alone."""
+    widths = limits.box_widths
+    scale = np.ones(limits.width)
+    scale[cons.BOX] = 1.0 / np.where((widths > 0.0) & np.isfinite(widths),
+                                     widths, 1.0)
+    kept = np.ones((limits.width, n), bool)
+    box = kept[cons.BOX].reshape(2, kin.STATE_SIZE, n)
+    box[...] = np.isfinite(limits.bounds).reshape(2, -1, 1)
+    # each linear entry is moved by one input channel alone
+    box[:, ~np.r_[free[:3], free[:3], True, True, True, free[6:]]] = False
+    box[:, kin.POSITION, 0] = False
+    kept[limits.collision, 0] = False
+    return scale, kept
 
 
 def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
@@ -469,8 +411,8 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
     from the initial state before descent starts.  A start outside the
     state box is planned from all the same; row 0 of the plan's residuals
     reports it, and the plan is infeasible.  Where the start leaves a
-    position, velocity or lens row of states 1..N no feasible value, the
-    descent holds those rows at their least uniform violation.
+    row of states 1..N no feasible value, the descent holds the rows at
+    their least uniform violation.
     """
     start_time = time.perf_counter()
     n = cfg.horizon
@@ -482,14 +424,12 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
         records = cons.activate_occlusions(initial, preds, sizes, spec)
 
     constants = _planner_constants(n, dt, *(
-        edge.tobytes() for edges in (cset.input_bounds, cset.state_bounds)
-        for edge in edges))
+        edge.tobytes() for edge in cset.input_bounds))
     center, half, box = constants.center, constants.half, constants.box
 
     tracks = obj.HorizonTracks(preds, instr, n + 1)
     limits = cons.ConstraintTracks(preds, sizes, cset, records, n + 1)
-    rows = _linear_rows(initial, constants)
-    columns, scale, kept = _nonlinear_rows(limits, n)
+    scale, kept = _row_layout(limits, n, constants.free)
     # the sensitivities of states 1..N to z: each derivative build writes
     # its rotation block into this one buffer, which the Hessian at the
     # build's point reads before the descent builds at another point
@@ -498,7 +438,7 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
 
     def merit(z_flat: np.ndarray):
         """One value pass at the scaled inputs ``z_flat``: the cost and the
-        nonlinear rows, builders of their Jacobian and of the cost's
+        state rows, builders of their Jacobian and of the cost's
         Gauss-Newton matrix, which share one derivative build, and the
         pass's record (inputs, horizon, cost breakdown), its inputs
         read-only."""
@@ -518,8 +458,9 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             sens[:, kin.ROTATION, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt) * constants.rotation_scale
             d = derivatives()
-            by_state = np.concatenate([d[:, :3], -d[:, :3], d[:, 3:]],
-                                      axis=1) @ flat
+            by_state = np.concatenate([d[:, :kin.STATE_SIZE],
+                                       -d[:, :kin.STATE_SIZE],
+                                       d[:, kin.STATE_SIZE:]], axis=1) @ flat
             built = (np.concatenate([
                 obj.chain_through_dynamics(gradient, flat)[None],
                 (by_state * scale[:, None]).transpose(1, 0, 2)[kept]]),
@@ -534,14 +475,13 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             weighted = stage @ flat
             return flat.reshape(-1, 9 * n).T @ weighted.reshape(-1, 9 * n)
         return (np.concatenate([[breakdown.total],
-                                (residuals[:, columns] * scale).T[kept]]),
+                                (residuals * scale).T[kept]]),
                 lambda: build()[0], hessian, (u, horizon, breakdown))
 
     z = np.divide(shift_warm_start(warm, n) - center, half,
                   where=constants.free, out=np.zeros((n, 9))).ravel()
     result = scipy.optimize.minimize(
         merit, z, method=box_gauss_newton, bounds=(-box, box),
-        constraints=rows,
         options={"maxiter": cfg.max_iterations, "gtol": CONVERGENCE_TOL,
                  "ftol": 1e-7,
                  "start": warm.held if warm is not None else ()})

@@ -41,16 +41,19 @@ class HorizonGradients:
         self.rotations = rotations
 
     def add(self, slope: np.ndarray, weight: np.ndarray | None = None,
-            position=None, rotation=None, intrinsics=None,
+            position=None, rotation=None, intrinsics=None, velocity=None,
             states: slice = slice(None)) -> None:
         """Add ``slope * d`` to the gradient and ``weight * d d^T`` to the
         curvature of ``states`` (none without ``weight``), ``d`` one
         residual's derivative per state given by its pieces: w.r.t. the
         position (n, 3), the rotation matrix (n, 3, 3), taken to the
-        rotation vector, and the lens (n, 3) or the focal length (n,)."""
+        rotation vector, the lens (n, 3) or the focal length (n,), and the
+        velocity (n, 3)."""
         rows = np.zeros((len(slope), 12))
         if position is not None:
             rows[:, 0:3] = position
+        if velocity is not None:
+            rows[:, 3:6] = velocity
         if rotation is not None:
             rows[:, 6:9] = tangent_gradients(self.rotations[states], rotation)
         if intrinsics is not None:
@@ -84,9 +87,7 @@ def add_state_rows(grads, horizon, start, tracks, spec, slopes, weights,
                    separation_scale=1.0) -> None:
     """Add the derivatives of :func:`constraints.state_residuals`' rows of
     states ``start``..N, times ``slopes`` and ``weights``, into
-    ``grads``, skipping each group whose weights are all zero.  The
-    position, velocity and lens box entries add nothing: the planner holds
-    them in its model step."""
+    ``grads``, skipping each entry whose weights are all zero."""
     n_box = 2 * len(tracks.bounds[0])
     diff = horizon.positions[start:] - tracks.collisions[:, start:]
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
@@ -100,10 +101,17 @@ def add_state_rows(grads, horizon, start, tracks, spec, slopes, weights,
     half = n_box // 2
     box = slopes[:, :half] - slopes[:, half:n_box]
     box_weights = weights[:, :half] + weights[:, half:n_box]
-    for axis in range(3):
-        if box_weights[:, 6 + axis].any():
-            grads.add(box[:, 6 + axis], box_weights[:, 6 + axis],
-                      rotation=cons._rpy_derivative(rotations, axis),
+    angles = cons._rpy_derivative(rotations)
+    for entry in range(half):
+        if box_weights[:, entry].any():
+            # the state's own entry, or its angle's rotation derivative
+            unit = np.zeros((len(rotations), 12))
+            unit[:, entry] = 1.0
+            pieces = ({"rotation": angles[entry - 6]} if 6 <= entry < 9
+                      else {"position": unit[:, 0:3],
+                            "velocity": unit[:, 3:6],
+                            "intrinsics": unit[:, 9:12]})
+            grads.add(box[:, entry], box_weights[:, entry], **pieces,
                       states=states)
     for column, (d, r) in enumerate(zip(diff, dist), n_box):
         if weights[:, column].any():

@@ -351,8 +351,8 @@ class TestStateResidualDerivatives:
                                                      tracks, SPEC, **options)
             assert rows.shape == (n + 1 - start, 27)
             d = derivatives()
-            # by state: roll, pitch, yaw, 2 collision and 1 separation
-            assert d.shape == (len(rows), 6, 12)
+            # by state: the 12 box entries, 2 collision and 1 separation
+            assert d.shape == (len(rows), 15, 12)
             for k in range(len(rows)):
                 fd = np.stack([(cons.state_residuals(
                     moved_state(horizon, start + k, j, h), start, tracks,
@@ -362,15 +362,11 @@ class TestStateResidualDerivatives:
                     for j in range(12)], axis=1)
                 for column in range(rows.shape[1]):
                     if column >= cons.BOX.stop:
-                        want = d[k, 3 + column - cons.BOX.stop]
-                    elif column in np.r_[cons.ANGLES[0]]:
-                        want = d[k, column - cons.ANGLES[0].start]
-                    elif column in np.r_[cons.ANGLES[1]]:
-                        want = -d[k, column - cons.ANGLES[1].start]
+                        want = d[k, 12 + column - cons.BOX.stop]
+                    elif column in np.r_[cons.BOX_LOW]:
+                        want = d[k, column]
                     else:
-                        # a position, velocity or lens box entry: the state
-                        # entry itself, which the planner holds linearly
-                        continue
+                        want = -d[k, column - cons.BOX_HIGH.start]
                     assert np.abs(want).max() > 0.0, column
                     assert np.allclose(want, fd[column], rtol=1e-5,
                                        atol=1e-6), column
@@ -392,9 +388,8 @@ def test_rpy_derivative_matches_central_differences():
                           jacobians=np.zeros((n - 1, 3, 3)))
         return horizon.state_rows()[:, ROTATION]
     h = 1e-6
-    for axis in range(3):
-        got = tangent_gradients(rotations,
-                                cons._rpy_derivative(rotations, axis))
+    for axis, d_angle in enumerate(cons._rpy_derivative(rotations)):
+        got = tangent_gradients(rotations, d_angle)
         for i in range(3):
             step = scipy.linalg.expm(h * hat_batch(np.eye(3)[i:i + 1])[0])
             fd = (angles(rotations @ step) - angles(rotations @ step.T))[

@@ -470,9 +470,7 @@ class TestConstantCaches:
             kinematics.linear_sensitivities: (5, 0.2),
             estimation._constant_velocity_model: (0.3, 0.5),
             solver._planner_constants: (5, 0.2, *(
-                edge.tobytes() for edges in (bounds.input_bounds,
-                                             bounds.state_bounds)
-                for edge in edges)),
+                edge.tobytes() for edge in bounds.input_bounds)),
             objectives._constant_rows: (5,),
         }
         modules = pkgutil.iter_modules(cinedrone.__path__, "cinedrone.")

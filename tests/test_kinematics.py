@@ -487,14 +487,6 @@ class TestSensitivities:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_state_row_built_once_read_only():
-    start = rig(p=(1.0, 2.0, 3.0), rot=rotation_from_rpy(0.1, -0.2, 0.3))
-    row = start.state_row()
-    assert start.state_row() is row
-    with pytest.raises(ValueError, match="read-only"):
-        row[0] = 0.0
-
-
 class TestEulerHelpers:
     @settings(max_examples=150, deadline=None)
     @given(roll=st.floats(-1.4, 1.4), pitch=st.floats(-1.4, 1.4),

@@ -18,10 +18,6 @@ from cinedrone.optics import thin_lens
 from test_objectives import SPEC, random_instance
 from test_solver import PENALTY_GROUPS, priced_rows, side_by_side_problem
 
-#: The groups with no derivative rows: the planner holds them linearly.
-LINEAR_GROUPS = ("none", "position box", "velocity box", "lens box")
-
-
 def assert_matches_oracle(got, grads):
     """``got``, the gradients and stage blocks of states 1..N, equals the
     oracle's of those states to 1e-12 relative, state by state in the max
@@ -134,5 +130,5 @@ def test_penalty_rows_match_the_accumulator(group):
         oracle.add_state_rows(grads, horizon, 1, tracks, SPEC, slopes,
                               weights, separation_scale=sol._SEPARATION_SCALE)
         blocks = priced_rows(d, slopes, weights, columns)
-        assert (blocks == []) == (group in LINEAR_GROUPS)
+        assert (blocks == []) == (group == "none")
         assert_matches_oracle(obj.contract_rows(blocks, n), grads)

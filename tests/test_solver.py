@@ -2,6 +2,8 @@
 and feasibility handling."""
 
 import json
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,14 +236,18 @@ class TestPlanContract:
 
     def test_infeasible_start_reported(self):
         # a start outside the state box is planned from, and its plan's
-        # report says so at row 0
+        # report says so at row 0; with no cost, the model step that
+        # holds the rows' least violation is damped on a scale its
+        # Cholesky factors carry, with no overflow
         cfg = sol.SolverConfig(horizon=5, dt=0.2)
         bad = CameraRig(drone=DroneState(position=np.array([100.0, 0, 0]),
                                          velocity=np.zeros(3),
                                          orientation=np.eye(3)),
                         intrinsics=IntrinsicState(35.0, 10.0, 2.0))
-        plan = sol.solve(bad, {}, obj.Instructions(),
-                         cons.ConstraintSet.default(), cfg, SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sol.solve(bad, {}, obj.Instructions(),
+                             cons.ConstraintSet.default(), cfg, SPEC)
         # the input rows come first, then one row per state 0..N
         states = plan.residuals[18 * cfg.horizon:].reshape(cfg.horizon + 1,
                                                            -1)
@@ -342,7 +348,7 @@ PENALTY_GROUPS = {
     "position box": box_columns(kin.POSITION),
     "velocity box": box_columns(kin.VELOCITY),
     "lens box": box_columns(kin.LENS),
-    "roll, pitch and yaw box": list(np.r_[cons.ANGLES]),
+    "roll, pitch and yaw box": box_columns(kin.ROTATION),
     "collision": [cons.BOX.stop, cons.BOX.stop + 1],
     "separation": [cons.BOX.stop + 2],
     "all": list(range(cons.BOX.stop + 3)),
@@ -353,18 +359,16 @@ def priced_rows(d, slopes, weights, columns):
     """Row blocks (:data:`objectives.Rows`) of the rows the l1 merit prices
     among the row ``columns``, from their derivatives ``d`` by state
     (``constraints.state_residuals``) and per-entry ``slopes`` and
-    ``weights`` (states, row width): an angle's ``x - lo`` and ``hi - x``
-    share one row, of slope ``s_lo - s_hi`` and weight ``w_lo + w_hi``;
-    the position, velocity and lens entries give none."""
-    low, high = cons.ANGLES
+    ``weights`` (states, row width): a box entry's ``x - lo`` and ``hi -
+    x`` share one row, of slope ``s_lo - s_hi`` and weight ``w_lo +
+    w_hi``."""
+    low, high = cons.BOX_LOW, cons.BOX_HIGH
     slopes = np.column_stack([slopes[:, low] - slopes[:, high],
                               slopes[:, cons.BOX.stop:]])
     weights = np.column_stack([weights[:, low] + weights[:, high],
                                weights[:, cons.BOX.stop:]])
-    rows = sorted({column - (cons.BOX.stop - 3) if column >= cons.BOX.stop
-                   else (column - low.start) % (high.start - low.start)
-                   for column in columns
-                   if column >= cons.BOX.stop or column in np.r_[low, high]})
+    rows = sorted({column - kin.STATE_SIZE if column >= cons.BOX.stop
+                   else column % kin.STATE_SIZE for column in columns})
     if not rows:
         return []
     return [(d[:, rows].transpose(1, 0, 2), slopes[:, rows].T,
@@ -444,21 +448,51 @@ class TestStackedHorizon:
         assert counts["evaluations"] == counts["value passes"]
 
     def test_penalty_rows_are_report_rows(self, monkeypatch):
-        # the rows the l1 merit prices and the model step linearizes are
-        # the report's rows of states 1..N: the attitude entries scaled by
-        # their box widths, the collision and separation entries less the
-        # margin, the gap scaled, and state 1's collision entries left out
+        # every row the l1 merit prices and the model step linearizes is a
+        # row of the report's state rows of states 1..N, column by column
+        # over the states: the box entries scaled by their box widths, the
+        # collision and separation entries less the margin, the gap scaled;
+        # state 1's position and collision entries, which no input moves,
+        # and the box entries of a bound that is not finite are left out
         rig, preds, sizes, instr, cset = side_by_side_problem()
+        high = cset.velocity_high.copy()
+        high[2] = np.inf
+        cset = cons.ConstraintSet(**{**cset.__dict__, "velocity_high": high})
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         n, margin = 5, 0.15
         cfg = sol.SolverConfig(horizon=n, dt=0.2, constraint_margin=margin)
         z = np.random.default_rng(2).uniform(-0.5, 0.5, 9 * n)
-        passes = capture_descent(monkeypatch, lambda fun, kwargs, x0, _: (
-            fun(z)))
+        passes = capture_descent(monkeypatch, lambda fun, kwargs, x0, _: [
+            fun(x) for x in (x0, z)])
         sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-        [(values, _, _, (u, horizon, _))] = passes
         tracks = cons.ConstraintTracks(preds, sizes, cset, records, n + 1)
-        report = cons.evaluate_constraints(u, horizon, tracks, cset, SPEC)
+        low, high = cset.state_bounds
+        width = np.where(np.isfinite(high - low), high - low, 1.0)
+        for values, _, _, (u, horizon, _) in passes[0]:
+            report = cons.evaluate_constraints(u, horizon, tracks, cset, SPEC)
+            # layout per state: 24 box, 2 collision, 1 separation entries
+            states = report[18 * n:].reshape(n + 1, 27)[1:]
+            want = []
+            for column in range(27):
+                entry = column % kin.STATE_SIZE
+                bound = (low, high)[column // kin.STATE_SIZE][entry] if (
+                    column < cons.BOX.stop) else 0.0
+                for k in range(n):
+                    if not np.isfinite(bound) or k == 0 and (
+                            column in box_columns(kin.POSITION)
+                            or column in (24, 25)):
+                        continue
+                    want.append(states[k, column] / width[entry]
+                                if column < cons.BOX.stop
+                                else states[k, column] - margin
+                                if column < 26
+                                else states[k, column]
+                                / sol._SEPARATION_SCALE - margin)
+            assert values[0] == obj.evaluate_horizon_stacked(
+                horizon, obj.HorizonTracks(preds, instr, n + 1), SPEC,
+                instr)[0].total
+            assert len(values) - 1 == 24 * n - 6 - n + 2 * (n - 1) + n
+            assert np.allclose(values[1:], want, rtol=0.0, atol=1e-12)
         # the separation derivatives are built only when asked for, and
         # building them changes no row
         builds = []
@@ -472,26 +506,6 @@ class TestStackedHorizon:
         assert len(builds) == 1
         assert np.array_equal(rows, before)
         assert np.array_equal(report[18 * n:], rows.ravel())
-        # layout per state: 24 box, 2 collision, 1 separation entries; the
-        # merit's rows go column by column over the states
-        states = report[18 * n:].reshape(n + 1, 27)[1:]
-        width = np.subtract(*cset.state_bounds[::-1])[kin.ROTATION]
-        angles = np.concatenate([states[:, cons.ANGLES[0]],
-                                 states[:, cons.ANGLES[1]]], axis=1).T
-        assert values[0] == obj.evaluate_horizon_stacked(
-            horizon, obj.HorizonTracks(preds, instr, n + 1), SPEC,
-            instr)[0].total
-        got = values[1:]
-        assert len(got) == 6 * n + 2 * (n - 1) + n
-        assert np.allclose(got[:6 * n], (angles / np.tile(width, 2)[
-            :, None]).ravel(), rtol=0.0, atol=1e-12)
-        assert np.allclose(got[6 * n:8 * n - 2], (states[1:, 24:26].T
-                                                 - margin).ravel(),
-                           rtol=0.0, atol=1e-12)
-        assert np.allclose(got[8 * n - 2:], states[:, 26]
-                           / sol._SEPARATION_SCALE - margin,
-                           rtol=0.0, atol=1e-12)
-
 
     @pytest.mark.parametrize("group", sorted(PENALTY_GROUPS))
     def test_zero_slope_skips_bit_identical(self, group):
@@ -567,19 +581,13 @@ def lbfgsb_oracle(minimize, fun, x0, evaluations):
                  "gtol": 1e-5})
 
 
-def legacy_merit(fun, constraints, rig, cset, cfg, rho=10.0):
+def legacy_merit(fun, rig, cset, cfg, rho=10.0):
     """The planner's merit ``fun`` as it was handed to L-BFGS-B, which
-    holds no rows: the cost, the position, velocity and lens rows
-    ``constraints`` (scaled by their box widths) and the nonlinear rows
-    as a quadratic penalty of weight ``rho`` (a first augmented-Lagrangian
-    round, multipliers 0), and the lens trajectory clamped to a floor of
-    1e-3 with the shortfall penalized at 1e6, so that a trial stays in the
-    lens domain."""
-    n, dt, (a, b) = cfg.horizon, cfg.dt, constraints
-    picked = np.tile(kin.LINEAR, (n, 1))
-    picked[0, kin.POSITION] = False
-    low, high = cset.state_bounds
-    width = np.tile((high - low)[np.nonzero(picked)[1]], 2)
+    holds no rows: the cost and the rows as a quadratic penalty of weight
+    ``rho`` (a first augmented-Lagrangian round, multipliers 0), and the
+    lens trajectory clamped to a floor of 1e-3 with the shortfall
+    penalized at 1e6, so that a trial stays in the lens domain."""
+    n, dt = cfg.horizon, cfg.dt
     low, high = cset.input_bounds
     center, half = 0.5 * (low + high), 0.5 * (high - low)
     start = rig.intrinsics.as_array()
@@ -596,15 +604,14 @@ def legacy_merit(fun, constraints, rig, cset, cfg, rho=10.0):
                                         out=np.zeros_like(rates),
                                         where=half[6:9] > 0.0)
         values, jacobian, hessian, point = fun(clamped.ravel())
-        miss = width * np.minimum(0.0, b - a @ z)
         short = np.minimum(0.0, values[1:])
         floor = np.zeros((n, 9))
         floor[:, 6:9] = -2e6 * dt * half[6:9] * np.cumsum(
             shortfall[::-1], axis=0)[::-1]
-        return (values[0] + 0.5 * rho * (miss @ miss + short @ short)
+        return (values[0] + 0.5 * rho * short @ short
                 + 1e6 * np.sum(shortfall ** 2),
-                lambda: (jacobian()[0] - rho * a.T @ (width * miss)
-                         + rho * jacobian()[1:].T @ short + floor.ravel()),
+                lambda: (jacobian()[0] + rho * jacobian()[1:].T @ short
+                         + floor.ravel()),
                 hessian, point)
     return merit
 
@@ -845,11 +852,8 @@ class TestGaussNewton:
                 ours = minimize(merit, x0, **kwargs)
                 oracle_counted = []
                 oracle = lbfgsb_oracle(minimize, legacy_merit(
-                    fun, kwargs["constraints"], problem[0], *problem[3:5]),
-                    x0, oracle_counted)
-                a, b = kwargs["constraints"]
-                held = (fun(oracle.x)[0][1:].min(initial=0.0) >= 0.0
-                        and np.all(a @ oracle.x <= b))
+                    fun, problem[0], *problem[3:5]), x0, oracle_counted)
+                held = fun(oracle.x)[0][1:].min(initial=0.0) >= 0.0
                 return (ours, len(counted), oracle, len(oracle_counted),
                         held)
             with monkeypatch.context() as patch:
@@ -885,8 +889,8 @@ class TestGaussNewton:
 
 
 def test_row_jacobian_matches_central_differences(monkeypatch):
-    # the Jacobian (rows x 9N) of the roll, pitch and yaw, collision and
-    # separation rows the descent linearizes, from their derivatives by
+    # the Jacobian (rows x 9N) of the box, collision and separation rows
+    # the descent linearizes, from their derivatives by
     # state chained through the sensitivities, against central differences
     # of constraints.state_residuals through kinematics.rollout, on seeded
     # random instances as criterion 03 does: the worst relative error
@@ -926,14 +930,14 @@ def test_row_jacobian_matches_central_differences(monkeypatch):
         records = cons.activate_occlusions(rig, preds, sizes, SPEC)
         separated += bool(records)
         tracks = cons.ConstraintTracks(preds, sizes, cset, records, n + 1)
-        columns, scale, kept = sol._nonlinear_rows(tracks, n)
+        scale, kept = sol._row_layout(tracks, n, np.ones(9, bool))
 
         def rows_at(x):
             horizon = rollout(rig, center + x.reshape(n, 9) * half, cfg.dt)
             rows = cons.state_residuals(
                 horizon, 1, tracks, SPEC, margin=cfg.constraint_margin,
                 separation_scale=sol._SEPARATION_SCALE)[0]
-            return (rows[:, columns] * scale).T[kept]
+            return (rows * scale).T[kept]
         assert np.array_equal(values[1:], rows_at(z))
         fd = central_jacobian(rows_at, z)
         assert jac[1:].shape == fd.shape == (len(values) - 1, 9 * n)
@@ -1043,8 +1047,7 @@ class TestBoxGaussNewton:
                 return jac(x)
             return fun(x), gradient, lambda: hess(x), x.copy()
         result = sol.box_gauss_newton(recorded, np.asarray(x0, float),
-                                      (low, high), no_rows(len(low)),
-                                      **options)
+                                      (low, high), **options)
         # the result hands back the record of its x
         assert np.array_equal(result.point, result.x)
         return result, values, gradients
@@ -1132,7 +1135,7 @@ class TestBoxGaussNewton:
                 return fun(x), lambda: jac(x), lambda: hess(x), x.copy()
             result = sol.box_gauss_newton(
                 logged_descent(merit, log), np.asarray(x0, float),
-                (low, high), no_rows(len(low)))
+                (low, high))
             assert result.status == 0, name
             end, rejected, accepted, ftol_end = replay_descent(log)
             assert np.array_equal(result.x, end), name
@@ -1343,29 +1346,50 @@ class TestModelStep:
 
 
 class TestProjection:
+    """The descent from a start that breaks rows linear in ``x``: its first
+    model step restores them where a point of the box holds them, and
+    holds their least uniform violation where none does."""
+
     @staticmethod
     def rows(seed, n=8, m=6, offset=0.3):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, n))
         return a, offset + a @ rng.uniform(-0.5, 0.5, n)
 
+    @staticmethod
+    def descend(h, g, a, b, x0):
+        """``box_gauss_newton`` from ``x0`` on ``g x + x h x / 2`` under
+        the rows ``c = b - a x >= 0`` and the box [-1, 1]; returns its
+        result and every point it valued."""
+        trials = []
+
+        def fun(x):
+            trials.append(x.copy())
+            return (np.r_[g @ x + 0.5 * x @ (h @ x), b - a @ x],
+                    lambda: np.vstack([g + h @ x, -a]), lambda: h, x.copy())
+        ones = np.ones(len(x0))
+        return sol.box_gauss_newton(fun, x0, (-ones, ones)), trials
+
     @pytest.mark.parametrize("seed", range(6))
     def test_nearest_point_where_the_rows_hold_one(self, seed):
+        # the descent of |x - x0|^2 / 2 ends at the point of the box nearest
+        # x0 that holds the rows, and every trial holds them
         a, b = self.rows(seed)
         x = np.random.default_rng(50 + seed).uniform(-1.0, 1.0, 8)
         low, high = -np.ones(8), np.ones(8)
         assert np.any(a @ x > b)
-        point, relaxed = sol._project(x, low, high, a, b)
-        assert np.array_equal(relaxed, b)
+        result, trials = self.descend(np.eye(8), -x, a, b, x)
+        assert result.status == 0
+        assert all(np.all(a @ point <= b + 1e-12) for point in trials[1:])
         want = x + slsqp_minimum(np.eye(8), np.zeros(8), low - x, high - x,
                                  a, b - a @ x)
-        assert np.allclose(point, want, rtol=0.0, atol=1e-7)
-        assert np.all(a @ point <= b + 1e-12)
+        assert np.allclose(result.x, want, rtol=0.0, atol=1e-7)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_elastic_start_holds_the_least_violation(self, seed):
-        # rows that no point of the box holds: the projection relaxes all
-        # of them by the least uniform violation, an LP's optimum
+        # rows that no point of the box holds: the descent of |x - x0|^2 / 2
+        # ends at the point nearest x0 that holds all of them relaxed by
+        # their least uniform violation, an LP's optimum
         a, b = self.rows(seed, offset=-2.5)
         x = np.random.default_rng(60 + seed).uniform(-1.0, 1.0, 8)
         low, high = -np.ones(8), np.ones(8)
@@ -1374,32 +1398,26 @@ class TestProjection:
             b_ub=b, bounds=[(-1.0, 1.0)] * 8 + [(0.0, None)],
             method="highs").fun
         assert least > 0.1
-        point, relaxed = sol._project(x, low, high, a, b)
-        assert relaxed - b == pytest.approx(np.full(6, least), rel=1e-9)
+        result, _ = self.descend(np.eye(8), -x, a, b, x)
+        point = result.x
+        assert (a @ point - b).max() == pytest.approx(least, rel=1e-9)
         assert np.all((low <= point) & (point <= high))
-        assert np.all(a @ point <= relaxed + 1e-12)
         want = x + slsqp_minimum(np.eye(8), np.zeros(8), low - x, high - x,
-                                 a, relaxed - a @ x)
+                                 a, b + least - a @ x)
         assert np.allclose(point, want, rtol=0.0, atol=1e-6)
 
     def test_descent_holds_the_rows(self):
-        # a quadratic whose box minimum breaks the rows: the descent starts
-        # at the projection of x0, every trial holds the rows, and it ends
-        # at the QP's minimum
-        h, g, lower, upper, a, b = linear_qp(7, n=6, m=4)
-        low, high = -np.ones(6), np.ones(6)
-        trials = []
-
-        def fun(x):
-            trials.append(x.copy())
-            return (g @ x + 0.5 * x @ (h @ x), lambda: g + h @ x,
-                    lambda: h, x.copy())
+        # a quadratic whose box minimum breaks the rows, from a start that
+        # breaks them too: every trial after the start holds the rows, and
+        # the descent ends at the QP's minimum
+        h, g, _, _, a, b = linear_qp(7, n=6, m=4)
         x0 = np.full(6, 0.9)
         assert np.any(a @ x0 > b)
-        result = sol.box_gauss_newton(fun, x0, (low, high), (a, b))
-        assert result.status == 0
-        assert all(np.all(a @ x <= b + 1e-12) for x in trials)
-        want = slsqp_minimum(h, g, low, high, a, b)
+        result, trials = self.descend(h, g, a, b, x0)
+        assert result.status == 0 and len(trials) >= 2
+        assert all(np.all(a @ x <= b + 1e-12) for x in trials[1:])
+        ones = np.ones(6)
+        want = slsqp_minimum(h, g, -ones, ones, a, b)
         assert result.fun == pytest.approx(g @ want + 0.5 * want @ (h @ want),
                                            rel=1e-9)
 
@@ -1427,13 +1445,33 @@ def test_attitude_rows_hold_where_the_rig_is_asked_past_them():
     # the model step holds the yaw row, and the plan stops at the bound;
     # the next solve, asked back to 0, leaves it
     first = sol.solve(*yaw_problem(0.2, 1.0))
-    yaw_high = cons.ANGLES[1].stop - 1
+    yaw_high = cons.BOX_HIGH.start + kin.ROTATION.stop - 1
     rows = first.residuals[18 * 5:].reshape(6, -1)[1:]
     assert first.feasible and first.stats.converged
     assert rows[:, yaw_high].min() == pytest.approx(0.0, abs=1e-6)
     second = sol.solve(*yaw_problem(0.0, 0.0), warm=first)
     rows = second.residuals[18 * 5:].reshape(6, -1)[1:]
     assert second.feasible and rows[:, yaw_high].min() > 0.2
+
+
+def test_rows_of_a_pinned_channel_stay_out_of_the_model_step():
+    # the aperture rate held at 0 and a start 0.1 under the aperture's
+    # bound: no input moves the aperture rows, so they are no rows of the
+    # model step and relax no other row; the yaw row still holds at its
+    # bound where the rig is asked past it, and the report judges the
+    # aperture
+    rig, preds, instr, cset, cfg, spec = yaw_problem(0.2, 1.0)
+    low, high = cset.intr_input_low.copy(), cset.intr_input_high.copy()
+    low[2] = high[2] = 0.0
+    cset = cons.ConstraintSet(**{**cset.__dict__, "intr_input_low": low,
+                                 "intr_input_high": high})
+    rig = replace(rig, intrinsics=replace(rig.intrinsics, aperture=1.1))
+    plan = sol.solve(rig, preds, instr, cset, cfg, spec)
+    rows = plan.residuals[18 * 5:].reshape(6, -1)[1:]
+    assert plan.stats.converged and not plan.feasible
+    assert rows[:, cons.BOX_HIGH.start + kin.ROTATION.stop - 1].min() == (
+        pytest.approx(0.0, abs=1e-6))
+    assert rows[:, kin.LENS.stop - 1] == pytest.approx(-0.1, abs=1e-12)
 
 
 @pytest.mark.parametrize("x, residual", [(0.9, 0.1), (1.1, -0.1)])
@@ -1448,8 +1486,10 @@ def test_rows_no_input_moves_stay_out_of_the_model_step(monkeypatch, x,
     passes = capture_descent(monkeypatch, lambda fun, kwargs, x0, _: (
         fun(x0)[0]))
     plan = sol.solve(rig, preds, instr, cset, cfg, SPEC)
-    # the roll, pitch and yaw rows, and one collision row per state but 1
-    assert len(passes[0]) - 1 == 6 * cfg.horizon + cfg.horizon - 1
+    # the box rows but state 1's positions, and one collision row per
+    # state but 1
+    n = cfg.horizon
+    assert len(passes[0]) - 1 == 24 * n - 6 + n - 1
     assert plan.stats.converged
     collision = plan.residuals[18 * cfg.horizon:].reshape(
         cfg.horizon + 1, -1)[1:, cons.BOX.stop]
@@ -1472,6 +1512,50 @@ def test_start_violation_is_reported(start):
     assert not plan.feasible
 
 
+def test_start_breaking_a_velocity_row_is_restored(monkeypatch):
+    # a start at -1.1 m/s under a 1 m/s velocity bound: state 1 breaks its
+    # row at the zero inputs the descent starts from, and any acceleration
+    # above 0.5 m/s^2 holds it, so every trial after the first holds every
+    # velocity row of states 1..N to rounding
+    rig, preds, instr, cset, cfg = approach_problem(velocity=(-1.1, 0.0, 0.0))
+    cset = cons.ConstraintSet(**{**cset.__dict__,
+                                 "velocity_low": np.full(3, -1.0),
+                                 "velocity_high": np.full(3, 1.0)})
+    velocities = []
+
+    def at_every_pass(fun, kwargs, x0, minimize):
+        def merit(x):
+            passed = fun(x)
+            velocities.append(passed[3][1].velocities[1:])
+            return passed
+        return minimize(merit, x0, **kwargs)
+    captured = capture_descent(monkeypatch, at_every_pass)
+    plan = sol.solve(rig, preds, instr, cset, cfg, SPEC)
+    assert velocities[0].min() < -1.05
+    assert len(velocities) >= 2
+    assert all(np.abs(v).max() <= 1.0 + 1e-12 for v in velocities[1:])
+    assert captured[0].status == 0 and plan.stats.converged
+    # state 0 alone breaks a row of the plan's report
+    states = plan.residuals[18 * cfg.horizon:].reshape(cfg.horizon + 1, -1)
+    assert states[0].min() < sol.FEASIBILITY_TOL
+    assert states[1:].min() >= sol.FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("key", ["rpy", "velocity"])
+def test_an_infinite_state_bound_bounds_nothing(key):
+    # a [-inf, inf] bound leaves its rows out of the model step: 2 s of
+    # rule_of_thirds, whose bounds never bind, converge at every step and
+    # end at the shipped file's cost
+    raw = json.loads((SCENARIOS / "rule_of_thirds.json").read_text())
+    raw["control"]["duration"] = 2.0
+    shipped = run_closed_loop(scenario_from_dict(raw), 0)
+    raw["constraints"][key] = [-math.inf, math.inf]
+    log = run_closed_loop(scenario_from_dict(raw), 0)
+    assert log.status == "completed"
+    assert log.column("solver_converged").all()
+    assert log.column("cost_now")[-1] == shipped.column("cost_now")[-1]
+
+
 def test_the_report_is_taken_once(monkeypatch):
     # a solve takes its plan's report once, at the descent's last point:
     # one pass of the state rows from state 0 in all
@@ -1487,41 +1571,8 @@ def test_the_report_is_taken_once(monkeypatch):
     assert starts.count(1) > 1
 
 
-def test_linear_rows_are_the_unpriced_penalty_entries(monkeypatch):
-    # the l1 merit prices the attitude, collision and separation entries
-    # alone; every linear row the model step holds is a box entry it leaves
-    # unpriced, scaled by its box width, and of those entries the model step
-    # leaves out exactly state 1's positions, which no input moves
-    rig, preds, sizes, instr, cset = side_by_side_problem()
-    cfg = sol.SolverConfig(horizon=5, dt=0.2, constraint_margin=0.15)
-    n = cfg.horizon
-    records = cons.activate_occlusions(rig, preds, sizes, SPEC)
-    tracks = cons.ConstraintTracks(preds, sizes, cset, records, n + 1)
-    priced = sol._nonlinear_rows(tracks, n)[0]
-    assert sorted(priced) == [*np.r_[cons.ANGLES[0]], *np.r_[cons.ANGLES[1]],
-                              *range(cons.BOX.stop, tracks.width)]
-    assert not kin.linear_sensitivities(n, cfg.dt)[1, kin.POSITION].any()
-    held = np.tile(kin.LINEAR, (n, 1))
-    held[0, kin.POSITION] = False
-    points = [np.random.default_rng(2).uniform(-0.5, 0.5, 9 * n)]
-
-    def at_points(fun, kwargs, x0, _):
-        a, b = kwargs["constraints"]
-        return [(b - a @ z, fun(z)[3][1]) for z in [x0] + points]
-    captured = capture_descent(monkeypatch, at_points)
-    sol.solve(rig, preds, instr, cset, cfg, SPEC, sizes=sizes)
-    width = np.broadcast_to(np.subtract(*cset.state_bounds[::-1]),
-                            held.shape)[held]
-    for slack, horizon in captured[0]:
-        g = cons.state_residuals(horizon, 1, tracks, SPEC)[0]
-        # hi - x rows first, then x - lo rows, state by state
-        want = np.concatenate([g[:, cons.BOX_HIGH][held],
-                               g[:, cons.BOX_LOW][held]]) / np.tile(width, 2)
-        assert np.allclose(slack, want, rtol=0.0, atol=1e-9)
-
-
-#: The executed state columns of the rows the model step holds.
-LINEAR_COLUMNS = np.array(STATE_COLUMNS)[kin.LINEAR]
+#: The state-row entries linear in the inputs: all but roll/pitch/yaw.
+LINEAR = np.delete(np.arange(kin.STATE_SIZE), kin.ROTATION)
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -1533,11 +1584,12 @@ def test_executed_linear_states_stay_in_their_box(name):
     raw["control"]["duration"] = min(raw["control"]["duration"], 8.0)
     config = scenario_from_dict(raw)
     low, high = config.constraints.state_bounds
-    low, high = low[kin.LINEAR], high[kin.LINEAR]
+    low, high = low[LINEAR], high[LINEAR]
     for seed in range(2):
         log = run_closed_loop(config, seed)
         assert log.status == "completed"
-        state = np.column_stack([log.column(c) for c in LINEAR_COLUMNS])
+        state = np.column_stack([log.column(STATE_COLUMNS[c])
+                                 for c in LINEAR])
         assert np.all(np.maximum(low - state, state - high)
                       <= 1e-12 * (high - low))
 
@@ -1556,7 +1608,7 @@ def test_model_steps_start_where_the_last_ones_ended(monkeypatch, name,
 
     def recorded_step(h, g, normals, levels, start=()):
         step, active, multipliers = model_step(h, g, normals, levels, start)
-        if g[:-1].any():  # not a projection's nor an elastic step's QP
+        if g[:-1].any():  # not an elastic step's QP
             steps.append((list(start), list(active)))
         return step, active, multipliers
 

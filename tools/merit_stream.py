@@ -4,7 +4,7 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
 ``--scenario``, each shipped scenario in turn, one block each) and prints
 
 - the SHA-256 over every value pass's values (the cost, then the
-  nonlinear rows) that the planner hands to its descent
+  state rows) that the planner hands to its descent
   (``solver.box_gauss_newton``, called through ``scipy.optimize.minimize``
   once per solve), and the SHA-256 over every gradient (the cost's, then
   the Jacobian of the rows), each stream in call order;
@@ -24,11 +24,10 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
   calls: one per value pass, and the plan's reported cost comes from the
   descent's last pass, with no pass of its own);
 - the descent's own work: model steps (``solver._model_step`` calls: one
-  per trial step, one or two per solve whose start breaks a linear row,
-  and two more per point whose linearized rows hold no step: the elastic
-  step's, and the trial step's again); cold model steps, those of them
-  whose start set is empty (the start's projections, the elastic steps,
-  and a solve's first trial step where the last one held no row); and
+  per trial step, and two more per point whose linearized rows hold no
+  step: the elastic step's, and the trial step's again); cold model steps,
+  those of them whose start set is empty (the elastic steps, and a solve's
+  first trial step where the last one held no row); and
   Cholesky factorizations (LAPACK ``dpotrf`` calls: each model step's
   model once, and the Schur complement of its held rows once per iterate
   and once more per start row that the rows before it span).
