@@ -458,9 +458,11 @@ def solve(initial: kin.CameraRig, preds: dict[str, obj.TargetPrediction],
             sens[:, kin.ROTATION, :, 3:6] = kin.rotation_sensitivities(
                 horizon, dt) * constants.rotation_scale
             d = derivatives()
-            by_state = np.concatenate([d[:, :kin.STATE_SIZE],
-                                       -d[:, :kin.STATE_SIZE],
-                                       d[:, kin.STATE_SIZE:]], axis=1) @ flat
+            # a box row off the rotation is a unit row: a row of flat
+            low = flat.copy()
+            low[:, kin.ROTATION] = d[:, kin.ROTATION] @ flat
+            by_state = np.concatenate(
+                [low, 0.0 - low, d[:, kin.STATE_SIZE:] @ flat], axis=1)
             built = (np.concatenate([
                 obj.chain_through_dynamics(gradient, flat)[None],
                 (by_state * scale[:, None]).transpose(1, 0, 2)[kept]]),
