@@ -300,76 +300,141 @@ def _model_step(h, g, normals, levels, start=()):
     and their multipliers: Goldfarb and Idnani's dual active-set method
     (1983), started from the held rows ``start`` less those past the rows,
     those that the rows before them span (a failed Schur pivot) and those
-    of negative multiplier, so from any start.  A bound the step holds
-    itself is met exactly; a held row, and a bound met only through held
-    rows, to rounding.  Raises ``np.linalg.LinAlgError`` where ``h`` does
-    not factor, the rows hold no point, or the held set cycles."""
+    of negative multiplier, so from any start.
+
+    It works in ``t = L^T s``, ``h = L L^T``, where the model is ``|t +
+    L^-1 g|^2 / 2`` and a row ``a`` is ``y = L^-1 a``.  The held rows'
+    columns ``Y`` and the lower Cholesky factor ``R`` of ``Y^T Y`` are kept
+    across the call: a row taken on in full appends one row to ``R`` (one
+    ``dtrtrs``), and a row let go refactors ``R`` from ``Y``.  One
+    correction puts the held rows on their levels at the end.  The steps'
+    rounding grows with the multipliers: where the held rows span the row
+    taken on (its pivot reads 0), the face is solved afresh before the
+    rows are judged to hold no point, and after a row is let go.  A bound
+    the step holds itself is met exactly; a held row, and a bound met only
+    through held rows, to rounding.  Raises ``np.linalg.LinAlgError``
+    where ``h`` does not factor, the rows hold no point, or the held set
+    cycles."""
     n, lapack = len(g), scipy.linalg.lapack
     factor, info = lapack.dpotrf(h, lower=1)
     if info:
         raise np.linalg.LinAlgError("model not positive definite")
     inverse = lapack.dtrtri(factor, lower=1)[0]  # L^-1 of h = L L^T
+    c = inverse @ g
 
-    def face(q):
-        # per column of q, the minimizer of q s + s h s / 2 with the held
-        # rows at their levels (the first column) or at 0, and the rows'
-        # multipliers, from the Schur complement y^T y, y = L^-1 rows^T
-        w = inverse @ q
+    def column(k):
+        # y = L^-1 a of row k: a bound's is a column of L^-1, with its sign
+        if k < n:
+            return inverse[:, k]
+        return -inverse[:, k - n] if k < 2 * n else inverse @ normals[k]
+
+    def refactor():
+        # R from the held columns, letting go of each row that the rows
+        # before it span; whether any was let go
+        spanned = False
         while active:
-            held, y = normals[active], inverse @ normals[active].T
-            schur, info = lapack.dpotrf(y.T @ y, lower=1)
+            held = ys[:, :len(active)]
+            schur[:len(active), :len(active)], info = lapack.dpotrf(
+                held.T @ held, lower=1)
             if not info:
                 break
-            del active[info - 1]  # a row that the held rows before it span
-        else:
-            return -inverse.T @ w, np.zeros((0, q.shape[1]))
-        targets = np.zeros((len(active), q.shape[1]))
-        targets[:, 0] = levels[active]
-        multipliers = lapack.dpotrs(schur, -targets - y.T @ w, lower=1)[0]
-        s = -inverse.T @ (w + y @ multipliers)
-        # w + y multipliers cancels to rounding of its largest entries:
-        # one correction puts the held rows back on their targets
-        miss = lapack.dpotrs(schur, held @ s - targets, lower=1)[0]
-        return s - inverse.T @ (y @ miss), multipliers
-    active, letting = [k for k in start if k < len(levels)], [True]
-    while any(letting):
-        s, multipliers = face(g[:, None])
-        letting = multipliers[:, 0] < 0.0
-        active = [k for k, gone in zip(active, letting) if not gone]
-    s, duals = s[:, 0], multipliers[:, 0]
+            spanned = True
+            del active[info - 1]
+            ys[:, info - 1:len(active)] = ys[:, info:len(active) + 1]
+        return spanned
+
+    def solved(b):
+        # (Y^T Y)^-1 b through R
+        return lapack.dpotrs(schur[:len(b), :len(b)], b, lower=1)[0]
+
+    def face(q):
+        # the minimizer of q t + |t|^2 / 2 with the held rows at their
+        # levels, and their multipliers (into duals); q + Y multipliers
+        # cancels to rounding of its largest entries: one correction puts
+        # the rows back
+        if not active:
+            return -q
+        held, targets = ys[:, :len(active)], levels[active]
+        duals[:len(active)] = -solved(targets + held.T @ q)
+        t = -(q + held @ duals[:len(active)])
+        return t - held @ solved(held.T @ t - targets)
+
+    active = [k for k in start if k < len(levels)]
+    # the held rows' columns Y, R and the multipliers, in their first
+    # len(active) columns (entries)
+    ys = np.empty((n, max(n, len(active))))
+    schur = np.zeros((ys.shape[1], ys.shape[1]))
+    duals = np.zeros(ys.shape[1])
+    for j, k in enumerate(active):
+        ys[:, j] = column(k)
+    while True:
+        refactor()
+        t = face(c)
+        kept = duals[:len(active)] >= 0.0
+        if kept.all():
+            break
+        ys[:, :kept.sum()] = ys[:, :len(active)][:, kept]
+        active = [k for k, keep in zip(active, kept) if keep]
     for _ in range(4 * len(levels)):
+        s = inverse.T @ t
         excess = normals @ s - levels
         excess[active] = 0.0
         k = int(excess.argmax())
         if not excess[k] > 1e-12:
+            held = ys[:, :len(active)]
+            if active:
+                t -= held @ solved(held.T @ t - levels[active])
+            s = inverse.T @ t
             bounds = np.array([k for k in active if k < 2 * n], int)
             s[bounds % n] = np.where(bounds < n, 1.0, -1.0) * levels[bounds]
-            return s, active, duals
-        weight = 0.0  # the multiplier of row k, as row k is taken on
+            return s, active, duals[:len(active)].copy()
+        y, weight, fresh = column(k), 0.0, False  # weight: row k's multiplier
+        threshold = 1e-14 * float(normals[k] @ normals[k])
         while True:
-            both, multipliers = face(np.column_stack(
-                [g + weight * normals[k], normals[k]]))
-            s, ds = both.T
-            values, rates = multipliers.T
-            falling = rates < 0.0
+            m = len(active)
+            held, values = ys[:, :m], duals[:m]
+            p = held.T @ y
+            rates = -solved(p) if m else p
+            dt = -(y + held @ rates)  # t's rate as the weight grows
             # the growth of the weight at which each held row's multiplier
             # reaches 0, then row k's own (full) where it is met
-            reach = np.append(np.where(falling, values.clip(0.0), np.inf)
-                              / np.where(falling, -rates, 1.0), np.inf)
+            reach = np.full(m + 1, np.inf)
+            np.divide(values.clip(0.0), -rates, out=reach[:m],
+                      where=rates < 0.0)
             drop = int(reach.argmin())
-            gain = -float(normals[k] @ ds)
+            gain = -float(y @ dt)
             full = np.inf
-            if gain > 1e-14 * float(normals[k] @ normals[k]):
-                full = (float(normals[k] @ s) - levels[k]) / gain
+            if m < n and gain > threshold:
+                full = (float(y @ t) - levels[k]) / gain
             if reach[drop] == full == np.inf:
-                raise np.linalg.LinAlgError("the rows hold no point")
+                if fresh:
+                    raise np.linalg.LinAlgError("the rows hold no point")
+                # the face afresh: the steps' rounding may read row k as
+                # broken, or hide its pivot
+                refactor()
+                t, fresh = face(c + weight * y), True
+                if not normals[k] @ (inverse.T @ t) - levels[k] > 1e-12:
+                    break
+                continue
+            fresh = False
+            step = min(full, reach[drop])
+            t = t + step * dt
+            values += step * rates
             if full <= reach[drop]:
-                s = s + full * ds
+                if m:
+                    schur[m, :m] = lapack.dtrtrs(schur[:m, :m], p,
+                                                 lower=1)[0]
+                schur[m, m] = math.sqrt(gain)
+                ys[:, m], duals[m] = y, weight + full
                 active.append(k)
-                duals = np.append(values + full * rates, weight + full)
                 break
-            weight += reach[drop]
+            weight += step
             del active[drop]
+            ys[:, drop:m - 1] = ys[:, drop + 1:m]
+            duals[drop:m - 1] = duals[drop + 1:m]
+            # the direction of a row k that the held rows span is rounding
+            if refactor() or full == np.inf:
+                t = face(c + weight * y)
     raise np.linalg.LinAlgError("active set cycles")
 
 

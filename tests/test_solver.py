@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinedrone import constraints as cons
 from cinedrone import kinematics as kin
@@ -1343,6 +1345,147 @@ class TestModelStep:
             assert np.all(multipliers >= -1e-12)
             assert np.allclose(g + h @ step + normals[active].T @ multipliers,
                                0.0, rtol=0.0, atol=1e-9 * np.abs(g).max())
+
+
+@st.composite
+def convex_qps(draw):
+    """A seeded strictly convex QP over the box and general rows, as
+    ``(h, g, lower, upper, normals, levels)`` with the rows ``normals @ s
+    <= levels`` laid out ``[I; -I; a]``, and a start: none, the cold
+    answer's held rows, rows at random (some past the rows), a pair of
+    bounds with a row they span, or the bounds the gradient pushes away
+    from (negative multipliers).  ``a`` may repeat a row and may hold the
+    row ``s_i + s_j <= u_i + u_j``, which the bounds i and j span."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(2, 9)), draw(st.integers(0, 6))
+    root = rng.standard_normal((n, n))
+    h = root @ root.T + 0.1 * np.eye(n)
+    g = 10.0 * rng.standard_normal(n)
+    lower, upper = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    a, b = rng.standard_normal((m, n)), rng.uniform(0.1, 1.0, m)
+    if m and draw(st.booleans()):
+        a, b = np.concatenate([a, a[:1]]), np.concatenate([b, b[:1]])
+    i, j = rng.choice(n, 2, replace=False)
+    spanned = draw(st.booleans())
+    if spanned:
+        pair = np.zeros(n)
+        pair[[i, j]] = 1.0
+        a = np.concatenate([a, pair[None]])
+        b = np.concatenate([b, [upper[i] + upper[j]]])
+    eye = np.eye(n)
+    normals = np.concatenate([eye, -eye, a])
+    levels = np.concatenate([upper, -lower, b])
+    kind = draw(st.sampled_from(["cold", "warm", "random", "spanned",
+                                 "opposite"]))
+    start = {"cold": [], "warm": None,
+             "random": rng.choice(len(levels) + 3, min(n, len(levels)),
+                                  replace=False).tolist(),
+             "spanned": [i, j] + ([len(levels) - 1] if spanned else []),
+             "opposite": np.flatnonzero(g > 0.0).tolist()}[kind]
+    if start is None:
+        start = sol._model_step(h, g, normals, levels)[1]
+    return h, g, lower, upper, normals, levels, start
+
+
+class TestModelStepOracle:
+    """``_model_step`` against the Karush-Kuhn-Tucker conditions of its
+    QP and against SLSQP, from any start."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(qp=convex_qps())
+    def test_step_is_the_kkt_point(self, qp):
+        h, g, lower, upper, normals, levels, start = qp
+        n = len(g)
+        step, active, multipliers = sol._model_step(h, g, normals, levels,
+                                                    start)
+        scale = max(1.0, float(np.abs(g).max()))
+        slack = levels - normals @ step
+        assert slack.min() >= -1e-9
+        assert len(set(active)) == len(active) == len(multipliers)
+        assert np.all(multipliers >= -1e-9 * scale)
+        assert np.all(np.abs(multipliers * slack[active]) <= 1e-9 * scale)
+        assert np.all(np.abs(g + h @ step + normals[active].T @ multipliers)
+                      <= 1e-9 * scale)
+        held = np.array([k for k in active if k < 2 * n], int)
+        assert np.array_equal(step[held % n], np.where(
+            held < n, upper[held % n], lower[held % n]))
+        # SLSQP stops where the model's decrease reaches its rounding,
+        # some 1e-7 off in s: its answer is polished on the rows it meets,
+        # the minimizer with those rows as equalities
+        rough = slsqp_minimum(h, g, lower, upper, normals[2 * n:],
+                              levels[2 * n:])
+        met = normals[levels - normals @ rough <= 1e-7]
+        kkt = np.block([[h, met.T], [met, np.zeros((len(met), len(met)))]])
+        want = np.linalg.lstsq(kkt, np.concatenate(
+            [-g, levels[levels - normals @ rough <= 1e-7]]), rcond=None)[0][:n]
+        assert np.abs(rough - want).max() <= 1e-5
+        assert np.abs(step - want).max() <= 1e-7 * max(
+            1.0, float(np.abs(want).max()))
+
+    def test_a_spanned_row_broken_by_rounding_is_held(self):
+        # a model step of the e4_collision planner (seed 0), cut to the 12
+        # variables and the one collision row that still show the fault:
+        # from the collision row and a low bound, nine more bounds are
+        # taken on, multipliers up to 2e7; then the low bound of variable
+        # 1 (row 13), which the held rows span, reads as broken by 7e-10
+        # through the steps' rounding, at a pivot of -2e-14.  Solved
+        # afresh, it holds: the step must not raise, and holds every row
+        h = np.zeros((12, 12))
+        h[np.tril_indices(12)] = [
+            13978.28156236635, -0.0008071565052391483, 27956.582188499135,
+            10196.5340642036, -0.0006413095474272675, 7657.905820985176,
+            -0.0006413095474272675, 20393.08207112665, -0.0005097358890316265,
+            15315.822090091997, -0.4831001164060281, -0.5080572135359165,
+            -0.37996216756917, -0.4218610327766415, 527.1882507442195,
+            6651.271941925788, -0.0004754625896260542, 5119.277522949413,
+            -0.0003781622306359855, -0.27682421873518104, 3587.2831313817064,
+            -0.0004754625896260542, 13302.552989640702, -0.0003781622306359855,
+            10238.562054240007, -0.3230002538665095, -0.0002808618716459168,
+            7174.57114624798, 3594.8380721914737, -0.00030961563163089587,
+            2825.0633785940686, -0.00024658857214337196, -0.1736862700384115,
+            2055.288684996663, -0.00018356151265584803, 1285.5140188079256,
+            -0.00030961563163089587, 7189.681067713101, -0.00024658857214337196,
+            5650.130625575858, -0.2121365336160133, -0.00018356151265584803,
+            4110.580183438617, -0.0001205344531683241, 2571.0297687100415,
+            -0.34729740966409745, -0.7351138832983881, -0.27783792773127797,
+            -0.5880911066387104, 7.348418294417012, -0.2083784457984585,
+            -0.44106832997903284, -0.13891896386563898, -0.2940455533193552,
+            1.336066692323786, 1289.3482445046293, -0.0001437684842020004,
+            1031.4785956037035, -0.00011501478736160032, -0.07054831236623758,
+            773.6089467027776, -8.626109052120024e-05, 515.7392978018518,
+            -5.750739368080016e-05, -0.06945948193281949, 257.86967630959424,
+            -0.0001437684842020004, 2578.698247910327, -0.00011501478736160032,
+            2062.958598328262, -0.0897742307113696, -8.626109052120024e-05,
+            1547.2189487461965, -5.750739368080016e-05, 1031.479299164131,
+            -0.1470227766596776, -2.875369684040008e-05, 515.7396769907338]
+        h += np.tril(h, -1).T
+        g = np.array([
+            -11.357971232364093, -16.352226694982143, -8.932516295555512,
+            -12.869122520124229, 7.9996465075832965, -6.507061358815358,
+            -9.386018307254972, -4.081606425341166, -5.902914049674877,
+            -33.26034972003139, -1.6561512773639184, -2.419808794452475])
+        collision = np.array([
+            0.002660809344675768, 0.0034265074993581773, 0.0021286474757406144,
+            0.0027412059994865417, -0.0, 0.0015964856068054608,
+            0.002055904499614906, 0.0010643237378703072, 0.0013706029997432709,
+            0.0624939770345873, 0.0005321618689351536, 0.0006853014998716354])
+        levels = np.array([
+            1.0000000000019833, 0.9997088384718518, 1.0000000000792446,
+            0.9997398218939686, 1.2109833677791964, 0.9999999930210698,
+            0.9997637984923056, 1.0192305995290931, 1.0241437940028675, 1.0,
+            1.0, 1.0, 0.9999999999980168, 1.0002911615281482,
+            0.9999999999207555, 1.0002601781060314, 0.7890166322208036,
+            1.0000000069789303, 1.0002362015076944, 0.980769400470907,
+            0.9758562059971325, 1.0, 1.0, 1.0, -0.08070456491428653])
+        eye = np.eye(12)
+        normals = np.concatenate([eye, -eye, collision[None]])
+        step, active, multipliers = sol._model_step(h, g, normals, levels,
+                                                    (24, 21))
+        assert 13 not in active and 24 in active
+        assert np.all(normals @ step - levels <= 1e-12)
+        assert multipliers.max() > 1e7 and np.all(multipliers >= 0.0)
+        assert np.allclose(g + h @ step + normals[active].T @ multipliers,
+                           0.0, rtol=0.0, atol=1e-9 * multipliers.max())
 
 
 class TestProjection:
