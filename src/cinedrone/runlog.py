@@ -55,6 +55,19 @@ class RunLog:
         return cls(columns=columns, rows=rows)
 
 
+def strict(value):
+    """``value`` with every non-finite float, at any depth, as None: JSON's
+    null, so that ``json.dumps(..., allow_nan=False)`` writes strict JSON
+    (RFC 8259 has no NaN or Infinity)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict(item) for item in value]
+    return value
+
+
 def _nan_mean(values: np.ndarray) -> float:
     values = values[np.isfinite(values)]
     return float(np.mean(values)) if values.size else math.nan
@@ -136,15 +149,20 @@ def emit_outputs(log: RunLog, out_dir: Path | str) -> list[Path]:
     summary = dict(log.meta)
     summary.update(summary_metrics(log))
     summary_path = out_dir / f"{stem}_summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2,
-                                       default=str) + "\n")
+    summary_path.write_text(json.dumps(strict(summary), sort_keys=True,
+                                       indent=2, default=str,
+                                       allow_nan=False) + "\n")
     return [csv_path, summary_path]
 
 
 def summarize(out_dir: Path | str) -> Path:
     """Aggregate every run in a directory: per-step mean/std CSV per
-    scenario plus a combined summary with mean/std of each metric."""
+    scenario plus a combined summary with mean/std of each metric, a
+    metric null in a run's summary (no finite value) counting as NaN
+    there, and written null where the mean or std is not finite."""
     out_dir = Path(out_dir)
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"no run directory {out_dir}")
     summaries: dict[str, list[dict]] = {}
     logs: dict[str, list[RunLog]] = {}
     for path in sorted(out_dir.glob("*_summary.json")):
@@ -177,13 +195,15 @@ def summarize(out_dir: Path | str) -> Path:
         numeric: dict[str, list[float]] = {}
         for entry in entries:
             for key, value in entry.items():
-                if isinstance(value, (int, float)):
-                    numeric.setdefault(key, []).append(float(value))
+                if value is None or isinstance(value, (int, float)):
+                    numeric.setdefault(key, []).append(
+                        math.nan if value is None else float(value))
         combined[name] = {
             "runs": len(entries),
             **{f"{k}_mean": float(np.mean(v)) for k, v in numeric.items()},
             **{f"{k}_std": float(np.std(v)) for k, v in numeric.items()},
         }
     path = out_dir / "summary_aggregate.json"
-    path.write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(strict(combined), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
     return path

@@ -286,6 +286,34 @@ class TestOutputs:
         assert back.rows[0][0] == 1.25 and back.rows[0][1] == float("inf")
         assert np.isnan(back.rows[1][0]) and back.rows[1][1] == -3.5
 
+    def test_summaries_are_strict_json(self, tmp_path):
+        # a one-period e1_plane shot has no depth-of-field or focal target:
+        # those metrics have no finite value and are written null, in the
+        # run's summary and in the aggregate
+        def strict_loads(text):
+            def refuse(token):
+                raise ValueError(f"not strict JSON: {token}")
+            return json.loads(text, parse_constant=refuse)
+        raw = json.loads((SCENARIOS / "e1_plane.json").read_text())
+        raw["control"]["duration"] = raw["control"]["period"]
+        log = run_closed_loop(scenario_from_dict(raw), 0)
+        summary = strict_loads(emit_outputs(log, tmp_path)[1].read_text())
+        assert summary["dof_tracking_error"] is None
+        assert summary["focal_tracking_error"] is None
+        assert summary["steady_state_pixel_error"] >= 0.0
+        combined = strict_loads(summarize(tmp_path).read_text())["e1_plane"]
+        assert combined["dof_tracking_error_mean"] is None
+        assert combined["runs"] == 1 and combined["steps_mean"] == 1.0
+
+    def test_summarize_names_a_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        with pytest.raises(FileNotFoundError, match="nowhere"):
+            summarize(missing)
+        assert cli.main(["summarize", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "summary_aggregate" not in err
+        assert not missing.exists()
+
 
 class TestCli:
     def test_validate_ok(self, capsys):
@@ -555,7 +583,7 @@ class TestMeritStream:
         def hooks():
             return (scipy.optimize.minimize, solver.solve,
                     objectives.evaluate_horizon_stacked, solver._model_step,
-                    scipy.linalg.lapack.dpotrf)
+                    scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtrs)
         hooked = hooks()
         prints = {}
         for pixel in (270.0, 270.0, 250.0):

@@ -177,18 +177,6 @@ def scenario_quality(config, seeds: int) -> dict:
     }
 
 
-def strict(value):
-    """``value`` with every non-finite float, at any depth, as None: JSON's
-    null."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: strict(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [strict(item) for item in value]
-    return value
-
-
 def sign_test(better: int, worse: int) -> float:
     """Two-sided sign-test p-value of ``better`` against ``worse`` paired
     outcomes (ties dropped): the chance of a split at least this uneven
@@ -311,7 +299,7 @@ def compare(parent: dict, change: dict,
                     for key in sorted(set(old["summary_metrics"])
                                       | set(new["summary_metrics"]))]
         for key, before, after in figures:
-            before, after = strict(before), strict(after)
+            before, after = runlog.strict(before), runlog.strict(after)
             lines.append(f"  {key}: {before:.6g} -> {after:.6g}"
                          if before is not None and after is not None
                          else f"  {key}: {before} -> {after}")
@@ -372,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {"about": f"tools/quality.py --seeds {args.seeds} "
                   f"--against {args.against.name}",
                   "parent": parent, "change": report}
-    text = json.dumps(strict(report), indent=1, sort_keys=True,
+    text = json.dumps(runlog.strict(report), indent=1, sort_keys=True,
                       allow_nan=False) + "\n"
     if args.out is not None:
         args.out.write_text(text)
