@@ -365,8 +365,7 @@ def _model_step(h, g, normals, levels, start=()):
     ys = np.empty((n, max(n, len(active))))
     schur = np.zeros((ys.shape[1], ys.shape[1]))
     duals = np.zeros(ys.shape[1])
-    for j, k in enumerate(active):
-        ys[:, j] = column(k)
+    ys[:, :len(active)] = inverse @ normals[active].T
     while True:
         refactor()
         t = face(c)
@@ -375,6 +374,7 @@ def _model_step(h, g, normals, levels, start=()):
             break
         ys[:, :kept.sum()] = ys[:, :len(active)][:, kept]
         active = [k for k, keep in zip(active, kept) if keep]
+    fresh = True  # R refactored from Y, and t solved from it
     for _ in range(4 * len(levels)):
         s = inverse.T @ t
         excess = normals @ s - levels
@@ -382,13 +382,13 @@ def _model_step(h, g, normals, levels, start=()):
         k = int(excess.argmax())
         if not excess[k] > 1e-12:
             held = ys[:, :len(active)]
-            if active:
+            if active and not fresh:
                 t -= held @ solved(held.T @ t - levels[active])
             s = inverse.T @ t
             bounds = np.array([k for k in active if k < 2 * n], int)
             s[bounds % n] = np.where(bounds < n, 1.0, -1.0) * levels[bounds]
             return s, active, duals[:len(active)].copy()
-        y, weight, fresh = column(k), 0.0, False  # weight: row k's multiplier
+        y, weight = column(k), 0.0  # weight: row k's multiplier
         threshold = 1e-14 * float(normals[k] @ normals[k])
         while True:
             m = len(active)
@@ -406,16 +406,21 @@ def _model_step(h, g, normals, levels, start=()):
             full = np.inf
             if m < n and gain > threshold:
                 full = (float(y @ t) - levels[k]) / gain
-            if reach[drop] == full == np.inf:
-                if fresh:
-                    raise np.linalg.LinAlgError("the rows hold no point")
-                # the face afresh: the steps' rounding may read row k as
-                # broken, or hide its pivot
+            if full == np.inf and not fresh and (
+                    m < n or reach[drop] == np.inf):
+                # the held rows span row k: the steps' rounding may read it
+                # as broken, or its multipliers' rates as falling, so solve
+                # the face afresh and test row k again (with n rows held,
+                # only before raising: every row is spanned, and the square
+                # Schur complement solves no better afresh)
                 refactor()
                 t, fresh = face(c + weight * y), True
-                if not normals[k] @ (inverse.T @ t) - levels[k] > 1e-12:
+                if not weight and not (
+                        normals[k] @ (inverse.T @ t) - levels[k] > 1e-12):
                     break
                 continue
+            if reach[drop] == full == np.inf:
+                raise np.linalg.LinAlgError("the rows hold no point")
             fresh = False
             step = min(full, reach[drop])
             t = t + step * dt
@@ -434,7 +439,7 @@ def _model_step(h, g, normals, levels, start=()):
             duals[drop:m - 1] = duals[drop + 1:m]
             # the direction of a row k that the held rows span is rounding
             if refactor() or full == np.inf:
-                t = face(c + weight * y)
+                t, fresh = face(c + weight * y), True
     raise np.linalg.LinAlgError("active set cycles")
 
 
