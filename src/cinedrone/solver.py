@@ -309,12 +309,12 @@ def _model_step(h, g, normals, levels, start=()):
     ``dtrtrs``), and a row let go refactors ``R`` from ``Y``.  One
     correction puts the held rows on their levels at the end.  The steps'
     rounding grows with the multipliers: where the held rows span the row
-    taken on (its pivot reads 0), the face is solved afresh before the
-    rows are judged to hold no point, and after a row is let go.  A bound
-    the step holds itself is met exactly; a held row, and a bound met only
-    through held rows, to rounding.  Raises ``np.linalg.LinAlgError``
-    where ``h`` does not factor, the rows hold no point, or the held set
-    cycles."""
+    taken on (its pivot reads 0), the face is solved afresh, from ``R``
+    refactored, before the next step or verdict (with n rows held, before
+    the verdict alone), and after a row is let go.  A bound the step holds
+    itself is met exactly; a held row, and a bound met only through held
+    rows, to rounding.  Raises ``np.linalg.LinAlgError`` where ``h`` does
+    not factor, the rows hold no point, or the held set cycles."""
     n, lapack = len(g), scipy.linalg.lapack
     factor, info = lapack.dpotrf(h, lower=1)
     if info:
