@@ -173,7 +173,8 @@ def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
     every entry, or an accepted step lowers the merit by ``<= ftol`` of its
     size (both L-BFGS-B's tests), or the first step from ``x`` foresees a
     decrease below the merit's rounding; 1 after ``maxiter`` trial steps,
-    and 2 when the model step fails or no longer moves ``x``.
+    and 2 when the model step fails or no longer moves ``x``, ``mu`` grown
+    past the largest float included.
 
     A point's Jacobian is built only once the descent goes on from it (the
     start, or an accepted trial past the ``ftol`` test), and its Hessian
@@ -247,7 +248,9 @@ def box_gauss_newton(fun, x0, bounds, maxiter: int = 100,
                  else -1.0)
         if not ratio > 1e-4:  # also a non-finite trial
             mu, growth = max(growth * mu, 1e-3 * diagonal), 2.0 * growth
-            continue
+            if math.isfinite(mu):
+                continue
+            break  # the damping overflowed: no step moves x
         mu, growth = mu * max(1 / 3, 1 - (2 * ratio - 1) ** 3), 2.0
         if ratio < 0.25:  # a poor model starts the damping from 0
             mu = max(mu, 1e-3 * diagonal)
@@ -298,148 +301,133 @@ def _model_step(h, g, normals, levels, start=()):
     """Minimizer of ``g s + s h s / 2`` over ``normals @ s <= levels``,
     whose first 2n rows are the box (``I``, then ``-I``), the rows it holds
     and their multipliers: Goldfarb and Idnani's dual active-set method
-    (1983), started from the held rows ``start`` less those past the rows,
-    those that the rows before them span (a failed Schur pivot) and those
-    of negative multiplier, so from any start.
+    (1983), started from the held rows ``start`` less those past the rows
+    or past the n-th, those that the rows before them span and those of
+    negative multiplier, so from any start.
 
     It works in ``t = L^T s``, ``h = L L^T``, where the model is ``|t +
     L^-1 g|^2 / 2`` and a row ``a`` is ``y = L^-1 a``.  The held rows'
-    columns ``Y`` and the lower Cholesky factor ``R`` of ``Y^T Y`` are kept
-    across the call: a row taken on in full appends one row to ``R`` (one
-    ``dtrtrs``), and a row let go refactors ``R`` from ``Y``.  One
-    correction puts the held rows on their levels at the end.  The steps'
-    rounding grows with the multipliers: where the held rows span the row
-    taken on (its pivot reads 0), the face is solved afresh, from ``R``
-    refactored, before the next step or verdict (with n rows held, before
-    the verdict alone), and after a row is let go.  A bound the step holds
-    itself is met exactly; a held row, and a bound met only through held
-    rows, to rounding.  Raises ``np.linalg.LinAlgError`` where ``h`` does
-    not factor, the rows hold no point, or the held set cycles."""
+    columns are kept as Goldfarb and Idnani keep them, as a QR factor ``Y
+    = Q_1 R``, so ``Y^T Y``, whose condition is the square of ``Y``'s, is
+    never formed.  The start factors its rows at once (``dgeqrf``); a row
+    whose pivot ``R_ii^2`` is at most ``1e-14 |a|^2`` is spanned by those
+    before it, the test a row taken on meets too.  A row taken on splits
+    ``y = Q_1 p + w``, ``w`` orthogonal to the held columns: the held
+    multipliers move at the rates ``-R^-1 p`` and ``t`` along ``-w``, at
+    the pivot ``|w|^2``, and a full step appends ``w / |w|`` to ``Q_1`` and
+    ``(p, |w|)`` to ``R``, then one refinement puts the held rows back on
+    their levels.  A row let go is cut from the factor by Givens rotations.
+    A bound the step holds itself is met exactly; a held row, and a bound
+    met only through held rows, to rounding.  Raises
+    ``np.linalg.LinAlgError`` where ``h`` does not factor, the rows hold no
+    point, or the held set cycles."""
     n, lapack = len(g), scipy.linalg.lapack
     factor, info = lapack.dpotrf(h, lower=1)
     if info:
         raise np.linalg.LinAlgError("model not positive definite")
-    inverse = lapack.dtrtri(factor, lower=1)[0]  # L^-1 of h = L L^T
-    c = inverse @ g
 
-    def column(k):
-        # y = L^-1 a of row k: a bound's is a column of L^-1, with its sign
-        if k < n:
-            return inverse[:, k]
-        return -inverse[:, k - n] if k < 2 * n else inverse @ normals[k]
+    def lower(b, trans=0):
+        # L^-1 b, or L^-T b, of h = L L^T
+        return lapack.dtrtrs(factor, b, lower=1, trans=trans)[0]
 
-    def refactor():
-        # R from the held columns, letting go of each row that the rows
-        # before it span; whether any was let go
-        spanned = False
-        while active:
-            held = ys[:, :len(active)]
-            schur[:len(active), :len(active)], info = lapack.dpotrf(
-                held.T @ held, lower=1)
-            if not info:
+    def triangular(b, trans=0):
+        # R^-1 b, or R^-T b
+        if not len(b):
+            return b
+        return lapack.dtrtrs(r[:len(b), :len(b)], b, trans=trans)[0]
+
+    c = lower(g)
+    active = [k for k in start if k < len(levels)][:n]
+    # the held rows' columns Y = Q_1 R and their multipliers, in the first
+    # len(active) columns (entries); only R's upper triangle is read
+    ys, q, r = (np.empty((n, n), order="F") for _ in range(3))
+    duals, goals = np.zeros(n), np.empty(n)  # goals: the held rows' levels
+    t = -c
+    while active:
+        m = len(active)
+        rows = normals[active]
+        ys[:, :m] = lower(rows.T)
+        qr, tau = lapack.dgeqrf(ys[:, :m], lwork=32 * n)[:2]
+        spanned = (1e14 * np.square(qr.diagonal())
+                   <= np.square(rows).sum(1)).nonzero()[0]
+        if spanned.size:  # let go of the first spanned row
+            kept = np.arange(m) != spanned[0]
+        else:  # the face, t = Q_1 R^-T levels - (c - Q_1 Q_1^T c)
+            r[:m, :m], q[:, :m] = qr[:m], lapack.dorgqr(qr, tau)[0]
+            goals[:m] = levels[active]
+            z = triangular(goals[:m], trans=1)
+            w = q[:, :m].T @ t - z
+            t, duals[:m] = t - q[:, :m] @ w, triangular(w)
+            # once more: t's part in the held columns' span cancels
+            t -= q[:, :m] @ (q[:, :m].T @ t - z)
+            kept = duals[:m] >= 0.0  # let go of negative multipliers
+            if kept.all():
                 break
-            spanned = True
-            del active[info - 1]
-            ys[:, info - 1:len(active)] = ys[:, info:len(active) + 1]
-        return spanned
-
-    def solved(b):
-        # (Y^T Y)^-1 b through R
-        return lapack.dpotrs(schur[:len(b), :len(b)], b, lower=1)[0]
-
-    def face(q):
-        # the minimizer of q t + |t|^2 / 2 with the held rows at their
-        # levels, and their multipliers (into duals); q + Y multipliers
-        # cancels to rounding of its largest entries: one correction puts
-        # the rows back
-        if not active:
-            return -q
-        held, targets = ys[:, :len(active)], levels[active]
-        duals[:len(active)] = -solved(targets + held.T @ q)
-        t = -(q + held @ duals[:len(active)])
-        return t - held @ solved(held.T @ t - targets)
-
-    active = [k for k in start if k < len(levels)]
-    # the held rows' columns Y, R and the multipliers, in their first
-    # len(active) columns (entries)
-    ys = np.empty((n, max(n, len(active))))
-    schur = np.zeros((ys.shape[1], ys.shape[1]))
-    duals = np.zeros(ys.shape[1])
-    ys[:, :len(active)] = inverse @ normals[active].T
-    while True:
-        refactor()
-        t = face(c)
-        kept = duals[:len(active)] >= 0.0
-        if kept.all():
-            break
-        ys[:, :kept.sum()] = ys[:, :len(active)][:, kept]
         active = [k for k, keep in zip(active, kept) if keep]
-    fresh = True  # R refactored from Y, and t solved from it
+        t = -c
     for _ in range(4 * len(levels)):
-        s = inverse.T @ t
+        s = lower(t, trans=1)
         excess = normals @ s - levels
         excess[active] = 0.0
         k = int(excess.argmax())
         if not excess[k] > 1e-12:
-            held = ys[:, :len(active)]
-            if active and not fresh:
-                t -= held @ solved(held.T @ t - levels[active])
-            s = inverse.T @ t
             bounds = np.array([k for k in active if k < 2 * n], int)
             s[bounds % n] = np.where(bounds < n, 1.0, -1.0) * levels[bounds]
             return s, active, duals[:len(active)].copy()
-        y, weight = column(k), 0.0  # weight: row k's multiplier
+        y, weight = lower(normals[k]), 0.0  # weight: row k's multiplier
         threshold = 1e-14 * float(normals[k] @ normals[k])
         while True:
             m = len(active)
-            held, values = ys[:, :m], duals[:m]
+            held, values = q[:, :m], duals[:m]
+            # y = Q_1 p + w, w orthogonal to the held columns; where that
+            # cancels 99% of |y|^2 and more, orthogonalized once more
+            # (Daniel, Gragg, Kaufman and Stewart, 1976).  w combines y
+            # with the held columns alone, so an entry that none of them
+            # moves stays exactly 0, as a reflection would not keep it
             p = held.T @ y
-            rates = -solved(p) if m else p
-            dt = -(y + held @ rates)  # t's rate as the weight grows
+            w = y - held @ p
+            gain = float(w @ w)
+            if gain < 1e-2 * float(y @ y):
+                again = held.T @ w
+                w -= held @ again
+                p += again
+                gain = float(w @ w)
+            rates = -triangular(p)
             # the growth of the weight at which each held row's multiplier
             # reaches 0, then row k's own (full) where it is met
-            reach = np.full(m + 1, np.inf)
-            np.divide(values.clip(0.0), -rates, out=reach[:m],
+            reach = np.empty(m + 1)
+            reach.fill(np.inf)
+            np.divide(np.maximum(values, 0.0), -rates, out=reach[:m],
                       where=rates < 0.0)
             drop = int(reach.argmin())
-            gain = -float(y @ dt)
             full = np.inf
             if m < n and gain > threshold:
                 full = (float(y @ t) - levels[k]) / gain
-            if full == np.inf and not fresh and (
-                    m < n or reach[drop] == np.inf):
-                # the held rows span row k: the steps' rounding may read it
-                # as broken, or its multipliers' rates as falling, so solve
-                # the face afresh and test row k again (with n rows held,
-                # only before raising: every row is spanned, and the square
-                # Schur complement solves no better afresh)
-                refactor()
-                t, fresh = face(c + weight * y), True
-                if not weight and not (
-                        normals[k] @ (inverse.T @ t) - levels[k] > 1e-12):
-                    break
-                continue
             if reach[drop] == full == np.inf:
                 raise np.linalg.LinAlgError("the rows hold no point")
-            fresh = False
             step = min(full, reach[drop])
-            t = t + step * dt
+            t = t - step * w  # t's rate as the weight grows is -w
             values += step * rates
             if full <= reach[drop]:
-                if m:
-                    schur[m, :m] = lapack.dtrtrs(schur[:m, :m], p,
-                                                 lower=1)[0]
-                schur[m, m] = math.sqrt(gain)
-                ys[:, m], duals[m] = y, weight + full
+                r[:m, m], r[m, m] = p, math.sqrt(gain)
+                q[:, m], ys[:, m], duals[m] = w / r[m, m], y, weight + full
+                goals[m] = levels[k]
                 active.append(k)
+                # one refinement puts the held rows back on their levels
+                t -= q[:, :m + 1] @ triangular(
+                    ys[:, :m + 1].T @ t - goals[:m + 1], trans=1)
                 break
             weight += step
             del active[drop]
             ys[:, drop:m - 1] = ys[:, drop + 1:m]
             duals[drop:m - 1] = duals[drop + 1:m]
-            # the direction of a row k that the held rows span is rounding
-            if refactor() or full == np.inf:
-                t, fresh = face(c + weight * y), True
+            goals[drop:m - 1] = goals[drop + 1:m]
+            # Givens rotations restore R's triangle, combining held columns
+            # alone (a square Q_1 is taken for a full Q, its R handed back
+            # with a zero row)
+            held, kept = scipy.linalg.qr_delete(
+                held, r[:m, :m], drop, which="col", check_finite=False)
+            q[:, :m - 1], r[:m - 1, :m - 1] = held[:, :m - 1], kept[:m - 1]
     raise np.linalg.LinAlgError("active set cycles")
 
 

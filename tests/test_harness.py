@@ -571,7 +571,6 @@ class TestMeritStream:
     def test_fingerprint_repeats_and_restores_hooks(self, tmp_path):
         import importlib.util
 
-        import scipy.linalg.lapack
         import scipy.optimize
 
         from cinedrone import objectives, solver
@@ -582,8 +581,7 @@ class TestMeritStream:
         spec.loader.exec_module(tool)
         def hooks():
             return (scipy.optimize.minimize, solver.solve,
-                    objectives.evaluate_horizon_stacked, solver._model_step,
-                    scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtrs)
+                    objectives.evaluate_horizon_stacked, solver._model_step)
         hooked = hooks()
         prints = {}
         for pixel in (270.0, 270.0, 250.0):
@@ -611,7 +609,6 @@ class TestMeritStream:
         # the centred target is planned without one
         assert first["model steps"] == 0
         assert 0 < moved["model steps"] <= moved["value passes"]
-        assert moved["factorizations"] > 0
         # gradients only where the descent goes on, and a Hessian only
         # where it takes a step from
         for counts in (first, moved):

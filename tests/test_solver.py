@@ -1102,6 +1102,20 @@ class TestBoxGaussNewton:
         assert trials and all(not np.array_equal(x, x0) for x in trials)
         assert all(np.array_equal(x, x0) for x in gradients)
 
+    def test_overflowing_damping_ends_the_descent(self):
+        # f = sum(x) with a gradient of the wrong sign: every trial raises
+        # f and is rejected, so Nielsen's rule grows mu past the largest
+        # float; the descent ends there, status 2, without forming the
+        # damped model inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, values, _ = self.descend(
+                np.sum, lambda x: -np.ones(3), lambda x: np.zeros((3, 3)),
+                np.zeros(3), -np.ones(3), np.ones(3))
+        assert result.status == 2 and not result.success
+        assert np.array_equal(result.x, np.zeros(3)) and result.fun == 0.0
+        assert all(np.sum(x) > 0.0 for x in values[1:])
+
     @staticmethod
     def rosenbrock():
         """Rosenbrock's function as the least squares of (10 (y - x^2),
@@ -1355,7 +1369,14 @@ def convex_qps(draw):
     answer's held rows, rows at random (some past the rows), a pair of
     bounds with a row they span, or the bounds the gradient pushes away
     from (negative multipliers).  ``a`` may repeat a row and may hold the
-    row ``s_i + s_j <= u_i + u_j``, which the bounds i and j span."""
+    row ``s_i + s_j <= u_i + u_j``, which the bounds i and j span.
+
+    The kind "degenerate" is a cold start at a degenerate vertex of an
+    ill-conditioned model instead: ``h = b b^T`` of rank n / 2 plus the
+    descent's damping (1e-10 of its largest diagonal entry), a gradient of
+    size 1e2 to 1e6 that pushes k of the variables to their lower bounds,
+    and the redundant row ``w s >= w lower`` through that corner (``w >
+    0`` on those k variables)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n, m = draw(st.integers(2, 9)), draw(st.integers(0, 6))
     root = rng.standard_normal((n, n))
@@ -1376,8 +1397,19 @@ def convex_qps(draw):
     normals = np.concatenate([eye, -eye, a])
     levels = np.concatenate([upper, -lower, b])
     kind = draw(st.sampled_from(["cold", "warm", "random", "spanned",
-                                 "opposite"]))
-    start = {"cold": [], "warm": None,
+                                 "opposite", "degenerate"]))
+    if kind == "degenerate":
+        root = rng.standard_normal((n, max(1, n // 2)))
+        h = root @ root.T
+        h += 1e-10 * h.diagonal().max() * eye
+        corner = rng.choice(n, rng.integers(1, n + 1), replace=False)
+        g = 10.0 ** rng.uniform(2.0, 6.0) * rng.standard_normal(n)
+        g[corner] = np.abs(g[corner])
+        w = np.zeros(n)
+        w[corner] = rng.uniform(0.1, 1.0, len(corner))
+        normals = np.concatenate([normals, -w[None]])
+        levels = np.concatenate([levels, [-w @ lower]])
+    start = {"cold": [], "degenerate": [], "warm": None,
              "random": rng.choice(len(levels) + 3, min(n, len(levels)),
                                   replace=False).tolist(),
              "spanned": [i, j] + ([len(levels) - 1] if spanned else []),
@@ -1411,7 +1443,11 @@ class TestModelStepOracle:
             held < n, upper[held % n], lower[held % n]))
         # SLSQP stops where the model's decrease reaches its rounding,
         # some 1e-7 off in s: its answer is polished on the rows it meets,
-        # the minimizer with those rows as equalities
+        # the minimizer with those rows as equalities.  On the degenerate
+        # kind's models (condition 1e10 and more) SLSQP's answer fails that
+        # polish itself, so the conditions above are the oracle there
+        if np.linalg.cond(h) > 1e8:
+            return
         rough = slsqp_minimum(h, g, lower, upper, normals[2 * n:],
                               levels[2 * n:])
         met = normals[levels - normals @ rough <= 1e-7]

@@ -25,15 +25,9 @@ Runs one scenario at one seed through ``scene.run_closed_loop`` (with no
   descent's last pass, with no pass of its own);
 - the descent's own work: model steps (``solver._model_step`` calls: one
   per trial step, and two more per point whose linearized rows hold no
-  step: the elastic step's, and the trial step's again); cold model steps,
-  those of them whose start set is empty (the elastic steps, and a solve's
-  first trial step where the last one held no row); Cholesky
-  factorizations (LAPACK ``dpotrf`` calls: each model step's model once,
-  then the factor of its held rows' Schur complement, refactored at the
-  start, once more per start row that the rows before it span, after each
-  row let go, and where a face is solved afresh); and Schur appends
-  (LAPACK ``dtrtrs`` calls: one per row a model step takes on in full
-  beside held rows, each appending one row to that factor).
+  step: the elastic step's, and the trial step's again) and cold model
+  steps, those of them whose start set is empty (the elastic steps, and a
+  solve's first trial step where the last one held no row).
 
 Two checkouts that print the same lines handed the descent the same bits
 at every call, so a rewrite claimed to be bit for bit can be checked on
@@ -57,7 +51,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg.lapack
 import scipy.optimize
 
 from cinedrone import objectives as obj
@@ -100,14 +93,11 @@ def fingerprint(scenario: str, seed: int) -> dict[str, object]:
     plans = hashlib.sha256()
     counts = {"solves": 0, "value passes": 0, "gradient builds": 0,
               "Hessian builds": 0, "evaluations": 0, "model steps": 0,
-              "cold model steps": 0, "factorizations": 0,
-              "Schur appends": 0}
+              "cold model steps": 0}
     minimize, solve = scipy.optimize.minimize, sol.solve
     # the hooks that count a call and pass it on, by module and name
     counted = {(obj, "evaluate_horizon_stacked"): "evaluations",
-               (sol, "_model_step"): "model steps",
-               (scipy.linalg.lapack, "dpotrf"): "factorizations",
-               (scipy.linalg.lapack, "dtrtrs"): "Schur appends"}
+               (sol, "_model_step"): "model steps"}
     originals = {hook: getattr(*hook) for hook in counted}
 
     def counter(hook):
